@@ -49,6 +49,8 @@ from .oplin import (
     psd_inv_sqrt,
     psd_sqrt,
     solve,
+    spectrum_inv_sqrt,
+    spectrum_sqrt,
 )
 from .frames import (
     Annihilator,
@@ -60,6 +62,8 @@ from .frames import (
     canonical_dual,
     frame_bounds,
     frame_operator,
+    frame_operator_inv_sqrt,
+    frame_operator_sqrt,
     is_frame,
     is_riesz,
     kernel_basis,

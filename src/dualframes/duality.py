@@ -43,7 +43,8 @@ from .frames import (
     canonical_dual,
     frame_bounds,
     frame_operator,
-    kernel_basis,
+    frame_operator_inv_sqrt,
+    frame_operator_sqrt,
     mixed_operator,
     require_frame,
 )
@@ -124,9 +125,8 @@ def _factorization_report(phi: Frame, psi: Frame) -> DualReport:
     require_frame(phi, "first frame")
     mixed = mixed_operator(phi, psi)
     rate = operator_norm(oplin.identity(phi.dim) - mixed)
-    s = frame_operator(phi)
-    whitened = oplin.psd_inv_sqrt(s) @ mixed
-    residual = operator_norm(mixed - oplin.psd_sqrt(s) @ whitened)
+    whitened = frame_operator_inv_sqrt(phi) @ mixed
+    residual = operator_norm(mixed - frame_operator_sqrt(phi) @ whitened)
     gram = whitened @ adjoint(whitened)
     peak = float(np.linalg.eigvalsh(gram)[-1])
     upper_psi = frame_bounds(psi).upper
@@ -165,7 +165,7 @@ def approx_factorization(phi: Frame, psi: Frame) -> DualReport:
 def _theta_term(phi: Frame, theta: Optional[Annihilator]) -> np.ndarray:
     if theta is None:
         return np.zeros((phi.dim, phi.count), dtype=complex)
-    if not np.array_equal(theta.base.synthesis, phi.synthesis):
+    if theta.base is not phi and not np.array_equal(theta.base.synthesis, phi.synthesis):
         raise DimensionMismatch("annihilator was built for a different frame")
     return adjoint(theta.map)
 
@@ -181,13 +181,11 @@ def approx_dual_from_whitened(
     """
     require_frame(phi, "frame")
     w = oplin.as_operator(whitened)
-    s = frame_operator(phi)
-    half = oplin.psd_sqrt(s)
-    gap = operator_norm(oplin.identity(phi.dim) - half @ w)
+    gap = operator_norm(oplin.identity(phi.dim) - frame_operator_sqrt(phi) @ w)
     if not _strictly_below(gap, 1.0):
         raise ContractViolation("requires ||Id - S^(1/2) W|| < 1", measured=gap)
-    syn = adjoint(w) @ oplin.psd_inv_sqrt(s) @ phi.synthesis + _theta_term(phi, theta)
-    return Frame(syn)
+    syn = adjoint(w) @ frame_operator_inv_sqrt(phi) @ phi.synthesis + _theta_term(phi, theta)
+    return Frame._adopt(syn)
 
 
 @dataclass(frozen=True)
@@ -204,7 +202,7 @@ def whitened_admissibility(phi: Frame, whitened) -> WhitenedAdmissibility:
     """Check the closeness-to-S^{-1/2} condition that guarantees an approximate dual."""
     bounds = require_frame(phi, "frame")
     w = oplin.as_operator(whitened)
-    distance = operator_norm(oplin.psd_inv_sqrt(frame_operator(phi)) - w)
+    distance = operator_norm(frame_operator_inv_sqrt(phi) - w)
     threshold = 1.0 / np.sqrt(bounds.upper)
     return WhitenedAdmissibility(
         admissible=_strictly_below(distance, threshold),
@@ -229,7 +227,7 @@ def approx_dual_from_mixed(
     if not _strictly_below(gap, 1.0):
         raise ContractViolation("requires ||Id - target|| < 1", measured=gap)
     syn = adjoint(a) @ canonical_dual(phi).synthesis + _theta_term(phi, theta)
-    return Frame(syn)
+    return Frame._adopt(syn)
 
 
 def gdual_from_corresponding(
@@ -244,7 +242,18 @@ def gdual_from_corresponding(
     require_frame(phi, "frame")
     inv = oplin.inverse(corresponding)
     syn = adjoint(inv) @ canonical_dual(phi).synthesis + _theta_term(phi, theta)
-    return Frame(syn)
+    return Frame._adopt(syn)
+
+
+def _theta_part(phi: Frame, partner: Frame, mixed: np.ndarray) -> np.ndarray:
+    """Annihilator part  partner* - (S^{-1} T)* mixed  of a pair with the given mixed operator.
+
+    Projected onto ker(synthesis) to scrub roundoff before the invariant
+    check.  No rate is checked: g-dual partners are valid input.
+    """
+    theta_map = adjoint(partner.synthesis) - adjoint(canonical_dual(phi).synthesis) @ mixed
+    kernel = phi.kernel
+    return kernel @ (adjoint(kernel) @ theta_map)
 
 
 def recover_parameters(phi: Frame, phi_ad: Frame) -> Tuple[np.ndarray, Annihilator]:
@@ -258,14 +267,8 @@ def recover_parameters(phi: Frame, phi_ad: Frame) -> Tuple[np.ndarray, Annihilat
     rate = operator_norm(oplin.identity(phi.dim) - mixed)
     if not _strictly_below(rate, 1.0):
         raise NotApproxDual("pair is not approximately dual", measured=rate)
-    s = frame_operator(phi)
-    inv_half = oplin.psd_inv_sqrt(s)
-    whitened = inv_half @ mixed
-    theta_map = adjoint(phi_ad.synthesis) - adjoint(phi.synthesis) @ inv_half @ whitened
-    # Project onto ker(synthesis) to scrub roundoff before the invariant check.
-    kernel = kernel_basis(phi)
-    theta_map = kernel @ (adjoint(kernel) @ theta_map)
-    return whitened, Annihilator(map=theta_map, base=phi)
+    whitened = frame_operator_inv_sqrt(phi) @ mixed
+    return whitened, Annihilator(map=_theta_part(phi, phi_ad, mixed), base=phi)
 
 
 def approx_dual_via_dual(
@@ -288,21 +291,20 @@ def approx_dual_via_dual(
     gap = operator_norm(oplin.identity(phi.dim) - mixed_operator(phi, phi_d))
     if gap > DUAL_TOL:
         raise NotDualPair("(phi, phi_d) must be an exact dual pair", measured=gap)
-    s = frame_operator(phi)
     if whitened is not None:
         check = whitened_admissibility(phi, whitened)
         if not check.admissible:
             raise ContractViolation(
                 "requires ||S^(-1/2) - W|| < 1/sqrt(upper bound)", measured=check.distance
             )
-        head = adjoint(oplin.as_operator(whitened)) @ oplin.psd_inv_sqrt(s) @ phi.synthesis
+        head = adjoint(oplin.as_operator(whitened)) @ frame_operator_inv_sqrt(phi) @ phi.synthesis
     else:
         a = oplin.as_operator(target)
         gap_a = operator_norm(oplin.identity(phi.dim) - a)
         if not _strictly_below(gap_a, 1.0):
             raise ContractViolation("requires ||Id - target|| < 1", measured=gap_a)
         head = adjoint(a) @ canonical_dual(phi).synthesis
-    return Frame(head - phi.synthesis + s @ phi_d.synthesis)
+    return Frame._adopt(head - phi.synthesis + frame_operator(phi) @ phi_d.synthesis)
 
 
 def reconstruct(phi: Frame, psi: Frame, f) -> np.ndarray:

@@ -14,6 +14,7 @@ construction in :mod:`dualframes.duality`.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from functools import cached_property
 from typing import NamedTuple, Sequence
 
 import numpy as np
@@ -35,21 +36,71 @@ class FrameBounds(NamedTuple):
     lower: float
     upper: float
 
+    @classmethod
+    def from_eigenvalues(cls, w: np.ndarray) -> "FrameBounds":
+        """Bounds from the ascending spectrum of a frame operator.
+
+        ``lower == 0.0`` signals a Bessel family that is not a frame.
+        """
+        upper = float(max(w[-1], 0.0))
+        lower = float(w[0])
+        if lower <= FRAME_THRESHOLD_REL * upper:
+            lower = 0.0
+        return cls(lower=lower, upper=upper)
+
+    def require(self, name: str = "family") -> "FrameBounds":
+        """These bounds, or :class:`NotAFrame` when the lower bound is 0."""
+        if self.lower == 0.0:
+            raise NotAFrame(f"{name} has lower frame bound 0 (rank deficient)")
+        return self
+
+
+def _frozen(a: np.ndarray) -> np.ndarray:
+    a.flags.writeable = False
+    return a
+
 
 @dataclass(frozen=True)
 class Frame:
-    """A finite vector family, held as its d x n synthesis matrix."""
+    """A finite vector family, held as its d x n synthesis matrix.
+
+    The synthesis matrix is immutable: a writeable array passed in is
+    copied, and the stored array is read-only.  The spectral facts of the
+    frame operator S = T T* are computed lazily, at most once per frame,
+    and cached on the instance:
+
+    * :attr:`eigenvalues` -- the spectrum of S (eigenvalues only), behind
+      the frame bounds;
+    * :attr:`spectrum` -- the full Hermitian eigendecomposition of S,
+      computed only when a root or an inverse of S is first needed;
+    * :attr:`kernel` -- an orthonormal basis of ker T.
+
+    Operators derived from them (S^{1/2}, S^{-1/2}, S^{-1} T) are rebuilt
+    on each request rather than kept, and S itself is never kept.
+    """
 
     synthesis: np.ndarray
 
     def __post_init__(self):
-        object.__setattr__(self, "synthesis", oplin.as_operator(self.synthesis))
+        given = self.synthesis
+        syn = oplin.as_operator(given)
+        # Copy anything that may share memory with a writeable caller array:
+        # the caller's own array unless it is read-only and owns its memory,
+        # and any view (such as the base-class view of an ndarray subclass).
+        if syn.base is not None or (syn is given and syn.flags.writeable):
+            syn = syn.copy()
+        object.__setattr__(self, "synthesis", _frozen(syn))
+
+    @classmethod
+    def _adopt(cls, syn: np.ndarray) -> "Frame":
+        """Frame over a freshly built array no caller holds: frozen, not copied."""
+        return cls(_frozen(syn) if syn.base is None else syn)
 
     @classmethod
     def from_vectors(cls, vectors: Sequence) -> "Frame":
         """Build a frame from a sequence of length-d vectors."""
         cols = [np.asarray(v, dtype=complex).reshape(-1) for v in vectors]
-        return cls(np.column_stack(cols))
+        return cls._adopt(np.column_stack(cols))
 
     @property
     def dim(self) -> int:
@@ -61,6 +112,26 @@ class Frame:
 
     def vector(self, k: int) -> np.ndarray:
         return self.synthesis[:, k].copy()
+
+    @cached_property
+    def eigenvalues(self) -> np.ndarray:
+        """Ascending eigenvalues of the frame operator (read-only)."""
+        if "spectrum" in self.__dict__:
+            return self.spectrum.eigenvalues
+        return _frozen(np.linalg.eigvalsh(frame_operator(self)))
+
+    @cached_property
+    def spectrum(self) -> oplin.Spectrum:
+        """Checked Hermitian eigendecomposition of the frame operator (read-only)."""
+        spec = oplin.herm_eig(frame_operator(self))
+        spec = oplin.Spectrum(_frozen(spec.eigenvalues), _frozen(spec.eigenvectors))
+        self.__dict__.setdefault("eigenvalues", spec.eigenvalues)
+        return spec
+
+    @cached_property
+    def kernel(self) -> np.ndarray:
+        """Orthonormal basis (n x (n - rank)) of ker T (read-only)."""
+        return _frozen(scipy.linalg.null_space(self.synthesis).astype(complex))
 
     def __repr__(self):
         return f"Frame(dim={self.dim}, count={self.count})"
@@ -96,12 +167,7 @@ def frame_operator(phi: Frame) -> np.ndarray:
 
 def frame_bounds(phi: Frame) -> FrameBounds:
     """Optimal bounds; ``lower == 0.0`` signals a Bessel family that is not a frame."""
-    w = np.linalg.eigvalsh(frame_operator(phi))
-    upper = float(max(w[-1], 0.0))
-    lower = float(w[0])
-    if lower <= FRAME_THRESHOLD_REL * upper:
-        lower = 0.0
-    return FrameBounds(lower=lower, upper=upper)
+    return FrameBounds.from_eigenvalues(phi.eigenvalues)
 
 
 def is_frame(phi: Frame) -> bool:
@@ -109,10 +175,7 @@ def is_frame(phi: Frame) -> bool:
 
 
 def require_frame(phi: Frame, name: str = "family") -> FrameBounds:
-    bounds = frame_bounds(phi)
-    if bounds.lower == 0.0:
-        raise NotAFrame(f"{name} has lower frame bound 0 (rank deficient)")
-    return bounds
+    return frame_bounds(phi).require(name)
 
 
 def is_riesz(phi: Frame) -> bool:
@@ -120,11 +183,22 @@ def is_riesz(phi: Frame) -> bool:
     return phi.count == phi.dim and is_frame(phi)
 
 
+def frame_operator_sqrt(phi: Frame) -> np.ndarray:
+    """S^{1/2}, from the frame's cached spectrum."""
+    return oplin.spectrum_sqrt(phi.spectrum)
+
+
+def frame_operator_inv_sqrt(phi: Frame) -> np.ndarray:
+    """S^{-1/2}, from the frame's cached spectrum."""
+    return oplin.spectrum_inv_sqrt(phi.spectrum)
+
+
 def canonical_dual(phi: Frame) -> Frame:
     """The frame ( S^{-1} phi_k )_k, giving exact reconstruction."""
+    spec = phi.spectrum  # first, so that its eigenvalues also serve the frame check
     require_frame(phi, "frame")
-    s = frame_operator(phi)
-    return Frame(np.linalg.solve(s, phi.synthesis))
+    v = spec.eigenvectors
+    return Frame._adopt((v / spec.eigenvalues) @ (adjoint(v) @ phi.synthesis))
 
 
 def mixed_operator(phi: Frame, psi: Frame) -> np.ndarray:
@@ -145,8 +219,8 @@ def bessel_bound_difference(phi: Frame, psi: Frame) -> float:
 
 
 def kernel_basis(phi: Frame) -> np.ndarray:
-    """Orthonormal basis (n x (n - rank)) of the kernel of the synthesis map."""
-    return scipy.linalg.null_space(phi.synthesis).astype(complex)
+    """Orthonormal basis (n x (n - rank)) of the kernel of the synthesis map (cached)."""
+    return phi.kernel
 
 
 @dataclass(frozen=True)
@@ -167,9 +241,9 @@ class Annihilator:
             raise DimensionMismatch(
                 f"annihilator must be {self.base.count}x{self.base.dim}, got {m.shape}"
             )
-        t = self.base.synthesis
-        residual = operator_norm(t @ m)
-        allowed = ANNIHILATOR_TOL * operator_norm(t) * max(operator_norm(m), 1e-300)
+        residual = operator_norm(self.base.synthesis @ m)
+        t_norm = np.sqrt(frame_bounds(self.base).upper)  # ||T|| = sqrt(lambda_max(S))
+        allowed = ANNIHILATOR_TOL * t_norm * max(operator_norm(m), 1e-300)
         if residual > allowed:
             raise DimensionMismatch(
                 f"range not inside ker(synthesis): ||T theta|| = {residual:.3e}"

@@ -42,7 +42,7 @@ from .errors import (
     OffGrid,
     SupportOverflow,
 )
-from .frames import Frame, FrameBounds, frame_operator, require_frame
+from .frames import Frame, FrameBounds, frame_operator
 from .oplin import adjoint, operator_norm
 
 RationalLike = Union[Fraction, int, str]
@@ -265,7 +265,7 @@ def gabor_frame(g: SampledWindow, lat: GaborLattice) -> Frame:
     for n in range(n_t):
         block = phases * np.roll(base, n * step)[None, :]
         syn[:, n * n_m : (n + 1) * n_m] = block.T
-    return Frame(syn)
+    return Frame._adopt(syn)
 
 
 def walnut_weight(g: SampledWindow, a: RationalLike) -> SampledWindow:
@@ -489,9 +489,10 @@ def scaled_gabor_operator(l_window: SampledWindow, lat: GaborLattice) -> np.ndar
     the identity is 1 - lower/upper < 1, which makes it a ready-made
     operator for prescribing an approximation rate.
     """
-    system = gabor_frame(l_window, lat)
-    bounds = require_frame(system, "scaling system")
-    return frame_operator(system) / bounds.upper
+    s_mat = frame_operator(gabor_frame(l_window, lat))
+    bounds = FrameBounds.from_eigenvalues(np.linalg.eigvalsh(s_mat)).require("scaling system")
+    s_mat /= bounds.upper
+    return s_mat
 
 
 def approx_dual_window(

@@ -51,7 +51,7 @@ def frame_from_dict(data: dict) -> Frame:
         raise ParseError("frame JSON has no vectors")
     if any(c.shape[0] != dim for c in cols):
         raise ParseError("frame vector length disagrees with 'dim'")
-    return Frame(np.column_stack(cols))
+    return Frame._adopt(np.column_stack(cols))
 
 
 def window_to_dict(window: SampledWindow) -> dict:

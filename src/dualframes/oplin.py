@@ -67,10 +67,13 @@ def herm_eig(m) -> Spectrum:
     a = as_operator(m)
     if a.shape[0] != a.shape[1]:
         raise DimensionMismatch(f"matrix must be square, got {a.shape}")
-    scale = operator_norm(a)
-    drift = operator_norm(a - adjoint(a))
-    if drift > HERMITICITY_TOL * max(scale, 1e-300):
-        raise NotHermitian(f"relative Hermiticity defect {drift / max(scale, 1e-300):.3e}")
+    # An exactly Hermitian matrix has zero drift and passes without the two
+    # norms; frame operators T T* usually are exact.
+    if not np.array_equal(a, adjoint(a)):
+        scale = operator_norm(a)
+        drift = operator_norm(a - adjoint(a))
+        if drift > HERMITICITY_TOL * max(scale, 1e-300):
+            raise NotHermitian(f"relative Hermiticity defect {drift / max(scale, 1e-300):.3e}")
     w, v = np.linalg.eigh(a)
     return Spectrum(eigenvalues=w.astype(float), eigenvectors=v.astype(complex))
 
@@ -81,13 +84,12 @@ def _herm_function(spec: Spectrum, values: np.ndarray) -> np.ndarray:
     return (r + adjoint(r)) / 2.0  # re-Hermitize against roundoff
 
 
-def psd_sqrt(m) -> np.ndarray:
-    """Unique PSD square root of a Hermitian PSD matrix.
+def spectrum_sqrt(spec: Spectrum) -> np.ndarray:
+    """PSD square root from a Hermitian eigendecomposition.
 
     Eigenvalues in [-EIG_CLAMP_REL * ||M||, 0) are treated as roundoff and
     clamped to 0; anything more negative raises :class:`NotPSD`.
     """
-    spec = herm_eig(m)
     w = spec.eigenvalues
     scale = max(abs(w[0]), abs(w[-1]))
     if w[0] < -EIG_CLAMP_REL * scale:
@@ -95,13 +97,22 @@ def psd_sqrt(m) -> np.ndarray:
     return _herm_function(spec, np.sqrt(np.clip(w, 0.0, None)))
 
 
-def psd_inv_sqrt(m) -> np.ndarray:
-    """Inverse PSD square root of a Hermitian positive definite matrix."""
-    spec = herm_eig(m)
+def spectrum_inv_sqrt(spec: Spectrum) -> np.ndarray:
+    """Inverse PSD square root from a positive definite eigendecomposition."""
     w = spec.eigenvalues
     if w[0] <= 1e-12 * max(w[-1], 0.0):
         raise Singular(f"smallest eigenvalue {w[0]:.3e} too close to zero")
     return _herm_function(spec, 1.0 / np.sqrt(w))
+
+
+def psd_sqrt(m) -> np.ndarray:
+    """Unique PSD square root of a Hermitian PSD matrix (see spectrum_sqrt)."""
+    return spectrum_sqrt(herm_eig(m))
+
+
+def psd_inv_sqrt(m) -> np.ndarray:
+    """Inverse PSD square root of a Hermitian positive definite matrix."""
+    return spectrum_inv_sqrt(herm_eig(m))
 
 
 def _check_invertible(a: np.ndarray) -> None:

@@ -15,6 +15,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import oplin
+from .duality import _theta_part
 from .errors import NotApproxDual, NotRieszBasis, SmallnessViolated
 from .frames import (
     Frame,
@@ -22,7 +23,6 @@ from .frames import (
     canonical_dual,
     frame_bounds,
     is_riesz,
-    kernel_basis,
     mixed_operator,
     require_frame,
 )
@@ -53,12 +53,6 @@ class TransferResult:
     smallness: float
 
 
-def _recover_theta(phi: Frame, phi_dual: Frame, mixed: np.ndarray) -> np.ndarray:
-    theta_map = adjoint(phi_dual.synthesis) - adjoint(canonical_dual(phi).synthesis) @ mixed
-    kernel = kernel_basis(phi)
-    return kernel @ (adjoint(kernel) @ theta_map)
-
-
 def _transfer(phi: Frame, psi: Frame, phi_dual: Frame, expect_approx: bool) -> TransferResult:
     m_phi, big_m_phi = require_frame(phi, "original frame")
     m_psi, big_m_psi = require_frame(psi, "perturbed frame")
@@ -69,30 +63,31 @@ def _transfer(phi: Frame, psi: Frame, phi_dual: Frame, expect_approx: bool) -> T
         if rate >= 1.0 - 1e-12:
             raise NotApproxDual("(phi, phi_dual) is not approximately dual", measured=rate)
     inv_mixed = oplin.inverse(mixed)
+    inv_mixed_norm = operator_norm(inv_mixed)
 
-    theta_map = _recover_theta(phi, phi_dual, mixed)
+    theta_map = _theta_part(phi, phi_dual, mixed)
     theta_norm = operator_norm(theta_map)
 
     diff_bound = bessel_bound_difference(phi, psi)
-    smallness = float(np.sqrt(diff_bound) * theta_norm * operator_norm(inv_mixed))
+    smallness = float(np.sqrt(diff_bound) * theta_norm * inv_mixed_norm)
     if smallness >= 1.0 - SMALLNESS_MARGIN:
         raise SmallnessViolated(
             "requires sqrt(M_diff) * ||theta|| * ||inv mixed|| < 1", measured=smallness
         )
 
     omega_syn = adjoint(mixed) @ canonical_dual(psi).synthesis + adjoint(theta_map)
-    omega = Frame(omega_syn)
+    omega = Frame._adopt(omega_syn)
     corrector = omega_syn @ adjoint(psi.synthesis) @ adjoint(inv_mixed)
     # The smallness estimate is sufficient, not necessary (vacuous for
     # theta == 0); invertibility of the corrector is what actually matters.
-    psi_dual = Frame(oplin.solve(corrector, omega_syn))
+    psi_dual = Frame._adopt(oplin.solve(corrector, omega_syn))
 
     mixed_match = operator_norm(mixed_operator(psi, psi_dual) - mixed)
     measured = bessel_bound_difference(phi_dual, psi_dual)
     big_m_dual = frame_bounds(phi_dual).upper
     predicted = (
         diff_bound
-        * (operator_norm(inv_mixed) / (1.0 - smallness)) ** 2
+        * (inv_mixed_norm / (1.0 - smallness)) ** 2
         * (
             theta_norm * np.sqrt(big_m_dual)
             + operator_norm(mixed)

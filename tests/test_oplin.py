@@ -89,6 +89,16 @@ class TestHermEig:
         with pytest.raises(NotHermitian):
             herm_eig([[0.0, 1.0], [0.0, 0.0]])
 
+    def test_inexact_hermitian_input_is_judged_by_the_tolerance(self):
+        # ||SYM|| = 3; a defect d at one entry gives relative drift d / 3
+        roundoff = SYM.astype(complex)
+        roundoff[0, 1] += 1e-14
+        assert np.allclose(herm_eig(roundoff).eigenvalues, [1.0, 3.0], atol=1e-12)
+        defect = SYM.astype(complex)
+        defect[0, 1] += 1e-11
+        with pytest.raises(NotHermitian):
+            herm_eig(defect)
+
     def test_rejects_non_square(self):
         with pytest.raises(DimensionMismatch):
             herm_eig(np.zeros((2, 3)))
