@@ -78,7 +78,6 @@ from .duality import (
     approx_dual_from_mixed,
     approx_dual_from_whitened,
     approx_dual_via_dual,
-    approx_factorization,
     classify_pair,
     equivalence_inverse,
     gdual_factorization,

@@ -16,7 +16,7 @@ import argparse
 import csv
 import sys
 import time
-from dataclasses import dataclass, field
+from dataclasses import asdict, dataclass, field
 from fractions import Fraction
 
 import numpy as np
@@ -35,11 +35,13 @@ from .frames import (
     random_annihilator,
 )
 from .gabor import (
+    GABOR_DUAL_TOL,
     GaborLattice,
     GridSpec,
     SampledWindow,
     approx_dual_window,
     ck_dual1,
+    ck_dual1_unchecked,
     ck_dual2,
     gabor_frame,
     janssen_residual,
@@ -62,15 +64,6 @@ class RunReport:
     verdicts: dict = field(default_factory=dict)
     artifacts_written: list = field(default_factory=list)
     wall_time_ms: int = 0
-
-    def to_dict(self) -> dict:
-        return {
-            "command": self.command,
-            "inputs": self.inputs,
-            "verdicts": self.verdicts,
-            "artifacts_written": self.artifacts_written,
-            "wall_time_ms": self.wall_time_ms,
-        }
 
 
 def _write_csv(path, header, rows) -> None:
@@ -305,7 +298,7 @@ def cmd_gabor_verify(args) -> RunReport:
     residual = janssen_residual(window, dual, lat)
     report.verdicts = {
         "janssen_residual": residual,
-        "dual": residual <= 1e-10,
+        "dual": residual <= GABOR_DUAL_TOL,
     }
     if args.materialize:
         rate = approximation_rate(gabor_frame(window, lat), gabor_frame(dual, lat))
@@ -351,7 +344,7 @@ def _sweep_char(args) -> RunReport:
                 h = sample_char(cp, grid)
                 lat = GaborLattice(a, Fraction(1))
                 residual = janssen_residual(g, h, lat)
-                dual = residual <= 1e-10
+                dual = residual <= GABOR_DUAL_TOL
                 criterion = c <= 1 and cp <= 1 and a == min(c, cp)
                 agree = dual == criterion
                 agree_all = agree_all and agree
@@ -385,12 +378,9 @@ def _sweep_bspline(args) -> RunReport:
         # per-cell grid so that b * period stays an integer
         grid = GridSpec(s, den * max(2, order))
         window = sample_bspline(order, grid)
-        values = float(b) * window.values
-        for n in range(1, order):
-            values = values + 2 * float(b) * np.roll(window.values, -n * s)
-        candidate = SampledWindow(grid, values)
+        candidate = ck_dual1_unchecked(window, order, b)
         residual = janssen_residual(window, candidate, GaborLattice(1, b))
-        dual = residual <= 1e-10
+        dual = residual <= GABOR_DUAL_TOL
         hypothesis = b <= Fraction(1, 2 * order - 1)
         agree = dual == hypothesis
         agree_all = agree_all and agree
@@ -412,8 +402,15 @@ def cmd_gabor_sweep(args) -> RunReport:
     return _sweep_bspline(args)
 
 
+class _Parser(argparse.ArgumentParser):
+    """Usage errors raise ParseError (exit 3) instead of exiting with argparse's 2."""
+
+    def error(self, message):
+        raise ParseError(f"{self.prog}: {message}")
+
+
 def build_parser() -> argparse.ArgumentParser:
-    parser = argparse.ArgumentParser(
+    parser = _Parser(
         prog="dualframes",
         description="Finite frames, dual-type constructions, and discrete Gabor systems.",
     )
@@ -504,15 +501,16 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--out")
     p.set_defaults(func=cmd_gabor_sweep)
 
+    for leaf in [*sub.choices.values(), *gsub.choices.values()]:
+        if leaf is not g:
+            leaf.add_argument("--report", metavar="PATH", help="write a JSON run report")
     return parser
 
 
 def main(argv=None) -> int:
-    parser = build_parser()
-    parser_args = argv if argv is not None else sys.argv[1:]
-    args, report_path = _extract_report_flag(parser, parser_args)
-    start = time.perf_counter()
     try:
+        args = build_parser().parse_args(argv)
+        start = time.perf_counter()
         report = args.func(args)
     except (ParseError, DimensionMismatch, ValueError) as exc:
         print(f"error: {exc}", file=sys.stderr)
@@ -525,28 +523,10 @@ def main(argv=None) -> int:
     if report.artifacts_written:
         for path in report.artifacts_written:
             print(f"wrote {path}")
-    if report_path:
-        io.dump_json(report.to_dict(), report_path)
-        print(f"wrote {report_path}")
+    if args.report:
+        io.dump_json(asdict(report), args.report)
+        print(f"wrote {args.report}")
     return 0
-
-
-def _extract_report_flag(parser, argv):
-    # --report is accepted by every subcommand; strip it before parsing.
-    argv = list(argv)
-    report_path = None
-    for i, token in enumerate(argv):
-        if token == "--report":
-            if i + 1 >= len(argv):
-                parser.error("--report needs a path")
-            report_path = argv[i + 1]
-            del argv[i : i + 2]
-            break
-        if token.startswith("--report="):
-            report_path = token.split("=", 1)[1]
-            del argv[i]
-            break
-    return parser.parse_args(argv), report_path
 
 
 if __name__ == "__main__":

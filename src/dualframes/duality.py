@@ -48,18 +48,12 @@ from .frames import (
     mixed_operator,
     require_frame,
 )
-from .oplin import adjoint, operator_norm
+from .oplin import _strictly_below, adjoint, operator_norm
 
 # Exact duality: ||Id - mixed|| at or below this is "dual".
 DUAL_TOL = 1e-10
-# Strict "< 1" margins; boundary cases (rate exactly 1) must be rejected.
-STRICT_FACTOR = 1.0 - 1e-12
 # Slack allowed when checking lambda_max(W W*) against the Bessel bound.
 BESSEL_CHECK_TOL = 1e-9
-
-
-def _strictly_below(value: float, bound: float) -> bool:
-    return value < bound * STRICT_FACTOR
 
 
 @dataclass(frozen=True)
@@ -121,7 +115,15 @@ def classify_pair(phi: Frame, psi: Frame) -> DualReport:
     return DualReport(kind=kind, rate=rate, corresponding_op=corresponding)
 
 
-def _factorization_report(phi: Frame, psi: Frame) -> DualReport:
+def gdual_factorization(phi: Frame, psi: Frame) -> DualReport:
+    """Factor the mixed operator as S^{1/2} W and classify the pair.
+
+    The pair is g-dual exactly when the whitened factor W is invertible,
+    and approximately dual exactly when ||Id - S^{1/2} W|| < 1, which is
+    the approximation rate ``report.rate``.  The report also checks
+    lambda_max(W W*) against the Bessel bound of ``psi``, which must hold
+    for any genuine frame pair.
+    """
     require_frame(phi, "first frame")
     mixed = mixed_operator(phi, psi)
     rate = operator_norm(oplin.identity(phi.dim) - mixed)
@@ -141,25 +143,6 @@ def _factorization_report(phi: Frame, psi: Frame) -> DualReport:
         bessel_bound_ok=bool(peak <= upper_psi + BESSEL_CHECK_TOL),
         bessel_margin=margin,
     )
-
-
-def gdual_factorization(phi: Frame, psi: Frame) -> DualReport:
-    """Factor the mixed operator as S^{1/2} W and test g-duality.
-
-    The pair is g-dual exactly when the whitened factor W is invertible;
-    the report also checks lambda_max(W W*) against the Bessel bound of
-    ``psi``, which must hold for any genuine frame pair.
-    """
-    return _factorization_report(phi, psi)
-
-
-def approx_factorization(phi: Frame, psi: Frame) -> DualReport:
-    """Same factorization, tested against the approximate-duality criterion.
-
-    The pair is approximately dual exactly when ||Id - S^{1/2} W|| < 1,
-    which equals the approximation rate (readable as ``report.rate``).
-    """
-    return _factorization_report(phi, psi)
 
 
 def _theta_term(phi: Frame, theta: Optional[Annihilator]) -> np.ndarray:

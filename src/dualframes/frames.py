@@ -76,7 +76,8 @@ class Frame:
     * :attr:`kernel` -- an orthonormal basis of ker T.
 
     Operators derived from them (S^{1/2}, S^{-1/2}, S^{-1} T) are rebuilt
-    on each request rather than kept, and S itself is never kept.
+    on each request rather than kept, and S itself is never kept.  A
+    frame whose S overflows raises ValueError for every spectral fact.
     """
 
     synthesis: np.ndarray
@@ -113,18 +114,22 @@ class Frame:
     def vector(self, k: int) -> np.ndarray:
         return self.synthesis[:, k].copy()
 
+    def _operator(self) -> np.ndarray:
+        """S = T T*, Hermitian by construction; ValueError when it overflows."""
+        return oplin.as_operator(frame_operator(self))
+
     @cached_property
     def eigenvalues(self) -> np.ndarray:
         """Ascending eigenvalues of the frame operator (read-only)."""
         if "spectrum" in self.__dict__:
             return self.spectrum.eigenvalues
-        return _frozen(np.linalg.eigvalsh(frame_operator(self)))
+        return _frozen(np.linalg.eigvalsh(self._operator()))
 
     @cached_property
     def spectrum(self) -> oplin.Spectrum:
-        """Checked Hermitian eigendecomposition of the frame operator (read-only)."""
-        spec = oplin.herm_eig(frame_operator(self))
-        spec = oplin.Spectrum(_frozen(spec.eigenvalues), _frozen(spec.eigenvectors))
+        """Hermitian eigendecomposition of the frame operator (read-only)."""
+        w, v = np.linalg.eigh(self._operator())
+        spec = oplin.Spectrum(_frozen(w), _frozen(v))
         self.__dict__.setdefault("eigenvalues", spec.eigenvalues)
         return spec
 

@@ -43,7 +43,7 @@ from .errors import (
     SupportOverflow,
 )
 from .frames import Frame, FrameBounds, frame_operator
-from .oplin import adjoint, operator_norm
+from .oplin import _strictly_below, adjoint, operator_norm
 
 RationalLike = Union[Fraction, int, str]
 
@@ -169,9 +169,6 @@ class GaborLattice:
             )
         return int(n)
 
-    def modulations_periodic(self, grid: GridSpec) -> bool:
-        return (self.b * grid.period).denominator == 1
-
 
 def _embed(w: SampledWindow) -> np.ndarray:
     return w.values / np.sqrt(w.grid.samples_per_unit)
@@ -269,17 +266,16 @@ def gabor_frame(g: SampledWindow, lat: GaborLattice) -> Frame:
 
 
 def walnut_weight(g: SampledWindow, a: RationalLike) -> SampledWindow:
-    """Periodized shift-energy sum_n |g(x - n a)|^2 on the grid."""
-    lat_a = as_fraction(a)
-    step = lat_a * g.grid.samples_per_unit
-    if step.denominator != 1:
-        raise OffGrid(f"time step {lat_a} does not land on the grid")
-    count = Fraction(g.grid.period) / lat_a
-    if count.denominator != 1:
-        raise OffGrid(f"period {g.grid.period} is not a multiple of a = {lat_a}")
+    """Periodized shift-energy sum_n |g(x - n a)|^2 on the grid.
+
+    The time step is checked as in :class:`GaborLattice` (the weight does
+    not depend on the frequency step).
+    """
+    lat = GaborLattice(a, 1)
+    step = lat.time_step(g.grid)
     total = np.zeros(g.grid.total)
-    for n in range(int(count)):
-        total += np.abs(np.roll(g.values, n * int(step))) ** 2
+    for n in range(lat.shifts(g.grid)):
+        total += np.abs(np.roll(g.values, n * step)) ** 2
     return SampledWindow(g.grid, total)
 
 
@@ -329,9 +325,10 @@ def painless_check(g: SampledWindow, lat: GaborLattice, support: int) -> Painles
         )
     lat.adjoint_shifts(g.grid)  # diagonality needs periodic modulations
     s_mat = frame_operator(gabor_frame(g, lat))
+    w = np.linalg.eigvalsh(s_mat)
     diag = np.real(np.diagonal(s_mat)).copy()
     off = s_mat - np.diag(np.diagonal(s_mat))
-    scale = operator_norm(s_mat)
+    scale = float(w[-1])  # ||S|| = lambda_max(S), S being PSD
     offdiag_rel = operator_norm(off) / scale
     b = float(lat.b)
     err_wb = float(np.max(np.abs(diag - weight / b))) / scale
@@ -342,7 +339,6 @@ def painless_check(g: SampledWindow, lat: GaborLattice, support: int) -> Painles
         matched = "b/weight"
     else:
         matched = "neither"
-    w = np.linalg.eigvalsh(s_mat)
     return PainlessReport(
         diagonal=diag,
         offdiag_relative=float(offdiag_rel),
@@ -417,8 +413,17 @@ def ck_dual1(g: SampledWindow, support: int, b: RationalLike) -> SampledWindow:
     """
     bq = as_fraction(b)
     _require_ck_window(g, support, bq)
+    return ck_dual1_unchecked(g, support, bq)
+
+
+def ck_dual1_unchecked(g: SampledWindow, support: int, b: RationalLike) -> SampledWindow:
+    """The :func:`ck_dual1` formula without its hypothesis check.
+
+    For probing the formula where its hypotheses fail (e.g. b above
+    1/(2*support - 1)); the result is then in general not a dual window.
+    """
     s = g.grid.samples_per_unit
-    bf = float(bq)
+    bf = float(as_fraction(b))
     values = bf * g.values
     for n in range(1, support):
         values = values + (2 * bf) * np.roll(g.values, -n * s)
@@ -517,7 +522,7 @@ def approx_dual_window(
             "operator must commute with the lattice generators", measured=comm
         )
     gap = operator_norm(np.eye(g.grid.total) - a)
-    if gap >= 1.0 - 1e-12:
+    if not _strictly_below(gap, 1.0):
         raise ContractViolation("requires ||Id - A|| < 1", measured=gap)
     s_mat = frame_operator(gabor_frame(g, lat))
     vg = _embed(g)

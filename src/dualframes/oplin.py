@@ -24,6 +24,12 @@ HERMITICITY_TOL = 1e-12
 EIG_CLAMP_REL = 1e-10
 # Condition-number cutoff for invertibility: smin > smax / COND_CUTOFF.
 COND_CUTOFF = 1e12
+# Strict "< 1" margins; boundary cases (rate exactly 1) must be rejected.
+STRICT_FACTOR = 1.0 - 1e-12
+
+
+def _strictly_below(value: float, bound: float) -> bool:
+    return value < bound * STRICT_FACTOR
 
 
 def as_operator(m) -> np.ndarray:
@@ -67,13 +73,10 @@ def herm_eig(m) -> Spectrum:
     a = as_operator(m)
     if a.shape[0] != a.shape[1]:
         raise DimensionMismatch(f"matrix must be square, got {a.shape}")
-    # An exactly Hermitian matrix has zero drift and passes without the two
-    # norms; frame operators T T* usually are exact.
-    if not np.array_equal(a, adjoint(a)):
-        scale = operator_norm(a)
-        drift = operator_norm(a - adjoint(a))
-        if drift > HERMITICITY_TOL * max(scale, 1e-300):
-            raise NotHermitian(f"relative Hermiticity defect {drift / max(scale, 1e-300):.3e}")
+    scale = operator_norm(a)
+    drift = operator_norm(a - adjoint(a))
+    if drift > HERMITICITY_TOL * max(scale, 1e-300):
+        raise NotHermitian(f"relative Hermiticity defect {drift / max(scale, 1e-300):.3e}")
     w, v = np.linalg.eigh(a)
     return Spectrum(eigenvalues=w.astype(float), eigenvectors=v.astype(complex))
 

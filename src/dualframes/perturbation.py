@@ -26,7 +26,7 @@ from .frames import (
     mixed_operator,
     require_frame,
 )
-from .oplin import adjoint, operator_norm
+from .oplin import _strictly_below, adjoint, operator_norm
 
 # The perturbation product sqrt(M_diff) * ||theta|| * ||inv mixed|| must
 # stay strictly below 1; violations raise with the measured product.
@@ -60,7 +60,7 @@ def _transfer(phi: Frame, psi: Frame, phi_dual: Frame, expect_approx: bool) -> T
     mixed = mixed_operator(phi, phi_dual)
     if expect_approx:
         rate = operator_norm(oplin.identity(phi.dim) - mixed)
-        if rate >= 1.0 - 1e-12:
+        if not _strictly_below(rate, 1.0):
             raise NotApproxDual("(phi, phi_dual) is not approximately dual", measured=rate)
     inv_mixed = oplin.inverse(mixed)
     inv_mixed_norm = operator_norm(inv_mixed)

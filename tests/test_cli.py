@@ -1,11 +1,21 @@
 import csv
 import json
+from fractions import Fraction
 
 import numpy as np
 import pytest
 
-from dualframes import Frame, GridSpec, canonical_dual, identity, sample_bspline
+from dualframes import (
+    Frame,
+    GaborLattice,
+    GridSpec,
+    canonical_dual,
+    identity,
+    janssen_residual,
+    sample_bspline,
+)
 from dualframes import io
+from dualframes.gabor import ck_dual1_unchecked
 from dualframes.cli import main
 
 from conftest import random_frame
@@ -38,6 +48,13 @@ class TestFrameInfo:
         out = capsys.readouterr().out
         assert "lower_bound: 0" in out
         assert "is_frame: False" in out
+
+    @pytest.mark.filterwarnings("ignore:.*encountered in matmul:RuntimeWarning")
+    def test_overflowing_frame_exit_3(self, tmp_path, capsys):
+        path = tmp_path / "huge.json"
+        io.save_frame(Frame([[1e200, 0, 1e200], [0, 1e200, 1]]), path)
+        assert main(["frame-info", str(path)]) == 3
+        assert "non-finite" in capsys.readouterr().err
 
     def test_malformed_json_exit_3(self, tmp_path, capsys):
         path = tmp_path / "bad.json"
@@ -158,6 +175,25 @@ class TestPerturb:
             report["verdicts"]["measured_diff_bound"]
             <= report["verdicts"]["predicted_diff_bound"] + 1e-9
         )
+
+
+class TestUsage:
+    def test_missing_required_flag_exit_3(self, capsys):
+        assert main(["gabor", "weight", "--window", "bspline:2", "--grid", "4:4"]) == 3
+        assert "--a" in capsys.readouterr().err
+
+    def test_report_without_path_exit_3(self, phi0_file):
+        assert main(["frame-info", phi0_file, "--report"]) == 3
+
+    def test_report_after_gabor_subcommand(self, tmp_path):
+        report_path = tmp_path / "report.json"
+        argv = ["gabor", "weight", "--window", "char:1", "--grid", "4:2", "--a", "1/2"]
+        assert main(argv + ["--report", str(report_path)]) == 0
+        report = json.loads(report_path.read_text())
+        keys = ["command", "inputs", "verdicts", "artifacts_written", "wall_time_ms"]
+        assert list(report) == keys
+        assert report["command"] == "gabor weight"
+        assert report["verdicts"] == {"min": 2.0, "max": 2.0}
 
 
 class TestGaborCommands:
@@ -288,6 +324,24 @@ class TestGaborCommands:
         verdicts = {r[0]: r[3] for r in rows[1:]}
         assert verdicts["1/2"] == "0" and verdicts["1/3"] == "1"
 
+    def test_sweep_bspline_rows_are_the_core_formula(self, tmp_path):
+        out = tmp_path / "bsweep.csv"
+        argv = ["gabor", "sweep", "--bspline", "3", "--samples", "16", "--denominators", "2:12"]
+        assert main(argv + ["--out", str(out)]) == 0
+        rows = read_csv(out)[1:]
+        assert len(rows) == 11
+        for den, row in zip(range(2, 13), rows):
+            b = Fraction(1, den)
+            window = sample_bspline(3, GridSpec(16, 3 * den))
+            candidate = ck_dual1_unchecked(window, 3, b)
+            assert row[0] == str(b)
+            assert float(row[2]) == janssen_residual(window, candidate, GaborLattice(1, b))
+
+    @pytest.mark.parametrize("a", ["-1", "0"])
+    def test_weight_nonpositive_step_exit_2(self, a):
+        argv = ["gabor", "weight", "--window", "bspline:2", "--grid", "4:4", "--a", a]
+        assert main(argv) == 2
+
     def test_sweep_requires_one_mode(self):
         assert main(["gabor", "sweep", "--out", "x.csv"]) == 3
 
@@ -315,7 +369,6 @@ class TestGaborCommands:
     @staticmethod
     def _make_dual(tmp_path):
         from dualframes import ck_dual1
-        from fractions import Fraction
 
         dual = ck_dual1(sample_bspline(2, GridSpec(6, 6)), 2, Fraction(1, 3))
         path = tmp_path / "dual_in.json"

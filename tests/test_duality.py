@@ -14,7 +14,6 @@ from dualframes import (
     approx_dual_from_mixed,
     approx_dual_from_whitened,
     approx_dual_via_dual,
-    approx_factorization,
     approximation_rate,
     canonical_dual,
     classify_pair,
@@ -104,13 +103,13 @@ class TestFactorization:
             gdual_factorization(Frame.from_vectors([(1, 0), (0, 0)]), ortho2)
 
     def test_approx_criterion_boundary(self, phi1):
-        report = approx_factorization(phi1, phi1)
+        report = gdual_factorization(phi1, phi1)
         assert not report.is_approx_dual  # rate exactly 1 is rejected
         assert report.rate == pytest.approx(1.0, abs=1e-12)
 
     def test_scaled_canonical_rate(self, phi1):
         half = Frame(canonical_dual(phi1).synthesis * 0.5)
-        report = approx_factorization(phi1, half)
+        report = gdual_factorization(phi1, half)
         assert report.is_approx_dual
         assert report.rate == pytest.approx(0.5, abs=1e-12)
 

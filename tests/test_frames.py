@@ -128,6 +128,14 @@ class TestFrameBounds:
                 norm2 = float(np.linalg.norm(f) ** 2)
                 assert lower * norm2 - 1e-9 <= energy <= upper * norm2 + 1e-9
 
+    @pytest.mark.filterwarnings("ignore:.*encountered in matmul:RuntimeWarning")
+    @pytest.mark.parametrize("fact", [frame_bounds, canonical_dual])
+    def test_overflowing_frame_operator_raises(self, fact):
+        # finite synthesis, but T T* has entries near 1e400
+        phi = Frame([[1e200, 0, 1e200], [0, 1e200, 1]])
+        with pytest.raises(ValueError, match="non-finite"):
+            fact(phi)
+
 
 class TestCanonicalDual:
     def test_orthonormal_fixed_point(self, ortho2):

@@ -201,8 +201,13 @@ class TestWalnutWeight:
         assert np.allclose(w.values, direct)
 
     def test_off_grid(self):
-        with pytest.raises(OffGrid):
+        with pytest.raises(LatticeMismatch):
             walnut_weight(sample_char(1, GridSpec(4, 3)), Fraction(1, 3))
+
+    @pytest.mark.parametrize("a", [-1, 0])
+    def test_rejects_nonpositive_step(self, a):
+        with pytest.raises(LatticeMismatch):
+            walnut_weight(sample_bspline(2, GridSpec(4, 4)), a)
 
 
 class TestPainless:
@@ -346,6 +351,15 @@ class TestCkDuals:
         via_ck2 = ck_dual2(b2, 2, b, [0.0, 0.1, 0.2])  # a_{-1}=0, a_0=b, a_1=2b
         via_ck1 = ck_dual1(b2, 2, b)
         assert np.allclose(via_ck2.values, via_ck1.values, atol=1e-15)
+
+    @pytest.mark.parametrize("order", [2, 3, 4])
+    def test_ck2_coefficients_give_ck1_exactly(self, order):
+        grid = GridSpec(6, 2 * order)
+        g = sample_bspline(order, grid)
+        for b in (Fraction(1, 2 * order - 1), Fraction(1, 10)):
+            coeffs = [0] * (order - 1) + [b] + [2 * b] * (order - 1)
+            via_ck2 = ck_dual2(g, order, b, coeffs)
+            assert np.array_equal(ck_dual1(g, order, b).values, via_ck2.values)
 
     def test_ck2_rejects_bad_center(self):
         grid = GridSpec(10, 20)
