@@ -105,15 +105,14 @@ def _window_from_spec(spec: str, grid: GridSpec | None) -> SampledWindow:
     return window
 
 
-def _parse_theta(spec: str, phi: Frame, seed_override) -> Annihilator | None:
+def _parse_theta(spec: str, phi: Frame) -> Annihilator | None:
     if spec == "zero":
         return None
     if spec.startswith("random:"):
         parts = spec.split(":")
         if len(parts) != 3:
             raise ParseError("--theta random takes the form random:SEED:SCALE")
-        seed = int(parts[1]) if seed_override is None else int(seed_override)
-        return random_annihilator(phi, seed=seed, scale=float(parts[2]))
+        return random_annihilator(phi, seed=int(parts[1]), scale=float(parts[2]))
     raise ParseError(f"unknown --theta spec {spec!r}")
 
 
@@ -144,7 +143,7 @@ def cmd_frame_info(args) -> RunReport:
 def cmd_dual(args) -> RunReport:
     report = RunReport(command="dual", inputs=[args.path])
     phi = io.load_frame(args.path)
-    theta = _parse_theta(args.theta, phi, args.seed)
+    theta = _parse_theta(args.theta, phi)
     if args.mode == "canonical":
         if theta is not None:
             raise ParseError("--theta does not apply to --mode canonical")
@@ -425,7 +424,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--mode", choices=["canonical", "approx", "gdual"], default="canonical")
     p.add_argument("--op-file", help="operator JSON (target mixed operator / corresponding operator)")
     p.add_argument("--theta", default="zero", help="zero or random:SEED:SCALE")
-    p.add_argument("--seed", type=int, default=None, help="override the annihilator seed")
     p.add_argument("--out")
     p.set_defaults(func=cmd_dual)
 

@@ -25,7 +25,6 @@ from dataclasses import dataclass
 from typing import Optional, Tuple
 
 import numpy as np
-import scipy.linalg
 
 from . import oplin
 from .errors import (
@@ -282,11 +281,7 @@ def approx_dual_via_dual(
             )
         head = adjoint(oplin.as_operator(whitened)) @ frame_operator_inv_sqrt(phi) @ phi.synthesis
     else:
-        a = oplin.as_operator(target)
-        gap_a = operator_norm(oplin.identity(phi.dim) - a)
-        if not _strictly_below(gap_a, 1.0):
-            raise ContractViolation("requires ||Id - target|| < 1", measured=gap_a)
-        head = adjoint(a) @ canonical_dual(phi).synthesis
+        head = approx_dual_from_mixed(phi, target).synthesis
     return Frame._adopt(head - phi.synthesis + frame_operator(phi) @ phi_d.synthesis)
 
 
@@ -328,8 +323,8 @@ def range_compare(phi: Frame, psi: Frame) -> RangeRelation:
     (Bessel-only) families.
     """
     _check_same_shape(phi, psi)
-    q_phi = scipy.linalg.orth(adjoint(phi.synthesis)).astype(complex)
-    q_psi = scipy.linalg.orth(adjoint(psi.synthesis)).astype(complex)
+    q_phi = oplin.svd_split(phi.synthesis)[0]
+    q_psi = oplin.svd_split(psi.synthesis)[0]
     left_in_right = _containment_defect(q_phi, q_psi) <= _RANGE_TOL
     right_in_left = _containment_defect(q_psi, q_phi) <= _RANGE_TOL
     if left_in_right and right_in_left:

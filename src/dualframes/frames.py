@@ -18,7 +18,6 @@ from functools import cached_property
 from typing import NamedTuple, Sequence
 
 import numpy as np
-import scipy.linalg
 
 from . import oplin
 from .errors import DimensionMismatch, NotAFrame
@@ -114,29 +113,26 @@ class Frame:
     def vector(self, k: int) -> np.ndarray:
         return self.synthesis[:, k].copy()
 
-    def _operator(self) -> np.ndarray:
-        """S = T T*, Hermitian by construction; ValueError when it overflows."""
-        return oplin.as_operator(frame_operator(self))
-
     @cached_property
     def eigenvalues(self) -> np.ndarray:
         """Ascending eigenvalues of the frame operator (read-only)."""
         if "spectrum" in self.__dict__:
             return self.spectrum.eigenvalues
-        return _frozen(np.linalg.eigvalsh(self._operator()))
+        return _frozen(np.linalg.eigvalsh(frame_operator(self)))
 
     @cached_property
     def spectrum(self) -> oplin.Spectrum:
         """Hermitian eigendecomposition of the frame operator (read-only)."""
-        w, v = np.linalg.eigh(self._operator())
+        w, v = np.linalg.eigh(frame_operator(self))
         spec = oplin.Spectrum(_frozen(w), _frozen(v))
         self.__dict__.setdefault("eigenvalues", spec.eigenvalues)
         return spec
 
     @cached_property
     def kernel(self) -> np.ndarray:
-        """Orthonormal basis (n x (n - rank)) of ker T (read-only)."""
-        return _frozen(scipy.linalg.null_space(self.synthesis).astype(complex))
+        """Orthonormal basis (n x (n - rank)) of ker T (read-only), where the rank
+        counts the singular values of T above ``s_max * eps * max(d, n)``."""
+        return _frozen(oplin.svd_split(self.synthesis)[1])
 
     def __repr__(self):
         return f"Frame(dim={self.dim}, count={self.count})"
@@ -166,8 +162,8 @@ def synthesis(phi: Frame, c) -> np.ndarray:
 
 
 def frame_operator(phi: Frame) -> np.ndarray:
-    """The Hermitian PSD operator synthesis o analysis (d x d)."""
-    return phi.synthesis @ adjoint(phi.synthesis)
+    """S = T T*, Hermitian PSD by construction (d x d); ValueError when it overflows."""
+    return oplin.as_operator(phi.synthesis @ adjoint(phi.synthesis))
 
 
 def frame_bounds(phi: Frame) -> FrameBounds:

@@ -276,6 +276,8 @@ def walnut_weight(g: SampledWindow, a: RationalLike) -> SampledWindow:
     total = np.zeros(g.grid.total)
     for n in range(lat.shifts(g.grid)):
         total += np.abs(np.roll(g.values, n * step)) ** 2
+    if not np.all(np.isfinite(total)):
+        raise ValueError("shift-energy weight sum_n |g(x - n a)|^2 overflows")
     return SampledWindow(g.grid, total)
 
 
@@ -464,27 +466,23 @@ def ck_dual2(
     return SampledWindow(g.grid, values)
 
 
-def modulation_matrix(lat: GaborLattice, grid: GridSpec) -> np.ndarray:
-    """The generator modulation as a diagonal matrix on the grid."""
-    return np.diag(np.exp(2j * np.pi * float(lat.b) * grid.points()))
-
-
-def translation_matrix(lat: GaborLattice, grid: GridSpec) -> np.ndarray:
-    """The generator time shift as a cyclic permutation matrix."""
-    return np.roll(np.eye(grid.total, dtype=complex), lat.time_step(grid), axis=0)
-
-
 def commutation_check(a_op, lat: GaborLattice, grid: GridSpec) -> float:
-    """Largest commutator norm of an operator against the lattice generators."""
+    """Largest commutator norm of an operator against the lattice generators.
+
+    Entrywise (indices mod L), with E = diag(e) and T the cyclic time shift:
+    (AE - EA)_jk = A_jk (e_k - e_j), (AT - TA)_jk = A_j,k+step - A_j-step,k.
+    """
     a = oplin.as_operator(a_op)
     if a.shape != (grid.total, grid.total):
         raise DimensionMismatch(
             f"operator must be {grid.total}x{grid.total}, got {a.shape}"
         )
     lat.adjoint_shifts(grid)  # generators only close up with periodic modulations
-    e = modulation_matrix(lat, grid)
-    t = translation_matrix(lat, grid)
-    return max(operator_norm(a @ e - e @ a), operator_norm(a @ t - t @ a))
+    e = np.exp(2j * np.pi * float(lat.b) * grid.points())
+    step = lat.time_step(grid)
+    comm_e = a * (e[None, :] - e[:, None])
+    comm_t = np.roll(a, -step, axis=1) - np.roll(a, step, axis=0)
+    return max(operator_norm(comm_e), operator_norm(comm_t))
 
 
 def scaled_gabor_operator(l_window: SampledWindow, lat: GaborLattice) -> np.ndarray:

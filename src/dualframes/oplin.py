@@ -4,7 +4,7 @@ Operators between finite-dimensional complex spaces are plain 2-d
 ``numpy`` arrays of ``complex128``.  This module supplies the pieces the
 frame machinery leans on everywhere: adjoints, operator (spectral) norms,
 Hermitian eigendecompositions, PSD square roots and inverse square roots,
-and guarded inverses/solves.
+orthonormal bases of a range and a kernel, and guarded inverses/solves.
 
 Sizes stay at desk scale (a few hundred), so everything is dense and
 direct; no iterative methods.
@@ -68,11 +68,16 @@ class Spectrum:
         return (v * self.eigenvalues) @ adjoint(v)
 
 
-def herm_eig(m) -> Spectrum:
-    """Eigendecomposition of a Hermitian matrix (checked to tolerance)."""
+def _square(m) -> np.ndarray:
     a = as_operator(m)
     if a.shape[0] != a.shape[1]:
         raise DimensionMismatch(f"matrix must be square, got {a.shape}")
+    return a
+
+
+def herm_eig(m) -> Spectrum:
+    """Eigendecomposition of a Hermitian matrix (checked to tolerance)."""
+    a = _square(m)
     scale = operator_norm(a)
     drift = operator_norm(a - adjoint(a))
     if drift > HERMITICITY_TOL * max(scale, 1e-300):
@@ -118,27 +123,34 @@ def psd_inv_sqrt(m) -> np.ndarray:
     return spectrum_inv_sqrt(herm_eig(m))
 
 
-def _check_invertible(a: np.ndarray) -> None:
+def svd_split(m) -> tuple[np.ndarray, np.ndarray]:
+    """Orthonormal bases (as columns) of range(M*) and ker M from one full SVD.
+
+    The rank r counts the singular values above ``s_max * eps * max(rows,
+    cols)`` (the default of ``np.linalg.matrix_rank``); the first r right
+    singular vectors span range(M*), the remaining ones span ker M.
+    """
+    a = as_operator(m)
+    _, s, vh = np.linalg.svd(a, full_matrices=True)
+    rank = int(np.sum(s > np.amax(s, initial=0.0) * np.finfo(float).eps * max(a.shape)))
+    return vh[:rank].T.conj(), vh[rank:].T.conj()
+
+
+def _invertible(m) -> np.ndarray:
+    a = _square(m)
     s = np.linalg.svd(a, compute_uv=False)
     if s[-1] <= s[0] / COND_CUTOFF:
         if s[0] == 0.0:
             raise Singular("matrix is identically zero")
         raise Singular(f"condition number {s[0] / max(s[-1], 1e-300):.3e} exceeds cutoff")
+    return a
 
 
 def inverse(m) -> np.ndarray:
     """Inverse of a square matrix, guarded by a condition-number cutoff."""
-    a = as_operator(m)
-    if a.shape[0] != a.shape[1]:
-        raise DimensionMismatch(f"matrix must be square, got {a.shape}")
-    _check_invertible(a)
-    return np.linalg.inv(a)
+    return np.linalg.inv(_invertible(m))
 
 
 def solve(m, rhs) -> np.ndarray:
     """Solve ``m @ x = rhs`` with the same invertibility guard as inverse()."""
-    a = as_operator(m)
-    if a.shape[0] != a.shape[1]:
-        raise DimensionMismatch(f"matrix must be square, got {a.shape}")
-    _check_invertible(a)
-    return np.linalg.solve(a, np.asarray(rhs, dtype=complex))
+    return np.linalg.solve(_invertible(m), np.asarray(rhs, dtype=complex))

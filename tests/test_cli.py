@@ -1,6 +1,10 @@
 import csv
 import json
+import os
+import subprocess
+import sys
 from fractions import Fraction
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -9,6 +13,7 @@ from dualframes import (
     Frame,
     GaborLattice,
     GridSpec,
+    SampledWindow,
     canonical_dual,
     identity,
     janssen_residual,
@@ -31,6 +36,20 @@ def phi0_file(tmp_path):
 def read_csv(path):
     with open(path, newline="") as fh:
         return list(csv.reader(fh))
+
+
+def test_cli_import_loads_no_scipy():
+    src = str(Path(__file__).resolve().parents[1] / "src")
+    path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
+    probe = "import sys, dualframes.cli; print(sorted(m for m in sys.modules if m.startswith('scipy')))"
+    run = subprocess.run(
+        [sys.executable, "-c", probe],
+        env=dict(os.environ, PYTHONPATH=path),
+        capture_output=True,
+        text=True,
+        check=True,
+    )
+    assert run.stdout.strip() == "[]"
 
 
 class TestFrameInfo:
@@ -185,6 +204,11 @@ class TestUsage:
     def test_report_without_path_exit_3(self, phi0_file):
         assert main(["frame-info", phi0_file, "--report"]) == 3
 
+    def test_dual_seed_option_is_gone(self, phi0_file, capsys):
+        # the seed is given once, inside --theta random:SEED:SCALE
+        assert main(["dual", phi0_file, "--theta", "random:1:0.5", "--seed", "3"]) == 3
+        assert "--seed" in capsys.readouterr().err
+
     def test_report_after_gabor_subcommand(self, tmp_path):
         report_path = tmp_path / "report.json"
         argv = ["gabor", "weight", "--window", "char:1", "--grid", "4:2", "--a", "1/2"]
@@ -277,6 +301,14 @@ class TestGaborCommands:
         assert "dual: True" in out
         rate = [l for l in out.splitlines() if "materialized_rate" in l][0]
         assert float(rate.split(": ")[1]) <= 1e-10
+
+    @pytest.mark.filterwarnings("ignore:overflow encountered:RuntimeWarning")
+    def test_weight_overflow_exit_3(self, tmp_path, capsys):
+        path = tmp_path / "huge.json"
+        grid = GridSpec(4, 4)
+        io.save_window(SampledWindow(grid, sample_bspline(2, grid).values * 1e200), path)
+        assert main(["gabor", "weight", "--window", str(path), "--a", "1"]) == 3
+        assert "shift-energy weight" in capsys.readouterr().err
 
     def test_weight_csv(self, tmp_path):
         csv_out = tmp_path / "w.csv"

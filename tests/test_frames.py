@@ -1,3 +1,5 @@
+from fractions import Fraction
+
 import numpy as np
 import pytest
 
@@ -5,7 +7,10 @@ from dualframes import (
     Annihilator,
     DimensionMismatch,
     Frame,
+    GaborLattice,
+    GridSpec,
     NotAFrame,
+    SampledWindow,
     adjoint,
     analysis,
     approximation_rate,
@@ -20,10 +25,23 @@ from dualframes import (
     mixed_operator,
     operator_norm,
     random_annihilator,
+    sample_bspline,
+    scaled_gabor_operator,
     synthesis,
 )
 
 from conftest import random_frame, random_vector
+
+
+def _overflowing_frame() -> Frame:
+    # finite synthesis, but T T* has entries near 1e400
+    return Frame([[1e200, 0, 1e200], [0, 1e200, 1]])
+
+
+def _overflowing_window() -> SampledWindow:
+    # a finite window whose Gabor frame operator has entries near 1e400
+    grid = GridSpec(4, 4)
+    return SampledWindow(grid, sample_bspline(2, grid).values * 1e200)
 
 
 def outer_sum(frame: Frame) -> np.ndarray:
@@ -129,12 +147,20 @@ class TestFrameBounds:
                 assert lower * norm2 - 1e-9 <= energy <= upper * norm2 + 1e-9
 
     @pytest.mark.filterwarnings("ignore:.*encountered in matmul:RuntimeWarning")
-    @pytest.mark.parametrize("fact", [frame_bounds, canonical_dual])
+    @pytest.mark.parametrize(
+        "fact",
+        [
+            pytest.param(lambda: frame_bounds(_overflowing_frame()), id="frame_bounds"),
+            pytest.param(lambda: canonical_dual(_overflowing_frame()), id="canonical_dual"),
+            pytest.param(
+                lambda: scaled_gabor_operator(_overflowing_window(), GaborLattice(1, Fraction(1, 4))),
+                id="scaled_gabor_operator",
+            ),
+        ],
+    )
     def test_overflowing_frame_operator_raises(self, fact):
-        # finite synthesis, but T T* has entries near 1e400
-        phi = Frame([[1e200, 0, 1e200], [0, 1e200, 1]])
         with pytest.raises(ValueError, match="non-finite"):
-            fact(phi)
+            fact()
 
 
 class TestCanonicalDual:
@@ -268,3 +294,12 @@ class TestAnnihilator:
 
     def test_kernel_basis_dimension(self, phi0):
         assert kernel_basis(phi0).shape == (3, 1)
+        # rank counts singular values above s_max * eps * max(d, n)
+        family = Frame.from_vectors([(1, 0), (2, 0), (0, 0)])
+        deficient = kernel_basis(family)
+        assert deficient.shape == (3, 2)
+        assert np.allclose(adjoint(deficient) @ deficient, np.eye(2), atol=1e-14)
+        assert np.allclose(family.synthesis @ deficient, 0.0, atol=1e-14)
+        whole = kernel_basis(Frame(np.zeros((2, 3))))
+        assert whole.shape == (3, 3)
+        assert np.allclose(adjoint(whole) @ whole, np.eye(3), atol=1e-14)

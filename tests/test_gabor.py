@@ -209,6 +209,16 @@ class TestWalnutWeight:
         with pytest.raises(LatticeMismatch):
             walnut_weight(sample_bspline(2, GridSpec(4, 4)), a)
 
+    @pytest.mark.filterwarnings("ignore:overflow encountered:RuntimeWarning")
+    def test_overflowing_weight_is_named(self):
+        # a finite window whose weight sum_n |g(x - n a)|^2 exceeds the float range
+        grid = GridSpec(4, 4)
+        huge = SampledWindow(grid, sample_bspline(2, grid).values * 1e200)
+        with pytest.raises(ValueError, match="shift-energy weight"):
+            walnut_weight(huge, 1)
+        with pytest.raises(ValueError, match="shift-energy weight"):
+            painless_check(huge, GaborLattice(1, Fraction(1, 4)), 2)
+
 
 class TestPainless:
     def test_half_shift_unit_char(self):
@@ -390,6 +400,27 @@ class TestCommutation:
         lat = GaborLattice(1, Fraction(1, 3))
         s = frame_operator(gabor_frame(sample_bspline(2, grid), lat))
         assert commutation_check(s @ s, lat, grid) <= 1e-10 * operator_norm(s @ s)
+
+    @pytest.mark.parametrize("a,b", [(1, Fraction(1, 4)), (Fraction(1, 2), Fraction(1, 2))])
+    @pytest.mark.parametrize("kind", ["dense", "diagonal", "circulant"])
+    def test_matches_dense_generator_matrices(self, a, b, kind):
+        # Oracle: the generators as dense L x L matrices and the commutators
+        # as matrix products.  A diagonal operator commutes with E and a
+        # circulant one with T, so each isolates the other commutator.
+        grid = GridSpec(4, 4)
+        lat = GaborLattice(a, b)
+        n = grid.total
+        rng = np.random.default_rng(71)
+        c = rng.standard_normal((n, n)) + 1j * rng.standard_normal((n, n))
+        if kind == "diagonal":
+            c = np.diag(np.diagonal(c))
+        elif kind == "circulant":
+            c = c[0][(np.arange(n)[:, None] - np.arange(n)[None, :]) % n]
+        e = np.diag(np.exp(2j * np.pi * float(lat.b) * grid.points()))
+        t = np.roll(np.eye(n, dtype=complex), lat.time_step(grid), axis=0)
+        oracle = max(operator_norm(c @ e - e @ c), operator_norm(c @ t - t @ c))
+        assert oracle > 0.1
+        assert abs(commutation_check(c, lat, grid) - oracle) <= 1e-12 * oracle
 
     def test_random_diagonal_fails(self):
         grid = GridSpec(4, 4)

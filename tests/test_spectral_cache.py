@@ -20,11 +20,11 @@ kappa(S) * eps on top of the pinned tolerance, in the parent code as here.
 
 import numpy as np
 import pytest
-import scipy.linalg
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import dualframes as df
+from dualframes import oplin
 from dualframes import (
     Frame,
     approx_dual_from_mixed,
@@ -189,7 +189,7 @@ def test_pipeline_decomposes_each_frame_once(monkeypatch):
     perturbed psi (its canonical dual), so at most two full ``eigh`` run;
     only phi's kernel is used, and it is computed once.
     """
-    calls = {"eigh": 0, "eigvalsh": 0, "null_space": 0}
+    calls = {"eigh": 0, "eigvalsh": 0, "svd_split": 0}
 
     def counted(name, fn):
         def wrapper(*args, **kwargs):
@@ -200,7 +200,7 @@ def test_pipeline_decomposes_each_frame_once(monkeypatch):
 
     monkeypatch.setattr(np.linalg, "eigh", counted("eigh", np.linalg.eigh))
     monkeypatch.setattr(np.linalg, "eigvalsh", counted("eigvalsh", np.linalg.eigvalsh))
-    monkeypatch.setattr(scipy.linalg, "null_space", counted("null_space", scipy.linalg.null_space))
+    monkeypatch.setattr(oplin, "svd_split", counted("svd_split", oplin.svd_split))
 
     rng = np.random.default_rng(64)
     gauss = lambda shape: rng.standard_normal(shape) + 1j * rng.standard_normal(shape)  # noqa: E731
@@ -222,4 +222,4 @@ def test_pipeline_decomposes_each_frame_once(monkeypatch):
     assert calls["eigh"] <= 2  # phi and psi
     # bounds of phi, phi_ad and psi, plus lambda_max(W W*) in the factorization
     assert calls["eigvalsh"] <= 4
-    assert calls["null_space"] <= 1  # only phi's kernel is used
+    assert calls["svd_split"] <= 1  # only phi's kernel is used
