@@ -206,8 +206,7 @@ def cmd_perturb(args) -> RunReport:
 
 def cmd_gabor_window(args) -> RunReport:
     report = RunReport(command="gabor window", inputs=[args.window])
-    grid = _parse_grid(args.grid) if args.grid else None
-    window = _window_from_spec(args.window, grid)
+    window = _window_from_spec(args.window, args.grid)
     report.verdicts = {
         "samples_per_unit": window.grid.samples_per_unit,
         "period": window.grid.period,
@@ -226,9 +225,7 @@ def cmd_gabor_window(args) -> RunReport:
 
 def cmd_gabor_dual(args) -> RunReport:
     report = RunReport(command="gabor dual", inputs=[args.window])
-    grid = _parse_grid(args.grid) if args.grid else None
-    window = _window_from_spec(args.window, grid)
-    b = _parse_fraction(args.b)
+    window = _window_from_spec(args.window, args.grid)
     if args.support is not None:
         support = args.support
     elif args.window.startswith("bspline:"):
@@ -236,13 +233,13 @@ def cmd_gabor_dual(args) -> RunReport:
     else:
         raise ParseError("--support is required unless the window is bspline:N")
     if args.method == "ck1":
-        dual = ck_dual1(window, support, b)
+        dual = ck_dual1(window, support, args.b)
     else:
         if not args.coeffs:
             raise ParseError("--method ck2 requires --coeffs a,b,c,...")
         coeffs = [float(c) for c in args.coeffs.split(",")]
-        dual = ck_dual2(window, support, b, coeffs)
-    lat = GaborLattice(Fraction(1), b)
+        dual = ck_dual2(window, support, args.b, coeffs)
+    lat = GaborLattice(Fraction(1), args.b)
     residual = janssen_residual(window, dual, lat)
     report.verdicts = {"method": args.method, "janssen_residual": residual}
     if args.out:
@@ -259,11 +256,10 @@ def cmd_gabor_approx_dual(args) -> RunReport:
     report = RunReport(
         command="gabor approx-dual", inputs=[args.window, args.dual, args.scale_window]
     )
-    grid = _parse_grid(args.grid) if args.grid else None
-    window = _window_from_spec(args.window, grid)
-    dual = _window_from_spec(args.dual, grid or window.grid)
-    scale = _window_from_spec(args.scale_window, grid or window.grid)
-    lat = GaborLattice(_parse_fraction(args.a), _parse_fraction(args.b))
+    window = _window_from_spec(args.window, args.grid)
+    dual = _window_from_spec(args.dual, args.grid or window.grid)
+    scale = _window_from_spec(args.scale_window, args.grid or window.grid)
+    lat = GaborLattice(args.a, args.b)
     a_op = scaled_gabor_operator(scale, lat)
     result = approx_dual_window(window, dual, a_op, lat)
     system = gabor_frame(window, lat)
@@ -290,10 +286,9 @@ def cmd_gabor_approx_dual(args) -> RunReport:
 
 def cmd_gabor_verify(args) -> RunReport:
     report = RunReport(command="gabor verify", inputs=[args.window, args.dual])
-    grid = _parse_grid(args.grid) if args.grid else None
-    window = _window_from_spec(args.window, grid)
-    dual = _window_from_spec(args.dual, grid or window.grid)
-    lat = GaborLattice(_parse_fraction(args.a), _parse_fraction(args.b))
+    window = _window_from_spec(args.window, args.grid)
+    dual = _window_from_spec(args.dual, args.grid or window.grid)
+    lat = GaborLattice(args.a, args.b)
     residual = janssen_residual(window, dual, lat)
     report.verdicts = {
         "janssen_residual": residual,
@@ -311,9 +306,8 @@ def cmd_gabor_verify(args) -> RunReport:
 
 def cmd_gabor_weight(args) -> RunReport:
     report = RunReport(command="gabor weight", inputs=[args.window])
-    grid = _parse_grid(args.grid) if args.grid else None
-    window = _window_from_spec(args.window, grid)
-    weight = walnut_weight(window, _parse_fraction(args.a))
+    window = _window_from_spec(args.window, args.grid)
+    weight = walnut_weight(window, args.a)
     report.verdicts = {
         "min": float(weight.values.real.min()),
         "max": float(weight.values.real.max()),
@@ -327,22 +321,19 @@ def cmd_gabor_weight(args) -> RunReport:
 
 def _sweep_char(args) -> RunReport:
     report = RunReport(command="gabor sweep", inputs=[])
-    grid = _parse_grid(args.grid)
-    step = _parse_fraction(args.step)
     values = []
-    v = step
+    v = args.step
     while v <= 1:
         values.append(v)
-        v += step
+        v += args.step
+    windows = {c: sample_char(c, args.grid) for c in values}
     rows = []
     agree_all = True
     for c in values:
         for cp in values:
             for a in values:
-                g = sample_char(c, grid)
-                h = sample_char(cp, grid)
                 lat = GaborLattice(a, Fraction(1))
-                residual = janssen_residual(g, h, lat)
+                residual = janssen_residual(windows[c], windows[cp], lat)
                 dual = residual <= GABOR_DUAL_TOL
                 criterion = c <= 1 and cp <= 1 and a == min(c, cp)
                 agree = dual == criterion
@@ -444,15 +435,15 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = gsub.add_parser("window", help="generate or re-export a sampled window")
     p.add_argument("--window", required=True, help="bspline:N, char:p/q, or a window JSON path")
-    p.add_argument("--grid", help="samples:period")
+    p.add_argument("--grid", type=_parse_grid, help="samples:period")
     p.add_argument("--out")
     p.add_argument("--csv")
     p.set_defaults(func=cmd_gabor_window)
 
     p = gsub.add_parser("dual", help="explicit dual generators on the unit time lattice")
     p.add_argument("--window", required=True)
-    p.add_argument("--grid")
-    p.add_argument("--b", required=True)
+    p.add_argument("--grid", type=_parse_grid)
+    p.add_argument("--b", required=True, type=_parse_fraction)
     p.add_argument("--method", choices=["ck1", "ck2"], default="ck1")
     p.add_argument("--support", type=int, default=None)
     p.add_argument("--coeffs", help="comma-separated coefficients for ck2")
@@ -464,9 +455,9 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--window", required=True)
     p.add_argument("--dual", required=True)
     p.add_argument("--scale-window", required=True)
-    p.add_argument("--a", required=True)
-    p.add_argument("--b", required=True)
-    p.add_argument("--grid")
+    p.add_argument("--a", required=True, type=_parse_fraction)
+    p.add_argument("--b", required=True, type=_parse_fraction)
+    p.add_argument("--grid", type=_parse_grid)
     p.add_argument("--out")
     p.add_argument("--spectrum-csv")
     p.set_defaults(func=cmd_gabor_approx_dual)
@@ -474,17 +465,17 @@ def build_parser() -> argparse.ArgumentParser:
     p = gsub.add_parser("verify", help="duality residual for a window pair")
     p.add_argument("--window", required=True)
     p.add_argument("--dual", required=True)
-    p.add_argument("--a", required=True)
-    p.add_argument("--b", required=True)
-    p.add_argument("--grid")
+    p.add_argument("--a", required=True, type=_parse_fraction)
+    p.add_argument("--b", required=True, type=_parse_fraction)
+    p.add_argument("--grid", type=_parse_grid)
     p.add_argument("--csv")
     p.add_argument("--materialize", action="store_true", help="also compute the materialized rate")
     p.set_defaults(func=cmd_gabor_verify)
 
     p = gsub.add_parser("weight", help="periodized shift-energy weight")
     p.add_argument("--window", required=True)
-    p.add_argument("--a", required=True)
-    p.add_argument("--grid")
+    p.add_argument("--a", required=True, type=_parse_fraction)
+    p.add_argument("--grid", type=_parse_grid)
     p.add_argument("--csv")
     p.set_defaults(func=cmd_gabor_weight)
 
@@ -492,8 +483,9 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--char", action="store_true", help="sweep indicator-window widths and time steps")
     p.add_argument("--bspline", type=int, default=None, metavar="N",
                    help="sweep the frequency step for the order-N dual generator")
-    p.add_argument("--grid", help="samples:period (for --char)")
-    p.add_argument("--step", default="1/4", help="width/step increment (for --char)")
+    p.add_argument("--grid", type=_parse_grid, help="samples:period (for --char)")
+    p.add_argument("--step", type=_parse_fraction, default="1/4",
+                   help="width/step increment (for --char)")
     p.add_argument("--samples", type=int, default=10, help="samples per unit (for --bspline)")
     p.add_argument("--denominators", default="2:10", help="LO:HI range of 1/b (for --bspline)")
     p.add_argument("--out")

@@ -279,7 +279,7 @@ def approx_dual_via_dual(
             raise ContractViolation(
                 "requires ||S^(-1/2) - W|| < 1/sqrt(upper bound)", measured=check.distance
             )
-        head = adjoint(oplin.as_operator(whitened)) @ frame_operator_inv_sqrt(phi) @ phi.synthesis
+        head = approx_dual_from_whitened(phi, whitened).synthesis
     else:
         head = approx_dual_from_mixed(phi, target).synthesis
     return Frame._adopt(head - phi.synthesis + frame_operator(phi) @ phi_d.synthesis)

@@ -20,7 +20,7 @@ from typing import NamedTuple, Sequence
 import numpy as np
 
 from . import oplin
-from .errors import DimensionMismatch, NotAFrame
+from .errors import ContractViolation, DimensionMismatch, NotAFrame
 from .oplin import adjoint, operator_norm
 
 # A family is accepted as a frame when lambda_min(S) > FRAME_THRESHOLD_REL * lambda_max(S).
@@ -246,8 +246,9 @@ class Annihilator:
         t_norm = np.sqrt(frame_bounds(self.base).upper)  # ||T|| = sqrt(lambda_max(S))
         allowed = ANNIHILATOR_TOL * t_norm * max(operator_norm(m), 1e-300)
         if residual > allowed:
-            raise DimensionMismatch(
-                f"range not inside ker(synthesis): ||T theta|| = {residual:.3e}"
+            raise ContractViolation(
+                f"range must lie in ker(synthesis): ||T theta|| <= {allowed:.3e}",
+                measured=residual,
             )
 
     @classmethod

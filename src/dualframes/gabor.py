@@ -236,10 +236,17 @@ def sample_char(width: RationalLike, grid: GridSpec) -> SampledWindow:
     return SampledWindow(grid, values)
 
 
+def _periodize(f: np.ndarray, step: int) -> np.ndarray:
+    """sum_k f(x - k * step) along the last axis, whose length ``step`` divides.
+
+    The sum has period ``step``: entry j is its value at every x = j mod step.
+    """
+    return f.reshape(*f.shape[:-1], -1, step).sum(axis=-2)
+
+
 def partition_of_unity_residual(g: SampledWindow) -> float:
     """Largest deviation of sum_n g(x - n) from 1 over the grid."""
-    s = g.grid.samples_per_unit
-    pou = g.values.reshape(g.grid.period, s).sum(axis=0)
+    pou = _periodize(g.values, g.grid.samples_per_unit)
     return float(np.max(np.abs(pou - 1.0)))
 
 
@@ -273,9 +280,8 @@ def walnut_weight(g: SampledWindow, a: RationalLike) -> SampledWindow:
     """
     lat = GaborLattice(a, 1)
     step = lat.time_step(g.grid)
-    total = np.zeros(g.grid.total)
-    for n in range(lat.shifts(g.grid)):
-        total += np.abs(np.roll(g.values, n * step)) ** 2
+    shifts = lat.shifts(g.grid)
+    total = np.tile(_periodize(np.abs(g.values) ** 2, step), shifts)
     if not np.all(np.isfinite(total)):
         raise ValueError("shift-energy weight sum_n |g(x - n a)|^2 overflows")
     return SampledWindow(g.grid, total)
@@ -347,7 +353,7 @@ def painless_check(g: SampledWindow, lat: GaborLattice, support: int) -> Painles
         matched_formula=matched,
         weight_over_step_error=err_wb,
         step_over_weight_error=err_bw,
-        bounds=FrameBounds(lower=float(max(w[0], 0.0)), upper=float(w[-1])),
+        bounds=FrameBounds.from_eigenvalues(w),
     )
 
 
@@ -365,19 +371,14 @@ def janssen_residual_table(
         raise DimensionMismatch("windows live on different grids")
     grid = g.grid
     step = lat.time_step(grid)
-    n_t = lat.shifts(grid)
+    lat.shifts(grid)  # the time shifts must close up on the period
     adj_step = lat.modulations(grid)  # 1/b in samples
     n_adj = lat.adjoint_shifts(grid)
-    b = float(lat.b)
-    shifted_h = [np.roll(h.values, k * step) for k in range(n_t)]
-    table = np.zeros(n_adj)
-    for r in range(n_adj):
-        acc = np.zeros(grid.total, dtype=complex)
-        for k in range(n_t):
-            acc += np.conj(np.roll(g.values, r * adj_step + k * step)) * shifted_h[k]
-        target = b if r == 0 else 0.0
-        table[r] = float(np.max(np.abs(acc - target)))
-    return table
+    # row r holds conj(g(x - r/b)) h(x) at every grid point x
+    index = (np.arange(grid.total) - adj_step * np.arange(n_adj)[:, None]) % grid.total
+    sums = _periodize(np.conj(g.values[index]) * h.values, step)
+    sums[0] -= float(lat.b)
+    return np.max(np.abs(sums), axis=1)
 
 
 def janssen_residual(g: SampledWindow, h: SampledWindow, lat: GaborLattice) -> float:
@@ -424,11 +425,17 @@ def ck_dual1_unchecked(g: SampledWindow, support: int, b: RationalLike) -> Sampl
     For probing the formula where its hypotheses fail (e.g. b above
     1/(2*support - 1)); the result is then in general not a dual window.
     """
-    s = g.grid.samples_per_unit
     bf = float(as_fraction(b))
-    values = bf * g.values
-    for n in range(1, support):
-        values = values + (2 * bf) * np.roll(g.values, -n * s)
+    return _shift_combination(g, [0.0] * (support - 1) + [bf] + [2 * bf] * (support - 1))
+
+
+def _shift_combination(g: SampledWindow, coeffs: Sequence[float]) -> SampledWindow:
+    """sum_n a_n g(x + n) for n = -m .. m, given a_{-m} .. a_m (2m + 1 of them)."""
+    s = g.grid.samples_per_unit
+    mid = len(coeffs) // 2  # index of a_0
+    values = np.zeros(g.grid.total, dtype=complex)
+    for i, c in enumerate(coeffs):
+        values += c * np.roll(g.values, -(i - mid) * s)
     return SampledWindow(g.grid, values)
 
 
@@ -459,11 +466,7 @@ def ck_dual2(
             violations.append(f"a_{n} + a_{-n} = {total!r} must equal 2b = {2 * bf!r}")
     if violations:
         raise BadCoefficients(violations)
-    s = g.grid.samples_per_unit
-    values = np.zeros(g.grid.total, dtype=complex)
-    for n in range(-support + 1, support):
-        values += coeffs[mid + n] * np.roll(g.values, -n * s)
-    return SampledWindow(g.grid, values)
+    return _shift_combination(g, coeffs)
 
 
 def commutation_check(a_op, lat: GaborLattice, grid: GridSpec) -> float:

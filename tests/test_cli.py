@@ -209,6 +209,24 @@ class TestUsage:
         assert main(["dual", phi0_file, "--theta", "random:1:0.5", "--seed", "3"]) == 3
         assert "--seed" in capsys.readouterr().err
 
+    @pytest.mark.parametrize(
+        "argv, message",
+        [
+            (["gabor", "window", "--window", "bspline:2", "--grid", "4x4"], "grid must look like"),
+            (["gabor", "window", "--window", "bspline:2", "--grid", "0:4"], "must be positive"),
+            (["gabor", "weight", "--window", "char:1", "--grid", "4:2", "--a", "1/0"],
+             "not a rational number"),
+            (["gabor", "dual", "--window", "bspline:2", "--grid", "10:20", "--b", "b"],
+             "not a rational number"),
+            (["gabor", "sweep", "--char", "--grid", "4:3", "--step", "x"], "not a rational number"),
+            # --bspline sweeps ignore --grid, but the flag is still parsed
+            (["gabor", "sweep", "--bspline", "2", "--grid", "4x4"], "grid must look like"),
+        ],
+    )
+    def test_malformed_gabor_flag_exit_3(self, argv, message, capsys):
+        assert main(argv) == 3
+        assert message in capsys.readouterr().err
+
     def test_report_after_gabor_subcommand(self, tmp_path):
         report_path = tmp_path / "report.json"
         argv = ["gabor", "weight", "--window", "char:1", "--grid", "4:2", "--a", "1/2"]

@@ -5,6 +5,7 @@ import pytest
 
 from dualframes import (
     Annihilator,
+    ContractViolation,
     DimensionMismatch,
     Frame,
     GaborLattice,
@@ -289,8 +290,14 @@ class TestAnnihilator:
             )
 
     def test_rejects_non_kernel_map(self, phi0):
+        theta = np.ones((3, 2))
+        with pytest.raises(ContractViolation) as info:
+            Annihilator(map=theta, base=phi0)
+        assert info.value.measured == pytest.approx(operator_norm(phi0.synthesis @ theta))
+
+    def test_rejects_wrong_shape(self, phi0):
         with pytest.raises(DimensionMismatch):
-            Annihilator(map=np.ones((3, 2)), base=phi0)
+            Annihilator(map=np.zeros((2, 3)), base=phi0)
 
     def test_kernel_basis_dimension(self, phi0):
         assert kernel_basis(phi0).shape == (3, 1)

@@ -2,6 +2,8 @@ from fractions import Fraction
 
 import numpy as np
 import pytest
+from hypothesis import assume, given, settings
+from hypothesis import strategies as st
 
 from dualframes import (
     BadCoefficients,
@@ -239,6 +241,17 @@ class TestPainless:
         assert np.allclose(report.diagonal, weight * 3.0, atol=1e-10)
         assert report.matched_formula == "weight/b"
 
+    def test_bounds_follow_the_frame_bounds_rule(self):
+        # lambda_min = 2e-11 sits below FRAME_THRESHOLD_REL * lambda_max: not a frame
+        grid = GridSpec(4, 2)
+        values = sample_char(1, grid).values.copy()
+        values[1] = 10 ** -5.5
+        g = SampledWindow(grid, values)
+        lat = GaborLattice(1, Fraction(1, 2))
+        bounds = painless_check(g, lat, 1).bounds
+        assert bounds == frame_bounds(gabor_frame(g, lat))
+        assert bounds.lower == 0.0
+
     def test_rejects_large_frequency_step(self):
         grid = GridSpec(6, 6)
         with pytest.raises(HypothesisViolated):
@@ -309,6 +322,63 @@ class TestJanssen:
         g = sample_char(1, grid)
         with pytest.raises(OffGrid):
             janssen_residual(g, g, GaborLattice(1, Fraction(1, 2)))
+
+
+def _roll_loop_table(g, h, lat):
+    """The lattice-sum residual table as a double loop over time and adjoint shifts."""
+    grid = g.grid
+    step, adj_step = lat.time_step(grid), lat.modulations(grid)
+    table = np.zeros(lat.adjoint_shifts(grid))
+    for r in range(len(table)):
+        acc = np.zeros(grid.total, dtype=complex)
+        for k in range(lat.shifts(grid)):
+            acc += np.conj(np.roll(g.values, r * adj_step + k * step)) * np.roll(h.values, k * step)
+        table[r] = np.max(np.abs(acc - (float(lat.b) if r == 0 else 0.0)))
+    return table
+
+
+def _roll_loop_weight(g, a):
+    lat = GaborLattice(a, 1)
+    step = lat.time_step(g.grid)
+    return sum(np.abs(np.roll(g.values, n * step)) ** 2 for n in range(lat.shifts(g.grid)))
+
+
+def _roll_loop_partition_residual(g):
+    s = g.grid.samples_per_unit
+    pou = sum(np.roll(g.values, n * s) for n in range(g.grid.period))
+    return float(np.max(np.abs(pou - 1.0)))
+
+
+class TestLatticeSums:
+    """The periodized lattice sums against roll loops over the time shifts."""
+
+    @settings(max_examples=80, deadline=None)
+    @given(
+        s=st.sampled_from([2, 4, 6]),
+        period=st.sampled_from([2, 4, 6]),
+        a=st.sampled_from([Fraction(1, 2), Fraction(1), Fraction(2)]),
+        b_times_period=st.integers(1, 4),
+        seed=st.integers(0, 2**32 - 1),
+    )
+    def test_matches_roll_loops(self, s, period, a, b_times_period, seed):
+        grid = GridSpec(s, period)
+        assume(s * period % b_times_period == 0)  # s/b integer
+        lat = GaborLattice(a, Fraction(b_times_period, period))
+        rng = np.random.default_rng(seed)
+        parts = rng.standard_normal((2, 2, grid.total))
+        g, h = (SampledWindow(grid, re + 1j * im) for re, im in parts)
+        # every entry is bounded by this magnitude of the summands
+        peak = np.max(np.abs(g.values)) * np.max(np.abs(h.values))
+        scale = lat.shifts(grid) * peak + float(lat.b)
+        table = janssen_residual_table(g, h, lat)
+        assert table.shape == (b_times_period,)
+        assert np.max(np.abs(table - _roll_loop_table(g, h, lat))) <= 1e-12 * scale
+        weight = walnut_weight(g, a).values
+        oracle = _roll_loop_weight(g, a)
+        assert np.max(np.abs(weight - oracle)) <= 1e-12 * np.max(oracle)
+        residual = partition_of_unity_residual(g)
+        oracle_pou = _roll_loop_partition_residual(g)
+        assert abs(residual - oracle_pou) <= 1e-12 * (period * np.max(np.abs(g.values)) + 1)
 
 
 class TestCkDuals:
