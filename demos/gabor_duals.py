@@ -35,10 +35,10 @@ def main():
     g2 = df.ck_dual2(b2, 2, b, [0.05, 0.1, 0.15])  # any a_n + a_{-n} = 2b works
     print("coefficient-family residual:", df.janssen_residual(b2, g2, lat))
 
-    # duality certified two independent ways: lattice sums and materialized
-    # mixed operator
+    # duality certified two independent ways: lattice sums and the mixed
+    # operator of the two systems
     rate = df.approximation_rate(df.gabor_frame(b2, lat), df.gabor_frame(g1, lat))
-    print("materialized duality gap:", rate)
+    print("mixed-operator duality gap:", rate)
 
     # --- prescribe an approximation rate through a commuting operator
     a_op = df.scaled_gabor_operator(df.sample_bspline(3, grid), lat)

@@ -88,6 +88,23 @@ def _parse_fraction(spec: str) -> Fraction:
         raise ParseError(f"not a rational number: {spec!r}") from exc
 
 
+def _parse_denominators(spec: str) -> tuple[int, int]:
+    try:
+        lo, hi = (int(t) for t in spec.split(":"))
+    except ValueError:
+        lo = hi = 0
+    if not 2 <= lo <= hi:
+        raise ParseError(f"--denominators must look like LO:HI with 2 <= LO <= HI, got {spec!r}")
+    return lo, hi
+
+
+def _parse_coeffs(spec: str) -> list[float]:
+    try:
+        return [float(c) for c in spec.split(",")]
+    except ValueError as exc:
+        raise ParseError(f"--coeffs must look like a,b,c,... (numbers), got {spec!r}") from exc
+
+
 def _window_from_spec(spec: str, grid: GridSpec | None) -> SampledWindow:
     if spec.startswith("bspline:"):
         if grid is None:
@@ -237,8 +254,7 @@ def cmd_gabor_dual(args) -> RunReport:
     else:
         if not args.coeffs:
             raise ParseError("--method ck2 requires --coeffs a,b,c,...")
-        coeffs = [float(c) for c in args.coeffs.split(",")]
-        dual = ck_dual2(window, support, args.b, coeffs)
+        dual = ck_dual2(window, support, args.b, args.coeffs)
     lat = GaborLattice(Fraction(1), args.b)
     residual = janssen_residual(window, dual, lat)
     report.verdicts = {"method": args.method, "janssen_residual": residual}
@@ -357,9 +373,7 @@ def _sweep_bspline(args) -> RunReport:
     is dual exactly when b <= 1/(2 * order - 1)."""
     report = RunReport(command="gabor sweep", inputs=[])
     order = args.bspline
-    lo, hi = (int(t) for t in args.denominators.split(":"))
-    if lo < 2 or hi < lo:
-        raise ParseError("--denominators must look like LO:HI with 2 <= LO <= HI")
+    lo, hi = args.denominators
     s = args.samples
     rows = []
     agree_all = True
@@ -446,7 +460,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--b", required=True, type=_parse_fraction)
     p.add_argument("--method", choices=["ck1", "ck2"], default="ck1")
     p.add_argument("--support", type=int, default=None)
-    p.add_argument("--coeffs", help="comma-separated coefficients for ck2")
+    p.add_argument("--coeffs", type=_parse_coeffs, help="comma-separated coefficients for ck2")
     p.add_argument("--out")
     p.add_argument("--csv", help="write the per-shift residual table")
     p.set_defaults(func=cmd_gabor_dual)
@@ -469,7 +483,8 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--b", required=True, type=_parse_fraction)
     p.add_argument("--grid", type=_parse_grid)
     p.add_argument("--csv")
-    p.add_argument("--materialize", action="store_true", help="also compute the materialized rate")
+    p.add_argument("--materialize", action="store_true",
+                   help="also compute the systems' approximation rate (read from residue-class blocks)")
     p.set_defaults(func=cmd_gabor_verify)
 
     p = gsub.add_parser("weight", help="periodized shift-energy weight")
@@ -487,7 +502,8 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--step", type=_parse_fraction, default="1/4",
                    help="width/step increment (for --char)")
     p.add_argument("--samples", type=int, default=10, help="samples per unit (for --bspline)")
-    p.add_argument("--denominators", default="2:10", help="LO:HI range of 1/b (for --bspline)")
+    p.add_argument("--denominators", type=_parse_denominators, default="2:10",
+                   help="LO:HI range of 1/b (for --bspline)")
     p.add_argument("--out")
     p.set_defaults(func=cmd_gabor_sweep)
 

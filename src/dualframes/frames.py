@@ -59,7 +59,6 @@ def _frozen(a: np.ndarray) -> np.ndarray:
     return a
 
 
-@dataclass(frozen=True)
 class Frame:
     """A finite vector family, held as its d x n synthesis matrix.
 
@@ -77,19 +76,29 @@ class Frame:
     Operators derived from them (S^{1/2}, S^{-1/2}, S^{-1} T) are rebuilt
     on each request rather than kept, and S itself is never kept.  A
     frame whose S overflows raises ValueError for every spectral fact.
+
+    A frame built over a structured system (:func:`dualframes.gabor.gabor_frame`)
+    holds the system instead of the matrix and builds the matrix, once,
+    when :attr:`synthesis` is first read.  ``dim`` and ``count`` never
+    build it, and the frame operator, mixed operator, approximation rate
+    and eigenvalues of two systems that share their structure are read
+    from the system's residue-class blocks (see :func:`mixed_operator`).
     """
 
-    synthesis: np.ndarray
-
-    def __post_init__(self):
-        given = self.synthesis
-        syn = oplin.as_operator(given)
+    def __init__(self, synthesis):
+        syn = oplin.as_operator(synthesis)
         # Copy anything that may share memory with a writeable caller array:
         # the caller's own array unless it is read-only and owns its memory,
         # and any view (such as the base-class view of an ndarray subclass).
-        if syn.base is not None or (syn is given and syn.flags.writeable):
+        if syn.base is not None or (syn is synthesis and syn.flags.writeable):
             syn = syn.copy()
-        object.__setattr__(self, "synthesis", _frozen(syn))
+        self.__dict__.update(synthesis=_frozen(syn), _shape=syn.shape, _system=None)
+
+    def __setattr__(self, name, value):
+        raise AttributeError(f"Frame is immutable: cannot set {name!r}")
+
+    def __delattr__(self, name):
+        raise AttributeError(f"Frame is immutable: cannot delete {name!r}")
 
     @classmethod
     def _adopt(cls, syn: np.ndarray) -> "Frame":
@@ -97,18 +106,31 @@ class Frame:
         return cls(_frozen(syn) if syn.base is None else syn)
 
     @classmethod
+    def _of_system(cls, system) -> "Frame":
+        """Frame over a structured system: its ``shape``, ``synthesis()`` and
+        ``class_blocks(other)`` stand in for the matrix until it is read."""
+        frame = cls.__new__(cls)
+        frame.__dict__.update(_shape=system.shape, _system=system)
+        return frame
+
+    @classmethod
     def from_vectors(cls, vectors: Sequence) -> "Frame":
         """Build a frame from a sequence of length-d vectors."""
         cols = [np.asarray(v, dtype=complex).reshape(-1) for v in vectors]
         return cls._adopt(np.column_stack(cols))
 
+    @cached_property
+    def synthesis(self) -> np.ndarray:
+        """The d x n synthesis matrix (read-only); a system frame builds it here."""
+        return _frozen(self._system.synthesis())
+
     @property
     def dim(self) -> int:
-        return self.synthesis.shape[0]
+        return self._shape[0]
 
     @property
     def count(self) -> int:
-        return self.synthesis.shape[1]
+        return self._shape[1]
 
     def vector(self, k: int) -> np.ndarray:
         return self.synthesis[:, k].copy()
@@ -118,7 +140,10 @@ class Frame:
         """Ascending eigenvalues of the frame operator (read-only)."""
         if "spectrum" in self.__dict__:
             return self.spectrum.eigenvalues
-        return _frozen(np.linalg.eigvalsh(frame_operator(self)))
+        groups = _class_blocks(self, self)
+        if groups is None:
+            return _frozen(np.linalg.eigvalsh(frame_operator(self)))
+        return _frozen(np.sort(np.concatenate([np.linalg.eigvalsh(g).ravel() for _, g in groups])))
 
     @cached_property
     def spectrum(self) -> oplin.Spectrum:
@@ -161,9 +186,26 @@ def synthesis(phi: Frame, c) -> np.ndarray:
     return phi.synthesis @ c
 
 
+def _class_blocks(phi: Frame, psi: Frame):
+    """The residue-class blocks of mixed_operator(phi, psi), or None.
+
+    They exist when both frames hold structured systems that share their
+    structure (for Gabor systems: one grid and one lattice).  Each group is
+    ``(index, blocks)``: row r of ``index`` lists the samples of one class
+    and ``blocks[r]`` is the operator restricted to them; the operator is
+    zero between classes.  ValueError when a block is not finite.
+    """
+    if phi._system is None or psi._system is None:
+        return None
+    groups = phi._system.class_blocks(psi._system)
+    for _, blocks in groups or ():
+        oplin._require_finite(blocks)
+    return groups
+
+
 def frame_operator(phi: Frame) -> np.ndarray:
     """S = T T*, Hermitian PSD by construction (d x d); ValueError when it overflows."""
-    return oplin.as_operator(phi.synthesis @ adjoint(phi.synthesis))
+    return oplin.as_operator(mixed_operator(phi, phi))
 
 
 def frame_bounds(phi: Frame) -> FrameBounds:
@@ -203,14 +245,33 @@ def canonical_dual(phi: Frame) -> Frame:
 
 
 def mixed_operator(phi: Frame, psi: Frame) -> np.ndarray:
-    """The d x d operator synthesis(phi) o analysis(psi)."""
+    """The d x d operator synthesis(phi) o analysis(psi).
+
+    Two systems with residue-class blocks (see :func:`_class_blocks`) get
+    it by scattering the blocks, without either synthesis matrix.
+    """
     _check_same_shape(phi, psi)
-    return phi.synthesis @ adjoint(psi.synthesis)
+    groups = _class_blocks(phi, psi)
+    if groups is None:
+        return phi.synthesis @ adjoint(psi.synthesis)
+    out = np.zeros((phi.dim, phi.dim), dtype=complex)
+    for index, blocks in groups:
+        out[index[:, :, None], index[:, None, :]] = blocks
+    return out
 
 
 def approximation_rate(phi: Frame, psi: Frame) -> float:
-    """Distance ||Id - mixed_operator(phi, psi)||; below 1 means approximately dual."""
-    return operator_norm(oplin.identity(phi.dim) - mixed_operator(phi, psi))
+    """Distance ||Id - mixed_operator(phi, psi)||; below 1 means approximately dual.
+
+    With residue-class blocks it is the largest ||I - block||.
+    """
+    groups = _class_blocks(phi, psi)
+    if groups is None:
+        return operator_norm(oplin.identity(phi.dim) - mixed_operator(phi, psi))
+    return max(
+        float(np.max(np.linalg.norm(np.eye(blocks.shape[-1]) - blocks, 2, axis=(-2, -1))))
+        for _, blocks in groups
+    )
 
 
 def bessel_bound_difference(phi: Frame, psi: Frame) -> float:

@@ -4,10 +4,15 @@ The continuous line is replaced by a periodic grid of ``P`` units sampled
 ``s`` times per unit (``L = s * P`` points, inner product weighted by
 ``1/s``).  Windows are sampled functions; a time-frequency lattice is a
 pair of positive rationals ``(a, b)`` (time step in units, frequency step
-in cycles per unit).  Gabor frames materialize as ordinary
+in cycles per unit).  Gabor systems are ordinary
 :class:`~dualframes.frames.Frame` objects of dimension ``L`` through the
 isometric embedding ``values / sqrt(s)``, so all duality machinery
-applies verbatim.
+applies verbatim.  Such a frame keeps its window and lattice and builds
+its ``L x N`` synthesis matrix only when something reads ``synthesis``
+(export, the kernel, analysis/synthesis, a pairing with a plain frame).
+Its frame operator, eigenvalues and bounds, and its mixed operator and
+approximation rate against a system on the same grid and lattice, are
+read from the Walnut (Zibulski-Zeevi) residue-class blocks instead.
 
 Grid commensurability is a hard precondition everywhere: rationals that
 do not land on the grid raise typed errors instead of being rounded,
@@ -42,7 +47,7 @@ from .errors import (
     OffGrid,
     SupportOverflow,
 )
-from .frames import Frame, FrameBounds, frame_operator
+from .frames import Frame, FrameBounds, frame_bounds, frame_operator
 from .oplin import _strictly_below, adjoint, operator_norm
 
 RationalLike = Union[Fraction, int, str]
@@ -102,9 +107,6 @@ class SampledWindow:
         if not np.all(np.isfinite(v)):
             raise ValueError("window has non-finite samples")
         object.__setattr__(self, "values", v)
-
-    def shifted(self, samples: int) -> "SampledWindow":
-        return SampledWindow(self.grid, np.roll(self.values, samples))
 
     @property
     def is_real(self) -> bool:
@@ -250,26 +252,80 @@ def partition_of_unity_residual(g: SampledWindow) -> float:
     return float(np.max(np.abs(pou - 1.0)))
 
 
-def gabor_frame(g: SampledWindow, lat: GaborLattice) -> Frame:
-    """Materialize the system (modulate-after-shift copies of g) as a Frame.
+@dataclass(frozen=True, eq=False)
+class _GaborSystem:
+    """A Gabor system held by its window and lattice, not by its L x N matrix.
 
-    Columns are ordered shift-major, modulation-minor.  The embedding
+    ``modulations`` is M = s/b.  The mixed operator of two windows g and h
+    on one grid and lattice couples samples x and y (integers in [0, L),
+    no wrap-around) only when x = y mod M, and there it is
+    S[x, y] = (1/b) sum_n g(x - n step) conj(h(y - n step)), the time
+    index taken mod L: a block G_r for each residue class r mod M.  The
+    classes hold floor(L/M) or ceil(L/M) samples (all b*P of them when
+    b*P is an integer; some are empty when M > L).
+    """
+
+    window: SampledWindow
+    lattice: GaborLattice
+    step: int
+    shifts: int
+    modulations: int
+
+    @property
+    def shape(self) -> tuple[int, int]:
+        return self.window.grid.total, self.shifts * self.modulations
+
+    def synthesis(self) -> np.ndarray:
+        """The L x N matrix: columns shift-major, modulation-minor."""
+        grid, n_m = self.window.grid, self.modulations
+        phases = np.exp(2j * np.pi * float(self.lattice.b) * np.outer(np.arange(n_m), grid.points()))
+        syn = np.empty(self.shape, dtype=complex)
+        base = _embed(self.window)
+        for n in range(self.shifts):
+            block = phases * np.roll(base, n * self.step)[None, :]
+            syn[:, n * n_m : (n + 1) * n_m] = block.T
+        return syn
+
+    def class_blocks(self, other) -> list[tuple[np.ndarray, np.ndarray]] | None:
+        """The blocks G_r against ``other``, grouped by class size, or None
+        unless ``other`` is a system on the same grid and lattice.
+
+        Each group is ``(index, blocks)``: ``index[r]`` lists the samples of
+        one class and ``blocks[r]`` is its G_r.
+        """
+        if not isinstance(other, _GaborSystem):
+            return None
+        if (self.window.grid, self.lattice) != (other.window.grid, other.lattice):
+            return None
+        total, m = self.window.grid.total, self.modulations
+        shifts = self.step * np.arange(self.shifts)
+        size, longer = divmod(total, m)  # classes r < longer hold one sample more
+        groups = []
+        for classes, n in ((np.arange(longer), size + 1), (np.arange(longer, m), size)):
+            if classes.size and n:
+                index = classes[:, None] + m * np.arange(n)
+                at = (index[..., None] - shifts) % total  # x - n step for every x and n
+                left = _embed(self.window)[at]
+                right = left if other is self else _embed(other.window)[at]
+                # M/s = 1/b: the modulation sum and the two 1/sqrt(s) embeddings
+                groups.append((index, (m * left) @ np.conj(np.swapaxes(right, -1, -2))))
+        return groups
+
+
+def gabor_frame(g: SampledWindow, lat: GaborLattice) -> Frame:
+    """The system of modulate-after-shift copies of g, as a Frame.
+
+    The frame builds its L x N synthesis matrix (columns shift-major,
+    modulation-minor) only when ``synthesis`` is read; its frame operator
+    and bounds, and its mixed operator and rate against a system on the
+    same grid and lattice, come from residue-class blocks.  The embedding
     scales by 1/sqrt(s) so that frame-operator spectra match the weighted
     function-space inner product (e.g. the indicator of [0,1) on the unit
     lattice yields a tight frame with bounds (1, 1)).
     """
     grid = g.grid
-    step = lat.time_step(grid)
-    n_t = lat.shifts(grid)
-    n_m = lat.modulations(grid)
-    x = grid.points()
-    phases = np.exp(2j * np.pi * float(lat.b) * np.outer(np.arange(n_m), x))
-    syn = np.empty((grid.total, n_t * n_m), dtype=complex)
-    base = _embed(g)
-    for n in range(n_t):
-        block = phases * np.roll(base, n * step)[None, :]
-        syn[:, n * n_m : (n + 1) * n_m] = block.T
-    return Frame._adopt(syn)
+    system = _GaborSystem(g, lat, lat.time_step(grid), lat.shifts(grid), lat.modulations(grid))
+    return Frame._of_system(system)
 
 
 def walnut_weight(g: SampledWindow, a: RationalLike) -> SampledWindow:
@@ -315,7 +371,7 @@ def painless_check(g: SampledWindow, lat: GaborLattice, support: int) -> Painles
     """Verify the compact-support / small-b hypotheses and adjudicate the
     diagonal frame-operator formula.
 
-    The materialized frame operator is compared against both candidate
+    The frame operator is compared against both candidate
     diagonals G(x)/b and b/G(x); the report records which one matches.
     (The weight-over-step form G/b is the one that holds; the inverted
     form appears in print but fails numerically.)
@@ -332,8 +388,9 @@ def painless_check(g: SampledWindow, lat: GaborLattice, support: int) -> Painles
             measured=float(weight.min()),
         )
     lat.adjoint_shifts(g.grid)  # diagonality needs periodic modulations
-    s_mat = frame_operator(gabor_frame(g, lat))
-    w = np.linalg.eigvalsh(s_mat)
+    system = gabor_frame(g, lat)
+    s_mat = frame_operator(system)
+    w = system.eigenvalues
     diag = np.real(np.diagonal(s_mat)).copy()
     off = s_mat - np.diag(np.diagonal(s_mat))
     scale = float(w[-1])  # ||S|| = lambda_max(S), S being PSD
@@ -384,9 +441,9 @@ def janssen_residual_table(
 def janssen_residual(g: SampledWindow, h: SampledWindow, lat: GaborLattice) -> float:
     """Worst-case deviation of the pair from the lattice-sum duality criterion.
 
-    At most GABOR_DUAL_TOL certifies that the two materialized systems
-    are exact duals (and this agrees with the materialized approximation
-    rate dropping to the same tolerance).
+    At most GABOR_DUAL_TOL certifies that the two systems are exact duals
+    (and this agrees with their approximation rate dropping to the same
+    tolerance).
     """
     return float(np.max(janssen_residual_table(g, h, lat)))
 
@@ -495,8 +552,9 @@ def scaled_gabor_operator(l_window: SampledWindow, lat: GaborLattice) -> np.ndar
     the identity is 1 - lower/upper < 1, which makes it a ready-made
     operator for prescribing an approximation rate.
     """
-    s_mat = frame_operator(gabor_frame(l_window, lat))
-    bounds = FrameBounds.from_eigenvalues(np.linalg.eigvalsh(s_mat)).require("scaling system")
+    system = gabor_frame(l_window, lat)
+    bounds = frame_bounds(system).require("scaling system")
+    s_mat = frame_operator(system)
     s_mat /= bounds.upper
     return s_mat
 

@@ -37,6 +37,11 @@ def as_operator(m) -> np.ndarray:
     a = np.asarray(m, dtype=complex)
     if a.ndim != 2 or a.size == 0:
         raise DimensionMismatch(f"expected a non-empty 2-d matrix, got shape {a.shape}")
+    return _require_finite(a)
+
+
+def _require_finite(a: np.ndarray) -> np.ndarray:
+    """``a`` itself, or ValueError when an entry is not finite (overflow, NaN)."""
     if not np.all(np.isfinite(a)):
         raise ValueError("matrix has non-finite entries")
     return a

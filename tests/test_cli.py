@@ -19,7 +19,7 @@ from dualframes import (
     janssen_residual,
     sample_bspline,
 )
-from dualframes import io
+from dualframes import gabor, io
 from dualframes.gabor import ck_dual1_unchecked
 from dualframes.cli import main
 
@@ -221,6 +221,10 @@ class TestUsage:
             (["gabor", "sweep", "--char", "--grid", "4:3", "--step", "x"], "not a rational number"),
             # --bspline sweeps ignore --grid, but the flag is still parsed
             (["gabor", "sweep", "--bspline", "2", "--grid", "4x4"], "grid must look like"),
+            (["gabor", "sweep", "--bspline", "2", "--denominators", "2-5"],
+             "--denominators must look like LO:HI"),
+            (["gabor", "dual", "--window", "bspline:2", "--grid", "10:20", "--b", "1/10",
+              "--method", "ck2", "--coeffs", "0,x,0.2"], "--coeffs must look like a,b,c,..."),
         ],
     )
     def test_malformed_gabor_flag_exit_3(self, argv, message, capsys):
@@ -415,6 +419,28 @@ class TestGaborCommands:
         assert float(rate.split(": ")[1]) == pytest.approx(
             float(gap.split(": ")[1]), abs=1e-9
         )
+
+    def test_approx_dual_builds_no_synthesis_matrix(self, tmp_path, monkeypatch, capsys):
+        # the README example: every verdict and the spectrum come from residue-class blocks
+        built = []
+        materialize = gabor._GaborSystem.synthesis
+        monkeypatch.setattr(
+            gabor._GaborSystem, "synthesis", lambda system: built.append(system) or materialize(system)
+        )
+        b2, g1d, spectrum = (str(tmp_path / name) for name in ("b2.json", "g1d.json", "spec.csv"))
+        assert main(["gabor", "window", "--window", "bspline:2", "--grid", "10:20", "--out", b2]) == 0
+        argv = ["gabor", "dual", "--window", "bspline:2", "--grid", "10:20", "--b", "1/10",
+                "--method", "ck1", "--out", g1d]
+        assert main(argv) == 0
+        capsys.readouterr()
+        argv = ["gabor", "approx-dual", "--window", b2, "--dual", g1d, "--scale-window", "bspline:3",
+                "--a", "1", "--b", "1/10", "--spectrum-csv", spectrum]
+        assert main(argv) == 0
+        assert built == []
+        eigs = [float(row[1]) for row in read_csv(spectrum)[1:]]
+        assert len(eigs) == 200 and eigs == sorted(eigs)
+        gap = [l for l in capsys.readouterr().out.splitlines() if l.startswith("identity_gap")][0]
+        assert float(gap.split(": ")[1]) == pytest.approx(1.0 - eigs[0] / eigs[-1], abs=1e-9)
 
     @staticmethod
     def _make_dual(tmp_path):

@@ -2,12 +2,14 @@ from fractions import Fraction
 
 import numpy as np
 import pytest
-from hypothesis import assume, given, settings
+from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
+from dualframes import gabor
 from dualframes import (
     BadCoefficients,
     ContractViolation,
+    Frame,
     GaborLattice,
     GridSpec,
     HypothesisViolated,
@@ -379,6 +381,81 @@ class TestLatticeSums:
         residual = partition_of_unity_residual(g)
         oracle_pou = _roll_loop_partition_residual(g)
         assert abs(residual - oracle_pou) <= 1e-12 * (period * np.max(np.abs(g.values)) + 1)
+
+
+class TestClassBlocks:
+    """The residue-class block readers against the dense oracle Frame(np.array(T)).
+
+    The modulation count M = s/b runs over divisors of L (b * P an integer,
+    equal classes), non-divisors (classes of two sizes) and values above L
+    (empty classes).
+    """
+
+    @settings(max_examples=80, deadline=None)
+    @given(
+        s=st.sampled_from([2, 4, 6]),
+        period=st.sampled_from([2, 4, 6]),
+        a=st.sampled_from([Fraction(1, 2), Fraction(1), Fraction(2)]),
+        modulations=st.integers(1, 40),
+        seed=st.integers(0, 2**32 - 1),
+    )
+    @example(s=2, period=2, a=Fraction(1, 2), modulations=7, seed=0)  # M > L
+    @example(s=4, period=6, a=Fraction(1), modulations=10, seed=1)  # b * P = 12/5
+    def test_match_the_dense_oracle(self, s, period, a, modulations, seed):
+        grid = GridSpec(s, period)
+        lat = GaborLattice(a, Fraction(s, modulations))
+        rng = np.random.default_rng(seed)
+        g, h = (SampledWindow(grid, re + 1j * im) for re, im in rng.standard_normal((2, 2, grid.total)))
+        phi, psi = gabor_frame(g, lat), gabor_frame(h, lat)
+        phi_d, psi_d = (Frame(np.array(f.synthesis)) for f in (gabor_frame(g, lat), gabor_frame(h, lat)))
+
+        scale = max(phi_d.eigenvalues[-1], psi_d.eigenvalues[-1], 1.0)
+        tol = 1e-12 * scale
+        assert len(phi.eigenvalues) == grid.total
+        assert np.max(np.abs(phi.eigenvalues - phi_d.eigenvalues)) <= tol
+        for block, dense in ((phi, phi_d), (psi, psi_d)):
+            lower, upper = frame_bounds(block)
+            lower_d, upper_d = frame_bounds(dense)
+            assert abs(upper - upper_d) <= tol
+            assert abs(lower - lower_d) <= tol or 0.0 in (lower, lower_d)
+            assert np.max(np.abs(frame_operator(block) - frame_operator(dense))) <= tol
+        assert np.max(np.abs(mixed_operator(phi, psi) - mixed_operator(phi_d, psi_d))) <= tol
+        assert abs(approximation_rate(phi, psi) - approximation_rate(phi_d, psi_d)) <= tol
+        # a system against a plain frame takes the dense path
+        assert abs(approximation_rate(phi, psi_d) - approximation_rate(phi_d, psi_d)) <= tol
+
+    def test_block_readers_build_no_synthesis_matrix(self, monkeypatch):
+        built = []
+        materialize = gabor._GaborSystem.synthesis
+
+        def counted(system):
+            built.append(system.shape)
+            return materialize(system)
+
+        monkeypatch.setattr(gabor._GaborSystem, "synthesis", counted)
+        grid = GridSpec(16, 32)
+        lat = GaborLattice(1, Fraction(1, 10))  # b * P = 16/5: classes of sizes 3 and 4
+        gaussian = sample_function(lambda x: np.exp(-4.0 * x**2), grid, centered=True)
+        other = sample_bspline(3, grid)
+        phi, psi = gabor_frame(gaussian, lat), gabor_frame(other, lat)
+        assert (phi.dim, phi.count) == (512, 32 * 160)
+        assert frame_bounds(phi).lower > 0.0
+        approximation_rate(phi, psi)
+        mixed_operator(phi, psi)
+        frame_operator(psi)
+        assert built == []
+        phi.synthesis
+        phi.synthesis
+        assert built == [(512, 32 * 160)]
+
+    @pytest.mark.filterwarnings("ignore:.*encountered in matmul:RuntimeWarning")
+    def test_overflowing_blocks_raise(self):
+        grid = GridSpec(4, 4)
+        huge = SampledWindow(grid, sample_bspline(2, grid).values * 1e200)
+        lat = GaborLattice(1, Fraction(1, 4))
+        for read in (frame_bounds, frame_operator, lambda f: approximation_rate(f, f)):
+            with pytest.raises(ValueError, match="non-finite"):
+                read(gabor_frame(huge, lat))
 
 
 class TestCkDuals:
