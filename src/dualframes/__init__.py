@@ -97,6 +97,7 @@ from .perturbation import (
 from .gabor import (
     GaborLattice,
     GridSpec,
+    LatticeOperator,
     PainlessReport,
     SampledWindow,
     approx_dual_window,

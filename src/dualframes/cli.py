@@ -25,7 +25,6 @@ from . import io
 from .duality import approx_dual_from_mixed, gdual_factorization, gdual_from_corresponding
 from .errors import DimensionMismatch, FrameError, ParseError
 from .frames import (
-    Annihilator,
     Frame,
     approximation_rate,
     canonical_dual,
@@ -88,6 +87,13 @@ def _parse_fraction(spec: str) -> Fraction:
         raise ParseError(f"not a rational number: {spec!r}") from exc
 
 
+def _parse_step(spec: str) -> Fraction:
+    step = _parse_fraction(spec)
+    if not 0 < step <= 1:
+        raise ParseError(f"--step must lie in (0, 1], got {spec!r}")
+    return step
+
+
 def _parse_denominators(spec: str) -> tuple[int, int]:
     try:
         lo, hi = (int(t) for t in spec.split(":"))
@@ -122,15 +128,19 @@ def _window_from_spec(spec: str, grid: GridSpec | None) -> SampledWindow:
     return window
 
 
-def _parse_theta(spec: str, phi: Frame) -> Annihilator | None:
+def _parse_theta(spec: str) -> tuple[int, float] | None:
+    """None for ``zero``, else the seed and scale of ``random:SEED:SCALE``."""
     if spec == "zero":
         return None
-    if spec.startswith("random:"):
-        parts = spec.split(":")
-        if len(parts) != 3:
-            raise ParseError("--theta random takes the form random:SEED:SCALE")
-        return random_annihilator(phi, seed=int(parts[1]), scale=float(parts[2]))
-    raise ParseError(f"unknown --theta spec {spec!r}")
+    try:
+        kind, seed, scale = spec.split(":")
+        seed, scale = int(seed), float(scale)
+    except ValueError:
+        kind = None
+    if kind != "random" or seed < 0 or not 0.0 <= scale < float("inf"):
+        raise ParseError(f"--theta must be zero or --theta random:SEED:SCALE (integer SEED >= 0, "
+                         f"finite SCALE >= 0), got {spec!r}")
+    return seed, scale
 
 
 def _print_verdicts(report: RunReport) -> None:
@@ -160,9 +170,8 @@ def cmd_frame_info(args) -> RunReport:
 def cmd_dual(args) -> RunReport:
     report = RunReport(command="dual", inputs=[args.path])
     phi = io.load_frame(args.path)
-    theta = _parse_theta(args.theta, phi)
     if args.mode == "canonical":
-        if theta is not None:
+        if args.theta is not None:
             raise ParseError("--theta does not apply to --mode canonical")
         result = canonical_dual(phi)
         target = np.eye(phi.dim, dtype=complex)
@@ -171,6 +180,7 @@ def cmd_dual(args) -> RunReport:
             raise ParseError(f"--mode {args.mode} requires --op-file")
         report.inputs.append(args.op_file)
         op = io.load_operator(args.op_file)
+        theta = None if args.theta is None else random_annihilator(phi, *args.theta)
         if args.mode == "approx":
             result = approx_dual_from_mixed(phi, op, theta)
             target = op
@@ -337,11 +347,7 @@ def cmd_gabor_weight(args) -> RunReport:
 
 def _sweep_char(args) -> RunReport:
     report = RunReport(command="gabor sweep", inputs=[])
-    values = []
-    v = args.step
-    while v <= 1:
-        values.append(v)
-        v += args.step
+    values = [k * args.step for k in range(1, int(1 / args.step) + 1)]  # every multiple in (0, 1]
     windows = {c: sample_char(c, args.grid) for c in values}
     rows = []
     agree_all = True
@@ -428,7 +434,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("path")
     p.add_argument("--mode", choices=["canonical", "approx", "gdual"], default="canonical")
     p.add_argument("--op-file", help="operator JSON (target mixed operator / corresponding operator)")
-    p.add_argument("--theta", default="zero", help="zero or random:SEED:SCALE")
+    p.add_argument("--theta", type=_parse_theta, default="zero", help="zero or random:SEED:SCALE")
     p.add_argument("--out")
     p.set_defaults(func=cmd_dual)
 
@@ -499,8 +505,8 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--bspline", type=int, default=None, metavar="N",
                    help="sweep the frequency step for the order-N dual generator")
     p.add_argument("--grid", type=_parse_grid, help="samples:period (for --char)")
-    p.add_argument("--step", type=_parse_fraction, default="1/4",
-                   help="width/step increment (for --char)")
+    p.add_argument("--step", type=_parse_step, default="1/4",
+                   help="width/step increment in (0, 1] (for --char)")
     p.add_argument("--samples", type=int, default=10, help="samples per unit (for --bspline)")
     p.add_argument("--denominators", type=_parse_denominators, default="2:10",
                    help="LO:HI range of 1/b (for --bspline)")

@@ -254,24 +254,31 @@ def mixed_operator(phi: Frame, psi: Frame) -> np.ndarray:
     groups = _class_blocks(phi, psi)
     if groups is None:
         return phi.synthesis @ adjoint(psi.synthesis)
-    out = np.zeros((phi.dim, phi.dim), dtype=complex)
+    return _scatter(phi.dim, groups)
+
+
+def _scatter(dim: int, groups) -> np.ndarray:
+    """The dim x dim operator with these residue-class blocks, zero between classes."""
+    out = np.zeros((dim, dim), dtype=complex)
     for index, blocks in groups:
         out[index[:, :, None], index[:, None, :]] = blocks
     return out
 
 
-def approximation_rate(phi: Frame, psi: Frame) -> float:
-    """Distance ||Id - mixed_operator(phi, psi)||; below 1 means approximately dual.
-
-    With residue-class blocks it is the largest ||I - block||.
-    """
-    groups = _class_blocks(phi, psi)
-    if groups is None:
-        return operator_norm(oplin.identity(phi.dim) - mixed_operator(phi, psi))
+def _block_gap(groups) -> float:
+    """||Id - X|| for the X with these residue-class blocks: the largest ||I - block||."""
     return max(
         float(np.max(np.linalg.norm(np.eye(blocks.shape[-1]) - blocks, 2, axis=(-2, -1))))
         for _, blocks in groups
     )
+
+
+def approximation_rate(phi: Frame, psi: Frame) -> float:
+    """Distance ||Id - mixed_operator(phi, psi)||; below 1 means approximately dual."""
+    groups = _class_blocks(phi, psi)
+    if groups is None:
+        return operator_norm(oplin.identity(phi.dim) - mixed_operator(phi, psi))
+    return _block_gap(groups)
 
 
 def bessel_bound_difference(phi: Frame, psi: Frame) -> float:
@@ -326,8 +333,11 @@ def random_annihilator(phi: Frame, seed: int, scale: float) -> Annihilator:
 
     Coefficients are complex Gaussian draws against an orthonormal kernel
     basis, then rescaled.  A Riesz basis has trivial kernel, so the zero
-    map is returned; ``scale == 0`` also yields the zero map.
+    map is returned; ``scale == 0`` also yields the zero map.  ValueError
+    for a negative or non-finite scale.
     """
+    if not 0.0 <= scale < np.inf:
+        raise ValueError(f"annihilator scale must be finite and >= 0, got {scale!r}")
     kernel = kernel_basis(phi)
     if kernel.shape[1] == 0 or scale == 0.0:
         return Annihilator.zero(phi)

@@ -13,6 +13,10 @@ its ``L x N`` synthesis matrix only when something reads ``synthesis``
 Its frame operator, eigenvalues and bounds, and its mixed operator and
 approximation rate against a system on the same grid and lattice, are
 read from the Walnut (Zibulski-Zeevi) residue-class blocks instead.
+:func:`scaled_gabor_operator` returns its operator as such blocks, a
+:class:`LatticeOperator` that ``np.asarray`` turns into the dense matrix.
+:func:`approx_dual_window` trusts commutation only for a LatticeOperator on
+its own grid and lattice; :func:`commutation_check` is for dense arrays.
 
 Grid commensurability is a hard precondition everywhere: rationals that
 do not land on the grid raise typed errors instead of being rounded,
@@ -28,7 +32,7 @@ Modulations use the convention  (E_b f)(x) = exp(2 pi i b x) f(x).
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from fractions import Fraction
 from math import comb, factorial
 from typing import Sequence, Union
@@ -47,7 +51,7 @@ from .errors import (
     OffGrid,
     SupportOverflow,
 )
-from .frames import Frame, FrameBounds, frame_bounds, frame_operator
+from .frames import Frame, FrameBounds, _block_gap, _class_blocks, _frozen, _scatter, frame_bounds
 from .oplin import _strictly_below, adjoint, operator_norm
 
 RationalLike = Union[Fraction, int, str]
@@ -389,24 +393,21 @@ def painless_check(g: SampledWindow, lat: GaborLattice, support: int) -> Painles
         )
     lat.adjoint_shifts(g.grid)  # diagonality needs periodic modulations
     system = gabor_frame(g, lat)
-    s_mat = frame_operator(system)
     w = system.eigenvalues
-    diag = np.real(np.diagonal(s_mat)).copy()
-    off = s_mat - np.diag(np.diagonal(s_mat))
+    diag = np.empty(g.grid.total)
+    off = 0.0  # S is zero between classes, so ||S - diag(S)|| is the largest block's
+    for index, blocks in _class_blocks(system, system):
+        diag[index] = np.real(np.diagonal(blocks, axis1=-2, axis2=-1))
+        hollow = blocks * (1.0 - np.eye(blocks.shape[-1]))  # the block with its diagonal zeroed
+        off = max(off, float(np.max(np.linalg.norm(hollow, 2, axis=(-2, -1)))))
     scale = float(w[-1])  # ||S|| = lambda_max(S), S being PSD
-    offdiag_rel = operator_norm(off) / scale
     b = float(lat.b)
     err_wb = float(np.max(np.abs(diag - weight / b))) / scale
     err_bw = float(np.max(np.abs(diag - b / weight))) / scale
-    if err_wb <= 1e-9:
-        matched = "weight/b"
-    elif err_bw <= 1e-9:
-        matched = "b/weight"
-    else:
-        matched = "neither"
+    matched = "weight/b" if err_wb <= 1e-9 else "b/weight" if err_bw <= 1e-9 else "neither"
     return PainlessReport(
         diagonal=diag,
-        offdiag_relative=float(offdiag_rel),
+        offdiag_relative=off / scale,
         matched_formula=matched,
         weight_over_step_error=err_wb,
         step_over_weight_error=err_bw,
@@ -545,18 +546,46 @@ def commutation_check(a_op, lat: GaborLattice, grid: GridSpec) -> float:
     return max(operator_norm(comm_e), operator_norm(comm_t))
 
 
-def scaled_gabor_operator(l_window: SampledWindow, lat: GaborLattice) -> np.ndarray:
+@dataclass(frozen=True, eq=False)
+class LatticeOperator:
+    """The frame operator of ``window``'s system on ``lattice`` over its upper
+    bound, held by its residue-class ``(index, blocks)`` groups (zero between
+    classes, see :class:`_GaborSystem`); built from the window, it commutes
+    with the lattice generators.  ``np.asarray`` gives the dense L x L matrix.
+    """
+
+    window: SampledWindow
+    lattice: GaborLattice
+    groups: tuple = field(init=False, repr=False)
+
+    def __post_init__(self):
+        system = gabor_frame(self.window, self.lattice)
+        upper = frame_bounds(system).require("scaling system").upper
+        groups = _class_blocks(system, system)
+        object.__setattr__(self, "groups", tuple((_frozen(i), _frozen(b / upper)) for i, b in groups))
+
+    def __array__(self, dtype=None, copy=None):
+        return _scatter(self.window.grid.total, self.groups).astype(dtype or complex, copy=False)
+
+
+def scaled_gabor_operator(l_window: SampledWindow, lat: GaborLattice) -> LatticeOperator:
     """Frame operator of the given window's system, scaled by its upper bound.
 
-    The result commutes with the lattice generators, and its distance to
-    the identity is 1 - lower/upper < 1, which makes it a ready-made
-    operator for prescribing an approximation rate.
+    The result commutes with the lattice generators by construction, and
+    its distance to the identity is 1 - lower/upper < 1, which makes it a
+    ready-made operator for prescribing an approximation rate.  It is a
+    :class:`LatticeOperator`: ``np.asarray`` gives the dense matrix, and
+    :func:`approx_dual_window` reads its blocks.
     """
-    system = gabor_frame(l_window, lat)
-    bounds = frame_bounds(system).require("scaling system")
-    s_mat = frame_operator(system)
-    s_mat /= bounds.upper
-    return s_mat
+    return LatticeOperator(l_window, lat)
+
+
+def _block_apply(groups, v: np.ndarray, op) -> np.ndarray:
+    """The vector whose samples in each class are ``op(block, v restricted to the class)``."""
+    out = np.empty_like(v)
+    for index, blocks in groups:
+        out[index] = op(blocks, v[index][..., None])[..., 0]
+    return out
 
 
 def approx_dual_window(
@@ -568,25 +597,40 @@ def approx_dual_window(
     operator that commutes with the lattice generators, and
     ||Id - A|| < 1.  The system of the result has mixed operator A
     against the system of g.
+
+    A :class:`LatticeOperator` on g's grid and lattice commutes by
+    construction and is read block by block; any other operator is a dense
+    matrix checked with :func:`commutation_check`.  S is always read from
+    its residue-class blocks.
     """
     if g.grid != g_dual.grid:
         raise DimensionMismatch("windows live on different grids")
-    residual = janssen_residual(g, g_dual, lat)
+    residual = janssen_residual(g, g_dual, lat)  # also rejects b * P not an integer
     if residual > GABOR_DUAL_TOL:
         raise NotDualPair("(g, g_dual) is not an exact dual pair", measured=residual)
-    a = oplin.as_operator(a_op)
-    comm = commutation_check(a, lat, g.grid)
-    if comm > 1e-9:
-        raise NotCommuting(
-            "operator must commute with the lattice generators", measured=comm
-        )
-    gap = operator_norm(np.eye(g.grid.total) - a)
+    trusted = isinstance(a_op, LatticeOperator) and (a_op.window.grid, a_op.lattice) == (g.grid, lat)
+    if trusted:
+        gap = _block_gap(a_op.groups)
+    else:
+        a = oplin.as_operator(a_op)
+        comm = commutation_check(a, lat, g.grid)
+        if comm > 1e-9:
+            raise NotCommuting("operator must commute with the lattice generators", measured=comm)
+        gap = operator_norm(np.eye(g.grid.total) - a)
     if not _strictly_below(gap, 1.0):
         raise ContractViolation("requires ||Id - A|| < 1", measured=gap)
-    s_mat = frame_operator(gabor_frame(g, lat))
+    system = gabor_frame(g, lat)
+    s_groups = _class_blocks(system, system)
+    oplin._require_conditioned(
+        np.concatenate([np.linalg.svd(blocks, compute_uv=False).ravel() for _, blocks in s_groups])
+    )
     vg = _embed(g)
-    vad = adjoint(a) @ oplin.solve(s_mat, vg) - vg + s_mat @ _embed(g_dual)
-    return _unembed(g.grid, vad)
+    s_inv_g = _block_apply(s_groups, vg, np.linalg.solve)
+    if trusted:
+        adj = _block_apply(a_op.groups, s_inv_g, lambda a_r, x: np.conj(np.swapaxes(a_r, -1, -2)) @ x)
+    else:
+        adj = adjoint(a) @ s_inv_g
+    return _unembed(g.grid, adj - vg + _block_apply(s_groups, _embed(g_dual), np.matmul))
 
 
 def char_dual_check(

@@ -141,13 +141,18 @@ def svd_split(m) -> tuple[np.ndarray, np.ndarray]:
     return vh[:rank].T.conj(), vh[rank:].T.conj()
 
 
+def _require_conditioned(s: np.ndarray) -> None:
+    """Singular unless smin > smax / COND_CUTOFF, given all singular values ``s``."""
+    smax, smin = float(np.max(s)), float(np.min(s))
+    if smin <= smax / COND_CUTOFF:
+        if smax == 0.0:
+            raise Singular("matrix is identically zero")
+        raise Singular(f"condition number {smax / max(smin, 1e-300):.3e} exceeds cutoff")
+
+
 def _invertible(m) -> np.ndarray:
     a = _square(m)
-    s = np.linalg.svd(a, compute_uv=False)
-    if s[-1] <= s[0] / COND_CUTOFF:
-        if s[0] == 0.0:
-            raise Singular("matrix is identically zero")
-        raise Singular(f"condition number {s[0] / max(s[-1], 1e-300):.3e} exceeds cutoff")
+    _require_conditioned(np.linalg.svd(a, compute_uv=False))
     return a
 
 

@@ -201,6 +201,11 @@ class TestUsage:
         assert main(["gabor", "weight", "--window", "bspline:2", "--grid", "4:4"]) == 3
         assert "--a" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("theta", ["random:x:1", "random:1:-0.5", "random:1:nan"])
+    def test_malformed_theta_exit_3(self, phi0_file, theta, capsys):
+        assert main(["dual", phi0_file, "--mode", "approx", "--theta", theta]) == 3
+        assert "--theta random:SEED:SCALE" in capsys.readouterr().err
+
     def test_report_without_path_exit_3(self, phi0_file):
         assert main(["frame-info", phi0_file, "--report"]) == 3
 
@@ -225,6 +230,10 @@ class TestUsage:
              "--denominators must look like LO:HI"),
             (["gabor", "dual", "--window", "bspline:2", "--grid", "10:20", "--b", "1/10",
               "--method", "ck2", "--coeffs", "0,x,0.2"], "--coeffs must look like a,b,c,..."),
+            # a step outside (0, 1] would loop forever or sweep no cell at all
+            (["gabor", "sweep", "--char", "--grid", "4:3", "--step", "0"], "--step must lie in (0, 1]"),
+            (["gabor", "sweep", "--char", "--grid", "4:3", "--step=-1/4"], "--step must lie in (0, 1]"),
+            (["gabor", "sweep", "--char", "--grid", "4:3", "--step", "3/2"], "--step must lie in (0, 1]"),
         ],
     )
     def test_malformed_gabor_flag_exit_3(self, argv, message, capsys):

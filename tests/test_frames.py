@@ -275,6 +275,11 @@ class TestAnnihilator:
     def test_scale_zero(self, phi0):
         assert random_annihilator(phi0, seed=3, scale=0.0).norm == 0.0
 
+    @pytest.mark.parametrize("scale", [-0.5, float("nan"), float("inf")])
+    def test_rejects_negative_or_non_finite_scale(self, phi0, scale):
+        with pytest.raises(ValueError, match="scale"):
+            random_annihilator(phi0, seed=3, scale=scale)
+
     def test_deterministic(self, phi0):
         a = random_annihilator(phi0, seed=4, scale=0.5)
         b = random_annihilator(phi0, seed=4, scale=0.5)

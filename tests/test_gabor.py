@@ -5,7 +5,7 @@ import pytest
 from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
-from dualframes import gabor
+from dualframes import frames, gabor
 from dualframes import (
     BadCoefficients,
     ContractViolation,
@@ -14,6 +14,7 @@ from dualframes import (
     GridSpec,
     HypothesisViolated,
     LatticeMismatch,
+    LatticeOperator,
     NotCommuting,
     NotDualPair,
     OffGrid,
@@ -683,3 +684,107 @@ class TestLatticeInvariants:
         w = sample_function(lambda x: np.exp(-(x**2)), grid, centered=True)
         # symmetric around 0 on the periodic line
         assert w.values[1] == pytest.approx(w.values[-1])
+
+
+@st.composite
+def _commensurate_lattices(draw):
+    """A grid with s, P in {2, 4, 6} and a lattice (a, k/P) with a <= P/k: b * P is
+    an integer and a window supported on [0, 1/b) covers every time shift."""
+    s, period = draw(st.sampled_from([2, 4, 6])), draw(st.sampled_from([2, 4, 6]))
+    a = draw(st.sampled_from([Fraction(1, 2), Fraction(1), Fraction(2)]))
+    k = draw(st.sampled_from([k for k in range(1, int(period / a) + 1) if (s * period) % k == 0]))
+    return GridSpec(s, period), GaborLattice(a, Fraction(k, period))
+
+
+def _frame_window(rng, grid, lat, complex_values):
+    """Moduli in [0.5, 1.5] on [0, 1/b) plus a small term on the whole period:
+    a well-conditioned frame that is not painless (its S has off-diagonal blocks)."""
+    values = np.zeros(grid.total)
+    values[: lat.modulations(grid)] = 0.5 + rng.random(lat.modulations(grid))
+    noise = rng.standard_normal((2, grid.total))
+    values = values + 0.02 * (noise[0] + (1j * noise[1] if complex_values else 0.0))
+    if complex_values:
+        values = values * np.exp(2j * np.pi * rng.random(grid.total))
+    return SampledWindow(grid, values)
+
+
+class TestLatticeOperator:
+    """scaled_gabor_operator's block value against the dense oracle."""
+
+    @settings(max_examples=60, deadline=None)
+    @given(case=_commensurate_lattices(), complex_values=st.booleans(), seed=st.integers(0, 2**32 - 1))
+    def test_matches_the_dense_operator(self, case, complex_values, seed):
+        grid, lat = case
+        rng = np.random.default_rng(seed)
+        g, scale = (_frame_window(rng, grid, lat, complex_values) for _ in range(2))
+        value = scaled_gabor_operator(scale, lat)
+        dense = np.asarray(value)
+        scale_frame = gabor_frame(scale, lat)
+        # bit for bit the scattered S / upper that the function returned as an array
+        assert np.array_equal(dense, frame_operator(scale_frame) / frame_bounds(scale_frame).upper)
+        oracle = Frame(np.array(scale_frame.synthesis))
+        expected = frame_operator(oracle) / frame_bounds(oracle).upper
+        assert np.max(np.abs(dense - expected)) <= 1e-12
+
+        gap = frames._block_gap(value.groups)
+        assert abs(gap - operator_norm(identity(grid.total) - dense)) <= 1e-12
+        # the canonical dual window, solved densely: an exact dual pair
+        s_dense = frame_operator(Frame(np.array(gabor_frame(g, lat).synthesis)))
+        g_dual = SampledWindow(grid, np.linalg.solve(s_dense, g.values))
+        assert janssen_residual(g, g_dual, lat) <= 1e-12
+        from_blocks = approx_dual_window(g, g_dual, value, lat).values
+        from_array = approx_dual_window(g, g_dual, dense, lat).values
+        assert np.max(np.abs(from_blocks - from_array)) <= 1e-12 * np.max(np.abs(from_array))
+        # A* S^{-1} g - g + S g_dual with every operator dense (worst seen: 1.05e-12 relative)
+        dense_window = dense.conj().T @ np.linalg.solve(s_dense, g.values) - g.values + s_dense @ g_dual.values
+        assert np.max(np.abs(from_blocks - dense_window)) <= 1e-10 * np.max(np.abs(dense_window))
+
+    def test_value_skips_the_dense_checks(self, monkeypatch):
+        grid = GridSpec(10, 20)
+        lat = GaborLattice(1, Fraction(1, 10))
+        b2 = sample_bspline(2, grid)
+        dual = ck_dual1(b2, 2, Fraction(1, 10))
+        value = scaled_gabor_operator(sample_bspline(3, grid), lat)
+        calls = []
+        check, svd, norm = gabor.commutation_check, np.linalg.svd, np.linalg.norm
+
+        def counted_check(*args):
+            calls.append("commutation_check")
+            return check(*args)
+
+        def counted_svd(a, *args, **kwargs):
+            if np.ndim(a) == 2:
+                calls.append("svd")
+            return svd(a, *args, **kwargs)
+
+        def counted_norm(x, ord=None, *args, **kwargs):
+            if np.ndim(x) == 2 and ord in (2, -2):  # a 2-norm of a matrix is an SVD
+                calls.append("svd")
+            return norm(x, ord, *args, **kwargs)
+
+        monkeypatch.setattr(gabor, "commutation_check", counted_check)
+        monkeypatch.setattr(np.linalg, "svd", counted_svd)
+        monkeypatch.setattr(np.linalg, "norm", counted_norm)
+        approx_dual_window(b2, dual, value, lat)
+        assert calls == []
+        approx_dual_window(b2, dual, np.asarray(value), lat)
+        assert "commutation_check" in calls and "svd" in calls
+
+    def test_value_on_another_lattice_takes_the_dense_check(self):
+        grid = GridSpec(6, 6)
+        lat = GaborLattice(1, Fraction(1, 2))
+        g = sample_bspline(1, grid)
+        value = scaled_gabor_operator(sample_char(4, grid), GaborLattice(1, Fraction(1, 3)))
+        with pytest.raises(NotCommuting) as err:
+            approx_dual_window(g, ck_dual1(g, 1, lat.b), value, lat)
+        assert err.value.measured > 0.1
+
+    def test_value_is_read_only(self):
+        value = scaled_gabor_operator(sample_bspline(2, GridSpec(4, 4)), GaborLattice(1, Fraction(1, 2)))
+        index, blocks = value.groups[0]
+        with pytest.raises(ValueError):
+            blocks[0, 0, 0] = 0.0
+        with pytest.raises(AttributeError):
+            value.groups = ()
+        with pytest.raises(TypeError):  # the blocks always come from the window
+            LatticeOperator(value.window, value.lattice, value.groups)
