@@ -21,7 +21,7 @@ from fractions import Fraction
 
 import numpy as np
 
-from . import io
+from . import frames, io
 from .duality import approx_dual_from_mixed, gdual_factorization, gdual_from_corresponding
 from .errors import DimensionMismatch, FrameError, ParseError
 from .frames import (
@@ -115,7 +115,12 @@ def _window_from_spec(spec: str, grid: GridSpec | None) -> SampledWindow:
     if spec.startswith("bspline:"):
         if grid is None:
             raise ParseError("generated windows need --grid samples:period")
-        return sample_bspline(int(spec.split(":", 1)[1]), grid)
+        try:
+            order = int(spec.split(":", 1)[1])
+        except ValueError as exc:
+            raise ParseError(f"a window must be bspline:N (integer N), char:WIDTH or a window JSON "
+                             f"path, got {spec!r}") from exc
+        return sample_bspline(order, grid)
     if spec.startswith("char:"):
         if grid is None:
             raise ParseError("generated windows need --grid samples:period")
@@ -288,17 +293,11 @@ def cmd_gabor_approx_dual(args) -> RunReport:
     lat = GaborLattice(args.a, args.b)
     a_op = scaled_gabor_operator(scale, lat)
     result = approx_dual_window(window, dual, a_op, lat)
-    system = gabor_frame(window, lat)
-    out_system = gabor_frame(result, lat)
-    rate = approximation_rate(system, out_system)
+    mixed = frames._class_blocks(gabor_frame(window, lat), gabor_frame(result, lat))
     report.verdicts = {
-        "approximation_rate": rate,
-        "identity_gap_of_operator": operator_norm(
-            np.eye(window.grid.total) - a_op
-        ),
-        "mixed_operator_residual": operator_norm(
-            mixed_operator(system, out_system) - a_op
-        ),
+        "approximation_rate": mixed.gap(),
+        "identity_gap_of_operator": a_op.groups.gap(),
+        "mixed_operator_residual": mixed.distance(a_op.groups),
     }
     if args.out:
         io.save_window(result, args.out)

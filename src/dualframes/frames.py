@@ -80,9 +80,9 @@ class Frame:
     A frame built over a structured system (:func:`dualframes.gabor.gabor_frame`)
     holds the system instead of the matrix and builds the matrix, once,
     when :attr:`synthesis` is first read.  ``dim`` and ``count`` never
-    build it, and the frame operator, mixed operator, approximation rate
-    and eigenvalues of two systems that share their structure are read
-    from the system's residue-class blocks (see :func:`mixed_operator`).
+    build it; the frame operator, mixed operator, approximation rate and
+    eigenvalues of systems sharing their structure are read from the
+    residue-class blocks, which a system keeps for its own S (see :func:`mixed_operator`).
     """
 
     def __init__(self, synthesis):
@@ -107,8 +107,8 @@ class Frame:
 
     @classmethod
     def _of_system(cls, system) -> "Frame":
-        """Frame over a structured system: its ``shape``, ``synthesis()`` and
-        ``class_blocks(other)`` stand in for the matrix until it is read."""
+        """Frame over a structured system: its ``shape``, ``synthesis()``, ``frame_blocks``
+        and ``class_blocks(other)`` stand in for the matrix until it is read."""
         frame = cls.__new__(cls)
         frame.__dict__.update(_shape=system.shape, _system=system)
         return frame
@@ -140,10 +140,10 @@ class Frame:
         """Ascending eigenvalues of the frame operator (read-only)."""
         if "spectrum" in self.__dict__:
             return self.spectrum.eigenvalues
-        groups = _class_blocks(self, self)
-        if groups is None:
+        blocks = _class_blocks(self, self)
+        if blocks is None:
             return _frozen(np.linalg.eigvalsh(frame_operator(self)))
-        return _frozen(np.sort(np.concatenate([np.linalg.eigvalsh(g).ravel() for _, g in groups])))
+        return _frozen(blocks.eigenvalues())
 
     @cached_property
     def spectrum(self) -> oplin.Spectrum:
@@ -187,20 +187,15 @@ def synthesis(phi: Frame, c) -> np.ndarray:
 
 
 def _class_blocks(phi: Frame, psi: Frame):
-    """The residue-class blocks of mixed_operator(phi, psi), or None.
-
-    They exist when both frames hold structured systems that share their
-    structure (for Gabor systems: one grid and one lattice).  Each group is
-    ``(index, blocks)``: row r of ``index`` lists the samples of one class
-    and ``blocks[r]`` is the operator restricted to them; the operator is
-    zero between classes.  ValueError when a block is not finite.
-    """
+    """mixed_operator(phi, psi) as the systems' block value (``np.asarray``,
+    ``eigenvalues()``, ``gap()`` = ``||Id - X||``; ValueError when a block is
+    not finite), or None unless both frames hold structured systems that share
+    their structure (for Gabor systems: one grid and one lattice)."""
     if phi._system is None or psi._system is None:
         return None
-    groups = phi._system.class_blocks(psi._system)
-    for _, blocks in groups or ():
-        oplin._require_finite(blocks)
-    return groups
+    if phi._system is psi._system:
+        return phi._system.frame_blocks
+    return phi._system.class_blocks(psi._system)
 
 
 def frame_operator(phi: Frame) -> np.ndarray:
@@ -251,34 +246,18 @@ def mixed_operator(phi: Frame, psi: Frame) -> np.ndarray:
     it by scattering the blocks, without either synthesis matrix.
     """
     _check_same_shape(phi, psi)
-    groups = _class_blocks(phi, psi)
-    if groups is None:
+    blocks = _class_blocks(phi, psi)
+    if blocks is None:
         return phi.synthesis @ adjoint(psi.synthesis)
-    return _scatter(phi.dim, groups)
-
-
-def _scatter(dim: int, groups) -> np.ndarray:
-    """The dim x dim operator with these residue-class blocks, zero between classes."""
-    out = np.zeros((dim, dim), dtype=complex)
-    for index, blocks in groups:
-        out[index[:, :, None], index[:, None, :]] = blocks
-    return out
-
-
-def _block_gap(groups) -> float:
-    """||Id - X|| for the X with these residue-class blocks: the largest ||I - block||."""
-    return max(
-        float(np.max(np.linalg.norm(np.eye(blocks.shape[-1]) - blocks, 2, axis=(-2, -1))))
-        for _, blocks in groups
-    )
+    return np.asarray(blocks)
 
 
 def approximation_rate(phi: Frame, psi: Frame) -> float:
     """Distance ||Id - mixed_operator(phi, psi)||; below 1 means approximately dual."""
-    groups = _class_blocks(phi, psi)
-    if groups is None:
+    blocks = _class_blocks(phi, psi)
+    if blocks is None:
         return operator_norm(oplin.identity(phi.dim) - mixed_operator(phi, psi))
-    return _block_gap(groups)
+    return blocks.gap()
 
 
 def bessel_bound_difference(phi: Frame, psi: Frame) -> float:

@@ -15,8 +15,8 @@ approximation rate against a system on the same grid and lattice, are
 read from the Walnut (Zibulski-Zeevi) residue-class blocks instead.
 :func:`scaled_gabor_operator` returns its operator as such blocks, a
 :class:`LatticeOperator` that ``np.asarray`` turns into the dense matrix.
-:func:`approx_dual_window` trusts commutation only for a LatticeOperator on
-its own grid and lattice; :func:`commutation_check` is for dense arrays.
+:func:`approx_dual_window` reads every operator as such blocks: a dense one
+must pass :func:`commutation_check` and is then gathered into the classes.
 
 Grid commensurability is a hard precondition everywhere: rationals that
 do not land on the grid raise typed errors instead of being rounded,
@@ -34,6 +34,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 from fractions import Fraction
+from functools import cached_property
 from math import comb, factorial
 from typing import Sequence, Union
 
@@ -51,8 +52,8 @@ from .errors import (
     OffGrid,
     SupportOverflow,
 )
-from .frames import Frame, FrameBounds, _block_gap, _class_blocks, _frozen, _scatter, frame_bounds
-from .oplin import _strictly_below, adjoint, operator_norm
+from .frames import Frame, FrameBounds, _frozen
+from .oplin import _strictly_below, operator_norm
 
 RationalLike = Union[Fraction, int, str]
 
@@ -256,6 +257,43 @@ def partition_of_unity_residual(g: SampledWindow) -> float:
     return float(np.max(np.abs(pou - 1.0)))
 
 
+class _ClassBlocks(tuple):
+    """An operator zero between the residue classes of a :class:`_GaborSystem`, as read-only
+    ``(index, blocks)`` pairs, one per class size (``blocks[r]`` acts on the samples
+    ``index[r]``).  Built finite (ValueError otherwise); ``np.asarray`` gives it dense."""
+
+    def __new__(cls, groups):
+        return super().__new__(cls, ((_frozen(i), _frozen(oplin._require_finite(b))) for i, b in groups))
+
+    def __array__(self, dtype=None, copy=None):
+        total = sum(index.size for index, _ in self)
+        out = np.zeros((total, total), dtype=complex)
+        for index, blocks in self:
+            out[index[:, :, None], index[:, None, :]] = blocks
+        return out.astype(dtype or complex, copy=False)
+
+    def eigenvalues(self) -> np.ndarray:
+        """Ascending eigenvalues of the (Hermitian) operator."""
+        return np.sort(np.concatenate([np.linalg.eigvalsh(blocks).ravel() for _, blocks in self]))
+
+    def gap(self) -> float:
+        """||Id - X||: the largest ||I - block||."""
+        return self.distance((index, np.eye(blocks.shape[-1])) for index, blocks in self)
+
+    def distance(self, other) -> float:
+        """||Y - X|| for the Y with ``other``'s ``(index, blocks)`` pairs on these
+        classes: the largest block norm of the difference."""
+        pairs = zip(self, other, strict=True)
+        return max(float(np.max(np.linalg.norm(y - x, 2, axis=(-2, -1)))) for (_, x), (_, y) in pairs)
+
+    def apply(self, v: np.ndarray, op=np.matmul) -> np.ndarray:
+        """The vector whose samples in each class are ``op(block, v restricted to the class)``."""
+        out = np.empty_like(v)
+        for index, blocks in self:
+            out[index] = op(blocks, v[index][..., None])[..., 0]
+        return out
+
+
 @dataclass(frozen=True, eq=False)
 class _GaborSystem:
     """A Gabor system held by its window and lattice, not by its L x N matrix.
@@ -275,6 +313,10 @@ class _GaborSystem:
     shifts: int
     modulations: int
 
+    @classmethod
+    def of(cls, g: SampledWindow, lat: GaborLattice) -> "_GaborSystem":
+        return cls(g, lat, lat.time_step(g.grid), lat.shifts(g.grid), lat.modulations(g.grid))
+
     @property
     def shape(self) -> tuple[int, int]:
         return self.window.grid.total, self.shifts * self.modulations
@@ -290,13 +332,14 @@ class _GaborSystem:
             syn[:, n * n_m : (n + 1) * n_m] = block.T
         return syn
 
-    def class_blocks(self, other) -> list[tuple[np.ndarray, np.ndarray]] | None:
-        """The blocks G_r against ``other``, grouped by class size, or None
-        unless ``other`` is a system on the same grid and lattice.
+    @cached_property
+    def frame_blocks(self) -> _ClassBlocks:
+        """``class_blocks(self)``, the blocks of the frame operator, built on first read."""
+        return self.class_blocks(self)
 
-        Each group is ``(index, blocks)``: ``index[r]`` lists the samples of
-        one class and ``blocks[r]`` is its G_r.
-        """
+    def class_blocks(self, other) -> _ClassBlocks | None:
+        """The blocks G_r against ``other``, or None unless ``other`` is a
+        system on the same grid and lattice."""
         if not isinstance(other, _GaborSystem):
             return None
         if (self.window.grid, self.lattice) != (other.window.grid, other.lattice):
@@ -313,7 +356,7 @@ class _GaborSystem:
                 right = left if other is self else _embed(other.window)[at]
                 # M/s = 1/b: the modulation sum and the two 1/sqrt(s) embeddings
                 groups.append((index, (m * left) @ np.conj(np.swapaxes(right, -1, -2))))
-        return groups
+        return _ClassBlocks(groups)
 
 
 def gabor_frame(g: SampledWindow, lat: GaborLattice) -> Frame:
@@ -327,9 +370,7 @@ def gabor_frame(g: SampledWindow, lat: GaborLattice) -> Frame:
     function-space inner product (e.g. the indicator of [0,1) on the unit
     lattice yields a tight frame with bounds (1, 1)).
     """
-    grid = g.grid
-    system = _GaborSystem(g, lat, lat.time_step(grid), lat.shifts(grid), lat.modulations(grid))
-    return Frame._of_system(system)
+    return Frame._of_system(_GaborSystem.of(g, lat))
 
 
 def walnut_weight(g: SampledWindow, a: RationalLike) -> SampledWindow:
@@ -348,6 +389,8 @@ def walnut_weight(g: SampledWindow, a: RationalLike) -> SampledWindow:
 
 
 def _check_support(g: SampledWindow, width_units: int, what: str) -> None:
+    if width_units < 1:
+        raise ValueError(f"support must be a positive integer, got {width_units}")
     edge = width_units * g.grid.samples_per_unit
     if edge > g.grid.total:
         raise SupportOverflow(f"support [0, {width_units}] exceeds the period")
@@ -392,14 +435,13 @@ def painless_check(g: SampledWindow, lat: GaborLattice, support: int) -> Painles
             measured=float(weight.min()),
         )
     lat.adjoint_shifts(g.grid)  # diagonality needs periodic modulations
-    system = gabor_frame(g, lat)
-    w = system.eigenvalues
+    s = _GaborSystem.of(g, lat).frame_blocks
+    w = s.eigenvalues()
     diag = np.empty(g.grid.total)
-    off = 0.0  # S is zero between classes, so ||S - diag(S)|| is the largest block's
-    for index, blocks in _class_blocks(system, system):
+    for index, blocks in s:
         diag[index] = np.real(np.diagonal(blocks, axis1=-2, axis2=-1))
-        hollow = blocks * (1.0 - np.eye(blocks.shape[-1]))  # the block with its diagonal zeroed
-        off = max(off, float(np.max(np.linalg.norm(hollow, 2, axis=(-2, -1)))))
+    # S is zero between classes, so ||S - diag(S)|| is the largest block's
+    off = s.distance((index, blocks * np.eye(blocks.shape[-1])) for index, blocks in s)
     scale = float(w[-1])  # ||S|| = lambda_max(S), S being PSD
     b = float(lat.b)
     err_wb = float(np.max(np.abs(diag - weight / b))) / scale
@@ -556,16 +598,15 @@ class LatticeOperator:
 
     window: SampledWindow
     lattice: GaborLattice
-    groups: tuple = field(init=False, repr=False)
+    groups: _ClassBlocks = field(init=False, repr=False)
 
     def __post_init__(self):
-        system = gabor_frame(self.window, self.lattice)
-        upper = frame_bounds(system).require("scaling system").upper
-        groups = _class_blocks(system, system)
-        object.__setattr__(self, "groups", tuple((_frozen(i), _frozen(b / upper)) for i, b in groups))
+        s = _GaborSystem.of(self.window, self.lattice).frame_blocks
+        upper = FrameBounds.from_eigenvalues(s.eigenvalues()).require("scaling system").upper
+        object.__setattr__(self, "groups", _ClassBlocks((i, b / upper) for i, b in s))
 
     def __array__(self, dtype=None, copy=None):
-        return _scatter(self.window.grid.total, self.groups).astype(dtype or complex, copy=False)
+        return self.groups.__array__(dtype, copy)
 
 
 def scaled_gabor_operator(l_window: SampledWindow, lat: GaborLattice) -> LatticeOperator:
@@ -580,14 +621,6 @@ def scaled_gabor_operator(l_window: SampledWindow, lat: GaborLattice) -> Lattice
     return LatticeOperator(l_window, lat)
 
 
-def _block_apply(groups, v: np.ndarray, op) -> np.ndarray:
-    """The vector whose samples in each class are ``op(block, v restricted to the class)``."""
-    out = np.empty_like(v)
-    for index, blocks in groups:
-        out[index] = op(blocks, v[index][..., None])[..., 0]
-    return out
-
-
 def approx_dual_window(
     g: SampledWindow, g_dual: SampledWindow, a_op, lat: GaborLattice
 ) -> SampledWindow:
@@ -598,39 +631,35 @@ def approx_dual_window(
     ||Id - A|| < 1.  The system of the result has mixed operator A
     against the system of g.
 
-    A :class:`LatticeOperator` on g's grid and lattice commutes by
-    construction and is read block by block; any other operator is a dense
-    matrix checked with :func:`commutation_check`.  S is always read from
-    its residue-class blocks.
+    A :class:`LatticeOperator` on g's grid and lattice commutes by construction
+    and gives its blocks; any other operator must pass :func:`commutation_check`
+    and is then gathered into g's classes, between which it is zero.  A, S and
+    A* are then read block by block.
     """
     if g.grid != g_dual.grid:
         raise DimensionMismatch("windows live on different grids")
     residual = janssen_residual(g, g_dual, lat)  # also rejects b * P not an integer
     if residual > GABOR_DUAL_TOL:
         raise NotDualPair("(g, g_dual) is not an exact dual pair", measured=residual)
-    trusted = isinstance(a_op, LatticeOperator) and (a_op.window.grid, a_op.lattice) == (g.grid, lat)
-    if trusted:
-        gap = _block_gap(a_op.groups)
+    s = _GaborSystem.of(g, lat).frame_blocks
+    if isinstance(a_op, LatticeOperator) and (a_op.window.grid, a_op.lattice) == (g.grid, lat):
+        a = a_op.groups
     else:
-        a = oplin.as_operator(a_op)
-        comm = commutation_check(a, lat, g.grid)
+        dense = oplin.as_operator(a_op)
+        comm = commutation_check(dense, lat, g.grid)
         if comm > 1e-9:
             raise NotCommuting("operator must commute with the lattice generators", measured=comm)
-        gap = operator_norm(np.eye(g.grid.total) - a)
+        a = _ClassBlocks((index, dense[index[:, :, None], index[:, None, :]]) for index, _ in s)
+    gap = a.gap()
     if not _strictly_below(gap, 1.0):
         raise ContractViolation("requires ||Id - A|| < 1", measured=gap)
-    system = gabor_frame(g, lat)
-    s_groups = _class_blocks(system, system)
     oplin._require_conditioned(
-        np.concatenate([np.linalg.svd(blocks, compute_uv=False).ravel() for _, blocks in s_groups])
+        np.concatenate([np.linalg.svd(blocks, compute_uv=False).ravel() for _, blocks in s])
     )
     vg = _embed(g)
-    s_inv_g = _block_apply(s_groups, vg, np.linalg.solve)
-    if trusted:
-        adj = _block_apply(a_op.groups, s_inv_g, lambda a_r, x: np.conj(np.swapaxes(a_r, -1, -2)) @ x)
-    else:
-        adj = adjoint(a) @ s_inv_g
-    return _unembed(g.grid, adj - vg + _block_apply(s_groups, _embed(g_dual), np.matmul))
+    s_inv_g = s.apply(vg, np.linalg.solve)
+    adj = a.apply(s_inv_g, lambda a_r, x: np.conj(np.swapaxes(a_r, -1, -2)) @ x)
+    return _unembed(g.grid, adj - vg + s.apply(_embed(g_dual)))
 
 
 def char_dual_check(

@@ -15,8 +15,11 @@ from dualframes import (
     GridSpec,
     SampledWindow,
     canonical_dual,
+    frame_bounds,
+    frame_operator,
     identity,
     janssen_residual,
+    operator_norm,
     sample_bspline,
 )
 from dualframes import gabor, io
@@ -234,6 +237,15 @@ class TestUsage:
             (["gabor", "sweep", "--char", "--grid", "4:3", "--step", "0"], "--step must lie in (0, 1]"),
             (["gabor", "sweep", "--char", "--grid", "4:3", "--step=-1/4"], "--step must lie in (0, 1]"),
             (["gabor", "sweep", "--char", "--grid", "4:3", "--step", "3/2"], "--step must lie in (0, 1]"),
+            (["gabor", "window", "--window", "bspline:x", "--grid", "4:4"],
+             "bspline:N (integer N), char:WIDTH or a window JSON path"),
+            (["gabor", "window", "--window", "bspline:2.5", "--grid", "4:4"],
+             "bspline:N (integer N), char:WIDTH or a window JSON path"),
+            # a support below 1 is malformed input (exit 3), not a failed contract (exit 2)
+            (["gabor", "dual", "--window", "bspline:2", "--grid", "10:20", "--b", "1/10", "--support", "0"],
+             "support must be a positive integer"),
+            (["gabor", "dual", "--window", "bspline:2", "--grid", "10:20", "--b", "1/10", "--support", "-1"],
+             "support must be a positive integer"),
         ],
     )
     def test_malformed_gabor_flag_exit_3(self, argv, message, capsys):
@@ -430,26 +442,57 @@ class TestGaborCommands:
         )
 
     def test_approx_dual_builds_no_synthesis_matrix(self, tmp_path, monkeypatch, capsys):
-        # the README example: every verdict and the spectrum come from residue-class blocks
-        built = []
+        # the README example: every verdict and the spectrum come from residue-class blocks,
+        # without a synthesis matrix or an L x L SVD
+        built, svds = [], []
         materialize = gabor._GaborSystem.synthesis
         monkeypatch.setattr(
             gabor._GaborSystem, "synthesis", lambda system: built.append(system) or materialize(system)
         )
-        b2, g1d, spectrum = (str(tmp_path / name) for name in ("b2.json", "g1d.json", "spec.csv"))
+        svd, norm = np.linalg.svd, np.linalg.norm
+
+        def counted_svd(a, *args, **kwargs):
+            if np.ndim(a) == 2:
+                svds.append(np.shape(a))
+            return svd(a, *args, **kwargs)
+
+        def counted_norm(x, ord=None, *args, **kwargs):
+            if np.ndim(x) == 2 and ord in (2, -2):  # a 2-norm of a matrix is an SVD
+                svds.append(np.shape(x))
+            return norm(x, ord, *args, **kwargs)
+
+        monkeypatch.setattr(np.linalg, "svd", counted_svd)
+        monkeypatch.setattr(np.linalg, "norm", counted_norm)
+        b2, g1d, gad, spectrum, report = (
+            str(tmp_path / name) for name in ("b2.json", "g1d.json", "gad.json", "spec.csv", "run.json")
+        )
         assert main(["gabor", "window", "--window", "bspline:2", "--grid", "10:20", "--out", b2]) == 0
         argv = ["gabor", "dual", "--window", "bspline:2", "--grid", "10:20", "--b", "1/10",
                 "--method", "ck1", "--out", g1d]
         assert main(argv) == 0
         capsys.readouterr()
         argv = ["gabor", "approx-dual", "--window", b2, "--dual", g1d, "--scale-window", "bspline:3",
-                "--a", "1", "--b", "1/10", "--spectrum-csv", spectrum]
+                "--a", "1", "--b", "1/10", "--out", gad, "--spectrum-csv", spectrum, "--report", report]
         assert main(argv) == 0
-        assert built == []
+        assert built == [] and svds == []
+        monkeypatch.undo()
         eigs = [float(row[1]) for row in read_csv(spectrum)[1:]]
         assert len(eigs) == 200 and eigs == sorted(eigs)
         gap = [l for l in capsys.readouterr().out.splitlines() if l.startswith("identity_gap")][0]
         assert float(gap.split(": ")[1]) == pytest.approx(1.0 - eigs[0] / eigs[-1], abs=1e-9)
+        # the three verdicts against their dense formulas on the materialized systems
+        lat = GaborLattice(1, Fraction(1, 10))
+        window, result = io.load_window(b2), io.load_window(gad)
+        syn = [np.array(gabor.gabor_frame(w, lat).synthesis) for w in (window, result)]
+        scale = Frame(np.array(gabor.gabor_frame(sample_bspline(3, window.grid), lat).synthesis))
+        a_op = frame_operator(scale) / frame_bounds(scale).upper
+        mixed = syn[0] @ syn[1].conj().T
+        verdicts = json.loads(Path(report).read_text())["verdicts"]
+        rate = operator_norm(identity(window.grid.total) - mixed)
+        gap = operator_norm(identity(window.grid.total) - a_op)
+        assert verdicts["approximation_rate"] == pytest.approx(rate, rel=1e-12, abs=0)
+        assert verdicts["identity_gap_of_operator"] == pytest.approx(gap, rel=1e-12, abs=0)
+        assert abs(verdicts["mixed_operator_residual"] - operator_norm(mixed - a_op)) <= 1e-12
 
     @staticmethod
     def _make_dual(tmp_path):

@@ -5,7 +5,7 @@ import pytest
 from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
-from dualframes import frames, gabor
+from dualframes import gabor
 from dualframes import (
     BadCoefficients,
     ContractViolation,
@@ -537,6 +537,20 @@ class TestCkDuals:
         with pytest.raises(BadCoefficients):
             ck_dual2(sample_bspline(2, grid), 2, Fraction(1, 10), [0.1])
 
+    @pytest.mark.parametrize("support", [0, -1])
+    def test_nonpositive_support_is_a_value_error(self, support):
+        # unchecked, a support of -1 reads the last s samples as the "tail" beyond it
+        b2 = sample_bspline(2, GridSpec(10, 20))
+        b = Fraction(1, 10)
+        checks = [
+            lambda: painless_check(b2, GaborLattice(1, b), support),
+            lambda: ck_dual1(b2, support, b),
+            lambda: ck_dual2(b2, support, b, [0.1]),
+        ]
+        for check in checks:
+            with pytest.raises(ValueError, match="support must be a positive integer"):
+                check()
+
 
 class TestCommutation:
     def test_identity_commutes(self):
@@ -650,6 +664,28 @@ class TestApproxDualWindow:
         with pytest.raises(ContractViolation):
             approx_dual_window(b2, dual, 3.0 * identity(grid.total), lat)
 
+    @pytest.mark.parametrize("scale", [0.0, 2.0])
+    def test_rejects_gap_of_exactly_one(self, scale):
+        grid = GridSpec(6, 6)
+        lat = GaborLattice(1, Fraction(1, 3))
+        b2 = sample_bspline(2, grid)
+        dual = ck_dual1(b2, 2, Fraction(1, 3))
+        with pytest.raises(ContractViolation) as err:
+            approx_dual_window(b2, dual, scale * identity(grid.total), lat)
+        assert err.value.measured == pytest.approx(1.0)
+
+    def test_rejects_shift_that_ignores_the_modulation(self):
+        # I + 0.1 (one-sample cyclic shift) commutes with the time shift but couples
+        # neighbouring residue classes; gathered into the classes unchecked it would read as I
+        grid = GridSpec(6, 6)
+        lat = GaborLattice(1, Fraction(1, 3))
+        b2 = sample_bspline(2, grid)
+        dual = ck_dual1(b2, 2, Fraction(1, 3))
+        a_op = identity(grid.total) + 0.1 * np.roll(identity(grid.total), 1, axis=0)
+        with pytest.raises(NotCommuting) as err:
+            approx_dual_window(b2, dual, a_op, lat)
+        assert err.value.measured > 0.01
+
 
 class TestCharDualCheck:
     # period 3 is divisible by every step in {1/4, 1/2, 3/4, 1}
@@ -726,7 +762,7 @@ class TestLatticeOperator:
         expected = frame_operator(oracle) / frame_bounds(oracle).upper
         assert np.max(np.abs(dense - expected)) <= 1e-12
 
-        gap = frames._block_gap(value.groups)
+        gap = value.groups.gap()
         assert abs(gap - operator_norm(identity(grid.total) - dense)) <= 1e-12
         # the canonical dual window, solved densely: an exact dual pair
         s_dense = frame_operator(Frame(np.array(gabor_frame(g, lat).synthesis)))
@@ -734,7 +770,7 @@ class TestLatticeOperator:
         assert janssen_residual(g, g_dual, lat) <= 1e-12
         from_blocks = approx_dual_window(g, g_dual, value, lat).values
         from_array = approx_dual_window(g, g_dual, dense, lat).values
-        assert np.max(np.abs(from_blocks - from_array)) <= 1e-12 * np.max(np.abs(from_array))
+        assert np.array_equal(from_blocks, from_array)  # the array is gathered back into the same blocks
         # A* S^{-1} g - g + S g_dual with every operator dense (worst seen: 1.05e-12 relative)
         dense_window = dense.conj().T @ np.linalg.solve(s_dense, g.values) - g.values + s_dense @ g_dual.values
         assert np.max(np.abs(from_blocks - dense_window)) <= 1e-10 * np.max(np.abs(dense_window))
@@ -769,6 +805,29 @@ class TestLatticeOperator:
         assert calls == []
         approx_dual_window(b2, dual, np.asarray(value), lat)
         assert "commutation_check" in calls and "svd" in calls
+
+    def test_each_system_builds_its_frame_blocks_once(self, monkeypatch):
+        built = []
+        build = gabor._GaborSystem.class_blocks
+
+        def counted(system, other):
+            if other is system:
+                built.append(system)  # kept alive, so every id is distinct
+            return build(system, other)
+
+        monkeypatch.setattr(gabor._GaborSystem, "class_blocks", counted)
+        grid = GridSpec(6, 6)
+        lat = GaborLattice(1, Fraction(1, 3))
+        b2 = sample_bspline(2, grid)
+        frame = gabor_frame(b2, lat)
+        frame_bounds(frame)
+        frame_operator(frame)
+        frame_operator(frame)
+        assert len(built) == 1
+        scaled_gabor_operator(b2, lat)
+        assert len(built) == 2
+        painless_check(b2, lat, 2)
+        assert len(built) == len({id(system) for system in built}) == 3
 
     def test_value_on_another_lattice_takes_the_dense_check(self):
         grid = GridSpec(6, 6)
