@@ -3,7 +3,9 @@
 Subcommands load frames/windows from JSON, run the constructions and
 verifications, print a human-readable summary, and optionally write
 machine-readable artifacts (JSON frames/windows, CSV tables, and a JSON
-run report via --report).
+run report via --report).  ``main`` builds the run report, named after the
+parsed subcommand; each ``cmd_*`` command fills in its inputs and verdicts
+and writes each artifact through ``RunReport.write``, which records it.
 
 Exit codes: 0 on success, 2 when a mathematical contract is violated
 (the message names the failed condition and the measured quantity),
@@ -64,8 +66,14 @@ class RunReport:
     artifacts_written: list = field(default_factory=list)
     wall_time_ms: int = 0
 
+    def write(self, path, save, *data) -> None:
+        """``save(*data, path)`` and record ``path``; nothing when its flag was not given."""
+        if path:
+            save(*data, path)
+            self.artifacts_written.append(path)
 
-def _write_csv(path, header, rows) -> None:
+
+def _write_csv(header, rows, path) -> None:
     with open(path, "w", newline="", encoding="utf-8") as fh:
         writer = csv.writer(fh)
         writer.writerow(header)
@@ -156,8 +164,8 @@ def _print_verdicts(report: RunReport) -> None:
             print(f"{key}: {value}")
 
 
-def cmd_frame_info(args) -> RunReport:
-    report = RunReport(command="frame-info", inputs=[args.path])
+def cmd_frame_info(args, report: RunReport) -> None:
+    report.inputs = [args.path]
     frame = io.load_frame(args.path)
     bounds = frame_bounds(frame)
     report.verdicts = {
@@ -169,11 +177,10 @@ def cmd_frame_info(args) -> RunReport:
         "is_riesz": is_riesz(frame),
         "condition_number": bounds.upper / bounds.lower if bounds.lower > 0 else float("inf"),
     }
-    return report
 
 
-def cmd_dual(args) -> RunReport:
-    report = RunReport(command="dual", inputs=[args.path])
+def cmd_dual(args, report: RunReport) -> None:
+    report.inputs = [args.path]
     phi = io.load_frame(args.path)
     if args.mode == "canonical":
         if args.theta is not None:
@@ -197,14 +204,11 @@ def cmd_dual(args) -> RunReport:
         "approximation_rate": approximation_rate(phi, result),
         "mixed_operator_residual": operator_norm(mixed_operator(phi, result) - target),
     }
-    if args.out:
-        io.save_frame(result, args.out)
-        report.artifacts_written.append(args.out)
-    return report
+    report.write(args.out, io.save_frame, result)
 
 
-def cmd_verify(args) -> RunReport:
-    report = RunReport(command="verify", inputs=[args.phi, args.psi])
+def cmd_verify(args, report: RunReport) -> None:
+    report.inputs = [args.phi, args.psi]
     phi = io.load_frame(args.phi)
     psi = io.load_frame(args.psi)
     verdict = gdual_factorization(phi, psi)
@@ -215,11 +219,10 @@ def cmd_verify(args) -> RunReport:
         "bessel_bound_ok": verdict.bessel_bound_ok,
         "bessel_margin": verdict.bessel_margin,
     }
-    return report
 
 
-def cmd_perturb(args) -> RunReport:
-    report = RunReport(command="perturb", inputs=[args.phi, args.psi, args.phi_ad])
+def cmd_perturb(args, report: RunReport) -> None:
+    report.inputs = [args.phi, args.psi, args.phi_ad]
     phi = io.load_frame(args.phi)
     psi = io.load_frame(args.psi)
     phi_ad = io.load_frame(args.phi_ad)
@@ -230,33 +233,24 @@ def cmd_perturb(args) -> RunReport:
         "mixed_match_residual": result.mixed_match_residual,
         "smallness": result.smallness,
     }
-    if args.out:
-        io.save_frame(result.psi_dual, args.out)
-        report.artifacts_written.append(args.out)
-    return report
+    report.write(args.out, io.save_frame, result.psi_dual)
 
 
-def cmd_gabor_window(args) -> RunReport:
-    report = RunReport(command="gabor window", inputs=[args.window])
+def cmd_gabor_window(args, report: RunReport) -> None:
+    report.inputs = [args.window]
     window = _window_from_spec(args.window, args.grid)
     report.verdicts = {
         "samples_per_unit": window.grid.samples_per_unit,
         "period": window.grid.period,
         "peak": float(np.max(np.abs(window.values))),
     }
-    if args.out:
-        io.save_window(window, args.out)
-        report.artifacts_written.append(args.out)
-    if args.csv:
-        x = window.grid.points()
-        rows = zip(x, window.values.real, window.values.imag)
-        _write_csv(args.csv, ["x", "re", "im"], rows)
-        report.artifacts_written.append(args.csv)
-    return report
+    report.write(args.out, io.save_window, window)
+    rows = zip(window.grid.points(), window.values.real, window.values.imag)
+    report.write(args.csv, _write_csv, ["x", "re", "im"], rows)
 
 
-def cmd_gabor_dual(args) -> RunReport:
-    report = RunReport(command="gabor dual", inputs=[args.window])
+def cmd_gabor_dual(args, report: RunReport) -> None:
+    report.inputs = [args.window]
     window = _window_from_spec(args.window, args.grid)
     if args.support is not None:
         support = args.support
@@ -270,23 +264,14 @@ def cmd_gabor_dual(args) -> RunReport:
         if not args.coeffs:
             raise ParseError("--method ck2 requires --coeffs a,b,c,...")
         dual = ck_dual2(window, support, args.b, args.coeffs)
-    lat = GaborLattice(Fraction(1), args.b)
-    residual = janssen_residual(window, dual, lat)
-    report.verdicts = {"method": args.method, "janssen_residual": residual}
-    if args.out:
-        io.save_window(dual, args.out)
-        report.artifacts_written.append(args.out)
-    if args.csv:
-        table = janssen_residual_table(window, dual, lat)
-        _write_csv(args.csv, ["n", "residual"], enumerate(table))
-        report.artifacts_written.append(args.csv)
-    return report
+    table = janssen_residual_table(window, dual, GaborLattice(Fraction(1), args.b))
+    report.verdicts = {"method": args.method, "janssen_residual": float(np.max(table))}
+    report.write(args.out, io.save_window, dual)
+    report.write(args.csv, _write_csv, ["n", "residual"], enumerate(table))
 
 
-def cmd_gabor_approx_dual(args) -> RunReport:
-    report = RunReport(
-        command="gabor approx-dual", inputs=[args.window, args.dual, args.scale_window]
-    )
+def cmd_gabor_approx_dual(args, report: RunReport) -> None:
+    report.inputs = [args.window, args.dual, args.scale_window]
     window = _window_from_spec(args.window, args.grid)
     dual = _window_from_spec(args.dual, args.grid or window.grid)
     scale = _window_from_spec(args.scale_window, args.grid or window.grid)
@@ -299,22 +284,18 @@ def cmd_gabor_approx_dual(args) -> RunReport:
         "identity_gap_of_operator": a_op.groups.gap(),
         "mixed_operator_residual": mixed.distance(a_op.groups),
     }
-    if args.out:
-        io.save_window(result, args.out)
-        report.artifacts_written.append(args.out)
-    if args.spectrum_csv:
-        eigs = gabor_frame(scale, lat).eigenvalues
-        _write_csv(args.spectrum_csv, ["index", "eigenvalue"], enumerate(eigs))
-        report.artifacts_written.append(args.spectrum_csv)
-    return report
+    report.write(args.out, io.save_window, result)
+    eigs = a_op.frame_eigenvalues
+    report.write(args.spectrum_csv, _write_csv, ["index", "eigenvalue"], enumerate(eigs))
 
 
-def cmd_gabor_verify(args) -> RunReport:
-    report = RunReport(command="gabor verify", inputs=[args.window, args.dual])
+def cmd_gabor_verify(args, report: RunReport) -> None:
+    report.inputs = [args.window, args.dual]
     window = _window_from_spec(args.window, args.grid)
     dual = _window_from_spec(args.dual, args.grid or window.grid)
     lat = GaborLattice(args.a, args.b)
-    residual = janssen_residual(window, dual, lat)
+    table = janssen_residual_table(window, dual, lat)
+    residual = float(np.max(table))
     report.verdicts = {
         "janssen_residual": residual,
         "dual": residual <= GABOR_DUAL_TOL,
@@ -322,34 +303,25 @@ def cmd_gabor_verify(args) -> RunReport:
     if args.materialize:
         rate = approximation_rate(gabor_frame(window, lat), gabor_frame(dual, lat))
         report.verdicts["materialized_rate"] = rate
-    if args.csv:
-        table = janssen_residual_table(window, dual, lat)
-        _write_csv(args.csv, ["n", "residual"], enumerate(table))
-        report.artifacts_written.append(args.csv)
-    return report
+    report.write(args.csv, _write_csv, ["n", "residual"], enumerate(table))
 
 
-def cmd_gabor_weight(args) -> RunReport:
-    report = RunReport(command="gabor weight", inputs=[args.window])
+def cmd_gabor_weight(args, report: RunReport) -> None:
+    report.inputs = [args.window]
     window = _window_from_spec(args.window, args.grid)
     weight = walnut_weight(window, args.a)
     report.verdicts = {
         "min": float(weight.values.real.min()),
         "max": float(weight.values.real.max()),
     }
-    if args.csv:
-        rows = zip(window.grid.points(), weight.values.real)
-        _write_csv(args.csv, ["x", "weight"], rows)
-        report.artifacts_written.append(args.csv)
-    return report
+    rows = zip(window.grid.points(), weight.values.real)
+    report.write(args.csv, _write_csv, ["x", "weight"], rows)
 
 
-def _sweep_char(args) -> RunReport:
-    report = RunReport(command="gabor sweep", inputs=[])
+def _sweep_char(args, report: RunReport) -> None:
     values = [k * args.step for k in range(1, int(1 / args.step) + 1)]  # every multiple in (0, 1]
     windows = {c: sample_char(c, args.grid) for c in values}
     rows = []
-    agree_all = True
     for c in values:
         for cp in values:
             for a in values:
@@ -358,30 +330,21 @@ def _sweep_char(args) -> RunReport:
                 dual = residual <= GABOR_DUAL_TOL
                 criterion = c <= 1 and cp <= 1 and a == min(c, cp)
                 agree = dual == criterion
-                agree_all = agree_all and agree
                 rows.append(
                     [str(c), str(cp), str(a), residual, int(dual), int(criterion), int(agree)]
                 )
-    report.verdicts = {"cells": len(rows), "criterion_agreement": agree_all}
-    if args.out:
-        _write_csv(
-            args.out,
-            ["c", "c_prime", "a", "residual", "dual", "criterion", "agree"],
-            rows,
-        )
-        report.artifacts_written.append(args.out)
-    return report
+    report.verdicts = {"cells": len(rows), "criterion_agreement": all(row[-1] for row in rows)}
+    header = ["c", "c_prime", "a", "residual", "dual", "criterion", "agree"]
+    report.write(args.out, _write_csv, header, rows)
 
 
-def _sweep_bspline(args) -> RunReport:
+def _sweep_bspline(args, report: RunReport) -> None:
     """Frequency-step sweep: checks that the explicit dual-generator formula
     is dual exactly when b <= 1/(2 * order - 1)."""
-    report = RunReport(command="gabor sweep", inputs=[])
     order = args.bspline
     lo, hi = args.denominators
     s = args.samples
     rows = []
-    agree_all = True
     for den in range(lo, hi + 1):
         b = Fraction(1, den)
         # per-cell grid so that b * period stays an integer
@@ -392,23 +355,20 @@ def _sweep_bspline(args) -> RunReport:
         dual = residual <= GABOR_DUAL_TOL
         hypothesis = b <= Fraction(1, 2 * order - 1)
         agree = dual == hypothesis
-        agree_all = agree_all and agree
         rows.append([str(b), int(hypothesis), residual, int(dual), int(agree)])
-    report.verdicts = {"cells": len(rows), "criterion_agreement": agree_all}
-    if args.out:
-        _write_csv(args.out, ["b", "hypothesis", "residual", "dual", "agree"], rows)
-        report.artifacts_written.append(args.out)
-    return report
+    report.verdicts = {"cells": len(rows), "criterion_agreement": all(row[-1] for row in rows)}
+    report.write(args.out, _write_csv, ["b", "hypothesis", "residual", "dual", "agree"], rows)
 
 
-def cmd_gabor_sweep(args) -> RunReport:
+def cmd_gabor_sweep(args, report: RunReport) -> None:
     if args.char == (args.bspline is not None):
         raise ParseError("choose exactly one of --char or --bspline N")
     if args.char:
         if not args.grid:
             raise ParseError("--char sweeps need --grid samples:period")
-        return _sweep_char(args)
-    return _sweep_bspline(args)
+        _sweep_char(args, report)
+    else:
+        _sweep_bspline(args, report)
 
 
 class _Parser(argparse.ArgumentParser):
@@ -521,8 +481,10 @@ def build_parser() -> argparse.ArgumentParser:
 def main(argv=None) -> int:
     try:
         args = build_parser().parse_args(argv)
+        words = [args.command, getattr(args, "gabor_command", None)]
+        report = RunReport(command=" ".join(word for word in words if word))
         start = time.perf_counter()
-        report = args.func(args)
+        args.func(args, report)
     except (ParseError, DimensionMismatch, ValueError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 3
@@ -531,9 +493,8 @@ def main(argv=None) -> int:
         return 2
     report.wall_time_ms = int((time.perf_counter() - start) * 1000)
     _print_verdicts(report)
-    if report.artifacts_written:
-        for path in report.artifacts_written:
-            print(f"wrote {path}")
+    for path in report.artifacts_written:
+        print(f"wrote {path}")
     if args.report:
         io.dump_json(asdict(report), args.report)
         print(f"wrote {args.report}")

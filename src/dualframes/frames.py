@@ -138,8 +138,6 @@ class Frame:
     @cached_property
     def eigenvalues(self) -> np.ndarray:
         """Ascending eigenvalues of the frame operator (read-only)."""
-        if "spectrum" in self.__dict__:
-            return self.spectrum.eigenvalues
         blocks = _class_blocks(self, self)
         if blocks is None:
             return _frozen(np.linalg.eigvalsh(frame_operator(self)))

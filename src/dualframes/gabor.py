@@ -338,10 +338,8 @@ class _GaborSystem:
         return self.class_blocks(self)
 
     def class_blocks(self, other) -> _ClassBlocks | None:
-        """The blocks G_r against ``other``, or None unless ``other`` is a
-        system on the same grid and lattice."""
-        if not isinstance(other, _GaborSystem):
-            return None
+        """The blocks G_r against the system ``other``, or None unless it lies on
+        the same grid and lattice."""
         if (self.window.grid, self.lattice) != (other.window.grid, other.lattice):
             return None
         total, m = self.window.grid.total, self.modulations
@@ -599,11 +597,15 @@ class LatticeOperator:
     window: SampledWindow
     lattice: GaborLattice
     groups: _ClassBlocks = field(init=False, repr=False)
+    # ascending eigenvalues of the unscaled frame operator (read-only)
+    frame_eigenvalues: np.ndarray = field(init=False, repr=False)
 
     def __post_init__(self):
         s = _GaborSystem.of(self.window, self.lattice).frame_blocks
-        upper = FrameBounds.from_eigenvalues(s.eigenvalues()).require("scaling system").upper
+        eigs = _frozen(s.eigenvalues())
+        upper = FrameBounds.from_eigenvalues(eigs).require("scaling system").upper
         object.__setattr__(self, "groups", _ClassBlocks((i, b / upper) for i, b in s))
+        object.__setattr__(self, "frame_eigenvalues", eigs)
 
     def __array__(self, dtype=None, copy=None):
         return self.groups.__array__(dtype, copy)

@@ -13,8 +13,6 @@ from __future__ import annotations
 
 import json
 from fractions import Fraction
-from typing import Union
-
 import numpy as np
 
 from .errors import ParseError
@@ -108,16 +106,21 @@ def lattice_from_dict(data: dict) -> GaborLattice:
         raise ParseError(f"lattice JSON must carry rational 'a' and 'b': {exc}") from exc
 
 
-def load_json(path) -> Union[dict, list]:
+def load_json(path) -> dict:
+    """The JSON object in ``path``; ParseError for a missing file, malformed JSON
+    or any other JSON value."""
     try:
         with open(path, "r", encoding="utf-8") as fh:
-            return json.load(fh)
+            data = json.load(fh)
     except FileNotFoundError as exc:
         raise ParseError(f"no such file: {path}") from exc
     except json.JSONDecodeError as exc:
         raise ParseError(
             f"malformed JSON in {path} at line {exc.lineno}, column {exc.colno}: {exc.msg}"
         ) from exc
+    if not isinstance(data, dict):
+        raise ParseError(f"{path}: expected a JSON object")
+    return data
 
 
 def dump_json(data, path) -> None:
@@ -131,10 +134,7 @@ def save_frame(frame: Frame, path) -> None:
 
 
 def load_frame(path) -> Frame:
-    data = load_json(path)
-    if not isinstance(data, dict):
-        raise ParseError(f"{path}: expected a JSON object")
-    return frame_from_dict(data)
+    return frame_from_dict(load_json(path))
 
 
 def save_window(window: SampledWindow, path) -> None:
@@ -142,10 +142,7 @@ def save_window(window: SampledWindow, path) -> None:
 
 
 def load_window(path) -> SampledWindow:
-    data = load_json(path)
-    if not isinstance(data, dict):
-        raise ParseError(f"{path}: expected a JSON object")
-    return window_from_dict(data)
+    return window_from_dict(load_json(path))
 
 
 def save_operator(matrix, path) -> None:
@@ -153,7 +150,4 @@ def save_operator(matrix, path) -> None:
 
 
 def load_operator(path) -> np.ndarray:
-    data = load_json(path)
-    if not isinstance(data, dict):
-        raise ParseError(f"{path}: expected a JSON object")
-    return operator_from_dict(data)
+    return operator_from_dict(load_json(path))

@@ -1,6 +1,7 @@
 import csv
 import json
 import os
+import shlex
 import subprocess
 import sys
 from fractions import Fraction
@@ -14,6 +15,7 @@ from dualframes import (
     GaborLattice,
     GridSpec,
     SampledWindow,
+    approx_dual_from_mixed,
     canonical_dual,
     frame_bounds,
     frame_operator,
@@ -246,10 +248,37 @@ class TestUsage:
              "support must be a positive integer"),
             (["gabor", "dual", "--window", "bspline:2", "--grid", "10:20", "--b", "1/10", "--support", "-1"],
              "support must be a positive integer"),
+            (["gabor", "dual", "--window", "bspline:2", "--grid", "10:20", "--b", "1/10", "--method", "ck2"],
+             "--method ck2 requires --coeffs"),
+            (["gabor", "sweep", "--char"], "--char sweeps need --grid"),
+            (["gabor", "window", "--window", "bspline:2"], "generated windows need --grid"),
+            (["gabor", "window", "--window", "char:1"], "generated windows need --grid"),
         ],
     )
     def test_malformed_gabor_flag_exit_3(self, argv, message, capsys):
         assert main(argv) == 3
+        assert message in capsys.readouterr().err
+
+    @pytest.mark.parametrize(
+        "argv, message",
+        [
+            (["gabor", "dual", "--window", "{window}", "--b", "1/10"], "--support is required"),
+            (["gabor", "verify", "--window", "{window}", "--dual", "{window}", "--a", "1", "--b", "1/10",
+              "--grid", "4:4"], "disagrees with --grid"),
+            (["dual", "{phi}", "--mode", "canonical", "--theta", "random:1:0.5"],
+             "--theta does not apply to --mode canonical"),
+            (["frame-info", "{array}"], "expected a JSON object"),
+            (["gabor", "verify", "--window", "{array}", "--dual", "{window}", "--a", "1", "--b", "1/10"],
+             "expected a JSON object"),
+            (["dual", "{phi}", "--mode", "approx", "--op-file", "{array}"], "expected a JSON object"),
+        ],
+    )
+    def test_unusable_input_file_exit_3(self, argv, message, phi0_file, tmp_path, capsys):
+        window, array = tmp_path / "b2.json", tmp_path / "array.json"
+        io.save_window(sample_bspline(2, GridSpec(10, 20)), window)
+        array.write_text("[1, 2]")
+        files = {"phi": phi0_file, "window": str(window), "array": str(array)}
+        assert main([arg.format(**files) for arg in argv]) == 3
         assert message in capsys.readouterr().err
 
     def test_report_after_gabor_subcommand(self, tmp_path):
@@ -303,6 +332,34 @@ class TestGaborCommands:
         b2 = sample_bspline(2, GridSpec(10, 20))
         expected = 0.1 * b2.values + 0.2 * np.roll(b2.values, -10)
         assert np.array_equal(dual.values, expected)
+
+    def test_dual_ck2_coefficients(self, tmp_path, capsys):
+        out = tmp_path / "ck2.json"
+        argv = ["gabor", "dual", "--window", "bspline:2", "--grid", "10:20", "--b", "1/10",
+                "--method", "ck2", "--coeffs", "0,0.1,0.2", "--out", str(out)]
+        assert main(argv) == 0
+        assert "method: ck2" in capsys.readouterr().out
+        b2 = sample_bspline(2, GridSpec(10, 20))
+        expected = gabor.ck_dual2(b2, 2, Fraction(1, 10), [0.0, 0.1, 0.2])
+        assert np.array_equal(io.load_window(out).values, expected.values)
+
+    @pytest.mark.parametrize("command", ["dual", "verify"])
+    def test_residual_table_csv(self, command, tmp_path, capsys):
+        dual_path, table, report = (str(tmp_path / name) for name in ("d.json", "r.csv", "run.json"))
+        grid = ["--grid", "10:20", "--b", "1/10"]
+        assert main(["gabor", "dual", "--window", "bspline:2", *grid, "--out", dual_path]) == 0
+        capsys.readouterr()
+        if command == "dual":
+            argv = ["gabor", "dual", "--window", "bspline:2", *grid]
+        else:
+            argv = ["gabor", "verify", "--window", "bspline:2", "--dual", dual_path, "--a", "1", *grid]
+        assert main(argv + ["--csv", table, "--report", report]) == 0
+        rows = read_csv(table)
+        assert rows[0] == ["n", "residual"]
+        assert [r[0] for r in rows[1:]] == ["0", "1"]  # b * P = 2 adjoint shifts
+        residual = json.loads(Path(report).read_text())["verdicts"]["janssen_residual"]
+        assert max(float(r[1]) for r in rows[1:]) == residual
+        assert f"janssen_residual: {residual:.12g}" in capsys.readouterr().out
 
     def test_dual_hypothesis_violation_exit_2(self, tmp_path):
         code = main(
@@ -463,6 +520,13 @@ class TestGaborCommands:
 
         monkeypatch.setattr(np.linalg, "svd", counted_svd)
         monkeypatch.setattr(np.linalg, "norm", counted_norm)
+        blocks, class_blocks = [], gabor._GaborSystem.class_blocks
+
+        def counted_blocks(system, other):
+            blocks.append(other)
+            return class_blocks(system, other)
+
+        monkeypatch.setattr(gabor._GaborSystem, "class_blocks", counted_blocks)
         b2, g1d, gad, spectrum, report = (
             str(tmp_path / name) for name in ("b2.json", "g1d.json", "gad.json", "spec.csv", "run.json")
         )
@@ -475,6 +539,7 @@ class TestGaborCommands:
                 "--a", "1", "--b", "1/10", "--out", gad, "--spectrum-csv", spectrum, "--report", report]
         assert main(argv) == 0
         assert built == [] and svds == []
+        assert len(blocks) == 3  # the frame blocks of g and of the scaling window, and the mixed blocks
         monkeypatch.undo()
         eigs = [float(row[1]) for row in read_csv(spectrum)[1:]]
         assert len(eigs) == 200 and eigs == sorted(eigs)
@@ -502,3 +567,23 @@ class TestGaborCommands:
         path = tmp_path / "dual_in.json"
         io.save_window(dual, path)
         return path
+
+
+def test_readme_cli_examples_run(tmp_path, monkeypatch):
+    # every command of README's "## Command line" block, in order, over inputs written here
+    readme = (Path(__file__).resolve().parents[1] / "README.md").read_text(encoding="utf-8")
+    block = readme.split("## Command line", 1)[1].split("```sh\n", 1)[1].split("```", 1)[0]
+    lines = [shlex.split(line) for line in block.splitlines() if line.strip()]
+    assert len(lines) == 12 and all(line[0] == "dualframes" for line in lines)
+    monkeypatch.chdir(tmp_path)
+    phi = random_frame(4, 6, seed=12)
+    rng = np.random.default_rng(12)
+    target = 0.9 * identity(4)
+    io.save_frame(phi, "phi.json")
+    io.save_frame(Frame(phi.synthesis + 1e-3 * rng.standard_normal((4, 6))), "psi.json")
+    io.save_operator(target, "a.json")
+    io.save_frame(approx_dual_from_mixed(phi, target), "phi_ad.json")
+    for argv in lines:
+        assert main(argv[1:]) == 0, argv
+        written = [path for flag, path in zip(argv, argv[1:]) if flag in ("--out", "--csv", "--spectrum-csv")]
+        assert all(Path(path).exists() for path in written), argv

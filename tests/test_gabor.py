@@ -5,7 +5,7 @@ import pytest
 from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
-from dualframes import gabor
+from dualframes import frames, gabor
 from dualframes import (
     BadCoefficients,
     ContractViolation,
@@ -448,6 +448,20 @@ class TestClassBlocks:
         phi.synthesis
         phi.synthesis
         assert built == [(512, 32 * 160)]
+
+    def test_other_lattice_takes_the_dense_path(self):
+        grid = GridSpec(4, 4)
+        rng = np.random.default_rng(16)
+        g, h = (SampledWindow(grid, re + 1j * im) for re, im in rng.standard_normal((2, 2, grid.total)))
+        phi = gabor_frame(g, GaborLattice(1, Fraction(1, 2)))
+        psi = gabor_frame(h, GaborLattice(2, Fraction(1, 4)))
+        assert (phi.dim, phi.count) == (psi.dim, psi.count) == (16, 32)
+        phi_d, psi_d = (Frame(np.array(f.synthesis)) for f in (phi, psi))
+        # two systems on different lattices, and a system against a plain frame of its own matrix
+        for left, right, dense in ((phi, psi, psi_d), (phi, phi_d, phi_d)):
+            assert frames._class_blocks(left, right) is None
+            assert approximation_rate(left, right) == approximation_rate(phi_d, dense)
+            assert np.array_equal(mixed_operator(left, right), mixed_operator(phi_d, dense))
 
     @pytest.mark.filterwarnings("ignore:.*encountered in matmul:RuntimeWarning")
     def test_overflowing_blocks_raise(self):

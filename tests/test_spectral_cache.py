@@ -223,3 +223,8 @@ def test_pipeline_decomposes_each_frame_once(monkeypatch):
     # bounds of phi, phi_ad and psi, plus lambda_max(W W*) in the factorization
     assert calls["eigvalsh"] <= 4
     assert calls["svd_split"] <= 1  # only phi's kernel is used
+    # read after the spectrum, the eigenvalues are the spectrum's own array: no eigvalsh runs
+    fresh, eigvalsh_calls = Frame(phi.synthesis), calls["eigvalsh"]
+    spectrum = fresh.spectrum
+    assert fresh.eigenvalues is spectrum.eigenvalues
+    assert calls["eigvalsh"] == eigvalsh_calls
