@@ -7,63 +7,92 @@ operators as ``{"rows": r, "cols": c, "entries": [...]}`` in row-major
 order; lattices as ``{"a": "p/q", "b": "p/q"}`` with exact rational
 strings.  Values round-trip bit-exactly (floats are serialized with full
 precision).
+
+Every file is written by ``dump_json``, which writes the bytes
+``json.dump(data, fh, indent=1)`` and a newline would.  The ``save_*``
+functions hand it the values packed as float arrays of ``[re, im]``
+pairs; it streams each such array in chunks of at most ``_CHUNK`` floats,
+so a save builds no Python list of the whole array.
 """
 
 from __future__ import annotations
 
 import json
+from array import array
 from fractions import Fraction
+from itertools import chain
+
 import numpy as np
 
 from .errors import ParseError
 from .frames import Frame
 from .gabor import GaborLattice, GridSpec, SampledWindow
 
+# Floats per streamed chunk of a packed array (one frame vector if that is more).
+_CHUNK = 4096
 
-def _pairs(values: np.ndarray) -> list:
-    return [[float(z.real), float(z.imag)] for z in np.asarray(values, dtype=complex)]
+
+def _packed(values) -> np.ndarray:
+    """``values`` as float64 ``[re, im]`` pairs, shape ``values.shape + (2,)``."""
+    z = np.ascontiguousarray(values, dtype=complex)
+    return z.view(float).reshape(z.shape + (2,))
+
+
+def _listed(record: dict) -> dict:
+    return {k: v.tolist() if isinstance(v, np.ndarray) else v for k, v in record.items()}
 
 
 def _from_pairs(pairs, what: str) -> np.ndarray:
+    """``complex(re, im)`` of each ``[re, im]`` in ``pairs``, converted in one pass;
+    ParseError for anything that is not a list of two-number pairs."""
     try:
-        return np.array([complex(re, im) for re, im in pairs], dtype=complex)
-    except (TypeError, ValueError) as exc:
+        pairs = list(pairs)
+        if set(map(len, pairs)) - {2}:
+            raise ValueError("a pair must hold two numbers")
+        floats = array("d", list(chain.from_iterable(pairs)))
+    except (TypeError, ValueError, OverflowError) as exc:
         raise ParseError(f"malformed complex pairs in {what}") from exc
+    return np.frombuffer(floats, dtype=complex)
+
+
+def _frame_record(frame: Frame) -> dict:
+    return {"dim": frame.dim, "vectors": _packed(frame.synthesis.T)}
 
 
 def frame_to_dict(frame: Frame) -> dict:
-    return {
-        "dim": frame.dim,
-        "vectors": [_pairs(frame.synthesis[:, k]) for k in range(frame.count)],
-    }
+    return _listed(_frame_record(frame))
 
 
 def frame_from_dict(data: dict) -> Frame:
     try:
         dim = int(data["dim"])
-        vectors = data["vectors"]
-    except (KeyError, TypeError, ValueError) as exc:
+        vectors = list(data["vectors"])
+    except (KeyError, TypeError, ValueError, OverflowError) as exc:
         raise ParseError(f"frame JSON must carry 'dim' and 'vectors': {exc}") from exc
-    cols = [_from_pairs(v, "frame vector") for v in vectors]
-    if not cols:
+    if not vectors:
         raise ParseError("frame JSON has no vectors")
-    if any(c.shape[0] != dim for c in cols):
+    values = _from_pairs(chain.from_iterable(vectors), "frame vector")
+    if set(map(len, vectors)) != {dim}:
         raise ParseError("frame vector length disagrees with 'dim'")
-    return Frame._adopt(np.column_stack(cols))
+    return Frame._adopt(np.ascontiguousarray(values.reshape(len(vectors), dim).T))
 
 
-def window_to_dict(window: SampledWindow) -> dict:
+def _window_record(window: SampledWindow) -> dict:
     return {
         "samples_per_unit": window.grid.samples_per_unit,
         "period": window.grid.period,
-        "values": _pairs(window.values),
+        "values": _packed(window.values),
     }
+
+
+def window_to_dict(window: SampledWindow) -> dict:
+    return _listed(_window_record(window))
 
 
 def window_from_dict(data: dict) -> SampledWindow:
     try:
         grid = GridSpec(int(data["samples_per_unit"]), int(data["period"]))
-    except (KeyError, TypeError, ValueError) as exc:
+    except (KeyError, TypeError, ValueError, OverflowError) as exc:
         raise ParseError(f"window JSON must carry grid fields: {exc}") from exc
     values = _from_pairs(data.get("values", []), "window values")
     if values.shape[0] != grid.total:
@@ -73,19 +102,19 @@ def window_from_dict(data: dict) -> SampledWindow:
     return SampledWindow(grid, values)
 
 
-def operator_to_dict(matrix: np.ndarray) -> dict:
+def _operator_record(matrix) -> dict:
     m = np.asarray(matrix, dtype=complex)
-    return {
-        "rows": m.shape[0],
-        "cols": m.shape[1],
-        "entries": _pairs(m.reshape(-1)),
-    }
+    return {"rows": m.shape[0], "cols": m.shape[1], "entries": _packed(m.reshape(-1))}
+
+
+def operator_to_dict(matrix: np.ndarray) -> dict:
+    return _listed(_operator_record(matrix))
 
 
 def operator_from_dict(data: dict) -> np.ndarray:
     try:
         rows, cols = int(data["rows"]), int(data["cols"])
-    except (KeyError, TypeError, ValueError) as exc:
+    except (KeyError, TypeError, ValueError, OverflowError) as exc:
         raise ParseError(f"operator JSON must carry 'rows' and 'cols': {exc}") from exc
     entries = _from_pairs(data.get("entries", []), "operator entries")
     if entries.shape[0] != rows * cols:
@@ -123,14 +152,72 @@ def load_json(path) -> dict:
     return data
 
 
+def _list_items(chunk: np.ndarray, level: int) -> str:
+    """The items of ``chunk.tolist()`` as ``json.dump(indent=1)`` writes them
+    inside a list whose brackets sit at indent ``level``, brackets left out."""
+    depth = chunk.ndim
+    opens = ["[\n" + " " * (level + d + 1) for d in range(depth)]
+    closes = ["\n" + " " * (level + d) + "]" for d in range(depth)]
+    text = repr(chunk.tolist())[depth:-depth]
+    if not np.isfinite(chunk).all():
+        # repr writes nan and inf where json writes NaN and Infinity
+        text = text.replace("nan", "NaN").replace("inf", "Infinity")
+    # repr separates the items of a list at depth d by "]" * k + ", " + "[" * k,
+    # k = depth - 1 - d; the longest separators go first
+    for d in range(depth):
+        k = depth - 1 - d
+        sep = "".join(closes[depth - 1:d:-1]) + ",\n" + " " * (level + d + 1) + "".join(opens[d + 1:])
+        text = text.replace("]" * k + ", " + "[" * k, sep)
+    return "".join(opens[1:]) + text + "".join(closes[:0:-1])
+
+
+def _write_array(fh, values: np.ndarray, level: int) -> None:
+    """Write ``values.tolist()`` as ``json.dump(indent=1)`` would at indent ``level``."""
+    if values.size == 0:
+        fh.write(json.dumps(values.tolist(), indent=1).replace("\n", "\n" + " " * level))
+        return
+    row = values[0].size
+    step = max(1, _CHUNK // row)
+    fh.write("[\n" + " " * (level + 1))
+    for start in range(0, len(values), step):
+        if start:
+            fh.write(",\n" + " " * (level + 1))
+        if row > _CHUNK:
+            _write_array(fh, values[start], level + 1)
+        else:
+            fh.write(_list_items(values[start:start + step], level))
+    fh.write("\n" + " " * level + "]")
+
+
+def _write_object(fh, data: dict) -> None:
+    """Write the non-empty ``data`` as ``json.dump(indent=1)`` would, an ndarray
+    value as its ``tolist()``."""
+    fh.write("{")
+    for i, (key, value) in enumerate(data.items()):
+        fh.write(",\n" if i else "\n")
+        # json.dumps of a one-item object holds the item as json.dump writes it
+        if isinstance(value, np.ndarray):
+            fh.write(json.dumps({key: None}, indent=1)[2:-len("null\n}")])
+            _write_array(fh, value, 1)
+        else:
+            fh.write(json.dumps({key: value}, indent=1)[2:-len("\n}")])
+    fh.write("\n}")
+
+
 def dump_json(data, path) -> None:
+    """Write to ``path`` what ``json.dump(data, fh, indent=1)`` and a newline
+    would.  A float ndarray value of a top-level object stands for its
+    ``tolist()`` and is streamed in chunks."""
     with open(path, "w", encoding="utf-8") as fh:
-        json.dump(data, fh, indent=1)
+        if isinstance(data, dict) and any(isinstance(v, np.ndarray) for v in data.values()):
+            _write_object(fh, data)
+        else:
+            json.dump(data, fh, indent=1)
         fh.write("\n")
 
 
 def save_frame(frame: Frame, path) -> None:
-    dump_json(frame_to_dict(frame), path)
+    dump_json(_frame_record(frame), path)
 
 
 def load_frame(path) -> Frame:
@@ -138,7 +225,7 @@ def load_frame(path) -> Frame:
 
 
 def save_window(window: SampledWindow, path) -> None:
-    dump_json(window_to_dict(window), path)
+    dump_json(_window_record(window), path)
 
 
 def load_window(path) -> SampledWindow:
@@ -146,7 +233,7 @@ def load_window(path) -> SampledWindow:
 
 
 def save_operator(matrix, path) -> None:
-    dump_json(operator_to_dict(matrix), path)
+    dump_json(_operator_record(matrix), path)
 
 
 def load_operator(path) -> np.ndarray:

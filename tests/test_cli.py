@@ -271,13 +271,28 @@ class TestUsage:
             (["gabor", "verify", "--window", "{array}", "--dual", "{window}", "--a", "1", "--b", "1/10"],
              "expected a JSON object"),
             (["dual", "{phi}", "--mode", "approx", "--op-file", "{array}"], "expected a JSON object"),
+            # numbers beyond int or float range
+            (["frame-info", "{inf_dim}"], "frame JSON must carry 'dim' and 'vectors'"),
+            (["frame-info", "{huge_pair}"], "malformed complex pairs in frame vector"),
+            (["gabor", "weight", "--window", "{inf_grid}", "--a", "1"], "window JSON must carry grid fields"),
+            (["dual", "{phi}", "--mode", "approx", "--op-file", "{inf_rows}"],
+             "operator JSON must carry 'rows' and 'cols'"),
         ],
     )
     def test_unusable_input_file_exit_3(self, argv, message, phi0_file, tmp_path, capsys):
-        window, array = tmp_path / "b2.json", tmp_path / "array.json"
+        window = tmp_path / "b2.json"
         io.save_window(sample_bspline(2, GridSpec(10, 20)), window)
-        array.write_text("[1, 2]")
-        files = {"phi": phi0_file, "window": str(window), "array": str(array)}
+        texts = {
+            "array": "[1, 2]",
+            "inf_dim": '{"dim": Infinity, "vectors": [[[1, 0]]]}',
+            "huge_pair": '{"dim": 1, "vectors": [[[1' + "0" * 400 + ', 0]]]}',
+            "inf_grid": '{"samples_per_unit": Infinity, "period": 1, "values": [[1, 0]]}',
+            "inf_rows": '{"rows": 1e999, "cols": 2, "entries": []}',
+        }
+        files = {"phi": phi0_file, "window": str(window)}
+        for name, text in texts.items():
+            files[name] = str(tmp_path / f"{name}.json")
+            Path(files[name]).write_text(text)
         assert main([arg.format(**files) for arg in argv]) == 3
         assert message in capsys.readouterr().err
 

@@ -1,7 +1,12 @@
+import json
+from unittest import mock
+
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from dualframes import Frame, GaborLattice, GridSpec, ParseError, sample_bspline
+from dualframes import Frame, GaborLattice, GridSpec, ParseError, SampledWindow, sample_bspline
 from dualframes import io
 
 from conftest import random_frame
@@ -81,3 +86,224 @@ class TestLoadJson:
         with pytest.raises(ParseError) as err:
             io.load_json(path)
         assert "line 2" in str(err.value)
+
+
+# Floats whose text json.dump gets wrong most easily: signed zero, the
+# smallest subnormal, the largest finite values and integral floats.
+EDGE_FLOATS = [-0.0, 5e-324, -5e-324, 1.7976931348623157e308, -1.7976931348623157e308, 1.0, -3.0, 2.0**53]
+NON_FINITE = [float("nan"), float("inf"), float("-inf")]
+
+
+def reference_pairs(values) -> list:
+    """The per-element encode the chunked writer replaced."""
+    return [[float(z.real), float(z.imag)] for z in np.asarray(values, dtype=complex)]
+
+
+def reference_bytes(data) -> bytes:
+    return (json.dumps(data, indent=1) + "\n").encode()
+
+
+def bits(values) -> np.ndarray:
+    return np.ascontiguousarray(values, dtype=complex).view(np.uint64)
+
+
+@st.composite
+def complex_arrays(draw, shape, specials):
+    """Complex arrays of ``shape`` spanning the exponent range, with ``specials``
+    written into some real and imaginary parts."""
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    parts = rng.standard_normal(shape + (2,)) * 10.0 ** rng.integers(-300, 300, shape + (2,))
+    flat = parts.reshape(-1)
+    for i, v in draw(st.lists(st.tuples(st.integers(0, flat.size - 1), st.sampled_from(specials)),
+                              max_size=8)):
+        flat[i] = v
+    return parts.view(complex)[..., 0]
+
+
+# 2 floats per chunk makes every frame vector its own chunk, split pair by pair
+CHUNKS = st.sampled_from([2, 6, io._CHUNK])
+
+
+class TestSavedBytes:
+    """save_* write exactly the bytes json.dump(indent=1) writes of the per-element lists."""
+
+    @settings(max_examples=60, deadline=None)
+    @given(dim=st.integers(1, 40), count=st.integers(1, 60), chunk=CHUNKS, data=st.data())
+    def test_frame(self, tmp_path_factory, dim, count, chunk, data):
+        syn = data.draw(complex_arrays((dim, count), EDGE_FLOATS))
+        frame = Frame(syn)
+        path = tmp_path_factory.mktemp("frame") / "frame.json"
+        with mock.patch.object(io, "_CHUNK", chunk):
+            io.save_frame(frame, path)
+        want = reference_bytes({"dim": dim, "vectors": [reference_pairs(syn[:, k]) for k in range(count)]})
+        assert path.read_bytes() == want
+        assert reference_bytes(io.frame_to_dict(frame)) == want
+        assert np.array_equal(bits(io.load_frame(path).synthesis), bits(syn))
+
+    @settings(max_examples=40, deadline=None)
+    @given(samples=st.integers(1, 8), period=st.integers(1, 8), chunk=CHUNKS, data=st.data())
+    def test_window(self, tmp_path_factory, samples, period, chunk, data):
+        grid = GridSpec(samples, period)
+        window = SampledWindow(grid, data.draw(complex_arrays((grid.total,), EDGE_FLOATS)))
+        path = tmp_path_factory.mktemp("window") / "window.json"
+        with mock.patch.object(io, "_CHUNK", chunk):
+            io.save_window(window, path)
+        want = reference_bytes({"samples_per_unit": samples, "period": period,
+                                "values": reference_pairs(window.values)})
+        assert path.read_bytes() == want
+        assert reference_bytes(io.window_to_dict(window)) == want
+        loaded = io.load_window(path)
+        assert loaded.grid == grid
+        assert np.array_equal(bits(loaded.values), bits(window.values))
+
+    @settings(max_examples=60, deadline=None)
+    @given(rows=st.integers(1, 40), cols=st.integers(1, 60), chunk=CHUNKS, data=st.data())
+    def test_operator(self, tmp_path_factory, rows, cols, chunk, data):
+        matrix = data.draw(complex_arrays((rows, cols), EDGE_FLOATS + NON_FINITE))
+        path = tmp_path_factory.mktemp("operator") / "op.json"
+        with mock.patch.object(io, "_CHUNK", chunk):
+            io.save_operator(matrix, path)
+        want = reference_bytes({"rows": rows, "cols": cols, "entries": reference_pairs(matrix.reshape(-1))})
+        assert path.read_bytes() == want
+        assert reference_bytes(io.operator_to_dict(matrix)) == want
+        assert np.array_equal(bits(io.load_operator(path)), bits(matrix))
+
+    @pytest.mark.parametrize(
+        "save, to_dict, value",
+        [
+            ("save_frame", "frame_to_dict", Frame([[complex(-0.0, 5e-324)]])),
+            ("save_window", "window_to_dict", SampledWindow(GridSpec(1, 1), np.array([1.0]))),
+            ("save_operator", "operator_to_dict", np.array([[complex(1.7976931348623157e308, -0.0)]])),
+        ],
+    )
+    def test_single_value(self, tmp_path, save, to_dict, value):
+        path = tmp_path / "value.json"
+        getattr(io, save)(value, path)
+        assert path.read_bytes() == reference_bytes(getattr(io, to_dict)(value))
+
+    def test_non_finite_entries_are_written_as_json_writes_them(self, tmp_path):
+        path = tmp_path / "op.json"
+        io.save_operator(np.array([[complex(np.nan, np.inf), complex(-np.inf, 0.0)]]), path)
+        entries = path.read_text().split('"entries": ')[1]
+        assert entries.split() == ["[", "[", "NaN,", "Infinity", "],", "[", "-Infinity,", "0.0", "]", "]", "}"]
+
+    @pytest.mark.parametrize("shape", [(0, 0), (0, 3), (3, 0)])
+    def test_empty_operator(self, tmp_path, shape):
+        path = tmp_path / "op.json"
+        io.save_operator(np.zeros(shape), path)
+        assert path.read_bytes() == reference_bytes({"rows": shape[0], "cols": shape[1], "entries": []})
+
+    @pytest.mark.parametrize(
+        "data", [{"a": [1.5, None, "x\n"], "b": {}}, [1, {"c": []}], "text", 2.5, None, {}],
+    )
+    def test_plain_json_values(self, tmp_path, data):
+        path = tmp_path / "data.json"
+        io.dump_json(data, path)
+        assert path.read_bytes() == reference_bytes(data)
+
+
+def frame_data(pairs):
+    return {"dim": 2, "vectors": [pairs]}
+
+
+def window_data(pairs):
+    return {"samples_per_unit": 1, "period": 2, "values": pairs}
+
+
+def operator_data(pairs):
+    return {"rows": 1, "cols": 2, "entries": pairs}
+
+
+def decoded(kind, pairs):
+    """What each loader returns of two pairs, as one complex array."""
+    if kind == "frame":
+        return io.frame_from_dict(frame_data(pairs)).synthesis.reshape(-1)
+    if kind == "window":
+        return io.window_from_dict(window_data(pairs)).values
+    return io.operator_from_dict(operator_data(pairs)).reshape(-1)
+
+
+MALFORMED_PAIRS = {
+    "string number": [["1", 0], [0, 1]],
+    "null": [[None, 0], [0, 1]],
+    "1-element pair": [[1], [0, 1]],
+    "3-element pair": [[1, 0, 0], [0, 1]],
+    "one level too deep": [[[1, 0], [0, 1]], [[0, 1], [1, 0]]],
+    "object for a pair": [{"re": 1, "im": 0}, [0, 1]],
+    "object for the list": {"re": [1, 0], "im": [0, 1]},
+    "null for the list": None,
+    "integer beyond float range": [[10**400, 0], [0, 1]],
+}
+
+WELL_FORMED_PAIRS = {
+    "ints": [[1, 0], [0, -2]],
+    "bools": [[True, False], [False, True]],
+    "floats": [[0.5, -0.0], [1e300, 5e-324]],
+    "mixed": [[1, 0.5], [True, 2]],
+    "ints beyond int64": [[10**20, 0], [2**64 + 1, -(2**70)]],
+}
+
+
+class TestDecodeStrictness:
+    @pytest.mark.parametrize("kind", ["frame", "window", "operator"])
+    @pytest.mark.parametrize("pairs", MALFORMED_PAIRS.values(), ids=MALFORMED_PAIRS)
+    def test_rejects_malformed_pairs(self, kind, pairs):
+        with pytest.raises(ParseError):
+            decoded(kind, pairs)
+
+    @pytest.mark.parametrize(
+        "vectors",
+        [
+            [[[1, 0], [0, 1]], [[1, 0]]],
+            [],
+            {"v": [[1, 0], [0, 1]]},
+            None,
+            5,
+            [[[1, 0], [0, 1], [1, 1]]],
+        ],
+        ids=["ragged", "empty", "object", "null", "number", "longer than dim"],
+    )
+    def test_rejects_malformed_frame_vectors(self, vectors):
+        with pytest.raises(ParseError):
+            io.frame_from_dict({"dim": 2, "vectors": vectors})
+
+    @pytest.mark.parametrize("kind", ["frame", "window", "operator"])
+    @pytest.mark.parametrize("pairs", WELL_FORMED_PAIRS.values(), ids=WELL_FORMED_PAIRS)
+    def test_accepts_json_numbers(self, kind, pairs):
+        got = decoded(kind, pairs)
+        want = np.array([complex(re, im) for re, im in pairs], dtype=complex)
+        assert got.dtype == np.complex128
+        assert np.array_equal(bits(got), bits(want))
+
+
+class TestTracedEntryPoints:
+    """The benchmark's tracer measures io.bytes_written and io.save_s by wrapping
+    io.dump_json(data, path) and io.load_json(path) by name."""
+
+    @pytest.mark.parametrize(
+        "save, load, value",
+        [
+            ("save_frame", "load_frame", Frame.from_vectors([(1, 0), (0, 1), (1, 1)])),
+            ("save_window", "load_window", sample_bspline(2, GridSpec(4, 4))),
+            ("save_operator", "load_operator", np.eye(3)),
+        ],
+    )
+    def test_one_call_each(self, save, load, value, tmp_path, monkeypatch):
+        calls = []
+
+        def counted(name, real):
+            def wrapper(*args, **kwargs):
+                calls.append((name, args, kwargs))
+                return real(*args, **kwargs)
+            return wrapper
+
+        monkeypatch.setattr(io, "dump_json", counted("dump_json", io.dump_json))
+        monkeypatch.setattr(io, "load_json", counted("load_json", io.load_json))
+        path = tmp_path / "value.json"
+        getattr(io, save)(value, path)
+        assert [(name, len(args), args[1], kwargs) for name, args, kwargs in calls] == [
+            ("dump_json", 2, path, {})
+        ]
+        calls.clear()
+        getattr(io, load)(path)
+        assert calls == [("load_json", (path,), {})]
