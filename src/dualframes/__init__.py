@@ -109,6 +109,7 @@ from .gabor import (
     gabor_frame,
     janssen_residual,
     janssen_residual_table,
+    mixed_lattice_operator,
     painless_check,
     partition_of_unity_residual,
     sample_bspline,

@@ -23,7 +23,7 @@ from fractions import Fraction
 
 import numpy as np
 
-from . import frames, io
+from . import io
 from .duality import approx_dual_from_mixed, gdual_factorization, gdual_from_corresponding
 from .errors import DimensionMismatch, FrameError, ParseError
 from .frames import (
@@ -47,6 +47,7 @@ from .gabor import (
     gabor_frame,
     janssen_residual,
     janssen_residual_table,
+    mixed_lattice_operator,
     sample_bspline,
     sample_char,
     scaled_gabor_operator,
@@ -278,11 +279,11 @@ def cmd_gabor_approx_dual(args, report: RunReport) -> None:
     lat = GaborLattice(args.a, args.b)
     a_op = scaled_gabor_operator(scale, lat)
     result = approx_dual_window(window, dual, a_op, lat)
-    mixed = frames._class_blocks(gabor_frame(window, lat), gabor_frame(result, lat))
+    mixed = mixed_lattice_operator(window, result, lat)
     report.verdicts = {
         "approximation_rate": mixed.gap(),
-        "identity_gap_of_operator": a_op.groups.gap(),
-        "mixed_operator_residual": mixed.distance(a_op.groups),
+        "identity_gap_of_operator": a_op.gap(),
+        "mixed_operator_residual": mixed.distance(a_op),
     }
     report.write(args.out, io.save_window, result)
     eigs = a_op.frame_eigenvalues

@@ -39,6 +39,7 @@ from .frames import (
     Annihilator,
     Frame,
     _check_same_shape,
+    _mixed_and_rate,
     canonical_dual,
     frame_bounds,
     frame_operator,
@@ -108,9 +109,8 @@ def _classify(mixed: np.ndarray, rate: float) -> Tuple[str, Optional[np.ndarray]
 
 def classify_pair(phi: Frame, psi: Frame) -> DualReport:
     """Classify a pair as dual / approximately dual / g-dual / none."""
-    mixed = mixed_operator(phi, psi)
-    rate = operator_norm(oplin.identity(phi.dim) - mixed)
-    kind, corresponding = _classify(mixed, rate)
+    mixed, rate = _mixed_and_rate(phi, psi)
+    kind, corresponding = _classify(np.asarray(mixed), rate)
     return DualReport(kind=kind, rate=rate, corresponding_op=corresponding)
 
 
@@ -124,8 +124,8 @@ def gdual_factorization(phi: Frame, psi: Frame) -> DualReport:
     for any genuine frame pair.
     """
     require_frame(phi, "first frame")
-    mixed = mixed_operator(phi, psi)
-    rate = operator_norm(oplin.identity(phi.dim) - mixed)
+    mixed, rate = _mixed_and_rate(phi, psi)
+    mixed = np.asarray(mixed)
     whitened = frame_operator_inv_sqrt(phi) @ mixed
     residual = operator_norm(mixed - frame_operator_sqrt(phi) @ whitened)
     gram = whitened @ adjoint(whitened)
@@ -163,7 +163,7 @@ def approx_dual_from_whitened(
     """
     require_frame(phi, "frame")
     w = oplin.as_operator(whitened)
-    gap = operator_norm(oplin.identity(phi.dim) - frame_operator_sqrt(phi) @ w)
+    gap = oplin.identity_gap(frame_operator_sqrt(phi) @ w)
     if not _strictly_below(gap, 1.0):
         raise ContractViolation("requires ||Id - S^(1/2) W|| < 1", measured=gap)
     syn = adjoint(w) @ frame_operator_inv_sqrt(phi) @ phi.synthesis + _theta_term(phi, theta)
@@ -205,7 +205,9 @@ def approx_dual_from_mixed(
     """
     require_frame(phi, "frame")
     a = oplin.as_operator(target)
-    gap = operator_norm(oplin.identity(phi.dim) - a)
+    if a.shape != (phi.dim, phi.dim):
+        raise DimensionMismatch(f"target must be {phi.dim}x{phi.dim}, got {a.shape}")
+    gap = oplin.identity_gap(a)
     if not _strictly_below(gap, 1.0):
         raise ContractViolation("requires ||Id - target|| < 1", measured=gap)
     syn = adjoint(a) @ canonical_dual(phi).synthesis + _theta_term(phi, theta)
@@ -245,10 +247,10 @@ def recover_parameters(phi: Frame, phi_ad: Frame) -> Tuple[np.ndarray, Annihilat
     reproduces ``phi_ad`` columnwise.
     """
     require_frame(phi, "frame")
-    mixed = mixed_operator(phi, phi_ad)
-    rate = operator_norm(oplin.identity(phi.dim) - mixed)
+    mixed, rate = _mixed_and_rate(phi, phi_ad)
     if not _strictly_below(rate, 1.0):
         raise NotApproxDual("pair is not approximately dual", measured=rate)
+    mixed = np.asarray(mixed)
     whitened = frame_operator_inv_sqrt(phi) @ mixed
     return whitened, Annihilator(map=_theta_part(phi, phi_ad, mixed), base=phi)
 
@@ -270,7 +272,7 @@ def approx_dual_via_dual(
     if (whitened is None) == (target is None):
         raise ValueError("provide exactly one of whitened= or target=")
     require_frame(phi, "frame")
-    gap = operator_norm(oplin.identity(phi.dim) - mixed_operator(phi, phi_d))
+    gap = _mixed_and_rate(phi, phi_d)[1]
     if gap > DUAL_TOL:
         raise NotDualPair("(phi, phi_d) must be an exact dual pair", measured=gap)
     if whitened is not None:
@@ -347,10 +349,7 @@ def equivalence_inverse(phi: Frame, psi: Frame) -> np.ndarray:
         raise NotEquivalent("analysis ranges differ")
     result = mixed_operator(canonical_dual(psi), canonical_dual(phi))
     mixed = mixed_operator(phi, psi)
-    eye = oplin.identity(phi.dim)
-    defect = max(
-        operator_norm(mixed @ result - eye), operator_norm(result @ mixed - eye)
-    )
+    defect = max(oplin.identity_gap(mixed @ result), oplin.identity_gap(result @ mixed))
     if defect > 1e-9:
         raise NotEquivalent(f"inverse check failed with defect {defect:.3e}")
     return result

@@ -78,7 +78,7 @@ class SupportOverflow(FrameError):
 
 
 class LatticeMismatch(FrameError):
-    """Lattice parameters are incommensurate with the grid."""
+    """Lattice parameters are incommensurate with the grid, or operands lie on different ones."""
 
 
 class HypothesisViolated(ContractViolation):

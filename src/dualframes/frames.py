@@ -9,6 +9,9 @@ the synthesis matrix and the frame operator is their product.
 Annihilators -- maps into coefficient space whose range lies in the
 kernel of the synthesis operator -- are the free parameter of every dual
 construction in :mod:`dualframes.duality`.
+
+A frame may hold a Gabor system instead of its matrix (see :class:`Frame`), whose
+block operators are all of one type, :class:`~dualframes.gabor.LatticeOperator`.
 """
 
 from __future__ import annotations
@@ -81,8 +84,8 @@ class Frame:
     holds the system instead of the matrix and builds the matrix, once,
     when :attr:`synthesis` is first read.  ``dim`` and ``count`` never
     build it; the frame operator, mixed operator, approximation rate and
-    eigenvalues of systems sharing their structure are read from the
-    residue-class blocks, which a system keeps for its own S (see :func:`mixed_operator`).
+    eigenvalues of systems sharing their structure are read from their
+    residue-class block values, a system keeping the one of its own S (see :func:`mixed_operator`).
     """
 
     def __init__(self, synthesis):
@@ -185,10 +188,10 @@ def synthesis(phi: Frame, c) -> np.ndarray:
 
 
 def _class_blocks(phi: Frame, psi: Frame):
-    """mixed_operator(phi, psi) as the systems' block value (``np.asarray``,
-    ``eigenvalues()``, ``gap()`` = ``||Id - X||``; ValueError when a block is
-    not finite), or None unless both frames hold structured systems that share
-    their structure (for Gabor systems: one grid and one lattice)."""
+    """mixed_operator(phi, psi) as the systems' block value (a ``LatticeOperator``:
+    ``np.asarray``, ``eigenvalues()``, ``gap()`` = ``||Id - X||``; ValueError when a
+    block is not finite), or None unless both frames hold structured systems that
+    share their structure (for Gabor systems: one grid and one lattice)."""
     if phi._system is None or psi._system is None:
         return None
     if phi._system is psi._system:
@@ -250,12 +253,19 @@ def mixed_operator(phi: Frame, psi: Frame) -> np.ndarray:
     return np.asarray(blocks)
 
 
-def approximation_rate(phi: Frame, psi: Frame) -> float:
-    """Distance ||Id - mixed_operator(phi, psi)||; below 1 means approximately dual."""
+def _mixed_and_rate(phi: Frame, psi: Frame):
+    """The pair's mixed operator, formed once (the block value of :func:`_class_blocks`,
+    else dense), and its rate ||Id - mixed||; ``np.asarray`` of the first is dense."""
     blocks = _class_blocks(phi, psi)
     if blocks is None:
-        return operator_norm(oplin.identity(phi.dim) - mixed_operator(phi, psi))
-    return blocks.gap()
+        mixed = mixed_operator(phi, psi)
+        return mixed, oplin.identity_gap(mixed)
+    return blocks, blocks.gap()
+
+
+def approximation_rate(phi: Frame, psi: Frame) -> float:
+    """Distance ||Id - mixed_operator(phi, psi)||; below 1 means approximately dual."""
+    return _mixed_and_rate(phi, psi)[1]
 
 
 def bessel_bound_difference(phi: Frame, psi: Frame) -> float:

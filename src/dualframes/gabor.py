@@ -12,11 +12,11 @@ its ``L x N`` synthesis matrix only when something reads ``synthesis``
 (export, the kernel, analysis/synthesis, a pairing with a plain frame).
 Its frame operator, eigenvalues and bounds, and its mixed operator and
 approximation rate against a system on the same grid and lattice, are
-read from the Walnut (Zibulski-Zeevi) residue-class blocks instead.
-:func:`scaled_gabor_operator` returns its operator as such blocks, a
-:class:`LatticeOperator` that ``np.asarray`` turns into the dense matrix.
-:func:`approx_dual_window` reads every operator as such blocks: a dense one
-must pass :func:`commutation_check` and is then gathered into the classes.
+read from the Walnut (Zibulski-Zeevi) residue-class blocks instead, held by
+one type, :class:`LatticeOperator`, which ``np.asarray`` makes dense.
+:func:`scaled_gabor_operator` and :func:`mixed_lattice_operator` return one;
+:func:`approx_dual_window` reads every operator as one: a dense one must pass
+:func:`commutation_check` and is then gathered into the classes.
 
 Grid commensurability is a hard precondition everywhere: rationals that
 do not land on the grid raise typed errors instead of being rounded,
@@ -36,6 +36,7 @@ from dataclasses import dataclass, field
 from fractions import Fraction
 from functools import cached_property
 from math import comb, factorial
+from numbers import Integral
 from typing import Sequence, Union
 
 import numpy as np
@@ -79,7 +80,7 @@ class GridSpec:
     period: int
 
     def __post_init__(self):
-        if self.samples_per_unit < 1 or self.period < 1:
+        if not all(isinstance(n, Integral) and n >= 1 for n in (self.samples_per_unit, self.period)):
             raise DimensionMismatch("grid parameters must be positive integers")
 
     @property
@@ -257,39 +258,54 @@ def partition_of_unity_residual(g: SampledWindow) -> float:
     return float(np.max(np.abs(pou - 1.0)))
 
 
-class _ClassBlocks(tuple):
-    """An operator zero between the residue classes of a :class:`_GaborSystem`, as read-only
-    ``(index, blocks)`` pairs, one per class size (``blocks[r]`` acts on the samples
-    ``index[r]``).  Built finite (ValueError otherwise); ``np.asarray`` gives it dense."""
+@dataclass(frozen=True, eq=False)
+class LatticeOperator:
+    """An operator zero between the residue classes of the Gabor systems on ``grid``
+    and ``lattice`` (see :class:`_GaborSystem`), as read-only ``(index, blocks)``
+    groups, one per class size (``blocks[r]`` acts on the samples ``index[r]``).
+    Only systems build it, each block checked finite (ValueError otherwise);
+    ``np.asarray`` gives the dense matrix."""
 
-    def __new__(cls, groups):
-        return super().__new__(cls, ((_frozen(i), _frozen(oplin._require_finite(b))) for i, b in groups))
+    grid: GridSpec = field(init=False)
+    lattice: GaborLattice = field(init=False)
+    groups: tuple = field(init=False, repr=False)
+    # scaled_gabor_operator's value: the (read-only) spectrum of the S it scales; else None
+    frame_eigenvalues: np.ndarray | None = field(init=False, repr=False, default=None)
+
+    @classmethod
+    def _of(cls, grid, lattice, groups, frame_eigenvalues=None) -> "LatticeOperator":
+        value = cls()
+        groups = tuple((_frozen(i), _frozen(oplin._require_finite(b))) for i, b in groups)
+        value.__dict__.update(grid=grid, lattice=lattice, groups=groups, frame_eigenvalues=frame_eigenvalues)
+        return value
 
     def __array__(self, dtype=None, copy=None):
-        total = sum(index.size for index, _ in self)
-        out = np.zeros((total, total), dtype=complex)
-        for index, blocks in self:
+        out = np.zeros((self.grid.total, self.grid.total), dtype=complex)
+        for index, blocks in self.groups:
             out[index[:, :, None], index[:, None, :]] = blocks
         return out.astype(dtype or complex, copy=False)
 
     def eigenvalues(self) -> np.ndarray:
         """Ascending eigenvalues of the (Hermitian) operator."""
-        return np.sort(np.concatenate([np.linalg.eigvalsh(blocks).ravel() for _, blocks in self]))
+        return np.sort(np.concatenate([np.linalg.eigvalsh(blocks).ravel() for _, blocks in self.groups]))
 
     def gap(self) -> float:
         """||Id - X||: the largest ||I - block||."""
-        return self.distance((index, np.eye(blocks.shape[-1])) for index, blocks in self)
+        eye = self._of(self.grid, self.lattice, ((i, np.eye(b.shape[-1])) for i, b in self.groups))
+        return self.distance(eye)
 
-    def distance(self, other) -> float:
-        """||Y - X|| for the Y with ``other``'s ``(index, blocks)`` pairs on these
-        classes: the largest block norm of the difference."""
-        pairs = zip(self, other, strict=True)
+    def distance(self, other: "LatticeOperator") -> float:
+        """||Y - X|| for ``other`` = Y: the largest block norm of the difference;
+        LatticeMismatch unless ``other`` lies on the same grid and lattice."""
+        if (other.grid, other.lattice) != (self.grid, self.lattice):
+            raise LatticeMismatch("operators on different grids or lattices have different classes")
+        pairs = zip(self.groups, other.groups)  # the same classes, grouped alike
         return max(float(np.max(np.linalg.norm(y - x, 2, axis=(-2, -1)))) for (_, x), (_, y) in pairs)
 
     def apply(self, v: np.ndarray, op=np.matmul) -> np.ndarray:
         """The vector whose samples in each class are ``op(block, v restricted to the class)``."""
         out = np.empty_like(v)
-        for index, blocks in self:
+        for index, blocks in self.groups:
             out[index] = op(blocks, v[index][..., None])[..., 0]
         return out
 
@@ -333,11 +349,11 @@ class _GaborSystem:
         return syn
 
     @cached_property
-    def frame_blocks(self) -> _ClassBlocks:
+    def frame_blocks(self) -> LatticeOperator:
         """``class_blocks(self)``, the blocks of the frame operator, built on first read."""
         return self.class_blocks(self)
 
-    def class_blocks(self, other) -> _ClassBlocks | None:
+    def class_blocks(self, other) -> LatticeOperator | None:
         """The blocks G_r against the system ``other``, or None unless it lies on
         the same grid and lattice."""
         if (self.window.grid, self.lattice) != (other.window.grid, other.lattice):
@@ -354,7 +370,7 @@ class _GaborSystem:
                 right = left if other is self else _embed(other.window)[at]
                 # M/s = 1/b: the modulation sum and the two 1/sqrt(s) embeddings
                 groups.append((index, (m * left) @ np.conj(np.swapaxes(right, -1, -2))))
-        return _ClassBlocks(groups)
+        return LatticeOperator._of(self.window.grid, self.lattice, groups)
 
 
 def gabor_frame(g: SampledWindow, lat: GaborLattice) -> Frame:
@@ -436,10 +452,11 @@ def painless_check(g: SampledWindow, lat: GaborLattice, support: int) -> Painles
     s = _GaborSystem.of(g, lat).frame_blocks
     w = s.eigenvalues()
     diag = np.empty(g.grid.total)
-    for index, blocks in s:
+    for index, blocks in s.groups:
         diag[index] = np.real(np.diagonal(blocks, axis1=-2, axis2=-1))
     # S is zero between classes, so ||S - diag(S)|| is the largest block's
-    off = s.distance((index, blocks * np.eye(blocks.shape[-1])) for index, blocks in s)
+    diagonal = ((index, blocks * np.eye(blocks.shape[-1])) for index, blocks in s.groups)
+    off = s.distance(LatticeOperator._of(g.grid, lat, diagonal))
     scale = float(w[-1])  # ||S|| = lambda_max(S), S being PSD
     b = float(lat.b)
     err_wb = float(np.max(np.abs(diag - weight / b))) / scale
@@ -586,41 +603,26 @@ def commutation_check(a_op, lat: GaborLattice, grid: GridSpec) -> float:
     return max(operator_norm(comm_e), operator_norm(comm_t))
 
 
-@dataclass(frozen=True, eq=False)
-class LatticeOperator:
-    """The frame operator of ``window``'s system on ``lattice`` over its upper
-    bound, held by its residue-class ``(index, blocks)`` groups (zero between
-    classes, see :class:`_GaborSystem`); built from the window, it commutes
-    with the lattice generators.  ``np.asarray`` gives the dense L x L matrix.
-    """
-
-    window: SampledWindow
-    lattice: GaborLattice
-    groups: _ClassBlocks = field(init=False, repr=False)
-    # ascending eigenvalues of the unscaled frame operator (read-only)
-    frame_eigenvalues: np.ndarray = field(init=False, repr=False)
-
-    def __post_init__(self):
-        s = _GaborSystem.of(self.window, self.lattice).frame_blocks
-        eigs = _frozen(s.eigenvalues())
-        upper = FrameBounds.from_eigenvalues(eigs).require("scaling system").upper
-        object.__setattr__(self, "groups", _ClassBlocks((i, b / upper) for i, b in s))
-        object.__setattr__(self, "frame_eigenvalues", eigs)
-
-    def __array__(self, dtype=None, copy=None):
-        return self.groups.__array__(dtype, copy)
-
-
 def scaled_gabor_operator(l_window: SampledWindow, lat: GaborLattice) -> LatticeOperator:
     """Frame operator of the given window's system, scaled by its upper bound.
 
     The result commutes with the lattice generators by construction, and
     its distance to the identity is 1 - lower/upper < 1, which makes it a
     ready-made operator for prescribing an approximation rate.  It is a
-    :class:`LatticeOperator`: ``np.asarray`` gives the dense matrix, and
-    :func:`approx_dual_window` reads its blocks.
+    :class:`LatticeOperator` that keeps the unscaled spectrum as
+    ``frame_eigenvalues``; :func:`approx_dual_window` reads its blocks.
     """
-    return LatticeOperator(l_window, lat)
+    s = _GaborSystem.of(l_window, lat).frame_blocks
+    eigs = _frozen(s.eigenvalues())
+    upper = FrameBounds.from_eigenvalues(eigs).require("scaling system").upper
+    return LatticeOperator._of(s.grid, s.lattice, ((i, b / upper) for i, b in s.groups), eigs)
+
+
+def mixed_lattice_operator(g: SampledWindow, h: SampledWindow, lat: GaborLattice) -> LatticeOperator:
+    """``mixed_operator(gabor_frame(g, lat), gabor_frame(h, lat))`` as a :class:`LatticeOperator`."""
+    if g.grid != h.grid:
+        raise DimensionMismatch("windows live on different grids")
+    return _GaborSystem.of(g, lat).class_blocks(_GaborSystem.of(h, lat))
 
 
 def approx_dual_window(
@@ -644,19 +646,19 @@ def approx_dual_window(
     if residual > GABOR_DUAL_TOL:
         raise NotDualPair("(g, g_dual) is not an exact dual pair", measured=residual)
     s = _GaborSystem.of(g, lat).frame_blocks
-    if isinstance(a_op, LatticeOperator) and (a_op.window.grid, a_op.lattice) == (g.grid, lat):
-        a = a_op.groups
+    if isinstance(a_op, LatticeOperator) and (a_op.grid, a_op.lattice) == (g.grid, lat):
+        a = a_op
     else:
         dense = oplin.as_operator(a_op)
         comm = commutation_check(dense, lat, g.grid)
         if comm > 1e-9:
             raise NotCommuting("operator must commute with the lattice generators", measured=comm)
-        a = _ClassBlocks((index, dense[index[:, :, None], index[:, None, :]]) for index, _ in s)
+        a = LatticeOperator._of(g.grid, lat, ((i, dense[i[:, :, None], i[:, None, :]]) for i, _ in s.groups))
     gap = a.gap()
     if not _strictly_below(gap, 1.0):
         raise ContractViolation("requires ||Id - A|| < 1", measured=gap)
     oplin._require_conditioned(
-        np.concatenate([np.linalg.svd(blocks, compute_uv=False).ravel() for _, blocks in s])
+        np.concatenate([np.linalg.svd(blocks, compute_uv=False).ravel() for _, blocks in s.groups])
     )
     vg = _embed(g)
     s_inv_g = s.apply(vg, np.linalg.solve)

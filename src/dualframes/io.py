@@ -6,7 +6,7 @@ windows as ``{"samples_per_unit": s, "period": P, "values": [...]}``;
 operators as ``{"rows": r, "cols": c, "entries": [...]}`` in row-major
 order; lattices as ``{"a": "p/q", "b": "p/q"}`` with exact rational
 strings.  Values round-trip bit-exactly (floats are serialized with full
-precision).
+precision); the sizes (dim, samples_per_unit, period, rows, cols) are JSON integers.
 
 Every file is written by ``dump_json``, which writes the bytes
 ``json.dump(data, fh, indent=1)`` and a newline would.  The ``save_*``
@@ -55,6 +55,13 @@ def _from_pairs(pairs, what: str) -> np.ndarray:
     return np.frombuffer(floats, dtype=complex)
 
 
+def _size(data: dict, key: str) -> int:
+    """``data[key]`` if it is a JSON integer (not a bool), else TypeError."""
+    if type(data[key]) is not int:
+        raise TypeError(f"'{key}' must be an integer, got {data[key]!r}")
+    return data[key]
+
+
 def _frame_record(frame: Frame) -> dict:
     return {"dim": frame.dim, "vectors": _packed(frame.synthesis.T)}
 
@@ -65,9 +72,9 @@ def frame_to_dict(frame: Frame) -> dict:
 
 def frame_from_dict(data: dict) -> Frame:
     try:
-        dim = int(data["dim"])
+        dim = _size(data, "dim")
         vectors = list(data["vectors"])
-    except (KeyError, TypeError, ValueError, OverflowError) as exc:
+    except (KeyError, TypeError) as exc:
         raise ParseError(f"frame JSON must carry 'dim' and 'vectors': {exc}") from exc
     if not vectors:
         raise ParseError("frame JSON has no vectors")
@@ -91,8 +98,8 @@ def window_to_dict(window: SampledWindow) -> dict:
 
 def window_from_dict(data: dict) -> SampledWindow:
     try:
-        grid = GridSpec(int(data["samples_per_unit"]), int(data["period"]))
-    except (KeyError, TypeError, ValueError, OverflowError) as exc:
+        grid = GridSpec(_size(data, "samples_per_unit"), _size(data, "period"))
+    except (KeyError, TypeError) as exc:
         raise ParseError(f"window JSON must carry grid fields: {exc}") from exc
     values = _from_pairs(data.get("values", []), "window values")
     if values.shape[0] != grid.total:
@@ -113,8 +120,8 @@ def operator_to_dict(matrix: np.ndarray) -> dict:
 
 def operator_from_dict(data: dict) -> np.ndarray:
     try:
-        rows, cols = int(data["rows"]), int(data["cols"])
-    except (KeyError, TypeError, ValueError, OverflowError) as exc:
+        rows, cols = _size(data, "rows"), _size(data, "cols")
+    except (KeyError, TypeError) as exc:
         raise ParseError(f"operator JSON must carry 'rows' and 'cols': {exc}") from exc
     entries = _from_pairs(data.get("entries", []), "operator entries")
     if entries.shape[0] != rows * cols:

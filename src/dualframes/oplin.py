@@ -61,6 +61,11 @@ def operator_norm(m) -> float:
     return float(np.linalg.norm(a, 2))
 
 
+def identity_gap(m) -> float:
+    """||Id - M|| of a square matrix M; for a mixed operator, the approximation rate."""
+    return operator_norm(identity(len(m)) - m)
+
+
 @dataclass(frozen=True)
 class Spectrum:
     """Hermitian eigendecomposition: ascending eigenvalues, unitary columns."""

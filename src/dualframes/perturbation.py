@@ -19,6 +19,7 @@ from .duality import _theta_part
 from .errors import NotApproxDual, NotRieszBasis, SmallnessViolated
 from .frames import (
     Frame,
+    _mixed_and_rate,
     bessel_bound_difference,
     canonical_dual,
     frame_bounds,
@@ -57,11 +58,10 @@ def _transfer(phi: Frame, psi: Frame, phi_dual: Frame, expect_approx: bool) -> T
     m_phi, big_m_phi = require_frame(phi, "original frame")
     m_psi, big_m_psi = require_frame(psi, "perturbed frame")
 
-    mixed = mixed_operator(phi, phi_dual)
-    if expect_approx:
-        rate = operator_norm(oplin.identity(phi.dim) - mixed)
-        if not _strictly_below(rate, 1.0):
-            raise NotApproxDual("(phi, phi_dual) is not approximately dual", measured=rate)
+    mixed, rate = _mixed_and_rate(phi, phi_dual)
+    if expect_approx and not _strictly_below(rate, 1.0):
+        raise NotApproxDual("(phi, phi_dual) is not approximately dual", measured=rate)
+    mixed = np.asarray(mixed)
     inv_mixed = oplin.inverse(mixed)
     inv_mixed_norm = operator_norm(inv_mixed)
 
@@ -144,12 +144,11 @@ def riesz_difference_bound(phi: Frame, psi: Frame) -> float:
     if not (is_riesz(phi) and is_riesz(psi)):
         raise NotRieszBasis("both inputs must be Riesz bases (square, invertible synthesis)")
     d = psi.synthesis @ oplin.inverse(phi.synthesis)
-    eye = oplin.identity(phi.dim)
     big_m_phi = frame_bounds(phi).upper
     big_m_psi = frame_bounds(psi).upper
     return float(
         min(
-            big_m_phi * operator_norm(eye - d) ** 2,
-            big_m_psi * operator_norm(eye - oplin.inverse(d)) ** 2,
+            big_m_phi * oplin.identity_gap(d) ** 2,
+            big_m_psi * oplin.identity_gap(oplin.inverse(d)) ** 2,
         )
     )

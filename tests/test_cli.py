@@ -277,6 +277,14 @@ class TestUsage:
             (["gabor", "weight", "--window", "{inf_grid}", "--a", "1"], "window JSON must carry grid fields"),
             (["dual", "{phi}", "--mode", "approx", "--op-file", "{inf_rows}"],
              "operator JSON must carry 'rows' and 'cols'"),
+            # sizes that are not JSON integers
+            (["frame-info", "{float_dim}"], "'dim' must be an integer"),
+            (["frame-info", "{string_dim}"], "'dim' must be an integer"),
+            (["frame-info", "{bool_dim}"], "'dim' must be an integer"),
+            (["gabor", "weight", "--window", "{float_samples}", "--a", "1"],
+             "'samples_per_unit' must be an integer"),
+            (["gabor", "weight", "--window", "{bool_period}", "--a", "1"], "'period' must be an integer"),
+            (["dual", "{phi}", "--mode", "approx", "--op-file", "{float_rows}"], "'rows' must be an integer"),
         ],
     )
     def test_unusable_input_file_exit_3(self, argv, message, phi0_file, tmp_path, capsys):
@@ -288,6 +296,12 @@ class TestUsage:
             "huge_pair": '{"dim": 1, "vectors": [[[1' + "0" * 400 + ', 0]]]}',
             "inf_grid": '{"samples_per_unit": Infinity, "period": 1, "values": [[1, 0]]}',
             "inf_rows": '{"rows": 1e999, "cols": 2, "entries": []}',
+            "float_dim": '{"dim": 2.9, "vectors": [[[1, 0], [0, 1]]]}',
+            "string_dim": '{"dim": "2", "vectors": [[[1, 0], [0, 1]]]}',
+            "bool_dim": '{"dim": true, "vectors": [[[1, 0]]]}',
+            "float_samples": '{"samples_per_unit": 1.7, "period": 1, "values": [[1, 0]]}',
+            "bool_period": '{"samples_per_unit": 1, "period": true, "values": [[1, 0]]}',
+            "float_rows": '{"rows": 1.5, "cols": 1, "entries": [[1, 0]]}',
         }
         files = {"phi": phi0_file, "window": str(window)}
         for name, text in texts.items():

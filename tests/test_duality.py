@@ -3,6 +3,7 @@ import pytest
 
 from dualframes import (
     ContractViolation,
+    DimensionMismatch,
     Frame,
     NotAFrame,
     NotApproxDual,
@@ -224,6 +225,12 @@ class TestApproxDualFromMixed:
     def test_rejects_distant_target(self, phi0):
         with pytest.raises(ContractViolation):
             approx_dual_from_mixed(phi0, 2.5 * identity(2))
+
+    # a 1x1 target once broadcast against the 2x2 identity; a 3x3 one would reach the rate check
+    @pytest.mark.parametrize("target", [[[0.9]], 0.9 * identity(3), 3.0 * identity(3), 0.9 * identity(2)[:, :1]])
+    def test_rejects_target_of_another_size(self, phi0, target):
+        with pytest.raises(DimensionMismatch, match="target must be 2x2"):
+            approx_dual_from_mixed(phi0, target)
 
 
 class TestRecoverParameters:

@@ -1,4 +1,5 @@
 from fractions import Fraction
+from unittest import mock
 
 import numpy as np
 import pytest
@@ -9,38 +10,46 @@ from dualframes import frames, gabor
 from dualframes import (
     BadCoefficients,
     ContractViolation,
+    DimensionMismatch,
     Frame,
     GaborLattice,
     GridSpec,
     HypothesisViolated,
     LatticeMismatch,
     LatticeOperator,
+    NotApproxDual,
     NotCommuting,
     NotDualPair,
     OffGrid,
     SampledWindow,
     SupportOverflow,
+    approx_dual_via_dual,
     approx_dual_window,
     approximation_rate,
     bspline_value,
     char_dual_check,
     ck_dual1,
     ck_dual2,
+    classify_pair,
     commutation_check,
     frame_bounds,
     frame_operator,
     gabor_frame,
+    gdual_factorization,
     identity,
     janssen_residual,
     janssen_residual_table,
+    mixed_lattice_operator,
     mixed_operator,
     operator_norm,
     painless_check,
     partition_of_unity_residual,
+    recover_parameters,
     sample_bspline,
     sample_char,
     sample_function,
     scaled_gabor_operator,
+    transfer_approx_dual,
     walnut_weight,
 )
 
@@ -60,6 +69,15 @@ class TestGrid:
     def test_rejects_bad_parameters(self):
         with pytest.raises(Exception):
             GridSpec(0, 4)
+
+    @pytest.mark.parametrize("sizes", [(2.5, 2), (2, 2.0), ("2", 2), (2, None)])
+    def test_rejects_non_integral_sizes(self, sizes):
+        with pytest.raises(DimensionMismatch, match="must be positive integers"):
+            GridSpec(*sizes)
+
+    def test_accepts_numpy_integers(self):
+        grid = GridSpec(np.int64(4), np.int32(2))
+        assert grid == GridSpec(4, 2) and grid.total == 8
 
 
 class TestBSpline:
@@ -473,6 +491,87 @@ class TestClassBlocks:
                 read(gabor_frame(huge, lat))
 
 
+class TestGaborPairPipeline:
+    """The pair functions on lazy Gabor systems against the dense oracle
+    Frame(np.array(system.synthesis)); the lazy pairs read their rate from the blocks."""
+
+    grid = GridSpec(6, 6)
+    lat = GaborLattice(1, Fraction(1, 3))
+
+    def windows(self):
+        g = sample_bspline(2, self.grid)
+        dual = ck_dual1(g, 2, self.lat.b)
+        a_op = scaled_gabor_operator(sample_bspline(3, self.grid), self.lat)
+        partners = {
+            "dual": dual,
+            "approx": approx_dual_window(g, dual, a_op, self.lat),
+            "gdual": SampledWindow(self.grid, 3.0 * dual.values),  # mixed operator 3 Id
+            "none": SampledWindow(self.grid, np.zeros(self.grid.total)),  # mixed operator 0
+        }
+        return g, partners, a_op
+
+    def frames(self, *windows):
+        lazy = [gabor_frame(w, self.lat) for w in windows]
+        return lazy, [Frame(np.array(gabor_frame(w, self.lat).synthesis)) for w in windows]
+
+    @pytest.mark.parametrize("kind", ["dual", "approx", "gdual", "none"])
+    def test_verdicts_match_the_dense_pair(self, kind):
+        g, partners, _ = self.windows()
+        (phi, psi), (phi_d, psi_d) = self.frames(g, partners[kind])
+        gap = mixed_lattice_operator(g, partners[kind], self.lat).gap()
+        norms, norm = [], np.linalg.norm
+
+        def counted_norm(x, ord=None, *args, **kwargs):
+            if np.ndim(x) == 2 and ord in (2, -2):  # a 2-norm of a matrix is an SVD
+                norms.append(np.shape(x))
+            return norm(x, ord, *args, **kwargs)
+
+        with mock.patch.object(np.linalg, "norm", counted_norm):
+            classified = classify_pair(phi, psi)
+        assert norms == []  # its rate is the block gap, not the 2-norm of an L x L matrix
+        for lazy, dense in ((classified, classify_pair(phi_d, psi_d)),
+                            (gdual_factorization(phi, psi), gdual_factorization(phi_d, psi_d))):
+            assert lazy.kind == dense.kind == kind
+            assert lazy.rate == gap
+            assert abs(lazy.rate - dense.rate) <= 1e-12
+        if kind in ("dual", "approx"):
+            w_lazy, theta_lazy = recover_parameters(phi, psi)
+            w_dense, theta_dense = recover_parameters(phi_d, psi_d)
+            assert np.max(np.abs(w_lazy - w_dense)) <= 1e-12
+            assert np.max(np.abs(theta_lazy.map - theta_dense.map)) <= 1e-12
+        else:
+            for pair in ((phi, psi), (phi_d, psi_d)):
+                with pytest.raises(NotApproxDual) as err:
+                    recover_parameters(*pair)
+                assert abs(err.value.measured - gap) <= 1e-12
+
+    def test_transfer_keeps_the_mixed_operator(self):
+        g, partners, _ = self.windows()
+        moved = SampledWindow(self.grid, g.values * (1.0 + 0.01 * np.cos(self.grid.points())))
+        lazy, dense = self.frames(g, moved, partners["approx"])
+        results = [transfer_approx_dual(*frames) for frames in (lazy, dense)]
+        for result in results:
+            assert result.mixed_match_residual <= 1e-9
+            assert result.measured_diff_bound <= result.predicted_diff_bound + 1e-9
+        assert np.max(np.abs(results[0].psi_dual.synthesis - results[1].psi_dual.synthesis)) <= 1e-9
+
+    def test_via_dual_holds_its_exact_dual_gate(self):
+        g, partners, a_op = self.windows()
+        target = np.asarray(a_op)
+        (phi, phi_dual, phi_ad), (phi_d, dual_d, ad_d) = self.frames(g, partners["dual"], partners["approx"])
+        lazy = approx_dual_via_dual(phi, phi_dual, target=target)
+        dense = approx_dual_via_dual(phi_d, dual_d, target=target)
+        assert np.max(np.abs(lazy.synthesis - dense.synthesis)) <= 1e-12
+        assert operator_norm(mixed_operator(phi_d, lazy) - target) <= 1e-10
+        measured = []
+        for pair in ((phi, phi_ad), (phi_d, ad_d)):
+            with pytest.raises(NotDualPair) as err:
+                approx_dual_via_dual(*pair, target=target)
+            measured.append(err.value.measured)
+        assert measured[0] == mixed_lattice_operator(g, partners["approx"], self.lat).gap()
+        assert abs(measured[0] - measured[1]) <= 1e-12
+
+
 class TestCkDuals:
     def test_ck1_formula_b_spline_two(self):
         grid = GridSpec(10, 20)
@@ -776,7 +875,7 @@ class TestLatticeOperator:
         expected = frame_operator(oracle) / frame_bounds(oracle).upper
         assert np.max(np.abs(dense - expected)) <= 1e-12
 
-        gap = value.groups.gap()
+        gap = value.gap()
         assert abs(gap - operator_norm(identity(grid.total) - dense)) <= 1e-12
         # the canonical dual window, solved densely: an exact dual pair
         s_dense = frame_operator(Frame(np.array(gabor_frame(g, lat).synthesis)))
@@ -788,6 +887,58 @@ class TestLatticeOperator:
         # A* S^{-1} g - g + S g_dual with every operator dense (worst seen: 1.05e-12 relative)
         dense_window = dense.conj().T @ np.linalg.solve(s_dense, g.values) - g.values + s_dense @ g_dual.values
         assert np.max(np.abs(from_blocks - dense_window)) <= 1e-10 * np.max(np.abs(dense_window))
+
+    @settings(max_examples=30, deadline=None)
+    @given(case=_commensurate_lattices(), complex_values=st.booleans(), seed=st.integers(0, 2**32 - 1))
+    def test_each_build_matches_its_dense_matrix(self, case, complex_values, seed):
+        grid, lat = case
+        rng = np.random.default_rng(seed)
+        g, h, scale = (_frame_window(rng, grid, lat, complex_values) for _ in range(3))
+        g_d, h_d, scale_d = (Frame(np.array(gabor_frame(w, lat).synthesis)) for w in (g, h, scale))
+        s_dense = frame_operator(g_d)
+        g_dual = SampledWindow(grid, np.linalg.solve(s_dense, g.values))
+        scaled = scaled_gabor_operator(scale, lat)
+        # the value approx_dual_window gathers is the one whose gap it checks
+        with mock.patch.object(LatticeOperator, "gap", autospec=True, side_effect=LatticeOperator.gap) as gap:
+            approx_dual_window(g, g_dual, np.asarray(scaled), lat)
+        gathered = gap.call_args.args[0]
+        # built (value, its dense matrix, Hermitian?): the mixed operator of two systems,
+        # a frame operator over its upper bound, and a dense matrix gathered into g's classes
+        builds = [
+            (mixed_lattice_operator(g, h, lat), mixed_operator(g_d, h_d), False),
+            (mixed_lattice_operator(g, g, lat), s_dense, True),
+            (scaled, frame_operator(scale_d) / frame_bounds(scale_d).upper, True),
+            (gathered, np.asarray(scaled), True),
+        ]
+        assert gap.call_count == 1 and gathered is not scaled
+        assert np.array_equal(np.asarray(gathered), np.asarray(scaled))
+        eye = np.eye(grid.total)
+        v = rng.standard_normal(grid.total) + 1j * rng.standard_normal(grid.total)
+        for value, dense, hermitian in builds:
+            tol = 1e-12 * max(1.0, operator_norm(dense))
+            assert np.array_equal(eye - value, eye - np.asarray(value))  # what the benchmark computes
+            assert np.max(np.abs(np.asarray(value) - dense)) <= tol
+            if hermitian:
+                assert np.max(np.abs(value.eigenvalues() - np.linalg.eigvalsh(dense))) <= tol
+            assert abs(value.gap() - operator_norm(eye - dense)) <= tol
+            assert np.max(np.abs(value.apply(v) - dense @ v)) <= tol * np.max(np.abs(v)) * grid.total
+            for other, other_dense, _ in builds:
+                assert abs(value.distance(other) - operator_norm(other_dense - dense)) <= tol + 1e-12 * max(
+                    1.0, operator_norm(other_dense)
+                )
+
+    def test_distance_across_lattices_raises(self):
+        lat = GaborLattice(1, Fraction(1, 3))
+        b2 = sample_bspline(2, GridSpec(6, 6))
+        value = scaled_gabor_operator(b2, lat)
+        others = [
+            scaled_gabor_operator(b2, GaborLattice(1, Fraction(1, 2))),
+            scaled_gabor_operator(b2, GaborLattice(Fraction(1, 2), Fraction(1, 3))),
+            scaled_gabor_operator(sample_bspline(2, GridSpec(3, 6)), lat),  # another grid
+        ]
+        for other in others:
+            with pytest.raises(LatticeMismatch):
+                value.distance(other)
 
     def test_value_skips_the_dense_checks(self, monkeypatch):
         grid = GridSpec(10, 20)
@@ -860,4 +1011,4 @@ class TestLatticeOperator:
         with pytest.raises(AttributeError):
             value.groups = ()
         with pytest.raises(TypeError):  # the blocks always come from the window
-            LatticeOperator(value.window, value.lattice, value.groups)
+            LatticeOperator(value.grid, value.lattice, value.groups)

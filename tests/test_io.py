@@ -267,6 +267,23 @@ class TestDecodeStrictness:
         with pytest.raises(ParseError):
             io.frame_from_dict({"dim": 2, "vectors": vectors})
 
+    # sizes were once read with int(), which truncated 2.9 to 2 and took "2" and true
+    @pytest.mark.parametrize(
+        "load, data",
+        [
+            (io.frame_from_dict, {"dim": 2.9, "vectors": [[[1, 0], [0, 1]]]}),
+            (io.frame_from_dict, {"dim": "2", "vectors": [[[1, 0], [0, 1]]]}),
+            (io.frame_from_dict, {"dim": True, "vectors": [[[1, 0]]]}),
+            (io.window_from_dict, {"samples_per_unit": 1.7, "period": 1, "values": [[1, 0]]}),
+            (io.window_from_dict, {"samples_per_unit": 1, "period": True, "values": [[1, 0]]}),
+            (io.operator_from_dict, {"rows": 1.5, "cols": 1, "entries": [[1, 0]]}),
+        ],
+        ids=["dim 2.9", "dim string", "dim true", "samples_per_unit 1.7", "period true", "rows 1.5"],
+    )
+    def test_rejects_non_integer_sizes(self, load, data):
+        with pytest.raises(ParseError, match="must be an integer"):
+            load(data)
+
     @pytest.mark.parametrize("kind", ["frame", "window", "operator"])
     @pytest.mark.parametrize("pairs", WELL_FORMED_PAIRS.values(), ids=WELL_FORMED_PAIRS)
     def test_accepts_json_numbers(self, kind, pairs):
