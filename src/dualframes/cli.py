@@ -27,7 +27,6 @@ from . import io
 from .duality import approx_dual_from_mixed, gdual_factorization, gdual_from_corresponding
 from .errors import DimensionMismatch, FrameError, ParseError
 from .frames import (
-    Frame,
     approximation_rate,
     canonical_dual,
     frame_bounds,
