@@ -84,8 +84,8 @@ class Frame:
     holds the system instead of the matrix and builds the matrix, once,
     when :attr:`synthesis` is first read.  ``dim`` and ``count`` never
     build it; the frame operator, mixed operator, approximation rate and
-    eigenvalues of systems sharing their structure are read from their
-    residue-class block values, a system keeping the one of its own S (see :func:`mixed_operator`).
+    eigenvalues of systems sharing their structure are read from the
+    residue-class blocks, which a system keeps for its own S (see :func:`mixed_operator`).
     """
 
     def __init__(self, synthesis):
