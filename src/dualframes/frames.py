@@ -70,10 +70,10 @@ class Frame:
     frame operator S = T T* are computed lazily, at most once per frame,
     and cached on the instance:
 
-    * :attr:`eigenvalues` -- the spectrum of S (eigenvalues only), behind
-      the frame bounds;
-    * :attr:`spectrum` -- the full Hermitian eigendecomposition of S,
-      computed only when a root or an inverse of S is first needed;
+    * :attr:`spectrum` -- the full Hermitian eigendecomposition of S;
+    * :attr:`eigenvalues` -- the spectrum of S, behind the frame bounds:
+      the spectrum's own array, or a system frame's block eigenvalues
+      (its spectrum is built only when a root or an inverse of S is needed);
     * :attr:`kernel` -- an orthonormal basis of ker T.
 
     Operators derived from them (S^{1/2}, S^{-1/2}, S^{-1} T) are rebuilt
@@ -140,19 +140,17 @@ class Frame:
 
     @cached_property
     def eigenvalues(self) -> np.ndarray:
-        """Ascending eigenvalues of the frame operator (read-only)."""
+        """Ascending eigenvalues of S (read-only): a system's blocks', else the spectrum's array."""
         blocks = _class_blocks(self, self)
         if blocks is None:
-            return _frozen(np.linalg.eigvalsh(frame_operator(self)))
+            return self.spectrum.eigenvalues
         return _frozen(blocks.eigenvalues())
 
     @cached_property
     def spectrum(self) -> oplin.Spectrum:
         """Hermitian eigendecomposition of the frame operator (read-only)."""
         w, v = np.linalg.eigh(frame_operator(self))
-        spec = oplin.Spectrum(_frozen(w), _frozen(v))
-        self.__dict__.setdefault("eigenvalues", spec.eigenvalues)
-        return spec
+        return oplin.Spectrum(_frozen(w), _frozen(v))
 
     @cached_property
     def kernel(self) -> np.ndarray:
@@ -234,8 +232,8 @@ def frame_operator_inv_sqrt(phi: Frame) -> np.ndarray:
 
 def canonical_dual(phi: Frame) -> Frame:
     """The frame ( S^{-1} phi_k )_k, giving exact reconstruction."""
-    spec = phi.spectrum  # first, so that its eigenvalues also serve the frame check
     require_frame(phi, "frame")
+    spec = phi.spectrum
     v = spec.eigenvectors
     return Frame._adopt((v / spec.eigenvalues) @ (adjoint(v) @ phi.synthesis))
 

@@ -50,6 +50,7 @@ from .errors import (
     LatticeMismatch,
     NotCommuting,
     NotDualPair,
+    NotHermitian,
     OffGrid,
     SupportOverflow,
 )
@@ -269,14 +270,17 @@ class LatticeOperator:
     grid: GridSpec = field(init=False)
     lattice: GaborLattice = field(init=False)
     groups: tuple = field(init=False, repr=False)
+    # Hermitian by construction (a window's frame operator, or that scaled); eigenvalues() needs it
+    hermitian: bool = field(init=False, repr=False, default=False)
     # scaled_gabor_operator's value: the (read-only) spectrum of the S it scales; else None
     frame_eigenvalues: np.ndarray | None = field(init=False, repr=False, default=None)
 
     @classmethod
-    def _of(cls, grid, lattice, groups, frame_eigenvalues=None) -> "LatticeOperator":
+    def _of(cls, grid, lattice, groups, hermitian=False, frame_eigenvalues=None) -> "LatticeOperator":
         value = cls()
         groups = tuple((_frozen(i), _frozen(oplin._require_finite(b))) for i, b in groups)
-        value.__dict__.update(grid=grid, lattice=lattice, groups=groups, frame_eigenvalues=frame_eigenvalues)
+        value.__dict__.update(grid=grid, lattice=lattice, groups=groups, hermitian=hermitian,
+                              frame_eigenvalues=frame_eigenvalues)
         return value
 
     def __array__(self, dtype=None, copy=None):
@@ -286,7 +290,9 @@ class LatticeOperator:
         return out.astype(dtype or complex, copy=False)
 
     def eigenvalues(self) -> np.ndarray:
-        """Ascending eigenvalues of the (Hermitian) operator."""
+        """Ascending eigenvalues; NotHermitian unless the value is Hermitian by construction."""
+        if not self.hermitian:
+            raise NotHermitian("eigenvalues need an operator that is Hermitian by construction")
         return np.sort(np.concatenate([np.linalg.eigvalsh(blocks).ravel() for _, blocks in self.groups]))
 
     def gap(self) -> float:
@@ -360,6 +366,7 @@ class _GaborSystem:
             return None
         total, m = self.window.grid.total, self.modulations
         shifts = self.step * np.arange(self.shifts)
+        same = other.window is self.window  # then the blocks are Hermitian by construction
         size, longer = divmod(total, m)  # classes r < longer hold one sample more
         groups = []
         for classes, n in ((np.arange(longer), size + 1), (np.arange(longer, m), size)):
@@ -367,10 +374,10 @@ class _GaborSystem:
                 index = classes[:, None] + m * np.arange(n)
                 at = (index[..., None] - shifts) % total  # x - n step for every x and n
                 left = _embed(self.window)[at]
-                right = left if other is self else _embed(other.window)[at]
+                right = left if same else _embed(other.window)[at]
                 # M/s = 1/b: the modulation sum and the two 1/sqrt(s) embeddings
                 groups.append((index, (m * left) @ np.conj(np.swapaxes(right, -1, -2))))
-        return LatticeOperator._of(self.window.grid, self.lattice, groups)
+        return LatticeOperator._of(self.window.grid, self.lattice, groups, hermitian=same)
 
 
 def gabor_frame(g: SampledWindow, lat: GaborLattice) -> Frame:
@@ -615,7 +622,7 @@ def scaled_gabor_operator(l_window: SampledWindow, lat: GaborLattice) -> Lattice
     s = _GaborSystem.of(l_window, lat).frame_blocks
     eigs = _frozen(s.eigenvalues())
     upper = FrameBounds.from_eigenvalues(eigs).require("scaling system").upper
-    return LatticeOperator._of(s.grid, s.lattice, ((i, b / upper) for i, b in s.groups), eigs)
+    return LatticeOperator._of(s.grid, s.lattice, ((i, b / upper) for i, b in s.groups), True, eigs)
 
 
 def mixed_lattice_operator(g: SampledWindow, h: SampledWindow, lat: GaborLattice) -> LatticeOperator:

@@ -8,11 +8,11 @@ order; lattices as ``{"a": "p/q", "b": "p/q"}`` with exact rational
 strings.  Values round-trip bit-exactly (floats are serialized with full
 precision); the sizes (dim, samples_per_unit, period, rows, cols) are JSON integers.
 
-Every file is written by ``dump_json``, which writes the bytes
-``json.dump(data, fh, indent=1)`` and a newline would.  The ``save_*``
-functions hand it the values packed as float arrays of ``[re, im]``
-pairs; it streams each such array in chunks of at most ``_CHUNK`` floats,
-so a save builds no Python list of the whole array.
+Every file is written by ``dump_json`` as one line, ``json.dumps(data)``
+and a newline.  The ``save_*`` functions hand it the values packed as
+float arrays of ``[re, im]`` pairs; it streams each such array in chunks
+of at most ``_CHUNK`` floats, so a save builds no Python list of the whole
+array.  The loaders read any JSON layout.
 """
 
 from __future__ import annotations
@@ -56,9 +56,9 @@ def _from_pairs(pairs, what: str) -> np.ndarray:
 
 
 def _size(data: dict, key: str) -> int:
-    """``data[key]`` if it is a JSON integer (not a bool), else TypeError."""
-    if type(data[key]) is not int:
-        raise TypeError(f"'{key}' must be an integer, got {data[key]!r}")
+    """``data[key]`` if it is a JSON integer (not a bool) >= 0, else TypeError."""
+    if type(data[key]) is not int or data[key] < 0:
+        raise TypeError(f"'{key}' must be an integer >= 0, got {data[key]!r}")
     return data[key]
 
 
@@ -159,67 +159,39 @@ def load_json(path) -> dict:
     return data
 
 
-def _list_items(chunk: np.ndarray, level: int) -> str:
-    """The items of ``chunk.tolist()`` as ``json.dump(indent=1)`` writes them
-    inside a list whose brackets sit at indent ``level``, brackets left out."""
-    depth = chunk.ndim
-    opens = ["[\n" + " " * (level + d + 1) for d in range(depth)]
-    closes = ["\n" + " " * (level + d) + "]" for d in range(depth)]
-    text = repr(chunk.tolist())[depth:-depth]
-    if not np.isfinite(chunk).all():
-        # repr writes nan and inf where json writes NaN and Infinity
-        text = text.replace("nan", "NaN").replace("inf", "Infinity")
-    # repr separates the items of a list at depth d by "]" * k + ", " + "[" * k,
-    # k = depth - 1 - d; the longest separators go first
-    for d in range(depth):
-        k = depth - 1 - d
-        sep = "".join(closes[depth - 1:d:-1]) + ",\n" + " " * (level + d + 1) + "".join(opens[d + 1:])
-        text = text.replace("]" * k + ", " + "[" * k, sep)
-    return "".join(opens[1:]) + text + "".join(closes[:0:-1])
-
-
-def _write_array(fh, values: np.ndarray, level: int) -> None:
-    """Write ``values.tolist()`` as ``json.dump(indent=1)`` would at indent ``level``."""
-    if values.size == 0:
-        fh.write(json.dumps(values.tolist(), indent=1).replace("\n", "\n" + " " * level))
-        return
-    row = values[0].size
-    step = max(1, _CHUNK // row)
-    fh.write("[\n" + " " * (level + 1))
+def _write_array(fh, values: np.ndarray) -> None:
+    """Write ``json.dumps(values.tolist())`` in chunks of at most ``_CHUNK`` floats,
+    a row that holds more row by row."""
+    row = values[0].size if len(values) else 0
+    step = max(1, _CHUNK // max(row, 1))
+    fh.write("[")
     for start in range(0, len(values), step):
         if start:
-            fh.write(",\n" + " " * (level + 1))
+            fh.write(", ")
         if row > _CHUNK:
-            _write_array(fh, values[start], level + 1)
+            _write_array(fh, values[start])
         else:
-            fh.write(_list_items(values[start:start + step], level))
-    fh.write("\n" + " " * level + "]")
-
-
-def _write_object(fh, data: dict) -> None:
-    """Write the non-empty ``data`` as ``json.dump(indent=1)`` would, an ndarray
-    value as its ``tolist()``."""
-    fh.write("{")
-    for i, (key, value) in enumerate(data.items()):
-        fh.write(",\n" if i else "\n")
-        # json.dumps of a one-item object holds the item as json.dump writes it
-        if isinstance(value, np.ndarray):
-            fh.write(json.dumps({key: None}, indent=1)[2:-len("null\n}")])
-            _write_array(fh, value, 1)
-        else:
-            fh.write(json.dumps({key: value}, indent=1)[2:-len("\n}")])
-    fh.write("\n}")
+            fh.write(json.dumps(values[start:start + step].tolist())[1:-1])
+    fh.write("]")
 
 
 def dump_json(data, path) -> None:
-    """Write to ``path`` what ``json.dump(data, fh, indent=1)`` and a newline
-    would.  A float ndarray value of a top-level object stands for its
-    ``tolist()`` and is streamed in chunks."""
+    """Write ``json.dumps(data)`` and a newline to ``path``.  A float ndarray value
+    of a top-level object stands for its ``tolist()`` and is streamed in chunks."""
     with open(path, "w", encoding="utf-8") as fh:
         if isinstance(data, dict) and any(isinstance(v, np.ndarray) for v in data.values()):
-            _write_object(fh, data)
+            fh.write("{")
+            for i, (key, value) in enumerate(data.items()):
+                fh.write(", " if i else "")
+                if isinstance(value, np.ndarray):
+                    # json.dumps of a one-item object holds its key as json.dumps writes it
+                    fh.write(json.dumps({key: None})[1:-len("null}")])
+                    _write_array(fh, value)
+                else:
+                    fh.write(json.dumps({key: value})[1:-1])
+            fh.write("}")
         else:
-            json.dump(data, fh, indent=1)
+            json.dump(data, fh)
         fh.write("\n")
 
 

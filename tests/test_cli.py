@@ -285,6 +285,11 @@ class TestUsage:
              "'samples_per_unit' must be an integer"),
             (["gabor", "weight", "--window", "{bool_period}", "--a", "1"], "'period' must be an integer"),
             (["dual", "{phi}", "--mode", "approx", "--op-file", "{float_rows}"], "'rows' must be an integer"),
+            # negative sizes
+            (["dual", "{phi}", "--mode", "approx", "--op-file", "{negative_rows}"], "'rows' must be an integer"),
+            (["frame-info", "{negative_dim}"], "'dim' must be an integer"),
+            (["gabor", "weight", "--window", "{negative_samples}", "--a", "1"],
+             "'samples_per_unit' must be an integer"),
         ],
     )
     def test_unusable_input_file_exit_3(self, argv, message, phi0_file, tmp_path, capsys):
@@ -302,6 +307,9 @@ class TestUsage:
             "float_samples": '{"samples_per_unit": 1.7, "period": 1, "values": [[1, 0]]}',
             "bool_period": '{"samples_per_unit": 1, "period": true, "values": [[1, 0]]}',
             "float_rows": '{"rows": 1.5, "cols": 1, "entries": [[1, 0]]}',
+            "negative_rows": '{"rows": -1, "cols": -1, "entries": [[1, 0]]}',
+            "negative_dim": '{"dim": -2, "vectors": [[[1, 0], [0, 1]]]}',
+            "negative_samples": '{"samples_per_unit": -1, "period": 1, "values": [[1, 0]]}',
         }
         files = {"phi": phi0_file, "window": str(window)}
         for name, text in texts.items():

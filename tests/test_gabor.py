@@ -20,6 +20,7 @@ from dualframes import (
     NotApproxDual,
     NotCommuting,
     NotDualPair,
+    NotHermitian,
     OffGrid,
     SampledWindow,
     SupportOverflow,
@@ -908,7 +909,8 @@ class TestLatticeOperator:
             (mixed_lattice_operator(g, h, lat), mixed_operator(g_d, h_d), False),
             (mixed_lattice_operator(g, g, lat), s_dense, True),
             (scaled, frame_operator(scale_d) / frame_bounds(scale_d).upper, True),
-            (gathered, np.asarray(scaled), True),
+            # eigenvalues() needs a value Hermitian by construction, which a gathered array is not
+            (gathered, np.asarray(scaled), False),
         ]
         assert gap.call_count == 1 and gathered is not scaled
         assert np.array_equal(np.asarray(gathered), np.asarray(scaled))
@@ -920,12 +922,28 @@ class TestLatticeOperator:
             assert np.max(np.abs(np.asarray(value) - dense)) <= tol
             if hermitian:
                 assert np.max(np.abs(value.eigenvalues() - np.linalg.eigvalsh(dense))) <= tol
+            else:
+                with pytest.raises(NotHermitian):
+                    value.eigenvalues()
             assert abs(value.gap() - operator_norm(eye - dense)) <= tol
             assert np.max(np.abs(value.apply(v) - dense @ v)) <= tol * np.max(np.abs(v)) * grid.total
             for other, other_dense, _ in builds:
                 assert abs(value.distance(other) - operator_norm(other_dense - dense)) <= tol + 1e-12 * max(
                     1.0, operator_norm(other_dense)
                 )
+
+    def test_eigenvalues_of_a_non_hermitian_value_raise(self):
+        grid = GridSpec(6, 6)
+        lat = GaborLattice(1, Fraction(1, 3))
+        g = sample_bspline(2, grid)
+        h = SampledWindow(grid, (1 + 1j) * np.roll(g.values, 3))
+        value = mixed_lattice_operator(g, h, lat)
+        # its spectrum is not real, where eigvalsh of one triangle per block gave real numbers
+        assert np.max(np.abs(np.linalg.eigvals(np.asarray(value)).imag)) > 0.5
+        with pytest.raises(NotHermitian):
+            value.eigenvalues()
+        frame_op = mixed_lattice_operator(g, g, lat)
+        assert np.array_equal(frame_op.eigenvalues(), gabor_frame(g, lat).eigenvalues)
 
     def test_distance_across_lattices_raises(self):
         lat = GaborLattice(1, Fraction(1, 3))
