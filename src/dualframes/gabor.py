@@ -622,7 +622,8 @@ def scaled_gabor_operator(l_window: SampledWindow, lat: GaborLattice) -> Lattice
     s = _GaborSystem.of(l_window, lat).frame_blocks
     eigs = _frozen(s.eigenvalues())
     upper = FrameBounds.from_eigenvalues(eigs).require("scaling system").upper
-    return LatticeOperator._of(s.grid, s.lattice, ((i, b / upper) for i, b in s.groups), True, eigs)
+    groups = ((i, b / upper) for i, b in s.groups)
+    return LatticeOperator._of(s.grid, s.lattice, groups, hermitian=True, frame_eigenvalues=eigs)
 
 
 def mixed_lattice_operator(g: SampledWindow, h: SampledWindow, lat: GaborLattice) -> LatticeOperator:

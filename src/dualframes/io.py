@@ -5,14 +5,14 @@ as ``{"dim": d, "vectors": [...]}`` with one entry per frame vector;
 windows as ``{"samples_per_unit": s, "period": P, "values": [...]}``;
 operators as ``{"rows": r, "cols": c, "entries": [...]}`` in row-major
 order; lattices as ``{"a": "p/q", "b": "p/q"}`` with exact rational
-strings.  Values round-trip bit-exactly (floats are serialized with full
-precision); the sizes (dim, samples_per_unit, period, rows, cols) are JSON integers.
+strings.  Values round-trip bit-exactly (floats are serialized with full precision);
+the sizes (dim, samples_per_unit, period, rows, cols) are JSON integers >= 0.
 
-Every file is written by ``dump_json`` as one line, ``json.dumps(data)``
-and a newline.  The ``save_*`` functions hand it the values packed as
-float arrays of ``[re, im]`` pairs; it streams each such array in chunks
-of at most ``_CHUNK`` floats, so a save builds no Python list of the whole
-array.  The loaders read any JSON layout.
+Every file is written by ``dump_json`` as one line: ``json.dumps(data)``,
+non-finite numbers as ``NaN`` and ``Infinity``, and a newline.  ``save_*``
+hand it the values packed as float arrays of ``[re, im]`` pairs; it
+streams each such array in chunks of at most ``_CHUNK`` floats, so a save
+builds no Python list of the whole array.  The loaders read any layout.
 """
 
 from __future__ import annotations
@@ -160,8 +160,8 @@ def load_json(path) -> dict:
 
 
 def _write_array(fh, values: np.ndarray) -> None:
-    """Write ``json.dumps(values.tolist())`` in chunks of at most ``_CHUNK`` floats,
-    a row that holds more row by row."""
+    """Write ``json.dumps(values.tolist())`` in chunks of whole rows holding at most
+    ``_CHUNK`` floats; a longer row is split the same way."""
     row = values[0].size if len(values) else 0
     step = max(1, _CHUNK // max(row, 1))
     fh.write("[")
