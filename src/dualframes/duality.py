@@ -13,6 +13,8 @@ Terminology used throughout:
   mixed = S^{1/2} W (S the frame operator of phi), or directly as the
   target mixed operator.  Constructions for both parameterizations are
   provided, together with exact recovery of the parameters from a pair.
+  All build through ``_with_mixed``: vectors A* S^{-1} phi_k + theta*(delta_k)
+  for the mixed operator A; ``_theta_part`` recovers theta from a pair and A.
 
 All strict norm conditions ``< 1`` are enforced as ``< 1 - 1e-12`` so that
 boundary cases are rejected deterministically.
@@ -40,6 +42,7 @@ from .frames import (
     Frame,
     _check_same_shape,
     _mixed_and_rate,
+    _vector,
     canonical_dual,
     frame_bounds,
     frame_operator,
@@ -144,12 +147,27 @@ def gdual_factorization(phi: Frame, psi: Frame) -> DualReport:
     )
 
 
-def _theta_term(phi: Frame, theta: Optional[Annihilator]) -> np.ndarray:
+def _operand(phi: Frame, m, name: str) -> np.ndarray:
+    a = oplin.as_operator(m)
+    if a.shape != (phi.dim, phi.dim):
+        raise DimensionMismatch(f"{name} must be {phi.dim}x{phi.dim}, got {a.shape}")
+    return a
+
+
+def _theta_map(phi: Frame, theta: Optional[Annihilator]) -> Optional[np.ndarray]:
     if theta is None:
-        return np.zeros((phi.dim, phi.count), dtype=complex)
+        return None
     if theta.base is not phi and not np.array_equal(theta.base.synthesis, phi.synthesis):
         raise DimensionMismatch("annihilator was built for a different frame")
-    return adjoint(theta.map)
+    return theta.map
+
+
+def _with_mixed(phi: Frame, a: np.ndarray, theta_map: Optional[np.ndarray] = None) -> Frame:
+    """( a* S^{-1} phi_k + theta*(delta_k) )_k: mixed operator ``a`` if theta maps into ker T."""
+    syn = adjoint(a) @ canonical_dual(phi).synthesis
+    if theta_map is not None:
+        syn += adjoint(theta_map)
+    return Frame._adopt(syn)
 
 
 def approx_dual_from_whitened(
@@ -162,12 +180,11 @@ def approx_dual_from_whitened(
     over *all* approximate duals of ``phi`` as (W, theta) vary.
     """
     require_frame(phi, "frame")
-    w = oplin.as_operator(whitened)
-    gap = oplin.identity_gap(frame_operator_sqrt(phi) @ w)
+    a = frame_operator_sqrt(phi) @ _operand(phi, whitened, "whitened")
+    gap = oplin.identity_gap(a)
     if not _strictly_below(gap, 1.0):
         raise ContractViolation("requires ||Id - S^(1/2) W|| < 1", measured=gap)
-    syn = adjoint(w) @ frame_operator_inv_sqrt(phi) @ phi.synthesis + _theta_term(phi, theta)
-    return Frame._adopt(syn)
+    return _with_mixed(phi, a, _theta_map(phi, theta))
 
 
 @dataclass(frozen=True)
@@ -183,7 +200,7 @@ class WhitenedAdmissibility:
 def whitened_admissibility(phi: Frame, whitened) -> WhitenedAdmissibility:
     """Check the closeness-to-S^{-1/2} condition that guarantees an approximate dual."""
     bounds = require_frame(phi, "frame")
-    w = oplin.as_operator(whitened)
+    w = _operand(phi, whitened, "whitened")
     distance = operator_norm(frame_operator_inv_sqrt(phi) - w)
     threshold = 1.0 / np.sqrt(bounds.upper)
     return WhitenedAdmissibility(
@@ -204,14 +221,11 @@ def approx_dual_from_mixed(
     target* S^{-1} phi_k + theta*(delta_k).
     """
     require_frame(phi, "frame")
-    a = oplin.as_operator(target)
-    if a.shape != (phi.dim, phi.dim):
-        raise DimensionMismatch(f"target must be {phi.dim}x{phi.dim}, got {a.shape}")
+    a = _operand(phi, target, "target")
     gap = oplin.identity_gap(a)
     if not _strictly_below(gap, 1.0):
         raise ContractViolation("requires ||Id - target|| < 1", measured=gap)
-    syn = adjoint(a) @ canonical_dual(phi).synthesis + _theta_term(phi, theta)
-    return Frame._adopt(syn)
+    return _with_mixed(phi, a, _theta_map(phi, theta))
 
 
 def gdual_from_corresponding(
@@ -224,18 +238,17 @@ def gdual_from_corresponding(
     (corresponding^{-1})* S^{-1} phi_k + theta*(delta_k).
     """
     require_frame(phi, "frame")
-    inv = oplin.inverse(corresponding)
-    syn = adjoint(inv) @ canonical_dual(phi).synthesis + _theta_term(phi, theta)
-    return Frame._adopt(syn)
+    a = oplin.inverse(_operand(phi, corresponding, "corresponding"))
+    return _with_mixed(phi, a, _theta_map(phi, theta))
 
 
 def _theta_part(phi: Frame, partner: Frame, mixed: np.ndarray) -> np.ndarray:
-    """Annihilator part  partner* - (S^{-1} T)* mixed  of a pair with the given mixed operator.
+    """Annihilator part: the theta map with partner == _with_mixed(phi, mixed, theta_map).
 
     Projected onto ker(synthesis) to scrub roundoff before the invariant
     check.  No rate is checked: g-dual partners are valid input.
     """
-    theta_map = adjoint(partner.synthesis) - adjoint(canonical_dual(phi).synthesis) @ mixed
+    theta_map = adjoint(partner.synthesis - _with_mixed(phi, mixed).synthesis)
     kernel = phi.kernel
     return kernel @ (adjoint(kernel) @ theta_map)
 
@@ -295,7 +308,7 @@ def reconstruct(phi: Frame, psi: Frame, f) -> np.ndarray:
     sum_k <A_inv f, psi_k> phi_k == f.
     """
     mixed = mixed_operator(phi, psi)
-    corrected = oplin.inverse(mixed) @ np.asarray(f, dtype=complex).reshape(-1)
+    corrected = oplin.inverse(mixed) @ _vector(f, phi.dim, "vector")
     return phi.synthesis @ (adjoint(psi.synthesis) @ corrected)
 
 

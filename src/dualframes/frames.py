@@ -74,11 +74,12 @@ class Frame:
     * :attr:`eigenvalues` -- the spectrum of S, behind the frame bounds:
       the spectrum's own array, or a system frame's block eigenvalues
       (its spectrum is built only when a root or an inverse of S is needed);
-    * :attr:`kernel` -- an orthonormal basis of ker T.
+    * :attr:`kernel` -- an orthonormal basis of ker T;
+    * the canonical dual (S^{-1} phi_k)_k, read through :func:`canonical_dual`.
 
-    Operators derived from them (S^{1/2}, S^{-1/2}, S^{-1} T) are rebuilt
-    on each request rather than kept, and S itself is never kept.  A
-    frame whose S overflows raises ValueError for every spectral fact.
+    S^{1/2} and S^{-1/2} are rebuilt on each request rather than kept, and S
+    itself is never kept.  A frame whose S overflows raises ValueError for
+    every spectral fact.
 
     A frame built over a structured system (:func:`dualframes.gabor.gabor_frame`)
     holds the system instead of the matrix and builds the matrix, once,
@@ -158,6 +159,12 @@ class Frame:
         counts the singular values of T above ``s_max * eps * max(d, n)``."""
         return _frozen(oplin.svd_split(self.synthesis)[1])
 
+    @cached_property
+    def _canonical_dual(self) -> "Frame":
+        require_frame(self, "frame")
+        v = self.spectrum.eigenvectors
+        return Frame._adopt((v / self.spectrum.eigenvalues) @ (adjoint(v) @ self.synthesis))
+
     def __repr__(self):
         return f"Frame(dim={self.dim}, count={self.count})"
 
@@ -169,20 +176,21 @@ def _check_same_shape(phi: Frame, psi: Frame) -> None:
         )
 
 
+def _vector(v, length: int, what: str) -> np.ndarray:
+    v = np.asarray(v, dtype=complex).reshape(-1)
+    if v.shape[0] != length:
+        raise DimensionMismatch(f"{what} length {v.shape[0]}, expected {length}")
+    return v
+
+
 def analysis(phi: Frame, f) -> np.ndarray:
     """Coefficients ( <f, phi_k> )_k of a vector against the frame."""
-    f = np.asarray(f, dtype=complex).reshape(-1)
-    if f.shape[0] != phi.dim:
-        raise DimensionMismatch(f"vector length {f.shape[0]}, frame dimension {phi.dim}")
-    return adjoint(phi.synthesis) @ f
+    return adjoint(phi.synthesis) @ _vector(f, phi.dim, "vector")
 
 
 def synthesis(phi: Frame, c) -> np.ndarray:
     """Linear combination sum_k c_k phi_k of the frame vectors."""
-    c = np.asarray(c, dtype=complex).reshape(-1)
-    if c.shape[0] != phi.count:
-        raise DimensionMismatch(f"coefficient length {c.shape[0]}, frame count {phi.count}")
-    return phi.synthesis @ c
+    return phi.synthesis @ _vector(c, phi.count, "coefficient")
 
 
 def _class_blocks(phi: Frame, psi: Frame):
@@ -231,11 +239,8 @@ def frame_operator_inv_sqrt(phi: Frame) -> np.ndarray:
 
 
 def canonical_dual(phi: Frame) -> Frame:
-    """The frame ( S^{-1} phi_k )_k, giving exact reconstruction."""
-    require_frame(phi, "frame")
-    spec = phi.spectrum
-    v = spec.eigenvectors
-    return Frame._adopt((v / spec.eigenvalues) @ (adjoint(v) @ phi.synthesis))
+    """The frame ( S^{-1} phi_k )_k, giving exact reconstruction (kept: one per frame)."""
+    return phi._canonical_dual
 
 
 def mixed_operator(phi: Frame, psi: Frame) -> np.ndarray:

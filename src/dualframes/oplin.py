@@ -63,7 +63,8 @@ def operator_norm(m) -> float:
 
 def identity_gap(m) -> float:
     """||Id - M|| of a square matrix M; for a mixed operator, the approximation rate."""
-    return operator_norm(identity(len(m)) - m)
+    a = _square(m)
+    return operator_norm(identity(a.shape[0]) - a)
 
 
 @dataclass(frozen=True)

@@ -15,13 +15,12 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import oplin
-from .duality import _theta_part
+from .duality import _theta_part, _with_mixed
 from .errors import NotApproxDual, NotRieszBasis, SmallnessViolated
 from .frames import (
     Frame,
     _mixed_and_rate,
     bessel_bound_difference,
-    canonical_dual,
     frame_bounds,
     is_riesz,
     mixed_operator,
@@ -75,12 +74,11 @@ def _transfer(phi: Frame, psi: Frame, phi_dual: Frame, expect_approx: bool) -> T
             "requires sqrt(M_diff) * ||theta|| * ||inv mixed|| < 1", measured=smallness
         )
 
-    omega_syn = adjoint(mixed) @ canonical_dual(psi).synthesis + adjoint(theta_map)
-    omega = Frame._adopt(omega_syn)
-    corrector = omega_syn @ adjoint(psi.synthesis) @ adjoint(inv_mixed)
+    omega = _with_mixed(psi, mixed, theta_map)
+    corrector = omega.synthesis @ adjoint(psi.synthesis) @ adjoint(inv_mixed)
     # The smallness estimate is sufficient, not necessary (vacuous for
     # theta == 0); invertibility of the corrector is what actually matters.
-    psi_dual = Frame._adopt(oplin.solve(corrector, omega_syn))
+    psi_dual = Frame._adopt(oplin.solve(corrector, omega.synthesis))
 
     mixed_match = operator_norm(mixed_operator(psi, psi_dual) - mixed)
     measured = bessel_bound_difference(phi_dual, psi_dual)

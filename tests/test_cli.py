@@ -290,6 +290,8 @@ class TestUsage:
             (["frame-info", "{negative_dim}"], "'dim' must be an integer"),
             (["gabor", "weight", "--window", "{negative_samples}", "--a", "1"],
              "'samples_per_unit' must be an integer"),
+            # an operator of another size once escaped as numpy's matmul error
+            (["dual", "{phi}", "--mode", "gdual", "--op-file", "{op3}"], "corresponding must be 2x2, got (3, 3)"),
         ],
     )
     def test_unusable_input_file_exit_3(self, argv, message, phi0_file, tmp_path, capsys):
@@ -310,13 +312,15 @@ class TestUsage:
             "negative_rows": '{"rows": -1, "cols": -1, "entries": [[1, 0]]}',
             "negative_dim": '{"dim": -2, "vectors": [[[1, 0], [0, 1]]]}',
             "negative_samples": '{"samples_per_unit": -1, "period": 1, "values": [[1, 0]]}',
+            "op3": '{"rows": 3, "cols": 3, "entries": [[1, 0], [0, 0], [0, 0], [0, 0], [1, 0], [0, 0], [0, 0], [0, 0], [1, 0]]}',
         }
         files = {"phi": phi0_file, "window": str(window)}
         for name, text in texts.items():
             files[name] = str(tmp_path / f"{name}.json")
             Path(files[name]).write_text(text)
         assert main([arg.format(**files) for arg in argv]) == 3
-        assert message in capsys.readouterr().err
+        err = capsys.readouterr().err
+        assert message in err and err.count("\n") == 1 and "Traceback" not in err
 
     def test_report_after_gabor_subcommand(self, tmp_path):
         report_path = tmp_path / "report.json"

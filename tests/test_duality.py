@@ -1,3 +1,5 @@
+import re
+
 import numpy as np
 import pytest
 
@@ -233,6 +235,21 @@ class TestApproxDualFromMixed:
             approx_dual_from_mixed(phi0, target)
 
 
+# operators of another size once escaped as numpy's matmul error, or were
+# broadcast into a verdict or a measured rate
+@pytest.mark.parametrize(
+    "build, operand, message",
+    [
+        (gdual_from_corresponding, identity(3), "corresponding must be 2x2, got (3, 3)"),
+        (whitened_admissibility, [[0.6, 0.1]], "whitened must be 2x2, got (1, 2)"),
+        (approx_dual_from_whitened, [[0.6], [0.5]], "whitened must be 2x2, got (2, 1)"),
+    ],
+)
+def test_rejects_operand_of_another_size(phi0, build, operand, message):
+    with pytest.raises(DimensionMismatch, match=re.escape(message)):
+        build(phi0, operand)
+
+
 class TestRecoverParameters:
     def test_canonical_pair(self, phi0):
         w, theta = recover_parameters(phi0, canonical_dual(phi0))
@@ -385,6 +402,10 @@ class TestReconstruct:
     def test_rejects_singular_pair(self, ortho2):
         with pytest.raises(Singular):
             reconstruct(ortho2, Frame.from_vectors([(1, 0), (0, 0)]), [1.0, 1.0])
+
+    def test_rejects_vector_of_another_length(self, phi0):
+        with pytest.raises(DimensionMismatch, match="vector length 3, expected 2"):
+            reconstruct(phi0, canonical_dual(phi0), [1.0, 2.0, 3.0])
 
 
 class TestRangeCompare:

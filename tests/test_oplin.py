@@ -4,6 +4,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from hypothesis.extra.numpy import arrays
 
+from dualframes import oplin
 from dualframes import (
     DimensionMismatch,
     NotHermitian,
@@ -187,6 +188,17 @@ class TestInverse:
     def test_rejects_non_square(self):
         with pytest.raises(DimensionMismatch):
             inverse(np.zeros((2, 3)))
+
+
+class TestIdentityGap:
+    def test_scalar_multiple(self):
+        assert oplin.identity_gap(0.9 * identity(3)) == pytest.approx(0.1, abs=1e-15)
+
+    @pytest.mark.parametrize("m", [[[0.6, 0.1]], [[0.6], [0.5]], np.zeros(2)])
+    def test_rejects_non_square(self, m):
+        # a 1x2 matrix once broadcast against the 1x1 identity into a number
+        with pytest.raises(DimensionMismatch):
+            oplin.identity_gap(m)
 
 
 class TestSolve:

@@ -18,6 +18,8 @@ factor forms S again, so that round trip is allowed the same first-order
 kappa(S) * eps on top of the pinned tolerance, in the parent code as here.
 """
 
+from functools import cached_property
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -35,6 +37,7 @@ from dualframes import (
     frame_operator_inv_sqrt,
     frame_operator_sqrt,
     gdual_factorization,
+    gdual_from_corresponding,
     gabor_frame,
     kernel_basis,
     random_annihilator,
@@ -135,6 +138,26 @@ def test_parameters_round_trip_and_factor_match_the_oracle(t, seed):
     assert norm(factor.whitened - o.inv_sqrt @ mixed) <= RECONSTRUCTION_TOL * norm(o.inv_sqrt @ mixed)
 
 
+@settings(max_examples=40, deadline=None)
+@given(t=frames, size=st.floats(0.0, 0.9), seed=st.integers(0, 2**32 - 1))
+def test_every_parameterization_builds_one_family(t, size, seed):
+    """A target A, a whitened factor S^{-1/2} A and a corresponding operator
+    A^{-1} name one family A* S^{-1} phi_k + theta*(delta_k); its theta is recovered."""
+    phi = Frame(t)
+    o = Oracle(t)
+    rng = np.random.default_rng(seed)
+    bump = rng.standard_normal((phi.dim, phi.dim)) + 1j * rng.standard_normal((phi.dim, phi.dim))
+    a = np.eye(phi.dim) + bump * (size / norm(bump))
+    theta = random_annihilator(phi, seed=seed, scale=0.5)
+    built = approx_dual_from_mixed(phi, a, theta).synthesis
+    kappa = o.w[-1] / o.w[0]
+    tol = (RECONSTRUCTION_TOL + 10 * kappa * EPS) * norm(built)
+    assert norm(approx_dual_from_whitened(phi, o.inv_sqrt @ a, theta).synthesis - built) <= tol
+    assert norm(gdual_from_corresponding(phi, np.linalg.inv(a), theta).synthesis - built) <= tol
+    theta_back = recover_parameters(phi, Frame(built))[1]
+    assert norm(theta_back.map - theta.map) <= ROUNDTRIP_TOL * norm(built)
+
+
 class TestStaleness:
     def test_writing_the_callers_array_changes_no_verdict(self):
         rng = np.random.default_rng(3)
@@ -187,9 +210,10 @@ def test_pipeline_decomposes_each_frame_once(monkeypatch):
 
     A dense frame's eigenvalues are its spectrum's, so the frame operators
     of phi, phi_ad and psi take one ``eigh`` each and no ``eigvalsh``; only
-    phi's kernel is used, and it is computed once.
+    phi's kernel is used, and it is computed once.  The canonical duals of
+    phi and psi are each built once, however many constructions read them.
     """
-    calls = {"eigh": 0, "eigvalsh": 0, "svd_split": 0}
+    calls = {"eigh": 0, "eigvalsh": 0, "svd_split": 0, "canonical_dual": 0}
 
     def counted(name, fn):
         def wrapper(*args, **kwargs):
@@ -201,6 +225,9 @@ def test_pipeline_decomposes_each_frame_once(monkeypatch):
     monkeypatch.setattr(np.linalg, "eigh", counted("eigh", np.linalg.eigh))
     monkeypatch.setattr(np.linalg, "eigvalsh", counted("eigvalsh", np.linalg.eigvalsh))
     monkeypatch.setattr(oplin, "svd_split", counted("svd_split", oplin.svd_split))
+    build = cached_property(counted("canonical_dual", Frame._canonical_dual.func))
+    build.__set_name__(Frame, "_canonical_dual")
+    monkeypatch.setattr(Frame, "_canonical_dual", build)
 
     rng = np.random.default_rng(64)
     gauss = lambda shape: rng.standard_normal(shape) + 1j * rng.standard_normal(shape)  # noqa: E731
@@ -222,6 +249,11 @@ def test_pipeline_decomposes_each_frame_once(monkeypatch):
     assert calls["eigh"] <= 3  # phi, phi_ad and psi
     assert calls["eigvalsh"] <= 1  # lambda_max(W W*) in the factorization
     assert calls["svd_split"] <= 1  # only phi's kernel is used
+    assert calls["canonical_dual"] <= 2  # phi and psi
+    dual = canonical_dual(phi)
+    assert canonical_dual(phi) is dual and not dual.synthesis.flags.writeable
+    with pytest.raises(AttributeError):
+        dual.synthesis = phi.synthesis
     # whichever is read first, the eigenvalues are the spectrum's own array: one eigh, no eigvalsh
     for spectrum_first in (True, False):
         fresh, before = Frame(phi.synthesis), dict(calls)
