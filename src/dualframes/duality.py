@@ -14,7 +14,10 @@ Terminology used throughout:
   target mixed operator.  Constructions for both parameterizations are
   provided, together with exact recovery of the parameters from a pair.
   All build through ``_with_mixed``: vectors A* S^{-1} phi_k + theta*(delta_k)
-  for the mixed operator A; ``_theta_part`` recovers theta from a pair and A.
+  for the mixed operator A; ``_theta_part`` recovers theta from a pair.
+* A pair's mixed operator, rate, corresponding operator and annihilator
+  part are read from its record (:func:`dualframes.frames._pair`), which
+  computes each once while both frames live.
 
 All strict norm conditions ``< 1`` are enforced as ``< 1 - 1e-12`` so that
 boundary cases are rejected deterministically.
@@ -41,7 +44,9 @@ from .frames import (
     Annihilator,
     Frame,
     _check_same_shape,
-    _mixed_and_rate,
+    _frozen,
+    _Pair,
+    _pair,
     _vector,
     canonical_dual,
     frame_bounds,
@@ -94,9 +99,10 @@ class DualReport:
         return self.kind in ("dual", "approx", "gdual")
 
 
-def _classify(mixed: np.ndarray, rate: float) -> Tuple[str, Optional[np.ndarray]]:
+def _classify(pair: _Pair) -> Tuple[str, Optional[np.ndarray]]:
+    rate = pair.rate
     try:
-        corresponding = oplin.inverse(mixed)
+        corresponding = pair.corresponding
     except Singular:
         corresponding = None
     if rate <= DUAL_TOL:
@@ -112,9 +118,9 @@ def _classify(mixed: np.ndarray, rate: float) -> Tuple[str, Optional[np.ndarray]
 
 def classify_pair(phi: Frame, psi: Frame) -> DualReport:
     """Classify a pair as dual / approximately dual / g-dual / none."""
-    mixed, rate = _mixed_and_rate(phi, psi)
-    kind, corresponding = _classify(np.asarray(mixed), rate)
-    return DualReport(kind=kind, rate=rate, corresponding_op=corresponding)
+    pair = _pair(phi, psi)
+    kind, corresponding = _classify(pair)
+    return DualReport(kind=kind, rate=pair.rate, corresponding_op=corresponding)
 
 
 def gdual_factorization(phi: Frame, psi: Frame) -> DualReport:
@@ -127,15 +133,16 @@ def gdual_factorization(phi: Frame, psi: Frame) -> DualReport:
     for any genuine frame pair.
     """
     require_frame(phi, "first frame")
-    mixed, rate = _mixed_and_rate(phi, psi)
-    mixed = np.asarray(mixed)
+    pair = _pair(phi, psi)
+    rate = pair.rate
+    mixed = pair.dense
     whitened = frame_operator_inv_sqrt(phi) @ mixed
     residual = operator_norm(mixed - frame_operator_sqrt(phi) @ whitened)
     gram = whitened @ adjoint(whitened)
     peak = float(np.linalg.eigvalsh(gram)[-1])
     upper_psi = frame_bounds(psi).upper
     margin = upper_psi - peak
-    kind, corresponding = _classify(mixed, rate)
+    kind, corresponding = _classify(pair)
     return DualReport(
         kind=kind,
         rate=rate,
@@ -242,15 +249,22 @@ def gdual_from_corresponding(
     return _with_mixed(phi, a, _theta_map(phi, theta))
 
 
-def _theta_part(phi: Frame, partner: Frame, mixed: np.ndarray) -> np.ndarray:
-    """Annihilator part: the theta map with partner == _with_mixed(phi, mixed, theta_map).
+def _theta_part(phi: Frame, partner: Frame) -> np.ndarray:
+    """Annihilator part: the theta map with partner == _with_mixed(phi, mixed, theta_map),
+    read-only, built once and kept on the record of a dense pair.
 
     Projected onto ker(synthesis) to scrub roundoff before the invariant
     check.  No rate is checked: g-dual partners are valid input.
     """
-    theta_map = adjoint(partner.synthesis - _with_mixed(phi, mixed).synthesis)
+    pair = _pair(phi, partner)
+    if pair.theta is not None:
+        return pair.theta
+    theta_map = adjoint(partner.synthesis - _with_mixed(phi, pair.dense).synthesis)
     kernel = phi.kernel
-    return kernel @ (adjoint(kernel) @ theta_map)
+    theta = _frozen(kernel @ (adjoint(kernel) @ theta_map))
+    if pair.is_dense:
+        pair.theta = theta
+    return theta
 
 
 def recover_parameters(phi: Frame, phi_ad: Frame) -> Tuple[np.ndarray, Annihilator]:
@@ -260,12 +274,11 @@ def recover_parameters(phi: Frame, phi_ad: Frame) -> Tuple[np.ndarray, Annihilat
     reproduces ``phi_ad`` columnwise.
     """
     require_frame(phi, "frame")
-    mixed, rate = _mixed_and_rate(phi, phi_ad)
-    if not _strictly_below(rate, 1.0):
-        raise NotApproxDual("pair is not approximately dual", measured=rate)
-    mixed = np.asarray(mixed)
-    whitened = frame_operator_inv_sqrt(phi) @ mixed
-    return whitened, Annihilator(map=_theta_part(phi, phi_ad, mixed), base=phi)
+    pair = _pair(phi, phi_ad)
+    if not _strictly_below(pair.rate, 1.0):
+        raise NotApproxDual("pair is not approximately dual", measured=pair.rate)
+    whitened = frame_operator_inv_sqrt(phi) @ pair.dense
+    return whitened, Annihilator(map=_theta_part(phi, phi_ad), base=phi)
 
 
 def approx_dual_via_dual(
@@ -285,7 +298,7 @@ def approx_dual_via_dual(
     if (whitened is None) == (target is None):
         raise ValueError("provide exactly one of whitened= or target=")
     require_frame(phi, "frame")
-    gap = _mixed_and_rate(phi, phi_d)[1]
+    gap = _pair(phi, phi_d).rate
     if gap > DUAL_TOL:
         raise NotDualPair("(phi, phi_d) must be an exact dual pair", measured=gap)
     if whitened is not None:
@@ -307,8 +320,7 @@ def reconstruct(phi: Frame, psi: Frame, f) -> np.ndarray:
     before analysis, which makes the reconstruction algebraically exact:
     sum_k <A_inv f, psi_k> phi_k == f.
     """
-    mixed = mixed_operator(phi, psi)
-    corrected = oplin.inverse(mixed) @ _vector(f, phi.dim, "vector")
+    corrected = _pair(phi, psi).corresponding @ _vector(f, phi.dim, "vector")
     return phi.synthesis @ (adjoint(psi.synthesis) @ corrected)
 
 

@@ -16,6 +16,7 @@ block operators are all of one type, :class:`~dualframes.gabor.LatticeOperator`.
 
 from __future__ import annotations
 
+import weakref
 from dataclasses import dataclass, field
 from functools import cached_property
 from typing import NamedTuple, Sequence
@@ -80,6 +81,15 @@ class Frame:
     S^{1/2} and S^{-1/2} are rebuilt on each request rather than kept, and S
     itself is never kept.  A frame whose S overflows raises ValueError for
     every spectral fact.
+
+    A frame also keeps the facts of each pair (phi, psi) it was read in as the
+    first frame, each computed at most once, when first asked for: the mixed
+    operator synthesis(phi) o analysis(psi) (d x d, or a system pair's block
+    value), its rate, its singular values, its inverse (the corresponding
+    operator, d x d) and, for a dense pair, the annihilator part theta (n x d).
+    A dense pair read through every fact holds two d x d arrays and one n x d
+    array.  The facts live while both frames do and go with either; they
+    hold no reference to either frame.
 
     A frame built over a structured system (:func:`dualframes.gabor.gabor_frame`)
     holds the system instead of the matrix and builds the matrix, once,
@@ -160,6 +170,10 @@ class Frame:
         return _frozen(oplin.svd_split(self.synthesis)[1])
 
     @cached_property
+    def _pairs(self) -> "weakref.WeakKeyDictionary[Frame, _Pair]":
+        return weakref.WeakKeyDictionary()
+
+    @cached_property
     def _canonical_dual(self) -> "Frame":
         require_frame(self, "frame")
         v = self.spectrum.eigenvectors
@@ -205,9 +219,16 @@ def _class_blocks(phi: Frame, psi: Frame):
     return phi._system.class_blocks(psi._system)
 
 
+def _product(phi: Frame, psi: Frame):
+    """synthesis(phi) o analysis(psi) as formed: the systems' block value, else dense."""
+    blocks = _class_blocks(phi, psi)
+    return phi.synthesis @ adjoint(psi.synthesis) if blocks is None else blocks
+
+
 def frame_operator(phi: Frame) -> np.ndarray:
-    """S = T T*, Hermitian PSD by construction (d x d); ValueError when it overflows."""
-    return oplin.as_operator(mixed_operator(phi, phi))
+    """S = T T*, Hermitian PSD by construction (d x d); ValueError when it overflows.
+    Formed on each call: a frame keeps its spectrum, not S."""
+    return oplin.as_operator(_product(phi, phi))
 
 
 def frame_bounds(phi: Frame) -> FrameBounds:
@@ -243,32 +264,66 @@ def canonical_dual(phi: Frame) -> Frame:
     return phi._canonical_dual
 
 
-def mixed_operator(phi: Frame, psi: Frame) -> np.ndarray:
-    """The d x d operator synthesis(phi) o analysis(psi).
+class _Pair:
+    """The facts of a frame pair (phi, psi), each computed at most once.
 
-    Two systems with residue-class blocks (see :func:`_class_blocks`) get
-    it by scattering the blocks, without either synthesis matrix.
+    ``mixed`` is the systems' block value (see :func:`_class_blocks`) or a
+    read-only dense array; the other facts are read from it on first use.
+    The record holds arrays only, never either frame.
     """
+
+    def __init__(self, mixed):
+        self.mixed = _frozen(mixed) if isinstance(mixed, np.ndarray) else mixed
+        self.theta = None  # the annihilator part, kept by duality for a dense pair
+
+    @property
+    def dense(self) -> np.ndarray:
+        return np.asarray(self.mixed)
+
+    @property
+    def is_dense(self) -> bool:
+        return isinstance(self.mixed, np.ndarray)
+
+    @cached_property
+    def rate(self) -> float:
+        return oplin.identity_gap(self.mixed) if self.is_dense else self.mixed.gap()
+
+    @cached_property
+    def singular_values(self) -> np.ndarray:
+        """Descending singular values of the dense mixed operator: its norm is the
+        first, the norm of its inverse the reciprocal of the last."""
+        return _frozen(np.linalg.svd(oplin._square(self.dense), compute_uv=False))
+
+    @cached_property
+    def corresponding(self) -> np.ndarray:
+        """The inverse of the mixed operator (read-only), under the guard of
+        :func:`dualframes.oplin.inverse`, whose Singular it raises on every read."""
+        oplin._require_conditioned(self.singular_values)
+        return _frozen(np.linalg.inv(self.dense))
+
+
+def _pair(phi: Frame, psi: Frame) -> _Pair:
+    """The record of the pair (phi, psi), kept on phi while psi lives."""
     _check_same_shape(phi, psi)
-    blocks = _class_blocks(phi, psi)
-    if blocks is None:
-        return phi.synthesis @ adjoint(psi.synthesis)
-    return np.asarray(blocks)
+    pair = phi._pairs.get(psi)
+    if pair is None:
+        pair = phi._pairs[psi] = _Pair(_product(phi, psi))
+    return pair
 
 
-def _mixed_and_rate(phi: Frame, psi: Frame):
-    """The pair's mixed operator, formed once (the block value of :func:`_class_blocks`,
-    else dense), and its rate ||Id - mixed||; ``np.asarray`` of the first is dense."""
-    blocks = _class_blocks(phi, psi)
-    if blocks is None:
-        mixed = mixed_operator(phi, psi)
-        return mixed, oplin.identity_gap(mixed)
-    return blocks, blocks.gap()
+def mixed_operator(phi: Frame, psi: Frame) -> np.ndarray:
+    """The d x d operator synthesis(phi) o analysis(psi), read from the pair's record.
+
+    Dense, it is the record's read-only array.  Two systems with
+    residue-class blocks (see :func:`_class_blocks`) get it by scattering
+    the blocks, without either synthesis matrix.
+    """
+    return _pair(phi, psi).dense
 
 
 def approximation_rate(phi: Frame, psi: Frame) -> float:
     """Distance ||Id - mixed_operator(phi, psi)||; below 1 means approximately dual."""
-    return _mixed_and_rate(phi, psi)[1]
+    return _pair(phi, psi).rate
 
 
 def bessel_bound_difference(phi: Frame, psi: Frame) -> float:
@@ -292,6 +347,7 @@ class Annihilator:
 
     map: np.ndarray
     base: Frame = field(repr=False)
+    norm: float = field(init=False, repr=False, compare=False)  # ||map||, computed once
 
     def __post_init__(self):
         m = oplin.as_operator(self.map)
@@ -300,9 +356,10 @@ class Annihilator:
             raise DimensionMismatch(
                 f"annihilator must be {self.base.count}x{self.base.dim}, got {m.shape}"
             )
+        object.__setattr__(self, "norm", operator_norm(m))
         residual = operator_norm(self.base.synthesis @ m)
         t_norm = np.sqrt(frame_bounds(self.base).upper)  # ||T|| = sqrt(lambda_max(S))
-        allowed = ANNIHILATOR_TOL * t_norm * max(operator_norm(m), 1e-300)
+        allowed = ANNIHILATOR_TOL * t_norm * max(self.norm, 1e-300)
         if residual > allowed:
             raise ContractViolation(
                 f"range must lie in ker(synthesis): ||T theta|| <= {allowed:.3e}",
@@ -312,10 +369,6 @@ class Annihilator:
     @classmethod
     def zero(cls, phi: Frame) -> "Annihilator":
         return cls(map=np.zeros((phi.count, phi.dim), dtype=complex), base=phi)
-
-    @property
-    def norm(self) -> float:
-        return operator_norm(self.map)
 
 
 def random_annihilator(phi: Frame, seed: int, scale: float) -> Annihilator:

@@ -19,7 +19,7 @@ from .duality import _theta_part, _with_mixed
 from .errors import NotApproxDual, NotRieszBasis, SmallnessViolated
 from .frames import (
     Frame,
-    _mixed_and_rate,
+    _pair,
     bessel_bound_difference,
     frame_bounds,
     is_riesz,
@@ -57,14 +57,15 @@ def _transfer(phi: Frame, psi: Frame, phi_dual: Frame, expect_approx: bool) -> T
     m_phi, big_m_phi = require_frame(phi, "original frame")
     m_psi, big_m_psi = require_frame(psi, "perturbed frame")
 
-    mixed, rate = _mixed_and_rate(phi, phi_dual)
-    if expect_approx and not _strictly_below(rate, 1.0):
-        raise NotApproxDual("(phi, phi_dual) is not approximately dual", measured=rate)
-    mixed = np.asarray(mixed)
-    inv_mixed = oplin.inverse(mixed)
-    inv_mixed_norm = operator_norm(inv_mixed)
+    pair = _pair(phi, phi_dual)
+    if expect_approx and not _strictly_below(pair.rate, 1.0):
+        raise NotApproxDual("(phi, phi_dual) is not approximately dual", measured=pair.rate)
+    mixed = pair.dense
+    inv_mixed = pair.corresponding
+    mixed_norm = float(pair.singular_values[0])
+    inv_mixed_norm = 1.0 / float(pair.singular_values[-1])
 
-    theta_map = _theta_part(phi, phi_dual, mixed)
+    theta_map = _theta_part(phi, phi_dual)
     theta_norm = operator_norm(theta_map)
 
     diff_bound = bessel_bound_difference(phi, psi)
@@ -88,7 +89,7 @@ def _transfer(phi: Frame, psi: Frame, phi_dual: Frame, expect_approx: bool) -> T
         * (inv_mixed_norm / (1.0 - smallness)) ** 2
         * (
             theta_norm * np.sqrt(big_m_dual)
-            + operator_norm(mixed)
+            + mixed_norm
             * (m_phi + big_m_phi + np.sqrt(big_m_psi * big_m_phi))
             / (m_phi * m_psi)
         )

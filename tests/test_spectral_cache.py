@@ -18,6 +18,8 @@ factor forms S again, so that round trip is allowed the same first-order
 kappa(S) * eps on top of the pinned tolerance, in the parent code as here.
 """
 
+import gc
+import weakref
 from functools import cached_property
 
 import numpy as np
@@ -26,7 +28,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import dualframes as df
-from dualframes import oplin
+from dualframes import duality, oplin
 from dualframes import (
     Frame,
     approx_dual_from_mixed,
@@ -40,6 +42,7 @@ from dualframes import (
     gdual_from_corresponding,
     gabor_frame,
     kernel_basis,
+    mixed_operator,
     random_annihilator,
     recover_parameters,
     transfer_approx_dual,
@@ -205,30 +208,16 @@ class TestStaleness:
         assert not system.synthesis.flags.writeable
 
 
-def test_pipeline_decomposes_each_frame_once(monkeypatch):
-    """The 64x96 finite-frame pipeline decomposes each frame operator once.
+def counted(calls, name, fn):
+    def wrapper(*args, **kwargs):
+        calls[name] += 1
+        return fn(*args, **kwargs)
 
-    A dense frame's eigenvalues are its spectrum's, so the frame operators
-    of phi, phi_ad and psi take one ``eigh`` each and no ``eigvalsh``; only
-    phi's kernel is used, and it is computed once.  The canonical duals of
-    phi and psi are each built once, however many constructions read them.
-    """
-    calls = {"eigh": 0, "eigvalsh": 0, "svd_split": 0, "canonical_dual": 0}
+    return wrapper
 
-    def counted(name, fn):
-        def wrapper(*args, **kwargs):
-            calls[name] += 1
-            return fn(*args, **kwargs)
 
-        return wrapper
-
-    monkeypatch.setattr(np.linalg, "eigh", counted("eigh", np.linalg.eigh))
-    monkeypatch.setattr(np.linalg, "eigvalsh", counted("eigvalsh", np.linalg.eigvalsh))
-    monkeypatch.setattr(oplin, "svd_split", counted("svd_split", oplin.svd_split))
-    build = cached_property(counted("canonical_dual", Frame._canonical_dual.func))
-    build.__set_name__(Frame, "_canonical_dual")
-    monkeypatch.setattr(Frame, "_canonical_dual", build)
-
+def run_pipeline() -> Frame:
+    """The 64x96 finite-frame pipeline of a benchmark task; returns phi."""
     rng = np.random.default_rng(64)
     gauss = lambda shape: rng.standard_normal(shape) + 1j * rng.standard_normal(shape)  # noqa: E731
     bump = gauss((64, 64))
@@ -245,6 +234,26 @@ def test_pipeline_decomposes_each_frame_once(monkeypatch):
     psi = Frame(phi.synthesis + direction * (0.01 / norm(direction)))
     moved = transfer_approx_dual(phi, psi, phi_ad)
     assert moved.mixed_match_residual <= ROUNDTRIP_TOL
+    return phi
+
+
+def test_pipeline_decomposes_each_frame_once(monkeypatch):
+    """The 64x96 finite-frame pipeline decomposes each frame operator once.
+
+    A dense frame's eigenvalues are its spectrum's, so the frame operators
+    of phi, phi_ad and psi take one ``eigh`` each and no ``eigvalsh``; only
+    phi's kernel is used, and it is computed once.  The canonical duals of
+    phi and psi are each built once, however many constructions read them.
+    """
+    calls = {"eigh": 0, "eigvalsh": 0, "svd_split": 0, "canonical_dual": 0}
+    monkeypatch.setattr(np.linalg, "eigh", counted(calls, "eigh", np.linalg.eigh))
+    monkeypatch.setattr(np.linalg, "eigvalsh", counted(calls, "eigvalsh", np.linalg.eigvalsh))
+    monkeypatch.setattr(oplin, "svd_split", counted(calls, "svd_split", oplin.svd_split))
+    build = cached_property(counted(calls, "canonical_dual", Frame._canonical_dual.func))
+    build.__set_name__(Frame, "_canonical_dual")
+    monkeypatch.setattr(Frame, "_canonical_dual", build)
+
+    phi = run_pipeline()
 
     assert calls["eigh"] <= 3  # phi, phi_ad and psi
     assert calls["eigvalsh"] <= 1  # lambda_max(W W*) in the factorization
@@ -264,3 +273,101 @@ def test_pipeline_decomposes_each_frame_once(monkeypatch):
             eigenvalues = fresh.eigenvalues
             assert eigenvalues is fresh.spectrum.eigenvalues
         assert (calls["eigh"], calls["eigvalsh"]) == (before["eigh"] + 1, before["eigvalsh"])
+
+
+def test_pipeline_reads_each_pair_fact_once(monkeypatch):
+    """The pair (phi, phi_ad) is read by the classification, the factorization,
+    parameter recovery and the transfer; its facts are computed once.
+
+    ``identity_gap`` runs for the two constructions' hypothesis checks and
+    once for the pair's rate; the one ``inv`` is the pair's corresponding
+    operator; theta is built once, from ``_with_mixed`` without a theta.
+    """
+    calls = {"identity_gap": 0, "inv": 0, "theta_build": 0}
+    monkeypatch.setattr(oplin, "identity_gap", counted(calls, "identity_gap", oplin.identity_gap))
+    monkeypatch.setattr(np.linalg, "inv", counted(calls, "inv", np.linalg.inv))
+    with_mixed = duality._with_mixed
+
+    def build(phi, a, theta_map=None):
+        calls["theta_build"] += theta_map is None
+        return with_mixed(phi, a, theta_map)
+
+    monkeypatch.setattr(duality, "_with_mixed", build)
+
+    run_pipeline()
+
+    assert calls["identity_gap"] <= 3
+    assert calls["inv"] <= 1
+    assert calls["theta_build"] == 1
+
+
+def pair_of_frames(seed: int):
+    rng = np.random.default_rng(seed)
+    phi = Frame(rng.standard_normal((4, 7)) + 1j * rng.standard_normal((4, 7)))
+    theta = random_annihilator(phi, seed=seed, scale=0.5)
+    return phi, approx_dual_from_mixed(phi, 0.9 * np.eye(4), theta)
+
+
+def test_pair_record_dies_with_either_frame():
+    phi, phi_ad = pair_of_frames(1)
+    recover_parameters(phi, phi_ad)
+    partner, record = weakref.ref(phi_ad), weakref.ref(df.frames._pair(phi, phi_ad))
+    del phi_ad
+    gc.collect()
+    assert partner() is None and record() is None
+    assert len(phi._pairs) == 0
+
+    phi, phi_ad = pair_of_frames(2)
+    classify_pair(phi, phi_ad)
+    first, record = weakref.ref(phi), weakref.ref(df.frames._pair(phi, phi_ad))
+    del phi
+    gc.collect()
+    assert first() is None and record() is None
+
+
+def test_kept_pair_facts_are_read_only():
+    phi, phi_ad = pair_of_frames(3)
+    kept = (
+        classify_pair(phi, phi_ad).corresponding_op,
+        mixed_operator(phi, phi_ad),
+        recover_parameters(phi, phi_ad)[1].map,
+    )
+    for arr in kept:
+        with pytest.raises(ValueError):
+            arr[0, 0] = 1.0
+
+
+def fresh(phi: Frame) -> Frame:
+    return Frame(phi.synthesis.copy())
+
+
+@settings(max_examples=40, deadline=None)
+@given(t=frames, size=st.floats(0.0, 0.9), seed=st.integers(0, 2**32 - 1))
+def test_shared_pair_record_gives_the_verdicts_of_fresh_frames(t, size, seed):
+    """Verdicts read through one pair record equal those of fresh copies of the
+    frames: bit for bit, but for the transfer, whose ||inv mixed|| is read as
+    1 / s_min and is checked against the norm of the inverse at 1e-12."""
+    phi = Frame(t)
+    rng = np.random.default_rng(seed)
+    bump = rng.standard_normal((phi.dim, phi.dim)) + 1j * rng.standard_normal((phi.dim, phi.dim))
+    a = np.eye(phi.dim) + bump * (size / norm(bump))
+    phi_ad = approx_dual_from_mixed(phi, a, random_annihilator(phi, seed=seed, scale=0.5))
+    direction = rng.standard_normal(t.shape) + 1j * rng.standard_normal(t.shape)
+    psi = Frame(t + direction * (1e-3 / norm(direction)))
+
+    shared = [classify_pair(phi, phi_ad), gdual_factorization(phi, phi_ad)]
+    moved = transfer_approx_dual(phi, psi, phi_ad)
+    theta = recover_parameters(phi, phi_ad)[1]
+    alone = [classify_pair(fresh(phi), fresh(phi_ad)), gdual_factorization(fresh(phi), fresh(phi_ad))]
+    for mine, theirs in zip(shared, alone):
+        assert (mine.kind, mine.rate) == (theirs.kind, theirs.rate)
+        assert np.array_equal(mine.corresponding_op, theirs.corresponding_op)
+    assert np.array_equal(theta.map, recover_parameters(fresh(phi), fresh(phi_ad))[1].map)
+
+    again = transfer_approx_dual(fresh(phi), fresh(psi), fresh(phi_ad))
+    for name in ("smallness", "predicted_diff_bound"):
+        mine, theirs = getattr(moved, name), getattr(again, name)
+        assert abs(mine - theirs) <= 1e-12 * abs(theirs)
+    mixed = t @ phi_ad.synthesis.conj().T
+    smallness = norm(t - psi.synthesis) * norm(theta.map) * norm(np.linalg.inv(mixed))
+    assert abs(moved.smallness - smallness) <= 1e-12 * smallness
