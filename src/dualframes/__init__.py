@@ -49,8 +49,6 @@ from .oplin import (
     psd_inv_sqrt,
     psd_sqrt,
     solve,
-    spectrum_inv_sqrt,
-    spectrum_sqrt,
 )
 from .frames import (
     Annihilator,

@@ -14,7 +14,8 @@ Terminology used throughout:
   target mixed operator.  Constructions for both parameterizations are
   provided, together with exact recovery of the parameters from a pair.
   All build through ``_with_mixed``: vectors A* S^{-1} phi_k + theta*(delta_k)
-  for the mixed operator A; ``_theta_part`` recovers theta from a pair.
+  for the mixed operator A; ``_theta_part`` recovers theta as the partner's
+  analysis operator projected onto ker(synthesis).
 * A pair's mixed operator, rate, corresponding operator and annihilator
   part are read from its record (:func:`dualframes.frames._pair`), which
   computes each once while both frames live.
@@ -177,6 +178,14 @@ def _with_mixed(phi: Frame, a: np.ndarray, theta_map: Optional[np.ndarray] = Non
     return Frame._adopt(syn)
 
 
+def _approx_dual(phi: Frame, a: np.ndarray, theta_map, condition: str) -> Frame:
+    """``_with_mixed(phi, a, theta_map)`` once ``condition`` = ||Id - a|| is below 1."""
+    gap = oplin.identity_gap(a)
+    if not _strictly_below(gap, 1.0):
+        raise ContractViolation(f"requires {condition} < 1", measured=gap)
+    return _with_mixed(phi, a, theta_map)
+
+
 def approx_dual_from_whitened(
     phi: Frame, whitened, theta: Optional[Annihilator] = None
 ) -> Frame:
@@ -188,10 +197,7 @@ def approx_dual_from_whitened(
     """
     require_frame(phi, "frame")
     a = frame_operator_sqrt(phi) @ _operand(phi, whitened, "whitened")
-    gap = oplin.identity_gap(a)
-    if not _strictly_below(gap, 1.0):
-        raise ContractViolation("requires ||Id - S^(1/2) W|| < 1", measured=gap)
-    return _with_mixed(phi, a, _theta_map(phi, theta))
+    return _approx_dual(phi, a, _theta_map(phi, theta), "||Id - S^(1/2) W||")
 
 
 @dataclass(frozen=True)
@@ -229,10 +235,7 @@ def approx_dual_from_mixed(
     """
     require_frame(phi, "frame")
     a = _operand(phi, target, "target")
-    gap = oplin.identity_gap(a)
-    if not _strictly_below(gap, 1.0):
-        raise ContractViolation("requires ||Id - target|| < 1", measured=gap)
-    return _with_mixed(phi, a, _theta_map(phi, theta))
+    return _approx_dual(phi, a, _theta_map(phi, theta), "||Id - target||")
 
 
 def gdual_from_corresponding(
@@ -251,20 +254,16 @@ def gdual_from_corresponding(
 
 def _theta_part(phi: Frame, partner: Frame) -> np.ndarray:
     """Annihilator part: the theta map with partner == _with_mixed(phi, mixed, theta_map),
-    read-only, built once and kept on the record of a dense pair.
+    read-only, built once and kept on the pair's record.
 
-    Projected onto ker(synthesis) to scrub roundoff before the invariant
-    check.  No rate is checked: g-dual partners are valid input.
+    It is K K* T_partner* (K = ``phi.kernel``), as K* T_phi* = 0 removes the part
+    A* S^{-1} phi_k.  No rate is checked: g-dual partners are valid input.
     """
     pair = _pair(phi, partner)
-    if pair.theta is not None:
-        return pair.theta
-    theta_map = adjoint(partner.synthesis - _with_mixed(phi, pair.dense).synthesis)
-    kernel = phi.kernel
-    theta = _frozen(kernel @ (adjoint(kernel) @ theta_map))
-    if pair.is_dense:
-        pair.theta = theta
-    return theta
+    if pair.theta is None:
+        kernel = phi.kernel
+        pair.theta = _frozen(kernel @ (adjoint(kernel) @ adjoint(partner.synthesis)))
+    return pair.theta
 
 
 def recover_parameters(phi: Frame, phi_ad: Frame) -> Tuple[np.ndarray, Annihilator]:
@@ -307,10 +306,12 @@ def approx_dual_via_dual(
             raise ContractViolation(
                 "requires ||S^(-1/2) - W|| < 1/sqrt(upper bound)", measured=check.distance
             )
-        head = approx_dual_from_whitened(phi, whitened).synthesis
+        a = frame_operator_sqrt(phi) @ _operand(phi, whitened, "whitened")
+        condition = "||Id - S^(1/2) W||"
     else:
-        head = approx_dual_from_mixed(phi, target).synthesis
-    return Frame._adopt(head - phi.synthesis + frame_operator(phi) @ phi_d.synthesis)
+        a, condition = _operand(phi, target, "target"), "||Id - target||"
+    kernel_part = adjoint(frame_operator(phi) @ phi_d.synthesis - phi.synthesis)
+    return _approx_dual(phi, a, kernel_part, condition)
 
 
 def reconstruct(phi: Frame, psi: Frame, f) -> np.ndarray:

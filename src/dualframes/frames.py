@@ -25,7 +25,7 @@ import numpy as np
 
 from . import oplin
 from .errors import ContractViolation, DimensionMismatch, NotAFrame
-from .oplin import adjoint, operator_norm
+from .oplin import _frozen, adjoint, operator_norm
 
 # A family is accepted as a frame when lambda_min(S) > FRAME_THRESHOLD_REL * lambda_max(S).
 FRAME_THRESHOLD_REL = 1e-10
@@ -58,11 +58,6 @@ class FrameBounds(NamedTuple):
         return self
 
 
-def _frozen(a: np.ndarray) -> np.ndarray:
-    a.flags.writeable = False
-    return a
-
-
 class Frame:
     """A finite vector family, held as its d x n synthesis matrix.
 
@@ -76,20 +71,20 @@ class Frame:
       the spectrum's own array, or a system frame's block eigenvalues
       (its spectrum is built only when a root or an inverse of S is needed);
     * :attr:`kernel` -- an orthonormal basis of ker T;
-    * the canonical dual (S^{-1} phi_k)_k, read through :func:`canonical_dual`.
+    * the canonical dual (S^{-1} phi_k)_k, read through :func:`canonical_dual`;
+    * S^{1/2} and S^{-1/2}, kept on the spectrum (two d x d arrays once read).
 
-    S^{1/2} and S^{-1/2} are rebuilt on each request rather than kept, and S
-    itself is never kept.  A frame whose S overflows raises ValueError for
+    S itself is never kept.  A frame whose S overflows raises ValueError for
     every spectral fact.
 
     A frame also keeps the facts of each pair (phi, psi) it was read in as the
     first frame, each computed at most once, when first asked for: the mixed
     operator synthesis(phi) o analysis(psi) (d x d, or a system pair's block
     value), its rate, its singular values, its inverse (the corresponding
-    operator, d x d) and, for a dense pair, the annihilator part theta (n x d).
-    A dense pair read through every fact holds two d x d arrays and one n x d
-    array.  The facts live while both frames do and go with either; they
-    hold no reference to either frame.
+    operator, d x d) and the annihilator part theta (n x d), psi's analysis
+    operator projected onto ker T.  A dense pair read through every fact
+    holds two d x d arrays and one n x d array.  The facts live while both
+    frames do and go with either; they hold no reference to either frame.
 
     A frame built over a structured system (:func:`dualframes.gabor.gabor_frame`)
     holds the system instead of the matrix and builds the matrix, once,
@@ -250,13 +245,13 @@ def is_riesz(phi: Frame) -> bool:
 
 
 def frame_operator_sqrt(phi: Frame) -> np.ndarray:
-    """S^{1/2}, from the frame's cached spectrum."""
-    return oplin.spectrum_sqrt(phi.spectrum)
+    """S^{1/2} (read-only), kept on the frame's spectrum."""
+    return phi.spectrum.sqrt
 
 
 def frame_operator_inv_sqrt(phi: Frame) -> np.ndarray:
-    """S^{-1/2}, from the frame's cached spectrum."""
-    return oplin.spectrum_inv_sqrt(phi.spectrum)
+    """S^{-1/2} (read-only), kept on the frame's spectrum."""
+    return phi.spectrum.inv_sqrt
 
 
 def canonical_dual(phi: Frame) -> Frame:
@@ -269,24 +264,21 @@ class _Pair:
 
     ``mixed`` is the systems' block value (see :func:`_class_blocks`) or a
     read-only dense array; the other facts are read from it on first use.
+    ``theta``, the annihilator part, is kept by :func:`dualframes.duality._theta_part`.
     The record holds arrays only, never either frame.
     """
 
     def __init__(self, mixed):
         self.mixed = _frozen(mixed) if isinstance(mixed, np.ndarray) else mixed
-        self.theta = None  # the annihilator part, kept by duality for a dense pair
+        self.theta = None
 
     @property
     def dense(self) -> np.ndarray:
         return np.asarray(self.mixed)
 
-    @property
-    def is_dense(self) -> bool:
-        return isinstance(self.mixed, np.ndarray)
-
     @cached_property
     def rate(self) -> float:
-        return oplin.identity_gap(self.mixed) if self.is_dense else self.mixed.gap()
+        return oplin.identity_gap(self.mixed) if isinstance(self.mixed, np.ndarray) else self.mixed.gap()
 
     @cached_property
     def singular_values(self) -> np.ndarray:

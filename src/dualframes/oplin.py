@@ -13,6 +13,7 @@ direct; no iterative methods.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import cached_property
 
 import numpy as np
 
@@ -67,9 +68,15 @@ def identity_gap(m) -> float:
     return operator_norm(identity(a.shape[0]) - a)
 
 
+def _frozen(a: np.ndarray) -> np.ndarray:
+    a.flags.writeable = False
+    return a
+
+
 @dataclass(frozen=True)
 class Spectrum:
-    """Hermitian eigendecomposition: ascending eigenvalues, unitary columns."""
+    """Hermitian eigendecomposition: ascending eigenvalues, unitary columns.
+    Its roots ``sqrt`` and ``inv_sqrt`` are built once, on first read, and read-only."""
 
     eigenvalues: np.ndarray
     eigenvectors: np.ndarray
@@ -77,6 +84,28 @@ class Spectrum:
     def reconstruct(self) -> np.ndarray:
         v = self.eigenvectors
         return (v * self.eigenvalues) @ adjoint(v)
+
+    def _apply(self, values: np.ndarray) -> np.ndarray:
+        r = (self.eigenvectors * values) @ adjoint(self.eigenvectors)
+        return _frozen((r + adjoint(r)) / 2.0)  # re-Hermitize against roundoff
+
+    @cached_property
+    def sqrt(self) -> np.ndarray:
+        """PSD square root; eigenvalues in [-EIG_CLAMP_REL * ||M||, 0) are treated as
+        roundoff and clamped to 0, anything more negative raises :class:`NotPSD`."""
+        w = self.eigenvalues
+        scale = max(abs(w[0]), abs(w[-1]))
+        if w[0] < -EIG_CLAMP_REL * scale:
+            raise NotPSD(f"eigenvalue {w[0]:.3e} below clamping threshold")
+        return self._apply(np.sqrt(np.clip(w, 0.0, None)))
+
+    @cached_property
+    def inv_sqrt(self) -> np.ndarray:
+        """Inverse PSD square root; :class:`Singular` unless positive definite."""
+        w = self.eigenvalues
+        if w[0] <= 1e-12 * max(w[-1], 0.0):
+            raise Singular(f"smallest eigenvalue {w[0]:.3e} too close to zero")
+        return self._apply(1.0 / np.sqrt(w))
 
 
 def _square(m) -> np.ndarray:
@@ -97,41 +126,14 @@ def herm_eig(m) -> Spectrum:
     return Spectrum(eigenvalues=w.astype(float), eigenvectors=v.astype(complex))
 
 
-def _herm_function(spec: Spectrum, values: np.ndarray) -> np.ndarray:
-    v = spec.eigenvectors
-    r = (v * values) @ adjoint(v)
-    return (r + adjoint(r)) / 2.0  # re-Hermitize against roundoff
-
-
-def spectrum_sqrt(spec: Spectrum) -> np.ndarray:
-    """PSD square root from a Hermitian eigendecomposition.
-
-    Eigenvalues in [-EIG_CLAMP_REL * ||M||, 0) are treated as roundoff and
-    clamped to 0; anything more negative raises :class:`NotPSD`.
-    """
-    w = spec.eigenvalues
-    scale = max(abs(w[0]), abs(w[-1]))
-    if w[0] < -EIG_CLAMP_REL * scale:
-        raise NotPSD(f"eigenvalue {w[0]:.3e} below clamping threshold")
-    return _herm_function(spec, np.sqrt(np.clip(w, 0.0, None)))
-
-
-def spectrum_inv_sqrt(spec: Spectrum) -> np.ndarray:
-    """Inverse PSD square root from a positive definite eigendecomposition."""
-    w = spec.eigenvalues
-    if w[0] <= 1e-12 * max(w[-1], 0.0):
-        raise Singular(f"smallest eigenvalue {w[0]:.3e} too close to zero")
-    return _herm_function(spec, 1.0 / np.sqrt(w))
-
-
 def psd_sqrt(m) -> np.ndarray:
-    """Unique PSD square root of a Hermitian PSD matrix (see spectrum_sqrt)."""
-    return spectrum_sqrt(herm_eig(m))
+    """Unique PSD square root of a Hermitian PSD matrix (see Spectrum.sqrt)."""
+    return herm_eig(m).sqrt
 
 
 def psd_inv_sqrt(m) -> np.ndarray:
     """Inverse PSD square root of a Hermitian positive definite matrix."""
-    return spectrum_inv_sqrt(herm_eig(m))
+    return herm_eig(m).inv_sqrt
 
 
 def svd_split(m) -> tuple[np.ndarray, np.ndarray]:

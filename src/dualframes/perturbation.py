@@ -23,7 +23,6 @@ from .frames import (
     bessel_bound_difference,
     frame_bounds,
     is_riesz,
-    mixed_operator,
     require_frame,
 )
 from .oplin import _strictly_below, adjoint, operator_norm
@@ -81,7 +80,8 @@ def _transfer(phi: Frame, psi: Frame, phi_dual: Frame, expect_approx: bool) -> T
     # theta == 0); invertibility of the corrector is what actually matters.
     psi_dual = Frame._adopt(oplin.solve(corrector, omega.synthesis))
 
-    mixed_match = operator_norm(mixed_operator(psi, psi_dual) - mixed)
+    # formed here, not through mixed_operator, so that psi keeps no record of this pair
+    mixed_match = operator_norm(psi.synthesis @ adjoint(psi_dual.synthesis) - mixed)
     measured = bessel_bound_difference(phi_dual, psi_dual)
     big_m_dual = frame_bounds(phi_dual).upper
     predicted = (

@@ -427,21 +427,21 @@ class TestGaborCommands:
             ]
         )
         capsys.readouterr()
-        code = main(
-            [
-                "gabor", "verify",
-                "--window", str(b2_path),
-                "--dual", str(dual_path),
-                "--a", "1",
-                "--b", "1/10",
-                "--materialize",
-            ]
-        )
+        argv = [
+            "gabor", "verify",
+            "--window", str(b2_path),
+            "--dual", str(dual_path),
+            "--a", "1",
+            "--b", "1/10",
+        ]
+        code = main(argv)
         assert code == 0
         out = capsys.readouterr().out
         assert "dual: True" in out
-        rate = [l for l in out.splitlines() if "materialized_rate" in l][0]
+        rate = [l for l in out.splitlines() if "approximation_rate" in l][0]
         assert float(rate.split(": ")[1]) <= 1e-10
+        # the rate is always reported; the old flag that asked for it is gone
+        assert main(argv + ["--materialize"]) == 3
 
     @pytest.mark.filterwarnings("ignore:overflow encountered:RuntimeWarning")
     def test_weight_overflow_exit_3(self, tmp_path, capsys):
@@ -610,7 +610,7 @@ class TestGaborCommands:
         return path
 
 
-def test_readme_cli_examples_run(tmp_path, monkeypatch):
+def test_readme_cli_examples_run(tmp_path, monkeypatch, capsys):
     # every command of README's "## Command line" block, in order, over inputs written here
     readme = (Path(__file__).resolve().parents[1] / "README.md").read_text(encoding="utf-8")
     block = readme.split("## Command line", 1)[1].split("```sh\n", 1)[1].split("```", 1)[0]
@@ -628,3 +628,6 @@ def test_readme_cli_examples_run(tmp_path, monkeypatch):
         assert main(argv[1:]) == 0, argv
         written = [path for flag, path in zip(argv, argv[1:]) if flag in ("--out", "--csv", "--spectrum-csv")]
         assert all(Path(path).exists() for path in written), argv
+        out = capsys.readouterr().out
+        if argv[1:3] == ["gabor", "verify"]:
+            assert "approximation_rate: " in out

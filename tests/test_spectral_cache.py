@@ -28,14 +28,16 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import dualframes as df
-from dualframes import duality, oplin
+from dualframes import duality, oplin, perturbation
 from dualframes import (
     Frame,
     approx_dual_from_mixed,
     approx_dual_from_whitened,
+    approx_dual_via_dual,
     canonical_dual,
     classify_pair,
     frame_bounds,
+    frame_operator,
     frame_operator_inv_sqrt,
     frame_operator_sqrt,
     gdual_factorization,
@@ -281,24 +283,145 @@ def test_pipeline_reads_each_pair_fact_once(monkeypatch):
 
     ``identity_gap`` runs for the two constructions' hypothesis checks and
     once for the pair's rate; the one ``inv`` is the pair's corresponding
-    operator; theta is built once, from ``_with_mixed`` without a theta.
+    operator; theta is built once: one projection onto ker T, made by the
+    first ``_theta_part`` call that finds no theta on the pair's record.
     """
     calls = {"identity_gap": 0, "inv": 0, "theta_build": 0}
     monkeypatch.setattr(oplin, "identity_gap", counted(calls, "identity_gap", oplin.identity_gap))
     monkeypatch.setattr(np.linalg, "inv", counted(calls, "inv", np.linalg.inv))
-    with_mixed = duality._with_mixed
+    theta_part = duality._theta_part
 
-    def build(phi, a, theta_map=None):
-        calls["theta_build"] += theta_map is None
-        return with_mixed(phi, a, theta_map)
+    def build(phi, partner):
+        calls["theta_build"] += df.frames._pair(phi, partner).theta is None
+        return theta_part(phi, partner)
 
-    monkeypatch.setattr(duality, "_with_mixed", build)
+    monkeypatch.setattr(duality, "_theta_part", build)
+    monkeypatch.setattr(perturbation, "_theta_part", build)
 
     run_pipeline()
 
     assert calls["identity_gap"] <= 3
     assert calls["inv"] <= 1
     assert calls["theta_build"] == 1
+
+
+def test_pipeline_builds_each_root_once(monkeypatch):
+    """S^{1/2} and S^{-1/2} are kept on phi's spectrum: the factorization, the
+    whitened construction and parameter recovery read one build of each."""
+    built = {"sqrt": [], "inv_sqrt": []}
+    for name in built:
+        root = getattr(oplin.Spectrum, name).func
+
+        def build(spectrum, name=name, root=root):
+            built[name].append(spectrum)
+            return root(spectrum)
+
+        kept = cached_property(build)
+        kept.__set_name__(oplin.Spectrum, name)
+        monkeypatch.setattr(oplin.Spectrum, name, kept)
+
+    phi = run_pipeline()
+
+    for name, spectra in built.items():
+        assert len(spectra) == 1 and spectra[0] is phi.spectrum, name
+
+
+def test_roots_are_kept_read_only():
+    rng = np.random.default_rng(7)
+    phi = Frame(rng.standard_normal((4, 7)) + 1j * rng.standard_normal((4, 7)))
+    spectrum = phi.spectrum
+    for name, read in (("sqrt", frame_operator_sqrt), ("inv_sqrt", frame_operator_inv_sqrt)):
+        root = read(phi)
+        assert read(phi) is root and getattr(spectrum, name) is root
+        with pytest.raises(ValueError):
+            root[0, 0] = 1.0
+        with pytest.raises(AttributeError):
+            setattr(spectrum, name, root.copy())
+
+
+def test_roots_reject_on_every_read():
+    singular = oplin.herm_eig(np.diag([0.0, 1.0]))
+    indefinite = oplin.herm_eig(np.diag([-1.0, 1.0]))
+    for _ in range(2):
+        with pytest.raises(df.Singular, match="smallest eigenvalue 0.000e\\+00 too close to zero"):
+            singular.inv_sqrt
+        with pytest.raises(df.NotPSD, match="eigenvalue -1.000e\\+00 below clamping threshold"):
+            indefinite.sqrt
+    assert np.array_equal(singular.sqrt, np.diag([0.0, 1.0]))
+
+
+def subtracted_theta(phi: Frame, psi: np.ndarray) -> np.ndarray:
+    """The annihilator part as first defined: psi minus the family A* S^{-1} phi_k
+    (A = T_phi T_psi*), projected onto ker T_phi."""
+    k = kernel_basis(phi)
+    family = (phi.synthesis @ psi.conj().T).conj().T @ canonical_dual(phi).synthesis
+    return k @ (k.conj().T @ (psi - family).conj().T)
+
+
+@settings(max_examples=40, deadline=None)
+@given(t=frames, size=st.floats(0.0, 0.9), seed=st.integers(0, 2**32 - 1))
+def test_theta_is_the_kernel_projection_of_the_partner(t, size, seed):
+    """theta = K K* T_psi* equals the subtracted form within 1e-10 of ||T_psi||,
+    and _with_mixed(phi, mixed, theta) rebuilds psi at criterion 2's 1e-9 (plus the
+    first-order kappa(S) * eps of the mixed operator formed from psi, as above)."""
+    phi = Frame(t)
+    o = Oracle(t)
+    rng = np.random.default_rng(seed)
+    bump = rng.standard_normal((phi.dim, phi.dim)) + 1j * rng.standard_normal((phi.dim, phi.dim))
+    a = np.eye(phi.dim) + bump * (size / norm(bump))
+    built = approx_dual_from_mixed(phi, a, random_annihilator(phi, seed=seed, scale=0.5)).synthesis
+    psi = Frame(built.copy())
+    scale = norm(built)
+
+    theta = duality._theta_part(phi, psi)
+    assert norm(theta - subtracted_theta(phi, built)) <= RECONSTRUCTION_TOL * scale
+    rebuilt = duality._with_mixed(phi, mixed_operator(phi, psi), theta).synthesis
+    kappa = o.w[-1] / o.w[0]
+    assert norm(rebuilt - built) <= (ROUNDTRIP_TOL + 10 * kappa * EPS) * scale
+
+
+@settings(max_examples=40, deadline=None)
+@given(t=frames, size=st.floats(0.0, 0.9), seed=st.integers(0, 2**32 - 1))
+def test_via_dual_matches_the_patched_family(t, size, seed):
+    """approx_dual_via_dual, which passes S phi^d_k - phi_k as theta, equals the
+    family it once patched, head - phi + S phi^d, within 1e-10 in both modes."""
+    phi = Frame(t)
+    o = Oracle(t)
+    rng = np.random.default_rng(seed)
+    bump = rng.standard_normal((phi.dim, phi.dim)) + 1j * rng.standard_normal((phi.dim, phi.dim))
+    w = o.inv_sqrt + bump * (0.5 / (np.sqrt(o.w[-1]) * norm(bump)))
+    a = np.eye(phi.dim) + bump * (size / norm(bump))
+    # an exact dual: the canonical one from the pseudo-inverse of T, whose error grows
+    # with kappa(T) = sqrt(kappa(S)) only, plus kernel content
+    theta = random_annihilator(phi, seed=seed, scale=0.5).map
+    phi_d = Frame((np.linalg.pinv(t) + theta).conj().T)
+    tail = frame_operator(phi) @ phi_d.synthesis
+    for mode, head in (
+        ({"whitened": w}, approx_dual_from_whitened(phi, w)),
+        ({"target": a}, approx_dual_from_mixed(phi, a)),
+    ):
+        patched = head.synthesis - t + tail
+        got = approx_dual_via_dual(phi, phi_d, **mode).synthesis
+        assert norm(got - patched) <= RECONSTRUCTION_TOL * norm(patched), mode
+
+
+def test_gabor_pair_keeps_its_theta():
+    grid, lat = df.GridSpec(4, 6), df.GaborLattice(1, "1/3")
+    g = df.sample_bspline(2, grid)
+    phi, psi = gabor_frame(g, lat), gabor_frame(df.ck_dual1(g, 2, lat.b), lat)
+    theta = recover_parameters(phi, psi)[1].map
+    assert duality._theta_part(phi, psi) is theta
+    assert recover_parameters(phi, psi)[1].map is theta
+    assert norm(theta - subtracted_theta(phi, psi.synthesis)) <= RECONSTRUCTION_TOL * norm(psi.synthesis)
+
+
+def test_transfer_leaves_no_pair_record_on_the_perturbed_frame():
+    phi, phi_ad = pair_of_frames(4)
+    rng = np.random.default_rng(4)
+    psi = Frame(phi.synthesis + 1e-3 * rng.standard_normal(phi.synthesis.shape))
+    moved = transfer_approx_dual(phi, psi, phi_ad)
+    assert moved.mixed_match_residual <= ROUNDTRIP_TOL
+    assert len(psi._pairs) == 0
 
 
 def pair_of_frames(seed: int):
