@@ -16,10 +16,9 @@ def main():
     rng = np.random.default_rng(2024)
     syn = rng.standard_normal((4, 7)) + 1j * rng.standard_normal((4, 7))
     phi = df.Frame(syn)
-    s = df.frame_operator(phi)
 
     # Start from the exact inverse root and push it off-center a little.
-    w = df.psd_inv_sqrt(s) + 0.05 * rng.standard_normal((4, 4))
+    w = df.frame_operator_inv_sqrt(phi) + 0.05 * rng.standard_normal((4, 4))
     check = df.whitened_admissibility(phi, w)
     print(f"distance to inverse root: {check.distance:.4f} "
           f"(threshold {check.threshold:.4f}, admissible: {check.admissible})")

@@ -3,8 +3,9 @@ Gabor constructions on a sampled periodic line.
 
 The package is organized in layers:
 
-* :mod:`dualframes.oplin` -- dense complex operator helpers (norms,
-  Hermitian eigensystems, PSD roots, guarded inverses).
+* :mod:`dualframes.oplin` -- dense complex operator helpers (norms, the
+  one thin SVD of a synthesis matrix and the spectral facts read from it,
+  guarded inverses).
 * :mod:`dualframes.frames` -- finite frames, their three canonical
   operators, optimal bounds, canonical duals, and annihilators.
 * :mod:`dualframes.duality` -- classification of frame pairs and the
@@ -30,7 +31,6 @@ from .errors import (
     NotDualPair,
     NotEquivalent,
     NotHermitian,
-    NotPSD,
     NotRieszBasis,
     OffGrid,
     ParseError,
@@ -42,12 +42,9 @@ from .oplin import (
     Spectrum,
     adjoint,
     as_operator,
-    herm_eig,
     identity,
     inverse,
     operator_norm,
-    psd_inv_sqrt,
-    psd_sqrt,
     solve,
 )
 from .frames import (
@@ -64,7 +61,6 @@ from .frames import (
     frame_operator_sqrt,
     is_frame,
     is_riesz,
-    kernel_basis,
     mixed_operator,
     random_annihilator,
     synthesis,

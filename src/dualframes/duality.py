@@ -15,7 +15,8 @@ Terminology used throughout:
   provided, together with exact recovery of the parameters from a pair.
   All build through ``_with_mixed``: vectors A* S^{-1} phi_k + theta*(delta_k)
   for the mixed operator A; ``_theta_part`` recovers theta as the partner's
-  analysis operator projected onto ker(synthesis).
+  analysis operator projected onto ker(synthesis), through the frame's one
+  thin SVD (:class:`dualframes.oplin.Spectrum`).
 * A pair's mixed operator, rate, corresponding operator and annihilator
   part are read from its record (:func:`dualframes.frames._pair`), which
   computes each once while both frames live.
@@ -61,7 +62,7 @@ from .oplin import _strictly_below, adjoint, operator_norm
 
 # Exact duality: ||Id - mixed|| at or below this is "dual".
 DUAL_TOL = 1e-10
-# Slack allowed when checking lambda_max(W W*) against the Bessel bound.
+# Relative slack allowed when checking lambda_max(W W*) against the Bessel bound.
 BESSEL_CHECK_TOL = 1e-9
 
 
@@ -130,28 +131,26 @@ def gdual_factorization(phi: Frame, psi: Frame) -> DualReport:
     The pair is g-dual exactly when the whitened factor W is invertible,
     and approximately dual exactly when ||Id - S^{1/2} W|| < 1, which is
     the approximation rate ``report.rate``.  The report also checks
-    lambda_max(W W*) against the Bessel bound of ``psi``, which must hold
-    for any genuine frame pair.
+    lambda_max(W W*) = ||W||^2 against the Bessel bound of ``psi``, which
+    must hold for any genuine frame pair, up to the relative slack
+    ``BESSEL_CHECK_TOL``.
     """
     require_frame(phi, "first frame")
     pair = _pair(phi, psi)
-    rate = pair.rate
     mixed = pair.dense
     whitened = frame_operator_inv_sqrt(phi) @ mixed
     residual = operator_norm(mixed - frame_operator_sqrt(phi) @ whitened)
-    gram = whitened @ adjoint(whitened)
-    peak = float(np.linalg.eigvalsh(gram)[-1])
+    peak = operator_norm(whitened) ** 2
     upper_psi = frame_bounds(psi).upper
-    margin = upper_psi - peak
     kind, corresponding = _classify(pair)
     return DualReport(
         kind=kind,
-        rate=rate,
+        rate=pair.rate,
         corresponding_op=corresponding,
         whitened=whitened,
         factor_residual=residual,
-        bessel_bound_ok=bool(peak <= upper_psi + BESSEL_CHECK_TOL),
-        bessel_margin=margin,
+        bessel_bound_ok=bool(peak <= upper_psi * (1.0 + BESSEL_CHECK_TOL)),
+        bessel_margin=upper_psi - peak,
     )
 
 
@@ -212,7 +211,8 @@ class WhitenedAdmissibility:
 
 def whitened_admissibility(phi: Frame, whitened) -> WhitenedAdmissibility:
     """Check the closeness-to-S^{-1/2} condition that guarantees an approximate dual."""
-    bounds = require_frame(phi, "frame")
+    require_frame(phi, "frame")
+    bounds = frame_bounds(phi)
     w = _operand(phi, whitened, "whitened")
     distance = operator_norm(frame_operator_inv_sqrt(phi) - w)
     threshold = 1.0 / np.sqrt(bounds.upper)
@@ -256,13 +256,13 @@ def _theta_part(phi: Frame, partner: Frame) -> np.ndarray:
     """Annihilator part: the theta map with partner == _with_mixed(phi, mixed, theta_map),
     read-only, built once and kept on the pair's record.
 
-    It is K K* T_partner* (K = ``phi.kernel``), as K* T_phi* = 0 removes the part
-    A* S^{-1} phi_k.  No rate is checked: g-dual partners are valid input.
+    It is T_partner* projected onto ker T (``Spectrum.kernel_part``): the projection
+    removes the part A* S^{-1} phi_k, whose analysis lies in range(T*).  No rate is
+    checked: g-dual partners are valid input.
     """
     pair = _pair(phi, partner)
     if pair.theta is None:
-        kernel = phi.kernel
-        pair.theta = _frozen(kernel @ (adjoint(kernel) @ adjoint(partner.synthesis)))
+        pair.theta = _frozen(phi.spectrum.kernel_part(adjoint(partner.synthesis)))
     return pair.theta
 
 
@@ -351,8 +351,8 @@ def range_compare(phi: Frame, psi: Frame) -> RangeRelation:
     (Bessel-only) families.
     """
     _check_same_shape(phi, psi)
-    q_phi = oplin.svd_split(phi.synthesis)[0]
-    q_psi = oplin.svd_split(psi.synthesis)[0]
+    q_phi = phi.spectrum.range_basis
+    q_psi = psi.spectrum.range_basis
     left_in_right = _containment_defect(q_phi, q_psi) <= _RANGE_TOL
     right_in_left = _containment_defect(q_psi, q_phi) <= _RANGE_TOL
     if left_in_right and right_in_left:

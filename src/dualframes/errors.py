@@ -18,11 +18,6 @@ class NotHermitian(FrameError):
     """A matrix required to be Hermitian is not (beyond tolerance)."""
 
 
-class NotPSD(FrameError):
-    """A matrix required to be positive semidefinite has a significantly
-    negative eigenvalue."""
-
-
 class Singular(FrameError):
     """A matrix required to be invertible is numerically singular.
 

@@ -27,7 +27,8 @@ from . import oplin
 from .errors import ContractViolation, DimensionMismatch, NotAFrame
 from .oplin import _frozen, adjoint, operator_norm
 
-# A family is accepted as a frame when lambda_min(S) > FRAME_THRESHOLD_REL * lambda_max(S).
+# A family is accepted as a frame when lambda_min(S) > FRAME_THRESHOLD_REL * lambda_max(S),
+# judged on the singular values of T: s_min > sqrt(FRAME_THRESHOLD_REL) * s_max.
 FRAME_THRESHOLD_REL = 1e-10
 # Range of an annihilator must sit in ker(T) to this relative tolerance.
 ANNIHILATOR_TOL = 1e-10
@@ -40,42 +41,58 @@ class FrameBounds(NamedTuple):
     upper: float
 
     @classmethod
-    def from_eigenvalues(cls, w: np.ndarray) -> "FrameBounds":
-        """Bounds from the ascending spectrum of a frame operator.
+    def from_eigenvalues(cls, w: np.ndarray, sigma=None) -> "FrameBounds":
+        """Bounds from the ascending spectrum ``w`` of a frame operator.
 
-        ``lower == 0.0`` signals a Bessel family that is not a frame.
+        The frame test reads ``sigma`` = (s_min, s_max) of T (by default the
+        roots of the end eigenvalues), so no scaling of T changes it.
+        ``lower == 0.0`` signals a Bessel family that is not a frame; a bound
+        that is 0, subnormal or infinite for a nonzero T raises ValueError.
         """
-        upper = float(max(w[-1], 0.0))
-        lower = float(w[0])
-        if lower <= FRAME_THRESHOLD_REL * upper:
-            lower = 0.0
-        return cls(lower=lower, upper=upper)
+        if sigma is None:
+            sigma = np.sqrt(np.clip(w[[0, -1]], 0.0, None))
+        frame = _is_frame(*sigma)
+        bounds = cls(lower=float(w[0]) if frame else 0.0, upper=float(max(w[-1], 0.0)))
+        for bound, root in zip(bounds, (sigma[0] if frame else 0.0, sigma[1])):
+            if root > 0.0 and not np.finfo(float).tiny <= bound < np.inf:
+                raise ValueError(f"frame bound {root:.3e}^2 is not a normal float")
+        return bounds
 
     def require(self, name: str = "family") -> "FrameBounds":
         """These bounds, or :class:`NotAFrame` when the lower bound is 0."""
         if self.lower == 0.0:
-            raise NotAFrame(f"{name} has lower frame bound 0 (rank deficient)")
+            raise _not_a_frame(name)
         return self
+
+
+def _is_frame(s_min: float, s_max: float) -> bool:
+    return s_min > np.sqrt(FRAME_THRESHOLD_REL) * s_max
+
+
+def _not_a_frame(name: str) -> NotAFrame:
+    return NotAFrame(f"{name} has lower frame bound 0 (rank deficient)")
 
 
 class Frame:
     """A finite vector family, held as its d x n synthesis matrix.
 
     The synthesis matrix is immutable: a writeable array passed in is
-    copied, and the stored array is read-only.  The spectral facts of the
-    frame operator S = T T* are computed lazily, at most once per frame,
-    and cached on the instance:
+    copied, and the stored array is read-only.  The spectral facts are
+    computed lazily, at most once per frame, and cached on the instance:
 
-    * :attr:`spectrum` -- the full Hermitian eigendecomposition of S;
+    * :attr:`spectrum` -- one thin SVD T = U diag(s) V* (:class:`~dualframes.oplin.Spectrum`);
+      S^{1/2}, S^{-1/2} (two d x d arrays once read), the rank, the analysis
+      range and the projection onto ker T are read from it;
     * :attr:`eigenvalues` -- the spectrum of S, behind the frame bounds:
       the spectrum's own array, or a system frame's block eigenvalues
-      (its spectrum is built only when a root or an inverse of S is needed);
-    * :attr:`kernel` -- an orthonormal basis of ker T;
-    * the canonical dual (S^{-1} phi_k)_k, read through :func:`canonical_dual`;
-    * S^{1/2} and S^{-1/2}, kept on the spectrum (two d x d arrays once read).
+      (its spectrum is built only when a root, the dual or ker T is needed);
+    * the canonical dual U diag(1/s) V* = (S^{-1} phi_k)_k, read through
+      :func:`canonical_dual`.
 
-    S itself is never kept.  A frame whose S overflows raises ValueError for
-    every spectral fact.
+    S itself is never formed.  Whether the family is a frame is decided
+    from s_min / s_max, which no scaling of T changes; a bound that does not
+    fit a normal float raises ValueError when read.  A frame whose S
+    overflows raises ValueError for every spectral fact.
 
     A frame also keeps the facts of each pair (phi, psi) it was read in as the
     first frame, each computed at most once, when first asked for: the mixed
@@ -154,15 +171,17 @@ class Frame:
 
     @cached_property
     def spectrum(self) -> oplin.Spectrum:
-        """Hermitian eigendecomposition of the frame operator (read-only)."""
-        w, v = np.linalg.eigh(frame_operator(self))
-        return oplin.Spectrum(_frozen(w), _frozen(v))
+        """The thin SVD of T (read-only); ValueError when S overflows."""
+        return oplin.Spectrum.of(self.synthesis)
 
     @cached_property
-    def kernel(self) -> np.ndarray:
-        """Orthonormal basis (n x (n - rank)) of ker T (read-only), where the rank
-        counts the singular values of T above ``s_max * eps * max(d, n)``."""
-        return _frozen(oplin.svd_split(self.synthesis)[1])
+    def _sigma(self) -> tuple:
+        """(s_min, s_max) of T, behind the frame test: the spectrum's (s_min = 0 when
+        n < d), or the roots of a system's end block eigenvalues."""
+        if self._system is None:
+            s = self.spectrum.s
+            return (float(s[-1]) if s.size == self.dim else 0.0), float(s[0])
+        return tuple(float(np.sqrt(max(x, 0.0))) for x in self.eigenvalues[[0, -1]])
 
     @cached_property
     def _pairs(self) -> "weakref.WeakKeyDictionary[Frame, _Pair]":
@@ -171,8 +190,8 @@ class Frame:
     @cached_property
     def _canonical_dual(self) -> "Frame":
         require_frame(self, "frame")
-        v = self.spectrum.eigenvectors
-        return Frame._adopt((v / self.spectrum.eigenvalues) @ (adjoint(v) @ self.synthesis))
+        spectrum = self.spectrum
+        return Frame._adopt((spectrum.u / spectrum.s) @ spectrum.vh)
 
     def __repr__(self):
         return f"Frame(dim={self.dim}, count={self.count})"
@@ -227,16 +246,20 @@ def frame_operator(phi: Frame) -> np.ndarray:
 
 
 def frame_bounds(phi: Frame) -> FrameBounds:
-    """Optimal bounds; ``lower == 0.0`` signals a Bessel family that is not a frame."""
-    return FrameBounds.from_eigenvalues(phi.eigenvalues)
+    """Optimal bounds; ``lower == 0.0`` signals a Bessel family that is not a frame.
+    ValueError when a bound of a nonzero family is not a normal float."""
+    return FrameBounds.from_eigenvalues(phi.eigenvalues, phi._sigma)
 
 
 def is_frame(phi: Frame) -> bool:
-    return frame_bounds(phi).lower > 0.0
+    """Whether s_min > sqrt(FRAME_THRESHOLD_REL) * s_max; reads no bound, so it holds at any scale."""
+    return _is_frame(*phi._sigma)
 
 
-def require_frame(phi: Frame, name: str = "family") -> FrameBounds:
-    return frame_bounds(phi).require(name)
+def require_frame(phi: Frame, name: str = "family") -> None:
+    """:class:`NotAFrame` unless ``phi`` is a frame (see :func:`is_frame`)."""
+    if not is_frame(phi):
+        raise _not_a_frame(name)
 
 
 def is_riesz(phi: Frame) -> bool:
@@ -245,17 +268,18 @@ def is_riesz(phi: Frame) -> bool:
 
 
 def frame_operator_sqrt(phi: Frame) -> np.ndarray:
-    """S^{1/2} (read-only), kept on the frame's spectrum."""
+    """S^{1/2} = U diag(s) U* (read-only), kept on the frame's spectrum."""
     return phi.spectrum.sqrt
 
 
 def frame_operator_inv_sqrt(phi: Frame) -> np.ndarray:
-    """S^{-1/2} (read-only), kept on the frame's spectrum."""
+    """S^{-1/2} = U diag(1/s) U* (read-only), kept on the frame's spectrum."""
     return phi.spectrum.inv_sqrt
 
 
 def canonical_dual(phi: Frame) -> Frame:
-    """The frame ( S^{-1} phi_k )_k, giving exact reconstruction (kept: one per frame)."""
+    """The frame ( S^{-1} phi_k )_k = U diag(1/s) V*, giving exact reconstruction
+    (kept: one per frame)."""
     return phi._canonical_dual
 
 
@@ -324,11 +348,6 @@ def bessel_bound_difference(phi: Frame, psi: Frame) -> float:
     return operator_norm(phi.synthesis - psi.synthesis) ** 2
 
 
-def kernel_basis(phi: Frame) -> np.ndarray:
-    """Orthonormal basis (n x (n - rank)) of the kernel of the synthesis map (cached)."""
-    return phi.kernel
-
-
 @dataclass(frozen=True)
 class Annihilator:
     """An n x d map whose range lies in the kernel of the synthesis operator.
@@ -350,7 +369,7 @@ class Annihilator:
             )
         object.__setattr__(self, "norm", operator_norm(m))
         residual = operator_norm(self.base.synthesis @ m)
-        t_norm = np.sqrt(frame_bounds(self.base).upper)  # ||T|| = sqrt(lambda_max(S))
+        t_norm = self.base._sigma[1]  # ||T||
         allowed = ANNIHILATOR_TOL * t_norm * max(self.norm, 1e-300)
         if residual > allowed:
             raise ContractViolation(
@@ -366,19 +385,16 @@ class Annihilator:
 def random_annihilator(phi: Frame, seed: int, scale: float) -> Annihilator:
     """Seeded annihilator with operator norm ``scale``.
 
-    Coefficients are complex Gaussian draws against an orthonormal kernel
-    basis, then rescaled.  A Riesz basis has trivial kernel, so the zero
-    map is returned; ``scale == 0`` also yields the zero map.  ValueError
-    for a negative or non-finite scale.
+    An n x d complex Gaussian draw, projected onto ker T, then rescaled.
+    A Riesz basis has trivial kernel, so the zero map is returned;
+    ``scale == 0`` also yields the zero map.  ValueError for a negative or
+    non-finite scale.
     """
     if not 0.0 <= scale < np.inf:
         raise ValueError(f"annihilator scale must be finite and >= 0, got {scale!r}")
-    kernel = kernel_basis(phi)
-    if kernel.shape[1] == 0 or scale == 0.0:
+    if phi.spectrum.rank == phi.count or scale == 0.0:
         return Annihilator.zero(phi)
     rng = np.random.default_rng(seed)
-    coeffs = rng.standard_normal((kernel.shape[1], phi.dim)) + 1j * rng.standard_normal(
-        (kernel.shape[1], phi.dim)
-    )
-    raw = kernel @ coeffs
+    shape = (phi.count, phi.dim)
+    raw = phi.spectrum.kernel_part(rng.standard_normal(shape) + 1j * rng.standard_normal(shape))
     return Annihilator(map=raw * (scale / operator_norm(raw)), base=phi)

@@ -9,7 +9,7 @@ in cycles per unit).  Gabor systems are ordinary
 isometric embedding ``values / sqrt(s)``, so all duality machinery
 applies verbatim.  Such a frame keeps its window and lattice and builds
 its ``L x N`` synthesis matrix only when something reads ``synthesis``
-(export, the kernel, analysis/synthesis, a pairing with a plain frame).
+(export, its thin SVD, analysis/synthesis, a pairing with a plain frame).
 Its frame operator, eigenvalues and bounds, and its mixed operator and
 approximation rate against a system on the same grid and lattice, are
 read from the Walnut (Zibulski-Zeevi) residue-class blocks instead, held by

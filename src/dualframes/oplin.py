@@ -3,8 +3,8 @@
 Operators between finite-dimensional complex spaces are plain 2-d
 ``numpy`` arrays of ``complex128``.  This module supplies the pieces the
 frame machinery leans on everywhere: adjoints, operator (spectral) norms,
-Hermitian eigendecompositions, PSD square roots and inverse square roots,
-orthonormal bases of a range and a kernel, and guarded inverses/solves.
+one thin SVD of a synthesis matrix with every spectral fact read from it
+(:class:`Spectrum`), and guarded inverses/solves.
 
 Sizes stay at desk scale (a few hundred), so everything is dense and
 direct; no iterative methods.
@@ -17,12 +17,8 @@ from functools import cached_property
 
 import numpy as np
 
-from .errors import DimensionMismatch, NotHermitian, NotPSD, Singular
+from .errors import DimensionMismatch, Singular
 
-# Hermiticity drift in frame operators is roundoff only.
-HERMITICITY_TOL = 1e-12
-# Eigenvalues above -EIG_CLAMP_REL * ||M|| are clamped to 0 in PSD roots.
-EIG_CLAMP_REL = 1e-10
 # Condition-number cutoff for invertibility: smin > smax / COND_CUTOFF.
 COND_CUTOFF = 1e12
 # Strict "< 1" margins; boundary cases (rate exactly 1) must be rejected.
@@ -75,37 +71,64 @@ def _frozen(a: np.ndarray) -> np.ndarray:
 
 @dataclass(frozen=True)
 class Spectrum:
-    """Hermitian eigendecomposition: ascending eigenvalues, unitary columns.
-    Its roots ``sqrt`` and ``inv_sqrt`` are built once, on first read, and read-only."""
+    """One thin SVD T = U diag(s) V* of a d x n matrix, with every spectral
+    fact of T and of S = T T* read from it.
 
+    ``u`` is d x k, ``s`` holds the k singular values (descending) and ``vh``
+    is k x n, k = min(d, n); ``eigenvalues`` are those of S, ascending: the
+    squares of ``s``, padded with zeros to d.  S is never formed, so the
+    facts carry the accuracy of kappa(T), not of kappa(S) = kappa(T)^2, and
+    scale exactly with T.  The other facts are built once, on first read,
+    and read-only.
+    """
+
+    u: np.ndarray
+    s: np.ndarray
+    vh: np.ndarray
     eigenvalues: np.ndarray
-    eigenvectors: np.ndarray
 
-    def reconstruct(self) -> np.ndarray:
-        v = self.eigenvectors
-        return (v * self.eigenvalues) @ adjoint(v)
+    @classmethod
+    def of(cls, t: np.ndarray) -> "Spectrum":
+        """The spectrum of ``t``; ValueError when S overflows (``s_max**2`` is not finite)."""
+        u, s, vh = np.linalg.svd(t, full_matrices=False)
+        with np.errstate(over="ignore"):
+            w = np.concatenate([np.zeros(t.shape[0] - s.size), s[::-1] ** 2])
+        return cls(_frozen(u), _frozen(s), _frozen(vh), _frozen(_require_finite(w)))
 
-    def _apply(self, values: np.ndarray) -> np.ndarray:
-        r = (self.eigenvectors * values) @ adjoint(self.eigenvectors)
-        return _frozen((r + adjoint(r)) / 2.0)  # re-Hermitize against roundoff
+    @cached_property
+    def rank(self) -> int:
+        """The count of singular values above ``s_max * eps * max(d, n)``
+        (the rule of ``np.linalg.matrix_rank``)."""
+        cutoff = self.s[0] * np.finfo(float).eps * max(self.u.shape[0], self.vh.shape[1])
+        return int(np.sum(self.s > cutoff))
 
     @cached_property
     def sqrt(self) -> np.ndarray:
-        """PSD square root; eigenvalues in [-EIG_CLAMP_REL * ||M||, 0) are treated as
-        roundoff and clamped to 0, anything more negative raises :class:`NotPSD`."""
-        w = self.eigenvalues
-        scale = max(abs(w[0]), abs(w[-1]))
-        if w[0] < -EIG_CLAMP_REL * scale:
-            raise NotPSD(f"eigenvalue {w[0]:.3e} below clamping threshold")
-        return self._apply(np.sqrt(np.clip(w, 0.0, None)))
+        """S^{1/2} = U diag(s) U*."""
+        return _frozen((self.u * self.s) @ adjoint(self.u))
 
     @cached_property
     def inv_sqrt(self) -> np.ndarray:
-        """Inverse PSD square root; :class:`Singular` unless positive definite."""
-        w = self.eigenvalues
-        if w[0] <= 1e-12 * max(w[-1], 0.0):
-            raise Singular(f"smallest eigenvalue {w[0]:.3e} too close to zero")
-        return self._apply(1.0 / np.sqrt(w))
+        """S^{-1/2} = U diag(1/s) U*; :class:`Singular` unless lambda_min(S) > 1e-12 lambda_max(S)."""
+        smallest = self.s[-1] if self.s.size == self.u.shape[0] else 0.0
+        if smallest <= 1e-6 * self.s[0]:
+            raise Singular(f"smallest singular value {smallest:.3e} too close to zero")
+        return _frozen((self.u / self.s) @ adjoint(self.u))
+
+    @cached_property
+    def range_basis(self) -> np.ndarray:
+        """Orthonormal basis (n x rank) of range(T*), the analysis range."""
+        return _frozen(adjoint(self.vh[: self.rank]))
+
+    def kernel_part(self, x: np.ndarray) -> np.ndarray:
+        """The columns of ``x`` (n x m) projected onto ker T: x - V V* x, applied
+        twice so that the result stays orthogonal to range(T*); zero when ker T is."""
+        v = self.vh[: self.rank]
+        if v.shape[0] == v.shape[1]:
+            return np.zeros_like(x)
+        for _ in range(2):
+            x = x - adjoint(v) @ (v @ x)
+        return x
 
 
 def _square(m) -> np.ndarray:
@@ -113,40 +136,6 @@ def _square(m) -> np.ndarray:
     if a.shape[0] != a.shape[1]:
         raise DimensionMismatch(f"matrix must be square, got {a.shape}")
     return a
-
-
-def herm_eig(m) -> Spectrum:
-    """Eigendecomposition of a Hermitian matrix (checked to tolerance)."""
-    a = _square(m)
-    scale = operator_norm(a)
-    drift = operator_norm(a - adjoint(a))
-    if drift > HERMITICITY_TOL * max(scale, 1e-300):
-        raise NotHermitian(f"relative Hermiticity defect {drift / max(scale, 1e-300):.3e}")
-    w, v = np.linalg.eigh(a)
-    return Spectrum(eigenvalues=w.astype(float), eigenvectors=v.astype(complex))
-
-
-def psd_sqrt(m) -> np.ndarray:
-    """Unique PSD square root of a Hermitian PSD matrix (see Spectrum.sqrt)."""
-    return herm_eig(m).sqrt
-
-
-def psd_inv_sqrt(m) -> np.ndarray:
-    """Inverse PSD square root of a Hermitian positive definite matrix."""
-    return herm_eig(m).inv_sqrt
-
-
-def svd_split(m) -> tuple[np.ndarray, np.ndarray]:
-    """Orthonormal bases (as columns) of range(M*) and ker M from one full SVD.
-
-    The rank r counts the singular values above ``s_max * eps * max(rows,
-    cols)`` (the default of ``np.linalg.matrix_rank``); the first r right
-    singular vectors span range(M*), the remaining ones span ker M.
-    """
-    a = as_operator(m)
-    _, s, vh = np.linalg.svd(a, full_matrices=True)
-    rank = int(np.sum(s > np.amax(s, initial=0.0) * np.finfo(float).eps * max(a.shape)))
-    return vh[:rank].T.conj(), vh[rank:].T.conj()
 
 
 def _require_conditioned(s: np.ndarray) -> None:

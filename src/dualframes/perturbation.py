@@ -53,8 +53,10 @@ class TransferResult:
 
 
 def _transfer(phi: Frame, psi: Frame, phi_dual: Frame, expect_approx: bool) -> TransferResult:
-    m_phi, big_m_phi = require_frame(phi, "original frame")
-    m_psi, big_m_psi = require_frame(psi, "perturbed frame")
+    require_frame(phi, "original frame")
+    require_frame(psi, "perturbed frame")
+    m_phi, big_m_phi = frame_bounds(phi)
+    m_psi, big_m_psi = frame_bounds(psi)
 
     pair = _pair(phi, phi_dual)
     if expect_approx and not _strictly_below(pair.rate, 1.0):

@@ -35,8 +35,6 @@ from dualframes import (
     mixed_operator,
     operator_norm,
     painless_check,
-    psd_inv_sqrt,
-    psd_sqrt,
     random_annihilator,
     recover_parameters,
     riesz_difference_bound,
@@ -50,6 +48,7 @@ from dualframes import (
 )
 
 from conftest import random_frame, random_vector
+from oracle import psd_inv_sqrt, psd_sqrt
 
 
 def criterion(num, label):

@@ -80,6 +80,12 @@ class TestFrameInfo:
         assert main(["frame-info", str(path)]) == 3
         assert "non-finite" in capsys.readouterr().err
 
+    def test_frame_whose_bounds_do_not_fit_exit_3(self, tmp_path, capsys):
+        path = tmp_path / "tiny.json"
+        io.save_frame(Frame(np.array([[1, 0, 1], [0, 1, 1]]) * 1e-170), path)
+        assert main(["frame-info", str(path)]) == 3
+        assert "not a normal float" in capsys.readouterr().err
+
     def test_malformed_json_exit_3(self, tmp_path, capsys):
         path = tmp_path / "bad.json"
         path.write_text("{not json")

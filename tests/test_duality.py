@@ -3,10 +3,12 @@ import re
 import numpy as np
 import pytest
 
+from dualframes import duality
 from dualframes import (
     ContractViolation,
     DimensionMismatch,
     Frame,
+    FrameBounds,
     NotAFrame,
     NotApproxDual,
     NotDualPair,
@@ -29,8 +31,6 @@ from dualframes import (
     inverse,
     mixed_operator,
     operator_norm,
-    psd_inv_sqrt,
-    psd_sqrt,
     random_annihilator,
     range_compare,
     reconstruct,
@@ -39,6 +39,7 @@ from dualframes import (
 )
 
 from conftest import random_frame, random_vector
+from oracle import psd_inv_sqrt, psd_sqrt
 
 
 def admissible_whitened(phi: Frame, seed: int, size: float = 0.1) -> np.ndarray:
@@ -130,6 +131,23 @@ class TestFactorization:
             phi = random_frame(4, 7, seed=300 + seed)
             psi = random_frame(4, 7, seed=400 + seed)
             assert gdual_factorization(phi, psi).bessel_bound_ok
+
+    def test_bessel_check_holds_for_canonical_pairs_at_small_scale(self):
+        # the canonical dual's bound is about 1e10 here, so its rounding exceeds any absolute slack
+        for seed in range(50):
+            phi = Frame(random_frame(8, 12, seed=500 + seed).synthesis * 1e-5)
+            assert gdual_factorization(phi, canonical_dual(phi)).bessel_bound_ok
+
+    @pytest.mark.parametrize("scale", [1e-5, 1.0, 1e5])
+    def test_bessel_excess_of_1e_6_is_rejected_at_every_scale(self, scale, monkeypatch):
+        # lambda_max(W W*) <= upper(psi) is a theorem for a genuine pair, so the excess is
+        # made by lowering the bound of psi that the check reads by 1e-6 relative
+        phi = Frame(random_frame(8, 12, seed=600).synthesis * scale)
+        psi = canonical_dual(phi)
+        lower, upper = frame_bounds(psi)
+        assert gdual_factorization(phi, psi).bessel_bound_ok
+        monkeypatch.setattr(duality, "frame_bounds", lambda f: FrameBounds(lower, upper * (1 - 1e-6)))
+        assert not gdual_factorization(phi, psi).bessel_bound_ok
 
 
 class TestApproxDualFromWhitened:

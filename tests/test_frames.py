@@ -17,12 +17,12 @@ from dualframes import (
     approximation_rate,
     bessel_bound_difference,
     canonical_dual,
+    classify_pair,
     frame_bounds,
     frame_operator,
     identity,
     is_frame,
     is_riesz,
-    kernel_basis,
     mixed_operator,
     operator_norm,
     random_annihilator,
@@ -30,6 +30,7 @@ from dualframes import (
     scaled_gabor_operator,
     synthesis,
 )
+from dualframes.frames import require_frame
 
 from conftest import random_frame, random_vector
 
@@ -162,6 +163,25 @@ class TestFrameBounds:
     def test_overflowing_frame_operator_raises(self, fact):
         with pytest.raises(ValueError, match="non-finite"):
             fact()
+
+    def test_tiny_frame_is_a_frame_whose_bounds_do_not_fit(self):
+        # singular values (sqrt(3), 1) * 1e-170; the bounds 3e-340 and 1e-340 are subnormal
+        unit = Frame([[1, 0, 1], [0, 1, 1]])
+        tiny = Frame(unit.synthesis * 1e-170)
+        require_frame(tiny, "tiny")
+        assert is_frame(tiny)
+        dual = canonical_dual(tiny)
+        assert np.allclose(dual.synthesis * 1e-170, canonical_dual(unit).synthesis, rtol=1e-14, atol=0)
+        assert classify_pair(tiny, dual).kind == "dual"
+        for _ in range(2):
+            with pytest.raises(ValueError, match="not a normal float"):
+                frame_bounds(tiny)
+
+    # |k| = 500 takes the entries past 2^459, where LAPACK rescales the matrix inside the SVD
+    @pytest.mark.parametrize("k", [-500, -200, 0, 200, 500])
+    def test_bounds_scale_by_exactly_4_to_the_k(self, phi0, k):
+        bounds = frame_bounds(Frame(phi0.synthesis * 2.0**k))
+        assert bounds == tuple(b * 4.0**k for b in frame_bounds(phi0))
 
 
 class TestCanonicalDual:
@@ -305,13 +325,13 @@ class TestAnnihilator:
             Annihilator(map=np.zeros((2, 3)), base=phi0)
 
     def test_kernel_basis_dimension(self, phi0):
-        assert kernel_basis(phi0).shape == (3, 1)
-        # rank counts singular values above s_max * eps * max(d, n)
+        """The projection onto ker T is a Hermitian idempotent of rank n - rank,
+        the rank counting singular values above s_max * eps * max(d, n)."""
         family = Frame.from_vectors([(1, 0), (2, 0), (0, 0)])
-        deficient = kernel_basis(family)
-        assert deficient.shape == (3, 2)
-        assert np.allclose(adjoint(deficient) @ deficient, np.eye(2), atol=1e-14)
-        assert np.allclose(family.synthesis @ deficient, 0.0, atol=1e-14)
-        whole = kernel_basis(Frame(np.zeros((2, 3))))
-        assert whole.shape == (3, 3)
-        assert np.allclose(adjoint(whole) @ whole, np.eye(3), atol=1e-14)
+        for phi, rank in ((phi0, 2), (family, 1), (Frame(np.zeros((2, 3))), 0)):
+            assert phi.spectrum.rank == rank
+            p = phi.spectrum.kernel_part(np.eye(3, dtype=complex))
+            assert np.allclose(p @ p, p, atol=1e-14) and np.allclose(p, adjoint(p), atol=1e-14)
+            assert np.trace(p).real == pytest.approx(3 - rank, abs=1e-14)
+            assert np.allclose(phi.synthesis @ p, 0.0, atol=1e-14)
+        assert np.array_equal(Frame(np.zeros((2, 3))).spectrum.kernel_part(np.eye(3)), np.eye(3))

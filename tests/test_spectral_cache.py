@@ -1,21 +1,23 @@
 """The cached spectral facts of a Frame against a dense numpy oracle.
 
-Every fact a Frame caches (eigenvalues, spectrum, kernel) and every
-operator derived from them is compared with the same quantity recomputed
-from scratch with plain ``np.linalg`` on ``S = T T*``, at the acceptance
+A Frame reads every spectral fact (eigenvalues, roots, canonical dual, rank,
+the projection onto ker T) from one thin SVD of T.  Each is compared with the
+same quantity recomputed from scratch with plain ``np.linalg`` on the formed
+``S = T T*`` (an ``eigh``, an LU solve, a pseudo-inverse), at the acceptance
 suite's pinned tolerances: 1e-10 for bounds, roots, the canonical dual and
 the kernel projector, 1e-9 for recovered parameters.
 
 Frames come in three families: random redundant frames, square Riesz
 bases and near-singular frames with a prescribed condition number of S
 up to 1e8.  Forming S rounds its smallest eigenvalue by about
-eps * lambda_max, so anything carrying S^{-1} is only known to relative
-accuracy kappa(S) * eps; the canonical dual (solved by LU in the oracle,
-from the spectrum in the library) is therefore compared through the
-residual of its defining equation S D = T, where that roundoff does not
-grow with kappa(S).  Rebuilding a family from its recovered whitened
-factor forms S again, so that round trip is allowed the same first-order
-kappa(S) * eps on top of the pinned tolerance, in the parent code as here.
+eps * lambda_max, so anything the oracle derives from S^{-1} or S^{-1/2} is
+only known to relative accuracy kappa(S) * eps.  The canonical dual is
+therefore compared through the residual of its defining equation S D = T,
+where that roundoff does not grow with kappa(S); S^{-1/2} is held to 1e-10
+by the oracle-free whitening residual ||S^{-1/2} S S^{-1/2} - Id||, and to
+the oracle's own S^{-1/2} within that first-order kappa(S) * eps on top.  Rebuilding a family from its recovered
+whitened factor multiplies by S^{1/2} and then by S^{-1}, so that round trip
+is allowed a first-order kappa(S) * eps on top of the pinned tolerance.
 """
 
 import gc
@@ -43,12 +45,12 @@ from dualframes import (
     gdual_factorization,
     gdual_from_corresponding,
     gabor_frame,
-    kernel_basis,
     mixed_operator,
     random_annihilator,
     recover_parameters,
     transfer_approx_dual,
 )
+from oracle import kernel_basis
 
 RECONSTRUCTION_TOL = 1e-10  # criterion 1
 ROUNDTRIP_TOL = 1e-9  # criterion 2
@@ -96,6 +98,7 @@ class Oracle:
         self.inv_sqrt = (v / np.sqrt(self.w)) @ v.conj().T
         self.dual = np.linalg.solve(self.s, t)
         self.kernel_projector = np.eye(t.shape[1]) - np.linalg.pinv(t) @ t
+        self.kappa = self.w[-1] / self.w[0]
 
 
 @settings(max_examples=60, deadline=None)
@@ -108,12 +111,14 @@ def test_cached_spectral_facts_match_the_dense_oracle(t):
     assert abs(upper - o.w[-1]) <= RECONSTRUCTION_TOL * o.w[-1]
     assert norm(frame_operator_sqrt(phi) - o.sqrt) <= RECONSTRUCTION_TOL * norm(o.sqrt)
     inv_sqrt = frame_operator_inv_sqrt(phi)
-    assert norm(inv_sqrt - o.inv_sqrt) <= RECONSTRUCTION_TOL * norm(o.inv_sqrt)
+    assert norm(inv_sqrt - o.inv_sqrt) <= (RECONSTRUCTION_TOL + o.kappa * EPS) * norm(o.inv_sqrt)
+    whitened = inv_sqrt @ t
+    assert norm(whitened @ whitened.conj().T - np.eye(phi.dim)) <= RECONSTRUCTION_TOL
     dual = canonical_dual(phi).synthesis
     assert norm(o.s @ (dual - o.dual)) <= RECONSTRUCTION_TOL * norm(t)
-    k = kernel_basis(phi)
-    assert k.shape == (phi.count, phi.count - phi.dim)
-    assert norm(k @ k.conj().T - o.kernel_projector) <= RECONSTRUCTION_TOL
+    assert phi.spectrum.rank == phi.dim
+    projector = phi.spectrum.kernel_part(np.eye(phi.count, dtype=complex))
+    assert norm(projector - o.kernel_projector) <= RECONSTRUCTION_TOL
     # a second request is served from the cache, unchanged
     assert frame_bounds(phi) == (lower, upper)
     assert np.array_equal(frame_operator_inv_sqrt(phi), inv_sqrt)
@@ -133,14 +138,14 @@ def test_parameters_round_trip_and_factor_match_the_oracle(t, seed):
 
     w_back, theta_back = recover_parameters(phi, built)
     mixed = t @ built.synthesis.conj().T
-    assert norm(w_back - o.inv_sqrt @ mixed) <= ROUNDTRIP_TOL * norm(o.inv_sqrt @ mixed)
+    assert norm(w_back - o.inv_sqrt @ mixed) <= (ROUNDTRIP_TOL + o.kappa * EPS) * norm(o.inv_sqrt @ mixed)
     assert norm(theta_back.map - theta.map) <= ROUNDTRIP_TOL * scale
     again = approx_dual_from_whitened(phi, w_back, theta_back)
-    kappa = o.w[-1] / o.w[0]
-    assert norm(again.synthesis - built.synthesis) <= (ROUNDTRIP_TOL + 10 * kappa * EPS) * scale
+    assert norm(again.synthesis - built.synthesis) <= (ROUNDTRIP_TOL + 10 * o.kappa * EPS) * scale
 
     factor = gdual_factorization(phi, built)
-    assert norm(factor.whitened - o.inv_sqrt @ mixed) <= RECONSTRUCTION_TOL * norm(o.inv_sqrt @ mixed)
+    tol = RECONSTRUCTION_TOL + o.kappa * EPS
+    assert norm(factor.whitened - o.inv_sqrt @ mixed) <= tol * norm(o.inv_sqrt @ mixed)
 
 
 @settings(max_examples=40, deadline=None)
@@ -155,8 +160,7 @@ def test_every_parameterization_builds_one_family(t, size, seed):
     a = np.eye(phi.dim) + bump * (size / norm(bump))
     theta = random_annihilator(phi, seed=seed, scale=0.5)
     built = approx_dual_from_mixed(phi, a, theta).synthesis
-    kappa = o.w[-1] / o.w[0]
-    tol = (RECONSTRUCTION_TOL + 10 * kappa * EPS) * norm(built)
+    tol = (RECONSTRUCTION_TOL + 10 * o.kappa * EPS) * norm(built)
     assert norm(approx_dual_from_whitened(phi, o.inv_sqrt @ a, theta).synthesis - built) <= tol
     assert norm(gdual_from_corresponding(phi, np.linalg.inv(a), theta).synthesis - built) <= tol
     theta_back = recover_parameters(phi, Frame(built))[1]
@@ -170,18 +174,19 @@ class TestStaleness:
         original = arr.copy()
         phi = Frame(arr)
         bounds = frame_bounds(phi)
-        # written after the bounds are cached, before the spectrum and kernel are
+        # written after the bounds are cached, and with them the spectrum
         arr[:] = 0.0
         fresh = Frame(original)
         assert np.array_equal(phi.synthesis, original)
         assert frame_bounds(phi) == bounds == frame_bounds(fresh)
         assert np.array_equal(canonical_dual(phi).synthesis, canonical_dual(fresh).synthesis)
-        assert np.array_equal(kernel_basis(phi), kernel_basis(fresh))
+        assert np.array_equal(phi.spectrum.vh, fresh.spectrum.vh)
 
     def test_synthesis_and_cached_facts_are_read_only(self):
         phi = Frame(np.arange(6.0).reshape(2, 3) + np.eye(2, 3))
         canonical_dual(phi)
-        for arr in (phi.synthesis, phi.eigenvalues, phi.spectrum.eigenvectors, phi.kernel):
+        spectrum = phi.spectrum
+        for arr in (phi.synthesis, phi.eigenvalues, spectrum.u, spectrum.s, spectrum.vh, spectrum.range_basis):
             with pytest.raises(ValueError):
                 arr[0] = 1.0
 
@@ -240,41 +245,65 @@ def run_pipeline() -> Frame:
 
 
 def test_pipeline_decomposes_each_frame_once(monkeypatch):
-    """The 64x96 finite-frame pipeline decomposes each frame operator once.
+    """The 64x96 finite-frame pipeline decomposes each frame once: one thin SVD
+    of T for each of phi, phi_ad and psi, whose spectral facts it reads.
 
-    A dense frame's eigenvalues are its spectrum's, so the frame operators
-    of phi, phi_ad and psi take one ``eigh`` each and no ``eigvalsh``; only
-    phi's kernel is used, and it is computed once.  The canonical duals of
-    phi and psi are each built once, however many constructions read them.
+    No ``eigh`` or ``eigvalsh`` runs, no SVD builds full singular vectors, and
+    no ``numpy.linalg`` call takes or returns an array with n rows and more than
+    d columns (a kernel basis or an n x n factor).  The canonical duals of phi
+    and psi are each built once, however many constructions read them.
     """
-    calls = {"eigh": 0, "eigvalsh": 0, "svd_split": 0, "canonical_dual": 0}
+    d, n = 64, 96
+    thin, wide = [], []
+    calls = {"eigh": 0, "eigvalsh": 0, "canonical_dual": 0}
+
+    def watched(name, fn):
+        def wrapper(*args, **kwargs):
+            out = fn(*args, **kwargs)
+            for a in (*args, *(out if isinstance(out, tuple) else (out,))):
+                if getattr(a, "ndim", 0) == 2 and a.shape[0] == n and a.shape[1] > d:
+                    wide.append((name, a.shape))
+            return out
+
+        return wrapper
+
+    def svd(a, full_matrices=True, compute_uv=True, _svd=np.linalg.svd, **kwargs):
+        if compute_uv:
+            thin.append(None if full_matrices else a)
+        return _svd(a, full_matrices, compute_uv, **kwargs)
+
+    for name in ("inv", "solve", "norm", "qr", "pinv"):
+        monkeypatch.setattr(np.linalg, name, watched(name, getattr(np.linalg, name)))
+    monkeypatch.setattr(np.linalg, "svd", watched("svd", svd))
     monkeypatch.setattr(np.linalg, "eigh", counted(calls, "eigh", np.linalg.eigh))
     monkeypatch.setattr(np.linalg, "eigvalsh", counted(calls, "eigvalsh", np.linalg.eigvalsh))
-    monkeypatch.setattr(oplin, "svd_split", counted(calls, "svd_split", oplin.svd_split))
     build = cached_property(counted(calls, "canonical_dual", Frame._canonical_dual.func))
     build.__set_name__(Frame, "_canonical_dual")
     monkeypatch.setattr(Frame, "_canonical_dual", build)
 
     phi = run_pipeline()
 
-    assert calls["eigh"] <= 3  # phi, phi_ad and psi
-    assert calls["eigvalsh"] <= 1  # lambda_max(W W*) in the factorization
-    assert calls["svd_split"] <= 1  # only phi's kernel is used
+    assert (calls["eigh"], calls["eigvalsh"]) == (0, 0)
+    assert wide == []
+    assert all(a is not None for a in thin)  # no full_matrices=True
+    assert len(thin) == 3  # phi, phi_ad and psi
+    assert [a.shape for a in thin] == [(d, n)] * 3
+    assert thin[0] is phi.synthesis
     assert calls["canonical_dual"] <= 2  # phi and psi
     dual = canonical_dual(phi)
     assert canonical_dual(phi) is dual and not dual.synthesis.flags.writeable
     with pytest.raises(AttributeError):
         dual.synthesis = phi.synthesis
-    # whichever is read first, the eigenvalues are the spectrum's own array: one eigh, no eigvalsh
+    # whichever is read first, the eigenvalues are the spectrum's own array: one SVD
     for spectrum_first in (True, False):
-        fresh, before = Frame(phi.synthesis), dict(calls)
+        fresh, before = Frame(phi.synthesis), len(thin)
         if spectrum_first:
             spectrum = fresh.spectrum
             assert fresh.eigenvalues is spectrum.eigenvalues
         else:
             eigenvalues = fresh.eigenvalues
             assert eigenvalues is fresh.spectrum.eigenvalues
-        assert (calls["eigh"], calls["eigvalsh"]) == (before["eigh"] + 1, before["eigvalsh"])
+        assert len(thin) == before + 1 and calls["eigh"] == 0
 
 
 def test_pipeline_reads_each_pair_fact_once(monkeypatch):
@@ -340,14 +369,16 @@ def test_roots_are_kept_read_only():
 
 
 def test_roots_reject_on_every_read():
-    singular = oplin.herm_eig(np.diag([0.0, 1.0]))
-    indefinite = oplin.herm_eig(np.diag([-1.0, 1.0]))
+    """S^{-1/2} of a rank-deficient T raises the same Singular on every read; S^{1/2}
+    needs no check, as the singular values are never negative."""
+    singular = oplin.Spectrum.of(np.diag([1.0, 0.0]).astype(complex))
+    short = oplin.Spectrum.of(np.ones((2, 1), dtype=complex))  # d > n: s is padded with 0
     for _ in range(2):
-        with pytest.raises(df.Singular, match="smallest eigenvalue 0.000e\\+00 too close to zero"):
-            singular.inv_sqrt
-        with pytest.raises(df.NotPSD, match="eigenvalue -1.000e\\+00 below clamping threshold"):
-            indefinite.sqrt
-    assert np.array_equal(singular.sqrt, np.diag([0.0, 1.0]))
+        for spectrum in (singular, short):
+            with pytest.raises(df.Singular, match="smallest singular value 0.000e\\+00 too close to zero"):
+                spectrum.inv_sqrt
+    assert np.array_equal(singular.sqrt, np.diag([1.0, 0.0]))
+    assert np.allclose(short.sqrt, np.ones((2, 2)) / np.sqrt(2.0), atol=1e-15)
 
 
 def subtracted_theta(phi: Frame, psi: np.ndarray) -> np.ndarray:
@@ -376,8 +407,7 @@ def test_theta_is_the_kernel_projection_of_the_partner(t, size, seed):
     theta = duality._theta_part(phi, psi)
     assert norm(theta - subtracted_theta(phi, built)) <= RECONSTRUCTION_TOL * scale
     rebuilt = duality._with_mixed(phi, mixed_operator(phi, psi), theta).synthesis
-    kappa = o.w[-1] / o.w[0]
-    assert norm(rebuilt - built) <= (ROUNDTRIP_TOL + 10 * kappa * EPS) * scale
+    assert norm(rebuilt - built) <= (ROUNDTRIP_TOL + 10 * o.kappa * EPS) * scale
 
 
 @settings(max_examples=40, deadline=None)
@@ -391,10 +421,9 @@ def test_via_dual_matches_the_patched_family(t, size, seed):
     bump = rng.standard_normal((phi.dim, phi.dim)) + 1j * rng.standard_normal((phi.dim, phi.dim))
     w = o.inv_sqrt + bump * (0.5 / (np.sqrt(o.w[-1]) * norm(bump)))
     a = np.eye(phi.dim) + bump * (size / norm(bump))
-    # an exact dual: the canonical one from the pseudo-inverse of T, whose error grows
-    # with kappa(T) = sqrt(kappa(S)) only, plus kernel content
+    # an exact dual: the library's canonical one plus kernel content
     theta = random_annihilator(phi, seed=seed, scale=0.5).map
-    phi_d = Frame((np.linalg.pinv(t) + theta).conj().T)
+    phi_d = Frame(canonical_dual(phi).synthesis + theta.conj().T)
     tail = frame_operator(phi) @ phi_d.synthesis
     for mode, head in (
         ({"whitened": w}, approx_dual_from_whitened(phi, w)),
@@ -403,6 +432,40 @@ def test_via_dual_matches_the_patched_family(t, size, seed):
         patched = head.synthesis - t + tail
         got = approx_dual_via_dual(phi, phi_d, **mode).synthesis
         assert norm(got - patched) <= RECONSTRUCTION_TOL * norm(patched), mode
+
+
+@settings(max_examples=40, deadline=None)
+@given(
+    shape=st.sampled_from([(2, 3), (7, 13)]),
+    log_kappa=st.floats(0.0, 9.5),
+    seed=st.integers(0, 2**32 - 1),
+)
+def test_canonical_dual_is_dual_up_to_kappa_1e9_5(shape, log_kappa, seed):
+    """U diag(1/s) V* carries the error of kappa(T) = sqrt(kappa(S)), so the library's
+    own canonical dual reads "dual" (rate <= 1e-10) against its frame over kappa(S) up
+    to 10^9.5, well inside the frames accepted (kappa(S) < 1e10)."""
+    dim, count = shape
+    phi = Frame(synthesis_matrix("near_singular", dim, count - dim, log_kappa, seed))
+    assert classify_pair(phi, canonical_dual(phi)).kind == "dual"
+
+
+@settings(max_examples=40, deadline=None)
+@given(t=frames, size=st.floats(0.0, 0.9), seed=st.integers(0, 2**32 - 1), k=st.integers(-300, 300))
+def test_pair_verdicts_are_exact_under_scaling(t, size, seed, k):
+    """(phi 2^k, psi 2^-k) has the mixed operator of (phi, psi) bit for bit, so the same
+    kind, rate and Bessel verdict, and every bound scales by exactly 4^k or 4^-k.  For
+    these frames |k| <= 300 keeps every entry and bound a normal float."""
+    phi = Frame(t)
+    rng = np.random.default_rng(seed)
+    bump = rng.standard_normal((phi.dim, phi.dim)) + 1j * rng.standard_normal((phi.dim, phi.dim))
+    a = np.eye(phi.dim) + bump * (size / norm(bump))
+    psi = approx_dual_from_mixed(phi, a, random_annihilator(phi, seed=seed, scale=0.5))
+    big, small = Frame(t * 2.0**k), Frame(psi.synthesis * 2.0**-k)
+    for verdict in (classify_pair, gdual_factorization):
+        mine, theirs = verdict(big, small), verdict(fresh(phi), fresh(psi))
+        assert (mine.kind, mine.rate, mine.bessel_bound_ok) == (theirs.kind, theirs.rate, theirs.bessel_bound_ok)
+    assert frame_bounds(big) == tuple(b * 4.0**k for b in frame_bounds(phi))
+    assert frame_bounds(small) == tuple(b * 4.0**-k for b in frame_bounds(psi))
 
 
 def test_gabor_pair_keeps_its_theta():
