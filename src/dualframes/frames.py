@@ -49,8 +49,7 @@ class FrameBounds(NamedTuple):
         ``lower == 0.0`` signals a Bessel family that is not a frame; a bound
         that is 0, subnormal or infinite for a nonzero T raises ValueError.
         """
-        if sigma is None:
-            sigma = np.sqrt(np.clip(w[[0, -1]], 0.0, None))
+        sigma = _roots(w) if sigma is None else sigma
         frame = _is_frame(*sigma)
         bounds = cls(lower=float(w[0]) if frame else 0.0, upper=float(max(w[-1], 0.0)))
         for bound, root in zip(bounds, (sigma[0] if frame else 0.0, sigma[1])):
@@ -61,7 +60,7 @@ class FrameBounds(NamedTuple):
     def require(self, name: str = "family") -> "FrameBounds":
         """These bounds, or :class:`NotAFrame` when the lower bound is 0."""
         if self.lower == 0.0:
-            raise _not_a_frame(name)
+            raise NotAFrame(f"{name} has lower frame bound 0 (rank deficient)")
         return self
 
 
@@ -69,8 +68,9 @@ def _is_frame(s_min: float, s_max: float) -> bool:
     return s_min > np.sqrt(FRAME_THRESHOLD_REL) * s_max
 
 
-def _not_a_frame(name: str) -> NotAFrame:
-    return NotAFrame(f"{name} has lower frame bound 0 (rank deficient)")
+def _roots(w: np.ndarray) -> tuple:
+    """(s_min, s_max) of T from the ascending spectrum ``w`` of S = T T*."""
+    return tuple(float(np.sqrt(max(x, 0.0))) for x in w[[0, -1]])
 
 
 class Frame:
@@ -89,10 +89,10 @@ class Frame:
     * the canonical dual U diag(1/s) V* = (S^{-1} phi_k)_k, read through
       :func:`canonical_dual`.
 
-    S itself is never formed.  Whether the family is a frame is decided
-    from s_min / s_max, which no scaling of T changes; a bound that does not
-    fit a normal float raises ValueError when read.  A frame whose S
-    overflows raises ValueError for every spectral fact.
+    S itself is never formed.  The frame test reads s_min / s_max, which no
+    scaling of T changes; a bound that does not fit a normal float raises
+    ValueError when read.  If S overflows, its eigenvalues, the bounds and
+    the canonical dual raise ValueError; the other facts are read as usual.
 
     A frame also keeps the facts of each pair (phi, psi) it was read in as the
     first frame, each computed at most once, when first asked for: the mixed
@@ -171,17 +171,16 @@ class Frame:
 
     @cached_property
     def spectrum(self) -> oplin.Spectrum:
-        """The thin SVD of T (read-only); ValueError when S overflows."""
+        """The thin SVD of T (read-only)."""
         return oplin.Spectrum.of(self.synthesis)
 
     @cached_property
     def _sigma(self) -> tuple:
-        """(s_min, s_max) of T, behind the frame test: the spectrum's (s_min = 0 when
-        n < d), or the roots of a system's end block eigenvalues."""
-        if self._system is None:
-            s = self.spectrum.s
-            return (float(s[-1]) if s.size == self.dim else 0.0), float(s[0])
-        return tuple(float(np.sqrt(max(x, 0.0))) for x in self.eigenvalues[[0, -1]])
+        """(s_min, s_max) of T: the spectrum's (s_min = 0 when n < d), or a system's block roots."""
+        if self._system is not None:
+            return _roots(self.eigenvalues)
+        s = self.spectrum.s
+        return (float(s[-1]) if s.size == self.dim else 0.0), float(s[0])
 
     @cached_property
     def _pairs(self) -> "weakref.WeakKeyDictionary[Frame, _Pair]":
@@ -190,6 +189,7 @@ class Frame:
     @cached_property
     def _canonical_dual(self) -> "Frame":
         require_frame(self, "frame")
+        self.eigenvalues  # ValueError when S overflows: the dual S^{-1} T is refused with it
         spectrum = self.spectrum
         return Frame._adopt((spectrum.u / spectrum.s) @ spectrum.vh)
 
@@ -259,7 +259,7 @@ def is_frame(phi: Frame) -> bool:
 def require_frame(phi: Frame, name: str = "family") -> None:
     """:class:`NotAFrame` unless ``phi`` is a frame (see :func:`is_frame`)."""
     if not is_frame(phi):
-        raise _not_a_frame(name)
+        raise NotAFrame(f"{name} has lower frame bound 0 (rank deficient)")
 
 
 def is_riesz(phi: Frame) -> bool:
@@ -278,8 +278,7 @@ def frame_operator_inv_sqrt(phi: Frame) -> np.ndarray:
 
 
 def canonical_dual(phi: Frame) -> Frame:
-    """The frame ( S^{-1} phi_k )_k = U diag(1/s) V*, giving exact reconstruction
-    (kept: one per frame)."""
+    """The frame ( S^{-1} phi_k )_k = U diag(1/s) V*, giving exact reconstruction (kept)."""
     return phi._canonical_dual
 
 

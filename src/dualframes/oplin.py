@@ -75,25 +75,27 @@ class Spectrum:
     fact of T and of S = T T* read from it.
 
     ``u`` is d x k, ``s`` holds the k singular values (descending) and ``vh``
-    is k x n, k = min(d, n); ``eigenvalues`` are those of S, ascending: the
-    squares of ``s``, padded with zeros to d.  S is never formed, so the
-    facts carry the accuracy of kappa(T), not of kappa(S) = kappa(T)^2, and
-    scale exactly with T.  The other facts are built once, on first read,
-    and read-only.
+    is k x n, k = min(d, n).  S is never formed, so the facts carry the
+    accuracy of kappa(T), not of kappa(S) = kappa(T)^2, and scale exactly
+    with T.  The other facts are built once, on first read, and read-only.
     """
 
     u: np.ndarray
     s: np.ndarray
     vh: np.ndarray
-    eigenvalues: np.ndarray
 
     @classmethod
     def of(cls, t: np.ndarray) -> "Spectrum":
-        """The spectrum of ``t``; ValueError when S overflows (``s_max**2`` is not finite)."""
+        """The thin SVD of ``t``."""
         u, s, vh = np.linalg.svd(t, full_matrices=False)
+        return cls(_frozen(u), _frozen(s), _frozen(vh))
+
+    @cached_property
+    def eigenvalues(self) -> np.ndarray:
+        """Ascending eigenvalues of S: ``s**2``, padded with zeros to d; ValueError when S overflows."""
         with np.errstate(over="ignore"):
-            w = np.concatenate([np.zeros(t.shape[0] - s.size), s[::-1] ** 2])
-        return cls(_frozen(u), _frozen(s), _frozen(vh), _frozen(_require_finite(w)))
+            w = np.concatenate([np.zeros(self.u.shape[0] - self.s.size), self.s[::-1] ** 2])
+        return _frozen(_require_finite(w))
 
     @cached_property
     def rank(self) -> int:

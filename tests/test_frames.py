@@ -11,6 +11,7 @@ from dualframes import (
     GaborLattice,
     GridSpec,
     NotAFrame,
+    RangeRelation,
     SampledWindow,
     adjoint,
     analysis,
@@ -20,12 +21,15 @@ from dualframes import (
     classify_pair,
     frame_bounds,
     frame_operator,
+    frame_operator_inv_sqrt,
+    frame_operator_sqrt,
     identity,
     is_frame,
     is_riesz,
     mixed_operator,
     operator_norm,
     random_annihilator,
+    range_compare,
     sample_bspline,
     scaled_gabor_operator,
     synthesis,
@@ -163,6 +167,19 @@ class TestFrameBounds:
     def test_overflowing_frame_operator_raises(self, fact):
         with pytest.raises(ValueError, match="non-finite"):
             fact()
+
+    def test_overflowing_frame_keeps_the_facts_its_svd_gives(self):
+        # S overflows, but the frame test, the analysis range, the roots and ker T
+        # are read from the SVD of T, which fits
+        huge = _overflowing_frame()
+        assert is_frame(huge)
+        assert range_compare(huge, Frame(huge.synthesis * 2.0)) is RangeRelation.EQUAL
+        unit = Frame(huge.synthesis * 1e-200)
+        assert np.allclose(frame_operator_sqrt(huge) * 1e-200, frame_operator_sqrt(unit), rtol=0, atol=1e-14)
+        assert np.allclose(frame_operator_inv_sqrt(huge) * 1e200, frame_operator_inv_sqrt(unit), rtol=0, atol=1e-14)
+        theta = random_annihilator(huge, seed=1, scale=1.0)
+        assert theta.norm == pytest.approx(1.0)
+        assert operator_norm(huge.synthesis @ theta.map) <= 1e-14 * 1e200
 
     def test_tiny_frame_is_a_frame_whose_bounds_do_not_fit(self):
         # singular values (sqrt(3), 1) * 1e-170; the bounds 3e-340 and 1e-340 are subnormal
