@@ -30,7 +30,6 @@ from .errors import (
     NotCommuting,
     NotDualPair,
     NotEquivalent,
-    NotHermitian,
     NotRieszBasis,
     OffGrid,
     ParseError,

@@ -254,7 +254,7 @@ def gdual_from_corresponding(
 
 def _theta_part(phi: Frame, partner: Frame) -> np.ndarray:
     """Annihilator part: the theta map with partner == _with_mixed(phi, mixed, theta_map),
-    read-only, built once and kept on the pair's record.
+    read-only, built once and kept on the pair's record with its norm.
 
     It is T_partner* projected onto ker T (``Spectrum.kernel_part``): the projection
     removes the part A* S^{-1} phi_k, whose analysis lies in range(T*).  No rate is
@@ -263,6 +263,7 @@ def _theta_part(phi: Frame, partner: Frame) -> np.ndarray:
     pair = _pair(phi, partner)
     if pair.theta is None:
         pair.theta = _frozen(phi.spectrum.kernel_part(adjoint(partner.synthesis)))
+        pair.theta_norm = operator_norm(pair.theta)
     return pair.theta
 
 
@@ -277,7 +278,7 @@ def recover_parameters(phi: Frame, phi_ad: Frame) -> Tuple[np.ndarray, Annihilat
     if not _strictly_below(pair.rate, 1.0):
         raise NotApproxDual("pair is not approximately dual", measured=pair.rate)
     whitened = frame_operator_inv_sqrt(phi) @ pair.dense
-    return whitened, Annihilator(map=_theta_part(phi, phi_ad), base=phi)
+    return whitened, Annihilator._kept(_theta_part(phi, phi_ad), phi, pair.theta_norm)
 
 
 def approx_dual_via_dual(

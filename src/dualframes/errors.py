@@ -14,10 +14,6 @@ class DimensionMismatch(FrameError):
     """Operands have incompatible dimensions or index counts."""
 
 
-class NotHermitian(FrameError):
-    """A matrix required to be Hermitian is not (beyond tolerance)."""
-
-
 class Singular(FrameError):
     """A matrix required to be invertible is numerically singular.
 

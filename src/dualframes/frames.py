@@ -11,7 +11,8 @@ kernel of the synthesis operator -- are the free parameter of every dual
 construction in :mod:`dualframes.duality`.
 
 A frame may hold a Gabor system instead of its matrix (see :class:`Frame`), whose
-block operators are all of one type, :class:`~dualframes.gabor.LatticeOperator`.
+block operators are all of one type, :class:`~dualframes.gabor.LatticeOperator`,
+and whose eigenvalues, bounds and canonical dual come from one ``eigh`` of its blocks.
 """
 
 from __future__ import annotations
@@ -41,15 +42,14 @@ class FrameBounds(NamedTuple):
     upper: float
 
     @classmethod
-    def from_eigenvalues(cls, w: np.ndarray, sigma=None) -> "FrameBounds":
+    def from_eigenvalues(cls, w: np.ndarray, sigma: tuple) -> "FrameBounds":
         """Bounds from the ascending spectrum ``w`` of a frame operator.
 
-        The frame test reads ``sigma`` = (s_min, s_max) of T (by default the
-        roots of the end eigenvalues), so no scaling of T changes it.
-        ``lower == 0.0`` signals a Bessel family that is not a frame; a bound
-        that is 0, subnormal or infinite for a nonzero T raises ValueError.
+        The frame test reads ``sigma`` = (s_min, s_max) of T, so no scaling
+        of T changes it.  ``lower == 0.0`` signals a Bessel family that is not
+        a frame; a bound that is 0, subnormal or infinite for a nonzero T
+        raises ValueError.
         """
-        sigma = _roots(w) if sigma is None else sigma
         frame = _is_frame(*sigma)
         bounds = cls(lower=float(w[0]) if frame else 0.0, upper=float(max(w[-1], 0.0)))
         for bound, root in zip(bounds, (sigma[0] if frame else 0.0, sigma[1])):
@@ -57,20 +57,9 @@ class FrameBounds(NamedTuple):
                 raise ValueError(f"frame bound {root:.3e}^2 is not a normal float")
         return bounds
 
-    def require(self, name: str = "family") -> "FrameBounds":
-        """These bounds, or :class:`NotAFrame` when the lower bound is 0."""
-        if self.lower == 0.0:
-            raise NotAFrame(f"{name} has lower frame bound 0 (rank deficient)")
-        return self
-
 
 def _is_frame(s_min: float, s_max: float) -> bool:
     return s_min > np.sqrt(FRAME_THRESHOLD_REL) * s_max
-
-
-def _roots(w: np.ndarray) -> tuple:
-    """(s_min, s_max) of T from the ascending spectrum ``w`` of S = T T*."""
-    return tuple(float(np.sqrt(max(x, 0.0))) for x in w[[0, -1]])
 
 
 class Frame:
@@ -84,8 +73,7 @@ class Frame:
       S^{1/2}, S^{-1/2} (two d x d arrays once read), the rank, the analysis
       range and the projection onto ker T are read from it;
     * :attr:`eigenvalues` -- the spectrum of S, behind the frame bounds:
-      the spectrum's own array, or a system frame's block eigenvalues
-      (its spectrum is built only when a root, the dual or ker T is needed);
+      the spectrum's own array, or a system frame's block eigenvalues;
     * the canonical dual U diag(1/s) V* = (S^{-1} phi_k)_k, read through
       :func:`canonical_dual`.
 
@@ -106,9 +94,10 @@ class Frame:
     A frame built over a structured system (:func:`dualframes.gabor.gabor_frame`)
     holds the system instead of the matrix and builds the matrix, once,
     when :attr:`synthesis` is first read.  ``dim`` and ``count`` never
-    build it; the frame operator, mixed operator, approximation rate and
-    eigenvalues of systems sharing their structure are read from the
-    residue-class blocks, which a system keeps for its own S (see :func:`mixed_operator`).
+    build it; the frame operator, mixed operator and approximation rate of
+    systems sharing their structure are read from the residue-class blocks,
+    which a system keeps for its own S (see :func:`mixed_operator`), and its
+    eigenvalues, bounds and canonical dual S^{-1} T from one ``eigh`` of them.
     """
 
     def __init__(self, synthesis):
@@ -133,8 +122,8 @@ class Frame:
 
     @classmethod
     def _of_system(cls, system) -> "Frame":
-        """Frame over a structured system: its ``shape``, ``synthesis()``, ``frame_blocks``
-        and ``class_blocks(other)`` stand in for the matrix until it is read."""
+        """Frame over a structured system: its ``shape``, ``synthesis()``, ``frame_blocks``,
+        ``class_blocks(other)``, ``eigenvalues`` and ``solve`` stand in for the matrix."""
         frame = cls.__new__(cls)
         frame.__dict__.update(_shape=system.shape, _system=system)
         return frame
@@ -164,10 +153,7 @@ class Frame:
     @cached_property
     def eigenvalues(self) -> np.ndarray:
         """Ascending eigenvalues of S (read-only): a system's blocks', else the spectrum's array."""
-        blocks = _class_blocks(self, self)
-        if blocks is None:
-            return self.spectrum.eigenvalues
-        return _frozen(blocks.eigenvalues())
+        return self.spectrum.eigenvalues if self._system is None else self._system.eigenvalues
 
     @cached_property
     def spectrum(self) -> oplin.Spectrum:
@@ -178,7 +164,7 @@ class Frame:
     def _sigma(self) -> tuple:
         """(s_min, s_max) of T: the spectrum's (s_min = 0 when n < d), or a system's block roots."""
         if self._system is not None:
-            return _roots(self.eigenvalues)
+            return tuple(float(np.sqrt(max(x, 0.0))) for x in self.eigenvalues[[0, -1]])
         s = self.spectrum.s
         return (float(s[-1]) if s.size == self.dim else 0.0), float(s[0])
 
@@ -190,6 +176,8 @@ class Frame:
     def _canonical_dual(self) -> "Frame":
         require_frame(self, "frame")
         self.eigenvalues  # ValueError when S overflows: the dual S^{-1} T is refused with it
+        if self._system is not None:
+            return Frame._adopt(self._system.solve(self.synthesis))
         spectrum = self.spectrum
         return Frame._adopt((spectrum.u / spectrum.s) @ spectrum.vh)
 
@@ -223,8 +211,8 @@ def synthesis(phi: Frame, c) -> np.ndarray:
 
 def _class_blocks(phi: Frame, psi: Frame):
     """mixed_operator(phi, psi) as the systems' block value (a ``LatticeOperator``:
-    ``np.asarray``, ``eigenvalues()``, ``gap()`` = ``||Id - X||``; ValueError when a
-    block is not finite), or None unless both frames hold structured systems that
+    ``np.asarray``, ``gap()`` = ``||Id - X||``; ValueError when a block is not
+    finite), or None unless both frames hold structured systems that
     share their structure (for Gabor systems: one grid and one lattice)."""
     if phi._system is None or psi._system is None:
         return None
@@ -278,7 +266,8 @@ def frame_operator_inv_sqrt(phi: Frame) -> np.ndarray:
 
 
 def canonical_dual(phi: Frame) -> Frame:
-    """The frame ( S^{-1} phi_k )_k = U diag(1/s) V*, giving exact reconstruction (kept)."""
+    """The frame ( S^{-1} phi_k )_k, giving exact reconstruction (kept): U diag(1/s) V*,
+    or for a system frame S^{-1} T from its blocks' ``eigh``, class by class."""
     return phi._canonical_dual
 
 
@@ -287,13 +276,13 @@ class _Pair:
 
     ``mixed`` is the systems' block value (see :func:`_class_blocks`) or a
     read-only dense array; the other facts are read from it on first use.
-    ``theta``, the annihilator part, is kept by :func:`dualframes.duality._theta_part`.
-    The record holds arrays only, never either frame.
+    ``theta``, the annihilator part, and ``theta_norm`` are kept by
+    :func:`dualframes.duality._theta_part`.  The record holds no frame.
     """
 
     def __init__(self, mixed):
         self.mixed = _frozen(mixed) if isinstance(mixed, np.ndarray) else mixed
-        self.theta = None
+        self.theta = self.theta_norm = None
 
     @property
     def dense(self) -> np.ndarray:
@@ -366,7 +355,8 @@ class Annihilator:
             raise DimensionMismatch(
                 f"annihilator must be {self.base.count}x{self.base.dim}, got {m.shape}"
             )
-        object.__setattr__(self, "norm", operator_norm(m))
+        if "norm" not in self.__dict__:  # set by _kept
+            object.__setattr__(self, "norm", operator_norm(m))
         residual = operator_norm(self.base.synthesis @ m)
         t_norm = self.base._sigma[1]  # ||T||
         allowed = ANNIHILATOR_TOL * t_norm * max(self.norm, 1e-300)
@@ -375,6 +365,14 @@ class Annihilator:
                 f"range must lie in ker(synthesis): ||T theta|| <= {allowed:.3e}",
                 measured=residual,
             )
+
+    @classmethod
+    def _kept(cls, m: np.ndarray, base: Frame, norm: float) -> "Annihilator":
+        """The annihilator over a map whose norm is known: a pair's kept theta."""
+        value = cls.__new__(cls)
+        object.__setattr__(value, "norm", norm)
+        value.__init__(m, base)
+        return value
 
     @classmethod
     def zero(cls, phi: Frame) -> "Annihilator":

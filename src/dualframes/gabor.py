@@ -9,11 +9,12 @@ in cycles per unit).  Gabor systems are ordinary
 isometric embedding ``values / sqrt(s)``, so all duality machinery
 applies verbatim.  Such a frame keeps its window and lattice and builds
 its ``L x N`` synthesis matrix only when something reads ``synthesis``
-(export, its thin SVD, analysis/synthesis, a pairing with a plain frame).
-Its frame operator, eigenvalues and bounds, and its mixed operator and
+(export, the canonical dual, its thin SVD, analysis/synthesis, a pairing
+with a plain frame).  Its frame operator, and its mixed operator and
 approximation rate against a system on the same grid and lattice, are
 read from the Walnut (Zibulski-Zeevi) residue-class blocks instead, held by
-one type, :class:`LatticeOperator`, which ``np.asarray`` makes dense.
+one type, :class:`LatticeOperator`, which ``np.asarray`` makes dense; its
+eigenvalues, bounds and ``S^{-1}`` from one batched ``eigh`` of the blocks.
 :func:`scaled_gabor_operator` and :func:`mixed_lattice_operator` return one;
 :func:`approx_dual_window` reads every operator as one: a dense one must pass
 :func:`commutation_check` and is then gathered into the classes.
@@ -50,11 +51,10 @@ from .errors import (
     LatticeMismatch,
     NotCommuting,
     NotDualPair,
-    NotHermitian,
     OffGrid,
     SupportOverflow,
 )
-from .frames import Frame, FrameBounds, _frozen
+from .frames import Frame, FrameBounds, _frozen, frame_bounds, require_frame
 from .oplin import _strictly_below, operator_norm
 
 RationalLike = Union[Fraction, int, str]
@@ -270,17 +270,14 @@ class LatticeOperator:
     grid: GridSpec = field(init=False)
     lattice: GaborLattice = field(init=False)
     groups: tuple = field(init=False, repr=False)
-    # Hermitian by construction (a window's frame operator, or that scaled); eigenvalues() needs it
-    hermitian: bool = field(init=False, repr=False, default=False)
     # scaled_gabor_operator's value: the (read-only) spectrum of the S it scales; else None
     frame_eigenvalues: np.ndarray | None = field(init=False, repr=False, default=None)
 
     @classmethod
-    def _of(cls, grid, lattice, groups, hermitian=False, frame_eigenvalues=None) -> "LatticeOperator":
+    def _of(cls, grid, lattice, groups, frame_eigenvalues=None) -> "LatticeOperator":
         value = cls()
         groups = tuple((_frozen(i), _frozen(oplin._require_finite(b))) for i, b in groups)
-        value.__dict__.update(grid=grid, lattice=lattice, groups=groups, hermitian=hermitian,
-                              frame_eigenvalues=frame_eigenvalues)
+        value.__dict__.update(grid=grid, lattice=lattice, groups=groups, frame_eigenvalues=frame_eigenvalues)
         return value
 
     def __array__(self, dtype=None, copy=None):
@@ -288,12 +285,6 @@ class LatticeOperator:
         for index, blocks in self.groups:
             out[index[:, :, None], index[:, None, :]] = blocks
         return out.astype(dtype or complex, copy=False)
-
-    def eigenvalues(self) -> np.ndarray:
-        """Ascending eigenvalues; NotHermitian unless the value is Hermitian by construction."""
-        if not self.hermitian:
-            raise NotHermitian("eigenvalues need an operator that is Hermitian by construction")
-        return np.sort(np.concatenate([np.linalg.eigvalsh(blocks).ravel() for _, blocks in self.groups]))
 
     def gap(self) -> float:
         """||Id - X||: the largest ||I - block||."""
@@ -359,6 +350,23 @@ class _GaborSystem:
         """``class_blocks(self)``, the blocks of the frame operator, built on first read."""
         return self.class_blocks(self)
 
+    @cached_property
+    def _eigh(self) -> tuple:
+        """One batched ``eigh`` of the frame-operator blocks: ``(w, v)`` per group."""
+        return tuple(np.linalg.eigh(blocks) for _, blocks in self.frame_blocks.groups)
+
+    @cached_property
+    def eigenvalues(self) -> np.ndarray:
+        """Ascending eigenvalues of S (read-only), those of its blocks."""
+        return _frozen(np.sort(np.concatenate([w.ravel() for w, _ in self._eigh])))
+
+    def solve(self, x: np.ndarray) -> np.ndarray:
+        """S^{-1} x for an L x k array ``x``: V diag(1/w) V* on each class's rows."""
+        out = np.empty(x.shape, dtype=complex)
+        for (index, _), (w, v) in zip(self.frame_blocks.groups, self._eigh):
+            out[index] = v @ ((np.conj(np.swapaxes(v, -1, -2)) @ x[index]) / w[..., None])
+        return out
+
     def class_blocks(self, other) -> LatticeOperator | None:
         """The blocks G_r against the system ``other``, or None unless it lies on
         the same grid and lattice."""
@@ -366,7 +374,6 @@ class _GaborSystem:
             return None
         total, m = self.window.grid.total, self.modulations
         shifts = self.step * np.arange(self.shifts)
-        same = other.window is self.window  # then the blocks are Hermitian by construction
         size, longer = divmod(total, m)  # classes r < longer hold one sample more
         groups = []
         for classes, n in ((np.arange(longer), size + 1), (np.arange(longer, m), size)):
@@ -374,10 +381,10 @@ class _GaborSystem:
                 index = classes[:, None] + m * np.arange(n)
                 at = (index[..., None] - shifts) % total  # x - n step for every x and n
                 left = _embed(self.window)[at]
-                right = left if same else _embed(other.window)[at]
+                right = left if other.window is self.window else _embed(other.window)[at]
                 # M/s = 1/b: the modulation sum and the two 1/sqrt(s) embeddings
                 groups.append((index, (m * left) @ np.conj(np.swapaxes(right, -1, -2))))
-        return LatticeOperator._of(self.window.grid, self.lattice, groups, hermitian=same)
+        return LatticeOperator._of(self.window.grid, self.lattice, groups)
 
 
 def gabor_frame(g: SampledWindow, lat: GaborLattice) -> Frame:
@@ -456,15 +463,15 @@ def painless_check(g: SampledWindow, lat: GaborLattice, support: int) -> Painles
             measured=float(weight.min()),
         )
     lat.adjoint_shifts(g.grid)  # diagonality needs periodic modulations
-    s = _GaborSystem.of(g, lat).frame_blocks
-    w = s.eigenvalues()
+    frame = gabor_frame(g, lat)
+    s = frame._system.frame_blocks
     diag = np.empty(g.grid.total)
     for index, blocks in s.groups:
         diag[index] = np.real(np.diagonal(blocks, axis1=-2, axis2=-1))
     # S is zero between classes, so ||S - diag(S)|| is the largest block's
     diagonal = ((index, blocks * np.eye(blocks.shape[-1])) for index, blocks in s.groups)
     off = s.distance(LatticeOperator._of(g.grid, lat, diagonal))
-    scale = float(w[-1])  # ||S|| = lambda_max(S), S being PSD
+    scale = frame_bounds(frame).upper  # ||S|| = lambda_max(S), S being PSD
     b = float(lat.b)
     err_wb = float(np.max(np.abs(diag - weight / b))) / scale
     err_bw = float(np.max(np.abs(diag - b / weight))) / scale
@@ -475,7 +482,7 @@ def painless_check(g: SampledWindow, lat: GaborLattice, support: int) -> Painles
         matched_formula=matched,
         weight_over_step_error=err_wb,
         step_over_weight_error=err_bw,
-        bounds=FrameBounds.from_eigenvalues(w),
+        bounds=frame_bounds(frame),
     )
 
 
@@ -619,11 +626,11 @@ def scaled_gabor_operator(l_window: SampledWindow, lat: GaborLattice) -> Lattice
     :class:`LatticeOperator` that keeps the unscaled spectrum as
     ``frame_eigenvalues``; :func:`approx_dual_window` reads its blocks.
     """
-    s = _GaborSystem.of(l_window, lat).frame_blocks
-    eigs = _frozen(s.eigenvalues())
-    upper = FrameBounds.from_eigenvalues(eigs).require("scaling system").upper
-    groups = ((i, b / upper) for i, b in s.groups)
-    return LatticeOperator._of(s.grid, s.lattice, groups, hermitian=True, frame_eigenvalues=eigs)
+    frame = gabor_frame(l_window, lat)
+    upper = frame_bounds(frame).upper
+    require_frame(frame, "scaling system")
+    groups = ((i, b / upper) for i, b in frame._system.frame_blocks.groups)
+    return LatticeOperator._of(l_window.grid, lat, groups, frame_eigenvalues=frame.eigenvalues)
 
 
 def mixed_lattice_operator(g: SampledWindow, h: SampledWindow, lat: GaborLattice) -> LatticeOperator:
@@ -653,7 +660,8 @@ def approx_dual_window(
     residual = janssen_residual(g, g_dual, lat)  # also rejects b * P not an integer
     if residual > GABOR_DUAL_TOL:
         raise NotDualPair("(g, g_dual) is not an exact dual pair", measured=residual)
-    s = _GaborSystem.of(g, lat).frame_blocks
+    system = _GaborSystem.of(g, lat)
+    s = system.frame_blocks
     if isinstance(a_op, LatticeOperator) and (a_op.grid, a_op.lattice) == (g.grid, lat):
         a = a_op
     else:
@@ -665,12 +673,9 @@ def approx_dual_window(
     gap = a.gap()
     if not _strictly_below(gap, 1.0):
         raise ContractViolation("requires ||Id - A|| < 1", measured=gap)
-    oplin._require_conditioned(
-        np.concatenate([np.linalg.svd(blocks, compute_uv=False).ravel() for _, blocks in s.groups])
-    )
+    oplin._require_conditioned(system.eigenvalues)  # S is PSD: its eigenvalues are its singular values
     vg = _embed(g)
-    s_inv_g = s.apply(vg, np.linalg.solve)
-    adj = a.apply(s_inv_g, lambda a_r, x: np.conj(np.swapaxes(a_r, -1, -2)) @ x)
+    adj = a.apply(system.solve(vg[:, None])[:, 0], lambda a_r, x: np.conj(np.swapaxes(a_r, -1, -2)) @ x)
     return _unembed(g.grid, adj - vg + s.apply(_embed(g_dual)))
 
 

@@ -67,7 +67,7 @@ def _transfer(phi: Frame, psi: Frame, phi_dual: Frame, expect_approx: bool) -> T
     inv_mixed_norm = 1.0 / float(pair.singular_values[-1])
 
     theta_map = _theta_part(phi, phi_dual)
-    theta_norm = operator_norm(theta_map)
+    theta_norm = pair.theta_norm
 
     diff_bound = bessel_bound_difference(phi, psi)
     smallness = float(np.sqrt(diff_bound) * theta_norm * inv_mixed_norm)

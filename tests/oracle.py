@@ -11,13 +11,17 @@ from functools import cached_property
 
 import numpy as np
 
-from dualframes import FrameError, NotHermitian, Singular
+from dualframes import FrameError, Singular
 from dualframes.oplin import _square, adjoint, operator_norm
 
 # Hermiticity drift in frame operators is roundoff only.
 HERMITICITY_TOL = 1e-12
 # Eigenvalues above -EIG_CLAMP_REL * ||M|| are clamped to 0 in PSD roots.
 EIG_CLAMP_REL = 1e-10
+
+
+class NotHermitian(FrameError):
+    """A matrix required to be Hermitian is not (beyond tolerance)."""
 
 
 class NotPSD(FrameError):

@@ -20,7 +20,6 @@ from dualframes import (
     NotApproxDual,
     NotCommuting,
     NotDualPair,
-    NotHermitian,
     OffGrid,
     SampledWindow,
     SupportOverflow,
@@ -30,6 +29,7 @@ from dualframes import (
     bspline_value,
     char_dual_check,
     ck_dual1,
+    canonical_dual,
     ck_dual2,
     classify_pair,
     commutation_check,
@@ -38,6 +38,7 @@ from dualframes import (
     gabor_frame,
     gdual_factorization,
     identity,
+    is_frame,
     janssen_residual,
     janssen_residual_table,
     mixed_lattice_operator,
@@ -468,6 +469,47 @@ class TestClassBlocks:
         phi.synthesis
         assert built == [(512, 32 * 160)]
 
+    @pytest.mark.parametrize("grid, lat, sizes", [
+        (GridSpec(10, 20), GaborLattice(1, Fraction(1, 10)), 1),  # 100 classes of 2
+        (GridSpec(16, 32), GaborLattice(1, Fraction(1, 10)), 2),  # b * P = 16/5: 32 of 4, 128 of 3
+    ])
+    def test_one_frame_reads_one_eigh_of_its_blocks(self, grid, lat, sizes, monkeypatch):
+        """The bounds, the frame test, S and the canonical dual of a system frame come
+        from one batched eigh per class size: no SVD, no eigh or eigvalsh of a matrix."""
+        calls = []
+        for name in ("eigh", "eigvalsh", "svd"):
+            def counted(a, *args, _name=name, _fn=getattr(np.linalg, name), **kwargs):
+                calls.append((_name, a))
+                return _fn(a, *args, **kwargs)
+
+            monkeypatch.setattr(np.linalg, name, counted)
+        phi = gabor_frame(sample_bspline(3, grid), lat)
+        frame_bounds(phi), is_frame(phi), frame_operator(phi), canonical_dual(phi)
+        frame_bounds(phi), canonical_dual(phi)
+        monkeypatch.undo()
+        groups = phi._system.frame_blocks.groups
+        assert [(name, a.ndim) for name, a in calls] == [("eigh", 3)] * sizes == [("eigh", 3)] * len(groups)
+        assert all(a is blocks for (_, a), (_, blocks) in zip(calls, groups))
+
+    def _canonical_dual_matches_the_dense_oracle(self, g, lat):
+        phi = gabor_frame(g, lat)
+        dual = canonical_dual(phi).synthesis
+        oracle = canonical_dual(Frame(np.array(phi.synthesis))).synthesis
+        assert operator_norm(dual - oracle) <= 1e-10 * operator_norm(oracle)
+        assert classify_pair(phi, canonical_dual(phi)).kind == "dual"
+
+    @settings(max_examples=12, deadline=None)
+    @given(data=st.data())
+    def test_canonical_dual_matches_the_dense_oracle_on_10_20(self, data):
+        grid, lat = GridSpec(10, 20), GaborLattice(1, Fraction(1, 10))
+        self._canonical_dual_matches_the_dense_oracle(data.draw(_frame_windows(grid, lat)), lat)
+
+    @settings(max_examples=3, deadline=None)
+    @given(data=st.data())
+    def test_canonical_dual_matches_the_dense_oracle_on_criterion_10s_grid(self, data):
+        grid, lat = GridSpec(16, 32), GaborLattice(1, Fraction(1, 10))  # classes of 3 and 4
+        self._canonical_dual_matches_the_dense_oracle(data.draw(_frame_windows(grid, lat)), lat)
+
     def test_other_lattice_takes_the_dense_path(self):
         grid = GridSpec(4, 4)
         rng = np.random.default_rng(16)
@@ -858,6 +900,16 @@ def _frame_window(rng, grid, lat, complex_values):
     return SampledWindow(grid, values)
 
 
+@st.composite
+def _frame_windows(draw, grid, lat):
+    """An order 2-4 B-spline, or a random frame window (see _frame_window)."""
+    order = draw(st.sampled_from([None, 2, 3, 4]))
+    if order is not None:
+        return sample_bspline(order, grid)
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    return _frame_window(rng, grid, lat, draw(st.booleans()))
+
+
 class TestLatticeOperator:
     """scaled_gabor_operator's block value against the dense oracle."""
 
@@ -903,47 +955,39 @@ class TestLatticeOperator:
         with mock.patch.object(LatticeOperator, "gap", autospec=True, side_effect=LatticeOperator.gap) as gap:
             approx_dual_window(g, g_dual, np.asarray(scaled), lat)
         gathered = gap.call_args.args[0]
-        # built (value, its dense matrix, Hermitian?): the mixed operator of two systems,
-        # a frame operator over its upper bound, and a dense matrix gathered into g's classes
+        # built (value, its dense matrix): the mixed operator of two systems, a frame
+        # operator over its upper bound, and a dense matrix gathered into g's classes
+        frame_op = mixed_lattice_operator(g, g, lat)
         builds = [
-            (mixed_lattice_operator(g, h, lat), mixed_operator(g_d, h_d), False),
-            (mixed_lattice_operator(g, g, lat), s_dense, True),
-            (scaled, frame_operator(scale_d) / frame_bounds(scale_d).upper, True),
-            # eigenvalues() needs a value Hermitian by construction, which a gathered array is not
-            (gathered, np.asarray(scaled), False),
+            (mixed_lattice_operator(g, h, lat), mixed_operator(g_d, h_d)),
+            (frame_op, s_dense),
+            (scaled, frame_operator(scale_d) / frame_bounds(scale_d).upper),
+            (gathered, np.asarray(scaled)),
         ]
         assert gap.call_count == 1 and gathered is not scaled
         assert np.array_equal(np.asarray(gathered), np.asarray(scaled))
+        # the eigenvalues of a system frame, from one eigh of its blocks, against eigvalsh
+        # of its dense S and of its frame-operator value; scaled keeps those of its window's
+        eigs = gabor_frame(g, lat).eigenvalues
+        for eigenvalues, dense in (
+            (eigs, s_dense),
+            (eigs, np.asarray(frame_op)),
+            (scaled.frame_eigenvalues, frame_operator(scale_d)),
+        ):
+            tol = 1e-12 * max(1.0, operator_norm(dense))
+            assert np.max(np.abs(eigenvalues - np.linalg.eigvalsh(dense))) <= tol
         eye = np.eye(grid.total)
         v = rng.standard_normal(grid.total) + 1j * rng.standard_normal(grid.total)
-        for value, dense, hermitian in builds:
+        for value, dense in builds:
             tol = 1e-12 * max(1.0, operator_norm(dense))
             assert np.array_equal(eye - value, eye - np.asarray(value))  # what the benchmark computes
             assert np.max(np.abs(np.asarray(value) - dense)) <= tol
-            if hermitian:
-                assert np.max(np.abs(value.eigenvalues() - np.linalg.eigvalsh(dense))) <= tol
-            else:
-                with pytest.raises(NotHermitian):
-                    value.eigenvalues()
             assert abs(value.gap() - operator_norm(eye - dense)) <= tol
             assert np.max(np.abs(value.apply(v) - dense @ v)) <= tol * np.max(np.abs(v)) * grid.total
-            for other, other_dense, _ in builds:
+            for other, other_dense in builds:
                 assert abs(value.distance(other) - operator_norm(other_dense - dense)) <= tol + 1e-12 * max(
                     1.0, operator_norm(other_dense)
                 )
-
-    def test_eigenvalues_of_a_non_hermitian_value_raise(self):
-        grid = GridSpec(6, 6)
-        lat = GaborLattice(1, Fraction(1, 3))
-        g = sample_bspline(2, grid)
-        h = SampledWindow(grid, (1 + 1j) * np.roll(g.values, 3))
-        value = mixed_lattice_operator(g, h, lat)
-        # its spectrum is not real, where eigvalsh of one triangle per block gave real numbers
-        assert np.max(np.abs(np.linalg.eigvals(np.asarray(value)).imag)) > 0.5
-        with pytest.raises(NotHermitian):
-            value.eigenvalues()
-        frame_op = mixed_lattice_operator(g, g, lat)
-        assert np.array_equal(frame_op.eigenvalues(), gabor_frame(g, lat).eigenvalues)
 
     def test_distance_across_lattices_raises(self):
         lat = GaborLattice(1, Fraction(1, 3))

@@ -7,7 +7,6 @@ from hypothesis.extra.numpy import arrays
 from dualframes import oplin
 from dualframes import (
     DimensionMismatch,
-    NotHermitian,
     Singular,
     adjoint,
     identity,
@@ -16,7 +15,7 @@ from dualframes import (
     solve,
 )
 
-from oracle import NotPSD, herm_eig, psd_inv_sqrt, psd_sqrt
+from oracle import NotHermitian, NotPSD, herm_eig, psd_inv_sqrt, psd_sqrt
 
 SYM = np.array([[2.0, 1.0], [1.0, 2.0]])  # eigenvalues 1 and 3 (char. poly x^2-4x+3)
 

@@ -315,25 +315,35 @@ def test_pipeline_reads_each_pair_fact_once(monkeypatch):
     ``identity_gap`` runs for the two constructions' hypothesis checks and
     once for the pair's rate; the one ``inv`` is the pair's corresponding
     operator; theta is built once: one projection onto ker T, made by the
-    first ``_theta_part`` call that finds no theta on the pair's record.
+    first ``_theta_part`` call that finds no theta on the pair's record, and
+    its norm is taken once, which the recovered Annihilator and the transfer read.
     """
     calls = {"identity_gap": 0, "inv": 0, "theta_build": 0}
     monkeypatch.setattr(oplin, "identity_gap", counted(calls, "identity_gap", oplin.identity_gap))
     monkeypatch.setattr(np.linalg, "inv", counted(calls, "inv", np.linalg.inv))
-    theta_part = duality._theta_part
+    theta_part, thetas, normed = duality._theta_part, [], []
 
     def build(phi, partner):
         calls["theta_build"] += df.frames._pair(phi, partner).theta is None
-        return theta_part(phi, partner)
+        thetas.append(theta_part(phi, partner))
+        return thetas[-1]
+
+    def operator_norm(m, _norm=oplin.operator_norm):
+        normed.append(m)
+        return _norm(m)
 
     monkeypatch.setattr(duality, "_theta_part", build)
     monkeypatch.setattr(perturbation, "_theta_part", build)
+    for module in (oplin, df.frames, duality, perturbation):
+        monkeypatch.setattr(module, "operator_norm", operator_norm)
 
     run_pipeline()
 
     assert calls["identity_gap"] <= 3
     assert calls["inv"] <= 1
     assert calls["theta_build"] == 1
+    assert len(thetas) == 2 and thetas[0] is thetas[1]  # recovery and the transfer
+    assert sum(m is thetas[0] for m in normed) == 1
 
 
 def test_pipeline_builds_each_root_once(monkeypatch):
