@@ -178,11 +178,30 @@ def _with_mixed(phi: Frame, a: np.ndarray, theta_map: Optional[np.ndarray] = Non
 
 
 def _approx_dual(phi: Frame, a: np.ndarray, theta_map, condition: str) -> Frame:
-    """``_with_mixed(phi, a, theta_map)`` once ``condition`` = ||Id - a|| is below 1."""
-    gap = oplin.identity_gap(a)
-    if not _strictly_below(gap, 1.0):
-        raise ContractViolation(f"requires {condition} < 1", measured=gap)
-    return _with_mixed(phi, a, theta_map)
+    """``result = _with_mixed(phi, a, theta_map)`` once ``condition`` is below 1.
+
+    The condition, ||Id - a||, is checked on the pair returned: its rate
+    ||Id - mixed_operator(phi, result)||, kept on the pair's record, which
+    differs from ||Id - a|| by rounding and by ||T theta||.  It is read from
+    ``a`` itself where no family is built: when an entry of Id - a has a real
+    or imaginary part of modulus 1 or more (which fails it, and could make the
+    family overflow), and when the build raises ValueError (S overflows),
+    which is raised only if the condition holds.
+    """
+    rate = None
+    if np.max(np.abs((oplin.identity(phi.dim) - a).view(float))) < 1.0:
+        try:
+            result = _with_mixed(phi, a, theta_map)
+        except ValueError:
+            rate = oplin.identity_gap(a)
+            if _strictly_below(rate, 1.0):
+                raise
+        else:
+            rate = _pair(phi, result).rate
+            if _strictly_below(rate, 1.0):
+                return result
+    measured = oplin.identity_gap(a) if rate is None else rate
+    raise ContractViolation(f"requires {condition} < 1", measured=measured)
 
 
 def approx_dual_from_whitened(

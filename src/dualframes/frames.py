@@ -17,6 +17,7 @@ and whose eigenvalues, bounds and canonical dual come from one ``eigh`` of its b
 
 from __future__ import annotations
 
+import math
 import weakref
 from dataclasses import dataclass, field
 from functools import cached_property
@@ -73,9 +74,18 @@ class Frame:
       S^{1/2}, S^{-1/2} (two d x d arrays once read), the rank, the analysis
       range and the projection onto ker T are read from it;
     * :attr:`eigenvalues` -- the spectrum of S, behind the frame bounds:
-      the spectrum's own array, or a system frame's block eigenvalues;
+      ``s**2`` of the singular values s of T, which the frame test reads,
+      or a system frame's block eigenvalues;
     * the canonical dual U diag(1/s) V* = (S^{-1} phi_k)_k, read through
       :func:`canonical_dual`.
+
+    A dense frame takes one SVD of T.  Which one is set by the first read
+    that needs it: the bounds, the eigenvalues or the frame test alone take
+    the singular values only (``compute_uv=False``, no U or V kept); the
+    rank, ``ker T``, the roots, the canonical dual and :func:`require_frame`,
+    which guards every construction that goes on to read them, take the thin
+    SVD.  Once a frame holds the thin SVD, every fact not yet read comes from
+    it; the singular values read before it are kept.
 
     S itself is never formed.  The frame test reads s_min / s_max, which no
     scaling of T changes; a bound that does not fit a normal float raises
@@ -152,8 +162,14 @@ class Frame:
 
     @cached_property
     def eigenvalues(self) -> np.ndarray:
-        """Ascending eigenvalues of S (read-only): a system's blocks', else the spectrum's array."""
-        return self.spectrum.eigenvalues if self._system is None else self._system.eigenvalues
+        """Ascending eigenvalues of S (read-only): a system's blocks', else the squares of
+        the singular values of T, padded with zeros to d; ValueError when S overflows."""
+        if self._system is not None:
+            return self._system.eigenvalues
+        s = self._singular_values
+        with np.errstate(over="ignore"):
+            w = np.concatenate([np.zeros(self.dim - s.size), s[::-1] ** 2])
+        return _frozen(oplin._require_finite(w))
 
     @cached_property
     def spectrum(self) -> oplin.Spectrum:
@@ -161,11 +177,19 @@ class Frame:
         return oplin.Spectrum.of(self.synthesis)
 
     @cached_property
+    def _singular_values(self) -> np.ndarray:
+        """Descending singular values of T (read-only): the spectrum's when it is held,
+        else one SVD that computes no singular vectors."""
+        if "spectrum" in self.__dict__:
+            return self.spectrum.s
+        return _frozen(np.linalg.svd(self.synthesis, compute_uv=False))
+
+    @cached_property
     def _sigma(self) -> tuple:
-        """(s_min, s_max) of T: the spectrum's (s_min = 0 when n < d), or a system's block roots."""
+        """(s_min, s_max) of T: the singular values' (s_min = 0 when n < d), or a system's block roots."""
         if self._system is not None:
             return tuple(float(np.sqrt(max(x, 0.0))) for x in self.eigenvalues[[0, -1]])
-        s = self.spectrum.s
+        s = self._singular_values
         return (float(s[-1]) if s.size == self.dim else 0.0), float(s[0])
 
     @cached_property
@@ -245,7 +269,10 @@ def is_frame(phi: Frame) -> bool:
 
 
 def require_frame(phi: Frame, name: str = "family") -> None:
-    """:class:`NotAFrame` unless ``phi`` is a frame (see :func:`is_frame`)."""
+    """:class:`NotAFrame` unless ``phi`` is a frame (see :func:`is_frame`).  A dense
+    frame takes its thin SVD here, as every construction guarded by this reads it."""
+    if phi._system is None:
+        phi.spectrum
     if not is_frame(phi):
         raise NotAFrame(f"{name} has lower frame bound 0 (rank deficient)")
 
@@ -276,6 +303,8 @@ class _Pair:
 
     ``mixed`` is the systems' block value (see :func:`_class_blocks`) or a
     read-only dense array; the other facts are read from it on first use.
+    A constructor of approximate duals checks the ``rate`` of the pair it
+    returns, so a classification of that pair reads the kept value.
     ``theta``, the annihilator part, and ``theta_norm`` are kept by
     :func:`dualframes.duality._theta_part`.  The record holds no frame.
     """
@@ -342,6 +371,11 @@ class Annihilator:
 
     These maps add pure kernel content to dual constructions: they change
     the dual family without changing the mixed operator.
+
+    The constructor measures ``norm`` = ||map|| and checks
+    ||T map|| <= ANNIHILATOR_TOL ||T|| ||map||; the check passes on the
+    Frobenius norm of T map when that shows it, and a failure reports the
+    operator norm.  :func:`random_annihilator` carries the norm it scaled to.
     """
 
     map: np.ndarray
@@ -357,18 +391,19 @@ class Annihilator:
             )
         if "norm" not in self.__dict__:  # set by _kept
             object.__setattr__(self, "norm", operator_norm(m))
-        residual = operator_norm(self.base.synthesis @ m)
+        residual = self.base.synthesis @ m
         t_norm = self.base._sigma[1]  # ||T||
         allowed = ANNIHILATOR_TOL * t_norm * max(self.norm, 1e-300)
-        if residual > allowed:
+        if not oplin._norm_at_most(residual, allowed):
             raise ContractViolation(
                 f"range must lie in ker(synthesis): ||T theta|| <= {allowed:.3e}",
-                measured=residual,
+                measured=operator_norm(residual),
             )
 
     @classmethod
     def _kept(cls, m: np.ndarray, base: Frame, norm: float) -> "Annihilator":
-        """The annihilator over a map whose norm is known: a pair's kept theta."""
+        """The annihilator over a map whose norm is known: a pair's kept theta,
+        or the scaled draw of :func:`random_annihilator`."""
         value = cls.__new__(cls)
         object.__setattr__(value, "norm", norm)
         value.__init__(m, base)
@@ -394,4 +429,12 @@ def random_annihilator(phi: Frame, seed: int, scale: float) -> Annihilator:
     rng = np.random.default_rng(seed)
     shape = (phi.count, phi.dim)
     raw = phi.spectrum.kernel_part(rng.standard_normal(shape) + 1j * rng.standard_normal(shape))
-    return Annihilator(map=raw * (scale / operator_norm(raw)), base=phi)
+    raw_norm = operator_norm(raw)
+    m = raw * (scale / raw_norm)
+    # Rounding each entry to eps relative moves the norm by at most eps sqrt(d) of it, and
+    # an entry that underflows by up to 2^-1075 absolute: the norm is carried unless those
+    # can add up to 1e-13 of it (a subnormal scale), or it overflows, and measured then.
+    norm = raw_norm * (scale / raw_norm)
+    if not (math.sqrt(m.size) * 2.0**-1074 <= 1e-13 * norm and norm < math.inf):
+        norm = operator_norm(m)
+    return Annihilator._kept(m, phi, norm)

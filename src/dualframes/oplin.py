@@ -6,12 +6,24 @@ frame machinery leans on everywhere: adjoints, operator (spectral) norms,
 one thin SVD of a synthesis matrix with every spectral fact read from it
 (:class:`Spectrum`), and guarded inverses/solves.
 
+A pass/fail check ``||a|| <= bound`` can be settled on the Frobenius norm
+(:func:`_norm_at_most`), which bounds the operator norm from above and costs
+O(size) where an SVD costs O(size^1.5): it is taken on ``a`` divided by its
+largest real or imaginary part, so no entry overflows or underflows into the
+sum, and widened by its rounding.  When it shows the bound, the check passes;
+otherwise the operator norm decides.  The invertibility guard of
+:func:`inverse` and :func:`solve` is certified the same way near the
+identity: ``||a - Id||_F < r = (C - 1) / (C + 1)`` puts every singular
+value of ``a`` in ``(1 - r, 1 + r)`` (Weyl), so its condition number is
+below the cutoff C; any other matrix is judged on its singular values.
+
 Sizes stay at desk scale (a few hundred), so everything is dense and
 direct; no iterative methods.
 """
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from functools import cached_property
 
@@ -23,6 +35,8 @@ from .errors import DimensionMismatch, Singular
 COND_CUTOFF = 1e12
 # Strict "< 1" margins; boundary cases (rate exactly 1) must be rejected.
 STRICT_FACTOR = 1.0 - 1e-12
+# ||a - Id|| below this radius keeps the condition number of a below COND_CUTOFF.
+_GUARD_RADIUS = (COND_CUTOFF - 1.0) / (COND_CUTOFF + 1.0)
 
 
 def _strictly_below(value: float, bound: float) -> bool:
@@ -55,7 +69,33 @@ def adjoint(m) -> np.ndarray:
 def operator_norm(m) -> float:
     """Largest singular value of ``m``; zero iff ``m`` is the zero matrix."""
     a = as_operator(m)
-    return float(np.linalg.norm(a, 2))
+    return float(np.linalg.svd(a, compute_uv=False)[0])
+
+
+def _frobenius_shows(a: np.ndarray, bound: float) -> bool:
+    """Whether the Frobenius norm of the finite matrix ``a`` shows ||a|| <= bound.
+
+    The sum of squares is taken over the real and imaginary parts divided by
+    the largest of them (each in [-1, 1]), so nothing overflows, and a term
+    lost to underflow is below 1e-307 against a sum of at least 1.  The result
+    is widened by 8 eps per entry, more than its own rounding and that of the
+    SVD behind :func:`operator_norm`.  False says nothing about ||a||.
+    """
+    parts = np.stack((a.real, a.imag))
+    peak = float(np.max(np.abs(parts)))
+    if peak == 0.0:
+        return 0.0 <= bound
+    with np.errstate(under="ignore"):
+        x = (parts / peak).ravel()
+    slack = 1.0 + 8.0 * a.size * np.finfo(float).eps
+    return peak * math.sqrt(float(x @ x)) * slack <= bound
+
+
+def _norm_at_most(m, bound: float) -> bool:
+    """Whether ||m|| <= bound: certified by the Frobenius norm when it can be,
+    else decided by :func:`operator_norm`; ValueError when an entry is not finite."""
+    a = as_operator(m)
+    return _frobenius_shows(a, bound) or operator_norm(a) <= bound
 
 
 def identity_gap(m) -> float:
@@ -89,13 +129,6 @@ class Spectrum:
         """The thin SVD of ``t``."""
         u, s, vh = np.linalg.svd(t, full_matrices=False)
         return cls(_frozen(u), _frozen(s), _frozen(vh))
-
-    @cached_property
-    def eigenvalues(self) -> np.ndarray:
-        """Ascending eigenvalues of S: ``s**2``, padded with zeros to d; ValueError when S overflows."""
-        with np.errstate(over="ignore"):
-            w = np.concatenate([np.zeros(self.u.shape[0] - self.s.size), self.s[::-1] ** 2])
-        return _frozen(_require_finite(w))
 
     @cached_property
     def rank(self) -> int:
@@ -150,8 +183,11 @@ def _require_conditioned(s: np.ndarray) -> None:
 
 
 def _invertible(m) -> np.ndarray:
+    """``m`` as a square matrix once its condition number is below COND_CUTOFF:
+    certified near the identity, else read from its singular values."""
     a = _square(m)
-    _require_conditioned(np.linalg.svd(a, compute_uv=False))
+    if not _frobenius_shows(a - identity(a.shape[0]), _GUARD_RADIUS):
+        _require_conditioned(np.linalg.svd(a, compute_uv=False))
     return a
 
 

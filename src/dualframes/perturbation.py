@@ -78,7 +78,9 @@ def _transfer(phi: Frame, psi: Frame, phi_dual: Frame, expect_approx: bool) -> T
 
     omega = _with_mixed(psi, mixed, theta_map)
     corrector = omega.synthesis @ adjoint(psi.synthesis) @ adjoint(inv_mixed)
-    # The smallness estimate is sufficient, not necessary (vacuous for
+    # The corrector is Id + theta*(T_psi - T_phi)* M^{-*}, as T_phi theta = 0, so the
+    # guard of oplin.solve is certified from ||corrector - Id||_F, with no singular
+    # values.  The smallness estimate is sufficient, not necessary (vacuous for
     # theta == 0); invertibility of the corrector is what actually matters.
     psi_dual = Frame._adopt(oplin.solve(corrector, omega.synthesis))
 

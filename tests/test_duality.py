@@ -246,6 +246,28 @@ class TestApproxDualFromMixed:
         with pytest.raises(ContractViolation):
             approx_dual_from_mixed(phi0, 2.5 * identity(2))
 
+    def test_rate_is_the_returned_pairs(self, phi0):
+        """The condition is checked on the pair returned, whose kept rate the
+        classification reads; a failing one reports the realized rate."""
+        theta = random_annihilator(phi0, seed=5, scale=0.4)
+        result = approx_dual_from_mixed(phi0, 0.6 * identity(2), theta)
+        assert duality._pair(phi0, result).rate == classify_pair(phi0, result).rate
+        assert classify_pair(phi0, result).rate == pytest.approx(0.4, abs=1e-12)
+        with pytest.raises(ContractViolation, match=re.escape("requires ||Id - target|| < 1")) as err:
+            approx_dual_from_mixed(phi0, np.array([[0.1, 0.9], [0.9, 0.1]]))
+        assert err.value.measured == pytest.approx(1.8, abs=1e-12)
+
+    @pytest.mark.parametrize(
+        "target, error",
+        [([[0.1, 0.9], [0.9, 0.1]], ContractViolation), (3.0 * identity(2), ContractViolation),
+         (0.9 * identity(2), ValueError)],
+    )
+    def test_failing_condition_is_reported_before_an_overflowing_frame(self, target, error):
+        # S of this frame overflows, so no family of it can be built
+        phi = Frame([[1e200, 0, 1e200], [0, 1e200, 1]])
+        with pytest.raises(error):
+            approx_dual_from_mixed(phi, np.asarray(target, dtype=complex))
+
     # a 1x1 target once broadcast against the 2x2 identity; a 3x3 one would reach the rate check
     @pytest.mark.parametrize("target", [[[0.9]], 0.9 * identity(3), 3.0 * identity(3), 0.9 * identity(2)[:, :1]])
     def test_rejects_target_of_another_size(self, phi0, target):

@@ -317,6 +317,25 @@ class TestAnnihilator:
         with pytest.raises(ValueError, match="scale"):
             random_annihilator(phi0, seed=3, scale=scale)
 
+    @pytest.mark.parametrize("scale", [1.0, 1e-300, 3e-310, 5e-324, 1e300])
+    def test_carried_norm_is_the_maps(self, scale, monkeypatch):
+        """The norm scaled to is carried where the product keeps 1e-12 relative accuracy
+        and measured where underflow would lose it (a subnormal scale)."""
+        from dualframes import frames
+
+        phi = random_frame(5, 9, seed=31)
+        measured = []
+        monkeypatch.setattr(frames, "operator_norm", lambda m: measured.append(m) or operator_norm(m))
+        theta = random_annihilator(phi, seed=6, scale=scale)
+        exact = float(np.linalg.norm(theta.map, 2))
+        assert abs(theta.norm - exact) <= 1e-12 * exact
+        # the draw's norm, and the scaled map's only below the normal range
+        assert len(measured) == (1 if scale >= 1e-300 else 2)
+
+    def test_public_constructor_takes_no_norm(self, phi0):
+        with pytest.raises(TypeError):
+            Annihilator(map=np.zeros((3, 2)), base=phi0, norm=1.0)
+
     def test_deterministic(self, phi0):
         a = random_annihilator(phi0, seed=4, scale=0.5)
         b = random_annihilator(phi0, seed=4, scale=0.5)

@@ -208,3 +208,129 @@ class TestSolve:
     def test_rejects_singular(self):
         with pytest.raises(Singular):
             solve(np.zeros((2, 2)), np.ones(2))
+
+
+def _scaled_map(shape, rank_one, exponent, seed):
+    rng = np.random.default_rng(seed)
+    gauss = lambda *s: rng.standard_normal(s) + 1j * rng.standard_normal(s)  # noqa: E731
+    m = np.outer(gauss(shape[0]), gauss(shape[1])) if rank_one else gauss(*shape)
+    return m / np.max(np.abs(m)) * 10.0**exponent  # peak entry 10^exponent
+
+
+# Bounds around the norm: 1 ulp and a few widths on each side, and far off.
+NEAR = [-1, 1, -1e-14, 1e-14, -1e-12, 1e-12, -1e-9, 1e-9, -0.5, 1.0]
+
+
+def _bound_near(exact: float, step: float) -> float:
+    if step in (-1, 1):
+        return float(np.nextafter(exact, np.inf if step > 0 else -np.inf))
+    return exact * (1.0 + step)
+
+
+class TestNormCertificate:
+    """``oplin._norm_at_most(m, bound)`` passes on the Frobenius norm where it shows
+    the bound and asks the operator norm otherwise; its verdict is that of
+    ``operator_norm(m) <= bound`` at every scale, with no warning."""
+
+    @settings(deadline=None, max_examples=200)
+    @given(
+        shape=st.sampled_from([(1, 1), (2, 3), (5, 4), (9, 6)]),
+        rank_one=st.booleans(),
+        exponent=st.sampled_from([0, -170, 150, -305, -310, -318]),
+        seed=st.integers(0, 2**32 - 1),
+        step=st.sampled_from(NEAR),
+    )
+    def test_verdict_is_the_operator_norms(self, shape, rank_one, exponent, seed, step):
+        m = _scaled_map(shape, rank_one, exponent, seed)
+        exact = operator_norm(m)
+        for bound in (_bound_near(exact, step), float(np.linalg.norm(m)), 5e-324, 1e-310):
+            assert oplin._norm_at_most(m, bound) == (exact <= bound), bound
+
+    def test_rank_one_within_one_ulp_is_decided_by_the_operator_norm(self, monkeypatch):
+        m = _scaled_map((4, 4), True, 0, 7)
+        exact = operator_norm(m)
+        asked = []
+        monkeypatch.setattr(oplin, "operator_norm", lambda a: asked.append(a) or exact)
+        assert oplin._norm_at_most(m, np.nextafter(exact, np.inf))
+        assert not oplin._norm_at_most(m, np.nextafter(exact, -np.inf))
+        assert len(asked) == 2
+        assert oplin._norm_at_most(m, 1.001 * exact) and len(asked) == 2  # certified
+
+    @pytest.mark.parametrize("bound", [0.0, 5e-324, 1.0])
+    def test_zero_map(self, bound):
+        assert oplin._norm_at_most(np.zeros((3, 2)), bound)
+        assert not oplin._norm_at_most(np.zeros((3, 2)), -5e-324)
+
+    def test_overflowing_product_raises_value_error(self):
+        with np.errstate(over="ignore"):
+            product = np.full((2, 2), 1e200) @ np.full((2, 2), 1e200)
+        with pytest.raises(ValueError, match="non-finite entries"):
+            oplin._norm_at_most(product, 1.0)
+
+
+def _svd_guard(m):
+    """The guard as judged on the singular values alone."""
+    a = np.asarray(m, dtype=complex)
+    oplin._require_conditioned(np.linalg.svd(a, compute_uv=False))
+    return a
+
+
+def _same_outcome(m):
+    """inverse and solve agree with the SVD guard: equal arrays or equal Singular messages."""
+    rhs = np.arange(1.0, 1.0 + len(m))
+    try:
+        expected = np.linalg.inv(_svd_guard(m)), np.linalg.solve(_svd_guard(m), rhs.astype(complex))
+    except Singular as err:
+        for op in (lambda: inverse(m), lambda: solve(m, rhs)):
+            with pytest.raises(Singular) as got:
+                op()
+            assert str(got.value) == str(err)
+        return "singular"
+    assert np.array_equal(inverse(m), expected[0])
+    assert np.array_equal(solve(m, rhs), expected[1])
+    return "invertible"
+
+
+class TestInvertibilityGuard:
+    """Near the identity the guard is certified from ||a - Id||_F < (C - 1)/(C + 1);
+    every verdict, result and message equals that of the SVD guard."""
+
+    RADIUS = (oplin.COND_CUTOFF - 1.0) / (oplin.COND_CUTOFF + 1.0)
+
+    @pytest.mark.parametrize(
+        "width, verdict",
+        [(1 - 1e-13, "invertible"), (1 - 1e-9, "invertible"), (0.5, "invertible"),
+         (1 + 5e-13, "invertible"), (1 + 1e-12, "singular"), (1 + 2e-12, "singular")],
+    )
+    def test_rank_one_step_across_the_radius(self, width, verdict):
+        # a = diag(1 - delta, 1, 1): ||a - Id||_F = delta, kappa = 1 / |1 - delta|
+        delta = width * self.RADIUS
+        assert _same_outcome(np.diag([1.0 - delta, 1.0, 1.0])) == verdict
+
+    @pytest.mark.parametrize("width", [1 - 1e-9, 1 + 1e-9, 1.5])
+    def test_random_step_across_the_radius(self, width):
+        rng = np.random.default_rng(5)
+        step = rng.standard_normal((4, 4)) + 1j * rng.standard_normal((4, 4))
+        m = np.eye(4) + step * (width * self.RADIUS / np.linalg.norm(step))
+        assert _same_outcome(m) == "invertible"
+
+    def test_certified_guard_takes_no_svd(self, monkeypatch):
+        def svd(*args, **kwargs):
+            raise AssertionError("svd called")
+
+        monkeypatch.setattr(np.linalg, "svd", svd)
+        m = np.eye(3) + 0.1 * np.ones((3, 3))
+        assert np.array_equal(inverse(m), np.linalg.inv(m))
+
+    @pytest.mark.parametrize("kappa", [1.001e12, 1.0001e12, 0.999e12])
+    def test_far_from_identity_near_the_cutoff(self, kappa):
+        rng = np.random.default_rng(6)
+        u, _ = np.linalg.qr(rng.standard_normal((3, 3)) + 1j * rng.standard_normal((3, 3)))
+        v, _ = np.linalg.qr(rng.standard_normal((3, 3)) + 1j * rng.standard_normal((3, 3)))
+        m = (u * np.array([5.0, 2.0, 5.0 / kappa])) @ v
+        assert _same_outcome(m) == ("singular" if kappa > 1e12 else "invertible")
+
+    def test_zero_matrix(self):
+        assert _same_outcome(np.zeros((2, 2))) == "singular"
+        with pytest.raises(Singular, match="identically zero"):
+            inverse(np.zeros((2, 2)))

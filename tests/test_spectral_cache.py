@@ -24,6 +24,7 @@ allowed a first-order kappa(S) * eps on top of the pinned tolerance.
 
 import gc
 import weakref
+from collections import Counter
 from functools import cached_property
 
 import numpy as np
@@ -59,8 +60,9 @@ ROUNDTRIP_TOL = 1e-9  # criterion 2
 EPS = np.finfo(float).eps
 
 
-def norm(m) -> float:
-    return float(np.linalg.norm(m, 2))
+def norm(m, _norm=np.linalg.norm) -> float:
+    """The 2-norm, bound at import so that the counting tests do not count it."""
+    return float(_norm(m, 2))
 
 
 def unitary(rng, n) -> np.ndarray:
@@ -225,8 +227,60 @@ def counted(calls, name, fn):
     return wrapper
 
 
-def run_pipeline() -> Frame:
-    """The 64x96 finite-frame pipeline of a benchmark task; returns phi."""
+class Decompositions:
+    """Every ``numpy.linalg`` decomposition taken while installed, by kind and shape.
+
+    ``svd`` records the kind "thin", "full" or "values" (``compute_uv=False``),
+    ``norm(a, 2)`` the kind "norm2", and ``eigh``, ``eigvalsh``, ``inv``, ``solve``,
+    ``qr`` and ``pinv`` their names; each record keeps its operand, so :meth:`of`
+    names the decompositions of one array.  ``wide`` lists every operand or result
+    of these calls with ``rows`` rows and more than ``cols`` columns.
+    """
+
+    SVD_CLASS = ("thin", "full", "values", "norm2")
+
+    def __init__(self, monkeypatch, rows=None, cols=None):
+        self.records, self.wide = [], []
+        self._rows, self._cols = rows, cols
+        for name in ("eigh", "eigvalsh", "inv", "solve", "qr", "pinv"):
+            kind_of = lambda *args, name=name, **kwargs: name  # noqa: E731
+            monkeypatch.setattr(np.linalg, name, self._watch(kind_of, getattr(np.linalg, name)))
+        monkeypatch.setattr(np.linalg, "svd", self._watch(self._svd_kind, np.linalg.svd))
+        monkeypatch.setattr(np.linalg, "norm", self._watch(self._norm_kind, np.linalg.norm))
+
+    @staticmethod
+    def _svd_kind(a, full_matrices=True, compute_uv=True, **kwargs):
+        return ("full" if full_matrices else "thin") if compute_uv else "values"
+
+    @staticmethod
+    def _norm_kind(x, ord=None, *args, **kwargs):
+        return "norm2" if ord == 2 and np.ndim(x) == 2 else None
+
+    def _watch(self, kind_of, fn):
+        def wrapper(*args, **kwargs):
+            kind = kind_of(*args, **kwargs)
+            if kind is not None:
+                self.records.append((kind, np.shape(args[0]), args[0]))
+            out = fn(*args, **kwargs)
+            for a in (*args, *(out if isinstance(out, tuple) else (out,))):
+                if getattr(a, "ndim", 0) == 2 and a.shape[0] == self._rows and a.shape[1] > self._cols:
+                    self.wide.append((kind, a.shape))
+            return out
+
+        return wrapper
+
+    def census(self) -> Counter:
+        return Counter((kind, shape) for kind, shape, _ in self.records)
+
+    def svd_class(self) -> int:
+        return sum(kind in self.SVD_CLASS for kind, _, _ in self.records)
+
+    def of(self, a) -> list:
+        return [kind for kind, _, operand in self.records if operand is a]
+
+
+def run_pipeline():
+    """The 64x96 finite-frame pipeline of a benchmark task; returns phi, phi_ad and psi."""
     rng = np.random.default_rng(64)
     gauss = lambda shape: rng.standard_normal(shape) + 1j * rng.standard_normal(shape)  # noqa: E731
     bump = gauss((64, 64))
@@ -243,84 +297,134 @@ def run_pipeline() -> Frame:
     psi = Frame(phi.synthesis + direction * (0.01 / norm(direction)))
     moved = transfer_approx_dual(phi, psi, phi_ad)
     assert moved.mixed_match_residual <= ROUNDTRIP_TOL
-    return phi
+    return phi, phi_ad, psi
 
 
 def test_pipeline_decomposes_each_frame_once(monkeypatch):
-    """The 64x96 finite-frame pipeline decomposes each frame once: one thin SVD
-    of T for each of phi, phi_ad and psi, whose spectral facts it reads.
+    """The 64x96 finite-frame pipeline takes 13 SVD-class calls and decomposes each
+    frame once: one thin SVD of T for phi and for psi, whose vectors it reads, and one
+    values-only SVD for phi_ad, which it reads only for its upper bound.
 
-    No ``eigh`` or ``eigvalsh`` runs, no SVD builds full singular vectors, and
-    no ``numpy.linalg`` call takes or returns an array with n rows and more than
-    d columns (a kernel basis or an n x n factor).  The canonical duals of phi
-    and psi are each built once, however many constructions read them.
+    The other ten are the operator norms of two n x d maps (the scaled draw and
+    theta), of two d x n differences (Bessel bounds) and of five d x d matrices, and the
+    pair's singular values.  The annihilator checks and the transfer's corrector are
+    certified without an SVD.  No ``eigh``, ``eigvalsh`` or full SVD runs, and no call
+    takes or returns an array with n rows and more than d columns (a kernel basis or an
+    n x n factor).  The canonical duals of phi and psi are each built once, however
+    many constructions read them.
     """
     d, n = 64, 96
-    thin, wide = [], []
-    calls = {"eigh": 0, "eigvalsh": 0, "canonical_dual": 0}
-
-    def watched(name, fn):
-        def wrapper(*args, **kwargs):
-            out = fn(*args, **kwargs)
-            for a in (*args, *(out if isinstance(out, tuple) else (out,))):
-                if getattr(a, "ndim", 0) == 2 and a.shape[0] == n and a.shape[1] > d:
-                    wide.append((name, a.shape))
-            return out
-
-        return wrapper
-
-    def svd(a, full_matrices=True, compute_uv=True, _svd=np.linalg.svd, **kwargs):
-        if compute_uv:
-            thin.append(None if full_matrices else a)
-        return _svd(a, full_matrices, compute_uv, **kwargs)
-
-    for name in ("inv", "solve", "norm", "qr", "pinv"):
-        monkeypatch.setattr(np.linalg, name, watched(name, getattr(np.linalg, name)))
-    monkeypatch.setattr(np.linalg, "svd", watched("svd", svd))
-    monkeypatch.setattr(np.linalg, "eigh", counted(calls, "eigh", np.linalg.eigh))
-    monkeypatch.setattr(np.linalg, "eigvalsh", counted(calls, "eigvalsh", np.linalg.eigvalsh))
+    seen = Decompositions(monkeypatch, rows=n, cols=d)
+    calls = {"canonical_dual": 0}
     build = cached_property(counted(calls, "canonical_dual", Frame._canonical_dual.func))
     build.__set_name__(Frame, "_canonical_dual")
     monkeypatch.setattr(Frame, "_canonical_dual", build)
 
-    phi = run_pipeline()
+    phi, phi_ad, psi = run_pipeline()
 
-    assert (calls["eigh"], calls["eigvalsh"]) == (0, 0)
-    assert wide == []
-    assert all(a is not None for a in thin)  # no full_matrices=True
-    assert len(thin) == 3  # phi, phi_ad and psi
-    assert [a.shape for a in thin] == [(d, n)] * 3
-    assert thin[0] is phi.synthesis
+    assert seen.census() == Counter({
+        ("thin", (d, n)): 2,
+        ("values", (d, n)): 3,
+        ("values", (n, d)): 2,
+        ("values", (d, d)): 6,
+        ("inv", (d, d)): 1,
+        ("solve", (d, d)): 1,
+    })
+    assert seen.svd_class() == 13 and seen.wide == []
+    assert seen.of(phi.synthesis) == seen.of(psi.synthesis) == ["thin"]
+    assert seen.of(phi_ad.synthesis) == ["values"] and "spectrum" not in phi_ad.__dict__
     assert calls["canonical_dual"] <= 2  # phi and psi
     dual = canonical_dual(phi)
     assert canonical_dual(phi) is dual and not dual.synthesis.flags.writeable
     with pytest.raises(AttributeError):
         dual.synthesis = phi.synthesis
-    # whichever is read first, the eigenvalues are the spectrum's own array: one SVD
-    for spectrum_first in (True, False):
-        fresh, before = Frame(phi.synthesis), len(thin)
-        if spectrum_first:
-            spectrum = fresh.spectrum
-            assert fresh.eigenvalues is spectrum.eigenvalues
-        else:
-            eigenvalues = fresh.eigenvalues
-            assert eigenvalues is fresh.spectrum.eigenvalues
-        assert len(thin) == before + 1 and calls["eigh"] == 0
+
+
+@pytest.mark.parametrize("first", ["bounds", "spectrum", "require_frame"])
+def test_the_first_read_sets_the_svd(first, monkeypatch):
+    """The bounds, the eigenvalues and the frame test read first take the singular
+    values only; the spectrum or require_frame read first take the thin SVD, and every
+    fact comes from it.  The vectors read after the values take a second, thin SVD,
+    and the values already read are kept."""
+    seen = Decompositions(monkeypatch)
+    rng = np.random.default_rng(8)
+    phi = Frame(rng.standard_normal((5, 8)) + 1j * rng.standard_normal((5, 8)))
+    if first == "bounds":
+        bounds, eigenvalues = frame_bounds(phi), phi.eigenvalues
+        assert df.is_frame(phi) and seen.of(phi.synthesis) == ["values"]
+        assert "spectrum" not in phi.__dict__
+        canonical_dual(phi)
+        assert seen.of(phi.synthesis) == ["values", "thin"]
+        assert frame_bounds(phi) == bounds and phi.eigenvalues is eigenvalues
+        return
+    if first == "spectrum":
+        phi.spectrum
+    else:
+        df.frames.require_frame(phi)
+    frame_bounds(phi), canonical_dual(phi), frame_operator_inv_sqrt(phi)
+    assert seen.of(phi.synthesis) == ["thin"]
+    assert phi._singular_values is phi.spectrum.s
+
+
+def test_cli_takes_every_frame_through_one_svd_at_most(tmp_path, monkeypatch, capsys):
+    """frame-info, dual (canonical, and approx with and without theta), verify and
+    perturb decompose each frame they load or build at most once."""
+    from dualframes import io
+    from dualframes.cli import main
+
+    rng = np.random.default_rng(12)
+    t = rng.standard_normal((6, 9)) + 1j * rng.standard_normal((6, 9))
+    phi = Frame(t)
+    phi_ad = approx_dual_from_mixed(phi, 0.9 * np.eye(6), random_annihilator(phi, seed=1, scale=0.3))
+    paths = {name: str(tmp_path / f"{name}.json") for name in ("phi", "psi", "phi_ad", "op")}
+    io.save_frame(phi, paths["phi"])
+    io.save_frame(Frame(t + 1e-3 * rng.standard_normal(t.shape)), paths["psi"])
+    io.save_frame(phi_ad, paths["phi_ad"])
+    io.save_operator(0.9 * np.eye(6), paths["op"])
+
+    frames, load, adopt = [], io.load_frame, Frame._adopt.__func__
+
+    def loaded(path):
+        frames.append(load(path))
+        return frames[-1]
+
+    def adopted(cls, syn):
+        frames.append(adopt(cls, syn))
+        return frames[-1]
+
+    monkeypatch.setattr(io, "load_frame", loaded)
+    monkeypatch.setattr(Frame, "_adopt", classmethod(adopted))
+    seen = Decompositions(monkeypatch)
+    op = ["--mode", "approx", "--op-file", paths["op"]]
+    for argv in (
+        ["frame-info", paths["phi"]],
+        ["dual", paths["phi"]],
+        ["dual", paths["phi"], *op],
+        ["dual", paths["phi"], *op, "--theta", "random:3:0.5"],
+        ["verify", paths["phi"], paths["phi_ad"]],
+        ["perturb", paths["phi"], paths["psi"], paths["phi_ad"]],
+    ):
+        frames.clear()
+        assert main(argv) == 0, argv
+        counts = [len(seen.of(frame.synthesis)) for frame in frames]
+        assert max(counts) == 1, (argv, counts)  # phi's, in every command
+    capsys.readouterr()
 
 
 def test_pipeline_reads_each_pair_fact_once(monkeypatch):
     """The pair (phi, phi_ad) is read by the classification, the factorization,
     parameter recovery and the transfer; its facts are computed once.
 
-    ``identity_gap`` runs for the two constructions' hypothesis checks and
-    once for the pair's rate; the one ``inv`` is the pair's corresponding
-    operator; theta is built once: one projection onto ker T, made by the
-    first ``_theta_part`` call that finds no theta on the pair's record, and
-    its norm is taken once, which the recovered Annihilator and the transfer read.
+    ``identity_gap`` runs twice: for the rate of (phi, phi_ad), which its
+    constructor checks and the classification reads, and for the rate of the
+    rebuilt family, which its constructor checks.  The one ``inv`` is the pair's
+    corresponding operator; theta is built once: one projection onto ker T, made by
+    the first ``_theta_part`` call that finds no theta on the pair's record, and its
+    norm is taken once, which the recovered Annihilator and the transfer read.
     """
-    calls = {"identity_gap": 0, "inv": 0, "theta_build": 0}
+    calls = {"identity_gap": 0, "theta_build": 0}
     monkeypatch.setattr(oplin, "identity_gap", counted(calls, "identity_gap", oplin.identity_gap))
-    monkeypatch.setattr(np.linalg, "inv", counted(calls, "inv", np.linalg.inv))
+    seen = Decompositions(monkeypatch)
     theta_part, thetas, normed = duality._theta_part, [], []
 
     def build(phi, partner):
@@ -339,8 +443,8 @@ def test_pipeline_reads_each_pair_fact_once(monkeypatch):
 
     run_pipeline()
 
-    assert calls["identity_gap"] <= 3
-    assert calls["inv"] <= 1
+    assert calls["identity_gap"] == 2
+    assert seen.census()[("inv", (64, 64))] == 1
     assert calls["theta_build"] == 1
     assert len(thetas) == 2 and thetas[0] is thetas[1]  # recovery and the transfer
     assert sum(m is thetas[0] for m in normed) == 1
@@ -361,7 +465,7 @@ def test_pipeline_builds_each_root_once(monkeypatch):
         kept.__set_name__(oplin.Spectrum, name)
         monkeypatch.setattr(oplin.Spectrum, name, kept)
 
-    phi = run_pipeline()
+    phi = run_pipeline()[0]
 
     for name, spectra in built.items():
         assert len(spectra) == 1 and spectra[0] is phi.spectrum, name
