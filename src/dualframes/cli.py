@@ -10,6 +10,12 @@ and writes each artifact through ``RunReport.write``, which records it.
 Exit codes: 0 on success, 2 when a mathematical contract is violated
 (the message names the failed condition and the measured quantity),
 3 on parse/shape errors.
+
+Sizes the command line sets are checked against ``SIZE_BUDGET`` before
+anything is allocated: a ``--grid`` holds at most that many samples, a sweep
+holds at most that many window samples at once and visits at most that many
+cells.  A larger request exits 3.  Sizes read from files need no budget:
+each must match the data the file holds.
 """
 
 from __future__ import annotations
@@ -80,12 +86,23 @@ def _write_csv(header, rows, path) -> None:
         writer.writerows(rows)
 
 
+# Grid samples and sweep cells one command may ask for (see the module docstring).
+SIZE_BUDGET = 1 << 20
+
+
+def _within_budget(count: int, what: str) -> None:
+    if count > SIZE_BUDGET:
+        raise ParseError(f"{what} come to {count}, over the budget of {SIZE_BUDGET}")
+
+
 def _parse_grid(spec: str) -> GridSpec:
     try:
         s, p = spec.split(":")
-        return GridSpec(int(s), int(p))
+        grid = GridSpec(int(s), int(p))
     except (ValueError, TypeError) as exc:
         raise ParseError(f"grid must look like 'samples:period', got {spec!r}") from exc
+    _within_budget(grid.total, f"the samples of --grid {spec}")
+    return grid
 
 
 def _parse_fraction(spec: str) -> Fraction:
@@ -364,8 +381,14 @@ def cmd_gabor_sweep(args, report: RunReport) -> None:
     if args.char:
         if not args.grid:
             raise ParseError("--char sweeps need --grid samples:period")
+        widths = int(1 / args.step)
+        _within_budget(widths**3, "the cells of the --char sweep")
+        _within_budget(widths * args.grid.total, "the window samples of the --char sweep")
         _sweep_char(args, report)
     else:
+        lo, hi = args.denominators
+        _within_budget(hi - lo + 1, "the cells of the --bspline sweep")
+        _within_budget(args.samples * hi * max(2, args.bspline), "the grid samples of the --bspline sweep")
         _sweep_bspline(args, report)
 
 

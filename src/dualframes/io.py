@@ -12,12 +12,19 @@ Every file is written by ``dump_json`` as one line: ``json.dumps(data)``,
 non-finite numbers as ``NaN`` and ``Infinity``, and a newline.  ``save_*``
 hand it the values packed as float arrays of ``[re, im]`` pairs; it
 streams each such array in chunks of at most ``_CHUNK`` floats, so a save
-builds no Python list of the whole array.  The loaders read any layout.
+builds no Python list of the whole array.
+
+The loaders read any layout.  ``load_json`` decodes a frame's ``"vectors"``
+one vector at a time into one float buffer and returns them packed, as
+``save_frame`` hands them to ``dump_json``, so a load builds no list of
+pairs of the whole frame; windows and operators are decoded whole.  A
+malformed file gives json's own error, position included.
 """
 
 from __future__ import annotations
 
 import json
+import re
 from array import array
 from fractions import Fraction
 from itertools import chain
@@ -71,15 +78,23 @@ def frame_to_dict(frame: Frame) -> dict:
 
 
 def frame_from_dict(data: dict) -> Frame:
+    """The frame whose ``"vectors"`` are lists of ``[re, im]`` pairs or, as
+    ``load_json`` returns them, one ``(count, length, 2)`` float array."""
     try:
         dim = _size(data, "dim")
-        vectors = list(data["vectors"])
+        vectors = data["vectors"]
+        if not isinstance(vectors, np.ndarray):
+            vectors = list(vectors)
     except (KeyError, TypeError) as exc:
         raise ParseError(f"frame JSON must carry 'dim' and 'vectors': {exc}") from exc
-    if not vectors:
+    if not len(vectors):
         raise ParseError("frame JSON has no vectors")
-    values = _from_pairs(chain.from_iterable(vectors), "frame vector")
-    if set(map(len, vectors)) != {dim}:
+    if isinstance(vectors, np.ndarray):
+        values, lengths = vectors.reshape(-1).view(complex), {vectors.shape[1]}
+    else:
+        values = _from_pairs(chain.from_iterable(vectors), "frame vector")
+        lengths = set(map(len, vectors))
+    if lengths != {dim}:
         raise ParseError("frame vector length disagrees with 'dim'")
     return Frame._adopt(np.ascontiguousarray(values.reshape(len(vectors), dim).T))
 
@@ -142,12 +157,87 @@ def lattice_from_dict(data: dict) -> GaborLattice:
         raise ParseError(f"lattice JSON must carry rational 'a' and 'b': {exc}") from exc
 
 
+_WHITESPACE = re.compile(r"[ \t\n\r]*")
+_DECODER = json.JSONDecoder()
+
+
+def _skip(text: str, i: int) -> int:
+    return _WHITESPACE.match(text, i).end()
+
+
+def _items(text: str, i: int, close: str, read) -> int:
+    """Walk the items of the object or array opened just before ``text[i]``:
+    ``read(j)`` decodes the item at ``j`` and returns the index after it.
+    Returns the index after ``close``; ValueError where json would fail."""
+    i = _skip(text, i)
+    if text.startswith(close, i):
+        return i + 1
+    while True:
+        i = _skip(text, read(i))
+        if text.startswith(close, i):
+            return i + 1
+        if not text.startswith(",", i):
+            raise ValueError("expected ',' or the closing bracket")
+        i = _skip(text, i + 1)
+
+
+def _vectors(text: str, start: int):
+    """The array at ``text[start]`` and the index after it.  Its elements are
+    decoded one at a time; if each is a list of [number, number] pairs, all of
+    one length, they come packed as a ``(count, length, 2)`` float array, else
+    (frame_from_dict rejects them) as json reads the array."""
+    packed, lengths = array("d"), set()
+
+    def vector(i: int) -> int:
+        nonlocal packed
+        value, i = _DECODER.raw_decode(text, i)
+        if packed is not None:
+            try:
+                if set(map(len, value)) != {2}:
+                    raise ValueError("not a list of pairs")
+                packed.extend(chain.from_iterable(value))
+                lengths.add(len(value))
+            except (TypeError, ValueError, OverflowError):
+                packed = None  # held: a later syntax error still comes first
+        return i
+
+    end = _items(text, start + 1, "]", vector)
+    if packed is None or len(lengths) != 1:
+        return _DECODER.raw_decode(text, start)
+    return np.frombuffer(packed).reshape(-1, lengths.pop(), 2), end
+
+
+def _decode(text: str):
+    """``json.loads(text)``.  A top-level object is walked member by member, its
+    ``"vectors"`` through ``_vectors``; any other value, and malformed text, go to
+    json.loads, so its values and error texts are json's own."""
+    data = {}
+
+    def member(i: int) -> int:
+        key, i = _DECODER.raw_decode(text, i)
+        i = _skip(text, i)
+        if type(key) is not str or not text.startswith(":", i):
+            raise ValueError("expected a key and ':'")
+        i = _skip(text, i + 1)
+        read = _vectors if key == "vectors" and text.startswith("[", i) else _DECODER.raw_decode
+        data[key], i = read(text, i)
+        return i
+
+    try:
+        i = _skip(text, 0)
+        if text.startswith("{", i) and _skip(text, _items(text, i + 1, "}", member)) == len(text):
+            return data
+    except ValueError:
+        pass
+    return json.loads(text)
+
+
 def load_json(path) -> dict:
-    """The JSON object in ``path``; ParseError for a missing file, malformed JSON
-    or any other JSON value."""
+    """The JSON object in ``path``, a frame's ``"vectors"`` packed (see the module
+    docstring); ParseError for a missing file, malformed JSON or any other JSON value."""
     try:
         with open(path, "r", encoding="utf-8") as fh:
-            data = json.load(fh)
+            data = _decode(fh.read())
     except FileNotFoundError as exc:
         raise ParseError(f"no such file: {path}") from exc
     except json.JSONDecodeError as exc:

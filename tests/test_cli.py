@@ -4,6 +4,7 @@ import os
 import shlex
 import subprocess
 import sys
+import tracemalloc
 from fractions import Fraction
 from pathlib import Path
 
@@ -24,7 +25,7 @@ from dualframes import (
     operator_norm,
     sample_bspline,
 )
-from dualframes import gabor, io
+from dualframes import cli, gabor, io
 from dualframes.gabor import ck_dual1_unchecked
 from dualframes.cli import main
 
@@ -637,3 +638,34 @@ def test_readme_cli_examples_run(tmp_path, monkeypatch, capsys):
         out = capsys.readouterr().out
         if argv[1:3] == ["gabor", "verify"]:
             assert "approximation_rate: " in out
+
+
+class TestSizeBudget:
+    """Sizes given on the command line are held to cli.SIZE_BUDGET before anything is
+    allocated; only requests the budget rejects are run here."""
+
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ["gabor", "window", "--window", "bspline:2", "--grid", "1000000000:1000000000"],
+            ["gabor", "window", "--window", "bspline:2", "--grid", f"{cli.SIZE_BUDGET + 1}:1"],
+            ["gabor", "weight", "--window", "char:1", "--grid", f"1:{cli.SIZE_BUDGET + 1}", "--a", "1"],
+            ["gabor", "sweep", "--char", "--grid", "4:3", "--step", "1/1000000"],
+            ["gabor", "sweep", "--char", "--grid", f"{cli.SIZE_BUDGET // 2}:1", "--step", "1/3"],
+            ["gabor", "sweep", "--bspline", "3", "--denominators", f"2:{cli.SIZE_BUDGET + 2}"],
+            ["gabor", "sweep", "--bspline", "3", "--samples", str(cli.SIZE_BUDGET), "--denominators", "2:2"],
+        ],
+        ids=["grid 1e18", "grid one over", "grid period one over", "char step 1e-6", "char windows",
+             "bspline cells", "bspline grid"],
+    )
+    def test_over_budget_exits_3_before_allocating(self, argv, capsys):
+        tracemalloc.start()
+        try:
+            code = main(argv)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        err = capsys.readouterr().err
+        assert code == 3
+        assert err.count("\n") == 1 and f"over the budget of {cli.SIZE_BUDGET}" in err
+        assert peak < 1 << 20  # the smallest rejected grid alone would be 16 MB of samples

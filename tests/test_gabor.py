@@ -54,6 +54,7 @@ from dualframes import (
     transfer_approx_dual,
     walnut_weight,
 )
+from dualframes.cli import main
 
 
 class TestGrid:
@@ -1074,3 +1075,56 @@ class TestLatticeOperator:
             value.groups = ()
         with pytest.raises(TypeError):  # the blocks always come from the window
             LatticeOperator(value.grid, value.lattice, value.groups)
+
+
+_G42 = sample_bspline(2, GridSpec(4, 2))
+_G44 = sample_bspline(2, GridSpec(4, 4))
+_LAT = GaborLattice(1, Fraction(1, 4))
+
+# (raising function, error type, message, library call, CLI arguments or None, exit code)
+TYPED_ERROR_SITES = {
+    "non-rational input": ("as_fraction", OffGrid, "not a rational number",
+                           lambda: gabor.as_fraction("x"), None, None),
+    "wrong sample count": ("__post_init__", DimensionMismatch, "expected 3 samples, got 2",
+                           lambda: SampledWindow(GridSpec(3, 1), np.ones(2)), None, None),
+    "non-finite samples": ("__post_init__", ValueError, "non-finite samples",
+                           lambda: SampledWindow(GridSpec(1, 2), np.array([np.nan, 0.0])),
+                           ["gabor", "weight", "--window", "{nan_window}", "--a", "1"], 3),
+    "P/a not an integer": ("shifts", LatticeMismatch, "is not a multiple of a",
+                           lambda: walnut_weight(sample_bspline(2, GridSpec(4, 3)), 2),
+                           ["gabor", "weight", "--window", "bspline:2", "--grid", "4:3", "--a", "2"], 2),
+    "s/b not an integer": ("modulations", LatticeMismatch, "is not a multiple of b",
+                           lambda: janssen_residual(_G42, _G42, GaborLattice(1, 3)),
+                           ["gabor", "verify", "--window", "bspline:2", "--dual", "bspline:2", "--grid", "4:2",
+                            "--a", "1", "--b", "3"], 2),
+    "B-spline values of order 0": ("bspline_value", ValueError, "order must be >= 1",
+                                   lambda: bspline_value(0, [0.5]), None, None),
+    "B-spline window of order 0": ("sample_bspline", ValueError, "order must be >= 1",
+                                   lambda: sample_bspline(0, GridSpec(4, 2)),
+                                   ["gabor", "window", "--window", "bspline:0", "--grid", "4:2"], 3),
+    "support past the period": ("_check_support", SupportOverflow, "exceeds the period",
+                                lambda: ck_dual1(_G42, 3, Fraction(1, 5)),
+                                ["gabor", "dual", "--window", "bspline:2", "--grid", "4:2", "--support", "3",
+                                 "--b", "1/5"], 2),
+    "commutation check of the wrong shape": ("commutation_check", DimensionMismatch, "operator must be 8x8",
+                                             lambda: commutation_check(np.eye(3), _LAT, GridSpec(4, 2)),
+                                             None, None),
+    "mixed operator across grids": ("mixed_lattice_operator", DimensionMismatch, "different grids",
+                                    lambda: gabor.mixed_lattice_operator(_G42, _G44, _LAT), None, None),
+    "approximate dual across grids": ("approx_dual_window", DimensionMismatch, "different grids",
+                                      lambda: approx_dual_window(_G42, _G44, np.eye(8), _LAT), None, None),
+}
+
+
+@pytest.mark.parametrize("site", TYPED_ERROR_SITES.values(), ids=TYPED_ERROR_SITES)
+def test_typed_error_sites(site, tmp_path, capsys):
+    function, error, message, call, argv, code = site
+    with pytest.raises(error, match=message) as raised:
+        call()
+    assert raised.traceback[-1].name == function  # raised where it is checked
+    if argv is not None:
+        nan_window = tmp_path / "nan.json"
+        nan_window.write_text('{"samples_per_unit": 1, "period": 2, "values": [[NaN, 0.0], [0.0, 0.0]]}')
+        assert main([arg.format(nan_window=nan_window) for arg in argv]) == code
+        err = capsys.readouterr().err
+        assert err.count("\n") == 1 and message in err

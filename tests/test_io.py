@@ -1,4 +1,8 @@
 import json
+import random
+import sys
+import tracemalloc
+from pathlib import Path
 from unittest import mock
 
 import numpy as np
@@ -344,3 +348,198 @@ class TestTracedEntryPoints:
         calls.clear()
         getattr(io, load)(path)
         assert calls == [("load_json", (path,), {})]
+
+
+def reference_load(path):
+    """The reference for ``load_json``: ``json.load`` of the file, or the
+    ParseError text for what json rejects or for any value but an object."""
+    with open(path, encoding="utf-8") as fh:
+        try:
+            data = json.load(fh)
+        except json.JSONDecodeError as exc:
+            return f"malformed JSON in {path} at line {exc.lineno}, column {exc.colno}: {exc.msg}"
+    return data if isinstance(data, dict) else f"{path}: expected a JSON object"
+
+
+def loaded(path):
+    try:
+        return io.load_json(path)
+    except ParseError as exc:
+        return str(exc)
+
+
+def assert_same_load(got, want) -> bool:
+    """``got`` (load_json's) equals ``want`` (json.load's) key by key, a packed
+    ``"vectors"`` compared bit for bit with the list it stands for; True if it was packed."""
+    assert type(got) is type(want)
+    if isinstance(want, str):
+        assert got == want
+        return False
+    assert list(got) == list(want)
+    packed = isinstance(got.get("vectors"), np.ndarray)
+    for key, value in got.items():
+        if isinstance(value, np.ndarray):
+            listed = np.array(want[key], dtype=float)
+            assert value.shape == listed.shape and value.shape[-1] == 2
+            assert np.array_equal(value.view(np.uint64), listed.view(np.uint64))
+        else:  # json.dumps tells 1, 1.0 and true apart and writes NaN alike
+            assert json.dumps(value) == json.dumps(want[key])
+    return packed
+
+
+def small_records():
+    """Frame, window and operator records with a few entries each, edge floats included."""
+    rng = np.random.default_rng(2020)
+    values = rng.standard_normal(16) * 10.0 ** rng.integers(-300, 300, 16)
+    values[:len(EDGE_FLOATS)] = EDGE_FLOATS
+    pairs = [[float(re), float(im)] for re, im in values.reshape(-1, 2)]
+    return [
+        {"dim": 2, "vectors": [pairs[0:2], pairs[2:4], pairs[4:6]]},
+        {"dim": 1, "vectors": [pairs[6:7]]},
+        {"vectors": [pairs[0:3], pairs[3:6]], "dim": 3},
+        {"samples_per_unit": 2, "period": 2, "values": pairs[:4]},
+        {"rows": 2, "cols": 2, "entries": pairs[4:8]},
+    ]
+
+
+# Text spliced into documents: brackets, separators, literals, numbers and
+# their parts, whitespace, a byte order mark and a non-ASCII letter.
+SPLICES = ["[", "]", "{", "}", ",", ":", '"', '"vectors"', '"dim": 2, ', "[1, 0]", "[]", "{}",
+           "null", "true", "NaN", "-Infinity", "1e400", "-0", "0.5", "e", "-", ".", "9" * 30,
+           " ", "\n", "\t", "\ufeff", "é", "\\", "[[1, 0], [0, 1]]"]
+# Values put in place of one node of a record.
+NODES = [0, -0.0, 1.5, 10**400, True, None, "1", "", [], {}, [1], [1, 2], [1, 2, 3],
+         [[1, 0]], [[1, 0], [0, 1]], [[[1, 0]]], {"re": 1, "im": 0}, float("nan"), float("inf")]
+
+
+def mutate_tree(rng, node):
+    """``node`` with one item replaced, dropped or repeated somewhere below it."""
+    if isinstance(node, dict) and node:
+        key = rng.choice(list(node))
+        if rng.random() < 0.7:
+            return {**node, key: mutate_tree(rng, node[key])}
+        return {k: v for k, v in node.items() if k != key}
+    if isinstance(node, list) and node:
+        at = rng.randrange(len(node))
+        choice = rng.random()
+        if choice < 0.6:
+            return node[:at] + [mutate_tree(rng, node[at])] + node[at + 1:]
+        return node[:at] + node[at + 1:] if choice < 0.8 else node[:at] + [node[at]] + node[at:]
+    return rng.choice(NODES)
+
+
+def mutate_text(rng, text):
+    """``text`` with one span deleted, spliced, repeated or cut off."""
+    at = rng.randrange(len(text) + 1)
+    end = min(len(text), at + rng.randrange(1, 8))
+    choice = rng.random()
+    if choice < 0.3:
+        return text[:at] + text[end:]
+    if choice < 0.7:
+        return text[:at] + rng.choice(SPLICES) + text[at:]
+    if choice < 0.9:
+        return text[:end] + text[at:]
+    return text[:at]
+
+
+def mutated_documents(count, seed):
+    """``count`` documents from ``small_records``: mutated records written with
+    json.dumps in a random layout, about half of them with their text mutated too."""
+    rng = random.Random(seed)
+    records = small_records()
+    for _ in range(count):
+        record = rng.choice(records)
+        for _ in range(rng.randrange(3)):
+            record = mutate_tree(rng, record)
+        indent = rng.choice([None, None, 0, 1, "\t"])
+        text = json.dumps(record, indent=indent)
+        for _ in range(rng.randrange(3) if rng.random() < 0.5 else 0):
+            text = mutate_text(rng, text)
+        yield text
+
+
+class TestDecodeParity:
+    """load_json decodes a frame's vectors one at a time and packs them; on
+    every document it gives what json.load gave, value or error text."""
+
+    def test_mutated_documents(self, tmp_path):
+        path = tmp_path / "doc.json"
+        outcomes = {"packed": 0, "other object": 0, "error": 0}
+        for text in mutated_documents(12_000, seed=20):
+            path.write_text(text, encoding="utf-8")
+            want = reference_load(path)
+            if assert_same_load(loaded(path), want):
+                outcomes["packed"] += 1
+            else:
+                outcomes["error" if isinstance(want, str) else "other object"] += 1
+        # every path is taken often: packed frames, other objects, malformed text
+        assert min(outcomes.values()) >= 1000, outcomes
+
+    @pytest.mark.parametrize(
+        "text",
+        [
+            # a ragged vector early and a syntax error late: the syntax error is reported
+            '{"dim": 2, "vectors": [[[1, 0]], [[1, 0], [0, 1]]], "x": [1,]}',
+            '{"dim": 2, "vectors": [[["1", 0], [0, 1]]] "x": 1}',
+            '{"dim": 2, "vectors": [[[1, 0], [0, 1]],]}',
+            '{"dim": 2, "vectors": [[[1, 0], [0, 1]]]} {}',
+            '\ufeff{"dim": 1, "vectors": [[[1, 0]]]}',
+            '[{"dim": 1, "vectors": [[[1, 0]]]}]',
+            '{"dim": 1, "vectors": [[[1, 0]]], "dim": 2, "vectors": [[[0, 1], [1, 0]]]}',
+            '{"dim": 1, "vectors": [[[1e400, 0]]]}',
+            '{"dim": 0, "vectors": [[]]}',
+            '{"dim": 1, "vectors": []}',
+            ' \n{ "dim" : 1 , "vectors" : [ [ [ NaN , -Infinity ] ] ] }\t',
+            '{"dim": 1, "vectors": [[[1, 0]]], 1: 2}',
+            '{"dim": 1, null: 2}',
+        ],
+    )
+    def test_edge_documents(self, tmp_path, text):
+        path = tmp_path / "doc.json"
+        path.write_text(text, encoding="utf-8")
+        assert_same_load(loaded(path), reference_load(path))
+
+    def test_benchmark_input_files(self, tmp_path):
+        """The cli-files benchmark's inputs load as json.load reads them, and each
+        loader returns what the whole-tree decode gives, bit for bit."""
+        root = Path(__file__).resolve().parents[1]
+        sys.path.insert(0, str(root / "perfbench"))
+        try:
+            import workloads
+        finally:
+            sys.path.remove(str(root / "perfbench"))
+        workloads.build_cli_files(1, 1, str(tmp_path), str(root / "src"))
+        paths = sorted(tmp_path.glob("*.json"))
+        assert len(paths) == 10
+        for path in paths:
+            want = reference_load(path)
+            assert assert_same_load(io.load_json(path), want) == path.name.startswith(("phi", "psi"))
+            kind = path.name.split("-")[0].split(".")[0]
+            if kind == "op":
+                got, tree = io.load_operator(path), io.operator_from_dict(want)
+            elif kind.startswith("window"):
+                got, tree = io.load_window(path).values, io.window_from_dict(want).values
+            else:
+                got, tree = io.load_frame(path).synthesis, io.frame_from_dict(want).synthesis
+            assert np.array_equal(bits(got), bits(tree))
+
+
+def test_frame_load_peaks_at_half_of_a_whole_tree_load(tmp_path):
+    """A 256x384 frame load holds one vector's pairs at a time, not the list of
+    all of them that json.load builds (about 300k objects)."""
+    path = tmp_path / "frame.json"
+    io.save_frame(random_frame(256, 384, seed=20), path)
+
+    def peak(load):
+        tracemalloc.start()
+        try:
+            load(path)
+            return tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+
+    def whole_tree(p):
+        with open(p, encoding="utf-8") as fh:
+            return io.frame_from_dict(json.load(fh))
+
+    assert peak(io.load_frame) <= peak(whole_tree) / 2
