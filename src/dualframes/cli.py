@@ -302,7 +302,7 @@ def cmd_gabor_approx_dual(args, report: RunReport) -> None:
         "mixed_operator_residual": mixed.distance(a_op),
     }
     report.write(args.out, io.save_window, result)
-    eigs = a_op.frame_eigenvalues
+    eigs = gabor_frame(scale, lat).eigenvalues  # the scaling window's kept system: no rebuild
     report.write(args.spectrum_csv, _write_csv, ["index", "eigenvalue"], enumerate(eigs))
 
 

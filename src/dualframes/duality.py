@@ -58,7 +58,7 @@ from .frames import (
     mixed_operator,
     require_frame,
 )
-from .oplin import _strictly_below, adjoint, operator_norm
+from .oplin import _squared_norm, _strictly_below, adjoint, operator_norm
 
 # Exact duality: ||Id - mixed|| at or below this is "dual".
 DUAL_TOL = 1e-10
@@ -66,7 +66,7 @@ DUAL_TOL = 1e-10
 BESSEL_CHECK_TOL = 1e-9
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class DualReport:
     """Verdict on a frame pair.
 
@@ -140,7 +140,7 @@ def gdual_factorization(phi: Frame, psi: Frame) -> DualReport:
     mixed = pair.dense
     whitened = frame_operator_inv_sqrt(phi) @ mixed
     residual = operator_norm(mixed - frame_operator_sqrt(phi) @ whitened)
-    peak = operator_norm(whitened) ** 2
+    peak = _squared_norm(whitened)
     upper_psi = frame_bounds(psi).upper
     kind, corresponding = _classify(pair)
     return DualReport(

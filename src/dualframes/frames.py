@@ -27,7 +27,7 @@ import numpy as np
 
 from . import oplin
 from .errors import ContractViolation, DimensionMismatch, NotAFrame
-from .oplin import _frozen, adjoint, operator_norm
+from .oplin import _frozen, _squared_norm, adjoint, operator_norm
 
 # A family is accepted as a frame when lambda_min(S) > FRAME_THRESHOLD_REL * lambda_max(S),
 # judged on the singular values of T: s_min > sqrt(FRAME_THRESHOLD_REL) * s_max.
@@ -245,10 +245,12 @@ def _class_blocks(phi: Frame, psi: Frame):
     return phi._system.class_blocks(psi._system)
 
 
+@np.errstate(over="ignore", invalid="ignore")  # an overflow is the ValueError, not a warning
 def _product(phi: Frame, psi: Frame):
-    """synthesis(phi) o analysis(psi) as formed: the systems' block value, else dense."""
+    """synthesis(phi) o analysis(psi) as formed: the systems' block value, else dense;
+    ValueError when an entry overflows."""
     blocks = _class_blocks(phi, psi)
-    return phi.synthesis @ adjoint(psi.synthesis) if blocks is None else blocks
+    return oplin._require_finite(phi.synthesis @ adjoint(psi.synthesis)) if blocks is None else blocks
 
 
 def frame_operator(phi: Frame) -> np.ndarray:
@@ -362,10 +364,10 @@ def approximation_rate(phi: Frame, psi: Frame) -> float:
 def bessel_bound_difference(phi: Frame, psi: Frame) -> float:
     """Optimal Bessel bound of the difference family (phi_k - psi_k)_k."""
     _check_same_shape(phi, psi)
-    return operator_norm(phi.synthesis - psi.synthesis) ** 2
+    return _squared_norm(phi.synthesis - psi.synthesis)
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class Annihilator:
     """An n x d map whose range lies in the kernel of the synthesis operator.
 
@@ -380,7 +382,7 @@ class Annihilator:
 
     map: np.ndarray
     base: Frame = field(repr=False)
-    norm: float = field(init=False, repr=False, compare=False)  # ||map||, computed once
+    norm: float = field(init=False, repr=False)  # ||map||, computed once
 
     def __post_init__(self):
         m = oplin.as_operator(self.map)

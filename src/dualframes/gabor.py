@@ -7,8 +7,8 @@ pair of positive rationals ``(a, b)`` (time step in units, frequency step
 in cycles per unit).  Gabor systems are ordinary
 :class:`~dualframes.frames.Frame` objects of dimension ``L`` through the
 isometric embedding ``values / sqrt(s)``, so all duality machinery
-applies verbatim.  Such a frame keeps its window and lattice and builds
-its ``L x N`` synthesis matrix only when something reads ``synthesis``
+applies verbatim.  Such a frame holds the window's one system on its lattice
+(kept on the window) and builds its ``L x N`` synthesis matrix only when something reads ``synthesis``
 (export, the canonical dual, its thin SVD, analysis/synthesis, a pairing
 with a plain frame).  Its frame operator, and its mixed operator and
 approximation rate against a system on the same grid and lattice, are
@@ -54,7 +54,7 @@ from .errors import (
     OffGrid,
     SupportOverflow,
 )
-from .frames import Frame, FrameBounds, _frozen, frame_bounds, require_frame
+from .frames import Frame, FrameBounds, _class_blocks, _frozen, frame_bounds, require_frame
 from .oplin import _strictly_below, operator_norm
 
 RationalLike = Union[Fraction, int, str]
@@ -67,10 +67,9 @@ SUPPORT_TOL = 1e-14
 
 def as_fraction(value: RationalLike) -> Fraction:
     try:
-        f = Fraction(value)
+        return Fraction(value)
     except (ValueError, ZeroDivisionError, TypeError) as exc:
         raise OffGrid(f"not a rational number: {value!r}") from exc
-    return f
 
 
 @dataclass(frozen=True)
@@ -98,19 +97,17 @@ class GridSpec:
         return (self.points() + half) % self.period - half
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class SampledWindow:
-    """A function on the grid, indexed periodically."""
+    """A function on the grid, indexed periodically; its values are a read-only copy."""
 
     grid: GridSpec
     values: np.ndarray
 
     def __post_init__(self):
-        v = np.asarray(self.values, dtype=complex).reshape(-1)
+        v = _frozen(np.array(self.values, dtype=complex).reshape(-1))
         if v.shape[0] != self.grid.total:
-            raise DimensionMismatch(
-                f"expected {self.grid.total} samples, got {v.shape[0]}"
-            )
+            raise DimensionMismatch(f"expected {self.grid.total} samples, got {v.shape[0]}")
         if not np.all(np.isfinite(v)):
             raise ValueError("window has non-finite samples")
         object.__setattr__(self, "values", v)
@@ -179,12 +176,8 @@ class GaborLattice:
         return int(n)
 
 
-def _embed(w: SampledWindow) -> np.ndarray:
+def _embed(w) -> np.ndarray:
     return w.values / np.sqrt(w.grid.samples_per_unit)
-
-
-def _unembed(grid: GridSpec, v: np.ndarray) -> SampledWindow:
-    return SampledWindow(grid, v * np.sqrt(grid.samples_per_unit))
 
 
 def bspline_value(order: int, x) -> np.ndarray:
@@ -265,19 +258,17 @@ class LatticeOperator:
     and ``lattice`` (see :class:`_GaborSystem`), as read-only ``(index, blocks)``
     groups, one per class size (``blocks[r]`` acts on the samples ``index[r]``).
     Only systems build it, each block checked finite (ValueError otherwise);
-    ``np.asarray`` gives the dense matrix."""
+    ``np.asarray`` gives the dense matrix.  It has no spectrum of its own."""
 
     grid: GridSpec = field(init=False)
     lattice: GaborLattice = field(init=False)
     groups: tuple = field(init=False, repr=False)
-    # scaled_gabor_operator's value: the (read-only) spectrum of the S it scales; else None
-    frame_eigenvalues: np.ndarray | None = field(init=False, repr=False, default=None)
 
     @classmethod
-    def _of(cls, grid, lattice, groups, frame_eigenvalues=None) -> "LatticeOperator":
+    def _of(cls, grid, lattice, groups) -> "LatticeOperator":
         value = cls()
         groups = tuple((_frozen(i), _frozen(oplin._require_finite(b))) for i, b in groups)
-        value.__dict__.update(grid=grid, lattice=lattice, groups=groups, frame_eigenvalues=frame_eigenvalues)
+        value.__dict__.update(grid=grid, lattice=lattice, groups=groups)
         return value
 
     def __array__(self, dtype=None, copy=None):
@@ -288,8 +279,8 @@ class LatticeOperator:
 
     def gap(self) -> float:
         """||Id - X||: the largest ||I - block||."""
-        eye = self._of(self.grid, self.lattice, ((i, np.eye(b.shape[-1])) for i, b in self.groups))
-        return self.distance(eye)
+        norms = (np.linalg.norm(np.eye(b.shape[-1]) - b, 2, axis=(-2, -1)) for _, b in self.groups)
+        return max(float(np.max(n)) for n in norms)
 
     def distance(self, other: "LatticeOperator") -> float:
         """||Y - X|| for ``other`` = Y: the largest block norm of the difference;
@@ -309,7 +300,7 @@ class LatticeOperator:
 
 @dataclass(frozen=True, eq=False)
 class _GaborSystem:
-    """A Gabor system held by its window and lattice, not by its L x N matrix.
+    """A Gabor system held by its window's grid, values and lattice, not its L x N matrix.
 
     ``modulations`` is M = s/b.  The mixed operator of two windows g and h
     on one grid and lattice couples samples x and y (integers in [0, L),
@@ -320,7 +311,8 @@ class _GaborSystem:
     b*P is an integer; some are empty when M > L).
     """
 
-    window: SampledWindow
+    grid: GridSpec
+    values: np.ndarray
     lattice: GaborLattice
     step: int
     shifts: int
@@ -328,18 +320,22 @@ class _GaborSystem:
 
     @classmethod
     def of(cls, g: SampledWindow, lat: GaborLattice) -> "_GaborSystem":
-        return cls(g, lat, lat.time_step(g.grid), lat.shifts(g.grid), lat.modulations(g.grid))
+        """The one system of ``g`` on ``lat``, built once and kept on ``g`` as a cached_property is."""
+        grid, kept = g.grid, g.__dict__.setdefault("_systems", {})
+        if lat not in kept:
+            kept[lat] = cls(grid, g.values, lat, lat.time_step(grid), lat.shifts(grid), lat.modulations(grid))
+        return kept[lat]
 
     @property
     def shape(self) -> tuple[int, int]:
-        return self.window.grid.total, self.shifts * self.modulations
+        return self.grid.total, self.shifts * self.modulations
 
     def synthesis(self) -> np.ndarray:
         """The L x N matrix: columns shift-major, modulation-minor."""
-        grid, n_m = self.window.grid, self.modulations
+        grid, n_m = self.grid, self.modulations
         phases = np.exp(2j * np.pi * float(self.lattice.b) * np.outer(np.arange(n_m), grid.points()))
         syn = np.empty(self.shape, dtype=complex)
-        base = _embed(self.window)
+        base = _embed(self)
         for n in range(self.shifts):
             block = phases * np.roll(base, n * self.step)[None, :]
             syn[:, n * n_m : (n + 1) * n_m] = block.T
@@ -367,12 +363,13 @@ class _GaborSystem:
             out[index] = v @ ((np.conj(np.swapaxes(v, -1, -2)) @ x[index]) / w[..., None])
         return out
 
+    @np.errstate(over="ignore", invalid="ignore")  # LatticeOperator._of raises an overflow
     def class_blocks(self, other) -> LatticeOperator | None:
         """The blocks G_r against the system ``other``, or None unless it lies on
-        the same grid and lattice."""
-        if (self.window.grid, self.lattice) != (other.window.grid, other.lattice):
+        the same grid and lattice; ValueError when a block overflows."""
+        if (self.grid, self.lattice) != (other.grid, other.lattice):
             return None
-        total, m = self.window.grid.total, self.modulations
+        total, m = self.grid.total, self.modulations
         shifts = self.step * np.arange(self.shifts)
         size, longer = divmod(total, m)  # classes r < longer hold one sample more
         groups = []
@@ -380,11 +377,11 @@ class _GaborSystem:
             if classes.size and n:
                 index = classes[:, None] + m * np.arange(n)
                 at = (index[..., None] - shifts) % total  # x - n step for every x and n
-                left = _embed(self.window)[at]
-                right = left if other.window is self.window else _embed(other.window)[at]
+                left = _embed(self)[at]
+                right = left if other is self else _embed(other)[at]
                 # M/s = 1/b: the modulation sum and the two 1/sqrt(s) embeddings
                 groups.append((index, (m * left) @ np.conj(np.swapaxes(right, -1, -2))))
-        return LatticeOperator._of(self.window.grid, self.lattice, groups)
+        return LatticeOperator._of(self.grid, self.lattice, groups)
 
 
 def gabor_frame(g: SampledWindow, lat: GaborLattice) -> Frame:
@@ -393,7 +390,8 @@ def gabor_frame(g: SampledWindow, lat: GaborLattice) -> Frame:
     The frame builds its L x N synthesis matrix (columns shift-major,
     modulation-minor) only when ``synthesis`` is read; its frame operator
     and bounds, and its mixed operator and rate against a system on the
-    same grid and lattice, come from residue-class blocks.  The embedding
+    same grid and lattice, come from the residue-class blocks of g's one
+    system on ``lat``, built once and kept on g.  The embedding
     scales by 1/sqrt(s) so that frame-operator spectra match the weighted
     function-space inner product (e.g. the indicator of [0,1) on the unit
     lattice yields a tight frame with bounds (1, 1)).
@@ -401,6 +399,7 @@ def gabor_frame(g: SampledWindow, lat: GaborLattice) -> Frame:
     return Frame._of_system(_GaborSystem.of(g, lat))
 
 
+@np.errstate(over="ignore")  # an overflow is the ValueError below, not a warning
 def walnut_weight(g: SampledWindow, a: RationalLike) -> SampledWindow:
     """Periodized shift-energy sum_n |g(x - n a)|^2 on the grid.
 
@@ -430,7 +429,7 @@ def _check_support(g: SampledWindow, width_units: int, what: str) -> None:
         )
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class PainlessReport:
     """Diagonality report for a compactly supported, low-frequency-step system."""
 
@@ -486,6 +485,7 @@ def painless_check(g: SampledWindow, lat: GaborLattice, support: int) -> Painles
     )
 
 
+@np.errstate(over="ignore", invalid="ignore")  # an overflow is the ValueError below, not a warning
 def janssen_residual_table(
     g: SampledWindow, h: SampledWindow, lat: GaborLattice
 ) -> np.ndarray:
@@ -494,7 +494,7 @@ def janssen_residual_table(
     Entry r is  max over grid points x of
     | sum_k conj(g(x - r/b - k a)) h(x - k a)  -  b delta_{r,0} |,
     where r ranges over the distinct values of r/b on the periodic line
-    (there are b * P of them).
+    (there are b * P of them).  ValueError when a sum overflows.
     """
     if g.grid != h.grid:
         raise DimensionMismatch("windows live on different grids")
@@ -507,7 +507,7 @@ def janssen_residual_table(
     index = (np.arange(grid.total) - adj_step * np.arange(n_adj)[:, None]) % grid.total
     sums = _periodize(np.conj(g.values[index]) * h.values, step)
     sums[0] -= float(lat.b)
-    return np.max(np.abs(sums), axis=1)
+    return np.max(np.abs(oplin._require_finite(sums)), axis=1)
 
 
 def janssen_residual(g: SampledWindow, h: SampledWindow, lat: GaborLattice) -> float:
@@ -623,21 +623,20 @@ def scaled_gabor_operator(l_window: SampledWindow, lat: GaborLattice) -> Lattice
     The result commutes with the lattice generators by construction, and
     its distance to the identity is 1 - lower/upper < 1, which makes it a
     ready-made operator for prescribing an approximation rate.  It is a
-    :class:`LatticeOperator` that keeps the unscaled spectrum as
-    ``frame_eigenvalues``; :func:`approx_dual_window` reads its blocks.
+    :class:`LatticeOperator`; the unscaled spectrum is ``gabor_frame(l_window, lat).eigenvalues``.
     """
     frame = gabor_frame(l_window, lat)
     upper = frame_bounds(frame).upper
     require_frame(frame, "scaling system")
     groups = ((i, b / upper) for i, b in frame._system.frame_blocks.groups)
-    return LatticeOperator._of(l_window.grid, lat, groups, frame_eigenvalues=frame.eigenvalues)
+    return LatticeOperator._of(l_window.grid, lat, groups)
 
 
 def mixed_lattice_operator(g: SampledWindow, h: SampledWindow, lat: GaborLattice) -> LatticeOperator:
     """``mixed_operator(gabor_frame(g, lat), gabor_frame(h, lat))`` as a :class:`LatticeOperator`."""
     if g.grid != h.grid:
         raise DimensionMismatch("windows live on different grids")
-    return _GaborSystem.of(g, lat).class_blocks(_GaborSystem.of(h, lat))
+    return _class_blocks(gabor_frame(g, lat), gabor_frame(h, lat))
 
 
 def approx_dual_window(
@@ -676,7 +675,7 @@ def approx_dual_window(
     oplin._require_conditioned(system.eigenvalues)  # S is PSD: its eigenvalues are its singular values
     vg = _embed(g)
     adj = a.apply(system.solve(vg[:, None])[:, 0], lambda a_r, x: np.conj(np.swapaxes(a_r, -1, -2)) @ x)
-    return _unembed(g.grid, adj - vg + s.apply(_embed(g_dual)))
+    return SampledWindow(g.grid, (adj - vg + s.apply(_embed(g_dual))) * np.sqrt(g.grid.samples_per_unit))
 
 
 def char_dual_check(

@@ -234,7 +234,8 @@ def _decode(text: str):
 
 def load_json(path) -> dict:
     """The JSON object in ``path``, a frame's ``"vectors"`` packed (see the module
-    docstring); ParseError for a missing file, malformed JSON or any other JSON value."""
+    docstring); ParseError for a missing file, malformed JSON, nesting too deep for
+    the decoder, or any other JSON value."""
     try:
         with open(path, "r", encoding="utf-8") as fh:
             data = _decode(fh.read())
@@ -244,6 +245,8 @@ def load_json(path) -> dict:
         raise ParseError(
             f"malformed JSON in {path} at line {exc.lineno}, column {exc.colno}: {exc.msg}"
         ) from exc
+    except RecursionError as exc:  # json decodes nested values recursively
+        raise ParseError(f"{path}: JSON nested too deeply to decode") from exc
     if not isinstance(data, dict):
         raise ParseError(f"{path}: expected a JSON object")
     return data

@@ -72,6 +72,14 @@ def operator_norm(m) -> float:
     return float(np.linalg.svd(a, compute_uv=False)[0])
 
 
+def _squared_norm(m) -> float:
+    """``operator_norm(m) ** 2``; ValueError when it overflows, as for an overflowing S."""
+    norm = operator_norm(m)
+    if norm * norm == math.inf:
+        raise ValueError("squared operator norm overflows")
+    return norm * norm
+
+
 def _frobenius_shows(a: np.ndarray, bound: float) -> bool:
     """Whether the Frobenius norm of the finite matrix ``a`` shows ||a|| <= bound.
 
@@ -87,7 +95,7 @@ def _frobenius_shows(a: np.ndarray, bound: float) -> bool:
         return 0.0 <= bound
     with np.errstate(under="ignore"):
         x = (parts / peak).ravel()
-    slack = 1.0 + 8.0 * a.size * np.finfo(float).eps
+    slack = 1.0 + 8.0 * a.size * float(np.finfo(float).eps)  # a float: an overflow reads inf, unwarned
     return peak * math.sqrt(float(x @ x)) * slack <= bound
 
 
@@ -109,7 +117,7 @@ def _frozen(a: np.ndarray) -> np.ndarray:
     return a
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class Spectrum:
     """One thin SVD T = U diag(s) V* of a d x n matrix, with every spectral
     fact of T and of S = T T* read from it.

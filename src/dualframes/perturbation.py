@@ -32,7 +32,7 @@ from .oplin import _strictly_below, adjoint, operator_norm
 SMALLNESS_MARGIN = 1e-9
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class TransferResult:
     """Outcome of a dual-type transfer.
 

@@ -74,7 +74,6 @@ class TestFrameInfo:
         assert "lower_bound: 0" in out
         assert "is_frame: False" in out
 
-    @pytest.mark.filterwarnings("ignore:.*encountered in matmul:RuntimeWarning")
     def test_overflowing_frame_exit_3(self, tmp_path, capsys):
         path = tmp_path / "huge.json"
         io.save_frame(Frame([[1e200, 0, 1e200], [0, 1e200, 1]]), path)
@@ -450,7 +449,6 @@ class TestGaborCommands:
         # the rate is always reported; the old flag that asked for it is gone
         assert main(argv + ["--materialize"]) == 3
 
-    @pytest.mark.filterwarnings("ignore:overflow encountered:RuntimeWarning")
     def test_weight_overflow_exit_3(self, tmp_path, capsys):
         path = tmp_path / "huge.json"
         grid = GridSpec(4, 4)

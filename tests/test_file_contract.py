@@ -1,0 +1,256 @@
+"""The input-file contract, fuzzed: a malformed file gives exit 2 or 3 and one
+line on stderr, never a traceback.
+
+Each test starts from small valid files and mutates one of them: a value is
+replaced by a float, a string, a bool, a huge integer, NaN or Infinity, or by
+a value of the wrong type; a value gains a level of nesting; a key or an item
+is dropped.  The commands run in-process through ``cli.main``; an exception
+that leaves ``main`` is an escape (the installed command would print a
+traceback), and so is a warning, which the tier-1 settings turn into one.
+"""
+
+import copy
+import io as stdio
+import json
+import math
+from contextlib import redirect_stderr, redirect_stdout
+from fractions import Fraction
+
+import numpy as np
+import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
+from dualframes import (
+    DimensionMismatch,
+    Frame,
+    GaborLattice,
+    ParseError,
+    SampledWindow,
+    bessel_bound_difference,
+    canonical_dual,
+    ck_dual1,
+    io,
+    sample_bspline,
+)
+from dualframes.cli import main
+from dualframes.gabor import GridSpec
+
+DEEP = 100_000  # nested arrays: past any recursion limit of the json decoder
+FUZZ = settings(max_examples=40, deadline=None)
+
+
+def run(argv) -> tuple[int, str]:
+    """``main(argv)``'s exit code and stderr, stdout discarded."""
+    err = stdio.StringIO()
+    with redirect_stdout(stdio.StringIO()), redirect_stderr(err):
+        code = main(argv)
+    return code, err.getvalue()
+
+
+def assert_contract(code: int, err: str) -> None:
+    assert code in (0, 2, 3)
+    assert "Traceback" not in err and len(err.splitlines()) <= 1
+    assert (code == 0) == (err == "")
+
+
+# --------------------------------------------------------------------- inputs
+
+GRID = GridSpec(2, 6)
+LAT = GaborLattice(1, Fraction(1, 3))  # b * P = 2; ck_dual1 of the order-2 B-spline needs b <= 1/3
+PHI = Frame.from_vectors([(1, 0), (0, 1), (1, 1)])
+
+
+def _documents() -> dict:
+    g = sample_bspline(2, GRID)
+    scale = sample_bspline(3, GRID)
+    nearby = np.array(PHI.synthesis) + 1e-3 * np.array([[1, -1, 0.5], [0.25, 1, -0.5]])
+    return {
+        "phi": io.frame_to_dict(PHI),
+        "dual": io.frame_to_dict(canonical_dual(PHI)),
+        "near": io.frame_to_dict(Frame(nearby)),
+        "op": io.operator_to_dict(0.9 * np.eye(2)),
+        "g": io.window_to_dict(g),
+        "gd": io.window_to_dict(ck_dual1(g, 2, LAT.b)),
+        "scale": io.window_to_dict(SampledWindow(GRID, scale.values * (1.0 + 0.25 * np.cos(GRID.points())))),
+    }
+
+
+DOCUMENTS = _documents()  # valid file contents, by name, as JSON values
+
+
+@pytest.fixture(scope="module")
+def files(tmp_path_factory) -> dict:
+    """Each valid document written to its own file, and a path for the mutated one."""
+    root = tmp_path_factory.mktemp("contract")
+    paths = {name: str(root / f"{name}.json") for name in DOCUMENTS}
+    for name, doc in DOCUMENTS.items():
+        with open(paths[name], "w", encoding="utf-8") as fh:
+            json.dump(doc, fh)
+    paths["mutated"] = str(root / "mutated.json")
+    return paths
+
+
+# The file arguments of each file-reading subcommand, as {name} of a document.
+COMMANDS = {
+    "frame-info": ["frame-info", "{phi}"],
+    "dual canonical": ["dual", "{phi}"],
+    "dual approx": ["dual", "{phi}", "--mode", "approx", "--op-file", "{op}", "--theta", "random:1:0.5"],
+    "dual gdual": ["dual", "{phi}", "--mode", "gdual", "--op-file", "{op}"],
+    "verify": ["verify", "{phi}", "{dual}"],
+    "perturb": ["perturb", "{phi}", "{near}", "{dual}"],
+    "gabor window": ["gabor", "window", "--window", "{g}"],
+    "gabor dual": ["gabor", "dual", "--window", "{g}", "--support", "2", "--b", "1/3"],
+    "gabor verify": ["gabor", "verify", "--window", "{g}", "--dual", "{gd}", "--a", "1", "--b", "1/3"],
+    "gabor weight": ["gabor", "weight", "--window", "{g}", "--a", "1"],
+    "gabor approx-dual": ["gabor", "approx-dual", "--window", "{g}", "--dual", "{gd}", "--scale-window", "{scale}",
+                          "--a", "1", "--b", "1/3"],
+}
+
+
+def test_valid_files_pass(files):
+    for argv in COMMANDS.values():
+        assert run([word.format(**files) for word in argv]) == (0, "")
+
+
+# ------------------------------------------------------------------ mutations
+
+NUMBERS = st.one_of(
+    st.floats(allow_nan=True, allow_infinity=True),
+    st.sampled_from([math.nan, math.inf, -math.inf, 10**400, -(10**30), 2**63, -1, 0, 1e308, 5e-324]),
+    st.integers(),
+    st.booleans(),
+)
+WRONG = st.one_of(st.text(max_size=4), st.sampled_from([None, [], {}, [[]], {"re": 1}]).map(copy.deepcopy))
+
+
+def _locations(doc, path=()):
+    yield path
+    items = doc.items() if isinstance(doc, dict) else enumerate(doc) if isinstance(doc, list) else ()
+    for key, value in items:
+        yield from _locations(value, path + (key,))
+
+
+@st.composite
+def mutated(draw, doc):
+    """``doc`` with one to three mutations at drawn locations."""
+    doc = copy.deepcopy(doc)
+    for _ in range(draw(st.integers(1, 3))):
+        path = draw(st.sampled_from(list(_locations(doc))))
+        if not path:
+            doc = draw(st.one_of(WRONG, st.just([doc]), NUMBERS))
+            continue
+        parent = doc
+        for key in path[:-1]:
+            parent = parent[key]
+        key, value = path[-1], parent[path[-1]]
+        how = draw(st.sampled_from(["number", "wrong type", "nest", "drop"]))
+        if how == "drop":
+            del parent[key]
+        elif how == "nest":
+            parent[key] = [value]
+        else:
+            parent[key] = draw(NUMBERS if how == "number" else WRONG)
+    return doc
+
+
+def write(path: str, doc) -> None:
+    with open(path, "w", encoding="utf-8") as fh:
+        fh.write(json.dumps(doc))  # NaN and Infinity as json writes them
+
+
+# ------------------------------------------------------------------- loaders
+
+LOADERS = {"frame": (io.load_frame, "phi"), "window": (io.load_window, "g"), "operator": (io.load_operator, "op")}
+
+
+@pytest.mark.parametrize("loader, name", LOADERS.values(), ids=LOADERS)
+@FUZZ
+@given(data=st.data())
+def test_loader_fuzz(loader, name, data, files):
+    write(files["mutated"], data.draw(mutated(DOCUMENTS[name])))
+    try:
+        loader(files["mutated"])
+    except (ParseError, DimensionMismatch, ValueError):  # what cli.main reports with exit 3
+        pass
+
+
+# ---------------------------------------------------------------- subcommands
+
+
+@pytest.mark.parametrize("argv", COMMANDS.values(), ids=COMMANDS)
+@FUZZ
+@given(data=st.data())
+def test_subcommand_fuzz(argv, data, files):
+    names = [word[1:-1] for word in argv if word.startswith("{")]
+    name = data.draw(st.sampled_from(names))
+    write(files["mutated"], data.draw(mutated(DOCUMENTS[name])))
+    paths = {**files, name: files["mutated"]}
+    assert_contract(*run([word.format(**paths) for word in argv]))
+
+
+# ----------------------------------------------------------- deep nesting
+
+
+@pytest.mark.parametrize(
+    "key, argv",
+    [
+        ('"dim": 2, "vectors"', ["frame-info", "{path}"]),
+        ('"samples_per_unit": 2, "period": 6, "values"', ["gabor", "weight", "--window", "{path}", "--a", "1"]),
+        ('"rows": 2, "cols": 2, "entries"', ["dual", "{phi}", "--mode", "approx", "--op-file", "{path}"]),
+    ],
+    ids=["frame", "window", "operator"],
+)
+def test_deep_nesting_exits_3(key, argv, files):
+    with open(files["mutated"], "w", encoding="utf-8") as fh:
+        fh.write("{" + key + ": " + "[" * DEEP + "]" * DEEP + "}")
+    code, err = run([word.format(path=files["mutated"], **files) for word in argv])
+    assert code == 3 and err.startswith("error: ") and "nested too deeply" in err
+    assert_contract(code, err)
+
+
+def scaled(name: str, factor: float, first_only=False) -> dict:
+    """The document ``name`` with its numbers times ``factor``, or only its first pair."""
+    doc = copy.deepcopy(DOCUMENTS[name])
+    pairs = [pair for vector in doc["vectors"] for pair in vector] if "vectors" in doc else doc["values"]
+    for pair in pairs[:1] if first_only else pairs:
+        pair[:] = [factor * x for x in pair]
+    return doc
+
+
+def with_entry(name: str, value: float) -> dict:
+    """The operator document ``name`` with its first entry's real part set to ``value``."""
+    doc = copy.deepcopy(DOCUMENTS[name])
+    doc["entries"][0][0] = value
+    return doc
+
+
+# Finite files whose sums or products overflow: (command, documents replaced, exit code, error text).
+OVERFLOWS = {
+    "verify, ||W||^2": ("verify", {"dual": scaled("dual", 1e200, first_only=True)}, 3,
+                        "squared operator norm overflows"),
+    "verify, dense mixed operator": ("verify", {"phi": scaled("phi", 1e200), "dual": scaled("dual", 1e200)}, 3,
+                                     "non-finite"),
+    "dual gdual, near-identity certificate": ("dual gdual", {"op": with_entry("op", 1.7976931348623031e308)}, 2,
+                                              "condition number inf"),
+    "gabor weight": ("gabor weight", {"g": scaled("g", 1e200)}, 3, "shift-energy weight"),
+    "gabor verify, lattice sums": ("gabor verify", {"g": scaled("g", 1e200), "gd": scaled("gd", 1e200)}, 3,
+                                   "non-finite"),
+    "gabor approx-dual, blocks": ("gabor approx-dual", {"scale": scaled("scale", 1e200)}, 3, "non-finite"),
+}
+
+
+@pytest.mark.parametrize("command, docs, exit_code, message", OVERFLOWS.values(), ids=OVERFLOWS)
+def test_overflow_gives_one_error_line(command, docs, exit_code, message, tmp_path, files):
+    paths = dict(files)
+    for name, doc in docs.items():
+        paths[name] = str(tmp_path / f"{name}.json")
+        write(paths[name], doc)
+    code, err = run([word.format(**paths) for word in COMMANDS[command]])
+    assert code == exit_code and err.startswith("error: ") and message in err
+    assert_contract(code, err)
+
+
+def test_bessel_bound_difference_overflow_raises():
+    with pytest.raises(ValueError, match="squared operator norm overflows"):
+        bessel_bound_difference(PHI, Frame(1e200 * np.array(PHI.synthesis)))

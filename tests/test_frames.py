@@ -1,3 +1,4 @@
+import dataclasses
 from fractions import Fraction
 
 import numpy as np
@@ -23,16 +24,19 @@ from dualframes import (
     frame_operator,
     frame_operator_inv_sqrt,
     frame_operator_sqrt,
+    gdual_factorization,
     identity,
     is_frame,
     is_riesz,
     mixed_operator,
     operator_norm,
+    painless_check,
     random_annihilator,
     range_compare,
     sample_bspline,
     scaled_gabor_operator,
     synthesis,
+    transfer_approx_dual,
 )
 from dualframes.frames import require_frame
 
@@ -152,7 +156,6 @@ class TestFrameBounds:
                 norm2 = float(np.linalg.norm(f) ** 2)
                 assert lower * norm2 - 1e-9 <= energy <= upper * norm2 + 1e-9
 
-    @pytest.mark.filterwarnings("ignore:.*encountered in matmul:RuntimeWarning")
     @pytest.mark.parametrize(
         "fact",
         [
@@ -371,3 +374,26 @@ class TestAnnihilator:
             assert np.trace(p).real == pytest.approx(3 - rank, abs=1e-14)
             assert np.allclose(phi.synthesis @ p, 0.0, atol=1e-14)
         assert np.array_equal(Frame(np.zeros((2, 3))).spectrum.kernel_part(np.eye(3)), np.eye(3))
+
+
+def _array_holders() -> dict:
+    """An instance of each result type that holds arrays, and the name of one array field."""
+    phi = Frame.from_vectors([(1, 0), (0, 1), (1, 1)])
+    dual = canonical_dual(phi)
+    g = sample_bspline(2, GridSpec(4, 4))
+    return {
+        "SampledWindow": (g, "values"),
+        "Annihilator": (random_annihilator(phi, 1, 0.5), "map"),
+        "DualReport": (gdual_factorization(phi, dual), "corresponding_op"),
+        "PainlessReport": (painless_check(g, GaborLattice(1, Fraction(1, 2)), 2), "diagonal"),
+        "Spectrum": (phi.spectrum, "u"),
+        "TransferResult": (transfer_approx_dual(phi, Frame(np.array(phi.synthesis) + 1e-3), dual), "corrector"),
+    }
+
+
+@pytest.mark.parametrize("name", sorted(_array_holders()))
+def test_array_holders_compare_by_identity(name):
+    value, field = _array_holders()[name]
+    other = dataclasses.replace(value, **{field: getattr(value, field).copy()})  # equal arrays, distinct objects
+    assert value == value and not value != value
+    assert value != other and not value == other  # no "truth value of an array is ambiguous"

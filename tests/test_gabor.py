@@ -1,4 +1,7 @@
+import gc
+import weakref
 from fractions import Fraction
+from pathlib import Path
 from unittest import mock
 
 import numpy as np
@@ -235,7 +238,6 @@ class TestWalnutWeight:
         with pytest.raises(LatticeMismatch):
             walnut_weight(sample_bspline(2, GridSpec(4, 4)), a)
 
-    @pytest.mark.filterwarnings("ignore:overflow encountered:RuntimeWarning")
     def test_overflowing_weight_is_named(self):
         # a finite window whose weight sum_n |g(x - n a)|^2 exceeds the float range
         grid = GridSpec(4, 4)
@@ -525,7 +527,6 @@ class TestClassBlocks:
             assert approximation_rate(left, right) == approximation_rate(phi_d, dense)
             assert np.array_equal(mixed_operator(left, right), mixed_operator(phi_d, dense))
 
-    @pytest.mark.filterwarnings("ignore:.*encountered in matmul:RuntimeWarning")
     def test_overflowing_blocks_raise(self):
         grid = GridSpec(4, 4)
         huge = SampledWindow(grid, sample_bspline(2, grid).values * 1e200)
@@ -968,12 +969,13 @@ class TestLatticeOperator:
         assert gap.call_count == 1 and gathered is not scaled
         assert np.array_equal(np.asarray(gathered), np.asarray(scaled))
         # the eigenvalues of a system frame, from one eigh of its blocks, against eigvalsh
-        # of its dense S and of its frame-operator value; scaled keeps those of its window's
+        # of its dense S and of its frame-operator value; the scaling window's system is
+        # the one scaled_gabor_operator built
         eigs = gabor_frame(g, lat).eigenvalues
         for eigenvalues, dense in (
             (eigs, s_dense),
             (eigs, np.asarray(frame_op)),
-            (scaled.frame_eigenvalues, frame_operator(scale_d)),
+            (gabor_frame(scale, lat).eigenvalues, frame_operator(scale_d)),
         ):
             tol = 1e-12 * max(1.0, operator_norm(dense))
             assert np.max(np.abs(eigenvalues - np.linalg.eigvalsh(dense))) <= tol
@@ -1053,9 +1055,11 @@ class TestLatticeOperator:
         frame_operator(frame)
         assert len(built) == 1
         scaled_gabor_operator(b2, lat)
-        assert len(built) == 2
+        assert len(built) == 1
         painless_check(b2, lat, 2)
-        assert len(built) == len({id(system) for system in built}) == 3
+        assert len(built) == 1  # one system per window and lattice
+        scaled_gabor_operator(SampledWindow(grid, b2.values), lat)
+        assert len(built) == len({id(system) for system in built}) == 2  # another window: its own
 
     def test_value_on_another_lattice_takes_the_dense_check(self):
         grid = GridSpec(6, 6)
@@ -1075,6 +1079,54 @@ class TestLatticeOperator:
             value.groups = ()
         with pytest.raises(TypeError):  # the blocks always come from the window
             LatticeOperator(value.grid, value.lattice, value.groups)
+
+
+class TestOneSystemPerWindow:
+    @pytest.mark.parametrize("kind, census", [("10:20 pipeline", (4, 4, 2)), ("16:64 bounds", (2, 2, 1))])
+    def test_gabor_dense_task_census(self, kind, census, monkeypatch):
+        # one task as the benchmark's gabor-dense workload builds and runs it: the systems
+        # built, the class-block sets built and the batched eigh calls
+        monkeypatch.syspath_prepend(str(Path(__file__).resolve().parents[1] / "perfbench"))
+        import workloads
+
+        task = next(task for task in workloads.build_gabor_dense(1, 1).tasks if task.kind == kind)
+        systems, blocks, eighs = [], [], []
+        init, build, eigh = gabor._GaborSystem.__init__, gabor._GaborSystem.class_blocks, np.linalg.eigh
+
+        def counted(calls, fn):
+            return lambda first, *args, **kwargs: calls.append(first) or fn(first, *args, **kwargs)
+
+        monkeypatch.setattr(gabor._GaborSystem, "__init__", counted(systems, init))
+        monkeypatch.setattr(gabor._GaborSystem, "class_blocks", counted(blocks, build))
+        monkeypatch.setattr(np.linalg, "eigh", counted(eighs, eigh))
+        task.run()
+        assert (len(systems), len(blocks), len(eighs)) == census
+        assert {np.ndim(a) for a in eighs} == {3}  # each eigh is batched over the classes
+
+    def test_window_values_are_a_read_only_copy(self):
+        values = np.ones(4)
+        window = SampledWindow(GridSpec(2, 2), values)
+        with pytest.raises(ValueError):
+            window.values[0] = 2.0
+        values[0] = 2.0  # the caller's array stays writeable, and the window keeps its samples
+        assert window.values[0] == 1.0
+
+    def test_kept_system_dies_with_its_window(self):
+        g = sample_bspline(2, GridSpec(6, 6))
+        lat = GaborLattice(1, Fraction(1, 3))
+        system = gabor._GaborSystem.of(g, lat)
+        assert gabor_frame(g, lat)._system is system
+        assert mixed_lattice_operator(g, g, lat) is system.frame_blocks
+        assert gabor._GaborSystem.of(g, GaborLattice(1, Fraction(1, 2))) is not system
+        kept = weakref.ref(system)
+        frame_bounds(gabor_frame(g, lat))  # builds and decomposes the blocks
+        del system
+        gc.disable()
+        try:
+            del g  # no reference cycle: the system goes with the window, without the collector
+            assert kept() is None
+        finally:
+            gc.enable()
 
 
 _G42 = sample_bspline(2, GridSpec(4, 2))
