@@ -14,14 +14,16 @@ Exit codes: 0 on success, 2 when a mathematical contract is violated
 Sizes the command line sets are checked against ``SIZE_BUDGET`` before
 anything is allocated: a ``--grid`` holds at most that many samples, a sweep
 holds at most that many window samples at once and visits at most that many
-cells.  A larger request exits 3.  Sizes read from files need no budget:
-each must match the data the file holds.
+cells, and a Gabor command's class factor (L P/a entries) and lattice-sum table
+(L b P entries), whatever the source of its grid, hold at most that many.  A
+larger request exits 3.  A file's own data needs no budget: each size must match it.
 """
 
 from __future__ import annotations
 
 import argparse
 import csv
+import math
 import sys
 import time
 from dataclasses import asdict, dataclass, field
@@ -92,7 +94,15 @@ SIZE_BUDGET = 1 << 20
 
 def _within_budget(count: int, what: str) -> None:
     if count > SIZE_BUDGET:
-        raise ParseError(f"{what} come to {count}, over the budget of {SIZE_BUDGET}")
+        shown = count if count < 10**18 else f"about 10^{len(str(count)) - 1}"
+        raise ParseError(f"{what} come to {shown}, over the budget of {SIZE_BUDGET}")
+
+
+def _lattice_within_budget(grid: GridSpec, a: Fraction | None, b: Fraction) -> None:
+    """The class factor's L (P/a) entries (``a`` given and > 0), the lattice-sum table's L (b P)."""
+    if a is not None and a > 0:
+        _within_budget(grid.total * math.ceil(grid.period / a), "the class-factor entries")
+    _within_budget(grid.total * math.ceil(b * grid.period), "the lattice-sum table entries")
 
 
 def _parse_grid(spec: str) -> GridSpec:
@@ -131,9 +141,12 @@ def _parse_denominators(spec: str) -> tuple[int, int]:
 
 def _parse_coeffs(spec: str) -> list[float]:
     try:
-        return [float(c) for c in spec.split(",")]
-    except ValueError as exc:
-        raise ParseError(f"--coeffs must look like a,b,c,... (numbers), got {spec!r}") from exc
+        coeffs = [float(c) for c in spec.split(",")]
+    except ValueError:
+        coeffs = [math.nan]
+    if not all(math.isfinite(c) for c in coeffs):
+        raise ParseError(f"--coeffs must look like a,b,c,... (finite numbers), got {spec!r}")
+    return coeffs
 
 
 def _window_from_spec(spec: str, grid: GridSpec | None) -> SampledWindow:
@@ -275,6 +288,7 @@ def cmd_gabor_dual(args, report: RunReport) -> None:
         support = int(args.window.split(":", 1)[1])
     else:
         raise ParseError("--support is required unless the window is bspline:N")
+    _lattice_within_budget(window.grid, None, args.b)
     if args.method == "ck1":
         dual = ck_dual1(window, support, args.b)
     else:
@@ -292,6 +306,7 @@ def cmd_gabor_approx_dual(args, report: RunReport) -> None:
     window = _window_from_spec(args.window, args.grid)
     dual = _window_from_spec(args.dual, args.grid or window.grid)
     scale = _window_from_spec(args.scale_window, args.grid or window.grid)
+    _lattice_within_budget(window.grid, args.a, args.b)
     lat = GaborLattice(args.a, args.b)
     a_op = scaled_gabor_operator(scale, lat)
     result = approx_dual_window(window, dual, a_op, lat)
@@ -310,6 +325,7 @@ def cmd_gabor_verify(args, report: RunReport) -> None:
     report.inputs = [args.window, args.dual]
     window = _window_from_spec(args.window, args.grid)
     dual = _window_from_spec(args.dual, args.grid or window.grid)
+    _lattice_within_budget(window.grid, args.a, args.b)
     lat = GaborLattice(args.a, args.b)
     table = janssen_residual_table(window, dual, lat)
     residual = float(np.max(table))

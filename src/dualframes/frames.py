@@ -10,9 +10,9 @@ Annihilators -- maps into coefficient space whose range lies in the
 kernel of the synthesis operator -- are the free parameter of every dual
 construction in :mod:`dualframes.duality`.
 
-A frame may hold a Gabor system instead of its matrix (see :class:`Frame`), whose
+A frame may hold a Gabor system instead of its matrix (see :class:`Frame`): its
 block operators are all of one type, :class:`~dualframes.gabor.LatticeOperator`,
-and whose eigenvalues, bounds and canonical dual come from one ``eigh`` of its blocks.
+and its spectral facts come from one batched thin SVD of its class factor.
 """
 
 from __future__ import annotations
@@ -74,8 +74,7 @@ class Frame:
       S^{1/2}, S^{-1/2} (two d x d arrays once read), the rank, the analysis
       range and the projection onto ker T are read from it;
     * :attr:`eigenvalues` -- the spectrum of S, behind the frame bounds:
-      ``s**2`` of the singular values s of T, which the frame test reads,
-      or a system frame's block eigenvalues;
+      ``s**2`` of the singular values s of T, which the frame test reads;
     * the canonical dual U diag(1/s) V* = (S^{-1} phi_k)_k, read through
       :func:`canonical_dual`.
 
@@ -101,13 +100,10 @@ class Frame:
     holds two d x d arrays and one n x d array.  The facts live while both
     frames do and go with either; they hold no reference to either frame.
 
-    A frame built over a structured system (:func:`dualframes.gabor.gabor_frame`)
-    holds the system instead of the matrix and builds the matrix, once,
-    when :attr:`synthesis` is first read.  ``dim`` and ``count`` never
-    build it; the frame operator, mixed operator and approximation rate of
-    systems sharing their structure are read from the residue-class blocks,
-    which a system keeps for its own S (see :func:`mixed_operator`), and its
-    eigenvalues, bounds and canonical dual S^{-1} T from one ``eigh`` of them.
+    A frame over a structured system (:func:`dualframes.gabor.gabor_frame`) holds the system,
+    builds the matrix once, when :attr:`synthesis` is first read, and reads every fact above
+    from the system's own :attr:`spectrum`; its canonical dual is a system too.  Its frame operator,
+    and its mixed operator and rate against a system of its structure, are residue-class blocks.
     """
 
     def __init__(self, synthesis):
@@ -126,16 +122,13 @@ class Frame:
         raise AttributeError(f"Frame is immutable: cannot delete {name!r}")
 
     @classmethod
-    def _adopt(cls, syn: np.ndarray) -> "Frame":
-        """Frame over a freshly built array no caller holds: frozen, not copied."""
-        return cls(_frozen(syn) if syn.base is None else syn)
-
-    @classmethod
-    def _of_system(cls, system) -> "Frame":
-        """Frame over a structured system: its ``shape``, ``synthesis()``, ``frame_blocks``,
-        ``class_blocks(other)``, ``eigenvalues`` and ``solve`` stand in for the matrix."""
+    def _adopt(cls, syn) -> "Frame":
+        """Frame over a freshly built array no caller holds (frozen, not copied), or over a system, whose
+        ``shape``, ``synthesis()``, ``spectrum``, ``frame_blocks`` and ``class_blocks`` stand in for T."""
+        if isinstance(syn, np.ndarray):
+            return cls(_frozen(syn) if syn.base is None else syn)
         frame = cls.__new__(cls)
-        frame.__dict__.update(_shape=system.shape, _system=system)
+        frame.__dict__.update(_shape=syn.shape, _system=syn)
         return frame
 
     @classmethod
@@ -162,10 +155,8 @@ class Frame:
 
     @cached_property
     def eigenvalues(self) -> np.ndarray:
-        """Ascending eigenvalues of S (read-only): a system's blocks', else the squares of
-        the singular values of T, padded with zeros to d; ValueError when S overflows."""
-        if self._system is not None:
-            return self._system.eigenvalues
+        """Ascending eigenvalues of S (read-only): the squares of the singular values
+        of T, padded with zeros to d; ValueError when S overflows."""
         s = self._singular_values
         with np.errstate(over="ignore"):
             w = np.concatenate([np.zeros(self.dim - s.size), s[::-1] ** 2])
@@ -173,22 +164,19 @@ class Frame:
 
     @cached_property
     def spectrum(self) -> oplin.Spectrum:
-        """The thin SVD of T (read-only)."""
-        return oplin.Spectrum.of(self.synthesis)
+        """The thin SVD of T (read-only): of the matrix, or the one a system keeps."""
+        return oplin.Spectrum.of(self.synthesis) if self._system is None else self._system.spectrum
 
     @cached_property
     def _singular_values(self) -> np.ndarray:
-        """Descending singular values of T (read-only): the spectrum's when it is held,
-        else one SVD that computes no singular vectors."""
-        if "spectrum" in self.__dict__:
+        """Descending singular values of T (read-only): a held or system spectrum's, else a values-only SVD."""
+        if "spectrum" in self.__dict__ or self._system is not None:
             return self.spectrum.s
         return _frozen(np.linalg.svd(self.synthesis, compute_uv=False))
 
     @cached_property
     def _sigma(self) -> tuple:
-        """(s_min, s_max) of T: the singular values' (s_min = 0 when n < d), or a system's block roots."""
-        if self._system is not None:
-            return tuple(float(np.sqrt(max(x, 0.0))) for x in self.eigenvalues[[0, -1]])
+        """(s_min, s_max) of T: the singular values' (s_min = 0 when n < d)."""
         s = self._singular_values
         return (float(s[-1]) if s.size == self.dim else 0.0), float(s[0])
 
@@ -200,10 +188,7 @@ class Frame:
     def _canonical_dual(self) -> "Frame":
         require_frame(self, "frame")
         self.eigenvalues  # ValueError when S overflows: the dual S^{-1} T is refused with it
-        if self._system is not None:
-            return Frame._adopt(self._system.solve(self.synthesis))
-        spectrum = self.spectrum
-        return Frame._adopt((spectrum.u / spectrum.s) @ spectrum.vh)
+        return Frame._adopt(self.spectrum.dual())
 
     def __repr__(self):
         return f"Frame(dim={self.dim}, count={self.count})"
@@ -271,10 +256,9 @@ def is_frame(phi: Frame) -> bool:
 
 
 def require_frame(phi: Frame, name: str = "family") -> None:
-    """:class:`NotAFrame` unless ``phi`` is a frame (see :func:`is_frame`).  A dense
-    frame takes its thin SVD here, as every construction guarded by this reads it."""
-    if phi._system is None:
-        phi.spectrum
+    """:class:`NotAFrame` unless ``phi`` is a frame (see :func:`is_frame`).  The frame
+    takes its thin SVD here, as every construction guarded by this reads it."""
+    phi.spectrum
     if not is_frame(phi):
         raise NotAFrame(f"{name} has lower frame bound 0 (rank deficient)")
 
@@ -296,7 +280,7 @@ def frame_operator_inv_sqrt(phi: Frame) -> np.ndarray:
 
 def canonical_dual(phi: Frame) -> Frame:
     """The frame ( S^{-1} phi_k )_k, giving exact reconstruction (kept): U diag(1/s) V*,
-    or for a system frame S^{-1} T from its blocks' ``eigh``, class by class."""
+    for a system frame the system of that factor (see :mod:`dualframes.gabor`)."""
     return phi._canonical_dual
 
 

@@ -7,17 +7,15 @@ pair of positive rationals ``(a, b)`` (time step in units, frequency step
 in cycles per unit).  Gabor systems are ordinary
 :class:`~dualframes.frames.Frame` objects of dimension ``L`` through the
 isometric embedding ``values / sqrt(s)``, so all duality machinery
-applies verbatim.  Such a frame holds the window's one system on its lattice
-(kept on the window) and builds its ``L x N`` synthesis matrix only when something reads ``synthesis``
-(export, the canonical dual, its thin SVD, analysis/synthesis, a pairing
-with a plain frame).  Its frame operator, and its mixed operator and
-approximation rate against a system on the same grid and lattice, are
-read from the Walnut (Zibulski-Zeevi) residue-class blocks instead, held by
-one type, :class:`LatticeOperator`, which ``np.asarray`` makes dense; its
-eigenvalues, bounds and ``S^{-1}`` from one batched ``eigh`` of the blocks.
-:func:`scaled_gabor_operator` and :func:`mixed_lattice_operator` return one;
-:func:`approx_dual_window` reads every operator as one: a dense one must pass
-:func:`commutation_check` and is then gathered into the classes.
+applies verbatim.  Such a frame holds the window's one system on its lattice,
+kept on the window: its Walnut (Zibulski-Zeevi) residue-class factor
+(:class:`_GaborSystem`), whose one batched thin SVD gives every spectral fact,
+and from which the ``L x N`` synthesis matrix is built only when read.  The
+frame operator, and the mixed operator against a system on the same grid and
+lattice, are the residue-class blocks, held by :class:`LatticeOperator`, which
+``np.asarray`` makes dense.  :func:`approx_dual_window` reads every operator as
+one: a dense one must pass :func:`commutation_check` and is then gathered into
+the classes.
 
 Grid commensurability is a hard precondition everywhere: rationals that
 do not land on the grid raise typed errors instead of being rounded,
@@ -33,6 +31,8 @@ Modulations use the convention  (E_b f)(x) = exp(2 pi i b x) f(x).
 
 from __future__ import annotations
 
+import math
+import sys
 from dataclasses import dataclass, field
 from fractions import Fraction
 from functools import cached_property
@@ -54,8 +54,8 @@ from .errors import (
     OffGrid,
     SupportOverflow,
 )
-from .frames import Frame, FrameBounds, _class_blocks, _frozen, frame_bounds, require_frame
-from .oplin import _strictly_below, operator_norm
+from .frames import Frame, FrameBounds, _class_blocks, frame_bounds, require_frame
+from .oplin import _frozen, _strictly_below, adjoint, operator_norm
 
 RationalLike = Union[Fraction, int, str]
 
@@ -63,6 +63,10 @@ RationalLike = Union[Fraction, int, str]
 GABOR_DUAL_TOL = 1e-10
 # Window samples below this (relative to the peak) count as zero support.
 SUPPORT_TOL = 1e-14
+
+
+def _as_float(q: Fraction) -> float:
+    return float(q) if q <= sys.float_info.max else math.inf  # not float(q)'s OverflowError
 
 
 def as_fraction(value: RationalLike) -> Fraction:
@@ -298,48 +302,61 @@ class LatticeOperator:
         return out
 
 
+def _modulation(classes: np.ndarray, m: int) -> np.ndarray:
+    """omega^(m r) for omega = exp(2 pi i / M), one row per class r, one column per m."""
+    return np.exp(2j * np.pi * (np.outer(classes, np.arange(m)) % m) / m)
+
+
 @dataclass(frozen=True, eq=False)
 class _GaborSystem:
-    """A Gabor system held by its window's grid, values and lattice, not its L x N matrix.
+    """A Gabor system held by its class factor, not its L x N matrix.
 
-    ``modulations`` is M = s/b.  The mixed operator of two windows g and h
-    on one grid and lattice couples samples x and y (integers in [0, L),
-    no wrap-around) only when x = y mod M, and there it is
-    S[x, y] = (1/b) sum_n g(x - n step) conj(h(y - n step)), the time
-    index taken mod L: a block G_r for each residue class r mod M.  The
-    classes hold floor(L/M) or ceil(L/M) samples (all b*P of them when
-    b*P is an integer; some are empty when M > L).
-    """
+    With M = s/b ``modulations`` and K = P/a shifts of a s samples, row x of T lies in
+    the class r = x mod M: T[r + M k, n M + m] = omega^(m r) factor_r[k, n], omega = exp(2 pi i/M),
+    and a window g has factor_r[k, n] = g(r + M k - n a s) / sqrt(s), time mod L.  ``groups``
+    holds one read-only ``(index, factor)`` per class size, ``index[c]`` the floor(L/M) or
+    ceil(L/M) samples of a class (b P when b P is an integer); a class that holds none
+    (M > L) is not stored.  So two systems on one grid and lattice have the mixed operator
+    M factor_r other_r* on each class, and as the rows omega^(m r) / sqrt(M) are orthonormal,
+    the thin SVD of T is that of sqrt(M) factor_r, class by class."""
 
     grid: GridSpec
-    values: np.ndarray
     lattice: GaborLattice
-    step: int
-    shifts: int
     modulations: int
+    groups: tuple
 
     @classmethod
     def of(cls, g: SampledWindow, lat: GaborLattice) -> "_GaborSystem":
-        """The one system of ``g`` on ``lat``, built once and kept on ``g`` as a cached_property is."""
-        grid, kept = g.grid, g.__dict__.setdefault("_systems", {})
+        """The one system of ``g`` on ``lat``, built once and kept on ``g`` as a cached_property
+        is; ValueError when its vectors are too many to count in a float."""
+        kept, grid = g.__dict__.setdefault("_systems", {}), g.grid
         if lat not in kept:
-            kept[lat] = cls(grid, g.values, lat, lat.time_step(grid), lat.shifts(grid), lat.modulations(grid))
+            step, shifts, m = lat.time_step(grid), lat.shifts(grid), lat.modulations(grid)
+            if shifts * m > sys.float_info.max:
+                raise ValueError("the system's (P/a)(s/b) vectors are too many to count in a float")
+            size, longer = divmod(grid.total, m)  # classes r < longer hold one sample more
+            groups = []
+            for first, last, rows in ((0, longer, size + 1), (longer, m, size)):
+                if rows and last > first:  # a class of two or more samples has M < L
+                    index = np.arange(first, last)[:, None] + min(m, grid.total) * np.arange(rows)
+                    at = (index[..., None] - step * np.arange(shifts)) % grid.total  # x - n a s
+                    groups.append((_frozen(index), _frozen(_embed(g)[at])))
+            kept[lat] = cls(grid, lat, m, tuple(groups))
         return kept[lat]
 
     @property
     def shape(self) -> tuple[int, int]:
-        return self.grid.total, self.shifts * self.modulations
+        return self.grid.total, self.groups[0][1].shape[-1] * self.modulations
 
     def synthesis(self) -> np.ndarray:
-        """The L x N matrix: columns shift-major, modulation-minor."""
-        grid, n_m = self.grid, self.modulations
-        phases = np.exp(2j * np.pi * float(self.lattice.b) * np.outer(np.arange(n_m), grid.points()))
-        syn = np.empty(self.shape, dtype=complex)
-        base = _embed(self)
-        for n in range(self.shifts):
-            block = phases * np.roll(base, n * self.step)[None, :]
-            syn[:, n * n_m : (n + 1) * n_m] = block.T
-        return syn
+        """The L x N matrix, columns shift-major, modulation-minor, built from the factor."""
+        m = self.modulations
+        syn = np.empty((self.grid.total, self.shape[1] // m, m), dtype=complex)
+        for index, factor in self.groups:
+            phases = _modulation(index[:, 0], m)[:, None, :]
+            for k in range(index.shape[1]):
+                syn[index[:, k]] = factor[:, k, :, None] * phases
+        return syn.reshape(self.shape)
 
     @cached_property
     def frame_blocks(self) -> LatticeOperator:
@@ -347,56 +364,97 @@ class _GaborSystem:
         return self.class_blocks(self)
 
     @cached_property
-    def _eigh(self) -> tuple:
-        """One batched ``eigh`` of the frame-operator blocks: ``(w, v)`` per group."""
-        return tuple(np.linalg.eigh(blocks) for _, blocks in self.frame_blocks.groups)
-
-    @cached_property
-    def eigenvalues(self) -> np.ndarray:
-        """Ascending eigenvalues of S (read-only), those of its blocks."""
-        return _frozen(np.sort(np.concatenate([w.ravel() for w, _ in self._eigh])))
-
-    def solve(self, x: np.ndarray) -> np.ndarray:
-        """S^{-1} x for an L x k array ``x``: V diag(1/w) V* on each class's rows."""
-        out = np.empty(x.shape, dtype=complex)
-        for (index, _), (w, v) in zip(self.frame_blocks.groups, self._eigh):
-            out[index] = v @ ((np.conj(np.swapaxes(v, -1, -2)) @ x[index]) / w[..., None])
-        return out
+    def spectrum(self) -> "_ClassSpectrum":
+        """The thin SVD of T, one batched SVD per class size; ValueError if sqrt(M) factor overflows."""
+        root, classes = math.sqrt(self.modulations), []
+        for index, factor in self.groups:
+            with np.errstate(over="ignore", invalid="ignore"):
+                scaled = oplin._require_finite(root * factor)
+            # of the transpose, W diag(s) X* (U = X*^T, V* = W^T): a quarter faster on short wide factors
+            w, s, x = np.linalg.svd(np.swapaxes(scaled, -1, -2), full_matrices=False)
+            classes.append((index, *(_frozen(a) for a in (np.swapaxes(x, -1, -2), s, np.swapaxes(w, -1, -2)))))
+        return _ClassSpectrum(self.grid, self.lattice, self.modulations, tuple(classes))
 
     @np.errstate(over="ignore", invalid="ignore")  # LatticeOperator._of raises an overflow
     def class_blocks(self, other) -> LatticeOperator | None:
-        """The blocks G_r against the system ``other``, or None unless it lies on
-        the same grid and lattice; ValueError when a block overflows."""
+        """The blocks M factor_r other_r* against the system ``other``, or None unless it
+        lies on the same grid and lattice; ValueError when a block overflows."""
         if (self.grid, self.lattice) != (other.grid, other.lattice):
             return None
-        total, m = self.grid.total, self.modulations
-        shifts = self.step * np.arange(self.shifts)
-        size, longer = divmod(total, m)  # classes r < longer hold one sample more
-        groups = []
-        for classes, n in ((np.arange(longer), size + 1), (np.arange(longer, m), size)):
-            if classes.size and n:
-                index = classes[:, None] + m * np.arange(n)
-                at = (index[..., None] - shifts) % total  # x - n step for every x and n
-                left = _embed(self)[at]
-                right = left if other is self else _embed(other)[at]
-                # M/s = 1/b: the modulation sum and the two 1/sqrt(s) embeddings
-                groups.append((index, (m * left) @ np.conj(np.swapaxes(right, -1, -2))))
-        return LatticeOperator._of(self.grid, self.lattice, groups)
+        m, pairs = self.modulations, zip(self.groups, other.groups)  # the same classes, grouped alike
+        blocks = ((index, (m * left) @ adjoint(right)) for (index, left), (_, right) in pairs)
+        return LatticeOperator._of(self.grid, self.lattice, blocks)
+
+
+@dataclass(frozen=True, eq=False)
+class _ClassSpectrum(oplin._SVDReads):
+    """The thin SVD of a system's T, read as :class:`oplin.Spectrum` is: one ``(index, u, s, vh)``
+    per class size, the batched sqrt(M) factor_r = U_r diag(s_r) V_r*.  T's ``s`` are the s_r,
+    zero-padded to min(L, N) as a dense SVD pads; after a unitary DFT over the modulation
+    index, ker T is ker V_r* on each class and all of C^K on a class that holds no sample."""
+
+    grid: GridSpec
+    lattice: GaborLattice
+    modulations: int
+    classes: tuple
+
+    @property
+    def shape(self) -> tuple[int, int]:
+        return self.grid.total, self.classes[0][3].shape[-1] * self.modulations
+
+    @cached_property
+    def s(self) -> np.ndarray:
+        values = np.sort(np.concatenate([s.ravel() for _, _, s, _ in self.classes]))[::-1]
+        return _frozen(np.concatenate([values, np.zeros(min(self.shape) - values.size)]))
+
+    def power(self, p: int) -> LatticeOperator:
+        """S^(p/2) = U diag(s^p) U*, class by class."""
+        blocks = ((index, (u * s[..., None, :] ** p) @ adjoint(u)) for index, u, s, _ in self.classes)
+        return LatticeOperator._of(self.grid, self.lattice, blocks)
+
+    def _root(self, p: int) -> np.ndarray:
+        return np.asarray(self.power(p))
+
+    def dual(self) -> _GaborSystem:
+        """The system of the canonical dual U diag(1/s) V*: factor U_r diag(1/s_r) V_r* / sqrt(M)."""
+        root = math.sqrt(self.modulations)
+        groups = ((i, _frozen((u / s[..., None, :]) @ vh / root)) for i, u, s, vh in self.classes)
+        return _GaborSystem(self.grid, self.lattice, self.modulations, tuple(groups))
+
+    @cached_property
+    def range_basis(self) -> np.ndarray:
+        """Orthonormal basis (N x rank) of range(T*): rows V_r*[j] (x) omega^(m r) / sqrt(M), conjugated."""
+        m = self.modulations
+        rows = [(vh[..., None] * _modulation(index[:, 0], m)[:, None, None, :])[s > self._cutoff]
+                for index, _, s, vh in self.classes]
+        return _frozen(np.conj(np.concatenate(rows).reshape(-1, self.shape[1]).T) / math.sqrt(m))
+
+    def kernel_part(self, x: np.ndarray) -> np.ndarray:
+        """The columns of ``x`` (N x m) projected onto ker T: a unitary DFT over m, each class's
+        part projected off its V_r (twice, as for a matrix), the inverse DFT; zero when ker T is."""
+        if self.rank == self.shape[1]:
+            return np.zeros_like(x)
+        y = np.fft.ifft(x.reshape(-1, self.modulations, x.shape[-1]), axis=1, norm="ortho")
+        for index, _, s, vh in self.classes:
+            v = vh * (s > self._cutoff)[..., None]  # the rows of V_r* below the rank cutoff are zero
+            z = np.swapaxes(y[:, index[:, 0]], 0, 1)
+            for _ in range(2):
+                z = z - adjoint(v) @ (v @ z)
+            y[:, index[:, 0]] = np.swapaxes(z, 0, 1)
+        return np.fft.fft(y, axis=1, norm="ortho").reshape(x.shape)
 
 
 def gabor_frame(g: SampledWindow, lat: GaborLattice) -> Frame:
     """The system of modulate-after-shift copies of g, as a Frame.
 
-    The frame builds its L x N synthesis matrix (columns shift-major,
-    modulation-minor) only when ``synthesis`` is read; its frame operator
-    and bounds, and its mixed operator and rate against a system on the
-    same grid and lattice, come from the residue-class blocks of g's one
-    system on ``lat``, built once and kept on g.  The embedding
-    scales by 1/sqrt(s) so that frame-operator spectra match the weighted
-    function-space inner product (e.g. the indicator of [0,1) on the unit
-    lattice yields a tight frame with bounds (1, 1)).
+    The frame holds g's one system on ``lat``, kept on g (see :class:`_GaborSystem`),
+    and builds its L x N synthesis matrix (columns shift-major, modulation-minor)
+    only when ``synthesis`` is read.  ValueError when its N = (P/a)(s/b) vectors
+    are too many to count in a float.  The embedding scales by 1/sqrt(s) so that
+    frame-operator spectra match the weighted function-space inner product (e.g.
+    the indicator of [0,1) on the unit lattice yields a tight frame with bounds (1, 1)).
     """
-    return Frame._of_system(_GaborSystem.of(g, lat))
+    return Frame._adopt(_GaborSystem.of(g, lat))
 
 
 @np.errstate(over="ignore")  # an overflow is the ValueError below, not a warning
@@ -453,7 +511,7 @@ def painless_check(g: SampledWindow, lat: GaborLattice, support: int) -> Painles
     _check_support(g, support, "painless hypothesis")
     if lat.b > Fraction(1, support):
         raise HypothesisViolated(
-            f"painless hypothesis: requires b <= 1/{support}", measured=float(lat.b)
+            f"painless hypothesis: requires b <= 1/{support}", measured=_as_float(lat.b)
         )
     weight = walnut_weight(g, lat.a).values.real
     if weight.min() <= 1e-12 * weight.max():
@@ -531,8 +589,7 @@ def _require_ck_window(g: SampledWindow, support: int, b: Fraction) -> None:
     _check_support(g, support, "dual-generator hypothesis")
     if b > Fraction(1, 2 * support - 1):
         raise HypothesisViolated(
-            f"dual-generator hypothesis: requires b <= 1/{2 * support - 1}",
-            measured=float(b),
+            f"dual-generator hypothesis: requires b <= 1/{2 * support - 1}", measured=_as_float(b)
         )
 
 
@@ -651,16 +708,16 @@ def approx_dual_window(
 
     A :class:`LatticeOperator` on g's grid and lattice commutes by construction
     and gives its blocks; any other operator must pass :func:`commutation_check`
-    and is then gathered into g's classes, between which it is zero.  A, S and
-    A* are then read block by block.
+    and is then gathered into g's classes, between which it is zero.  A and A*
+    are then read block by block, S^{-1} g and S g_dual from the thin SVD of
+    g's system, class by class.
     """
     if g.grid != g_dual.grid:
         raise DimensionMismatch("windows live on different grids")
     residual = janssen_residual(g, g_dual, lat)  # also rejects b * P not an integer
     if residual > GABOR_DUAL_TOL:
         raise NotDualPair("(g, g_dual) is not an exact dual pair", measured=residual)
-    system = _GaborSystem.of(g, lat)
-    s = system.frame_blocks
+    frame = gabor_frame(g, lat)
     if isinstance(a_op, LatticeOperator) and (a_op.grid, a_op.lattice) == (g.grid, lat):
         a = a_op
     else:
@@ -668,14 +725,16 @@ def approx_dual_window(
         comm = commutation_check(dense, lat, g.grid)
         if comm > 1e-9:
             raise NotCommuting("operator must commute with the lattice generators", measured=comm)
-        a = LatticeOperator._of(g.grid, lat, ((i, dense[i[:, :, None], i[:, None, :]]) for i, _ in s.groups))
+        gathered = ((i, dense[i[:, :, None], i[:, None, :]]) for i, _ in frame._system.groups)
+        a = LatticeOperator._of(g.grid, lat, gathered)
     gap = a.gap()
     if not _strictly_below(gap, 1.0):
         raise ContractViolation("requires ||Id - A|| < 1", measured=gap)
-    oplin._require_conditioned(system.eigenvalues)  # S is PSD: its eigenvalues are its singular values
-    vg = _embed(g)
-    adj = a.apply(system.solve(vg[:, None])[:, 0], lambda a_r, x: np.conj(np.swapaxes(a_r, -1, -2)) @ x)
-    return SampledWindow(g.grid, (adj - vg + s.apply(_embed(g_dual))) * np.sqrt(g.grid.samples_per_unit))
+    oplin._require_conditioned(frame.eigenvalues)  # S is PSD: its eigenvalues are its singular values
+    spectrum, vg = frame.spectrum, _embed(g)
+    adj = a.apply(spectrum.power(-2).apply(vg), lambda a_r, x: adjoint(a_r) @ x)
+    values = adj - vg + spectrum.power(2).apply(_embed(g_dual))
+    return SampledWindow(g.grid, values * np.sqrt(g.grid.samples_per_unit))
 
 
 def char_dual_check(

@@ -63,7 +63,8 @@ def identity(d: int) -> np.ndarray:
 
 
 def adjoint(m) -> np.ndarray:
-    return np.conj(np.transpose(m))
+    """The conjugate transpose of a matrix, or of each matrix of a stack."""
+    return np.conj(np.swapaxes(m, -1, -2))
 
 
 def operator_norm(m) -> float:
@@ -117,15 +118,44 @@ def _frozen(a: np.ndarray) -> np.ndarray:
     return a
 
 
+class _SVDReads:
+    """The facts of a thin SVD T = U diag(s) V* that read alike however it is held,
+    built once, on first read, and read-only.  A subclass gives ``s`` (descending,
+    min(d, n) values), ``shape`` = (d, n) and ``_root(p)`` = U diag(s^p) U*, p = 1 or -1."""
+
+    @cached_property
+    def _cutoff(self) -> float:
+        return self.s[0] * np.finfo(float).eps * max(self.shape)
+
+    @cached_property
+    def rank(self) -> int:
+        """The count of singular values above ``s_max * eps * max(d, n)``
+        (the rule of ``np.linalg.matrix_rank``)."""
+        return int(np.sum(self.s > self._cutoff))
+
+    @cached_property
+    def sqrt(self) -> np.ndarray:
+        """S^{1/2} = U diag(s) U*."""
+        return _frozen(self._root(1))
+
+    @cached_property
+    def inv_sqrt(self) -> np.ndarray:
+        """S^{-1/2} = U diag(1/s) U*; :class:`Singular` unless lambda_min(S) > 1e-12 lambda_max(S)."""
+        smallest = self.s[-1] if self.s.size == self.shape[0] else 0.0
+        if smallest <= 1e-6 * self.s[0]:
+            raise Singular(f"smallest singular value {smallest:.3e} too close to zero")
+        return _frozen(self._root(-1))
+
+
 @dataclass(frozen=True, eq=False)
-class Spectrum:
+class Spectrum(_SVDReads):
     """One thin SVD T = U diag(s) V* of a d x n matrix, with every spectral
     fact of T and of S = T T* read from it.
 
     ``u`` is d x k, ``s`` holds the k singular values (descending) and ``vh``
     is k x n, k = min(d, n).  S is never formed, so the facts carry the
     accuracy of kappa(T), not of kappa(S) = kappa(T)^2, and scale exactly
-    with T.  The other facts are built once, on first read, and read-only.
+    with T.
     """
 
     u: np.ndarray
@@ -138,25 +168,16 @@ class Spectrum:
         u, s, vh = np.linalg.svd(t, full_matrices=False)
         return cls(_frozen(u), _frozen(s), _frozen(vh))
 
-    @cached_property
-    def rank(self) -> int:
-        """The count of singular values above ``s_max * eps * max(d, n)``
-        (the rule of ``np.linalg.matrix_rank``)."""
-        cutoff = self.s[0] * np.finfo(float).eps * max(self.u.shape[0], self.vh.shape[1])
-        return int(np.sum(self.s > cutoff))
+    @property
+    def shape(self) -> tuple[int, int]:
+        return self.u.shape[0], self.vh.shape[1]
 
-    @cached_property
-    def sqrt(self) -> np.ndarray:
-        """S^{1/2} = U diag(s) U*."""
-        return _frozen((self.u * self.s) @ adjoint(self.u))
+    def _root(self, p: int) -> np.ndarray:
+        return (self.u * self.s if p == 1 else self.u / self.s) @ adjoint(self.u)
 
-    @cached_property
-    def inv_sqrt(self) -> np.ndarray:
-        """S^{-1/2} = U diag(1/s) U*; :class:`Singular` unless lambda_min(S) > 1e-12 lambda_max(S)."""
-        smallest = self.s[-1] if self.s.size == self.u.shape[0] else 0.0
-        if smallest <= 1e-6 * self.s[0]:
-            raise Singular(f"smallest singular value {smallest:.3e} too close to zero")
-        return _frozen((self.u / self.s) @ adjoint(self.u))
+    def dual(self) -> np.ndarray:
+        """The canonical dual's synthesis matrix S^{-1} T = U diag(1/s) V*."""
+        return (self.u / self.s) @ self.vh
 
     @cached_property
     def range_basis(self) -> np.ndarray:

@@ -3,7 +3,8 @@
 The library reads every spectral fact of a frame from one thin SVD of its
 synthesis matrix T.  The tests check it against these independent forms:
 an ``eigh`` of a Hermitian matrix such as S = T T* (with PSD roots that clamp
-roundoff negatives), and an orthonormal basis of ker T from a full SVD.
+roundoff negatives), an orthonormal basis of ker T from a full SVD, and a
+Gabor system's T built one time shift at a time, not from its class factor.
 """
 
 from dataclasses import dataclass
@@ -89,3 +90,16 @@ def kernel_basis(phi) -> np.ndarray:
     _, s, vh = np.linalg.svd(t, full_matrices=True)
     rank = int(np.sum(s > np.amax(s, initial=0.0) * np.finfo(float).eps * max(t.shape)))
     return adjoint(vh[rank:])
+
+
+def gabor_synthesis(g, lat) -> np.ndarray:
+    """The L x N synthesis matrix of the system of window ``g`` on ``lat`` (columns
+    shift-major, modulation-minor), one time shift of g / sqrt(s) at a time."""
+    grid = g.grid
+    step, shifts, n_m = lat.time_step(grid), lat.shifts(grid), lat.modulations(grid)
+    phases = np.exp(2j * np.pi * float(lat.b) * np.outer(np.arange(n_m), grid.points()))
+    base = g.values / np.sqrt(grid.samples_per_unit)
+    syn = np.empty((grid.total, shifts * n_m), dtype=complex)
+    for n in range(shifts):
+        syn[:, n * n_m : (n + 1) * n_m] = (phases * np.roll(base, n * step)[None, :]).T
+    return syn

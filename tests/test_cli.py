@@ -585,7 +585,8 @@ class TestGaborCommands:
                 "--a", "1", "--b", "1/10", "--out", gad, "--spectrum-csv", spectrum, "--report", report]
         assert main(argv) == 0
         assert built == [] and svds == []
-        assert len(blocks) == 3  # the frame blocks of g and of the scaling window, and the mixed blocks
+        # the scaling window's frame blocks and the mixed blocks; S g_dual is read from g's SVD
+        assert len(blocks) == 2
         monkeypatch.undo()
         eigs = [float(row[1]) for row in read_csv(spectrum)[1:]]
         assert len(eigs) == 200 and eigs == sorted(eigs)
@@ -652,9 +653,16 @@ class TestSizeBudget:
             ["gabor", "sweep", "--char", "--grid", f"{cli.SIZE_BUDGET // 2}:1", "--step", "1/3"],
             ["gabor", "sweep", "--bspline", "3", "--denominators", f"2:{cli.SIZE_BUDGET + 2}"],
             ["gabor", "sweep", "--bspline", "3", "--samples", str(cli.SIZE_BUDGET), "--denominators", "2:2"],
+            # within the grid budget, but the class factor holds L P/a = 2^22 entries
+            ["gabor", "approx-dual", "--window", "bspline:2", "--dual", "bspline:2", "--scale-window",
+             "bspline:3", "--grid", "4:512", "--a", "1/4", "--b", "1/4"],
+            # the lattice-sum table holds L b P = 4096 * 1366 entries
+            ["gabor", "dual", "--window", "bspline:2", "--grid", "1:4096", "--b", "1/3"],
+            ["gabor", "verify", "--window", "bspline:2", "--dual", "bspline:2", "--grid", "10:20",
+             "--a", "1", "--b", "1e400"],
         ],
         ids=["grid 1e18", "grid one over", "grid period one over", "char step 1e-6", "char windows",
-             "bspline cells", "bspline grid"],
+             "bspline cells", "bspline grid", "class factor", "lattice-sum table", "b 1e400"],
     )
     def test_over_budget_exits_3_before_allocating(self, argv, capsys):
         tracemalloc.start()
@@ -667,3 +675,10 @@ class TestSizeBudget:
         assert code == 3
         assert err.count("\n") == 1 and f"over the budget of {cli.SIZE_BUDGET}" in err
         assert peak < 1 << 20  # the smallest rejected grid alone would be 16 MB of samples
+
+    def test_grid_read_from_a_file_is_budgeted(self, tmp_path, capsys):
+        # a window file's grid is held to the same budget as --grid: L P/a = 2^22 entries
+        path = str(tmp_path / "window.json")
+        io.save_window(sample_bspline(2, GridSpec(1, 2048)), path)
+        assert main(["gabor", "verify", "--window", path, "--dual", path, "--a", "1", "--b", "1"]) == 3
+        assert "class-factor entries come to 4194304, over the budget" in capsys.readouterr().err

@@ -1,24 +1,27 @@
-"""The input-file contract, fuzzed: a malformed file gives exit 2 or 3 and one
-line on stderr, never a traceback.
+"""The input contract, fuzzed: a malformed file or argument gives exit 2 or 3
+and one line on stderr, never a traceback.
 
-Each test starts from small valid files and mutates one of them: a value is
-replaced by a float, a string, a bool, a huge integer, NaN or Infinity, or by
-a value of the wrong type; a value gains a level of nesting; a key or an item
-is dropped.  The commands run in-process through ``cli.main``; an exception
-that leaves ``main`` is an escape (the installed command would print a
-traceback), and so is a warning, which the tier-1 settings turn into one.
+Each file test starts from small valid files and mutates one of them: a value
+is replaced by a float, a string, a bool, a huge integer, NaN or Infinity, or
+by a value of the wrong type; a value gains a level of nesting; a key or an
+item is dropped.  The argument test draws the command-line values: grids,
+rationals from 1e-400 to 1e400, window specs, coefficients, seeds and scales.
+The commands run in-process through ``cli.main``; an exception that leaves
+``main`` is an escape (the installed command would print a traceback), and so
+is a warning, which the tier-1 settings turn into one.
 """
 
 import copy
 import io as stdio
 import json
 import math
+import tracemalloc
 from contextlib import redirect_stderr, redirect_stdout
 from fractions import Fraction
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from dualframes import (
@@ -33,7 +36,7 @@ from dualframes import (
     io,
     sample_bspline,
 )
-from dualframes.cli import main
+from dualframes.cli import SIZE_BUDGET, main
 from dualframes.gabor import GridSpec
 
 DEEP = 100_000  # nested arrays: past any recursion limit of the json decoder
@@ -254,3 +257,74 @@ def test_overflow_gives_one_error_line(command, docs, exit_code, message, tmp_pa
 def test_bessel_bound_difference_overflow_raises():
     with pytest.raises(ValueError, match="squared operator norm overflows"):
         bessel_bound_difference(PHI, Frame(1e200 * np.array(PHI.synthesis)))
+
+
+# ----------------------------------------------------------------- arguments
+
+# Each Gabor command over the drawn values, by name; the files are the valid documents.
+ARGUMENTS = {
+    "gabor window": ["gabor", "window", "--window", "{spec}", "--grid", "{grid}"],
+    "gabor dual ck1": ["gabor", "dual", "--window", "{spec}", "--grid", "{grid}", "--b", "{b}",
+                       "--support", "{support}"],
+    "gabor dual ck2": ["gabor", "dual", "--window", "{spec}", "--grid", "{grid}", "--b", "{b}", "--method", "ck2",
+                       "--coeffs", "{coeffs}"],
+    "gabor verify": ["gabor", "verify", "--window", "{spec}", "--dual", "{dual_spec}", "--grid", "{grid}",
+                     "--a", "{a}", "--b", "{b}"],
+    "gabor approx-dual": ["gabor", "approx-dual", "--window", "{spec}", "--dual", "{dual_spec}", "--scale-window",
+                          "{scale_spec}", "--grid", "{grid}", "--a", "{a}", "--b", "{b}"],
+    "gabor weight": ["gabor", "weight", "--window", "{spec}", "--grid", "{grid}", "--a", "{a}"],
+    "gabor sweep char": ["gabor", "sweep", "--char", "--grid", "{grid}", "--step", "{step}"],
+    "gabor sweep bspline": ["gabor", "sweep", "--bspline", "{order}", "--samples", "{samples}"],
+    "dual theta": ["dual", "{phi}", "--mode", "approx", "--op-file", "{op}", "--theta", "{theta}"],
+}
+
+# A valid value for each placeholder, and what the fuzz draws in its place half the time.
+_VALID = {"spec": "bspline:2", "dual_spec": "bspline:2", "scale_spec": "bspline:3", "grid": "10:20", "a": "1",
+          "b": "1/10", "step": "1/4", "support": "2", "order": "2", "samples": "4", "coeffs": "0,0.1,0.2",
+          "theta": "random:1:0.5"}
+_EXPONENTS = st.sampled_from([-400, -300, -20, -3, 0, 3, 20, 300, 400])
+_RATIONAL = st.one_of(
+    st.builds("{}/{}".format, st.integers(-2, 8), st.integers(0, 8)),
+    st.builds("{}e{}".format, st.integers(1, 9), _EXPONENTS),
+    st.sampled_from(["x", "1/2/3", "nan", "inf"]),
+)
+_INTEGER = st.one_of(st.integers(-2, 6), st.sampled_from(["10" * 20, "x", "2.5"]))
+_SPEC = st.one_of(st.builds("bspline:{}".format, _INTEGER), st.builds("char:{}".format, _RATIONAL))
+_DRAWN = {
+    # small grids run; the named ones are malformed or larger than a budget admits
+    "grid": st.one_of(st.builds("{}:{}".format, st.integers(-1, 6), st.integers(-1, 6)),
+                      st.sampled_from(["x", "4", "4:x", "1:2048", "1:16384", "1000000000:1000000000"])),
+    "spec": _SPEC,
+    "dual_spec": _SPEC,
+    "scale_spec": st.builds("bspline:{}".format, _INTEGER),
+    "a": _RATIONAL,
+    "b": _RATIONAL,
+    "step": _RATIONAL,
+    "support": _INTEGER,
+    "order": st.integers(-1, 4).map(str),
+    "samples": _INTEGER,
+    "coeffs": st.lists(st.one_of(st.floats().map(repr), st.builds("{}e{}".format, st.integers(1, 9), _EXPONENTS)),
+                       min_size=1, max_size=5).map(",".join),
+    "theta": st.one_of(st.builds("random:{}:{}".format, st.one_of(st.integers(-1, 9), st.just(10**400)),
+                                 st.builds("{}e{}".format, st.integers(1, 9), _EXPONENTS)),
+                       st.sampled_from(["zero", "random:1", "random:x:1", "random:1:nan", "random:1:-1"])),
+}
+_VALUES = st.fixed_dictionaries({key: st.one_of(st.just(_VALID[key]), drawn) for key, drawn in _DRAWN.items()})
+
+
+@pytest.mark.parametrize("argv", ARGUMENTS.values(), ids=ARGUMENTS)
+@settings(max_examples=25, deadline=None)
+@given(values=_VALUES)
+@example(values={**_VALID, "b": "1e400"})  # float(b) raised OverflowError in the dual-generator check
+@example(values={**_VALID, "grid": "1:2048", "a": "1", "b": "1"})  # a factor of L P/a = 4M entries
+def test_argument_fuzz(argv, values, files):
+    """Exit 0, 2 or 3, one error line at most, and no array past 16 bytes per budget entry: the
+    arrays a Gabor command derives from its grid are held to the budget, not only the grid."""
+    tracemalloc.start()
+    try:
+        code, err = run([word.format(**values, **files) for word in argv])
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert_contract(code, err)
+    assert peak < 16 * 8 * SIZE_BUDGET

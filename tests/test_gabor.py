@@ -1,4 +1,5 @@
 import gc
+import tracemalloc
 import weakref
 from fractions import Fraction
 from pathlib import Path
@@ -20,12 +21,15 @@ from dualframes import (
     HypothesisViolated,
     LatticeMismatch,
     LatticeOperator,
+    NotAFrame,
     NotApproxDual,
     NotCommuting,
     NotDualPair,
     OffGrid,
     SampledWindow,
     SupportOverflow,
+    Singular,
+    approx_dual_from_mixed,
     approx_dual_via_dual,
     approx_dual_window,
     approximation_rate,
@@ -38,6 +42,8 @@ from dualframes import (
     commutation_check,
     frame_bounds,
     frame_operator,
+    frame_operator_inv_sqrt,
+    frame_operator_sqrt,
     gabor_frame,
     gdual_factorization,
     identity,
@@ -49,6 +55,7 @@ from dualframes import (
     operator_norm,
     painless_check,
     partition_of_unity_residual,
+    random_annihilator,
     recover_parameters,
     sample_bspline,
     sample_char,
@@ -58,6 +65,7 @@ from dualframes import (
     walnut_weight,
 )
 from dualframes.cli import main
+from oracle import gabor_synthesis
 
 
 class TestGrid:
@@ -139,7 +147,8 @@ class TestBSplineValue:
 
     def test_unit_mass(self):
         x = np.arange(0, 8, 1e-3)
-        assert np.trapezoid(bspline_value(8, x), x) == pytest.approx(1.0, abs=1e-6)
+        # a Riemann sum: the integrand is zero at both ends
+        assert np.sum(bspline_value(8, x)) * 1e-3 == pytest.approx(1.0, abs=1e-6)
 
 
 class TestSampleChar:
@@ -476,9 +485,9 @@ class TestClassBlocks:
         (GridSpec(10, 20), GaborLattice(1, Fraction(1, 10)), 1),  # 100 classes of 2
         (GridSpec(16, 32), GaborLattice(1, Fraction(1, 10)), 2),  # b * P = 16/5: 32 of 4, 128 of 3
     ])
-    def test_one_frame_reads_one_eigh_of_its_blocks(self, grid, lat, sizes, monkeypatch):
-        """The bounds, the frame test, S and the canonical dual of a system frame come
-        from one batched eigh per class size: no SVD, no eigh or eigvalsh of a matrix."""
+    def test_one_frame_reads_one_svd_of_its_factor(self, grid, lat, sizes, monkeypatch):
+        """The bounds, the frame test, S, the roots and the canonical dual of a system frame
+        come from one batched thin SVD per class size: no eigh, eigvalsh or SVD of a matrix."""
         calls = []
         for name in ("eigh", "eigvalsh", "svd"):
             def counted(a, *args, _name=name, _fn=getattr(np.linalg, name), **kwargs):
@@ -488,11 +497,51 @@ class TestClassBlocks:
             monkeypatch.setattr(np.linalg, name, counted)
         phi = gabor_frame(sample_bspline(3, grid), lat)
         frame_bounds(phi), is_frame(phi), frame_operator(phi), canonical_dual(phi)
-        frame_bounds(phi), canonical_dual(phi)
+        frame_bounds(phi), canonical_dual(phi), frame_operator_sqrt(phi), frame_operator_inv_sqrt(phi)
         monkeypatch.undo()
-        groups = phi._system.frame_blocks.groups
-        assert [(name, a.ndim) for name, a in calls] == [("eigh", 3)] * sizes == [("eigh", 3)] * len(groups)
-        assert all(a is blocks for (_, a), (_, blocks) in zip(calls, groups))
+        groups = phi._system.groups
+        assert [(name, a.ndim) for name, a in calls] == [("svd", 3)] * sizes == [("svd", 3)] * len(groups)
+        assert all(a.size == factor.size for (_, a), (_, factor) in zip(calls, groups))  # (or its transpose)
+
+    def test_reads_on_16_64_build_no_l_by_n_array(self, monkeypatch):
+        """On 16:64 with b = 1/8 (L = 1024, N = 8192), the bounds, the frame test, the
+        canonical dual, the roots and gdual_factorization build no synthesis matrix, take no
+        SVD with N columns and no complex array of L N entries, and one batched SVD per system."""
+        grid, lat = GridSpec(16, 64), GaborLattice(1, Fraction(1, 8))
+        g = sample_bspline(2, grid)
+        phi, psi = gabor_frame(g, lat), gabor_frame(ck_dual1(g, 2, lat.b), lat)
+        shape = phi.dim, phi.count
+        built, svds, peaks = [], [], []
+        materialize, svd = gabor._GaborSystem.synthesis, np.linalg.svd
+        monkeypatch.setattr(gabor._GaborSystem, "synthesis", lambda system: built.append(1) or materialize(system))
+        monkeypatch.setattr(np.linalg, "svd", lambda a, *arg, **kw: svds.append(np.shape(a)) or svd(a, *arg, **kw))
+        reads = (frame_bounds, is_frame, canonical_dual, frame_operator_sqrt, frame_operator_inv_sqrt,
+                 lambda f: gdual_factorization(f, psi))
+        tracemalloc.start()
+        try:
+            for read in reads:
+                tracemalloc.reset_peak()
+                before = tracemalloc.get_traced_memory()[0]
+                read(phi)
+                peaks.append(tracemalloc.get_traced_memory()[1] - before)
+        finally:
+            tracemalloc.stop()
+        assert built == []
+        assert max(peaks) < 16 * shape[0] * shape[1]  # bytes of one complex L x N array
+        batched = [np.prod(s) for s in svds if len(s) == 3]  # the factor or its transpose
+        assert batched == [system.groups[0][1].size for system in (phi._system, psi._system)]
+        assert all(s[-1] < shape[1] for s in svds)
+
+    def test_empty_classes_are_never_enumerated(self):
+        # M = s/b = 1e6 > L = 200: 200 classes hold a sample, the others are never listed
+        g = sample_bspline(2, GridSpec(10, 20))
+        tracemalloc.start()
+        try:
+            bounds = frame_bounds(gabor_frame(g, GaborLattice(1, Fraction(10, 10**6))))
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert bounds.lower > 0.0 and peak < 1 << 20
 
     def _canonical_dual_matches_the_dense_oracle(self, g, lat):
         phi = gabor_frame(g, lat)
@@ -534,6 +583,121 @@ class TestClassBlocks:
         for read in (frame_bounds, frame_operator, lambda f: approximation_rate(f, f)):
             with pytest.raises(ValueError, match="non-finite"):
                 read(gabor_frame(huge, lat))
+
+
+def _near_singular_window(seed: int, eps: float) -> SampledWindow:
+    """A random complex window on 4:6 with g(y + 12) = g(y) + eps noise at y = 0, 4, 8: on the
+    lattice (1, 1/3) its classes 0, 4 and 8 are near-singular, kappa(S) about 2 / eps^2."""
+    rng = np.random.default_rng(seed)
+    v = rng.standard_normal(24) + 1j * rng.standard_normal(24)
+    for y in (0, 4, 8):
+        v[y + 12] = v[y] + eps * (rng.standard_normal() + 1j * rng.standard_normal())
+    return SampledWindow(GridSpec(4, 6), v)
+
+
+_NEAR = GaborLattice(1, Fraction(1, 3))
+# Criterion 10's Gaussian and lattice on 2:32 (L = 64, b P = 16/5): its samples at x = +-13.5
+# stay subnormal.  Dense products and SVDs of its T take seconds, so it is one explicit example.
+_GAUSSIAN = sample_function(lambda x: np.exp(-4.0 * x**2), GridSpec(2, 32), centered=True)
+_SUBNORMAL_CASE = (_GAUSSIAN, sample_bspline(3, _GAUSSIAN.grid), GaborLattice(1, Fraction(1, 10)))
+
+
+@st.composite
+def _gabor_cases(draw):
+    """A window g, a partner h and a lattice, L <= 36: random windows with b P an integer or
+    not and M > L (empty classes) on a = 1/2, 1 and 2, or near-singular classes with kappa(S)
+    up to about 3e8, where the dense thin SVD still reads the canonical dual as "dual"."""
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    if draw(st.booleans()):
+        eps = 10 ** draw(st.floats(-3.8, -2))
+        g, lat = _near_singular_window(draw(st.integers(0, 2**32 - 1)), eps), _NEAR
+    else:
+        s, period = draw(st.sampled_from([2, 4, 6])), draw(st.sampled_from([2, 3, 4, 6]))
+        a = draw(st.sampled_from([Fraction(1, 2), Fraction(1), Fraction(2)]))
+        assume((period / a).denominator == 1)
+        lat = GaborLattice(a, Fraction(s, draw(st.integers(1, 3 * s * period))))  # M = s/b up to 3 L
+        g = SampledWindow(GridSpec(s, period), [1, 1j] @ rng.standard_normal((2, s * period)))
+    return g, SampledWindow(g.grid, [1, 1j] @ rng.standard_normal((2, g.grid.total))), lat
+
+
+def _close(x, y, tol: float) -> bool:
+    """||x - y|| <= tol ||y||, the norm the largest singular value."""
+    return operator_norm(np.asarray(x) - np.asarray(y)) <= tol * operator_norm(y)
+
+
+def _verdict(read):
+    """``read()``, or the type of the FrameError it raises."""
+    try:
+        return read()
+    except (NotAFrame, Singular) as exc:
+        return type(exc)
+
+
+class TestSystemOracle:
+    """Every spectral read of a system frame against the same reads of ``Frame(T)``, with
+    T built one shift at a time (``oracle.gabor_synthesis``), not from the class factor:
+    values within the pinned tolerances, verdicts (kind, NotAFrame, Singular) equal.
+
+    Two decompositions of one T agree to about eps kappa(T) relative in what S^{-1} or
+    ker T enters, so those tolerances are the pinned ones widened to 50 eps kappa(T) where
+    that is larger (kappa(T) up to about 1.4e4 here)."""
+
+    @settings(max_examples=40, deadline=None)
+    @given(case=_gabor_cases(), seed=st.integers(0, 2**32 - 1))
+    @example(case=_SUBNORMAL_CASE, seed=1)
+    def test_system_frame_reads_as_its_matrix(self, case, seed):
+        g, h, lat = case
+        t = gabor_synthesis(g, lat)
+        phi, psi = gabor_frame(g, lat), gabor_frame(h, lat)
+        dense, dense_psi = Frame(t), Frame(gabor_synthesis(h, lat))
+        assert np.max(np.abs(phi.synthesis - t)) <= 1e-12 * np.max(np.abs(t))
+        s = dense.spectrum.s
+        kappa = s[0] / s[-1] if s[-1] > 0 else np.inf
+
+        def tol(pinned: float) -> float:
+            return max(pinned, 50 * np.finfo(float).eps * kappa)
+
+        top = dense.eigenvalues[-1]
+        assert np.max(np.abs(phi.eigenvalues - dense.eigenvalues)) <= 1e-12 * top
+        assert np.max(np.abs(np.subtract(frame_bounds(phi), frame_bounds(dense)))) <= 1e-12 * top
+        assert is_frame(phi) == is_frame(dense) and phi.spectrum.rank == dense.spectrum.rank
+        assert _close(frame_operator_sqrt(phi), frame_operator_sqrt(dense), 1e-10)
+        roots = [_verdict(lambda f=f: frame_operator_inv_sqrt(f)) for f in (phi, dense)]
+        assert roots[0] is roots[1] is Singular or _close(*roots, tol(1e-10))
+        theta = [random_annihilator(f, seed, 1.0).map for f in (phi, dense)]
+        assert np.max(np.abs(theta[0] - theta[1])) <= tol(1e-9)
+        duals = [_verdict(lambda f=f: canonical_dual(f)) for f in (phi, dense)]
+        if duals[1] is NotAFrame:
+            assert duals[0] is NotAFrame
+            for read in (gdual_factorization, recover_parameters):
+                for f, partner in ((phi, psi), (dense, dense_psi)):
+                    with pytest.raises(NotAFrame):
+                        read(f, partner)
+            return
+        assert _close(duals[0].synthesis, duals[1].synthesis, tol(1e-10))
+        pairs = [classify_pair(f, dual) for f, dual in zip((phi, dense), duals)]
+        assert pairs[0].kind == pairs[1].kind == "dual"
+        reports = [gdual_factorization(phi, psi), gdual_factorization(dense, dense_psi)]
+        assert reports[0].kind == reports[1].kind and abs(reports[0].rate - reports[1].rate) <= 1e-10
+        assert reports[0].bessel_bound_ok == reports[1].bessel_bound_ok
+        assert _close(reports[0].whitened, reports[1].whitened, tol(1e-9))
+        target = 0.9 * np.eye(phi.dim)
+        partner = approx_dual_from_mixed(dense, target, random_annihilator(dense, seed, 0.5))
+        recovered = [recover_parameters(f, partner) for f in (phi, dense)]
+        assert _close(recovered[0][0], recovered[1][0], tol(1e-9))
+        theta_scale = max(1.0, np.max(np.abs(partner.synthesis)))  # ||partner|| grows with kappa(T)
+        assert np.max(np.abs(recovered[0][1].map - recovered[1][1].map)) <= tol(1e-9) * theta_scale
+        assert classify_pair(phi, partner).kind == classify_pair(dense, partner).kind == "approx"
+
+    @pytest.mark.parametrize("eps", [7.35e-3, 5.27e-4, 4.08e-5])
+    def test_near_singular_class_keeps_its_dual(self, eps):
+        # a class factor's SVD carries kappa(T): the canonical dual stays an exact dual up to
+        # kappa(S) = 1.2e9, where an eigh of the blocks, carrying kappa(S), read "approx"
+        phi = gabor_frame(_near_singular_window(0, eps), _NEAR)
+        kappa = phi.eigenvalues[-1] / phi.eigenvalues[0]
+        assert 2e4 < kappa < 2e9
+        report = classify_pair(phi, canonical_dual(phi))
+        assert report.kind == "dual" and report.rate <= 1e-11
 
 
 class TestGaborPairPipeline:
@@ -1082,26 +1246,29 @@ class TestLatticeOperator:
 
 
 class TestOneSystemPerWindow:
-    @pytest.mark.parametrize("kind, census", [("10:20 pipeline", (4, 4, 2)), ("16:64 bounds", (2, 2, 1))])
+    @pytest.mark.parametrize("kind, census", [("10:20 pipeline", (4, 3, 2)), ("16:64 bounds", (2, 1, 1))])
     def test_gabor_dense_task_census(self, kind, census, monkeypatch):
         # one task as the benchmark's gabor-dense workload builds and runs it: the systems
-        # built, the class-block sets built and the batched eigh calls
+        # built, the class-block sets built and the thin SVDs taken, one per system read
+        # for its spectrum, each batched over the classes; no eigh
         monkeypatch.syspath_prepend(str(Path(__file__).resolve().parents[1] / "perfbench"))
         import workloads
 
         task = next(task for task in workloads.build_gabor_dense(1, 1).tasks if task.kind == kind)
-        systems, blocks, eighs = [], [], []
-        init, build, eigh = gabor._GaborSystem.__init__, gabor._GaborSystem.class_blocks, np.linalg.eigh
+        systems, blocks, svds, eighs = [], [], [], []
+        init, build, svd = gabor._GaborSystem.__init__, gabor._GaborSystem.class_blocks, np.linalg.svd
 
         def counted(calls, fn):
             return lambda first, *args, **kwargs: calls.append(first) or fn(first, *args, **kwargs)
 
         monkeypatch.setattr(gabor._GaborSystem, "__init__", counted(systems, init))
         monkeypatch.setattr(gabor._GaborSystem, "class_blocks", counted(blocks, build))
-        monkeypatch.setattr(np.linalg, "eigh", counted(eighs, eigh))
+        monkeypatch.setattr(np.linalg, "svd", counted(svds, svd))
+        for name in ("eigh", "eigvalsh"):
+            monkeypatch.setattr(np.linalg, name, counted(eighs, getattr(np.linalg, name)))
         task.run()
-        assert (len(systems), len(blocks), len(eighs)) == census
-        assert {np.ndim(a) for a in eighs} == {3}  # each eigh is batched over the classes
+        assert (len(systems), len(blocks), len(svds)) == census and eighs == []
+        assert {np.ndim(a) for a in svds} == {3}  # each SVD is batched over the classes
 
     def test_window_values_are_a_read_only_copy(self):
         values = np.ones(4)
@@ -1165,6 +1332,14 @@ TYPED_ERROR_SITES = {
                                     lambda: gabor.mixed_lattice_operator(_G42, _G44, _LAT), None, None),
     "approximate dual across grids": ("approx_dual_window", DimensionMismatch, "different grids",
                                       lambda: approx_dual_window(_G42, _G44, np.eye(8), _LAT), None, None),
+    "1/b past the float range": ("of", ValueError, "too many to count in a float",
+                                 lambda: gabor_frame(_G42, GaborLattice(1, Fraction(1, 10**400))),
+                                 ["gabor", "approx-dual", "--window", "bspline:2", "--dual", "bspline:2",
+                                  "--scale-window", "bspline:2", "--grid", "4:2", "--a", "1", "--b", "1e-400"], 3),
+    "dual generator, b past the float range": ("_require_ck_window", HypothesisViolated, "requires b <= 1/3",
+                                               lambda: ck_dual1(_G42, 2, 10**400), None, None),
+    "painless, b past the float range": ("painless_check", HypothesisViolated, "requires b <= 1/2",
+                                         lambda: painless_check(_G42, GaborLattice(1, 10**400), 2), None, None),
 }
 
 
