@@ -3,6 +3,8 @@ Gabor constructions on a sampled periodic line.
 
 The package is organized in layers:
 
+* :mod:`dualframes.tolerances` -- every verdict threshold, each named once
+  with what it decides, its scale and why it has its value.
 * :mod:`dualframes.oplin` -- dense complex operator helpers (norms, the
   one thin SVD of a synthesis matrix and the spectral facts read from it,
   guarded inverses).

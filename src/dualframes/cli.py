@@ -43,7 +43,6 @@ from .frames import (
     random_annihilator,
 )
 from .gabor import (
-    GABOR_DUAL_TOL,
     GaborLattice,
     GridSpec,
     SampledWindow,
@@ -62,6 +61,7 @@ from .gabor import (
 )
 from .oplin import inverse, operator_norm
 from .perturbation import transfer_approx_dual
+from .tolerances import DUAL_TOL
 
 
 @dataclass
@@ -331,7 +331,7 @@ def cmd_gabor_verify(args, report: RunReport) -> None:
     residual = float(np.max(table))
     report.verdicts = {
         "janssen_residual": residual,
-        "dual": residual <= GABOR_DUAL_TOL,
+        "dual": residual <= DUAL_TOL,
         "approximation_rate": approximation_rate(gabor_frame(window, lat), gabor_frame(dual, lat)),
     }
     report.write(args.csv, _write_csv, ["n", "residual"], enumerate(table))
@@ -358,7 +358,7 @@ def _sweep_char(args, report: RunReport) -> None:
             for a in values:
                 lat = GaborLattice(a, Fraction(1))
                 residual = janssen_residual(windows[c], windows[cp], lat)
-                dual = residual <= GABOR_DUAL_TOL
+                dual = residual <= DUAL_TOL
                 criterion = c <= 1 and cp <= 1 and a == min(c, cp)
                 agree = dual == criterion
                 rows.append(
@@ -383,7 +383,7 @@ def _sweep_bspline(args, report: RunReport) -> None:
         window = sample_bspline(order, grid)
         candidate = ck_dual1_unchecked(window, order, b)
         residual = janssen_residual(window, candidate, GaborLattice(1, b))
-        dual = residual <= GABOR_DUAL_TOL
+        dual = residual <= DUAL_TOL
         hypothesis = b <= Fraction(1, 2 * order - 1)
         agree = dual == hypothesis
         rows.append([str(b), int(hypothesis), residual, int(dual), int(agree)])
@@ -400,11 +400,14 @@ def cmd_gabor_sweep(args, report: RunReport) -> None:
         widths = int(1 / args.step)
         _within_budget(widths**3, "the cells of the --char sweep")
         _within_budget(widths * args.grid.total, "the window samples of the --char sweep")
+        _lattice_within_budget(args.grid, None, Fraction(1))  # every cell's, as b = 1
         _sweep_char(args, report)
     else:
         lo, hi = args.denominators
         _within_budget(hi - lo + 1, "the cells of the --bspline sweep")
         _within_budget(args.samples * hi * max(2, args.bspline), "the grid samples of the --bspline sweep")
+        # the last cell's table, L b P = s den max(2, N)^2 entries, is the largest
+        _lattice_within_budget(GridSpec(args.samples, hi * max(2, args.bspline)), None, Fraction(1, hi))
         _sweep_bspline(args, report)
 
 

@@ -21,8 +21,9 @@ Terminology used throughout:
   part are read from its record (:func:`dualframes.frames._pair`), which
   computes each once while both frames live.
 
-All strict norm conditions ``< 1`` are enforced as ``< 1 - 1e-12`` so that
-boundary cases are rejected deterministically.
+All strict norm conditions ``< 1`` are enforced as ``< STRICT_FACTOR`` so that
+boundary cases are rejected deterministically; every threshold is in
+:mod:`dualframes.tolerances`.
 """
 
 from __future__ import annotations
@@ -59,11 +60,7 @@ from .frames import (
     require_frame,
 )
 from .oplin import _squared_norm, _strictly_below, adjoint, operator_norm
-
-# Exact duality: ||Id - mixed|| at or below this is "dual".
-DUAL_TOL = 1e-10
-# Relative slack allowed when checking lambda_max(W W*) against the Bessel bound.
-BESSEL_CHECK_TOL = 1e-9
+from .tolerances import BESSEL_CHECK_TOL, DUAL_TOL, EQUIVALENCE_TOL, RANGE_TOL
 
 
 @dataclass(frozen=True, eq=False)
@@ -137,9 +134,8 @@ def gdual_factorization(phi: Frame, psi: Frame) -> DualReport:
     """
     require_frame(phi, "first frame")
     pair = _pair(phi, psi)
-    mixed = pair.dense
-    whitened = frame_operator_inv_sqrt(phi) @ mixed
-    residual = operator_norm(mixed - frame_operator_sqrt(phi) @ whitened)
+    whitened = _whitened(phi, pair)
+    residual = operator_norm(pair.dense - frame_operator_sqrt(phi) @ whitened)
     peak = _squared_norm(whitened)
     upper_psi = frame_bounds(psi).upper
     kind, corresponding = _classify(pair)
@@ -152,6 +148,14 @@ def gdual_factorization(phi: Frame, psi: Frame) -> DualReport:
         bessel_bound_ok=bool(peak <= upper_psi * (1.0 + BESSEL_CHECK_TOL)),
         bessel_margin=upper_psi - peak,
     )
+
+
+def _whitened(phi: Frame, pair: _Pair) -> np.ndarray:
+    """The whitened factor W = S^{-1/2} mixed of the pair (phi, .), read-only, built once
+    and kept on the pair's record, as theta is (see :func:`_theta_part`)."""
+    if pair.whitened is None:
+        pair.whitened = _frozen(frame_operator_inv_sqrt(phi) @ pair.dense)
+    return pair.whitened
 
 
 def _operand(phi: Frame, m, name: str) -> np.ndarray:
@@ -296,8 +300,7 @@ def recover_parameters(phi: Frame, phi_ad: Frame) -> Tuple[np.ndarray, Annihilat
     pair = _pair(phi, phi_ad)
     if not _strictly_below(pair.rate, 1.0):
         raise NotApproxDual("pair is not approximately dual", measured=pair.rate)
-    whitened = frame_operator_inv_sqrt(phi) @ pair.dense
-    return whitened, Annihilator._kept(_theta_part(phi, phi_ad), phi, pair.theta_norm)
+    return _whitened(phi, pair), Annihilator._kept(_theta_part(phi, phi_ad), phi, pair.theta_norm)
 
 
 def approx_dual_via_dual(
@@ -354,9 +357,6 @@ class RangeRelation(enum.Enum):
     INCOMPARABLE = "incomparable"
 
 
-_RANGE_TOL = 1e-9
-
-
 def _containment_defect(q_small: np.ndarray, q_big: np.ndarray) -> float:
     # sin of the largest principal angle from range(q_small) into range(q_big)
     return operator_norm(q_small - q_big @ (adjoint(q_big) @ q_small))
@@ -373,8 +373,8 @@ def range_compare(phi: Frame, psi: Frame) -> RangeRelation:
     _check_same_shape(phi, psi)
     q_phi = phi.spectrum.range_basis
     q_psi = psi.spectrum.range_basis
-    left_in_right = _containment_defect(q_phi, q_psi) <= _RANGE_TOL
-    right_in_left = _containment_defect(q_psi, q_phi) <= _RANGE_TOL
+    left_in_right = _containment_defect(q_phi, q_psi) <= RANGE_TOL
+    right_in_left = _containment_defect(q_psi, q_phi) <= RANGE_TOL
     if left_in_right and right_in_left:
         return RangeRelation.EQUAL
     if left_in_right:
@@ -396,6 +396,6 @@ def equivalence_inverse(phi: Frame, psi: Frame) -> np.ndarray:
     result = mixed_operator(canonical_dual(psi), canonical_dual(phi))
     mixed = mixed_operator(phi, psi)
     defect = max(oplin.identity_gap(mixed @ result), oplin.identity_gap(result @ mixed))
-    if defect > 1e-9:
+    if defect > EQUIVALENCE_TOL:
         raise NotEquivalent(f"inverse check failed with defect {defect:.3e}")
     return result

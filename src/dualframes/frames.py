@@ -27,13 +27,8 @@ import numpy as np
 
 from . import oplin
 from .errors import ContractViolation, DimensionMismatch, NotAFrame
-from .oplin import _frozen, _squared_norm, adjoint, operator_norm
-
-# A family is accepted as a frame when lambda_min(S) > FRAME_THRESHOLD_REL * lambda_max(S),
-# judged on the singular values of T: s_min > sqrt(FRAME_THRESHOLD_REL) * s_max.
-FRAME_THRESHOLD_REL = 1e-10
-# Range of an annihilator must sit in ker(T) to this relative tolerance.
-ANNIHILATOR_TOL = 1e-10
+from .oplin import _frozen, _is_frame, _squared_norm, adjoint, operator_norm
+from .tolerances import ANNIHILATOR_TOL, NORM_CARRY_TOL
 
 
 class FrameBounds(NamedTuple):
@@ -57,10 +52,6 @@ class FrameBounds(NamedTuple):
             if root > 0.0 and not np.finfo(float).tiny <= bound < np.inf:
                 raise ValueError(f"frame bound {root:.3e}^2 is not a normal float")
         return bounds
-
-
-def _is_frame(s_min: float, s_max: float) -> bool:
-    return s_min > np.sqrt(FRAME_THRESHOLD_REL) * s_max
 
 
 class Frame:
@@ -95,10 +86,11 @@ class Frame:
     first frame, each computed at most once, when first asked for: the mixed
     operator synthesis(phi) o analysis(psi) (d x d, or a system pair's block
     value), its rate, its singular values, its inverse (the corresponding
-    operator, d x d) and the annihilator part theta (n x d), psi's analysis
-    operator projected onto ker T.  A dense pair read through every fact
-    holds two d x d arrays and one n x d array.  The facts live while both
-    frames do and go with either; they hold no reference to either frame.
+    operator, d x d), the whitened factor S^{-1/2} mixed (d x d) and the
+    annihilator part theta (n x d), psi's analysis operator projected onto
+    ker T.  A dense pair read through every fact holds three d x d arrays and
+    one n x d array.  The facts live while both frames do and go with either;
+    they hold no reference to either frame.
 
     A frame over a structured system (:func:`dualframes.gabor.gabor_frame`) holds the system,
     builds the matrix once, when :attr:`synthesis` is first read, and reads every fact above
@@ -251,7 +243,8 @@ def frame_bounds(phi: Frame) -> FrameBounds:
 
 
 def is_frame(phi: Frame) -> bool:
-    """Whether s_min > sqrt(FRAME_THRESHOLD_REL) * s_max; reads no bound, so it holds at any scale."""
+    """The frame test (see :mod:`dualframes.tolerances`) on s_min / s_max; reads no bound,
+    so it holds at any scale."""
     return _is_frame(*phi._sigma)
 
 
@@ -292,12 +285,13 @@ class _Pair:
     A constructor of approximate duals checks the ``rate`` of the pair it
     returns, so a classification of that pair reads the kept value.
     ``theta``, the annihilator part, and ``theta_norm`` are kept by
-    :func:`dualframes.duality._theta_part`.  The record holds no frame.
+    :func:`dualframes.duality._theta_part`, ``whitened``, the factor S^{-1/2} mixed,
+    by :func:`dualframes.duality._whitened`.  The record holds no frame.
     """
 
     def __init__(self, mixed):
         self.mixed = _frozen(mixed) if isinstance(mixed, np.ndarray) else mixed
-        self.theta = self.theta_norm = None
+        self.theta = self.theta_norm = self.whitened = None
 
     @property
     def dense(self) -> np.ndarray:
@@ -419,8 +413,8 @@ def random_annihilator(phi: Frame, seed: int, scale: float) -> Annihilator:
     m = raw * (scale / raw_norm)
     # Rounding each entry to eps relative moves the norm by at most eps sqrt(d) of it, and
     # an entry that underflows by up to 2^-1075 absolute: the norm is carried unless those
-    # can add up to 1e-13 of it (a subnormal scale), or it overflows, and measured then.
+    # can add up to NORM_CARRY_TOL of it (a subnormal scale), or it overflows, and measured then.
     norm = raw_norm * (scale / raw_norm)
-    if not (math.sqrt(m.size) * 2.0**-1074 <= 1e-13 * norm and norm < math.inf):
+    if not (math.sqrt(m.size) * 2.0**-1074 <= NORM_CARRY_TOL * norm and norm < math.inf):
         norm = operator_norm(m)
     return Annihilator._kept(m, phi, norm)

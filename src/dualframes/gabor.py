@@ -56,13 +56,16 @@ from .errors import (
 )
 from .frames import Frame, FrameBounds, _class_blocks, frame_bounds, require_frame
 from .oplin import _frozen, _strictly_below, adjoint, operator_norm
+from .tolerances import (
+    CK_COEFF_TOL,
+    COMMUTATOR_TOL,
+    DUAL_TOL,
+    PAINLESS_MATCH_TOL,
+    PAINLESS_WEIGHT_FLOOR,
+    SUPPORT_TOL,
+)
 
 RationalLike = Union[Fraction, int, str]
-
-# Residual at or below this certifies an exact dual window pair.
-GABOR_DUAL_TOL = 1e-10
-# Window samples below this (relative to the peak) count as zero support.
-SUPPORT_TOL = 1e-14
 
 
 def _as_float(q: Fraction) -> float:
@@ -514,7 +517,7 @@ def painless_check(g: SampledWindow, lat: GaborLattice, support: int) -> Painles
             f"painless hypothesis: requires b <= 1/{support}", measured=_as_float(lat.b)
         )
     weight = walnut_weight(g, lat.a).values.real
-    if weight.min() <= 1e-12 * weight.max():
+    if weight.min() <= PAINLESS_WEIGHT_FLOOR * weight.max():
         raise HypothesisViolated(
             "painless hypothesis: shift-energy weight not bounded away from 0",
             measured=float(weight.min()),
@@ -532,7 +535,8 @@ def painless_check(g: SampledWindow, lat: GaborLattice, support: int) -> Painles
     b = float(lat.b)
     err_wb = float(np.max(np.abs(diag - weight / b))) / scale
     err_bw = float(np.max(np.abs(diag - b / weight))) / scale
-    matched = "weight/b" if err_wb <= 1e-9 else "b/weight" if err_bw <= 1e-9 else "neither"
+    tol = PAINLESS_MATCH_TOL
+    matched = "weight/b" if err_wb <= tol else "b/weight" if err_bw <= tol else "neither"
     return PainlessReport(
         diagonal=diag,
         offdiag_relative=off / scale,
@@ -571,9 +575,9 @@ def janssen_residual_table(
 def janssen_residual(g: SampledWindow, h: SampledWindow, lat: GaborLattice) -> float:
     """Worst-case deviation of the pair from the lattice-sum duality criterion.
 
-    At most GABOR_DUAL_TOL certifies that the two systems are exact duals
-    (and this agrees with their approximation rate dropping to the same
-    tolerance).
+    At most DUAL_TOL (:mod:`dualframes.tolerances`) certifies that the two
+    systems are exact duals (and this agrees with their approximation rate
+    dropping to the same tolerance).
     """
     return float(np.max(janssen_residual_table(g, h, lat)))
 
@@ -582,7 +586,7 @@ def _require_ck_window(g: SampledWindow, support: int, b: Fraction) -> None:
     if not g.is_real:
         raise HypothesisViolated("dual-generator hypothesis: window must be real-valued")
     pou = partition_of_unity_residual(g)
-    if pou > GABOR_DUAL_TOL:
+    if pou > DUAL_TOL:
         raise HypothesisViolated(
             "dual-generator hypothesis: partition of unity fails", measured=pou
         )
@@ -644,11 +648,11 @@ def ck_dual2(
     mid = support - 1  # index of a_0
     bf = float(bq)
     violations = []
-    if abs(coeffs[mid] - bf) > 1e-12:
+    if abs(coeffs[mid] - bf) > CK_COEFF_TOL * bf:
         violations.append(f"a_0 = {coeffs[mid]!r} must equal b = {bf!r}")
     for n in range(1, support):
         total = coeffs[mid + n] + coeffs[mid - n]
-        if abs(total - 2 * bf) > 1e-12:
+        if abs(total - 2 * bf) > CK_COEFF_TOL * 2 * bf:
             violations.append(f"a_{n} + a_{-n} = {total!r} must equal 2b = {2 * bf!r}")
     if violations:
         raise BadCoefficients(violations)
@@ -703,7 +707,8 @@ def approx_dual_window(
 
     Requires (g, g_dual) to be an exact dual pair on the lattice, an
     operator that commutes with the lattice generators, and
-    ||Id - A|| < 1.  The system of the result has mixed operator A
+    ||Id - A|| < 1; :class:`NotAFrame` when g's system fails the frame test,
+    as S^{-1} is read.  The system of the result has mixed operator A
     against the system of g.
 
     A :class:`LatticeOperator` on g's grid and lattice commutes by construction
@@ -715,7 +720,7 @@ def approx_dual_window(
     if g.grid != g_dual.grid:
         raise DimensionMismatch("windows live on different grids")
     residual = janssen_residual(g, g_dual, lat)  # also rejects b * P not an integer
-    if residual > GABOR_DUAL_TOL:
+    if residual > DUAL_TOL:
         raise NotDualPair("(g, g_dual) is not an exact dual pair", measured=residual)
     frame = gabor_frame(g, lat)
     if isinstance(a_op, LatticeOperator) and (a_op.grid, a_op.lattice) == (g.grid, lat):
@@ -723,14 +728,15 @@ def approx_dual_window(
     else:
         dense = oplin.as_operator(a_op)
         comm = commutation_check(dense, lat, g.grid)
-        if comm > 1e-9:
+        if comm > COMMUTATOR_TOL:
             raise NotCommuting("operator must commute with the lattice generators", measured=comm)
         gathered = ((i, dense[i[:, :, None], i[:, None, :]]) for i, _ in frame._system.groups)
         a = LatticeOperator._of(g.grid, lat, gathered)
     gap = a.gap()
     if not _strictly_below(gap, 1.0):
         raise ContractViolation("requires ||Id - A|| < 1", measured=gap)
-    oplin._require_conditioned(frame.eigenvalues)  # S is PSD: its eigenvalues are its singular values
+    require_frame(frame, "window system")
+    frame.eigenvalues  # ValueError when S overflows, as for the canonical dual
     spectrum, vg = frame.spectrum, _embed(g)
     adj = a.apply(spectrum.power(-2).apply(vg), lambda a_r, x: adjoint(a_r) @ x)
     values = adj - vg + spectrum.power(2).apply(_embed(g_dual))
@@ -749,4 +755,4 @@ def char_dual_check(
     g = sample_char(c, grid)
     h = sample_char(c_other, grid)
     lat = GaborLattice(as_fraction(a), Fraction(1))
-    return janssen_residual(g, h, lat) <= GABOR_DUAL_TOL
+    return janssen_residual(g, h, lat) <= DUAL_TOL

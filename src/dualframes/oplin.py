@@ -30,17 +30,20 @@ from functools import cached_property
 import numpy as np
 
 from .errors import DimensionMismatch, Singular
+from .tolerances import COND_CUTOFF, FRAME_THRESHOLD_REL, STRICT_FACTOR
 
-# Condition-number cutoff for invertibility: smin > smax / COND_CUTOFF.
-COND_CUTOFF = 1e12
-# Strict "< 1" margins; boundary cases (rate exactly 1) must be rejected.
-STRICT_FACTOR = 1.0 - 1e-12
 # ||a - Id|| below this radius keeps the condition number of a below COND_CUTOFF.
 _GUARD_RADIUS = (COND_CUTOFF - 1.0) / (COND_CUTOFF + 1.0)
 
 
 def _strictly_below(value: float, bound: float) -> bool:
     return value < bound * STRICT_FACTOR
+
+
+def _is_frame(s_min: float, s_max: float) -> bool:
+    """The frame test on the extreme singular values of T:
+    lambda_min(S) > FRAME_THRESHOLD_REL lambda_max(S)."""
+    return s_min > math.sqrt(FRAME_THRESHOLD_REL) * s_max
 
 
 def as_operator(m) -> np.ndarray:
@@ -140,9 +143,9 @@ class _SVDReads:
 
     @cached_property
     def inv_sqrt(self) -> np.ndarray:
-        """S^{-1/2} = U diag(1/s) U*; :class:`Singular` unless lambda_min(S) > 1e-12 lambda_max(S)."""
+        """S^{-1/2} = U diag(1/s) U*; :class:`Singular` unless T passes the frame test."""
         smallest = self.s[-1] if self.s.size == self.shape[0] else 0.0
-        if smallest <= 1e-6 * self.s[0]:
+        if not _is_frame(smallest, self.s[0]):
             raise Singular(f"smallest singular value {smallest:.3e} too close to zero")
         return _frozen(self._root(-1))
 

@@ -26,10 +26,7 @@ from .frames import (
     require_frame,
 )
 from .oplin import _strictly_below, adjoint, operator_norm
-
-# The perturbation product sqrt(M_diff) * ||theta|| * ||inv mixed|| must
-# stay strictly below 1; violations raise with the measured product.
-SMALLNESS_MARGIN = 1e-9
+from .tolerances import SMALLNESS_MARGIN
 
 
 @dataclass(frozen=True, eq=False)

@@ -653,6 +653,10 @@ class TestSizeBudget:
             ["gabor", "sweep", "--char", "--grid", f"{cli.SIZE_BUDGET // 2}:1", "--step", "1/3"],
             ["gabor", "sweep", "--bspline", "3", "--denominators", f"2:{cli.SIZE_BUDGET + 2}"],
             ["gabor", "sweep", "--bspline", "3", "--samples", str(cli.SIZE_BUDGET), "--denominators", "2:2"],
+            # within the cell and sample budgets, but a cell's lattice-sum table holds
+            # L b P = 2000 * 1000 (bspline) and 2048 * 1024 (char) entries
+            ["gabor", "sweep", "--bspline", "1000", "--samples", "1", "--denominators", "2:2"],
+            ["gabor", "sweep", "--char", "--grid", "2:1024", "--step", "1"],
             # within the grid budget, but the class factor holds L P/a = 2^22 entries
             ["gabor", "approx-dual", "--window", "bspline:2", "--dual", "bspline:2", "--scale-window",
              "bspline:3", "--grid", "4:512", "--a", "1/4", "--b", "1/4"],
@@ -662,7 +666,7 @@ class TestSizeBudget:
              "--a", "1", "--b", "1e400"],
         ],
         ids=["grid 1e18", "grid one over", "grid period one over", "char step 1e-6", "char windows",
-             "bspline cells", "bspline grid", "class factor", "lattice-sum table", "b 1e400"],
+             "bspline cells", "bspline grid", "bspline table", "char table", "class factor", "lattice-sum table", "b 1e400"],
     )
     def test_over_budget_exits_3_before_allocating(self, argv, capsys):
         tracemalloc.start()

@@ -317,6 +317,8 @@ _VALUES = st.fixed_dictionaries({key: st.one_of(st.just(_VALID[key]), drawn) for
 @given(values=_VALUES)
 @example(values={**_VALID, "b": "1e400"})  # float(b) raised OverflowError in the dual-generator check
 @example(values={**_VALID, "grid": "1:2048", "a": "1", "b": "1"})  # a factor of L P/a = 4M entries
+@example(values={**_VALID, "grid": "2:1024", "step": "1"})  # a --char sweep's table of L P = 2M entries
+@example(values={**_VALID, "order": "1000", "samples": "1"})  # a --bspline sweep's table of 10^7 entries
 def test_argument_fuzz(argv, values, files):
     """Exit 0, 2 or 3, one error line at most, and no array past 16 bytes per budget entry: the
     arrays a Gabor command derives from its grid are held to the budget, not only the grid."""

@@ -594,6 +594,14 @@ def test_gabor_pair_keeps_its_theta():
     assert norm(theta - subtracted_theta(phi, psi.synthesis)) <= RECONSTRUCTION_TOL * norm(psi.synthesis)
 
 
+def test_pair_keeps_its_whitened_factor():
+    """gdual_factorization and recover_parameters read one S^{-1/2} mixed, kept on the pair."""
+    phi, phi_ad = pair_of_frames(5)
+    whitened = gdual_factorization(phi, phi_ad).whitened
+    assert recover_parameters(phi, phi_ad)[0] is whitened
+    assert gdual_factorization(phi, phi_ad).whitened is whitened
+
+
 def test_transfer_leaves_no_pair_record_on_the_perturbed_frame():
     phi, phi_ad = pair_of_frames(4)
     rng = np.random.default_rng(4)
@@ -633,6 +641,7 @@ def test_kept_pair_facts_are_read_only():
         classify_pair(phi, phi_ad).corresponding_op,
         mixed_operator(phi, phi_ad),
         recover_parameters(phi, phi_ad)[1].map,
+        recover_parameters(phi, phi_ad)[0],
     )
     for arr in kept:
         with pytest.raises(ValueError):
