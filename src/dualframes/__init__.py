@@ -5,9 +5,10 @@ The package is organized in layers:
 
 * :mod:`dualframes.tolerances` -- every verdict threshold, each named once
   with what it decides, its scale and why it has its value.
-* :mod:`dualframes.oplin` -- dense complex operator helpers (norms, the
-  one thin SVD of a synthesis matrix and the spectral facts read from it,
-  guarded inverses).
+* :mod:`dualframes.oplin` -- complex operator helpers (norms, guarded
+  inverses) and the one representation of a synthesis matrix: its class
+  factor, a matrix being the one-class case, with one batched thin SVD and
+  the spectral facts read from it, and block-diagonal operators.
 * :mod:`dualframes.frames` -- finite frames, their three canonical
   operators, optimal bounds, canonical duals, and annihilators.
 * :mod:`dualframes.duality` -- classification of frame pairs and the

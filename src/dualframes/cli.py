@@ -406,8 +406,9 @@ def cmd_gabor_sweep(args, report: RunReport) -> None:
         lo, hi = args.denominators
         _within_budget(hi - lo + 1, "the cells of the --bspline sweep")
         _within_budget(args.samples * hi * max(2, args.bspline), "the grid samples of the --bspline sweep")
-        # the last cell's table, L b P = s den max(2, N)^2 entries, is the largest
-        _lattice_within_budget(GridSpec(args.samples, hi * max(2, args.bspline)), None, Fraction(1, hi))
+        # cell den's lattice-sum table holds L b P = s den max(2, N)^2 entries; the sweep, their sum
+        tables = args.samples * max(2, args.bspline) ** 2 * (lo + hi) * (hi - lo + 1) // 2
+        _within_budget(tables, "the lattice-sum table entries of the --bspline sweep")
         _sweep_bspline(args, report)
 
 

@@ -10,9 +10,10 @@ Annihilators -- maps into coefficient space whose range lies in the
 kernel of the synthesis operator -- are the free parameter of every dual
 construction in :mod:`dualframes.duality`.
 
-A frame may hold a Gabor system instead of its matrix (see :class:`Frame`): its
-block operators are all of one type, :class:`~dualframes.gabor.LatticeOperator`,
-and its spectral facts come from one batched thin SVD of its class factor.
+Every frame is held by its class factor (:class:`~dualframes.oplin.ClassFactor`):
+a matrix is the one-class case, a Gabor system the many-class one.  Its spectral facts
+come from one batched thin SVD of the factor, and the mixed operator of every pair is
+one block value, a :class:`~dualframes.oplin.LatticeOperator`.
 """
 
 from __future__ import annotations
@@ -55,11 +56,12 @@ class FrameBounds(NamedTuple):
 
 
 class Frame:
-    """A finite vector family, held as its d x n synthesis matrix.
+    """A finite vector family, held by the class factor of its d x n synthesis matrix.
 
-    The synthesis matrix is immutable: a writeable array passed in is
-    copied, and the stored array is read-only.  The spectral facts are
-    computed lazily, at most once per frame, and cached on the instance:
+    A frame built from a matrix holds the matrix, immutable (a writeable
+    array passed in is copied, and the stored array is read-only), and its
+    factor is the one-class view of it.  The spectral facts are computed
+    lazily, at most once per frame, and cached on the instance:
 
     * :attr:`spectrum` -- one thin SVD T = U diag(s) V* (:class:`~dualframes.oplin.Spectrum`);
       S^{1/2}, S^{-1/2} (two d x d arrays once read), the rank, the analysis
@@ -69,13 +71,15 @@ class Frame:
     * the canonical dual U diag(1/s) V* = (S^{-1} phi_k)_k, read through
       :func:`canonical_dual`.
 
-    A dense frame takes one SVD of T.  Which one is set by the first read
+    A one-class frame takes one SVD of T.  Which one is set by the first read
     that needs it: the bounds, the eigenvalues or the frame test alone take
     the singular values only (``compute_uv=False``, no U or V kept); the
     rank, ``ker T``, the roots, the canonical dual and :func:`require_frame`,
     which guards every construction that goes on to read them, take the thin
     SVD.  Once a frame holds the thin SVD, every fact not yet read comes from
-    it; the singular values read before it are kept.
+    it; the singular values read before it are kept.  A frame of several
+    classes (a Gabor system) takes the thin SVD at its first spectral read:
+    its bounds are commonly read just before its roots.
 
     S itself is never formed.  The frame test reads s_min / s_max, which no
     scaling of T changes; a bound that does not fit a normal float raises
@@ -84,18 +88,16 @@ class Frame:
 
     A frame also keeps the facts of each pair (phi, psi) it was read in as the
     first frame, each computed at most once, when first asked for: the mixed
-    operator synthesis(phi) o analysis(psi) (d x d, or a system pair's block
-    value), its rate, its singular values, its inverse (the corresponding
-    operator, d x d), the whitened factor S^{-1/2} mixed (d x d) and the
+    operator synthesis(phi) o analysis(psi) as blocks (see :func:`_product`), its
+    rate, its singular values, its dense matrix and its inverse (the corresponding
+    operator), each d x d, the whitened factor S^{-1/2} mixed (d x d) and the
     annihilator part theta (n x d), psi's analysis operator projected onto
-    ker T.  A dense pair read through every fact holds three d x d arrays and
-    one n x d array.  The facts live while both frames do and go with either;
-    they hold no reference to either frame.
+    ker T.  The facts live while both frames do and go with either; they hold
+    no reference to either frame.
 
-    A frame over a structured system (:func:`dualframes.gabor.gabor_frame`) holds the system,
-    builds the matrix once, when :attr:`synthesis` is first read, and reads every fact above
-    from the system's own :attr:`spectrum`; its canonical dual is a system too.  Its frame operator,
-    and its mixed operator and rate against a system of its structure, are residue-class blocks.
+    A frame over a factor of several classes (:func:`dualframes.gabor.gabor_frame`)
+    builds the matrix once, when :attr:`synthesis` is first read; its canonical dual
+    is a factor of the same classes.
     """
 
     def __init__(self, synthesis):
@@ -105,7 +107,7 @@ class Frame:
         # and any view (such as the base-class view of an ndarray subclass).
         if syn.base is not None or (syn is synthesis and syn.flags.writeable):
             syn = syn.copy()
-        self.__dict__.update(synthesis=_frozen(syn), _shape=syn.shape, _system=None)
+        self.__dict__.update(synthesis=_frozen(syn), _system=oplin.ClassFactor.of(syn))
 
     def __setattr__(self, name, value):
         raise AttributeError(f"Frame is immutable: cannot set {name!r}")
@@ -114,13 +116,15 @@ class Frame:
         raise AttributeError(f"Frame is immutable: cannot delete {name!r}")
 
     @classmethod
-    def _adopt(cls, syn) -> "Frame":
-        """Frame over a freshly built array no caller holds (frozen, not copied), or over a system, whose
-        ``shape``, ``synthesis()``, ``spectrum``, ``frame_blocks`` and ``class_blocks`` stand in for T."""
-        if isinstance(syn, np.ndarray):
-            return cls(_frozen(syn) if syn.base is None else syn)
+    def _adopt(cls, syn: np.ndarray) -> "Frame":
+        """Frame over a freshly built array no caller holds (frozen, not copied)."""
+        return cls(_frozen(syn) if syn.base is None else syn)
+
+    @classmethod
+    def _over(cls, system: oplin.ClassFactor) -> "Frame":
+        """Frame over a class factor, whose matrix is built when first read."""
         frame = cls.__new__(cls)
-        frame.__dict__.update(_shape=syn.shape, _system=syn)
+        frame.__dict__["_system"] = system
         return frame
 
     @classmethod
@@ -131,16 +135,16 @@ class Frame:
 
     @cached_property
     def synthesis(self) -> np.ndarray:
-        """The d x n synthesis matrix (read-only); a system frame builds it here."""
+        """The d x n synthesis matrix (read-only); a frame over a factor builds it here."""
         return _frozen(self._system.synthesis())
 
     @property
     def dim(self) -> int:
-        return self._shape[0]
+        return self._system.shape[0]
 
     @property
     def count(self) -> int:
-        return self._shape[1]
+        return self._system.shape[1]
 
     def vector(self, k: int) -> np.ndarray:
         return self.synthesis[:, k].copy()
@@ -156,15 +160,16 @@ class Frame:
 
     @cached_property
     def spectrum(self) -> oplin.Spectrum:
-        """The thin SVD of T (read-only): of the matrix, or the one a system keeps."""
-        return oplin.Spectrum.of(self.synthesis) if self._system is None else self._system.spectrum
+        """The thin SVD of T (read-only), one batched SVD of each class factor."""
+        return self._system.svd()
 
     @cached_property
     def _singular_values(self) -> np.ndarray:
-        """Descending singular values of T (read-only): a held or system spectrum's, else a values-only SVD."""
-        if "spectrum" in self.__dict__ or self._system is not None:
+        """Descending singular values of T (read-only): those of the thin SVD when it is held
+        or the factor has several classes, else of a values-only SVD of the one class."""
+        if "spectrum" in self.__dict__ or self._system.classes > 1:
             return self.spectrum.s
-        return _frozen(np.linalg.svd(self.synthesis, compute_uv=False))
+        return self._system.singular_values()
 
     @cached_property
     def _sigma(self) -> tuple:
@@ -180,7 +185,7 @@ class Frame:
     def _canonical_dual(self) -> "Frame":
         require_frame(self, "frame")
         self.eigenvalues  # ValueError when S overflows: the dual S^{-1} T is refused with it
-        return Frame._adopt(self.spectrum.dual())
+        return Frame._over(self.spectrum.dual())
 
     def __repr__(self):
         return f"Frame(dim={self.dim}, count={self.count})"
@@ -210,30 +215,21 @@ def synthesis(phi: Frame, c) -> np.ndarray:
     return phi.synthesis @ _vector(c, phi.count, "coefficient")
 
 
-def _class_blocks(phi: Frame, psi: Frame):
-    """mixed_operator(phi, psi) as the systems' block value (a ``LatticeOperator``:
-    ``np.asarray``, ``gap()`` = ``||Id - X||``; ValueError when a block is not
-    finite), or None unless both frames hold structured systems that
-    share their structure (for Gabor systems: one grid and one lattice)."""
-    if phi._system is None or psi._system is None:
-        return None
-    if phi._system is psi._system:
-        return phi._system.frame_blocks
-    return phi._system.class_blocks(psi._system)
-
-
-@np.errstate(over="ignore", invalid="ignore")  # an overflow is the ValueError, not a warning
-def _product(phi: Frame, psi: Frame):
-    """synthesis(phi) o analysis(psi) as formed: the systems' block value, else dense;
-    ValueError when an entry overflows."""
-    blocks = _class_blocks(phi, psi)
-    return oplin._require_finite(phi.synthesis @ adjoint(psi.synthesis)) if blocks is None else blocks
+def _product(phi: Frame, psi: Frame) -> oplin.LatticeOperator:
+    """synthesis(phi) o analysis(psi) as blocks (``np.asarray``, ``gap()`` = ``||Id - X||``):
+    the factors' own when they share their classes (for Gabor systems: one grid and
+    one lattice), else the one block of the two synthesis matrices, each the one-class
+    case; ValueError when a block overflows."""
+    left, right = phi._system, psi._system
+    if not left.shares_classes(right):
+        left, right = oplin.ClassFactor.of(phi.synthesis), oplin.ClassFactor.of(psi.synthesis)
+    return left.blocks(right)
 
 
 def frame_operator(phi: Frame) -> np.ndarray:
     """S = T T*, Hermitian PSD by construction (d x d); ValueError when it overflows.
-    Formed on each call: a frame keeps its spectrum, not S."""
-    return oplin.as_operator(_product(phi, phi))
+    Scattered on each call from the blocks of the pair (phi, phi), which the frame keeps."""
+    return np.asarray(_pair(phi, phi).mixed)
 
 
 def frame_bounds(phi: Frame) -> FrameBounds:
@@ -273,15 +269,15 @@ def frame_operator_inv_sqrt(phi: Frame) -> np.ndarray:
 
 def canonical_dual(phi: Frame) -> Frame:
     """The frame ( S^{-1} phi_k )_k, giving exact reconstruction (kept): U diag(1/s) V*,
-    for a system frame the system of that factor (see :mod:`dualframes.gabor`)."""
+    held by its class factor (see :meth:`dualframes.oplin.Spectrum.dual`)."""
     return phi._canonical_dual
 
 
 class _Pair:
     """The facts of a frame pair (phi, psi), each computed at most once.
 
-    ``mixed`` is the systems' block value (see :func:`_class_blocks`) or a
-    read-only dense array; the other facts are read from it on first use.
+    ``mixed`` is the pair's block value (see :func:`_product`); the other facts
+    are read from its blocks on first use.
     A constructor of approximate duals checks the ``rate`` of the pair it
     returns, so a classification of that pair reads the kept value.
     ``theta``, the annihilator part, and ``theta_norm`` are kept by
@@ -289,30 +285,31 @@ class _Pair:
     by :func:`dualframes.duality._whitened`.  The record holds no frame.
     """
 
-    def __init__(self, mixed):
-        self.mixed = _frozen(mixed) if isinstance(mixed, np.ndarray) else mixed
+    def __init__(self, mixed: oplin.LatticeOperator):
+        self.mixed = mixed
         self.theta = self.theta_norm = self.whitened = None
 
-    @property
+    @cached_property
     def dense(self) -> np.ndarray:
-        return np.asarray(self.mixed)
+        """The mixed operator as a d x d array (read-only)."""
+        return _frozen(np.asarray(self.mixed))
 
     @cached_property
     def rate(self) -> float:
-        return oplin.identity_gap(self.mixed) if isinstance(self.mixed, np.ndarray) else self.mixed.gap()
+        return self.mixed.gap()
 
     @cached_property
     def singular_values(self) -> np.ndarray:
-        """Descending singular values of the dense mixed operator: its norm is the
-        first, the norm of its inverse the reciprocal of the last."""
-        return _frozen(np.linalg.svd(oplin._square(self.dense), compute_uv=False))
+        """Descending singular values of the mixed operator, the union of its blocks':
+        its norm is the first, the norm of its inverse the reciprocal of the last."""
+        return self.mixed.singular_values()
 
     @cached_property
     def corresponding(self) -> np.ndarray:
-        """The inverse of the mixed operator (read-only), under the guard of
-        :func:`dualframes.oplin.inverse`, whose Singular it raises on every read."""
+        """The inverse of the mixed operator (d x d, read-only), block by block, under the
+        guard of :func:`dualframes.oplin.inverse`, whose Singular it raises on every read."""
         oplin._require_conditioned(self.singular_values)
-        return _frozen(np.linalg.inv(self.dense))
+        return _frozen(np.asarray(self.mixed.inverse()))
 
 
 def _pair(phi: Frame, psi: Frame) -> _Pair:
@@ -325,11 +322,9 @@ def _pair(phi: Frame, psi: Frame) -> _Pair:
 
 
 def mixed_operator(phi: Frame, psi: Frame) -> np.ndarray:
-    """The d x d operator synthesis(phi) o analysis(psi), read from the pair's record.
-
-    Dense, it is the record's read-only array.  Two systems with
-    residue-class blocks (see :func:`_class_blocks`) get it by scattering
-    the blocks, without either synthesis matrix.
+    """The d x d operator synthesis(phi) o analysis(psi), read-only, read from the pair's
+    record: its blocks scattered once.  Two factors with the same classes (see
+    :func:`_product`) give it without either synthesis matrix.
     """
     return _pair(phi, psi).dense
 

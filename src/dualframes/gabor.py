@@ -7,10 +7,12 @@ pair of positive rationals ``(a, b)`` (time step in units, frequency step
 in cycles per unit).  Gabor systems are ordinary
 :class:`~dualframes.frames.Frame` objects of dimension ``L`` through the
 isometric embedding ``values / sqrt(s)``, so all duality machinery
-applies verbatim.  Such a frame holds the window's one system on its lattice,
-kept on the window: its Walnut (Zibulski-Zeevi) residue-class factor
-(:class:`_GaborSystem`), whose one batched thin SVD gives every spectral fact,
-and from which the ``L x N`` synthesis matrix is built only when read.  The
+applies verbatim.  This module builds a system's Walnut (Zibulski-Zeevi)
+residue-class factor (:func:`_system`), a :class:`~dualframes.oplin.ClassFactor`
+of many classes, by which its frame is held, as every frame is; the frame of a
+window on a lattice is built once and kept on the window.  One batched thin SVD
+of the factor gives every spectral fact, and the ``L x N`` synthesis matrix is
+built only when read.  The
 frame operator, and the mixed operator against a system on the same grid and
 lattice, are the residue-class blocks, held by :class:`LatticeOperator`, which
 ``np.asarray`` makes dense.  :func:`approx_dual_window` reads every operator as
@@ -33,9 +35,8 @@ from __future__ import annotations
 
 import math
 import sys
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from fractions import Fraction
-from functools import cached_property
 from math import comb, factorial
 from numbers import Integral
 from typing import Sequence, Union
@@ -54,8 +55,8 @@ from .errors import (
     OffGrid,
     SupportOverflow,
 )
-from .frames import Frame, FrameBounds, _class_blocks, frame_bounds, require_frame
-from .oplin import _frozen, _strictly_below, adjoint, operator_norm
+from .frames import Frame, FrameBounds, _pair, frame_bounds, require_frame
+from .oplin import ClassFactor, LatticeOperator, _frozen, _strictly_below, adjoint, operator_norm
 from .tolerances import (
     CK_COEFF_TOL,
     COMMUTATOR_TOL,
@@ -259,205 +260,46 @@ def partition_of_unity_residual(g: SampledWindow) -> float:
     return float(np.max(np.abs(pou - 1.0)))
 
 
-@dataclass(frozen=True, eq=False)
-class LatticeOperator:
-    """An operator zero between the residue classes of the Gabor systems on ``grid``
-    and ``lattice`` (see :class:`_GaborSystem`), as read-only ``(index, blocks)``
-    groups, one per class size (``blocks[r]`` acts on the samples ``index[r]``).
-    Only systems build it, each block checked finite (ValueError otherwise);
-    ``np.asarray`` gives the dense matrix.  It has no spectrum of its own."""
+def _system(g: SampledWindow, lat: GaborLattice) -> ClassFactor:
+    """The class factor of the system of ``g`` on ``lat``; ValueError when its vectors are
+    too many to count in a float, or when a sample of the factor overflows.
 
-    grid: GridSpec = field(init=False)
-    lattice: GaborLattice = field(init=False)
-    groups: tuple = field(init=False, repr=False)
-
-    @classmethod
-    def _of(cls, grid, lattice, groups) -> "LatticeOperator":
-        value = cls()
-        groups = tuple((_frozen(i), _frozen(oplin._require_finite(b))) for i, b in groups)
-        value.__dict__.update(grid=grid, lattice=lattice, groups=groups)
-        return value
-
-    def __array__(self, dtype=None, copy=None):
-        out = np.zeros((self.grid.total, self.grid.total), dtype=complex)
-        for index, blocks in self.groups:
-            out[index[:, :, None], index[:, None, :]] = blocks
-        return out.astype(dtype or complex, copy=False)
-
-    def gap(self) -> float:
-        """||Id - X||: the largest ||I - block||."""
-        norms = (np.linalg.norm(np.eye(b.shape[-1]) - b, 2, axis=(-2, -1)) for _, b in self.groups)
-        return max(float(np.max(n)) for n in norms)
-
-    def distance(self, other: "LatticeOperator") -> float:
-        """||Y - X|| for ``other`` = Y: the largest block norm of the difference;
-        LatticeMismatch unless ``other`` lies on the same grid and lattice."""
-        if (other.grid, other.lattice) != (self.grid, self.lattice):
-            raise LatticeMismatch("operators on different grids or lattices have different classes")
-        pairs = zip(self.groups, other.groups)  # the same classes, grouped alike
-        return max(float(np.max(np.linalg.norm(y - x, 2, axis=(-2, -1)))) for (_, x), (_, y) in pairs)
-
-    def apply(self, v: np.ndarray, op=np.matmul) -> np.ndarray:
-        """The vector whose samples in each class are ``op(block, v restricted to the class)``."""
-        out = np.empty_like(v)
-        for index, blocks in self.groups:
-            out[index] = op(blocks, v[index][..., None])[..., 0]
-        return out
-
-
-def _modulation(classes: np.ndarray, m: int) -> np.ndarray:
-    """omega^(m r) for omega = exp(2 pi i / M), one row per class r, one column per m."""
-    return np.exp(2j * np.pi * (np.outer(classes, np.arange(m)) % m) / m)
-
-
-@dataclass(frozen=True, eq=False)
-class _GaborSystem:
-    """A Gabor system held by its class factor, not its L x N matrix.
-
-    With M = s/b ``modulations`` and K = P/a shifts of a s samples, row x of T lies in
-    the class r = x mod M: T[r + M k, n M + m] = omega^(m r) factor_r[k, n], omega = exp(2 pi i/M),
-    and a window g has factor_r[k, n] = g(r + M k - n a s) / sqrt(s), time mod L.  ``groups``
-    holds one read-only ``(index, factor)`` per class size, ``index[c]`` the floor(L/M) or
-    ceil(L/M) samples of a class (b P when b P is an integer); a class that holds none
-    (M > L) is not stored.  So two systems on one grid and lattice have the mixed operator
-    M factor_r other_r* on each class, and as the rows omega^(m r) / sqrt(M) are orthonormal,
-    the thin SVD of T is that of sqrt(M) factor_r, class by class."""
-
-    grid: GridSpec
-    lattice: GaborLattice
-    modulations: int
-    groups: tuple
-
-    @classmethod
-    def of(cls, g: SampledWindow, lat: GaborLattice) -> "_GaborSystem":
-        """The one system of ``g`` on ``lat``, built once and kept on ``g`` as a cached_property
-        is; ValueError when its vectors are too many to count in a float."""
-        kept, grid = g.__dict__.setdefault("_systems", {}), g.grid
-        if lat not in kept:
-            step, shifts, m = lat.time_step(grid), lat.shifts(grid), lat.modulations(grid)
-            if shifts * m > sys.float_info.max:
-                raise ValueError("the system's (P/a)(s/b) vectors are too many to count in a float")
-            size, longer = divmod(grid.total, m)  # classes r < longer hold one sample more
-            groups = []
-            for first, last, rows in ((0, longer, size + 1), (longer, m, size)):
-                if rows and last > first:  # a class of two or more samples has M < L
-                    index = np.arange(first, last)[:, None] + min(m, grid.total) * np.arange(rows)
-                    at = (index[..., None] - step * np.arange(shifts)) % grid.total  # x - n a s
-                    groups.append((_frozen(index), _frozen(_embed(g)[at])))
-            kept[lat] = cls(grid, lat, m, tuple(groups))
-        return kept[lat]
-
-    @property
-    def shape(self) -> tuple[int, int]:
-        return self.grid.total, self.groups[0][1].shape[-1] * self.modulations
-
-    def synthesis(self) -> np.ndarray:
-        """The L x N matrix, columns shift-major, modulation-minor, built from the factor."""
-        m = self.modulations
-        syn = np.empty((self.grid.total, self.shape[1] // m, m), dtype=complex)
-        for index, factor in self.groups:
-            phases = _modulation(index[:, 0], m)[:, None, :]
-            for k in range(index.shape[1]):
-                syn[index[:, k]] = factor[:, k, :, None] * phases
-        return syn.reshape(self.shape)
-
-    @cached_property
-    def frame_blocks(self) -> LatticeOperator:
-        """``class_blocks(self)``, the blocks of the frame operator, built on first read."""
-        return self.class_blocks(self)
-
-    @cached_property
-    def spectrum(self) -> "_ClassSpectrum":
-        """The thin SVD of T, one batched SVD per class size; ValueError if sqrt(M) factor overflows."""
-        root, classes = math.sqrt(self.modulations), []
-        for index, factor in self.groups:
-            with np.errstate(over="ignore", invalid="ignore"):
-                scaled = oplin._require_finite(root * factor)
-            # of the transpose, W diag(s) X* (U = X*^T, V* = W^T): a quarter faster on short wide factors
-            w, s, x = np.linalg.svd(np.swapaxes(scaled, -1, -2), full_matrices=False)
-            classes.append((index, *(_frozen(a) for a in (np.swapaxes(x, -1, -2), s, np.swapaxes(w, -1, -2)))))
-        return _ClassSpectrum(self.grid, self.lattice, self.modulations, tuple(classes))
-
-    @np.errstate(over="ignore", invalid="ignore")  # LatticeOperator._of raises an overflow
-    def class_blocks(self, other) -> LatticeOperator | None:
-        """The blocks M factor_r other_r* against the system ``other``, or None unless it
-        lies on the same grid and lattice; ValueError when a block overflows."""
-        if (self.grid, self.lattice) != (other.grid, other.lattice):
-            return None
-        m, pairs = self.modulations, zip(self.groups, other.groups)  # the same classes, grouped alike
-        blocks = ((index, (m * left) @ adjoint(right)) for (index, left), (_, right) in pairs)
-        return LatticeOperator._of(self.grid, self.lattice, blocks)
-
-
-@dataclass(frozen=True, eq=False)
-class _ClassSpectrum(oplin._SVDReads):
-    """The thin SVD of a system's T, read as :class:`oplin.Spectrum` is: one ``(index, u, s, vh)``
-    per class size, the batched sqrt(M) factor_r = U_r diag(s_r) V_r*.  T's ``s`` are the s_r,
-    zero-padded to min(L, N) as a dense SVD pads; after a unitary DFT over the modulation
-    index, ker T is ker V_r* on each class and all of C^K on a class that holds no sample."""
-
-    grid: GridSpec
-    lattice: GaborLattice
-    modulations: int
-    classes: tuple
-
-    @property
-    def shape(self) -> tuple[int, int]:
-        return self.grid.total, self.classes[0][3].shape[-1] * self.modulations
-
-    @cached_property
-    def s(self) -> np.ndarray:
-        values = np.sort(np.concatenate([s.ravel() for _, _, s, _ in self.classes]))[::-1]
-        return _frozen(np.concatenate([values, np.zeros(min(self.shape) - values.size)]))
-
-    def power(self, p: int) -> LatticeOperator:
-        """S^(p/2) = U diag(s^p) U*, class by class."""
-        blocks = ((index, (u * s[..., None, :] ** p) @ adjoint(u)) for index, u, s, _ in self.classes)
-        return LatticeOperator._of(self.grid, self.lattice, blocks)
-
-    def _root(self, p: int) -> np.ndarray:
-        return np.asarray(self.power(p))
-
-    def dual(self) -> _GaborSystem:
-        """The system of the canonical dual U diag(1/s) V*: factor U_r diag(1/s_r) V_r* / sqrt(M)."""
-        root = math.sqrt(self.modulations)
-        groups = ((i, _frozen((u / s[..., None, :]) @ vh / root)) for i, u, s, vh in self.classes)
-        return _GaborSystem(self.grid, self.lattice, self.modulations, tuple(groups))
-
-    @cached_property
-    def range_basis(self) -> np.ndarray:
-        """Orthonormal basis (N x rank) of range(T*): rows V_r*[j] (x) omega^(m r) / sqrt(M), conjugated."""
-        m = self.modulations
-        rows = [(vh[..., None] * _modulation(index[:, 0], m)[:, None, None, :])[s > self._cutoff]
-                for index, _, s, vh in self.classes]
-        return _frozen(np.conj(np.concatenate(rows).reshape(-1, self.shape[1]).T) / math.sqrt(m))
-
-    def kernel_part(self, x: np.ndarray) -> np.ndarray:
-        """The columns of ``x`` (N x m) projected onto ker T: a unitary DFT over m, each class's
-        part projected off its V_r (twice, as for a matrix), the inverse DFT; zero when ker T is."""
-        if self.rank == self.shape[1]:
-            return np.zeros_like(x)
-        y = np.fft.ifft(x.reshape(-1, self.modulations, x.shape[-1]), axis=1, norm="ortho")
-        for index, _, s, vh in self.classes:
-            v = vh * (s > self._cutoff)[..., None]  # the rows of V_r* below the rank cutoff are zero
-            z = np.swapaxes(y[:, index[:, 0]], 0, 1)
-            for _ in range(2):
-                z = z - adjoint(v) @ (v @ z)
-            y[:, index[:, 0]] = np.swapaxes(z, 0, 1)
-        return np.fft.fft(y, axis=1, norm="ortho").reshape(x.shape)
+    With M = s/b ``modulations`` and K = P/a shifts of a s samples, row x of T lies in the
+    class r = x mod M: T[r + M k, n M + m] = omega^(m r) factor_r[k, n] / sqrt(M),
+    factor_r[k, n] = sqrt(M / s) g(r + M k - n a s), time mod L.  ``index[c]`` holds the
+    floor(L/M) or ceil(L/M) samples of a class (b P when b P is an integer)."""
+    grid = g.grid
+    step, shifts, m = lat.time_step(grid), lat.shifts(grid), lat.modulations(grid)
+    if shifts * m > sys.float_info.max:
+        raise ValueError("the system's (P/a)(s/b) vectors are too many to count in a float")
+    with np.errstate(over="ignore"):
+        values = oplin._require_finite(_embed(g) * math.sqrt(m))
+    size, longer = divmod(grid.total, m)  # classes r < longer hold one sample more
+    groups = []
+    for first, last, rows in ((0, longer, size + 1), (longer, m, size)):
+        if rows and last > first:  # a class of two or more samples has M < L
+            index = np.arange(first, last)[:, None] + min(m, grid.total) * np.arange(rows)
+            at = (index[..., None] - step * np.arange(shifts)) % grid.total  # x - n a s
+            groups.append((_frozen(index), _frozen(values[at])))
+    return ClassFactor((grid.total, shifts * m), m, tuple(groups), grid, lat)
 
 
 def gabor_frame(g: SampledWindow, lat: GaborLattice) -> Frame:
     """The system of modulate-after-shift copies of g, as a Frame.
 
-    The frame holds g's one system on ``lat``, kept on g (see :class:`_GaborSystem`),
-    and builds its L x N synthesis matrix (columns shift-major, modulation-minor)
-    only when ``synthesis`` is read.  ValueError when its N = (P/a)(s/b) vectors
-    are too many to count in a float.  The embedding scales by 1/sqrt(s) so that
-    frame-operator spectra match the weighted function-space inner product (e.g.
-    the indicator of [0,1) on the unit lattice yields a tight frame with bounds (1, 1)).
+    The one frame of g on ``lat``, built once and kept on g as a cached_property is,
+    so every fact it keeps is computed once per window and lattice.  It is held by
+    its class factor (see :func:`_system`) and builds its L x N synthesis matrix
+    (columns shift-major, modulation-minor) only when ``synthesis`` is read.
+    ValueError when its N = (P/a)(s/b) vectors are too many to count in a float.
+    The embedding scales by 1/sqrt(s) so that frame-operator spectra match the
+    weighted function-space inner product (e.g. the indicator of [0,1) on the unit
+    lattice yields a tight frame with bounds (1, 1)).
     """
-    return Frame._adopt(_GaborSystem.of(g, lat))
+    kept = g.__dict__.setdefault("_frames", {})
+    if lat not in kept:
+        kept[lat] = Frame._over(_system(g, lat))
+    return kept[lat]
 
 
 @np.errstate(over="ignore")  # an overflow is the ValueError below, not a warning
@@ -524,7 +366,7 @@ def painless_check(g: SampledWindow, lat: GaborLattice, support: int) -> Painles
         )
     lat.adjoint_shifts(g.grid)  # diagonality needs periodic modulations
     frame = gabor_frame(g, lat)
-    s = frame._system.frame_blocks
+    s = _pair(frame, frame).mixed
     diag = np.empty(g.grid.total)
     for index, blocks in s.groups:
         diag[index] = np.real(np.diagonal(blocks, axis1=-2, axis2=-1))
@@ -689,7 +531,7 @@ def scaled_gabor_operator(l_window: SampledWindow, lat: GaborLattice) -> Lattice
     frame = gabor_frame(l_window, lat)
     upper = frame_bounds(frame).upper
     require_frame(frame, "scaling system")
-    groups = ((i, b / upper) for i, b in frame._system.frame_blocks.groups)
+    groups = ((i, b / upper) for i, b in _pair(frame, frame).mixed.groups)
     return LatticeOperator._of(l_window.grid, lat, groups)
 
 
@@ -697,7 +539,7 @@ def mixed_lattice_operator(g: SampledWindow, h: SampledWindow, lat: GaborLattice
     """``mixed_operator(gabor_frame(g, lat), gabor_frame(h, lat))`` as a :class:`LatticeOperator`."""
     if g.grid != h.grid:
         raise DimensionMismatch("windows live on different grids")
-    return _class_blocks(gabor_frame(g, lat), gabor_frame(h, lat))
+    return _pair(gabor_frame(g, lat), gabor_frame(h, lat)).mixed
 
 
 def approx_dual_window(

@@ -25,7 +25,7 @@ from dualframes import (
     operator_norm,
     sample_bspline,
 )
-from dualframes import cli, gabor, io
+from dualframes import cli, gabor, io, oplin
 from dualframes.gabor import ck_dual1_unchecked
 from dualframes.cli import main
 
@@ -548,9 +548,9 @@ class TestGaborCommands:
         # the README example: every verdict and the spectrum come from residue-class blocks,
         # without a synthesis matrix or an L x L SVD
         built, svds = [], []
-        materialize = gabor._GaborSystem.synthesis
+        materialize = oplin.ClassFactor.synthesis
         monkeypatch.setattr(
-            gabor._GaborSystem, "synthesis", lambda system: built.append(system) or materialize(system)
+            oplin.ClassFactor, "synthesis", lambda system: built.append(system) or materialize(system)
         )
         svd, norm = np.linalg.svd, np.linalg.norm
 
@@ -566,13 +566,13 @@ class TestGaborCommands:
 
         monkeypatch.setattr(np.linalg, "svd", counted_svd)
         monkeypatch.setattr(np.linalg, "norm", counted_norm)
-        blocks, class_blocks = [], gabor._GaborSystem.class_blocks
+        blocks, class_blocks = [], oplin.ClassFactor.blocks
 
         def counted_blocks(system, other):
             blocks.append(other)
             return class_blocks(system, other)
 
-        monkeypatch.setattr(gabor._GaborSystem, "class_blocks", counted_blocks)
+        monkeypatch.setattr(oplin.ClassFactor, "blocks", counted_blocks)
         b2, g1d, gad, spectrum, report = (
             str(tmp_path / name) for name in ("b2.json", "g1d.json", "gad.json", "spec.csv", "run.json")
         )
@@ -657,6 +657,10 @@ class TestSizeBudget:
             # L b P = 2000 * 1000 (bspline) and 2048 * 1024 (char) entries
             ["gabor", "sweep", "--bspline", "1000", "--samples", "1", "--denominators", "2:2"],
             ["gabor", "sweep", "--char", "--grid", "2:1024", "--step", "1"],
+            # every cell's table within the budget, but together s max(2, N)^2 sum(den) = 9 * 500,499
+            # and 9 * 8,001,999 entries: the sweep's total work is budgeted, not its last cell
+            ["gabor", "sweep", "--bspline", "3", "--samples", "1", "--denominators", "2:1000"],
+            ["gabor", "sweep", "--bspline", "3", "--samples", "1", "--denominators", "2:4000"],
             # within the grid budget, but the class factor holds L P/a = 2^22 entries
             ["gabor", "approx-dual", "--window", "bspline:2", "--dual", "bspline:2", "--scale-window",
              "bspline:3", "--grid", "4:512", "--a", "1/4", "--b", "1/4"],
@@ -666,7 +670,8 @@ class TestSizeBudget:
              "--a", "1", "--b", "1e400"],
         ],
         ids=["grid 1e18", "grid one over", "grid period one over", "char step 1e-6", "char windows",
-             "bspline cells", "bspline grid", "bspline table", "char table", "class factor", "lattice-sum table", "b 1e400"],
+             "bspline cells", "bspline grid", "bspline table", "char table", "bspline sweep 2:1000",
+             "bspline sweep 2:4000", "class factor", "lattice-sum table", "b 1e400"],
     )
     def test_over_budget_exits_3_before_allocating(self, argv, capsys):
         tracemalloc.start()

@@ -274,14 +274,15 @@ ARGUMENTS = {
                           "{scale_spec}", "--grid", "{grid}", "--a", "{a}", "--b", "{b}"],
     "gabor weight": ["gabor", "weight", "--window", "{spec}", "--grid", "{grid}", "--a", "{a}"],
     "gabor sweep char": ["gabor", "sweep", "--char", "--grid", "{grid}", "--step", "{step}"],
-    "gabor sweep bspline": ["gabor", "sweep", "--bspline", "{order}", "--samples", "{samples}"],
+    "gabor sweep bspline": ["gabor", "sweep", "--bspline", "{order}", "--samples", "{samples}",
+                            "--denominators", "{denominators}"],
     "dual theta": ["dual", "{phi}", "--mode", "approx", "--op-file", "{op}", "--theta", "{theta}"],
 }
 
 # A valid value for each placeholder, and what the fuzz draws in its place half the time.
 _VALID = {"spec": "bspline:2", "dual_spec": "bspline:2", "scale_spec": "bspline:3", "grid": "10:20", "a": "1",
-          "b": "1/10", "step": "1/4", "support": "2", "order": "2", "samples": "4", "coeffs": "0,0.1,0.2",
-          "theta": "random:1:0.5"}
+          "b": "1/10", "step": "1/4", "support": "2", "order": "2", "samples": "4", "denominators": "2:10",
+          "coeffs": "0,0.1,0.2", "theta": "random:1:0.5"}
 _EXPONENTS = st.sampled_from([-400, -300, -20, -3, 0, 3, 20, 300, 400])
 _RATIONAL = st.one_of(
     st.builds("{}/{}".format, st.integers(-2, 8), st.integers(0, 8)),
@@ -303,6 +304,7 @@ _DRAWN = {
     "support": _INTEGER,
     "order": st.integers(-1, 4).map(str),
     "samples": _INTEGER,
+    "denominators": st.sampled_from(["2:4000", "x", "5:2", "1:3"]),
     "coeffs": st.lists(st.one_of(st.floats().map(repr), st.builds("{}e{}".format, st.integers(1, 9), _EXPONENTS)),
                        min_size=1, max_size=5).map(",".join),
     "theta": st.one_of(st.builds("random:{}:{}".format, st.one_of(st.integers(-1, 9), st.just(10**400)),
@@ -319,6 +321,7 @@ _VALUES = st.fixed_dictionaries({key: st.one_of(st.just(_VALID[key]), drawn) for
 @example(values={**_VALID, "grid": "1:2048", "a": "1", "b": "1"})  # a factor of L P/a = 4M entries
 @example(values={**_VALID, "grid": "2:1024", "step": "1"})  # a --char sweep's table of L P = 2M entries
 @example(values={**_VALID, "order": "1000", "samples": "1"})  # a --bspline sweep's table of 10^7 entries
+@example(values={**_VALID, "order": "3", "samples": "1", "denominators": "2:4000"})  # tables of 7.2e7 in all
 def test_argument_fuzz(argv, values, files):
     """Exit 0, 2 or 3, one error line at most, and no array past 16 bytes per budget entry: the
     arrays a Gabor command derives from its grid are held to the budget, not only the grid."""

@@ -386,7 +386,7 @@ def _array_holders() -> dict:
         "Annihilator": (random_annihilator(phi, 1, 0.5), "map"),
         "DualReport": (gdual_factorization(phi, dual), "corresponding_op"),
         "PainlessReport": (painless_check(g, GaborLattice(1, Fraction(1, 2)), 2), "diagonal"),
-        "Spectrum": (phi.spectrum, "u"),
+        "Spectrum": (phi.spectrum, "s"),
         "TransferResult": (transfer_approx_dual(phi, Frame(np.array(phi.synthesis) + 1e-3), dual), "corrector"),
     }
 

@@ -10,7 +10,7 @@ import pytest
 from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
-from dualframes import frames, gabor
+from dualframes import frames, gabor, oplin
 from dualframes import (
     BadCoefficients,
     ContractViolation,
@@ -459,13 +459,13 @@ class TestClassBlocks:
 
     def test_block_readers_build_no_synthesis_matrix(self, monkeypatch):
         built = []
-        materialize = gabor._GaborSystem.synthesis
+        materialize = oplin.ClassFactor.synthesis
 
         def counted(system):
             built.append(system.shape)
             return materialize(system)
 
-        monkeypatch.setattr(gabor._GaborSystem, "synthesis", counted)
+        monkeypatch.setattr(oplin.ClassFactor, "synthesis", counted)
         grid = GridSpec(16, 32)
         lat = GaborLattice(1, Fraction(1, 10))  # b * P = 16/5: classes of sizes 3 and 4
         gaussian = sample_function(lambda x: np.exp(-4.0 * x**2), grid, centered=True)
@@ -506,15 +506,21 @@ class TestClassBlocks:
     def test_reads_on_16_64_build_no_l_by_n_array(self, monkeypatch):
         """On 16:64 with b = 1/8 (L = 1024, N = 8192), the bounds, the frame test, the
         canonical dual, the roots and gdual_factorization build no synthesis matrix, take no
-        SVD with N columns and no complex array of L N entries, and one batched SVD per system."""
+        SVD with N columns and no complex array of L N entries, and one batched thin SVD per
+        system; the pair's singular values are a values-only SVD of its L x L blocks."""
         grid, lat = GridSpec(16, 64), GaborLattice(1, Fraction(1, 8))
         g = sample_bspline(2, grid)
         phi, psi = gabor_frame(g, lat), gabor_frame(ck_dual1(g, 2, lat.b), lat)
         shape = phi.dim, phi.count
         built, svds, peaks = [], [], []
-        materialize, svd = gabor._GaborSystem.synthesis, np.linalg.svd
-        monkeypatch.setattr(gabor._GaborSystem, "synthesis", lambda system: built.append(1) or materialize(system))
-        monkeypatch.setattr(np.linalg, "svd", lambda a, *arg, **kw: svds.append(np.shape(a)) or svd(a, *arg, **kw))
+        materialize, svd = oplin.ClassFactor.synthesis, np.linalg.svd
+        monkeypatch.setattr(oplin.ClassFactor, "synthesis", lambda system: built.append(1) or materialize(system))
+
+        def counted_svd(a, *args, compute_uv=True, **kwargs):
+            svds.append((np.shape(a), compute_uv))
+            return svd(a, *args, compute_uv=compute_uv, **kwargs)
+
+        monkeypatch.setattr(np.linalg, "svd", counted_svd)
         reads = (frame_bounds, is_frame, canonical_dual, frame_operator_sqrt, frame_operator_inv_sqrt,
                  lambda f: gdual_factorization(f, psi))
         tracemalloc.start()
@@ -528,9 +534,29 @@ class TestClassBlocks:
             tracemalloc.stop()
         assert built == []
         assert max(peaks) < 16 * shape[0] * shape[1]  # bytes of one complex L x N array
-        batched = [np.prod(s) for s in svds if len(s) == 3]  # the factor or its transpose
+        batched = [np.prod(s) for s, vectors in svds if len(s) == 3 and vectors]  # the factor or its transpose
         assert batched == [system.groups[0][1].size for system in (phi._system, psi._system)]
-        assert all(s[-1] < shape[1] for s in svds)
+        assert all(s[-1] < shape[1] for s, _ in svds)
+
+    def test_classify_pair_on_16_64_decomposes_blocks_only(self, monkeypatch):
+        """The pair's rate, singular values and corresponding operator come from its L x L
+        blocks: no SVD or inverse of a matrix with L rows, one of each batched over the blocks."""
+        grid, lat = GridSpec(16, 64), GaborLattice(1, Fraction(1, 8))
+        g = sample_bspline(2, grid)
+        phi, psi = gabor_frame(g, lat), gabor_frame(ck_dual1(g, 2, lat.b), lat)
+        calls = []
+        for name in ("svd", "inv"):
+            def counted(a, *args, _name=name, _fn=getattr(np.linalg, name), **kwargs):
+                calls.append((_name, np.shape(a)))
+                return _fn(a, *args, **kwargs)
+
+            monkeypatch.setattr(np.linalg, name, counted)
+        report = classify_pair(phi, psi)
+        monkeypatch.undo()
+        assert report.kind == "dual" and report.corresponding_op.shape == (phi.dim, phi.dim)
+        assert [call for call in calls if len(call[1]) == 2 and call[1][0] == phi.dim] == []
+        assert sorted(name for name, _ in calls) == ["inv", "svd"]
+        assert all(len(shape) == 3 and shape[0] * shape[1] == phi.dim for _, shape in calls)
 
     def test_empty_classes_are_never_enumerated(self):
         # M = s/b = 1e6 > L = 200: 200 classes hold a sample, the others are never listed
@@ -572,7 +598,7 @@ class TestClassBlocks:
         phi_d, psi_d = (Frame(np.array(f.synthesis)) for f in (phi, psi))
         # two systems on different lattices, and a system against a plain frame of its own matrix
         for left, right, dense in ((phi, psi, psi_d), (phi, phi_d, phi_d)):
-            assert frames._class_blocks(left, right) is None
+            assert not left._system.shares_classes(right._system)
             assert approximation_rate(left, right) == approximation_rate(phi_d, dense)
             assert np.array_equal(mixed_operator(left, right), mixed_operator(phi_d, dense))
 
@@ -677,6 +703,7 @@ class TestSystemOracle:
         assert _close(duals[0].synthesis, duals[1].synthesis, tol(1e-10))
         pairs = [classify_pair(f, dual) for f, dual in zip((phi, dense), duals)]
         assert pairs[0].kind == pairs[1].kind == "dual"
+        assert _close(pairs[0].corresponding_op, pairs[1].corresponding_op, tol(1e-10))  # from the blocks
         reports = [gdual_factorization(phi, psi), gdual_factorization(dense, dense_psi)]
         assert reports[0].kind == reports[1].kind and abs(reports[0].rate - reports[1].rate) <= 1e-10
         assert reports[0].bessel_bound_ok == reports[1].bessel_bound_ok
@@ -687,7 +714,9 @@ class TestSystemOracle:
         assert _close(recovered[0][0], recovered[1][0], tol(1e-9))
         theta_scale = max(1.0, np.max(np.abs(partner.synthesis)))  # ||partner|| grows with kappa(T)
         assert np.max(np.abs(recovered[0][1].map - recovered[1][1].map)) <= tol(1e-9) * theta_scale
-        assert classify_pair(phi, partner).kind == classify_pair(dense, partner).kind == "approx"
+        approx = [classify_pair(f, partner) for f in (phi, dense)]  # a system against a matrix: one block
+        assert approx[0].kind == approx[1].kind == "approx"
+        assert _close(approx[0].corresponding_op, approx[1].corresponding_op, tol(1e-10))
 
     @pytest.mark.parametrize("eps", [7.35e-3, 5.27e-4, 4.08e-5])
     def test_near_singular_class_keeps_its_dual(self, eps):
@@ -1202,14 +1231,14 @@ class TestLatticeOperator:
 
     def test_each_system_builds_its_frame_blocks_once(self, monkeypatch):
         built = []
-        build = gabor._GaborSystem.class_blocks
+        build = oplin.ClassFactor.blocks
 
         def counted(system, other):
             if other is system:
                 built.append(system)  # kept alive, so every id is distinct
             return build(system, other)
 
-        monkeypatch.setattr(gabor._GaborSystem, "class_blocks", counted)
+        monkeypatch.setattr(oplin.ClassFactor, "blocks", counted)
         grid = GridSpec(6, 6)
         lat = GaborLattice(1, Fraction(1, 3))
         b2 = sample_bspline(2, grid)
@@ -1256,19 +1285,36 @@ class TestOneSystemPerWindow:
 
         task = next(task for task in workloads.build_gabor_dense(1, 1).tasks if task.kind == kind)
         systems, blocks, svds, eighs = [], [], [], []
-        init, build, svd = gabor._GaborSystem.__init__, gabor._GaborSystem.class_blocks, np.linalg.svd
+        init, build, svd = oplin.ClassFactor.__init__, oplin.ClassFactor.blocks, np.linalg.svd
 
         def counted(calls, fn):
             return lambda first, *args, **kwargs: calls.append(first) or fn(first, *args, **kwargs)
 
-        monkeypatch.setattr(gabor._GaborSystem, "__init__", counted(systems, init))
-        monkeypatch.setattr(gabor._GaborSystem, "class_blocks", counted(blocks, build))
+        monkeypatch.setattr(oplin.ClassFactor, "__init__", counted(systems, init))
+        monkeypatch.setattr(oplin.ClassFactor, "blocks", counted(blocks, build))
         monkeypatch.setattr(np.linalg, "svd", counted(svds, svd))
         for name in ("eigh", "eigvalsh"):
             monkeypatch.setattr(np.linalg, name, counted(eighs, getattr(np.linalg, name)))
         task.run()
         assert (len(systems), len(blocks), len(svds)) == census and eighs == []
         assert {np.ndim(a) for a in svds} == {3}  # each SVD is batched over the classes
+
+    def test_rounds_on_one_window_read_one_frame(self, monkeypatch):
+        # the frame of a window and lattice is kept on the window, with every fact it keeps:
+        # two rounds build the synthesis matrices of g and of its canonical dual once each,
+        # and the blocks of the pair (g, h) once
+        grid, lat = GridSpec(10, 20), GaborLattice(1, Fraction(1, 10))
+        g = sample_bspline(2, grid)
+        h = ck_dual1(g, 2, lat.b)
+        built, blocks = [], []
+        synthesis, build = oplin.ClassFactor.synthesis, oplin.ClassFactor.blocks
+        monkeypatch.setattr(oplin.ClassFactor, "synthesis", lambda f: built.append(f) or synthesis(f))
+        monkeypatch.setattr(oplin.ClassFactor, "blocks", lambda f, other: blocks.append(f) or build(f, other))
+        for _ in range(2):
+            canonical_dual(gabor_frame(g, lat)).synthesis
+            approximation_rate(gabor_frame(g, lat), gabor_frame(h, lat))
+            gabor_frame(g, lat).synthesis
+        assert len(built) == 2 and len(blocks) == 1
 
     def test_window_values_are_a_read_only_copy(self):
         values = np.ones(4)
@@ -1281,13 +1327,13 @@ class TestOneSystemPerWindow:
     def test_kept_system_dies_with_its_window(self):
         g = sample_bspline(2, GridSpec(6, 6))
         lat = GaborLattice(1, Fraction(1, 3))
-        system = gabor._GaborSystem.of(g, lat)
-        assert gabor_frame(g, lat)._system is system
-        assert mixed_lattice_operator(g, g, lat) is system.frame_blocks
-        assert gabor._GaborSystem.of(g, GaborLattice(1, Fraction(1, 2))) is not system
-        kept = weakref.ref(system)
-        frame_bounds(gabor_frame(g, lat))  # builds and decomposes the blocks
-        del system
+        frame = gabor_frame(g, lat)
+        assert gabor_frame(g, lat) is frame
+        assert mixed_lattice_operator(g, g, lat) is frames._pair(frame, frame).mixed
+        assert gabor_frame(g, GaborLattice(1, Fraction(1, 2))) is not frame
+        kept = weakref.ref(frame)
+        frame_bounds(gabor_frame(g, lat)), canonical_dual(frame)  # decomposes the factor
+        del frame
         gc.disable()
         try:
             del g  # no reference cycle: the system goes with the window, without the collector
@@ -1332,7 +1378,7 @@ TYPED_ERROR_SITES = {
                                     lambda: gabor.mixed_lattice_operator(_G42, _G44, _LAT), None, None),
     "approximate dual across grids": ("approx_dual_window", DimensionMismatch, "different grids",
                                       lambda: approx_dual_window(_G42, _G44, np.eye(8), _LAT), None, None),
-    "1/b past the float range": ("of", ValueError, "too many to count in a float",
+    "1/b past the float range": ("_system", ValueError, "too many to count in a float",
                                  lambda: gabor_frame(_G42, GaborLattice(1, Fraction(1, 10**400))),
                                  ["gabor", "approx-dual", "--window", "bspline:2", "--dual", "bspline:2",
                                   "--scale-window", "bspline:2", "--grid", "4:2", "--a", "1", "--b", "1e-400"], 3),

@@ -184,13 +184,13 @@ class TestStaleness:
         assert np.array_equal(phi.synthesis, original)
         assert frame_bounds(phi) == bounds == frame_bounds(fresh)
         assert np.array_equal(canonical_dual(phi).synthesis, canonical_dual(fresh).synthesis)
-        assert np.array_equal(phi.spectrum.vh, fresh.spectrum.vh)
+        assert np.array_equal(phi.spectrum.classes[0][3], fresh.spectrum.classes[0][3])  # V*
 
     def test_synthesis_and_cached_facts_are_read_only(self):
         phi = Frame(np.arange(6.0).reshape(2, 3) + np.eye(2, 3))
         canonical_dual(phi)
         spectrum = phi.spectrum
-        for arr in (phi.synthesis, phi.eigenvalues, spectrum.u, spectrum.s, spectrum.vh, spectrum.range_basis):
+        for arr in (phi.synthesis, phi.eigenvalues, *spectrum.classes[0], spectrum.s, spectrum.range_basis):
             with pytest.raises(ValueError):
                 arr[0] = 1.0
 
@@ -232,9 +232,10 @@ class Decompositions:
 
     ``svd`` records the kind "thin", "full" or "values" (``compute_uv=False``),
     ``norm(a, 2)`` the kind "norm2", and ``eigh``, ``eigvalsh``, ``inv``, ``solve``,
-    ``qr`` and ``pinv`` their names; each record keeps its operand, so :meth:`of`
-    names the decompositions of one array.  ``wide`` lists every operand or result
-    of these calls with ``rows`` rows and more than ``cols`` columns.
+    ``qr`` and ``pinv`` their names, with the shape of one matrix: a call on a stack
+    of matrices is one record.  Each record keeps its operand, so :meth:`of` names
+    the decompositions of one array or of a view of it.  ``wide`` lists every operand
+    or result of these calls with ``rows`` rows and more than ``cols`` columns.
     """
 
     SVD_CLASS = ("thin", "full", "values", "norm2")
@@ -254,16 +255,16 @@ class Decompositions:
 
     @staticmethod
     def _norm_kind(x, ord=None, *args, **kwargs):
-        return "norm2" if ord == 2 and np.ndim(x) == 2 else None
+        return "norm2" if ord == 2 and np.ndim(x) >= 2 else None
 
     def _watch(self, kind_of, fn):
         def wrapper(*args, **kwargs):
             kind = kind_of(*args, **kwargs)
             if kind is not None:
-                self.records.append((kind, np.shape(args[0]), args[0]))
+                self.records.append((kind, np.shape(args[0])[-2:], args[0]))
             out = fn(*args, **kwargs)
             for a in (*args, *(out if isinstance(out, tuple) else (out,))):
-                if getattr(a, "ndim", 0) == 2 and a.shape[0] == self._rows and a.shape[1] > self._cols:
+                if getattr(a, "ndim", 0) >= 2 and a.shape[-2] == self._rows and a.shape[-1] > self._cols:
                     self.wide.append((kind, a.shape))
             return out
 
@@ -276,7 +277,7 @@ class Decompositions:
         return sum(kind in self.SVD_CLASS for kind, _, _ in self.records)
 
     def of(self, a) -> list:
-        return [kind for kind, _, operand in self.records if operand is a]
+        return [kind for kind, _, operand in self.records if a is operand or a is getattr(operand, "base", None)]
 
 
 def run_pipeline():
@@ -302,12 +303,14 @@ def run_pipeline():
 
 def test_pipeline_decomposes_each_frame_once(monkeypatch):
     """The 64x96 finite-frame pipeline takes 13 SVD-class calls and decomposes each
-    frame once: one thin SVD of T for phi and for psi, whose vectors it reads, and one
-    values-only SVD for phi_ad, which it reads only for its upper bound.
+    frame once: one thin SVD for phi and for psi, whose vectors it reads, and one
+    values-only SVD for phi_ad, which it reads only for its upper bound, each of the
+    one-class factor's transpose (n x d).
 
     The other ten are the operator norms of two n x d maps (the scaled draw and
-    theta), of two d x n differences (Bessel bounds) and of five d x d matrices, and the
-    pair's singular values.  The annihilator checks and the transfer's corrector are
+    theta), of two d x n differences (Bessel bounds) and of three d x d matrices, the
+    2-norms of the two pairs' d x d blocks Id - M (their rates), and the pair's singular
+    values, from its block.  The annihilator checks and the transfer's corrector are
     certified without an SVD.  No ``eigh``, ``eigvalsh`` or full SVD runs, and no call
     takes or returns an array with n rows and more than d columns (a kernel basis or an
     n x n factor).  The canonical duals of phi and psi are each built once, however
@@ -323,10 +326,11 @@ def test_pipeline_decomposes_each_frame_once(monkeypatch):
     phi, phi_ad, psi = run_pipeline()
 
     assert seen.census() == Counter({
-        ("thin", (d, n)): 2,
-        ("values", (d, n)): 3,
-        ("values", (n, d)): 2,
-        ("values", (d, d)): 6,
+        ("thin", (n, d)): 2,
+        ("values", (n, d)): 3,
+        ("values", (d, n)): 2,
+        ("values", (d, d)): 4,
+        ("norm2", (d, d)): 2,
         ("inv", (d, d)): 1,
         ("solve", (d, d)): 1,
     })
@@ -415,15 +419,15 @@ def test_pipeline_reads_each_pair_fact_once(monkeypatch):
     """The pair (phi, phi_ad) is read by the classification, the factorization,
     parameter recovery and the transfer; its facts are computed once.
 
-    ``identity_gap`` runs twice: for the rate of (phi, phi_ad), which its
+    The block gap ``||Id - M||`` runs twice: for the rate of (phi, phi_ad), which its
     constructor checks and the classification reads, and for the rate of the
     rebuilt family, which its constructor checks.  The one ``inv`` is the pair's
     corresponding operator; theta is built once: one projection onto ker T, made by
     the first ``_theta_part`` call that finds no theta on the pair's record, and its
     norm is taken once, which the recovered Annihilator and the transfer read.
     """
-    calls = {"identity_gap": 0, "theta_build": 0}
-    monkeypatch.setattr(oplin, "identity_gap", counted(calls, "identity_gap", oplin.identity_gap))
+    calls = {"gap": 0, "theta_build": 0}
+    monkeypatch.setattr(oplin.LatticeOperator, "gap", counted(calls, "gap", oplin.LatticeOperator.gap))
     seen = Decompositions(monkeypatch)
     theta_part, thetas, normed = duality._theta_part, [], []
 
@@ -443,7 +447,7 @@ def test_pipeline_reads_each_pair_fact_once(monkeypatch):
 
     run_pipeline()
 
-    assert calls["identity_gap"] == 2
+    assert calls["gap"] == 2
     assert seen.census()[("inv", (64, 64))] == 1
     assert calls["theta_build"] == 1
     assert len(thetas) == 2 and thetas[0] is thetas[1]  # recovery and the transfer
