@@ -228,8 +228,8 @@ def _product(phi: Frame, psi: Frame) -> oplin.LatticeOperator:
 
 def frame_operator(phi: Frame) -> np.ndarray:
     """S = T T*, Hermitian PSD by construction (d x d); ValueError when it overflows.
-    Scattered on each call from the blocks of the pair (phi, phi), which the frame keeps."""
-    return np.asarray(_pair(phi, phi).mixed)
+    A new array on each call, from the blocks of the pair (phi, phi), which the frame keeps."""
+    return np.array(_pair(phi, phi).mixed)
 
 
 def frame_bounds(phi: Frame) -> FrameBounds:

@@ -141,7 +141,8 @@ class LatticeOperator:
     ``(index, blocks)`` groups, one per class size (``blocks[c]`` acts on the rows ``index[c]``),
     on the ``grid`` and ``lattice`` of the factors it comes from (None for a matrix).
     Only factors and spectra build it, each block checked finite (ValueError otherwise);
-    ``np.asarray`` gives the dense matrix.
+    ``np.asarray`` gives the dense matrix: the read-only block itself when one class holds
+    every row, as for a matrix pair.
 
     It is not a :class:`ClassFactor`: at ab = 1 a Gabor system's factor is square, so a
     block's shape cannot tell a synthesis matrix from an operator on the same space."""
@@ -162,6 +163,9 @@ class LatticeOperator:
         return sum(index.size for index, _ in self.groups)
 
     def __array__(self, dtype=None, copy=None):
+        (index, blocks), *others = self.groups
+        if index.shape[0] == 1 and not others:  # one class holds every row, in order: its block is the matrix
+            return blocks[0].astype(dtype or complex, copy=bool(copy))
         out = np.zeros((self.dim, self.dim), dtype=complex)
         for index, blocks in self.groups:
             out[index[:, :, None], index[:, None, :]] = blocks
@@ -204,7 +208,7 @@ class ClassFactor:
     With M ``modulations``, row x of T lies in the class r = x mod M, and column j M + m
     carries the modulation m: T[index_r[k], j M + m] = omega^(m r) factor_r[k, j] / sqrt(M),
     omega = exp(2 pi i / M).  ``groups`` holds one read-only ``(index, factor)`` per class
-    size, ``index[c]`` the rows of a class; a class that holds no row is not stored.  As the
+    size, ``index[c]`` the rows of a class, ascending; a class that holds no row is not stored.  As the
     rows omega^(m r) / sqrt(M) are orthonormal, the thin SVD of T is that of each factor_r
     (:class:`Spectrum`), and two factors with the same classes have the mixed operator
     factor_r other_r* on each class.  A matrix is the one-class case, M = 1 (:meth:`of`).
