@@ -14,12 +14,18 @@ Terminology used throughout:
   target mixed operator.  Constructions for both parameterizations are
   provided, together with exact recovery of the parameters from a pair.
   All build through ``_with_mixed``: vectors A* S^{-1} phi_k + theta*(delta_k)
-  for the mixed operator A; ``_theta_part`` recovers theta as the partner's
-  analysis operator projected onto ker(synthesis), through the frame's one
-  thin SVD (:class:`dualframes.oplin.Spectrum`).
-* A pair's mixed operator, rate, corresponding operator and annihilator
-  part are read from its record (:func:`dualframes.frames._pair`), which
-  computes each once while both frames live.
+  for the mixed operator A; ``_theta_part`` recovers theta* as the partner's
+  synthesis projected off range(T*), through the frame's one thin SVD
+  (:class:`dualframes.oplin.Spectrum`).
+* Every function reads phi's operators as blocks and its vectors as its class
+  factor (a matrix is one class), by one operand rule
+  (:func:`dualframes.frames._aligned`): a d x d operand is read class by class
+  when it is a LatticeOperator on phi's classes or an array exactly zero between
+  them; any other operand, or a partner of other classes, reads every frame
+  through its one-class view.  A pair's mixed operator, rate, corresponding
+  operator and annihilator part are read from its record
+  (:func:`dualframes.frames._pair`), which computes each once while both frames
+  live.
 
 All strict norm conditions ``< 1`` are enforced as ``< STRICT_FACTOR`` so that
 boundary cases are rejected deterministically; every threshold is in
@@ -46,20 +52,16 @@ from .errors import (
 from .frames import (
     Annihilator,
     Frame,
-    _check_same_shape,
-    _frozen,
+    _aligned,
     _Pair,
     _pair,
+    _same_frame,
     _vector,
     canonical_dual,
     frame_bounds,
-    frame_operator,
-    frame_operator_inv_sqrt,
-    frame_operator_sqrt,
-    mixed_operator,
     require_frame,
 )
-from .oplin import _squared_norm, _strictly_below, adjoint, operator_norm
+from .oplin import ClassFactor, LatticeOperator, _largest_norm, _squared, _strictly_below, adjoint
 from .tolerances import BESSEL_CHECK_TOL, DUAL_TOL, EQUIVALENCE_TOL, RANGE_TOL
 
 
@@ -101,7 +103,7 @@ class DualReport:
 def _classify(pair: _Pair) -> Tuple[str, Optional[np.ndarray]]:
     rate = pair.rate
     try:
-        corresponding = pair.corresponding
+        corresponding = pair.inverse.matrix
     except Singular:
         corresponding = None
     if rate <= DUAL_TOL:
@@ -130,59 +132,64 @@ def gdual_factorization(phi: Frame, psi: Frame) -> DualReport:
     the approximation rate ``report.rate``.  The report also checks
     lambda_max(W W*) = ||W||^2 against the Bessel bound of ``psi``, which
     must hold for any genuine frame pair, up to the relative slack
-    ``BESSEL_CHECK_TOL``.
+    ``BESSEL_CHECK_TOL``.  Every read is block by block.
     """
     require_frame(phi, "first frame")
-    pair = _pair(phi, psi)
-    whitened = _whitened(phi, pair)
-    residual = operator_norm(pair.dense - frame_operator_sqrt(phi) @ whitened)
-    peak = _squared_norm(whitened)
+    view, partner = _aligned(phi, psi)
+    pair = _pair(view, partner)
+    whitened = _whitened(view, pair)
+    residual = pair.mixed.distance(view.spectrum.root @ whitened)
+    peak = _squared(whitened.norm())
     upper_psi = frame_bounds(psi).upper
     kind, corresponding = _classify(pair)
     return DualReport(
         kind=kind,
         rate=pair.rate,
         corresponding_op=corresponding,
-        whitened=whitened,
+        whitened=whitened.matrix,
         factor_residual=residual,
         bessel_bound_ok=bool(peak <= upper_psi * (1.0 + BESSEL_CHECK_TOL)),
         bessel_margin=upper_psi - peak,
     )
 
 
-def _whitened(phi: Frame, pair: _Pair) -> np.ndarray:
-    """The whitened factor W = S^{-1/2} mixed of the pair (phi, .), read-only, built once
-    and kept on the pair's record, as theta is (see :func:`_theta_part`)."""
+def _whitened(phi: Frame, pair: _Pair) -> LatticeOperator:
+    """The whitened factor W = S^{-1/2} mixed of the pair (phi, .), block by block, built
+    once and kept on the pair's record, as theta is (see :func:`_theta_part`)."""
     if pair.whitened is None:
-        pair.whitened = _frozen(frame_operator_inv_sqrt(phi) @ pair.dense)
+        pair.whitened = phi.spectrum.inv_root @ pair.mixed
     return pair.whitened
 
 
-def _operand(phi: Frame, m, name: str) -> np.ndarray:
-    a = oplin.as_operator(m)
-    if a.shape != (phi.dim, phi.dim):
-        raise DimensionMismatch(f"{name} must be {phi.dim}x{phi.dim}, got {a.shape}")
+def _operand(phi: Frame, m, name: str):
+    """A d x d operand: a LatticeOperator as it is, else a finite matrix."""
+    a = m if isinstance(m, LatticeOperator) else oplin.as_operator(m)
+    shape = (a.dim, a.dim) if isinstance(a, LatticeOperator) else a.shape
+    if shape != (phi.dim, phi.dim):
+        raise DimensionMismatch(f"{name} must be {phi.dim}x{phi.dim}, got {shape}")
     return a
 
 
-def _theta_map(phi: Frame, theta: Optional[Annihilator]) -> Optional[np.ndarray]:
-    if theta is None:
-        return None
-    if theta.base is not phi and not np.array_equal(theta.base.synthesis, phi.synthesis):
+def _require_base(phi: Frame, theta: Optional[Annihilator]) -> None:
+    if theta is not None and not _same_frame(theta.base, phi):
         raise DimensionMismatch("annihilator was built for a different frame")
-    return theta.map
 
 
-def _with_mixed(phi: Frame, a: np.ndarray, theta_map: Optional[np.ndarray] = None) -> Frame:
-    """( a* S^{-1} phi_k + theta*(delta_k) )_k: mixed operator ``a`` if theta maps into ker T."""
-    syn = adjoint(a) @ canonical_dual(phi).synthesis
-    if theta_map is not None:
-        syn += adjoint(theta_map)
-    return Frame._adopt(syn)
+def _with_mixed(phi: Frame, a: LatticeOperator, theta=None) -> Frame:
+    """( a* S^{-1} phi_k + theta*(delta_k) )_k: mixed operator ``a`` if theta maps into ker T.
+    On phi's classes: the factor a_r* U_r diag(1/s_r) V_r* + theta*_r, for theta* a factor
+    or an annihilator's."""
+    dual = canonical_dual(phi)._system
+    star = theta._star if isinstance(theta, Annihilator) else theta
+    with np.errstate(over="ignore", invalid="ignore"):  # _with raises an overflow
+        stacks = [adjoint(b) @ f for (_, b), (_, f) in zip(a.groups, dual.groups)]
+        for stack, (_, t) in zip(stacks, () if star is None else star.groups):
+            stack += t
+    return Frame._over(dual._with(stacks))
 
 
-def _approx_dual(phi: Frame, a: np.ndarray, theta_map, condition: str) -> Frame:
-    """``result = _with_mixed(phi, a, theta_map)`` once ``condition`` is below 1.
+def _approx_dual(phi: Frame, a: LatticeOperator, theta, condition: str) -> Frame:
+    """``result = _with_mixed(phi, a, theta)`` once ``condition`` is below 1.
 
     The condition, ||Id - a||, is checked on the pair returned: its rate
     ||Id - mixed_operator(phi, result)||, kept on the pair's record, which
@@ -193,19 +200,18 @@ def _approx_dual(phi: Frame, a: np.ndarray, theta_map, condition: str) -> Frame:
     which is raised only if the condition holds.
     """
     rate = None
-    if np.max(np.abs((oplin.identity(phi.dim) - a).view(float))) < 1.0:
+    if max(np.max(np.abs((np.eye(b.shape[-1]) - b).view(float))) for _, b in a.groups) < 1.0:
         try:
-            result = _with_mixed(phi, a, theta_map)
+            result = _with_mixed(phi, a, theta)
         except ValueError:
-            rate = oplin.identity_gap(a)
+            rate = a.gap()
             if _strictly_below(rate, 1.0):
                 raise
         else:
             rate = _pair(phi, result).rate
             if _strictly_below(rate, 1.0):
                 return result
-    measured = oplin.identity_gap(a) if rate is None else rate
-    raise ContractViolation(f"requires {condition} < 1", measured=measured)
+    raise ContractViolation(f"requires {condition} < 1", measured=a.gap() if rate is None else rate)
 
 
 def approx_dual_from_whitened(
@@ -218,8 +224,9 @@ def approx_dual_from_whitened(
     over *all* approximate duals of ``phi`` as (W, theta) vary.
     """
     require_frame(phi, "frame")
-    a = frame_operator_sqrt(phi) @ _operand(phi, whitened, "whitened")
-    return _approx_dual(phi, a, _theta_map(phi, theta), "||Id - S^(1/2) W||")
+    _require_base(phi, theta)
+    phi, w, theta = _aligned(phi, _operand(phi, whitened, "whitened"), theta)
+    return _approx_dual(phi, phi.spectrum.root @ w, theta, "||Id - S^(1/2) W||")
 
 
 @dataclass(frozen=True)
@@ -236,8 +243,8 @@ def whitened_admissibility(phi: Frame, whitened) -> WhitenedAdmissibility:
     """Check the closeness-to-S^{-1/2} condition that guarantees an approximate dual."""
     require_frame(phi, "frame")
     bounds = frame_bounds(phi)
-    w = _operand(phi, whitened, "whitened")
-    distance = operator_norm(frame_operator_inv_sqrt(phi) - w)
+    phi, w = _aligned(phi, _operand(phi, whitened, "whitened"))
+    distance = phi.spectrum.inv_root.distance(w)
     threshold = 1.0 / np.sqrt(bounds.upper)
     return WhitenedAdmissibility(
         admissible=_strictly_below(distance, threshold),
@@ -257,8 +264,9 @@ def approx_dual_from_mixed(
     target* S^{-1} phi_k + theta*(delta_k).
     """
     require_frame(phi, "frame")
-    a = _operand(phi, target, "target")
-    return _approx_dual(phi, a, _theta_map(phi, theta), "||Id - target||")
+    _require_base(phi, theta)
+    phi, a, theta = _aligned(phi, _operand(phi, target, "target"), theta)
+    return _approx_dual(phi, a, theta, "||Id - target||")
 
 
 def gdual_from_corresponding(
@@ -271,22 +279,23 @@ def gdual_from_corresponding(
     (corresponding^{-1})* S^{-1} phi_k + theta*(delta_k).
     """
     require_frame(phi, "frame")
-    a = oplin.inverse(_operand(phi, corresponding, "corresponding"))
-    return _with_mixed(phi, a, _theta_map(phi, theta))
+    _require_base(phi, theta)
+    phi, c, theta = _aligned(phi, _operand(phi, corresponding, "corresponding"), theta)
+    return _with_mixed(phi, oplin._require_invertible(c).inverse(), theta)
 
 
-def _theta_part(phi: Frame, partner: Frame) -> np.ndarray:
-    """Annihilator part: the theta map with partner == _with_mixed(phi, mixed, theta_map),
-    read-only, built once and kept on the pair's record with its norm.
+def _theta_part(phi: Frame, partner: Frame) -> ClassFactor:
+    """Annihilator part: theta* with partner == _with_mixed(phi, mixed, theta), for a pair
+    aligned by :func:`_aligned`, built once and kept on the pair's record with its norm.
 
-    It is T_partner* projected onto ker T (``Spectrum.kernel_part``): the projection
-    removes the part A* S^{-1} phi_k, whose analysis lies in range(T*).  No rate is
-    checked: g-dual partners are valid input.
+    It is T_partner projected, class by class, off range(T*) (``Spectrum.kernel_part`` of the
+    partner's factor): the projection removes the part A* S^{-1} phi_k, whose analysis lies in
+    range(T*).  No rate is checked: g-dual partners are valid input.
     """
     pair = _pair(phi, partner)
     if pair.theta is None:
-        pair.theta = _frozen(phi.spectrum.kernel_part(adjoint(partner.synthesis)))
-        pair.theta_norm = operator_norm(pair.theta)
+        pair.theta = phi.spectrum.kernel_part(partner._system)
+        pair.theta_norm = pair.theta.norm()
     return pair.theta
 
 
@@ -294,13 +303,16 @@ def recover_parameters(phi: Frame, phi_ad: Frame) -> Tuple[np.ndarray, Annihilat
     """Invert the whitened construction: recover (W, theta) from a pair.
 
     Feeding the result back into :func:`approx_dual_from_whitened`
-    reproduces ``phi_ad`` columnwise.
+    reproduces ``phi_ad`` columnwise.  Theta is held as its factor theta*
+    (see :class:`~dualframes.frames.Annihilator`).
     """
     require_frame(phi, "frame")
+    phi, phi_ad = _aligned(phi, phi_ad)
     pair = _pair(phi, phi_ad)
     if not _strictly_below(pair.rate, 1.0):
         raise NotApproxDual("pair is not approximately dual", measured=pair.rate)
-    return _whitened(phi, pair), Annihilator._kept(_theta_part(phi, phi_ad), phi, pair.theta_norm)
+    theta = _theta_part(phi, phi_ad)
+    return _whitened(phi, pair).matrix, Annihilator._over(theta, phi, pair.theta_norm)
 
 
 def approx_dual_via_dual(
@@ -329,11 +341,12 @@ def approx_dual_via_dual(
             raise ContractViolation(
                 "requires ||S^(-1/2) - W|| < 1/sqrt(upper bound)", measured=check.distance
             )
-        a = frame_operator_sqrt(phi) @ _operand(phi, whitened, "whitened")
-        condition = "||Id - S^(1/2) W||"
+        phi, phi_d, w = _aligned(phi, phi_d, _operand(phi, whitened, "whitened"))
+        a, condition = phi.spectrum.root @ w, "||Id - S^(1/2) W||"
     else:
-        a, condition = _operand(phi, target, "target"), "||Id - target||"
-    kernel_part = adjoint(frame_operator(phi) @ phi_d.synthesis - phi.synthesis)
+        phi, phi_d, a = _aligned(phi, phi_d, _operand(phi, target, "target"))
+        condition = "||Id - target||"
+    kernel_part = _pair(phi, phi).mixed @ phi_d._system - phi._system
     return _approx_dual(phi, a, kernel_part, condition)
 
 
@@ -342,10 +355,11 @@ def reconstruct(phi: Frame, psi: Frame, f) -> np.ndarray:
 
     Applies the corresponding operator (inverse of the mixed operator)
     before analysis, which makes the reconstruction algebraically exact:
-    sum_k <A_inv f, psi_k> phi_k == f.
+    sum_k <A_inv f, psi_k> phi_k == f.  Both steps are block by block: the
+    corresponding operator, then the mixed operator synthesis(phi) o analysis(psi).
     """
-    corrected = _pair(phi, psi).corresponding @ _vector(f, phi.dim, "vector")
-    return phi.synthesis @ (adjoint(psi.synthesis) @ corrected)
+    pair = _pair(phi, psi)
+    return pair.mixed.apply(pair.inverse.apply(_vector(f, phi.dim, "vector")))
 
 
 class RangeRelation(enum.Enum):
@@ -357,9 +371,9 @@ class RangeRelation(enum.Enum):
     INCOMPARABLE = "incomparable"
 
 
-def _containment_defect(q_small: np.ndarray, q_big: np.ndarray) -> float:
-    # sin of the largest principal angle from range(q_small) into range(q_big)
-    return operator_norm(q_small - q_big @ (adjoint(q_big) @ q_small))
+def _containment_defect(small: Frame, big: Frame) -> float:
+    # sin of the largest principal angle from range(T_small*) into range(T_big*), class by class
+    return _largest_norm(big.spectrum.off_range(small.spectrum.range_rows))
 
 
 def range_compare(phi: Frame, psi: Frame) -> RangeRelation:
@@ -368,13 +382,12 @@ def range_compare(phi: Frame, psi: Frame) -> RangeRelation:
     Two frames of the same space with the same index count both have
     d-dimensional ranges, so strict one-sided inclusion can never occur
     for valid frame inputs; those verdicts only arise for rank-deficient
-    (Bessel-only) families.
+    (Bessel-only) families.  On shared classes a range contains another
+    when each class's range(V_r) does.
     """
-    _check_same_shape(phi, psi)
-    q_phi = phi.spectrum.range_basis
-    q_psi = psi.spectrum.range_basis
-    left_in_right = _containment_defect(q_phi, q_psi) <= RANGE_TOL
-    right_in_left = _containment_defect(q_psi, q_phi) <= RANGE_TOL
+    phi, psi = _aligned(phi, psi)
+    left_in_right = _containment_defect(phi, psi) <= RANGE_TOL
+    right_in_left = _containment_defect(psi, phi) <= RANGE_TOL
     if left_in_right and right_in_left:
         return RangeRelation.EQUAL
     if left_in_right:
@@ -389,13 +402,15 @@ def equivalence_inverse(phi: Frame, psi: Frame) -> np.ndarray:
 
     When the analysis ranges coincide, the mixed operator of the two
     canonical duals (taken in reverse order) is a two-sided inverse of
-    mixed_operator(phi, psi); both identities are verified numerically.
+    mixed_operator(phi, psi); both identities are verified numerically,
+    block by block.
     """
     if range_compare(phi, psi) is not RangeRelation.EQUAL:
         raise NotEquivalent("analysis ranges differ")
-    result = mixed_operator(canonical_dual(psi), canonical_dual(phi))
-    mixed = mixed_operator(phi, psi)
-    defect = max(oplin.identity_gap(mixed @ result), oplin.identity_gap(result @ mixed))
+    phi, psi = _aligned(phi, psi)
+    result = _pair(canonical_dual(psi), canonical_dual(phi)).mixed
+    mixed = _pair(phi, psi).mixed
+    defect = max((mixed @ result).gap(), (result @ mixed).gap())
     if defect > EQUIVALENCE_TOL:
         raise NotEquivalent(f"inverse check failed with defect {defect:.3e}")
-    return result
+    return result.matrix

@@ -28,7 +28,7 @@ import numpy as np
 
 from . import oplin
 from .errors import ContractViolation, DimensionMismatch, NotAFrame
-from .oplin import _frozen, _is_frame, _squared_norm, adjoint, operator_norm
+from .oplin import ClassFactor, LatticeOperator, _frozen, _is_frame, _squared, adjoint, operator_norm
 from .tolerances import ANNIHILATOR_TOL, NORM_CARRY_TOL
 
 
@@ -64,8 +64,8 @@ class Frame:
     lazily, at most once per frame, and cached on the instance:
 
     * :attr:`spectrum` -- one thin SVD T = U diag(s) V* (:class:`~dualframes.oplin.Spectrum`);
-      S^{1/2}, S^{-1/2} (two d x d arrays once read), the rank, the analysis
-      range and the projection onto ker T are read from it;
+      S^{1/2}, S^{-1/2} (class by class), the rank, the analysis range and the
+      projection onto ker T are read from it;
     * :attr:`eigenvalues` -- the spectrum of S, behind the frame bounds:
       ``s**2`` of the singular values s of T, which the frame test reads;
     * the canonical dual U diag(1/s) V* = (S^{-1} phi_k)_k, read through
@@ -87,15 +87,11 @@ class Frame:
     the canonical dual raise ValueError; the other facts are read as usual.
 
     A frame also keeps the facts of each pair (phi, psi) it was read in as the
-    first frame, each computed at most once, when first asked for: the mixed
-    operator synthesis(phi) o analysis(psi) as blocks (see :func:`_product`), its
-    rate, its singular values, its dense matrix and its inverse (the corresponding
-    operator), each d x d, the whitened factor S^{-1/2} mixed (d x d) and the
-    annihilator part theta (n x d), psi's analysis operator projected onto
-    ker T.  The facts live while both frames do and go with either; they hold
-    no reference to either frame.
+    first frame (see :class:`_Pair`), each computed at most once, when first asked
+    for.  The facts live while both frames do and go with either; they hold no
+    reference to either frame.
 
-    A frame over a factor of several classes (:func:`dualframes.gabor.gabor_frame`)
+    A frame over a factor (:func:`dualframes.gabor.gabor_frame`, or a construction)
     builds the matrix once, when :attr:`synthesis` is first read; its canonical dual
     is a factor of the same classes.
     """
@@ -178,6 +174,10 @@ class Frame:
         return (float(s[-1]) if s.size == self.dim else 0.0), float(s[0])
 
     @cached_property
+    def _one_class(self) -> "Frame":  # see _flat
+        return Frame._over(ClassFactor.of(self.synthesis))
+
+    @cached_property
     def _pairs(self) -> "weakref.WeakKeyDictionary[Frame, _Pair]":
         return weakref.WeakKeyDictionary()
 
@@ -189,13 +189,6 @@ class Frame:
 
     def __repr__(self):
         return f"Frame(dim={self.dim}, count={self.count})"
-
-
-def _check_same_shape(phi: Frame, psi: Frame) -> None:
-    if phi.dim != psi.dim or phi.count != psi.count:
-        raise DimensionMismatch(
-            f"frames have shapes {phi.dim}x{phi.count} and {psi.dim}x{psi.count}"
-        )
 
 
 def _vector(v, length: int, what: str) -> np.ndarray:
@@ -215,15 +208,58 @@ def synthesis(phi: Frame, c) -> np.ndarray:
     return phi.synthesis @ _vector(c, phi.count, "coefficient")
 
 
-def _product(phi: Frame, psi: Frame) -> oplin.LatticeOperator:
-    """synthesis(phi) o analysis(psi) as blocks (``np.asarray``, ``gap()`` = ``||Id - X||``):
-    the factors' own when they share their classes (for Gabor systems: one grid and
-    one lattice), else the one block of the two synthesis matrices, each the one-class
-    case; ValueError when a block overflows."""
-    left, right = phi._system, psi._system
-    if not left.shares_classes(right):
-        left, right = oplin.ClassFactor.of(phi.synthesis), oplin.ClassFactor.of(psi.synthesis)
-    return left.blocks(right)
+def _flat(phi: Frame) -> Frame:
+    """phi's one-class view: phi itself for a matrix, else the frame over its synthesis
+    matrix as one class, kept on phi."""
+    return phi if phi._system.grid is None else phi._one_class
+
+
+def _on_classes(system: ClassFactor, x):
+    """``x`` read on the classes of ``system``, or None when it is not on them: a frame whose
+    factor shares them (DimensionMismatch unless it has their shape); an annihilator whose
+    theta* does (a map given: a matrix's); a d x d operand as blocks when it is a
+    LatticeOperator on the same grid and lattice, or an array exactly zero between the
+    classes (one class: the array itself)."""
+    if isinstance(x, Frame):
+        if x._system.shape != system.shape:
+            raise DimensionMismatch(f"frames have shapes {system.shape[0]}x{system.shape[1]} "
+                                    f"and {x.dim}x{x.count}")
+        return x if x._system.shares_classes(system) else None
+    if isinstance(x, Annihilator):  # a map given is one class: its theta* is built when read
+        star = x.__dict__.get("_factor")
+        return x if (system.grid is None if star is None else star.shares_classes(system)) else None
+    if isinstance(x, LatticeOperator):
+        return x if (x.grid, x.lattice) == (system.grid, system.lattice) else None
+    (index, _), *others = system.groups
+    if index.shape[0] == 1 and not others:
+        return LatticeOperator._of(system.grid, system.lattice, ((index, x[None]),), finite=True)
+    groups = [(i, x[i[:, :, None], i[:, None, :]]) for i, _ in system.groups]
+    if sum(np.count_nonzero(b) for _, b in groups) == np.count_nonzero(x):
+        return LatticeOperator._of(system.grid, system.lattice, groups, finite=True)
+
+
+def _aligned(phi: Frame, *operands) -> tuple:
+    """``(phi, *operands)`` read on one set of classes, the one operand rule of every pair
+    function: phi's own when each operand is on them (see :func:`_on_classes`), else the
+    one-class views of all (:func:`_flat`; an operand is then one block).  A frame or an
+    annihilator stays one, a d x d operand becomes a LatticeOperator, None stays None."""
+    views = [x if x is None else _on_classes(phi._system, x) for x in operands]
+    if all(v is not None for x, v in zip(operands, views) if x is not None):
+        return (phi, *views)
+    return (_flat(phi), *(x if x is None else _one_class(x) for x in operands))
+
+
+def _one_class(x):
+    if isinstance(x, Frame):
+        return _flat(x)
+    if isinstance(x, Annihilator):
+        star = x.__dict__.get("_factor")  # a map given is one class
+        return x if star is None or star.grid is None else Annihilator._kept(x.map, _flat(x.base), x.norm)
+    return LatticeOperator.of(np.asarray(x))
+
+
+def _same_frame(a: Frame, b: Frame) -> bool:
+    return a is b or np.array_equal(_flat(a).synthesis, _flat(b).synthesis)
 
 
 def frame_operator(phi: Frame) -> np.ndarray:
@@ -276,23 +312,18 @@ def canonical_dual(phi: Frame) -> Frame:
 class _Pair:
     """The facts of a frame pair (phi, psi), each computed at most once.
 
-    ``mixed`` is the pair's block value (see :func:`_product`); the other facts
+    ``mixed`` is the pair's block value (see :func:`_aligned`); the other facts
     are read from its blocks on first use.
     A constructor of approximate duals checks the ``rate`` of the pair it
     returns, so a classification of that pair reads the kept value.
-    ``theta``, the annihilator part, and ``theta_norm`` are kept by
+    ``theta``, the annihilator part theta* as a factor, and ``theta_norm`` are kept by
     :func:`dualframes.duality._theta_part`, ``whitened``, the factor S^{-1/2} mixed,
     by :func:`dualframes.duality._whitened`.  The record holds no frame.
     """
 
-    def __init__(self, mixed: oplin.LatticeOperator):
+    def __init__(self, mixed: LatticeOperator):
         self.mixed = mixed
         self.theta = self.theta_norm = self.whitened = None
-
-    @cached_property
-    def dense(self) -> np.ndarray:
-        """The mixed operator as a d x d array (read-only)."""
-        return _frozen(np.asarray(self.mixed))
 
     @cached_property
     def rate(self) -> float:
@@ -305,28 +336,31 @@ class _Pair:
         return self.mixed.singular_values()
 
     @cached_property
-    def corresponding(self) -> np.ndarray:
-        """The inverse of the mixed operator (d x d, read-only), block by block, under the
-        guard of :func:`dualframes.oplin.inverse`, whose Singular it raises on every read."""
+    def inverse(self) -> LatticeOperator:
+        """The inverse of the mixed operator, the corresponding operator, block by block, under
+        the guard of :func:`dualframes.oplin.inverse`, whose Singular it raises on every read."""
         oplin._require_conditioned(self.singular_values)
-        return _frozen(np.asarray(self.mixed.inverse()))
+        return self.mixed.inverse()
 
 
 def _pair(phi: Frame, psi: Frame) -> _Pair:
-    """The record of the pair (phi, psi), kept on phi while psi lives."""
-    _check_same_shape(phi, psi)
+    """The record of the pair (phi, psi) on the classes of :func:`_aligned`, kept on (the
+    view of) phi while psi lives."""
     pair = phi._pairs.get(psi)
     if pair is None:
-        pair = phi._pairs[psi] = _Pair(_product(phi, psi))
+        view, psi = _aligned(phi, psi)
+        pair = None if view is phi else view._pairs.get(psi)
+        if pair is None:
+            pair = view._pairs[psi] = _Pair(view._system.blocks(psi._system))
     return pair
 
 
 def mixed_operator(phi: Frame, psi: Frame) -> np.ndarray:
     """The d x d operator synthesis(phi) o analysis(psi), read-only, read from the pair's
     record: its blocks scattered once.  Two factors with the same classes (see
-    :func:`_product`) give it without either synthesis matrix.
+    :func:`_aligned`) give it without either synthesis matrix.
     """
-    return _pair(phi, psi).dense
+    return _pair(phi, psi).mixed.matrix
 
 
 def approximation_rate(phi: Frame, psi: Frame) -> float:
@@ -335,9 +369,10 @@ def approximation_rate(phi: Frame, psi: Frame) -> float:
 
 
 def bessel_bound_difference(phi: Frame, psi: Frame) -> float:
-    """Optimal Bessel bound of the difference family (phi_k - psi_k)_k."""
-    _check_same_shape(phi, psi)
-    return _squared_norm(phi.synthesis - psi.synthesis)
+    """Optimal Bessel bound of the difference family (phi_k - psi_k)_k: the squared norm of
+    the difference of the two factors (see :func:`_aligned`)."""
+    phi, psi = _aligned(phi, psi)
+    return _squared(phi._system.distance(psi._system))
 
 
 @dataclass(frozen=True, eq=False)
@@ -351,6 +386,11 @@ class Annihilator:
     ||T map|| <= ANNIHILATOR_TOL ||T|| ||map||; the check passes on the
     Frobenius norm of T map when that shows it, and a failure reports the
     operator norm.  :func:`random_annihilator` carries the norm it scaled to.
+
+    The constructions read its adjoint theta* (d x n) as a factor: the one class of
+    ``map*`` for a map given, and T's classes for an annihilator recovered from a pair
+    (:func:`dualframes.duality.recover_parameters`), whose norm is the largest of its
+    classes' and whose check runs class by class; its ``map`` is built when first read.
     """
 
     map: np.ndarray
@@ -366,33 +406,62 @@ class Annihilator:
             )
         if "norm" not in self.__dict__:  # set by _kept
             object.__setattr__(self, "norm", operator_norm(m))
-        residual = self.base.synthesis @ m
-        t_norm = self.base._sigma[1]  # ||T||
-        allowed = ANNIHILATOR_TOL * t_norm * max(self.norm, 1e-300)
-        if not oplin._norm_at_most(residual, allowed):
+        self._require_kernel(_flat(self.base).synthesis @ m)
+
+    def _require_kernel(self, residual) -> None:
+        """ContractViolation unless ``residual`` = T map, an array or blocks, is at most
+        ANNIHILATOR_TOL ||T|| ||map||."""
+        allowed = ANNIHILATOR_TOL * self.base._sigma[1] * max(self.norm, 1e-300)  # ||T||
+        blocks = isinstance(residual, LatticeOperator)
+        if not (residual.at_most(allowed) if blocks else oplin._norm_at_most(residual, allowed)):
             raise ContractViolation(
                 f"range must lie in ker(synthesis): ||T theta|| <= {allowed:.3e}",
-                measured=operator_norm(residual),
+                measured=residual.norm() if blocks else operator_norm(residual),
             )
+
+    def __getattr__(self, name):  # the map of an annihilator over a factor, built when first read
+        if name != "map" or "_factor" not in self.__dict__:
+            raise AttributeError(name)
+        m = _frozen(adjoint(self._factor.synthesis()))
+        object.__setattr__(self, "map", m)
+        return m
+
+    @property
+    def _star(self) -> ClassFactor:
+        """theta* (d x n) as a factor: T's classes, kept, or the one class of ``map*``, built
+        on each read, as a construction reads it once."""
+        return self.__dict__.get("_factor") or ClassFactor.of(_frozen(adjoint(self.map)))
 
     @classmethod
     def _kept(cls, m: np.ndarray, base: Frame, norm: float) -> "Annihilator":
-        """The annihilator over a map whose norm is known: a pair's kept theta,
-        or the scaled draw of :func:`random_annihilator`."""
+        """The annihilator over a map whose norm is known: the scaled draw of :func:`random_annihilator`,
+        or a factor's map on a one-class view (see :func:`_aligned`)."""
         value = cls.__new__(cls)
         object.__setattr__(value, "norm", norm)
         value.__init__(m, base)
         return value
 
     @classmethod
+    def _over(cls, star: ClassFactor, base: Frame, norm: float) -> "Annihilator":
+        """The annihilator whose theta* is the factor ``star``, with the classes of ``base``, and
+        whose norm is known: a pair's kept theta; checked class by class."""
+        value = cls.__new__(cls)
+        for name, v in (("_factor", star), ("base", base), ("norm", norm)):
+            object.__setattr__(value, name, v)
+        value._require_kernel(base._system.blocks(star))
+        return value
+
+    @classmethod
     def zero(cls, phi: Frame) -> "Annihilator":
-        return cls(map=np.zeros((phi.count, phi.dim), dtype=complex), base=phi)
+        """The zero map, as the zero factor of phi's classes."""
+        return cls._over(phi._system._with(np.zeros_like(f) for _, f in phi._system.groups), phi, 0.0)
 
 
 def random_annihilator(phi: Frame, seed: int, scale: float) -> Annihilator:
     """Seeded annihilator with operator norm ``scale``.
 
-    An n x d complex Gaussian draw, projected onto ker T, then rescaled.
+    An n x d complex Gaussian draw, projected onto ker T, then rescaled: a map of
+    no class structure, so a system projects it through its one-class view.
     A Riesz basis has trivial kernel, so the zero map is returned;
     ``scale == 0`` also yields the zero map.  ValueError for a negative or
     non-finite scale.
@@ -403,9 +472,10 @@ def random_annihilator(phi: Frame, seed: int, scale: float) -> Annihilator:
         return Annihilator.zero(phi)
     rng = np.random.default_rng(seed)
     shape = (phi.count, phi.dim)
-    raw = phi.spectrum.kernel_part(rng.standard_normal(shape) + 1j * rng.standard_normal(shape))
+    raw = _flat(phi).spectrum.kernel_part(rng.standard_normal(shape) + 1j * rng.standard_normal(shape))
     raw_norm = operator_norm(raw)
-    m = raw * (scale / raw_norm)
+    m = raw  # a new array: scaled in place
+    m *= scale / raw_norm
     # Rounding each entry to eps relative moves the norm by at most eps sqrt(d) of it, and
     # an entry that underflows by up to 2^-1075 absolute: the norm is carried unless those
     # can add up to NORM_CARRY_TOL of it (a subnormal scale), or it overflows, and measured then.

@@ -10,7 +10,7 @@ case.  One batched thin SVD of the factor gives every spectral fact
 is block diagonal over them (:class:`LatticeOperator`).
 
 A pass/fail check ``||a|| <= bound`` can be settled on the Frobenius norm
-(:func:`_norm_at_most`), which bounds the operator norm from above and costs
+(:func:`_norm_at_most`, :meth:`LatticeOperator.at_most`), which bounds the operator norm from above and costs
 O(size) where an SVD costs O(size^1.5): it is taken on ``a`` divided by its
 largest real or imaginary part, so no entry overflows or underflows into the
 sum, and widened by its rounding.  When it shows the bound, the check passes;
@@ -37,6 +37,7 @@ from .tolerances import COND_CUTOFF, FRAME_THRESHOLD_REL, STRICT_FACTOR
 
 # ||a - Id|| below this radius keeps the condition number of a below COND_CUTOFF.
 _GUARD_RADIUS = (COND_CUTOFF - 1.0) / (COND_CUTOFF + 1.0)
+_EPS = float(np.finfo(float).eps)
 
 
 def _strictly_below(value: float, bound: float) -> bool:
@@ -59,7 +60,7 @@ def as_operator(m) -> np.ndarray:
 
 def _require_finite(a: np.ndarray) -> np.ndarray:
     """``a`` itself, or ValueError when an entry is not finite (overflow, NaN)."""
-    if not np.all(np.isfinite(a)):
+    if not np.isfinite(a).all():
         raise ValueError("matrix has non-finite entries")
     return a
 
@@ -79,9 +80,8 @@ def operator_norm(m) -> float:
     return float(np.linalg.svd(a, compute_uv=False)[0])
 
 
-def _squared_norm(m) -> float:
-    """``operator_norm(m) ** 2``; ValueError when it overflows, as for an overflowing S."""
-    norm = operator_norm(m)
+def _squared(norm: float) -> float:
+    """``norm ** 2``; ValueError when it overflows, as for an overflowing S."""
     if norm * norm == math.inf:
         raise ValueError("squared operator norm overflows")
     return norm * norm
@@ -96,13 +96,13 @@ def _frobenius_shows(a: np.ndarray, bound: float) -> bool:
     is widened by 8 eps per entry, more than its own rounding and that of the
     SVD behind :func:`operator_norm`.  False says nothing about ||a||.
     """
-    parts = np.stack((a.real, a.imag))
-    peak = float(np.max(np.abs(parts)))
+    parts = a.view(float) if a.flags.c_contiguous else np.stack((a.real, a.imag))
+    peak = float(np.abs(parts).max())
     if peak == 0.0:
         return 0.0 <= bound
     with np.errstate(under="ignore"):
         x = (parts / peak).ravel()
-    slack = 1.0 + 8.0 * a.size * float(np.finfo(float).eps)  # a float: an overflow reads inf, unwarned
+    slack = 1.0 + 8.0 * a.size * _EPS  # a float: an overflow reads inf, unwarned
     return peak * math.sqrt(float(x @ x)) * slack <= bound
 
 
@@ -113,21 +113,39 @@ def _norm_at_most(m, bound: float) -> bool:
     return _frobenius_shows(a, bound) or operator_norm(a) <= bound
 
 
-def identity_gap(m) -> float:
-    """||Id - M|| of a square matrix M; for a mixed operator, the approximation rate."""
-    a = _square(m)
-    return operator_norm(identity(a.shape[0]) - a)
-
-
 def _frozen(a: np.ndarray) -> np.ndarray:
     a.flags.writeable = False
     return a
 
 
 def _descending(stacks, size: int) -> np.ndarray:
-    """The values of every array of ``stacks`` in one array, descending, zero-padded to ``size``."""
-    values = np.sort(np.concatenate([s.ravel() for s in stacks]))[::-1]
-    return _frozen(np.concatenate([values, np.zeros(size - values.size)]))
+    """The values of every array of ``stacks`` in one array, descending, zero-padded to ``size``:
+    one stack of one class is LAPACK's own, already descending, and is not sorted again."""
+    stacks = list(stacks)
+    if len(stacks) == 1 and stacks[0].shape[0] == 1:
+        values = stacks[0][0]
+    else:
+        values = np.sort(np.concatenate([s.ravel() for s in stacks]))[::-1]
+    return _frozen(np.concatenate([values, np.zeros(size - values.size)]) if values.size < size else values)
+
+
+def _largest_norm(stacks) -> float:
+    """The largest 2-norm of the matrices of ``stacks``: a values-only SVD of each stack."""
+    return max(float(np.linalg.svd(b, compute_uv=False)[..., 0].max()) for b in stacks)
+
+
+def _raveled(stacks) -> np.ndarray:
+    """The entries of every array of ``stacks`` in one array (the one array itself when alone)."""
+    stacks = list(stacks)
+    return stacks[0] if len(stacks) == 1 else np.concatenate([s.ravel() for s in stacks])
+
+
+def _range_part(v: np.ndarray, z: np.ndarray) -> np.ndarray:
+    """V V* z for V* = ``v``, as conj(V*^T conj(V* z)): no conjugate copy of ``v``."""
+    c = v @ z
+    np.conj(c, out=c)
+    r = np.swapaxes(v, -1, -2) @ c
+    return np.conj(r, out=r)
 
 
 def _modulation(classes: np.ndarray, m: int) -> np.ndarray:
@@ -140,9 +158,10 @@ class LatticeOperator:
     """A d x d operator zero between the classes of a :class:`ClassFactor`, as read-only
     ``(index, blocks)`` groups, one per class size (``blocks[c]`` acts on the rows ``index[c]``),
     on the ``grid`` and ``lattice`` of the factors it comes from (None for a matrix).
-    Only factors and spectra build it, each block checked finite (ValueError otherwise);
-    ``np.asarray`` gives the dense matrix: the read-only block itself when one class holds
-    every row, as for a matrix pair.
+    Only factors, spectra and :meth:`of` build it, each block checked finite (ValueError
+    otherwise); ``np.asarray`` gives the dense matrix, scattered anew, and :attr:`matrix` the
+    one kept, read-only: the block itself when one class holds every row, as for a matrix
+    pair.  Every read and ``@`` (by a value or a factor with the same classes) go block by block.
 
     It is not a :class:`ClassFactor`: at ab = 1 a Gabor system's factor is square, so a
     block's shape cannot tell a synthesis matrix from an operator on the same space."""
@@ -152,11 +171,16 @@ class LatticeOperator:
     groups: tuple = field(init=False, repr=False)
 
     @classmethod
-    def _of(cls, grid, lattice, groups) -> "LatticeOperator":
-        value = cls()
-        groups = tuple((_frozen(i), _frozen(_require_finite(b))) for i, b in groups)
+    def _of(cls, grid, lattice, groups, finite: bool = False) -> "LatticeOperator":
+        value = cls()  # each index is read-only where it is made; a block unless known ``finite``
+        groups = tuple([(i, _frozen(b if finite else _require_finite(b))) for i, b in groups])
         value.__dict__.update(grid=grid, lattice=lattice, groups=groups)
         return value
+
+    @classmethod
+    def of(cls, a: np.ndarray) -> "LatticeOperator":
+        """The finite d x d matrix ``a`` as one class, its block a view of ``a``: no copy."""
+        return cls._of(None, None, ((_frozen(np.arange(a.shape[0])[None]), a[None]),), finite=True)
 
     @property
     def dim(self) -> int:
@@ -171,10 +195,26 @@ class LatticeOperator:
             out[index[:, :, None], index[:, None, :]] = blocks
         return out.astype(dtype or complex, copy=False)
 
+    @cached_property
+    def matrix(self) -> np.ndarray:
+        """The dense matrix, read-only, kept: what a pair fact or a root returns as an array."""
+        return _frozen(np.asarray(self))
+
+    def _map(self, blocks) -> "LatticeOperator":
+        return LatticeOperator._of(self.grid, self.lattice, zip([i for i, _ in self.groups], blocks))
+
+    def __matmul__(self, other):
+        with np.errstate(over="ignore", invalid="ignore"):  # _of and ClassFactor._with raise an overflow
+            products = [x @ y for (_, x), (_, y) in zip(self.groups, other.groups)]  # the same classes
+        return other._with(products) if isinstance(other, ClassFactor) else self._map(products)
+
+    def norm(self) -> float:
+        """||X||: the largest block norm."""
+        return _largest_norm(b for _, b in self.groups)
+
     def gap(self) -> float:
         """||Id - X||: the largest ||I - block||."""
-        norms = (np.linalg.norm(np.eye(b.shape[-1]) - b, 2, axis=(-2, -1)) for _, b in self.groups)
-        return max(float(np.max(n)) for n in norms)
+        return _largest_norm(np.eye(b.shape[-1]) - b for _, b in self.groups)
 
     def distance(self, other: "LatticeOperator") -> float:
         """||Y - X|| for ``other`` = Y: the largest block norm of the difference;
@@ -182,7 +222,12 @@ class LatticeOperator:
         if (other.grid, other.lattice) != (self.grid, self.lattice):
             raise LatticeMismatch("operators on different grids or lattices have different classes")
         pairs = zip(self.groups, other.groups)  # the same classes, grouped alike
-        return max(float(np.max(np.linalg.norm(y - x, 2, axis=(-2, -1)))) for (_, x), (_, y) in pairs)
+        return _largest_norm(y - x for (_, x), (_, y) in pairs)
+
+    def at_most(self, bound: float) -> bool:
+        """Whether ||X|| <= bound: certified by the Frobenius norm of all blocks when it can be
+        (see :func:`_frobenius_shows`), else decided by :meth:`norm`."""
+        return _frobenius_shows(_raveled(b for _, b in self.groups), bound) or self.norm() <= bound
 
     def apply(self, v: np.ndarray, op=np.matmul) -> np.ndarray:
         """The vector whose samples in each class are ``op(block, v restricted to the class)``."""
@@ -197,8 +242,12 @@ class LatticeOperator:
         return _descending(stacks, self.dim)
 
     def inverse(self) -> "LatticeOperator":
-        """The inverse, block by block; unguarded (see :func:`_require_conditioned`)."""
-        return LatticeOperator._of(self.grid, self.lattice, ((i, np.linalg.inv(b)) for i, b in self.groups))
+        """The inverse, block by block; unguarded (see :func:`_require_invertible`)."""
+        return self._map(np.linalg.inv(b) for _, b in self.groups)
+
+    def solve(self, rhs: "ClassFactor") -> "ClassFactor":
+        """X^{-1} rhs, class by class, for a factor with these classes; unguarded."""
+        return rhs._with(np.linalg.solve(b, f) for (_, b), (_, f) in zip(self.groups, rhs.groups))
 
 
 @dataclass(frozen=True, eq=False)
@@ -211,7 +260,8 @@ class ClassFactor:
     size, ``index[c]`` the rows of a class, ascending; a class that holds no row is not stored.  As the
     rows omega^(m r) / sqrt(M) are orthonormal, the thin SVD of T is that of each factor_r
     (:class:`Spectrum`), and two factors with the same classes have the mixed operator
-    factor_r other_r* on each class.  A matrix is the one-class case, M = 1 (:meth:`of`).
+    factor_r other_r* on each class; sums and products by a block value go class by class.
+    A matrix is the one-class case, M = 1 (:meth:`of`).
     ``grid`` and ``lattice`` name the structure the classes come from: a Gabor system's
     (:mod:`dualframes.gabor`), None for a matrix.
     """
@@ -233,8 +283,8 @@ class ClassFactor:
 
     def shares_classes(self, other: "ClassFactor") -> bool:
         """Whether ``other`` has these classes: the same structure, M and shape."""
-        return (self.grid, self.lattice, self.modulations, self.shape) == (
-            other.grid, other.lattice, other.modulations, other.shape)
+        return (self.grid == other.grid and self.lattice == other.lattice
+                and self.modulations == other.modulations and self.shape == other.shape)
 
     def synthesis(self) -> np.ndarray:
         """The d x n matrix T, columns j M + m, built from the factor; with M = 1, the factor itself."""
@@ -248,17 +298,36 @@ class ClassFactor:
                 syn[index[:, k]] = factor[:, k, :, None] * phases
         return syn.reshape(self.shape)
 
-    @np.errstate(over="ignore", invalid="ignore")  # LatticeOperator._of raises an overflow
+    def _with(self, stacks) -> "ClassFactor":
+        """These classes holding ``stacks``, read-only; ValueError when an entry overflowed."""
+        value = object.__new__(ClassFactor)  # replace(self, groups=...), without its field walk
+        value.__dict__.update(self.__dict__, groups=tuple(
+            [(i, _frozen(_require_finite(f))) for (i, _), f in zip(self.groups, stacks)]))
+        return value
+
+    @np.errstate(over="ignore", invalid="ignore")  # _with raises an overflow
+    def __sub__(self, other: "ClassFactor") -> "ClassFactor":
+        return self._with(x - y for (_, x), (_, y) in zip(self.groups, other.groups))
+
+    def norm(self) -> float:
+        """||T||: the largest singular value of the factors."""
+        return _largest_norm(np.swapaxes(f, -1, -2) for _, f in self.groups)
+
+    def distance(self, other: "ClassFactor") -> float:
+        """||other - T|| for ``other`` with the same classes; ValueError when an entry overflows."""
+        return (other - self).norm()
+
     def blocks(self, other: "ClassFactor") -> LatticeOperator:
         """T other*, the blocks factor_r other_r*, for ``other`` with the same classes;
         ValueError when a block overflows."""
         pairs = zip(self.groups, other.groups)  # the same classes, grouped alike
-        blocks = ((index, left @ adjoint(right)) for (index, left), (_, right) in pairs)
+        with np.errstate(over="ignore", invalid="ignore"):  # LatticeOperator._of raises an overflow
+            blocks = [(index, left @ adjoint(right)) for (index, left), (_, right) in pairs]
         return LatticeOperator._of(self.grid, self.lattice, blocks)
 
     def singular_values(self) -> np.ndarray:
         """T's min(d, n) singular values (read-only), descending: a values-only SVD of each factor."""
-        stacks = (np.linalg.svd(np.swapaxes(f, -1, -2), compute_uv=False) for _, f in self.groups)
+        stacks = [np.linalg.svd(f.swapaxes(-1, -2), compute_uv=False) for _, f in self.groups]
         return _descending(stacks, min(self.shape))
 
     def svd(self) -> "Spectrum":
@@ -266,8 +335,8 @@ class ClassFactor:
         classes = []
         for index, f in self.groups:
             # of the transpose, W diag(s) X* (U = X*^T, V* = W^T): a quarter faster on short wide factors
-            w, s, x = np.linalg.svd(np.swapaxes(f, -1, -2), full_matrices=False)
-            classes.append((index, *(_frozen(a) for a in (np.swapaxes(x, -1, -2), s, np.swapaxes(w, -1, -2)))))
+            w, s, x = np.linalg.svd(f.swapaxes(-1, -2), full_matrices=False)
+            classes.append((index, _frozen(x.swapaxes(-1, -2)), _frozen(s), _frozen(w.swapaxes(-1, -2))))
         return Spectrum(self, tuple(classes), _descending((s for _, _, s, _ in classes), min(self.shape)))
 
 
@@ -299,7 +368,7 @@ class Spectrum:
 
     @cached_property
     def _cutoff(self) -> float:
-        return self.s[0] * np.finfo(float).eps * max(self.shape)
+        return self.s[0] * _EPS * max(self.shape)
 
     @cached_property
     def rank(self) -> int:
@@ -308,22 +377,32 @@ class Spectrum:
         return int(np.sum(self.s > self._cutoff))
 
     @cached_property
-    def sqrt(self) -> np.ndarray:
-        """S^{1/2} = U diag(s) U*."""
-        return _frozen(np.asarray(self.power(1)))
+    def root(self) -> LatticeOperator:
+        """S^{1/2} = U diag(s) U*, class by class."""
+        return self.power(1)
 
     @cached_property
+    def inv_root(self) -> LatticeOperator:
+        """S^{-1/2} = U diag(1/s) U*, class by class; read once T passes the frame test."""
+        return self.power(-1)
+
+    @property
+    def sqrt(self) -> np.ndarray:
+        """:attr:`root` as a d x d array, read-only."""
+        return self.root.matrix
+
+    @property
     def inv_sqrt(self) -> np.ndarray:
-        """S^{-1/2} = U diag(1/s) U*; :class:`Singular` unless T passes the frame test."""
+        """:attr:`inv_root` as a d x d array, read-only; :class:`Singular` unless T passes the frame test."""
         smallest = self.s[-1] if self.s.size == self.shape[0] else 0.0
         if not _is_frame(smallest, self.s[0]):
             raise Singular(f"smallest singular value {smallest:.3e} too close to zero")
-        return _frozen(np.asarray(self.power(-1)))
+        return self.inv_root.matrix
 
     def power(self, p: int) -> LatticeOperator:
-        """S^(p/2) = U diag(s^p) U*, class by class."""
-        blocks = ((index, (u * s[..., None, :] ** p) @ adjoint(u)) for index, u, s, _ in self.classes)
-        return LatticeOperator._of(self.factor.grid, self.factor.lattice, blocks)
+        """S^(p/2) = U diag(s^p) U*, class by class: finite where it is read (S, and for p < 0 S^{-1})."""
+        blocks = [(index, (u * s[..., None, :] ** p) @ adjoint(u)) for index, u, s, _ in self.classes]
+        return LatticeOperator._of(self.factor.grid, self.factor.lattice, blocks, finite=True)
 
     def dual(self) -> ClassFactor:
         """The canonical dual S^{-1} T = U diag(1/s) V*: the factor U_r diag(1/s_r) V_r*."""
@@ -331,31 +410,39 @@ class Spectrum:
         return replace(self.factor, groups=tuple(groups))
 
     @cached_property
-    def range_basis(self) -> np.ndarray:
-        """Orthonormal basis (n x rank) of range(T*), the analysis range:
-        the rows V_r*[j] (x) omega^(m r) / sqrt(M), conjugated."""
-        m = self.factor.modulations
-        rows = [(vh[..., None] * _modulation(index[:, 0], m)[:, None, None, :])[s > self._cutoff]
-                for index, _, s, vh in self.classes]
-        return _frozen(np.conj(np.concatenate(rows).reshape(-1, self.shape[1]).T) / math.sqrt(m))
+    def range_rows(self) -> tuple:
+        """V_r* of each group, its rows below the rank cutoff zeroed: range(T*) class by class."""
+        return tuple(vh if (s > self._cutoff).all() else _frozen(vh * (s > self._cutoff)[..., None])
+                     for _, _, s, vh in self.classes)
 
-    def kernel_part(self, x: np.ndarray) -> np.ndarray:
-        """The columns of ``x`` (n x m) projected onto ker T: a unitary DFT over the modulation
-        index, each class's part projected off its V_r, x - V V* x, twice, so that the result
-        stays orthogonal to range(T*), and the inverse DFT; zero when ker T is."""
+    @cached_property
+    def _spanning(self) -> tuple:
+        """Per group, the classes whose range(V_r) is all of C^K: their kernel part is exactly zero."""
+        return tuple((s > self._cutoff).sum(axis=-1) == vh.shape[-1] for _, _, s, vh in self.classes)
+
+    def off_range(self, rows) -> tuple:
+        """Each group's (C, k, K) stack of row vectors of ``rows`` projected off range(V_r) on
+        its class, z - (z V_r) V_r*, twice, so that the result stays orthogonal to it."""
+        out = []
+        for z, v, spanning in zip(rows, self.range_rows, self._spanning):
+            z = z - (z @ adjoint(v)) @ v
+            z -= (z @ adjoint(v)) @ v
+            z[spanning] = 0.0
+            out.append(z)
+        return tuple(out)
+
+    def kernel_part(self, x):
+        """``x`` projected onto ker T, twice, so that the result stays orthogonal to range(T*):
+        a factor with these classes, as X* (:meth:`off_range`), or the columns of an n x m
+        array, x - V V* x, for a matrix's spectrum; zero when ker T is."""
+        if isinstance(x, ClassFactor):
+            return x._with(self.off_range(f for _, f in x.groups))
         if self.rank == self.shape[1]:
             return np.zeros_like(x)
-        m = self.factor.modulations
-        y = x.reshape(-1, m, x.shape[-1])
-        y = np.fft.ifft(y, axis=1, norm="ortho") if m > 1 else y.astype(complex)  # of length 1 the DFT is Id
-        for index, _, s, vh in self.classes:
-            keep = s > self._cutoff
-            v = vh if keep.all() else vh * keep[..., None]  # the rows of V_r* below the rank cutoff are zero
-            z = np.swapaxes(y[:, index[:, 0]], 0, 1)
-            for _ in range(2):
-                z = z - adjoint(v) @ (v @ z)
-            y[:, index[:, 0]] = np.swapaxes(z, 0, 1)
-        return (np.fft.fft(y, axis=1, norm="ortho") if m > 1 else y).reshape(x.shape)
+        (v,), = self.range_rows  # one class of one row group: V*, and x's columns need no DFT
+        z = x - _range_part(v, x if x.dtype == complex else x.astype(complex))
+        z -= _range_part(v, z)
+        return z
 
 
 def _square(m) -> np.ndarray:
@@ -366,20 +453,26 @@ def _square(m) -> np.ndarray:
 
 
 def _require_conditioned(s: np.ndarray) -> None:
-    """Singular unless smin > smax / COND_CUTOFF, given all singular values ``s``."""
-    smax, smin = float(np.max(s)), float(np.min(s))
+    """Singular unless smin > smax / COND_CUTOFF, given all singular values ``s``, descending."""
+    smax, smin = float(s[0]), float(s[-1])
     if smin <= smax / COND_CUTOFF:
         if smax == 0.0:
             raise Singular("matrix is identically zero")
         raise Singular(f"condition number {smax / max(smin, 1e-300):.3e} exceeds cutoff")
 
 
+def _require_invertible(x: LatticeOperator) -> LatticeOperator:
+    """``x`` once its condition number is below COND_CUTOFF: certified near the identity, else
+    read from its singular values."""
+    if not _frobenius_shows(_raveled(np.eye(b.shape[-1]) - b for _, b in x.groups), _GUARD_RADIUS):
+        _require_conditioned(x.singular_values())
+    return x
+
+
 def _invertible(m) -> np.ndarray:
-    """``m`` as a square matrix once its condition number is below COND_CUTOFF:
-    certified near the identity, else read from its singular values."""
+    """``m`` as a square matrix once :func:`_require_invertible` passes."""
     a = _square(m)
-    if not _frobenius_shows(a - identity(a.shape[0]), _GUARD_RADIUS):
-        _require_conditioned(np.linalg.svd(a, compute_uv=False))
+    _require_invertible(LatticeOperator.of(a))
     return a
 
 

@@ -10,6 +10,7 @@ checked against the measured one.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -19,13 +20,14 @@ from .duality import _theta_part, _with_mixed
 from .errors import NotApproxDual, NotRieszBasis, SmallnessViolated
 from .frames import (
     Frame,
+    _aligned,
     _pair,
     bessel_bound_difference,
     frame_bounds,
     is_riesz,
     require_frame,
 )
-from .oplin import _strictly_below, adjoint, operator_norm
+from .oplin import LatticeOperator, _strictly_below
 from .tolerances import SMALLNESS_MARGIN
 
 
@@ -54,52 +56,52 @@ def _transfer(phi: Frame, psi: Frame, phi_dual: Frame, expect_approx: bool) -> T
     require_frame(psi, "perturbed frame")
     m_phi, big_m_phi = frame_bounds(phi)
     m_psi, big_m_psi = frame_bounds(psi)
+    big_m_dual = frame_bounds(phi_dual).upper
+    phi, psi, phi_dual = _aligned(phi, psi, phi_dual)
 
     pair = _pair(phi, phi_dual)
     if expect_approx and not _strictly_below(pair.rate, 1.0):
         raise NotApproxDual("(phi, phi_dual) is not approximately dual", measured=pair.rate)
-    mixed = pair.dense
-    inv_mixed = pair.corresponding
+    mixed = pair.mixed
+    inv_mixed = pair.inverse
     mixed_norm = float(pair.singular_values[0])
     inv_mixed_norm = 1.0 / float(pair.singular_values[-1])
 
-    theta_map = _theta_part(phi, phi_dual)
+    theta = _theta_part(phi, phi_dual)
     theta_norm = pair.theta_norm
 
     diff_bound = bessel_bound_difference(phi, psi)
-    smallness = float(np.sqrt(diff_bound) * theta_norm * inv_mixed_norm)
+    smallness = math.sqrt(diff_bound) * (theta_norm * inv_mixed_norm)
     if smallness >= 1.0 - SMALLNESS_MARGIN:
         raise SmallnessViolated(
             "requires sqrt(M_diff) * ||theta|| * ||inv mixed|| < 1", measured=smallness
         )
 
-    omega = _with_mixed(psi, mixed, theta_map)
-    corrector = omega.synthesis @ adjoint(psi.synthesis) @ adjoint(inv_mixed)
+    omega = _with_mixed(psi, mixed, theta)
+    corrector = omega._system.blocks(inv_mixed @ psi._system)  # T_omega T_psi* M^{-*}
     # The corrector is Id + theta*(T_psi - T_phi)* M^{-*}, as T_phi theta = 0, so the
     # guard of oplin.solve is certified from ||corrector - Id||_F, with no singular
     # values.  The smallness estimate is sufficient, not necessary (vacuous for
     # theta == 0); invertibility of the corrector is what actually matters.
-    psi_dual = Frame._adopt(oplin.solve(corrector, omega.synthesis))
+    psi_dual = Frame._over(oplin._require_invertible(corrector).solve(omega._system))
 
     # formed here, not through mixed_operator, so that psi keeps no record of this pair
-    mixed_match = operator_norm(psi.synthesis @ adjoint(psi_dual.synthesis) - mixed)
+    mixed_match = psi._system.blocks(psi_dual._system).distance(mixed)
     measured = bessel_bound_difference(phi_dual, psi_dual)
-    big_m_dual = frame_bounds(phi_dual).upper
-    predicted = (
-        diff_bound
-        * (inv_mixed_norm / (1.0 - smallness)) ** 2
-        * (
-            theta_norm * np.sqrt(big_m_dual)
-            + mixed_norm
-            * (m_phi + big_m_phi + np.sqrt(big_m_psi * big_m_phi))
-            / (m_phi * m_psi)
-        )
-        ** 2
-    )
+    # The closed form sqrt(M_diff) ||M^-1|| / (1 - smallness) (||theta|| sqrt(M_dual)
+    # + ||M|| (m_phi + M_phi + sqrt(M_psi M_phi)) / (m_phi m_psi)), squared, read in units
+    # of M_phi: scale-free ratios times one power of sqrt(M_phi) each, so that no product
+    # of bounds under- or overflows where the bounds are normal floats.
+    unit = math.sqrt(big_m_phi)
+    ratio_phi, ratio_psi = m_phi / big_m_phi, m_psi / big_m_phi
+    spread = (inv_mixed_norm * theta_norm) * (math.sqrt(big_m_dual) * unit) + (
+        inv_mixed_norm * mixed_norm
+    ) * (ratio_phi + 1.0 + math.sqrt(big_m_psi / big_m_phi)) / (ratio_phi * ratio_psi) / unit
+    predicted = (math.sqrt(diff_bound / big_m_phi) * spread / (1.0 - smallness)) ** 2
     return TransferResult(
         psi_dual=psi_dual,
         omega=omega,
-        corrector=corrector,
+        corrector=np.asarray(corrector),
         predicted_diff_bound=float(predicted),
         measured_diff_bound=float(measured),
         mixed_match_residual=float(mixed_match),
@@ -143,12 +145,12 @@ def riesz_difference_bound(phi: Frame, psi: Frame) -> float:
     """
     if not (is_riesz(phi) and is_riesz(psi)):
         raise NotRieszBasis("both inputs must be Riesz bases (square, invertible synthesis)")
-    d = psi.synthesis @ oplin.inverse(phi.synthesis)
     big_m_phi = frame_bounds(phi).upper
     big_m_psi = frame_bounds(psi).upper
-    return float(
-        min(
-            big_m_phi * oplin.identity_gap(d) ** 2,
-            big_m_psi * oplin.identity_gap(oplin.inverse(d)) ** 2,
-        )
-    )
+    oplin._require_conditioned(phi._singular_values)  # the guard of oplin.inverse(T_phi)
+    phi, psi = _aligned(phi, psi)
+    # each class of a Riesz basis is square, so D is psi_r phi_r^{-1} class by class
+    pairs = zip(phi._system.groups, psi._system.groups)
+    d = LatticeOperator._of(phi._system.grid, phi._system.lattice,
+                            ((i, q @ np.linalg.inv(p)) for (i, p), (_, q) in pairs))
+    return float(min(big_m_phi * d.gap() ** 2, big_m_psi * oplin._require_invertible(d).inverse().gap() ** 2))

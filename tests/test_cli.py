@@ -691,3 +691,24 @@ class TestSizeBudget:
         io.save_window(sample_bspline(2, GridSpec(1, 2048)), path)
         assert main(["gabor", "verify", "--window", path, "--dual", path, "--a", "1", "--b", "1"]) == 3
         assert "class-factor entries come to 4194304, over the budget" in capsys.readouterr().err
+
+
+def test_perturb_at_an_extreme_scale_prints_finite_bounds(tmp_path):
+    """``dualframes perturb`` on frames scaled by 1e80 prints finite bounds, with
+    measured <= predicted, and nothing on stderr (no RuntimeWarning)."""
+    from test_perturbation import scaled_transfer_inputs
+
+    paths = [str(tmp_path / f"{name}.json") for name in ("phi", "psi", "ad")]
+    for frame, path in zip(scaled_transfer_inputs(1e80), paths):
+        io.save_frame(frame, path)
+    src = str(Path(__file__).resolve().parents[1] / "src")
+    run = subprocess.run(
+        [sys.executable, "-m", "dualframes.cli", "perturb", *paths],
+        env=dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))),
+        capture_output=True,
+        text=True,
+    )
+    assert run.returncode == 0 and run.stderr == ""
+    values = dict(line.split(": ", 1) for line in run.stdout.splitlines() if ": " in line)
+    predicted, measured = float(values["predicted_diff_bound"]), float(values["measured_diff_bound"])
+    assert np.isfinite(predicted) and measured <= predicted

@@ -10,10 +10,11 @@ import pytest
 from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
-from dualframes import frames, gabor, oplin
+from dualframes import duality, frames, gabor, oplin
 from dualframes import (
     BadCoefficients,
     ContractViolation,
+    FrameError,
     DimensionMismatch,
     Frame,
     GaborLattice,
@@ -30,9 +31,11 @@ from dualframes import (
     SupportOverflow,
     Singular,
     approx_dual_from_mixed,
+    approx_dual_from_whitened,
     approx_dual_via_dual,
     approx_dual_window,
     approximation_rate,
+    bessel_bound_difference,
     bspline_value,
     char_dual_check,
     ck_dual1,
@@ -46,6 +49,7 @@ from dualframes import (
     frame_operator_sqrt,
     gabor_frame,
     gdual_factorization,
+    gdual_from_corresponding,
     identity,
     is_frame,
     janssen_residual,
@@ -56,12 +60,16 @@ from dualframes import (
     painless_check,
     partition_of_unity_residual,
     random_annihilator,
+    range_compare,
+    reconstruct,
     recover_parameters,
     sample_bspline,
     sample_char,
     sample_function,
     scaled_gabor_operator,
+    self_gdual_transfer,
     transfer_approx_dual,
+    transfer_gdual,
     walnut_weight,
 )
 from dualframes.cli import main
@@ -538,9 +546,45 @@ class TestClassBlocks:
         assert batched == [system.groups[0][1].size for system in (phi._system, psi._system)]
         assert all(s[-1] < shape[1] for s, _ in svds)
 
+    def test_pair_pipeline_on_16_32_builds_no_synthesis_matrix(self, monkeypatch):
+        """Construct, classify, factorize, recover, rebuild and transfer on 16:32 system frames
+        (L = 512) read factors and blocks only: no synthesis matrix of several classes is built,
+        and no SVD of a matrix with L rows runs."""
+        grid, lat = GridSpec(16, 32), GaborLattice(1, Fraction(1, 8))
+        g = sample_bspline(2, grid)
+        moved = SampledWindow(grid, g.values * (1.0 + 0.01 * np.cos(grid.points())))
+        phi, dual, near = (gabor_frame(w, lat) for w in (g, ck_dual1(g, 2, lat.b), moved))
+        materialize, svd, svds = oplin.ClassFactor.synthesis, np.linalg.svd, []
+
+        def guarded(system):
+            if system.modulations > 1:
+                raise AssertionError(f"synthesis matrix of {system.classes} classes built")
+            return materialize(system)
+
+        def counted_svd(a, *args, **kwargs):
+            svds.append(np.shape(a))
+            return svd(a, *args, **kwargs)
+
+        monkeypatch.setattr(oplin.ClassFactor, "synthesis", guarded)
+        monkeypatch.setattr(np.linalg, "svd", counted_svd)
+        theta = recover_parameters(phi, dual)[1]  # a factor of phi's classes
+        phi_ad = approx_dual_from_whitened(phi, 1.05 * frame_operator_inv_sqrt(phi), theta)
+        assert classify_pair(phi, phi_ad).kind == gdual_factorization(phi, phi_ad).kind == "approx"
+        whitened, theta_back = recover_parameters(phi, phi_ad)
+        again = approx_dual_from_whitened(phi, whitened, theta_back)
+        result = transfer_approx_dual(phi, near, phi_ad)
+        assert [shape for shape in svds if len(shape) == 2 and shape[0] == phi.dim] == []
+        for f in (phi_ad, again, result.psi_dual):
+            assert f._system.shares_classes(phi._system)
+        assert np.max(np.abs(mixed_operator(phi, again) - mixed_operator(phi, phi_ad))) <= 1e-10
+        assert result.mixed_match_residual <= 1e-9
+        assert result.measured_diff_bound <= result.predicted_diff_bound
+
     def test_classify_pair_on_16_64_decomposes_blocks_only(self, monkeypatch):
         """The pair's rate, singular values and corresponding operator come from its L x L
-        blocks: no SVD or inverse of a matrix with L rows, one of each batched over the blocks."""
+        blocks: no SVD or inverse of a matrix with L rows; the rate (the largest ||I - block||)
+        and the singular values are each one values-only SVD batched over the blocks, the
+        corresponding operator one batched inverse."""
         grid, lat = GridSpec(16, 64), GaborLattice(1, Fraction(1, 8))
         g = sample_bspline(2, grid)
         phi, psi = gabor_frame(g, lat), gabor_frame(ck_dual1(g, 2, lat.b), lat)
@@ -555,7 +599,7 @@ class TestClassBlocks:
         monkeypatch.undo()
         assert report.kind == "dual" and report.corresponding_op.shape == (phi.dim, phi.dim)
         assert [call for call in calls if len(call[1]) == 2 and call[1][0] == phi.dim] == []
-        assert sorted(name for name, _ in calls) == ["inv", "svd"]
+        assert sorted(name for name, _ in calls) == ["inv", "svd", "svd"]
         assert all(len(shape) == 3 and shape[0] * shape[1] == phi.dim for _, shape in calls)
 
     def test_empty_classes_are_never_enumerated(self):
@@ -651,6 +695,14 @@ def _close(x, y, tol: float) -> bool:
     return operator_norm(np.asarray(x) - np.asarray(y)) <= tol * operator_norm(y)
 
 
+def _verdict_of(read):
+    """``read()``, or the type of the FrameError it raises."""
+    try:
+        return read()
+    except FrameError as exc:
+        return type(exc)
+
+
 def _verdict(read):
     """``read()``, or the type of the FrameError it raises."""
     try:
@@ -717,6 +769,67 @@ class TestSystemOracle:
         approx = [classify_pair(f, partner) for f in (phi, dense)]  # a system against a matrix: one block
         assert approx[0].kind == approx[1].kind == "approx"
         assert _close(approx[0].corresponding_op, approx[1].corresponding_op, tol(1e-10))
+
+    @settings(max_examples=30, deadline=None)
+    @given(case=_gabor_cases(), seed=st.integers(0, 2**32 - 1))
+    def test_pair_functions_read_as_on_the_matrix(self, case, seed):
+        """The constructions, the transfers and the other pair reads of system frames, on
+        their classes, against the same reads of the dense ``Frame(T)``: the whitened one with
+        a block operand and a theta recovered as a factor, the others with dense operands."""
+        g, h, lat = case
+        rng = np.random.default_rng(seed)
+        moved = SampledWindow(g.grid, g.values * (1.0 + 0.01 * rng.standard_normal(g.grid.total)))
+        systems = [gabor_frame(w, lat) for w in (g, h, moved)]
+        dense = [Frame(gabor_synthesis(w, lat)) for w in (g, h, moved)]
+        (phi, psi, near), (phi_d, psi_d, near_d) = systems, dense
+        bessel = [bessel_bound_difference(a, b) for a, b in ((phi, psi), (phi_d, psi_d))]
+        assert abs(bessel[0] - bessel[1]) <= 1e-12 * bessel[1]
+        assert range_compare(phi, psi) is range_compare(phi_d, psi_d)
+        if not is_frame(phi_d):
+            for build in (approx_dual_from_whitened, gdual_from_corresponding):
+                for f in (phi, phi_d):
+                    with pytest.raises(NotAFrame):
+                        build(f, np.eye(f.dim))
+            return
+        s = phi_d.spectrum.s
+        tol = max(1e-9, 50 * np.finfo(float).eps * s[0] / s[-1])
+        # kernel content of phi's classes: psi's projected off range(T*); an approximate dual
+        # with it, and its theta recovered, a factor of phi's classes for the system
+        star = frames.Annihilator._over(duality._theta_part(phi, psi), phi, frames._pair(phi, psi).theta_norm)
+        kernel = [star, frames.Annihilator(map=star.map, base=phi_d)]
+        partner = [approx_dual_from_mixed(f, 0.9 * np.eye(f.dim), k) for f, k in zip((phi, phi_d), kernel)]
+        thetas = [recover_parameters(f, p)[1] for f, p in zip((phi, phi_d), partner)]
+        assert thetas[0]._star.shares_classes(phi._system)
+        assert np.max(np.abs(thetas[0].map - thetas[1].map)) <= tol * max(1.0, np.max(np.abs(star.map)))
+        w = 1.05 * frame_operator_inv_sqrt(phi)  # scattered from phi's blocks: zero between its classes
+        built = [approx_dual_from_whitened(f, w, theta) for f, theta in zip((phi, phi_d), thetas)]
+        assert built[0]._system.shares_classes(phi._system)  # built on the classes
+        assert _close(built[0].synthesis, built[1].synthesis, tol)
+        corresponding = 2.0 * np.eye(phi.dim) + 0.1 * mixed_operator(phi_d, psi_d) / operator_norm(mixed_operator(phi_d, psi_d))
+        gduals = [gdual_from_corresponding(f, corresponding) for f in (phi, phi_d)]  # not zero between classes
+        assert _close(gduals[0].synthesis, gduals[1].synthesis, tol)
+        exact = [approx_dual_from_mixed(f, np.eye(f.dim), k) for f, k in zip((phi, phi_d), kernel)]
+        vias = [approx_dual_via_dual(f, p, target=0.9 * np.eye(f.dim)) for f, p in zip((phi, phi_d), exact)]
+        assert _close(vias[0].synthesis, vias[1].synthesis, tol)
+        f = rng.standard_normal(phi.dim) + 1j * rng.standard_normal(phi.dim)
+        rebuilt = [reconstruct(a, b, f) for a, b in zip((phi, phi_d), gduals)]
+        assert np.linalg.norm(rebuilt[0] - rebuilt[1]) <= tol * np.linalg.norm(f)
+        if not is_frame(near_d):
+            return
+        # a transfer reads S_psi^{-1} and the corrector's inverse: eps kappa(S) where that is larger
+        tol_s = max(1e-9, 50 * np.finfo(float).eps * (s[0] / s[-1]) ** 2)
+        transfers = (
+            (transfer_approx_dual, built), (transfer_gdual, gduals), (lambda a, b, _: self_gdual_transfer(a, b), built))
+        for transfer, partners in transfers:
+            results = [_verdict_of(lambda a=a, b=b, p=p: transfer(a, b, p))
+                       for a, b, p in zip((phi, phi_d), (near, near_d), partners)]
+            if isinstance(results[1], type):
+                assert results[0] is results[1]
+                continue
+            assert _close(results[0].psi_dual.synthesis, results[1].psi_dual.synthesis, tol_s)
+            assert abs(results[0].predicted_diff_bound - results[1].predicted_diff_bound) <= (
+                tol_s * results[1].predicted_diff_bound)
+            assert results[0].mixed_match_residual <= 10 * results[1].mixed_match_residual + tol_s
 
     @pytest.mark.parametrize("eps", [7.35e-3, 5.27e-4, 4.08e-5])
     def test_near_singular_class_keeps_its_dual(self, eps):
@@ -1275,11 +1388,13 @@ class TestLatticeOperator:
 
 
 class TestOneSystemPerWindow:
-    @pytest.mark.parametrize("kind, census", [("10:20 pipeline", (4, 3, 2)), ("16:64 bounds", (2, 1, 1))])
+    @pytest.mark.parametrize("kind, census", [("10:20 pipeline", (4, 3, 5)), ("16:64 bounds", (2, 1, 2))])
     def test_gabor_dense_task_census(self, kind, census, monkeypatch):
         # one task as the benchmark's gabor-dense workload builds and runs it: the systems
-        # built, the class-block sets built and the thin SVDs taken, one per system read
-        # for its spectrum, each batched over the classes; no eigh
+        # built, the class-block sets built and the SVDs taken: a thin one per system read
+        # for its spectrum and a values-only one per block gap ||Id - X|| (the pipeline's two
+        # rates and its operator's gap, the bounds task's rate), each batched over the
+        # classes; no eigh
         monkeypatch.syspath_prepend(str(Path(__file__).resolve().parents[1] / "perfbench"))
         import workloads
 

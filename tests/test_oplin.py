@@ -188,14 +188,17 @@ class TestInverse:
 
 
 class TestIdentityGap:
+    """||Id - X|| is a block value's ``gap``; a matrix reaches it through ``LatticeOperator.of``,
+    after the square check of :func:`oplin.inverse`."""
+
     def test_scalar_multiple(self):
-        assert oplin.identity_gap(0.9 * identity(3)) == pytest.approx(0.1, abs=1e-15)
+        assert oplin.LatticeOperator.of(0.9 * identity(3)).gap() == pytest.approx(0.1, abs=1e-15)
 
     @pytest.mark.parametrize("m", [[[0.6, 0.1]], [[0.6], [0.5]], np.zeros(2)])
     def test_rejects_non_square(self, m):
         # a 1x2 matrix once broadcast against the 1x1 identity into a number
         with pytest.raises(DimensionMismatch):
-            oplin.identity_gap(m)
+            oplin.inverse(m)
 
 
 class TestSolve:

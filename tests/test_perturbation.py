@@ -235,3 +235,43 @@ class TestRieszDifferenceBound:
             riesz_difference_bound(
                 ortho2, Frame.from_vectors([(1, 0), (1e-14, 0)])
             )
+
+
+def scaled_transfer_inputs(c: float):
+    """A seeded 3x5 frame, a 0.1% perturbation and an approximate dual from 1.05 S^{-1/2},
+    all scaled by ``c``: the frames' bounds are normal floats for |log10 c| <= 150."""
+    rng = np.random.default_rng(7)
+    t = rng.standard_normal((3, 5)) + 1j * rng.standard_normal((3, 5))
+    direction = rng.standard_normal((3, 5)) + 1j * rng.standard_normal((3, 5))
+    direction *= 1e-3 * operator_norm(t) / operator_norm(direction)
+    phi, psi = Frame(t * c), Frame((t + direction) * c)
+    from dualframes import approx_dual_from_whitened, frame_operator_inv_sqrt
+
+    return phi, psi, approx_dual_from_whitened(phi, 1.05 * frame_operator_inv_sqrt(phi))
+
+
+TRANSFERS = {
+    "approx": lambda phi, psi, ad: transfer_approx_dual(phi, psi, ad),
+    "gdual": lambda phi, psi, ad: transfer_gdual(phi, psi, ad),
+    "self": lambda phi, psi, ad: self_gdual_transfer(phi, psi),
+}
+
+
+class TestTransferAtExtremeScales:
+    """The closed form is read as scale-free ratios times a power of the scale: no product
+    of bounds under- or overflows, so the predicted bound is finite at every scale where the
+    bounds are normal floats (RuntimeWarning is an error here, see pyproject.toml)."""
+
+    @pytest.mark.parametrize("c", [1e-100, 1e-80, 1e80, 1e120])
+    @pytest.mark.parametrize("name", sorted(TRANSFERS))
+    def test_predicted_bound_is_finite(self, name, c):
+        phi, psi, ad = scaled_transfer_inputs(c)
+        result = TRANSFERS[name](phi, psi, ad)
+        assert np.isfinite(result.predicted_diff_bound) and np.isfinite(result.measured_diff_bound)
+        target = mixed_operator(phi, phi if name == "self" else ad)
+        assert operator_norm(mixed_operator(psi, result.psi_dual) - target) <= 1e-9 * operator_norm(target)
+        if name != "self":  # an approximate dual: the bound scales as 1/c^2, as the pair does
+            assert result.measured_diff_bound <= result.predicted_diff_bound
+            unscaled = TRANSFERS[name](*scaled_transfer_inputs(1.0))
+            assert abs(result.predicted_diff_bound * c**2 - unscaled.predicted_diff_bound) <= (
+                1e-9 * unscaled.predicted_diff_bound)

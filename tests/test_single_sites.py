@@ -1,9 +1,11 @@
-"""One thin SVD call site and one kernel projection in the library.
+"""One thin SVD call site, one kernel projection and one pair pipeline in the library.
 
 Every frame is held by its class factor, so one spectrum class takes every thin SVD
 and projects onto ker T.  A second representation of a spectrum would bring its own
-``np.linalg.svd(..., full_matrices=False)`` and its own ``kernel_part``; these tests
-find either, syntactically, in ``src/dualframes``.
+``np.linalg.svd(..., full_matrices=False)`` and its own ``kernel_part``; the pair
+functions of ``duality`` and ``perturbation`` read factors and blocks, so a dense body
+there would read a synthesis matrix or a scattered mixed operator.  These tests find
+each, syntactically, in ``src/dualframes``.
 """
 
 import ast
@@ -59,3 +61,26 @@ def test_a_second_site_is_found():
     trees = {"a.py": ast.parse(source)}
     assert thin_svd_sites(trees) == [("a.py", 3), ("a.py", 6)]
     assert kernel_part_classes(trees) == [("a.py", "Spectrum"), ("a.py", "Dense")]
+
+
+def dense_reads(trees: dict, names=("duality.py", "perturbation.py")) -> list:
+    """(file, line, attribute) of every read of ``.synthesis`` or ``.dense`` in ``names``."""
+    return sorted(
+        (name, node.lineno, node.attr)
+        for name in names
+        for node in ast.walk(trees[name])
+        if isinstance(node, ast.Attribute) and node.attr in ("synthesis", "dense")
+    )
+
+
+def test_pair_functions_read_no_dense_matrix():
+    """The pair functions read a frame as its factor and a pair as its blocks: no synthesis
+    matrix (``.synthesis``) and no scattered mixed operator (``pair.dense``)."""
+    assert dense_reads(parsed()) == []
+
+
+def test_a_dense_read_is_found():
+    source = "x = phi.synthesis @ y\nz = pair.dense\nw = phi._system.synthesis()\nv = phi.spectrum\n"
+    trees = {"duality.py": ast.parse(source), "perturbation.py": ast.parse("")}
+    assert dense_reads(trees) == [
+        ("duality.py", 1, "synthesis"), ("duality.py", 2, "dense"), ("duality.py", 3, "synthesis")]

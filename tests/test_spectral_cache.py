@@ -190,7 +190,7 @@ class TestStaleness:
         phi = Frame(np.arange(6.0).reshape(2, 3) + np.eye(2, 3))
         canonical_dual(phi)
         spectrum = phi.spectrum
-        for arr in (phi.synthesis, phi.eigenvalues, *spectrum.classes[0], spectrum.s, spectrum.range_basis):
+        for arr in (phi.synthesis, phi.eigenvalues, *spectrum.classes[0], spectrum.s, *spectrum.range_rows):
             with pytest.raises(ValueError):
                 arr[0] = 1.0
 
@@ -234,7 +234,7 @@ class Decompositions:
     ``norm(a, 2)`` the kind "norm2", and ``eigh``, ``eigvalsh``, ``inv``, ``solve``,
     ``qr`` and ``pinv`` their names, with the shape of one matrix: a call on a stack
     of matrices is one record.  Each record keeps its operand, so :meth:`of` names
-    the decompositions of one array or of a view of it.  ``wide`` lists every operand
+    the decompositions of one array, of a view of it or of the array it views.  ``wide`` lists every operand
     or result of these calls with ``rows`` rows and more than ``cols`` columns.
     """
 
@@ -277,7 +277,8 @@ class Decompositions:
         return sum(kind in self.SVD_CLASS for kind, _, _ in self.records)
 
     def of(self, a) -> list:
-        return [kind for kind, _, operand in self.records if a is operand or a is getattr(operand, "base", None)]
+        owner = a if a.base is None else a.base  # a frame over a factor holds a view of it
+        return [kind for kind, _, operand in self.records if owner is operand or owner is getattr(operand, "base", None)]
 
 
 def run_pipeline():
@@ -307,10 +308,11 @@ def test_pipeline_decomposes_each_frame_once(monkeypatch):
     values-only SVD for phi_ad, which it reads only for its upper bound, each of the
     one-class factor's transpose (n x d).
 
-    The other ten are the operator norms of two n x d maps (the scaled draw and
-    theta), of two d x n differences (Bessel bounds) and of three d x d matrices, the
-    2-norms of the two pairs' d x d blocks Id - M (their rates), and the pair's singular
-    values, from its block.  The annihilator checks and the transfer's corrector are
+    The other ten are the operator norm of the scaled draw (n x d), the values-only
+    SVDs of the transposes of three d x n factors (theta* and the two Bessel
+    differences), the values-only SVDs of five d x d blocks, read for their norms (the
+    two pairs' Id - M, their rates, the factorization residual, W, and the transfer's
+    mixed match), and the pair's singular values, from its block.  The annihilator checks and the transfer's corrector are
     certified without an SVD.  No ``eigh``, ``eigvalsh`` or full SVD runs, and no call
     takes or returns an array with n rows and more than d columns (a kernel basis or an
     n x n factor).  The canonical duals of phi and psi are each built once, however
@@ -327,10 +329,8 @@ def test_pipeline_decomposes_each_frame_once(monkeypatch):
 
     assert seen.census() == Counter({
         ("thin", (n, d)): 2,
-        ("values", (n, d)): 3,
-        ("values", (d, n)): 2,
-        ("values", (d, d)): 4,
-        ("norm2", (d, d)): 2,
+        ("values", (n, d)): 5,
+        ("values", (d, d)): 6,
         ("inv", (d, d)): 1,
         ("solve", (d, d)): 1,
     })
@@ -422,9 +422,10 @@ def test_pipeline_reads_each_pair_fact_once(monkeypatch):
     The block gap ``||Id - M||`` runs twice: for the rate of (phi, phi_ad), which its
     constructor checks and the classification reads, and for the rate of the
     rebuilt family, which its constructor checks.  The one ``inv`` is the pair's
-    corresponding operator; theta is built once: one projection onto ker T, made by
-    the first ``_theta_part`` call that finds no theta on the pair's record, and its
-    norm is taken once, which the recovered Annihilator and the transfer read.
+    corresponding operator; theta* is built once, as a factor: one projection off
+    range(T*), made by the first ``_theta_part`` call that finds no theta on the pair's
+    record, and its norm (``ClassFactor.norm``) is taken once, which the
+    recovered Annihilator and the transfer read.
     """
     calls = {"gap": 0, "theta_build": 0}
     monkeypatch.setattr(oplin.LatticeOperator, "gap", counted(calls, "gap", oplin.LatticeOperator.gap))
@@ -436,14 +437,13 @@ def test_pipeline_reads_each_pair_fact_once(monkeypatch):
         thetas.append(theta_part(phi, partner))
         return thetas[-1]
 
-    def operator_norm(m, _norm=oplin.operator_norm):
-        normed.append(m)
-        return _norm(m)
+    def factor_norm(factor, _norm=oplin.ClassFactor.norm):
+        normed.append(factor)
+        return _norm(factor)
 
     monkeypatch.setattr(duality, "_theta_part", build)
     monkeypatch.setattr(perturbation, "_theta_part", build)
-    for module in (oplin, df.frames, duality, perturbation):
-        monkeypatch.setattr(module, "operator_norm", operator_norm)
+    monkeypatch.setattr(oplin.ClassFactor, "norm", factor_norm)
 
     run_pipeline()
 
@@ -455,9 +455,9 @@ def test_pipeline_reads_each_pair_fact_once(monkeypatch):
 
 
 def test_pipeline_builds_each_root_once(monkeypatch):
-    """S^{1/2} and S^{-1/2} are kept on phi's spectrum: the factorization, the
+    """S^{1/2} and S^{-1/2} are kept on phi's spectrum, as blocks: the factorization, the
     whitened construction and parameter recovery read one build of each."""
-    built = {"sqrt": [], "inv_sqrt": []}
+    built = {"root": [], "inv_root": []}
     for name in built:
         root = getattr(oplin.Spectrum, name).func
 
@@ -512,8 +512,8 @@ def subtracted_theta(phi: Frame, psi: np.ndarray) -> np.ndarray:
 @settings(max_examples=40, deadline=None)
 @given(t=frames, size=st.floats(0.0, 0.9), seed=st.integers(0, 2**32 - 1))
 def test_theta_is_the_kernel_projection_of_the_partner(t, size, seed):
-    """theta = K K* T_psi* equals the subtracted form within 1e-10 of ||T_psi||,
-    and _with_mixed(phi, mixed, theta) rebuilds psi at criterion 2's 1e-9 (plus the
+    """theta = K K* T_psi* (held as its factor theta*) equals the subtracted form within
+    1e-10 of ||T_psi||, and _with_mixed(phi, mixed, theta) rebuilds psi at criterion 2's 1e-9 (plus the
     first-order kappa(S) * eps of the mixed operator formed from psi, as above)."""
     phi = Frame(t)
     o = Oracle(t)
@@ -525,8 +525,8 @@ def test_theta_is_the_kernel_projection_of_the_partner(t, size, seed):
     scale = norm(built)
 
     theta = duality._theta_part(phi, psi)
-    assert norm(theta - subtracted_theta(phi, built)) <= RECONSTRUCTION_TOL * scale
-    rebuilt = duality._with_mixed(phi, mixed_operator(phi, psi), theta).synthesis
+    assert norm(theta.synthesis().conj().T - subtracted_theta(phi, built)) <= RECONSTRUCTION_TOL * scale
+    rebuilt = duality._with_mixed(phi, df.frames._pair(phi, psi).mixed, theta).synthesis
     assert norm(rebuilt - built) <= (ROUNDTRIP_TOL + 10 * o.kappa * EPS) * scale
 
 
@@ -592,10 +592,11 @@ def test_gabor_pair_keeps_its_theta():
     grid, lat = df.GridSpec(4, 6), df.GaborLattice(1, "1/3")
     g = df.sample_bspline(2, grid)
     phi, psi = gabor_frame(g, lat), gabor_frame(df.ck_dual1(g, 2, lat.b), lat)
-    theta = recover_parameters(phi, psi)[1].map
-    assert duality._theta_part(phi, psi) is theta
-    assert recover_parameters(phi, psi)[1].map is theta
-    assert norm(theta - subtracted_theta(phi, psi.synthesis)) <= RECONSTRUCTION_TOL * norm(psi.synthesis)
+    theta = recover_parameters(phi, psi)[1]
+    assert duality._theta_part(phi, psi) is theta._star  # theta*, a factor with phi's classes
+    assert theta._star.shares_classes(phi._system)
+    assert recover_parameters(phi, psi)[1]._star is theta._star
+    assert norm(theta.map - subtracted_theta(phi, psi.synthesis)) <= RECONSTRUCTION_TOL * norm(psi.synthesis)
 
 
 def test_pair_keeps_its_whitened_factor():
