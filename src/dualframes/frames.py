@@ -174,7 +174,7 @@ class Frame:
         return (float(s[-1]) if s.size == self.dim else 0.0), float(s[0])
 
     @cached_property
-    def _one_class(self) -> "Frame":  # see _flat
+    def _flat_view(self) -> "Frame":  # see _flat
         return Frame._over(ClassFactor.of(self.synthesis))
 
     @cached_property
@@ -211,7 +211,7 @@ def synthesis(phi: Frame, c) -> np.ndarray:
 def _flat(phi: Frame) -> Frame:
     """phi's one-class view: phi itself for a matrix, else the frame over its synthesis
     matrix as one class, kept on phi."""
-    return phi if phi._system.grid is None else phi._one_class
+    return phi if phi._system.grid is None else phi._flat_view
 
 
 def _on_classes(system: ClassFactor, x):
@@ -372,7 +372,7 @@ def bessel_bound_difference(phi: Frame, psi: Frame) -> float:
     """Optimal Bessel bound of the difference family (phi_k - psi_k)_k: the squared norm of
     the difference of the two factors (see :func:`_aligned`)."""
     phi, psi = _aligned(phi, psi)
-    return _squared(phi._system.distance(psi._system))
+    return _squared((psi._system - phi._system).norm())
 
 
 @dataclass(frozen=True, eq=False)

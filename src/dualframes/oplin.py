@@ -313,10 +313,6 @@ class ClassFactor:
         """||T||: the largest singular value of the factors."""
         return _largest_norm(np.swapaxes(f, -1, -2) for _, f in self.groups)
 
-    def distance(self, other: "ClassFactor") -> float:
-        """||other - T|| for ``other`` with the same classes; ValueError when an entry overflows."""
-        return (other - self).norm()
-
     def blocks(self, other: "ClassFactor") -> LatticeOperator:
         """T other*, the blocks factor_r other_r*, for ``other`` with the same classes;
         ValueError when a block overflows."""
