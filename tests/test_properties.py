@@ -9,7 +9,10 @@ empty classes included.  On each frame phi:
 * the mixed operator of ``approx_dual_from_mixed(phi, A, theta)`` is A, for any annihilator;
 * ``gdual_factorization``'s kind is ``classify_pair``'s;
 * the transfer keeps the mixed operator, with a finite predicted bound that the measured one
-  stays below.
+  stays below;
+* equal analysis ranges give a two-sided inverse of the mixed operator;
+* scaling (phi, phi_ad, psi) by (c, 1/c, c) keeps every verdict and scale-free number, and
+  moves the bounds by c^2 or 1/c^2.
 
 Tolerances are the pinned ones (criteria 1, 2 and 4), widened by the first-order
 kappa(S) eps of a round trip through S^{-1/2} and S^{1/2}, as ``test_spectral_cache`` does.
@@ -23,11 +26,14 @@ from hypothesis import strategies as st
 from dualframes import (
     Frame,
     NotAFrame,
+    NotEquivalent,
+    RangeRelation,
     SampledWindow,
     approx_dual_from_mixed,
     approx_dual_from_whitened,
     canonical_dual,
     classify_pair,
+    equivalence_inverse,
     frame_bounds,
     frame_operator_inv_sqrt,
     gabor_frame,
@@ -36,6 +42,7 @@ from dualframes import (
     mixed_operator,
     operator_norm,
     random_annihilator,
+    range_compare,
     recover_parameters,
     transfer_approx_dual,
 )
@@ -154,3 +161,49 @@ def test_transfer_keeps_the_mixed_operator_under_a_finite_bound(case):
     assert operator_norm(mixed_operator(psi, result.psi_dual) - target) <= tol * operator_norm(target)
     assert np.isfinite(result.predicted_diff_bound)
     assert result.measured_diff_bound <= result.predicted_diff_bound
+
+
+@settings(max_examples=40, deadline=None)
+@given(case=frames(), kernel=st.booleans())
+def test_equal_ranges_give_a_two_sided_inverse(case, kernel):
+    """An approximate dual with no kernel content has phi's analysis range, and
+    equivalence_inverse inverts its mixed operator on both sides; kernel content moves
+    the range (n > d), and the pair is then not equivalent."""
+    phi, _, rng = case
+    if not is_frame(phi):
+        return
+    theta = _annihilator(phi, rng, 0.5) if kernel else None
+    psi = approx_dual_from_mixed(phi, np.eye(phi.dim) + _bump(rng, phi.dim, 0.5), theta)
+    relation = range_compare(phi, psi)
+    if kernel and theta.norm > 0.0:
+        assert relation is RangeRelation.INCOMPARABLE
+        with pytest.raises(NotEquivalent):
+            equivalence_inverse(phi, psi)
+        return
+    assert relation is RangeRelation.EQUAL
+    inverse, mixed = equivalence_inverse(phi, psi), mixed_operator(phi, psi)
+    tol = RECONSTRUCTION_TOL + 10 * _kappa_s(phi) * EPS
+    for product in (inverse @ mixed, mixed @ inverse):
+        assert operator_norm(product - np.eye(phi.dim)) <= tol
+
+
+@settings(max_examples=40, deadline=None)
+@given(case=frames(), k=st.integers(-40, 40))
+def test_verdicts_are_covariant_under_scaling(case, k):
+    """(phi 2^k, phi_ad 2^-k, psi 2^k) has the mixed operator of (phi, phi_ad): the same
+    kinds and rate, the same scale-free smallness, and bounds moved by 4^k or 4^-k."""
+    phi, psi, rng = case
+    if not (is_frame(phi) and is_frame(psi)) or _kappa_s(phi) > 1e8:
+        return
+    phi_ad = approx_dual_from_whitened(phi, 1.05 * frame_operator_inv_sqrt(phi), _annihilator(phi, rng, 0.05))
+    c = 2.0**k
+    big, small, near = (Frame(np.asarray(f.synthesis) * s) for f, s in ((phi, c), (phi_ad, 1 / c), (psi, c)))
+    for read in (classify_pair, gdual_factorization):
+        mine, theirs = read(big, small), read(phi, phi_ad)
+        assert mine.kind == theirs.kind and abs(mine.rate - theirs.rate) <= 1e-12
+    assert np.allclose(frame_bounds(big), np.multiply(frame_bounds(phi), c * c), rtol=1e-12, atol=0.0)
+    moved, again = transfer_approx_dual(big, near, small), transfer_approx_dual(phi, psi, phi_ad)
+    assert abs(moved.smallness - again.smallness) <= 1e-9 * max(again.smallness, 1e-300)
+    for name in ("predicted_diff_bound", "measured_diff_bound"):
+        scaled, unscaled = getattr(moved, name) * c * c, getattr(again, name)
+        assert abs(scaled - unscaled) <= 1e-9 * unscaled + 1e-300
