@@ -14,9 +14,10 @@ Exit codes: 0 on success, 2 when a mathematical contract is violated
 Sizes the command line sets are checked against ``SIZE_BUDGET`` before
 anything is allocated: a ``--grid`` holds at most that many samples, a sweep
 holds at most that many window samples at once and visits at most that many
-cells, and a Gabor command's class factor (L P/a entries) and lattice-sum table
-(L b P entries), whatever the source of its grid, hold at most that many.  A
-larger request exits 3.  A file's own data needs no budget: each size must match it.
+cells, a Gabor command's class factor (L P/a entries) and lattice-sum table (L b P
+entries), whatever the source of its grid, and a ``bspline:N`` window's convolutions
+((N - 1) L samples) hold at most that many.  A larger request exits 3.  A file's own
+data needs no budget: each size must match it.
 """
 
 from __future__ import annotations
@@ -158,6 +159,7 @@ def _window_from_spec(spec: str, grid: GridSpec | None) -> SampledWindow:
         except ValueError as exc:
             raise ParseError(f"a window must be bspline:N (integer N), char:WIDTH or a window JSON "
                              f"path, got {spec!r}") from exc
+        _within_budget((order - 1) * grid.total, f"the samples convolved for {spec}")
         return sample_bspline(order, grid)
     if spec.startswith("char:"):
         if grid is None:
@@ -312,7 +314,7 @@ def cmd_gabor_approx_dual(args, report: RunReport) -> None:
     result = approx_dual_window(window, dual, a_op, lat)
     mixed = mixed_lattice_operator(window, result, lat)
     report.verdicts = {
-        "approximation_rate": mixed.gap(),
+        "approximation_rate": approximation_rate(gabor_frame(window, lat), gabor_frame(result, lat)),
         "identity_gap_of_operator": a_op.gap(),
         "mixed_operator_residual": mixed.distance(a_op),
     }

@@ -346,6 +346,11 @@ def approx_dual_via_dual(
     else:
         phi, phi_d, a = _aligned(phi, phi_d, _operand(phi, target, "target"))
         condition = "||Id - target||"
+    return _via_dual(phi, phi_d, a, condition)
+
+
+def _via_dual(phi: Frame, phi_d: Frame, a: LatticeOperator, condition: str) -> Frame:
+    """:func:`_approx_dual` with the kernel term S T_d - T of an exact dual phi_d as theta*."""
     kernel_part = _pair(phi, phi).mixed @ phi_d._system - phi._system
     return _approx_dual(phi, a, kernel_part, condition)
 

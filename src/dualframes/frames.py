@@ -233,9 +233,15 @@ def _on_classes(system: ClassFactor, x):
     (index, _), *others = system.groups
     if index.shape[0] == 1 and not others:
         return LatticeOperator._of(system.grid, system.lattice, ((index, x[None]),), finite=True)
-    groups = [(i, x[i[:, :, None], i[:, None, :]]) for i, _ in system.groups]
-    if sum(np.count_nonzero(b) for _, b in groups) == np.count_nonzero(x):
-        return LatticeOperator._of(system.grid, system.lattice, groups, finite=True)
+    value = _gathered(system, x)
+    if sum(np.count_nonzero(b) for _, b in value.groups) == np.count_nonzero(x):
+        return value
+
+
+def _gathered(system: ClassFactor, x: np.ndarray) -> LatticeOperator:
+    """The blocks of the finite d x d array ``x`` on the classes of ``system``, the rest dropped."""
+    groups = ((i, x[i[:, :, None], i[:, None, :]]) for i, _ in system.groups)
+    return LatticeOperator._of(system.grid, system.lattice, groups, finite=True)
 
 
 def _aligned(phi: Frame, *operands) -> tuple:

@@ -12,12 +12,11 @@ residue-class factor (:func:`_system`), a :class:`~dualframes.oplin.ClassFactor`
 of many classes, by which its frame is held, as every frame is; the frame of a
 window on a lattice is built once and kept on the window.  One batched thin SVD
 of the factor gives every spectral fact, and the ``L x N`` synthesis matrix is
-built only when read.  The
-frame operator, and the mixed operator against a system on the same grid and
-lattice, are the residue-class blocks, held by :class:`LatticeOperator`, which
-``np.asarray`` makes dense.  :func:`approx_dual_window` reads every operator as
-one: a dense one must pass :func:`commutation_check` and is then gathered into
-the classes.
+built only when read.  The frame operator, and the mixed operator against a system on
+the same grid and lattice, are the residue-class blocks, held by :class:`LatticeOperator`,
+which ``np.asarray`` makes dense.  :func:`approx_dual_window` is the construction of
+:func:`~dualframes.duality.approx_dual_via_dual` on g's system, read out as its first
+vector; a dense operator must pass :func:`commutation_check` to be gathered into it.
 
 Grid commensurability is a hard precondition everywhere: rationals that
 do not land on the grid raise typed errors instead of being rounded,
@@ -46,7 +45,6 @@ import numpy as np
 from . import oplin
 from .errors import (
     BadCoefficients,
-    ContractViolation,
     DimensionMismatch,
     HypothesisViolated,
     LatticeMismatch,
@@ -55,8 +53,9 @@ from .errors import (
     OffGrid,
     SupportOverflow,
 )
-from .frames import Frame, FrameBounds, _pair, frame_bounds, require_frame
-from .oplin import ClassFactor, LatticeOperator, _frozen, _strictly_below, adjoint, operator_norm
+from .duality import _via_dual
+from .frames import Frame, FrameBounds, _gathered, _pair, frame_bounds, require_frame
+from .oplin import ClassFactor, LatticeOperator, _frozen, operator_norm
 from .tolerances import (
     CK_COEFF_TOL,
     COMMUTATOR_TOL,
@@ -184,10 +183,6 @@ class GaborLattice:
         return int(n)
 
 
-def _embed(w) -> np.ndarray:
-    return w.values / np.sqrt(w.grid.samples_per_unit)
-
-
 def bspline_value(order: int, x) -> np.ndarray:
     """Cardinal B-spline of the given order evaluated at arbitrary points.
 
@@ -212,8 +207,8 @@ def sample_bspline(order: int, grid: GridSpec) -> SampledWindow:
     The base window is the indicator of [0, 1); each convolution uses the
     right-endpoint quadrature kernel so that the order-2 result matches
     the continuous hat function at grid points (peak value 1 at x = 1).
-    All orders keep exact partition of unity over integer shifts and
-    support inside [0, order].
+    All orders keep exact partition of unity over integer shifts and support
+    inside [0, order].  ValueError when s^(order - 1) overflows a float.
     """
     if order < 1:
         raise ValueError("order must be >= 1")
@@ -222,6 +217,10 @@ def sample_bspline(order: int, grid: GridSpec) -> SampledWindow:
             f"support [0, {order}] does not fit a period of {grid.period}"
         )
     s = grid.samples_per_unit
+    try:
+        scale = float(s) ** (order - 1)
+    except OverflowError:
+        raise ValueError(f"the B-spline's sample counts, up to {s}^{order - 1}, overflow a float") from None
     values = np.zeros(grid.total)
     values[:s] = 1.0
     # Integer counts throughout, one final scale: every sample is the
@@ -230,7 +229,7 @@ def sample_bspline(order: int, grid: GridSpec) -> SampledWindow:
     kernel[1:] = 1.0
     for _ in range(order - 1):
         values = np.convolve(values, kernel)[: grid.total]
-    return SampledWindow(grid, values / float(s) ** (order - 1))
+    return SampledWindow(grid, values / scale)
 
 
 def sample_char(width: RationalLike, grid: GridSpec) -> SampledWindow:
@@ -273,7 +272,7 @@ def _system(g: SampledWindow, lat: GaborLattice) -> ClassFactor:
     if shifts * m > sys.float_info.max:
         raise ValueError("the system's (P/a)(s/b) vectors are too many to count in a float")
     with np.errstate(over="ignore"):
-        values = oplin._require_finite(_embed(g) * math.sqrt(m))
+        values = oplin._require_finite(g.values / np.sqrt(grid.samples_per_unit) * math.sqrt(m))
     size, longer = divmod(grid.total, m)  # classes r < longer hold one sample more
     groups = []
     for first, last, rows in ((0, longer, size + 1), (longer, m, size)):
@@ -547,17 +546,16 @@ def approx_dual_window(
 ) -> SampledWindow:
     """Approximately dual window  A* S^{-1} g - g + S(g_dual).
 
-    Requires (g, g_dual) to be an exact dual pair on the lattice, an
-    operator that commutes with the lattice generators, and
-    ||Id - A|| < 1; :class:`NotAFrame` when g's system fails the frame test,
-    as S^{-1} is read.  The system of the result has mixed operator A
-    against the system of g.
+    Requires (g, g_dual) to be an exact dual pair on the lattice, an operator that
+    commutes with the lattice generators, and ||Id - A|| < 1; :class:`NotAFrame` when
+    g's system fails the frame test, as S^{-1} is read.  The system of the result has
+    mixed operator A against the system of g.
 
-    A :class:`LatticeOperator` on g's grid and lattice commutes by construction
-    and gives its blocks; any other operator must pass :func:`commutation_check`
-    and is then gathered into g's classes, between which it is zero.  A and A*
-    are then read block by block, S^{-1} g and S g_dual from the thin SVD of
-    g's system, class by class.
+    A :class:`LatticeOperator` on g's grid and lattice commutes by construction and
+    gives its blocks; any other operator must pass :func:`commutation_check` and is then
+    gathered into g's classes, between which it is zero.  The result is the first vector
+    of :func:`~dualframes.duality.approx_dual_via_dual`'s construction on g's system,
+    which it keeps as its own system.
     """
     if g.grid != g_dual.grid:
         raise DimensionMismatch("windows live on different grids")
@@ -572,17 +570,22 @@ def approx_dual_window(
         comm = commutation_check(dense, lat, g.grid)
         if comm > COMMUTATOR_TOL:
             raise NotCommuting("operator must commute with the lattice generators", measured=comm)
-        gathered = ((i, dense[i[:, :, None], i[:, None, :]]) for i, _ in frame._system.groups)
-        a = LatticeOperator._of(g.grid, lat, gathered)
-    gap = a.gap()
-    if not _strictly_below(gap, 1.0):
-        raise ContractViolation("requires ||Id - A|| < 1", measured=gap)
+        a = _gathered(frame._system, dense)
     require_frame(frame, "window system")
-    frame.eigenvalues  # ValueError when S overflows, as for the canonical dual
-    spectrum, vg = frame.spectrum, _embed(g)
-    adj = a.apply(spectrum.power(-2).apply(vg), lambda a_r, x: adjoint(a_r) @ x)
-    values = adj - vg + spectrum.power(2).apply(_embed(g_dual))
-    return SampledWindow(g.grid, values * np.sqrt(g.grid.samples_per_unit))
+    return _window_of(_via_dual(frame, gabor_frame(g_dual, lat), a, "||Id - A||"))
+
+
+def _window_of(frame: Frame) -> SampledWindow:
+    """The window whose system is ``frame``, held by a factor on a grid and lattice: its first
+    vector (n = m = 0) de-embedded, values[index_r] = factor_r[:, 0] sqrt(s/M).  ``frame`` is
+    kept on the window as :func:`gabor_frame` keeps a window's system."""
+    system = frame._system
+    values = np.empty(system.shape[0], dtype=complex)
+    for index, factor in system.groups:
+        values[index] = factor[..., 0]
+    window = SampledWindow(system.grid, values * math.sqrt(system.grid.samples_per_unit / system.modulations))
+    window.__dict__["_frames"] = {system.lattice: frame}
+    return window
 
 
 def char_dual_check(

@@ -229,11 +229,11 @@ class LatticeOperator:
         (see :func:`_frobenius_shows`), else decided by :meth:`norm`."""
         return _frobenius_shows(_raveled(b for _, b in self.groups), bound) or self.norm() <= bound
 
-    def apply(self, v: np.ndarray, op=np.matmul) -> np.ndarray:
-        """The vector whose samples in each class are ``op(block, v restricted to the class)``."""
+    def apply(self, v: np.ndarray) -> np.ndarray:
+        """X v: in each class, the block times ``v`` restricted to the class."""
         out = np.empty_like(v)
         for index, blocks in self.groups:
-            out[index] = op(blocks, v[index][..., None])[..., 0]
+            out[index] = (blocks @ v[index][..., None])[..., 0]
         return out
 
     def singular_values(self) -> np.ndarray:

@@ -88,15 +88,14 @@ def _transfer(phi: Frame, psi: Frame, phi_dual: Frame, expect_approx: bool) -> T
     # formed here, not through mixed_operator, so that psi keeps no record of this pair
     mixed_match = psi._system.blocks(psi_dual._system).distance(mixed)
     measured = bessel_bound_difference(phi_dual, psi_dual)
-    # The closed form sqrt(M_diff) ||M^-1|| / (1 - smallness) (||theta|| sqrt(M_dual)
-    # + ||M|| (m_phi + M_phi + sqrt(M_psi M_phi)) / (m_phi m_psi)), squared, read in units
-    # of M_phi: scale-free ratios times one power of sqrt(M_phi) each, so that no product
-    # of bounds under- or overflows where the bounds are normal floats.
+    # The closed form M_diff / (1 - smallness)^2 (||M|| (m_phi + M_phi + sqrt(M_psi M_phi)) / (m_phi m_psi)
+    # + ||theta|| ||M^-1|| sqrt(M_dual))^2, which scales as ||T_dual||^2, read in units of M_phi: scale-free
+    # ratios times one power of sqrt(M_phi) each, so that no product of bounds under- or overflows where
+    # the bounds are normal floats.
     unit = math.sqrt(big_m_phi)
     ratio_phi, ratio_psi = m_phi / big_m_phi, m_psi / big_m_phi
-    spread = (inv_mixed_norm * theta_norm) * (math.sqrt(big_m_dual) * unit) + (
-        inv_mixed_norm * mixed_norm
-    ) * (ratio_phi + 1.0 + math.sqrt(big_m_psi / big_m_phi)) / (ratio_phi * ratio_psi) / unit
+    spread = (mixed_norm / unit) * (ratio_phi + 1.0 + math.sqrt(big_m_psi / big_m_phi)) / (
+        ratio_phi * ratio_psi) + (inv_mixed_norm * theta_norm) * (math.sqrt(big_m_dual) * unit)
     predicted = (math.sqrt(diff_bound / big_m_phi) * spread / (1.0 - smallness)) ** 2
     return TransferResult(
         psi_dual=psi_dual,

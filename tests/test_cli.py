@@ -1,6 +1,7 @@
 import csv
 import json
 import os
+import re
 import shlex
 import subprocess
 import sys
@@ -585,8 +586,9 @@ class TestGaborCommands:
                 "--a", "1", "--b", "1/10", "--out", gad, "--spectrum-csv", spectrum, "--report", report]
         assert main(argv) == 0
         assert built == [] and svds == []
-        # the scaling window's frame blocks and the mixed blocks; S g_dual is read from g's SVD
-        assert len(blocks) == 2
+        # the scaling window's frame blocks, g's frame blocks (S of the kernel term
+        # S T_d - T) and the mixed blocks, which the construction read for its rate
+        assert len(blocks) == 3
         monkeypatch.undo()
         eigs = [float(row[1]) for row in read_csv(spectrum)[1:]]
         assert len(eigs) == 200 and eigs == sorted(eigs)
@@ -668,10 +670,15 @@ class TestSizeBudget:
             ["gabor", "dual", "--window", "bspline:2", "--grid", "1:4096", "--b", "1/3"],
             ["gabor", "verify", "--window", "bspline:2", "--dual", "bspline:2", "--grid", "10:20",
              "--a", "1", "--b", "1e400"],
+            # within the grid budget, but the N - 1 convolutions pass over (N - 1) L samples:
+            # 299 * 4800 and 1999 * 4000 (both would also overflow s^(N - 1))
+            ["gabor", "window", "--window", "bspline:300", "--grid", "16:300"],
+            ["gabor", "window", "--window", "bspline:2000", "--grid", "2:2000"],
         ],
         ids=["grid 1e18", "grid one over", "grid period one over", "char step 1e-6", "char windows",
              "bspline cells", "bspline grid", "bspline table", "char table", "bspline sweep 2:1000",
-             "bspline sweep 2:4000", "class factor", "lattice-sum table", "b 1e400"],
+             "bspline sweep 2:4000", "class factor", "lattice-sum table", "b 1e400",
+             "bspline:300 convolutions", "bspline:2000 convolutions"],
     )
     def test_over_budget_exits_3_before_allocating(self, argv, capsys):
         tracemalloc.start()
@@ -712,3 +719,39 @@ def test_perturb_at_an_extreme_scale_prints_finite_bounds(tmp_path):
     values = dict(line.split(": ", 1) for line in run.stdout.splitlines() if ": " in line)
     predicted, measured = float(values["predicted_diff_bound"]), float(values["measured_diff_bound"])
     assert np.isfinite(predicted) and measured <= predicted
+
+
+@pytest.mark.parametrize("c", [1e-80, 1e80])
+@pytest.mark.parametrize(
+    "command",
+    [
+        ["frame-info", "phi"],
+        ["dual", "phi", "--mode", "canonical"],
+        ["dual", "phi", "--mode", "approx", "--op-file", "target"],
+        ["dual", "phi", "--mode", "gdual", "--op-file", "corresponding"],
+        ["verify", "phi", "ad"],
+        ["perturb", "phi", "psi", "ad"],
+    ],
+    ids=["frame-info", "dual canonical", "dual approx", "dual gdual", "verify", "perturb"],
+)
+def test_frame_commands_at_extreme_scales_print_finite_numbers(command, c, tmp_path, capsys):
+    """Each frame command on inputs scaled by ``c`` prints only finite numbers, on stdout and
+    in its run report, or else exits 2 or 3."""
+    from test_perturbation import scaled_transfer_inputs
+
+    paths = {name: str(tmp_path / f"{name}.json") for name in ("phi", "psi", "ad", "target", "corresponding")}
+    for frame, name in zip(scaled_transfer_inputs(c), ("phi", "psi", "ad")):
+        io.save_frame(frame, paths[name])
+    io.save_operator(0.9 * identity(3), paths["target"])
+    io.save_operator(2.0 * identity(3), paths["corresponding"])
+    report = tmp_path / "run.json"
+    code = main([paths.get(arg, arg) for arg in command] + ["--report", str(report)])
+    out = capsys.readouterr().out
+    assert code in (0, 2, 3)
+    if code == 0:
+        assert not re.search(r"\b(?:nan|inf(?:inity)?)\b", out, re.IGNORECASE), out
+
+        def refuse(constant):
+            raise AssertionError(f"{constant} in the run report")
+
+        json.loads(report.read_text(), parse_constant=refuse)

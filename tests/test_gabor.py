@@ -133,6 +133,13 @@ class TestBSpline:
         with pytest.raises(SupportOverflow):
             sample_bspline(4, GridSpec(8, 3))
 
+    @pytest.mark.parametrize("order, grid", [(300, GridSpec(16, 300)), (2000, GridSpec(2, 2000))])
+    def test_counts_that_overflow_a_float_raise(self, order, grid, monkeypatch):
+        # s^(N - 1) overflows: ValueError before the first convolution, not OverflowError
+        monkeypatch.setattr(np, "convolve", mock.Mock(side_effect=AssertionError("convolved")))
+        with pytest.raises(ValueError, match=f"up to {grid.samples_per_unit}\\^{order - 1}, overflow"):
+            sample_bspline(order, grid)
+
     def test_matches_continuous_hat(self):
         grid = GridSpec(8, 4)
         w = sample_bspline(2, grid)
@@ -1142,6 +1149,30 @@ class TestApproxDualWindow:
             approx_dual_window(b2, dual, a_op, lat)
         assert err.value.measured > 0.01
 
+    @pytest.mark.parametrize("dense", [False, True], ids=["blocks", "array"])
+    @pytest.mark.parametrize("grid, b", [(GridSpec(10, 20), Fraction(1, 10)), (GridSpec(6, 6), Fraction(1, 3))])
+    def test_result_keeps_the_constructed_system(self, grid, b, dense, monkeypatch):
+        # the frame of the result is the one the construction built and read the rate of:
+        # the pair (g's system, it) takes no second blocks, and it is the window's own system
+        lat = GaborLattice(1, b)
+        b2 = sample_bspline(2, grid)
+        dual = ck_dual1(b2, 2, b)
+        a_op = scaled_gabor_operator(sample_bspline(3, grid), lat)
+        blocks, build = [], oplin.ClassFactor.blocks
+        monkeypatch.setattr(oplin.ClassFactor, "blocks", lambda f, other: blocks.append(other) or build(f, other))
+        out = approx_dual_window(b2, dual, np.asarray(a_op) if dense else a_op, lat)
+        built = len(blocks)
+        constructed = gabor_frame(out, lat)
+        assert any(other is constructed._system for other in blocks)
+        approximation_rate(gabor_frame(b2, lat), constructed)
+        mixed_lattice_operator(b2, out, lat)
+        assert len(blocks) == built
+        own = gabor._system(out, lat)
+        assert constructed._system.shares_classes(own)
+        for (index, factor), (own_index, own_factor) in zip(constructed._system.groups, own.groups):
+            assert np.array_equal(index, own_index)
+            assert np.max(np.abs(factor - own_factor)) <= 1e-12 * np.max(np.abs(own_factor))
+
 
 class TestCharDualCheck:
     # period 3 is divisible by every step in {1/4, 1/2, 3/4, 1}
@@ -1251,10 +1282,10 @@ class TestLatticeOperator:
         s_dense = frame_operator(g_d)
         g_dual = SampledWindow(grid, np.linalg.solve(s_dense, g.values))
         scaled = scaled_gabor_operator(scale, lat)
-        # the value approx_dual_window gathers is the one whose gap it checks
-        with mock.patch.object(LatticeOperator, "gap", autospec=True, side_effect=LatticeOperator.gap) as gap:
+        # the value approx_dual_window gathers is the one its construction reads
+        with mock.patch.object(gabor, "_via_dual", side_effect=gabor._via_dual) as construct:
             approx_dual_window(g, g_dual, np.asarray(scaled), lat)
-        gathered = gap.call_args.args[0]
+        gathered = construct.call_args.args[2]
         # built (value, its dense matrix): the mixed operator of two systems, a frame
         # operator over its upper bound, and a dense matrix gathered into g's classes
         frame_op = mixed_lattice_operator(g, g, lat)
@@ -1264,7 +1295,7 @@ class TestLatticeOperator:
             (scaled, frame_operator(scale_d) / frame_bounds(scale_d).upper),
             (gathered, np.asarray(scaled)),
         ]
-        assert gap.call_count == 1 and gathered is not scaled
+        assert construct.call_count == 1 and gathered is not scaled
         assert np.array_equal(np.asarray(gathered), np.asarray(scaled))
         # the eigenvalues of a system frame, from one eigh of its blocks, against eigvalsh
         # of its dense S and of its frame-operator value; the scaling window's system is
@@ -1380,13 +1411,15 @@ class TestLatticeOperator:
 
 
 class TestOneSystemPerWindow:
-    @pytest.mark.parametrize("kind, census", [("10:20 pipeline", (4, 3, 5)), ("16:64 bounds", (2, 1, 2))])
+    @pytest.mark.parametrize("kind, census", [("10:20 pipeline", (4, 4, 4)), ("16:64 bounds", (2, 1, 2))])
     def test_gabor_dense_task_census(self, kind, census, monkeypatch):
-        # one task as the benchmark's gabor-dense workload builds and runs it: the systems
-        # built, the class-block sets built and the SVDs taken: a thin one per system read
-        # for its spectrum and a values-only one per block gap ||Id - X|| (the pipeline's two
-        # rates and its operator's gap, the bounds task's rate), each batched over the
-        # classes; no eigh
+        # one task as the benchmark's gabor-dense workload builds and runs it: the factors
+        # built (the pipeline's three windows' systems and g's canonical dual; the
+        # approximate dual's system is its construction's), the class-block sets built (the
+        # pipeline's S for the kernel term S T_d - T among them) and the SVDs taken: a thin
+        # one per system read for its spectrum and a values-only one per block gap
+        # ||Id - X|| (the pipeline's two rates, the bounds task's rate), each batched over
+        # the classes; no eigh
         monkeypatch.syspath_prepend(str(Path(__file__).resolve().parents[1] / "perfbench"))
         import workloads
 

@@ -262,7 +262,7 @@ class TestTransferAtExtremeScales:
     of bounds under- or overflows, so the predicted bound is finite at every scale where the
     bounds are normal floats (RuntimeWarning is an error here, see pyproject.toml)."""
 
-    @pytest.mark.parametrize("c", [1e-100, 1e-80, 1e80, 1e120])
+    @pytest.mark.parametrize("c", [1e-100, 1e-80, 1.0, 1e3, 1e80, 1e120])
     @pytest.mark.parametrize("name", sorted(TRANSFERS))
     def test_predicted_bound_is_finite(self, name, c):
         phi, psi, ad = scaled_transfer_inputs(c)
@@ -270,8 +270,10 @@ class TestTransferAtExtremeScales:
         assert np.isfinite(result.predicted_diff_bound) and np.isfinite(result.measured_diff_bound)
         target = mixed_operator(phi, phi if name == "self" else ad)
         assert operator_norm(mixed_operator(psi, result.psi_dual) - target) <= 1e-9 * operator_norm(target)
-        if name != "self":  # an approximate dual: the bound scales as 1/c^2, as the pair does
-            assert result.measured_diff_bound <= result.predicted_diff_bound
-            unscaled = TRANSFERS[name](*scaled_transfer_inputs(1.0))
-            assert abs(result.predicted_diff_bound * c**2 - unscaled.predicted_diff_bound) <= (
-                1e-9 * unscaled.predicted_diff_bound)
+        assert result.measured_diff_bound <= result.predicted_diff_bound
+        # the bound scales as ||T_dual||^2 does: as 1/c^2 for the approximate dual, and as c^2
+        # for phi itself as its own g-dual
+        power = 2 if name == "self" else -2
+        unscaled = TRANSFERS[name](*scaled_transfer_inputs(1.0))
+        assert abs(result.predicted_diff_bound / c**power - unscaled.predicted_diff_bound) <= (
+            1e-9 * unscaled.predicted_diff_bound)

@@ -1,11 +1,15 @@
-"""One thin SVD call site, one kernel projection and one pair pipeline in the library.
+"""One thin SVD call site, one kernel projection, one pair pipeline and one approximate-dual
+construction in the library.
 
 Every frame is held by its class factor, so one spectrum class takes every thin SVD
 and projects onto ker T.  A second representation of a spectrum would bring its own
 ``np.linalg.svd(..., full_matrices=False)`` and its own ``kernel_part``; the pair
 functions of ``duality`` and ``perturbation`` read factors and blocks, so a dense body
-there would read a synthesis matrix or a scattered mixed operator.  These tests find
-each, syntactically, in ``src/dualframes``.
+there would read a synthesis matrix or a scattered mixed operator.  A window's approximate
+dual is the general construction on its system, so a second body would read powers of S
+(``Spectrum.power``) outside ``oplin`` or apply operators to a window's samples
+(``LatticeOperator.apply``) in ``gabor``.  These tests find each, syntactically, in
+``src/dualframes``.
 """
 
 import ast
@@ -84,3 +88,31 @@ def test_a_dense_read_is_found():
     trees = {"duality.py": ast.parse(source), "perturbation.py": ast.parse("")}
     assert dense_reads(trees) == [
         ("duality.py", 1, "synthesis"), ("duality.py", 2, "dense"), ("duality.py", 3, "synthesis")]
+
+
+def method_calls(trees: dict, method: str, names) -> list:
+    """(file, line) of every call ``<x>.<method>(...)`` in the files ``names``."""
+    return sorted(
+        (name, node.lineno)
+        for name in names
+        for node in ast.walk(trees[name])
+        if isinstance(node, ast.Call) and isinstance(node.func, ast.Attribute) and node.func.attr == method
+    )
+
+
+def construction_sites(trees: dict) -> list:
+    """Calls a second approximate-dual body would make: ``.power(`` outside ``oplin.py``,
+    ``.apply(`` in ``gabor.py``."""
+    return method_calls(trees, "power", [n for n in trees if n != "oplin.py"]) + method_calls(
+        trees, "apply", ["gabor.py"])
+
+
+def test_one_approximate_dual_construction():
+    assert construction_sites(parsed()) == []
+
+
+def test_a_second_construction_is_found():
+    source = "adj = a.apply(spectrum.power(-2).apply(v))\nx = spectrum.power\ny = power(2)\n"
+    trees = {"oplin.py": ast.parse("s.power(1)\nb.apply(v)\n"), "gabor.py": ast.parse(source),
+             "duality.py": ast.parse("d = phi.spectrum.power(2)\ne = x.apply(v)\n")}
+    assert construction_sites(trees) == [("duality.py", 1), ("gabor.py", 1), ("gabor.py", 1), ("gabor.py", 1)]
