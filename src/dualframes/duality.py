@@ -180,7 +180,7 @@ def _with_mixed(phi: Frame, a: LatticeOperator, theta=None) -> Frame:
     On phi's classes: the factor a_r* U_r diag(1/s_r) V_r* + theta*_r, for theta* a factor
     or an annihilator's."""
     dual = canonical_dual(phi)._system
-    star = theta._star if isinstance(theta, Annihilator) else theta
+    star = theta.star if isinstance(theta, Annihilator) else theta
     with np.errstate(over="ignore", invalid="ignore"):  # _with raises an overflow
         stacks = [adjoint(b) @ f for (_, b), (_, f) in zip(a.groups, dual.groups)]
         for stack, (_, t) in zip(stacks, () if star is None else star.groups):
@@ -192,26 +192,30 @@ def _approx_dual(phi: Frame, a: LatticeOperator, theta, condition: str) -> Frame
     """``result = _with_mixed(phi, a, theta)`` once ``condition`` is below 1.
 
     The condition, ||Id - a||, is checked on the pair returned: its rate
-    ||Id - mixed_operator(phi, result)||, kept on the pair's record, which
-    differs from ||Id - a|| by rounding and by ||T theta||.  It is read from
-    ``a`` itself where no family is built: when an entry of Id - a has a real
-    or imaginary part of modulus 1 or more (which fails it, and could make the
-    family overflow), and when the build raises ValueError (S overflows),
-    which is raised only if the condition holds.
+    ||Id - mixed_operator(phi, result)||, kept on the pair's record.  It differs
+    from ||Id - a|| by rounding and by T theta, which for the kernel term of an
+    exact dual phi_d (:func:`_via_dual`) is (T T_d* - Id) S: bounded by the
+    dual's gate, times ||S||.  A failing rate is reported with ||Id - a||.  The
+    condition is read from ``a`` itself where no family is built: when an entry of
+    Id - a has a real or imaginary part of modulus 1 or more (which fails it, and
+    could make the family overflow), and when the build raises ValueError (S
+    overflows), which is raised only if the condition holds.
     """
     rate = None
     if max(np.max(np.abs((np.eye(b.shape[-1]) - b).view(float))) for _, b in a.groups) < 1.0:
         try:
             result = _with_mixed(phi, a, theta)
         except ValueError:
-            rate = a.gap()
-            if _strictly_below(rate, 1.0):
+            if _strictly_below(a.gap(), 1.0):
                 raise
         else:
             rate = _pair(phi, result).rate
             if _strictly_below(rate, 1.0):
                 return result
-    raise ContractViolation(f"requires {condition} < 1", measured=a.gap() if rate is None else rate)
+    if rate is None:
+        raise ContractViolation(f"requires {condition} < 1", measured=a.gap())
+    raise ContractViolation(f"requires {condition} < 1: it is {a.gap():.6g}, but the rate of the pair "
+                            "built is not below 1", measured=rate)
 
 
 def approx_dual_from_whitened(

@@ -13,7 +13,8 @@ construction in :mod:`dualframes.duality`.
 Every frame is held by its class factor (:class:`~dualframes.oplin.ClassFactor`):
 a matrix is the one-class case, a Gabor system the many-class one.  Its spectral facts
 come from one batched thin SVD of the factor, and the mixed operator of every pair is
-one block value, a :class:`~dualframes.oplin.LatticeOperator`.
+one block value, a :class:`~dualframes.oplin.LatticeOperator`.  An annihilator theta is
+held the same way, by the factor of its adjoint theta*.
 """
 
 from __future__ import annotations
@@ -217,17 +218,15 @@ def _flat(phi: Frame) -> Frame:
 def _on_classes(system: ClassFactor, x):
     """``x`` read on the classes of ``system``, or None when it is not on them: a frame whose
     factor shares them (DimensionMismatch unless it has their shape); an annihilator whose
-    theta* does (a map given: a matrix's); a d x d operand as blocks when it is a
-    LatticeOperator on the same grid and lattice, or an array exactly zero between the
-    classes (one class: the array itself)."""
+    theta* does; a d x d operand as blocks when it is a LatticeOperator on the same grid and
+    lattice, or an array exactly zero between the classes (one class: the array itself)."""
     if isinstance(x, Frame):
         if x._system.shape != system.shape:
             raise DimensionMismatch(f"frames have shapes {system.shape[0]}x{system.shape[1]} "
                                     f"and {x.dim}x{x.count}")
         return x if x._system.shares_classes(system) else None
-    if isinstance(x, Annihilator):  # a map given is one class: its theta* is built when read
-        star = x.__dict__.get("_factor")
-        return x if (system.grid is None if star is None else star.shares_classes(system)) else None
+    if isinstance(x, Annihilator):
+        return x if x.star.shares_classes(system) else None
     if isinstance(x, LatticeOperator):
         return x if (x.grid, x.lattice) == (system.grid, system.lattice) else None
     (index, _), *others = system.groups
@@ -258,9 +257,10 @@ def _aligned(phi: Frame, *operands) -> tuple:
 def _one_class(x):
     if isinstance(x, Frame):
         return _flat(x)
-    if isinstance(x, Annihilator):
-        star = x.__dict__.get("_factor")  # a map given is one class
-        return x if star is None or star.grid is None else Annihilator._kept(x.map, _flat(x.base), x.norm)
+    if isinstance(x, Annihilator):  # theta* of a system's classes: the one class of its matrix
+        if x.star.grid is None:
+            return x
+        return Annihilator._over(ClassFactor.of(_frozen(x.star.synthesis())), _flat(x.base), x.norm)
     return LatticeOperator.of(np.asarray(x))
 
 
@@ -381,81 +381,55 @@ def bessel_bound_difference(phi: Frame, psi: Frame) -> float:
     return _squared((psi._system - phi._system).norm())
 
 
-@dataclass(frozen=True, eq=False)
+@dataclass(frozen=True, eq=False, init=False)
 class Annihilator:
-    """An n x d map whose range lies in the kernel of the synthesis operator.
+    """An n x d map theta whose range lies in the kernel of the synthesis operator.
 
     These maps add pure kernel content to dual constructions: they change
     the dual family without changing the mixed operator.
 
-    The constructor measures ``norm`` = ||map|| and checks
-    ||T map|| <= ANNIHILATOR_TOL ||T|| ||map||; the check passes on the
-    Frobenius norm of T map when that shows it, and a failure reports the
-    operator norm.  :func:`random_annihilator` carries the norm it scaled to.
-
-    The constructions read its adjoint theta* (d x n) as a factor: the one class of
-    ``map*`` for a map given, and T's classes for an annihilator recovered from a pair
-    (:func:`dualframes.duality.recover_parameters`), whose norm is the largest of its
-    classes' and whose check runs class by class; its ``map`` is built when first read.
+    An annihilator is held by its adjoint theta* (d x n) as a factor, ``star``, which is
+    what the constructions read: the one class of ``map*`` for a map given, and T's classes
+    for an annihilator recovered from a pair (:func:`dualframes.duality.recover_parameters`).
+    ``map`` is built from it when first read.  The constructor measures ``norm`` = ||map||;
+    :func:`random_annihilator` and a recovered annihilator carry the norm they know.  Each
+    checks ||T theta|| <= ANNIHILATOR_TOL ||T|| ||theta|| on the blocks T theta, on T's
+    classes when theta* has them, else on the one class of T: the check passes on their
+    Frobenius norm when that shows it, and a failure reports the operator norm.
     """
 
-    map: np.ndarray
     base: Frame = field(repr=False)
-    norm: float = field(init=False, repr=False)  # ||map||, computed once
+    star: ClassFactor = field(init=False, repr=False)
+    norm: float = field(init=False)  # ||theta||
 
-    def __post_init__(self):
-        m = oplin.as_operator(self.map)
-        object.__setattr__(self, "map", m)
-        if m.shape != (self.base.count, self.base.dim):
-            raise DimensionMismatch(
-                f"annihilator must be {self.base.count}x{self.base.dim}, got {m.shape}"
-            )
-        if "norm" not in self.__dict__:  # set by _kept
-            object.__setattr__(self, "norm", operator_norm(m))
-        self._require_kernel(_flat(self.base).synthesis @ m)
-
-    def _require_kernel(self, residual) -> None:
-        """ContractViolation unless ``residual`` = T map, an array or blocks, is at most
-        ANNIHILATOR_TOL ||T|| ||map||."""
-        allowed = ANNIHILATOR_TOL * self.base._sigma[1] * max(self.norm, 1e-300)  # ||T||
-        blocks = isinstance(residual, LatticeOperator)
-        if not (residual.at_most(allowed) if blocks else oplin._norm_at_most(residual, allowed)):
-            raise ContractViolation(
-                f"range must lie in ker(synthesis): ||T theta|| <= {allowed:.3e}",
-                measured=residual.norm() if blocks else operator_norm(residual),
-            )
-
-    def __getattr__(self, name):  # the map of an annihilator over a factor, built when first read
-        if name != "map" or "_factor" not in self.__dict__:
-            raise AttributeError(name)
-        m = _frozen(adjoint(self._factor.synthesis()))
-        object.__setattr__(self, "map", m)
-        return m
-
-    @property
-    def _star(self) -> ClassFactor:
-        """theta* (d x n) as a factor: T's classes, kept, or the one class of ``map*``, built
-        on each read, as a construction reads it once."""
-        return self.__dict__.get("_factor") or ClassFactor.of(_frozen(adjoint(self.map)))
-
-    @classmethod
-    def _kept(cls, m: np.ndarray, base: Frame, norm: float) -> "Annihilator":
-        """The annihilator over a map whose norm is known: the scaled draw of :func:`random_annihilator`,
-        or a factor's map on a one-class view (see :func:`_aligned`)."""
-        value = cls.__new__(cls)
-        object.__setattr__(value, "norm", norm)
-        value.__init__(m, base)
-        return value
+    def __init__(self, map, base: Frame):
+        m = oplin.as_operator(map)
+        if m.shape != (base.count, base.dim):
+            raise DimensionMismatch(f"annihilator must be {base.count}x{base.dim}, got {m.shape}")
+        self._hold(ClassFactor.of(_frozen(adjoint(m))), base, operator_norm(m))
 
     @classmethod
     def _over(cls, star: ClassFactor, base: Frame, norm: float) -> "Annihilator":
-        """The annihilator whose theta* is the factor ``star``, with the classes of ``base``, and
-        whose norm is known: a pair's kept theta; checked class by class."""
+        """The annihilator whose theta* is the factor ``star`` and whose norm is known."""
         value = cls.__new__(cls)
-        for name, v in (("_factor", star), ("base", base), ("norm", norm)):
-            object.__setattr__(value, name, v)
-        value._require_kernel(base._system.blocks(star))
+        value._hold(star, base, norm)
         return value
+
+    def _hold(self, star: ClassFactor, base: Frame, norm: float) -> None:
+        """Hold theta* = ``star`` once ||T theta|| <= ANNIHILATOR_TOL ||T|| ||theta||, else
+        ContractViolation with the measured ||T theta||."""
+        for name, v in (("star", star), ("base", base), ("norm", norm)):
+            object.__setattr__(self, name, v)
+        allowed = ANNIHILATOR_TOL * base._sigma[1] * max(norm, 1e-300)  # ||T||
+        residual = (base if star.shares_classes(base._system) else _flat(base))._system.blocks(star)
+        if not residual.at_most(allowed):
+            raise ContractViolation(
+                f"range must lie in ker(synthesis): ||T theta|| <= {allowed:.3e}", measured=residual.norm())
+
+    @cached_property
+    def map(self) -> np.ndarray:
+        """theta (n x d), read-only, built from theta* once."""
+        return _frozen(adjoint(self.star.synthesis()))
 
     @classmethod
     def zero(cls, phi: Frame) -> "Annihilator":
@@ -466,9 +440,9 @@ class Annihilator:
 def random_annihilator(phi: Frame, seed: int, scale: float) -> Annihilator:
     """Seeded annihilator with operator norm ``scale``.
 
-    An n x d complex Gaussian draw, projected onto ker T, then rescaled: a map of
-    no class structure, so a system projects it through its one-class view.
-    A Riesz basis has trivial kernel, so the zero map is returned;
+    An n x d complex Gaussian draw D, whose adjoint is projected onto ker T as one class,
+    then rescaled: a draw of no class structure, so a system projects it through its
+    one-class view.  A Riesz basis has trivial kernel, so the zero map is returned;
     ``scale == 0`` also yields the zero map.  ValueError for a negative or
     non-finite scale.
     """
@@ -478,14 +452,15 @@ def random_annihilator(phi: Frame, seed: int, scale: float) -> Annihilator:
         return Annihilator.zero(phi)
     rng = np.random.default_rng(seed)
     shape = (phi.count, phi.dim)
-    raw = _flat(phi).spectrum.kernel_part(rng.standard_normal(shape) + 1j * rng.standard_normal(shape))
-    raw_norm = operator_norm(raw)
-    m = raw  # a new array: scaled in place
-    m *= scale / raw_norm
+    # conj(D), drawn as such, so that D* is its transpose, a view; projected into a new array
+    conj_draw = rng.standard_normal(shape) - 1j * rng.standard_normal(shape)
+    (star,) = _flat(phi).spectrum.off_range([conj_draw.T[None]])
+    raw_norm = operator_norm(star[0].T)  # on the n x d view, as theta's
+    star *= scale / raw_norm
     # Rounding each entry to eps relative moves the norm by at most eps sqrt(d) of it, and
     # an entry that underflows by up to 2^-1075 absolute: the norm is carried unless those
     # can add up to NORM_CARRY_TOL of it (a subnormal scale), or it overflows, and measured then.
     norm = raw_norm * (scale / raw_norm)
-    if not (math.sqrt(m.size) * 2.0**-1074 <= NORM_CARRY_TOL * norm and norm < math.inf):
-        norm = operator_norm(m)
-    return Annihilator._kept(m, phi, norm)
+    if not (math.sqrt(star.size) * 2.0**-1074 <= NORM_CARRY_TOL * norm and norm < math.inf):
+        norm = operator_norm(star[0].T)
+    return Annihilator._over(ClassFactor.of(_frozen(star)[0]), phi, norm)

@@ -9,8 +9,8 @@ case.  One batched thin SVD of the factor gives every spectral fact
 (:class:`Spectrum`); the mixed operator of two factors with the same classes
 is block diagonal over them (:class:`LatticeOperator`).
 
-A pass/fail check ``||a|| <= bound`` can be settled on the Frobenius norm
-(:func:`_norm_at_most`, :meth:`LatticeOperator.at_most`), which bounds the operator norm from above and costs
+A pass/fail check ``||a|| <= bound`` on blocks can be settled on their Frobenius norm
+(:meth:`LatticeOperator.at_most`), which bounds the operator norm from above and costs
 O(size) where an SVD costs O(size^1.5): it is taken on ``a`` divided by its
 largest real or imaginary part, so no entry overflows or underflows into the
 sum, and widened by its rounding.  When it shows the bound, the check passes;
@@ -106,13 +106,6 @@ def _frobenius_shows(a: np.ndarray, bound: float) -> bool:
     return peak * math.sqrt(float(x @ x)) * slack <= bound
 
 
-def _norm_at_most(m, bound: float) -> bool:
-    """Whether ||m|| <= bound: certified by the Frobenius norm when it can be,
-    else decided by :func:`operator_norm`; ValueError when an entry is not finite."""
-    a = as_operator(m)
-    return _frobenius_shows(a, bound) or operator_norm(a) <= bound
-
-
 def _frozen(a: np.ndarray) -> np.ndarray:
     a.flags.writeable = False
     return a
@@ -138,14 +131,6 @@ def _raveled(stacks) -> np.ndarray:
     """The entries of every array of ``stacks`` in one array (the one array itself when alone)."""
     stacks = list(stacks)
     return stacks[0] if len(stacks) == 1 else np.concatenate([s.ravel() for s in stacks])
-
-
-def _range_part(v: np.ndarray, z: np.ndarray) -> np.ndarray:
-    """V V* z for V* = ``v``, as conj(V*^T conj(V* z)): no conjugate copy of ``v``."""
-    c = v @ z
-    np.conj(c, out=c)
-    r = np.swapaxes(v, -1, -2) @ c
-    return np.conj(r, out=r)
 
 
 def _modulation(classes: np.ndarray, m: int) -> np.ndarray:
@@ -418,7 +403,7 @@ class Spectrum:
 
     def off_range(self, rows) -> tuple:
         """Each group's (C, k, K) stack of row vectors of ``rows`` projected off range(V_r) on
-        its class, z - (z V_r) V_r*, twice, so that the result stays orthogonal to it."""
+        its class, z - (z V_r) V_r*, twice, so that the result stays orthogonal to it: new arrays."""
         out = []
         for z, v, spanning in zip(rows, self.range_rows, self._spanning):
             z = z - (z @ adjoint(v)) @ v
@@ -427,18 +412,10 @@ class Spectrum:
             out.append(z)
         return tuple(out)
 
-    def kernel_part(self, x):
-        """``x`` projected onto ker T, twice, so that the result stays orthogonal to range(T*):
-        a factor with these classes, as X* (:meth:`off_range`), or the columns of an n x m
-        array, x - V V* x, for a matrix's spectrum; zero when ker T is."""
-        if isinstance(x, ClassFactor):
-            return x._with(self.off_range(f for _, f in x.groups))
-        if self.rank == self.shape[1]:
-            return np.zeros_like(x)
-        (v,), = self.range_rows  # one class of one row group: V*, and x's columns need no DFT
-        z = x - _range_part(v, x if x.dtype == complex else x.astype(complex))
-        z -= _range_part(v, z)
-        return z
+    def kernel_part(self, x: ClassFactor) -> ClassFactor:
+        """The factor ``x`` = X*, with these classes, projected onto ker T row by row: X* P for
+        P the projection, twice, so that it stays orthogonal to range(T*) (:meth:`off_range`)."""
+        return x._with(self.off_range(f for _, f in x.groups))
 
 
 def _square(m) -> np.ndarray:

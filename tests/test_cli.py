@@ -755,3 +755,36 @@ def test_frame_commands_at_extreme_scales_print_finite_numbers(command, c, tmp_p
             raise AssertionError(f"{constant} in the run report")
 
         json.loads(report.read_text(), parse_constant=refuse)
+
+
+@pytest.mark.parametrize("c", [1e-80, 1e80])
+@pytest.mark.parametrize(
+    "command, codes",
+    [
+        (["window", "--window", "g"], (0, 2)),
+        (["weight", "--window", "g", "--a", "1"], (0, 2)),
+        (["verify", "--window", "g", "--dual", "g_dual", "--a", "1", "--b", "1/10"], (0, 2)),
+        (["approx-dual", "--window", "g", "--dual", "g_dual", "--scale-window", "g", "--a", "1", "--b", "1/10"],
+         (0, 2)),
+        (["dual", "--window", "g", "--b", "1/10", "--support", "2"], (2,)),  # no partition of unity
+    ],
+    ids=["window", "weight", "verify", "approx-dual", "dual"],
+)
+def test_gabor_commands_at_extreme_scales_print_finite_numbers(command, codes, c, tmp_path, capsys):
+    """Each Gabor command on the 10:20 B-spline window scaled by ``c`` (and its dual by
+    ``1/c``) prints only finite numbers, on stdout and in its run report, or else exits 2."""
+    g = sample_bspline(2, GridSpec(10, 20))
+    paths = {"g": str(tmp_path / "g.json"), "g_dual": str(tmp_path / "g_dual.json")}
+    io.save_window(SampledWindow(g.grid, g.values * c), paths["g"])
+    io.save_window(SampledWindow(g.grid, gabor.ck_dual1(g, 2, Fraction(1, 10)).values / c), paths["g_dual"])
+    report = tmp_path / "run.json"
+    code = main(["gabor", *(paths.get(arg, arg) for arg in command), "--report", str(report)])
+    out = capsys.readouterr().out
+    assert code in codes
+    assert not re.search(r"\b(?:nan|inf(?:inity)?)\b", out, re.IGNORECASE), out
+    if report.exists():
+
+        def refuse(constant):
+            raise AssertionError(f"{constant} in the run report")
+
+        json.loads(report.read_text(), parse_constant=refuse)

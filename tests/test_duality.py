@@ -379,6 +379,17 @@ class TestApproxDualViaDual:
         with pytest.raises(ContractViolation):
             approx_dual_via_dual(phi0, canonical_dual(phi0), whitened=w)
 
+    def test_failing_rate_of_a_large_frame_is_reported_with_the_target_gap(self):
+        """The pair built has mixed operator A + (T T_d* - Id) S, and S grows as c^2: at
+        c = 1e8 its rate fails while ||Id - target|| = 0.534 passes; the error names both."""
+        rng = np.random.default_rng(3)
+        phi = Frame(1e8 * (rng.standard_normal((3, 5)) + 1j * rng.standard_normal((3, 5))))
+        target = identity(3) - 0.534 * np.diag([1.0, 0.5, 0.2])
+        with pytest.raises(ContractViolation, match=re.escape("requires ||Id - target|| < 1: it is 0.534, but "
+                                                              "the rate of the pair built")) as err:
+            approx_dual_via_dual(phi, canonical_dual(phi), target=target)
+        assert err.value.measured > 1.0
+
 
 class TestGDualFromCorresponding:
     def test_identity(self, phi0):

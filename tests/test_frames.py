@@ -39,6 +39,7 @@ from dualframes import (
     transfer_approx_dual,
 )
 from dualframes.frames import require_frame
+from dualframes.oplin import ClassFactor
 
 from conftest import random_frame, random_vector
 
@@ -369,11 +370,12 @@ class TestAnnihilator:
         family = Frame.from_vectors([(1, 0), (2, 0), (0, 0)])
         for phi, rank in ((phi0, 2), (family, 1), (Frame(np.zeros((2, 3))), 0)):
             assert phi.spectrum.rank == rank
-            p = phi.spectrum.kernel_part(np.eye(3, dtype=complex))
+            p = phi.spectrum.kernel_part(ClassFactor.of(np.eye(3, dtype=complex))).synthesis()
             assert np.allclose(p @ p, p, atol=1e-14) and np.allclose(p, adjoint(p), atol=1e-14)
             assert np.trace(p).real == pytest.approx(3 - rank, abs=1e-14)
             assert np.allclose(phi.synthesis @ p, 0.0, atol=1e-14)
-        assert np.array_equal(Frame(np.zeros((2, 3))).spectrum.kernel_part(np.eye(3)), np.eye(3))
+        eye = ClassFactor.of(np.eye(3))
+        assert np.array_equal(Frame(np.zeros((2, 3))).spectrum.kernel_part(eye).synthesis(), np.eye(3))
 
 
 def _array_holders() -> dict:

@@ -798,7 +798,7 @@ class TestSystemOracle:
         kernel = [star, frames.Annihilator(map=star.map, base=phi_d)]
         partner = [approx_dual_from_mixed(f, 0.9 * np.eye(f.dim), k) for f, k in zip((phi, phi_d), kernel)]
         thetas = [recover_parameters(f, p)[1] for f, p in zip((phi, phi_d), partner)]
-        assert thetas[0]._star.shares_classes(phi._system)
+        assert thetas[0].star.shares_classes(phi._system)
         assert np.max(np.abs(thetas[0].map - thetas[1].map)) <= tol * max(1.0, np.max(np.abs(star.map)))
         w = 1.05 * frame_operator_inv_sqrt(phi)  # scattered from phi's blocks: zero between its classes
         built = [approx_dual_from_whitened(f, w, theta) for f, theta in zip((phi, phi_d), thetas)]
@@ -1126,6 +1126,17 @@ class TestApproxDualWindow:
         dual = ck_dual1(b2, 2, Fraction(1, 3))
         with pytest.raises(ContractViolation):
             approx_dual_window(b2, dual, 3.0 * identity(grid.total), lat)
+
+    def test_failing_rate_of_a_large_window_is_reported_with_the_gap(self):
+        """At g 1e8 and g_dual / 1e8 the exact-dual gate passes and ||Id - A|| = 0.5, but S
+        grows as 1e16 and the pair built fails its rate; the error names both."""
+        grid, lat = GridSpec(6, 6), GaborLattice(1, Fraction(1, 3))
+        b2 = sample_bspline(2, grid)
+        dual = ck_dual1(b2, 2, lat.b)
+        large, small = SampledWindow(grid, b2.values * 1e8), SampledWindow(grid, dual.values / 1e8)
+        with pytest.raises(ContractViolation, match=r"requires \|\|Id - A\|\| < 1: it is 0\.5, but the rate") as err:
+            approx_dual_window(large, small, scaled_gabor_operator(b2, lat), lat)
+        assert err.value.measured > 1.0
 
     @pytest.mark.parametrize("scale", [0.0, 2.0])
     def test_rejects_gap_of_exactly_one(self, scale):

@@ -231,7 +231,7 @@ def _bound_near(exact: float, step: float) -> float:
 
 
 class TestNormCertificate:
-    """``oplin._norm_at_most(m, bound)`` passes on the Frobenius norm where it shows
+    """``LatticeOperator.at_most(bound)`` passes on the Frobenius norm where it shows
     the bound and asks the operator norm otherwise; its verdict is that of
     ``operator_norm(m) <= bound`` at every scale, with no warning."""
 
@@ -247,28 +247,27 @@ class TestNormCertificate:
         m = _scaled_map(shape, rank_one, exponent, seed)
         exact = operator_norm(m)
         for bound in (_bound_near(exact, step), float(np.linalg.norm(m)), 5e-324, 1e-310):
-            assert oplin._norm_at_most(m, bound) == (exact <= bound), bound
+            assert oplin.LatticeOperator.of(m).at_most(bound) == (exact <= bound), bound
 
     def test_rank_one_within_one_ulp_is_decided_by_the_operator_norm(self, monkeypatch):
-        m = _scaled_map((4, 4), True, 0, 7)
-        exact = operator_norm(m)
+        m = oplin.LatticeOperator.of(_scaled_map((4, 4), True, 0, 7))
+        exact = m.norm()
         asked = []
-        monkeypatch.setattr(oplin, "operator_norm", lambda a: asked.append(a) or exact)
-        assert oplin._norm_at_most(m, np.nextafter(exact, np.inf))
-        assert not oplin._norm_at_most(m, np.nextafter(exact, -np.inf))
+        monkeypatch.setattr(oplin.LatticeOperator, "norm", lambda a: asked.append(a) or exact)
+        assert m.at_most(np.nextafter(exact, np.inf))
+        assert not m.at_most(np.nextafter(exact, -np.inf))
         assert len(asked) == 2
-        assert oplin._norm_at_most(m, 1.001 * exact) and len(asked) == 2  # certified
+        assert m.at_most(1.001 * exact) and len(asked) == 2  # certified
 
     @pytest.mark.parametrize("bound", [0.0, 5e-324, 1.0])
     def test_zero_map(self, bound):
-        assert oplin._norm_at_most(np.zeros((3, 2)), bound)
-        assert not oplin._norm_at_most(np.zeros((3, 2)), -5e-324)
+        assert oplin.LatticeOperator.of(np.zeros((3, 2), dtype=complex)).at_most(bound)
+        assert not oplin.LatticeOperator.of(np.zeros((3, 2), dtype=complex)).at_most(-5e-324)
 
     def test_overflowing_product_raises_value_error(self):
-        with np.errstate(over="ignore"):
-            product = np.full((2, 2), 1e200) @ np.full((2, 2), 1e200)
+        big = oplin.ClassFactor.of(np.full((2, 2), 1e200, dtype=complex))
         with pytest.raises(ValueError, match="non-finite entries"):
-            oplin._norm_at_most(product, 1.0)
+            big.blocks(big)
 
 
 def _svd_guard(m):

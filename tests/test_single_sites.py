@@ -1,5 +1,5 @@
-"""One thin SVD call site, one kernel projection, one pair pipeline and one approximate-dual
-construction in the library.
+"""One thin SVD call site, one kernel projection, one pair pipeline, one approximate-dual
+construction and one form of an annihilator in the library.
 
 Every frame is held by its class factor, so one spectrum class takes every thin SVD
 and projects onto ker T.  A second representation of a spectrum would bring its own
@@ -8,8 +8,9 @@ functions of ``duality`` and ``perturbation`` read factors and blocks, so a dens
 there would read a synthesis matrix or a scattered mixed operator.  A window's approximate
 dual is the general construction on its system, so a second body would read powers of S
 (``Spectrum.power``) outside ``oplin`` or apply operators to a window's samples
-(``LatticeOperator.apply``) in ``gabor``.  These tests find each, syntactically, in
-``src/dualframes``.
+(``LatticeOperator.apply``) in ``gabor``.  An annihilator is held by theta* as a factor, so
+a reader of its ``map`` outside ``Annihilator`` would read a second form of it.  These tests
+find each, syntactically, in ``src/dualframes``.
 """
 
 import ast
@@ -116,3 +117,27 @@ def test_a_second_construction_is_found():
     trees = {"oplin.py": ast.parse("s.power(1)\nb.apply(v)\n"), "gabor.py": ast.parse(source),
              "duality.py": ast.parse("d = phi.spectrum.power(2)\ne = x.apply(v)\n")}
     assert construction_sites(trees) == [("duality.py", 1), ("gabor.py", 1), ("gabor.py", 1), ("gabor.py", 1)]
+
+
+def map_reads(trees: dict) -> list:
+    """(file, line) of every ``.map`` attribute outside the body of a class ``Annihilator``."""
+    own = {id(node) for tree in trees.values() for cls in ast.walk(tree)
+           if isinstance(cls, ast.ClassDef) and cls.name == "Annihilator" for node in ast.walk(cls)}
+    return sorted(
+        (name, node.lineno)
+        for name, tree in trees.items()
+        for node in ast.walk(tree)
+        if isinstance(node, ast.Attribute) and node.attr == "map" and id(node) not in own
+    )
+
+
+def test_annihilators_are_read_as_factors():
+    assert map_reads(parsed()) == []
+
+
+def test_a_map_read_is_found():
+    source = ("class Annihilator:\n    def f(self):\n        return self.map\n"
+              "def g(theta):\n    return theta.map\n"
+              "class Other:\n    def h(self, theta):\n        return adjoint(theta.map)\n"
+              "lengths = set(map(len, rows))\n")
+    assert map_reads({"a.py": ast.parse(source)}) == [("a.py", 5), ("a.py", 8)]
