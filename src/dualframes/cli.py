@@ -4,8 +4,15 @@ Subcommands load frames/windows from JSON, run the constructions and
 verifications, print a human-readable summary, and optionally write
 machine-readable artifacts (JSON frames/windows, CSV tables, and a JSON
 run report via --report).  ``main`` builds the run report, named after the
-parsed subcommand; each ``cmd_*`` command fills in its inputs and verdicts
-and writes each artifact through ``RunReport.write``, which records it.
+parsed subcommand; each ``cmd_*`` command fills in its verdicts and writes
+each artifact through ``RunReport.write``, which records it.
+
+The options of a flag that several subcommands share are declared once, in
+``_SHARED``; ``_leaf`` declares a subcommand by naming its input arguments, then its
+others, in order.  Every input, ``dual``'s --op-file included, takes one path,
+``_load``: it is recorded in ``report.inputs``, then loaded (a frame or operator file,
+or a window on --grid, the Gabor pair commands' lattice budgeted after their windows),
+and ``main`` passes the loaded inputs to the command.
 
 Exit codes: 0 on success, 2 when a mathematical contract is violated
 (the message names the failed condition and the measured quantity),
@@ -150,20 +157,25 @@ def _parse_coeffs(spec: str) -> list[float]:
     return coeffs
 
 
+def _bspline_order(spec: str) -> int | None:
+    """N of a ``bspline:N`` window spec; None for any other spec."""
+    if not spec.startswith("bspline:"):
+        return None
+    try:
+        return int(spec.split(":", 1)[1])
+    except ValueError as exc:
+        raise ParseError(f"a window must be bspline:N (integer N), char:WIDTH or a window JSON "
+                         f"path, got {spec!r}") from exc
+
+
 def _window_from_spec(spec: str, grid: GridSpec | None) -> SampledWindow:
-    if spec.startswith("bspline:"):
-        if grid is None:
-            raise ParseError("generated windows need --grid samples:period")
-        try:
-            order = int(spec.split(":", 1)[1])
-        except ValueError as exc:
-            raise ParseError(f"a window must be bspline:N (integer N), char:WIDTH or a window JSON "
-                             f"path, got {spec!r}") from exc
+    if spec.startswith(("bspline:", "char:")) and grid is None:
+        raise ParseError("generated windows need --grid samples:period")
+    order = _bspline_order(spec)
+    if order is not None:
         _within_budget((order - 1) * grid.total, f"the samples convolved for {spec}")
         return sample_bspline(order, grid)
     if spec.startswith("char:"):
-        if grid is None:
-            raise ParseError("generated windows need --grid samples:period")
         return sample_char(_parse_fraction(spec.split(":", 1)[1]), grid)
     window = io.load_window(spec)
     if grid is not None and window.grid != grid:
@@ -196,9 +208,35 @@ def _print_verdicts(report: RunReport) -> None:
             print(f"{key}: {value}")
 
 
-def cmd_frame_info(args, report: RunReport) -> None:
-    report.inputs = [args.path]
-    frame = io.load_frame(args.path)
+def _files(read):
+    """A loader of file inputs, each read by ``read``."""
+    return lambda args, paths: [read(path) for path in paths]
+
+
+def _windows(args, specs) -> list:
+    """Each window spec read on --grid, or with no --grid on the first window's grid."""
+    grid, windows = args.grid, []
+    for spec in specs:
+        windows.append(_window_from_spec(spec, grid))
+        grid = windows[0].grid
+    return windows
+
+
+def _windows_on_lattice(args, specs) -> list:
+    """The windows, then the lattice (--a, --b) once its sizes on their grid are within budget."""
+    windows = _windows(args, specs)
+    _lattice_within_budget(windows[0].grid, args.a, args.b)
+    return [*windows, GaborLattice(args.a, args.b)]
+
+
+def _load(args, report: RunReport, names, load) -> list:
+    """The one input path: record the inputs named by ``names`` in the run report, then load them."""
+    specs = [getattr(args, name) for name in names]
+    report.inputs += specs
+    return load(args, specs)
+
+
+def cmd_frame_info(args, report: RunReport, frame) -> None:
     bounds = frame_bounds(frame)
     report.verdicts = {
         "dim": frame.dim,
@@ -211,9 +249,7 @@ def cmd_frame_info(args, report: RunReport) -> None:
     }
 
 
-def cmd_dual(args, report: RunReport) -> None:
-    report.inputs = [args.path]
-    phi = io.load_frame(args.path)
+def cmd_dual(args, report: RunReport, phi) -> None:
     if args.mode == "canonical":
         if args.theta is not None:
             raise ParseError("--theta does not apply to --mode canonical")
@@ -222,8 +258,7 @@ def cmd_dual(args, report: RunReport) -> None:
     else:
         if args.op_file is None:
             raise ParseError(f"--mode {args.mode} requires --op-file")
-        report.inputs.append(args.op_file)
-        op = io.load_operator(args.op_file)
+        [op] = _load(args, report, ["op_file"], _files(io.load_operator))
         theta = None if args.theta is None else random_annihilator(phi, *args.theta)
         if args.mode == "approx":
             result = approx_dual_from_mixed(phi, op, theta)
@@ -239,10 +274,7 @@ def cmd_dual(args, report: RunReport) -> None:
     report.write(args.out, io.save_frame, result)
 
 
-def cmd_verify(args, report: RunReport) -> None:
-    report.inputs = [args.phi, args.psi]
-    phi = io.load_frame(args.phi)
-    psi = io.load_frame(args.psi)
+def cmd_verify(args, report: RunReport, phi, psi) -> None:
     verdict = gdual_factorization(phi, psi)
     report.verdicts = {
         "kind": verdict.kind,
@@ -253,11 +285,7 @@ def cmd_verify(args, report: RunReport) -> None:
     }
 
 
-def cmd_perturb(args, report: RunReport) -> None:
-    report.inputs = [args.phi, args.psi, args.phi_ad]
-    phi = io.load_frame(args.phi)
-    psi = io.load_frame(args.psi)
-    phi_ad = io.load_frame(args.phi_ad)
+def cmd_perturb(args, report: RunReport, phi, psi, phi_ad) -> None:
     result = transfer_approx_dual(phi, psi, phi_ad)
     report.verdicts = {
         "predicted_diff_bound": result.predicted_diff_bound,
@@ -268,9 +296,7 @@ def cmd_perturb(args, report: RunReport) -> None:
     report.write(args.out, io.save_frame, result.psi_dual)
 
 
-def cmd_gabor_window(args, report: RunReport) -> None:
-    report.inputs = [args.window]
-    window = _window_from_spec(args.window, args.grid)
+def cmd_gabor_window(args, report: RunReport, window) -> None:
     report.verdicts = {
         "samples_per_unit": window.grid.samples_per_unit,
         "period": window.grid.period,
@@ -281,14 +307,9 @@ def cmd_gabor_window(args, report: RunReport) -> None:
     report.write(args.csv, _write_csv, ["x", "re", "im"], rows)
 
 
-def cmd_gabor_dual(args, report: RunReport) -> None:
-    report.inputs = [args.window]
-    window = _window_from_spec(args.window, args.grid)
-    if args.support is not None:
-        support = args.support
-    elif args.window.startswith("bspline:"):
-        support = int(args.window.split(":", 1)[1])
-    else:
+def cmd_gabor_dual(args, report: RunReport, window) -> None:
+    support = _bspline_order(args.window) if args.support is None else args.support
+    if support is None:
         raise ParseError("--support is required unless the window is bspline:N")
     _lattice_within_budget(window.grid, None, args.b)
     if args.method == "ck1":
@@ -303,13 +324,7 @@ def cmd_gabor_dual(args, report: RunReport) -> None:
     report.write(args.csv, _write_csv, ["n", "residual"], enumerate(table))
 
 
-def cmd_gabor_approx_dual(args, report: RunReport) -> None:
-    report.inputs = [args.window, args.dual, args.scale_window]
-    window = _window_from_spec(args.window, args.grid)
-    dual = _window_from_spec(args.dual, args.grid or window.grid)
-    scale = _window_from_spec(args.scale_window, args.grid or window.grid)
-    _lattice_within_budget(window.grid, args.a, args.b)
-    lat = GaborLattice(args.a, args.b)
+def cmd_gabor_approx_dual(args, report: RunReport, window, dual, scale, lat) -> None:
     a_op = scaled_gabor_operator(scale, lat)
     result = approx_dual_window(window, dual, a_op, lat)
     mixed = mixed_lattice_operator(window, result, lat)
@@ -323,12 +338,7 @@ def cmd_gabor_approx_dual(args, report: RunReport) -> None:
     report.write(args.spectrum_csv, _write_csv, ["index", "eigenvalue"], enumerate(eigs))
 
 
-def cmd_gabor_verify(args, report: RunReport) -> None:
-    report.inputs = [args.window, args.dual]
-    window = _window_from_spec(args.window, args.grid)
-    dual = _window_from_spec(args.dual, args.grid or window.grid)
-    _lattice_within_budget(window.grid, args.a, args.b)
-    lat = GaborLattice(args.a, args.b)
+def cmd_gabor_verify(args, report: RunReport, window, dual, lat) -> None:
     table = janssen_residual_table(window, dual, lat)
     residual = float(np.max(table))
     report.verdicts = {
@@ -339,9 +349,7 @@ def cmd_gabor_verify(args, report: RunReport) -> None:
     report.write(args.csv, _write_csv, ["n", "residual"], enumerate(table))
 
 
-def cmd_gabor_weight(args, report: RunReport) -> None:
-    report.inputs = [args.window]
-    window = _window_from_spec(args.window, args.grid)
+def cmd_gabor_weight(args, report: RunReport, window) -> None:
     weight = walnut_weight(window, args.a)
     report.verdicts = {
         "min": float(weight.values.real.min()),
@@ -351,7 +359,8 @@ def cmd_gabor_weight(args, report: RunReport) -> None:
     report.write(args.csv, _write_csv, ["x", "weight"], rows)
 
 
-def _sweep_char(args, report: RunReport) -> None:
+def _sweep_char(args) -> tuple[list, list]:
+    """Width/step sweep of indicator windows: the CSV header and rows."""
     values = [k * args.step for k in range(1, int(1 / args.step) + 1)]  # every multiple in (0, 1]
     windows = {c: sample_char(c, args.grid) for c in values}
     rows = []
@@ -366,14 +375,12 @@ def _sweep_char(args, report: RunReport) -> None:
                 rows.append(
                     [str(c), str(cp), str(a), residual, int(dual), int(criterion), int(agree)]
                 )
-    report.verdicts = {"cells": len(rows), "criterion_agreement": all(row[-1] for row in rows)}
-    header = ["c", "c_prime", "a", "residual", "dual", "criterion", "agree"]
-    report.write(args.out, _write_csv, header, rows)
+    return ["c", "c_prime", "a", "residual", "dual", "criterion", "agree"], rows
 
 
-def _sweep_bspline(args, report: RunReport) -> None:
+def _sweep_bspline(args) -> tuple[list, list]:
     """Frequency-step sweep: checks that the explicit dual-generator formula
-    is dual exactly when b <= 1/(2 * order - 1)."""
+    is dual exactly when b <= 1/(2 * order - 1).  The CSV header and rows."""
     order = args.bspline
     lo, hi = args.denominators
     s = args.samples
@@ -389,8 +396,7 @@ def _sweep_bspline(args, report: RunReport) -> None:
         hypothesis = b <= Fraction(1, 2 * order - 1)
         agree = dual == hypothesis
         rows.append([str(b), int(hypothesis), residual, int(dual), int(agree)])
-    report.verdicts = {"cells": len(rows), "criterion_agreement": all(row[-1] for row in rows)}
-    report.write(args.out, _write_csv, ["b", "hypothesis", "residual", "dual", "agree"], rows)
+    return ["b", "hypothesis", "residual", "dual", "agree"], rows
 
 
 def cmd_gabor_sweep(args, report: RunReport) -> None:
@@ -403,7 +409,7 @@ def cmd_gabor_sweep(args, report: RunReport) -> None:
         _within_budget(widths**3, "the cells of the --char sweep")
         _within_budget(widths * args.grid.total, "the window samples of the --char sweep")
         _lattice_within_budget(args.grid, None, Fraction(1))  # every cell's, as b = 1
-        _sweep_char(args, report)
+        header, rows = _sweep_char(args)
     else:
         lo, hi = args.denominators
         _within_budget(hi - lo + 1, "the cells of the --bspline sweep")
@@ -411,7 +417,9 @@ def cmd_gabor_sweep(args, report: RunReport) -> None:
         # cell den's lattice-sum table holds L b P = s den max(2, N)^2 entries; the sweep, their sum
         tables = args.samples * max(2, args.bspline) ** 2 * (lo + hi) * (hi - lo + 1) // 2
         _within_budget(tables, "the lattice-sum table entries of the --bspline sweep")
-        _sweep_bspline(args, report)
+        header, rows = _sweep_bspline(args)
+    report.verdicts = {"cells": len(rows), "criterion_agreement": all(row[-1] for row in rows)}
+    report.write(args.out, _write_csv, header, rows)
 
 
 class _Parser(argparse.ArgumentParser):
@@ -421,101 +429,73 @@ class _Parser(argparse.ArgumentParser):
         raise ParseError(f"{self.prog}: {message}")
 
 
+# The options of each flag that several subcommands share; a flag with none needs no entry.
+_SHARED = {
+    "--window": dict(required=True, help="bspline:N, char:p/q, or a window JSON path"),
+    "--dual": dict(required=True),
+    "--a": dict(required=True, type=_parse_fraction),
+    "--b": dict(required=True, type=_parse_fraction),
+    "--grid": dict(type=_parse_grid, help="samples:period"),
+}
+
+
+def _leaf(sub, name: str, help: str, func, inputs, *others, load=_files(io.load_frame)):
+    """Subcommand ``name`` running ``func``.  Its arguments are ``inputs``, which ``load``
+    reads (see ``_load``), then ``others``, then --report.  Each is given by name, with its
+    options from ``_SHARED`` if it has any there, or as a (name, options) pair whose options
+    add to or override those."""
+    p = sub.add_parser(name, help=help)
+    actions = []
+    for argument in [*inputs, *others]:
+        flag, options = (argument, {}) if isinstance(argument, str) else argument
+        actions.append(p.add_argument(flag, **{**_SHARED.get(flag, {}), **options}))
+    p.add_argument("--report", metavar="PATH", help="write a JSON run report")
+    p.set_defaults(func=func, inputs=[action.dest for action in actions[:len(inputs)]], load=load)
+
+
 def build_parser() -> argparse.ArgumentParser:
     parser = _Parser(
         prog="dualframes",
         description="Finite frames, dual-type constructions, and discrete Gabor systems.",
     )
     sub = parser.add_subparsers(dest="command", required=True)
-
-    p = sub.add_parser("frame-info", help="print bounds and basic verdicts for a frame")
-    p.add_argument("path")
-    p.set_defaults(func=cmd_frame_info)
-
-    p = sub.add_parser("dual", help="construct a dual-type frame")
-    p.add_argument("path")
-    p.add_argument("--mode", choices=["canonical", "approx", "gdual"], default="canonical")
-    p.add_argument("--op-file", help="operator JSON (target mixed operator / corresponding operator)")
-    p.add_argument("--theta", type=_parse_theta, default="zero", help="zero or random:SEED:SCALE")
-    p.add_argument("--out")
-    p.set_defaults(func=cmd_dual)
-
-    p = sub.add_parser("verify", help="classify a frame pair and report the factorization")
-    p.add_argument("phi")
-    p.add_argument("psi")
-    p.set_defaults(func=cmd_verify)
-
-    p = sub.add_parser("perturb", help="transfer an approximate dual to a nearby frame")
-    p.add_argument("phi")
-    p.add_argument("psi")
-    p.add_argument("phi_ad")
-    p.add_argument("--out")
-    p.set_defaults(func=cmd_perturb)
+    _leaf(sub, "frame-info", "print bounds and basic verdicts for a frame", cmd_frame_info, ["path"])
+    _leaf(sub, "dual", "construct a dual-type frame", cmd_dual, ["path"],
+          ("--mode", dict(choices=["canonical", "approx", "gdual"], default="canonical")),
+          ("--op-file", dict(help="operator JSON (target mixed operator / corresponding operator)")),
+          ("--theta", dict(type=_parse_theta, default="zero", help="zero or random:SEED:SCALE")),
+          "--out")
+    _leaf(sub, "verify", "classify a frame pair and report the factorization", cmd_verify, ["phi", "psi"])
+    _leaf(sub, "perturb", "transfer an approximate dual to a nearby frame", cmd_perturb,
+          ["phi", "psi", "phi_ad"], "--out")
 
     g = sub.add_parser("gabor", help="Gabor window constructions and verdicts")
     gsub = g.add_subparsers(dest="gabor_command", required=True)
-
-    p = gsub.add_parser("window", help="generate or re-export a sampled window")
-    p.add_argument("--window", required=True, help="bspline:N, char:p/q, or a window JSON path")
-    p.add_argument("--grid", type=_parse_grid, help="samples:period")
-    p.add_argument("--out")
-    p.add_argument("--csv")
-    p.set_defaults(func=cmd_gabor_window)
-
-    p = gsub.add_parser("dual", help="explicit dual generators on the unit time lattice")
-    p.add_argument("--window", required=True)
-    p.add_argument("--grid", type=_parse_grid)
-    p.add_argument("--b", required=True, type=_parse_fraction)
-    p.add_argument("--method", choices=["ck1", "ck2"], default="ck1")
-    p.add_argument("--support", type=int, default=None)
-    p.add_argument("--coeffs", type=_parse_coeffs, help="comma-separated coefficients for ck2")
-    p.add_argument("--out")
-    p.add_argument("--csv", help="write the per-shift residual table")
-    p.set_defaults(func=cmd_gabor_dual)
-
-    p = gsub.add_parser("approx-dual", help="approximately dual window from a scaling system")
-    p.add_argument("--window", required=True)
-    p.add_argument("--dual", required=True)
-    p.add_argument("--scale-window", required=True)
-    p.add_argument("--a", required=True, type=_parse_fraction)
-    p.add_argument("--b", required=True, type=_parse_fraction)
-    p.add_argument("--grid", type=_parse_grid)
-    p.add_argument("--out")
-    p.add_argument("--spectrum-csv")
-    p.set_defaults(func=cmd_gabor_approx_dual)
-
-    p = gsub.add_parser("verify", help="duality residual and approximation rate of a window pair")
-    p.add_argument("--window", required=True)
-    p.add_argument("--dual", required=True)
-    p.add_argument("--a", required=True, type=_parse_fraction)
-    p.add_argument("--b", required=True, type=_parse_fraction)
-    p.add_argument("--grid", type=_parse_grid)
-    p.add_argument("--csv")
-    p.set_defaults(func=cmd_gabor_verify)
-
-    p = gsub.add_parser("weight", help="periodized shift-energy weight")
-    p.add_argument("--window", required=True)
-    p.add_argument("--a", required=True, type=_parse_fraction)
-    p.add_argument("--grid", type=_parse_grid)
-    p.add_argument("--csv")
-    p.set_defaults(func=cmd_gabor_weight)
-
-    p = gsub.add_parser("sweep", help="parameter sweep with CSV verdicts")
-    p.add_argument("--char", action="store_true", help="sweep indicator-window widths and time steps")
-    p.add_argument("--bspline", type=int, default=None, metavar="N",
-                   help="sweep the frequency step for the order-N dual generator")
-    p.add_argument("--grid", type=_parse_grid, help="samples:period (for --char)")
-    p.add_argument("--step", type=_parse_step, default="1/4",
-                   help="width/step increment in (0, 1] (for --char)")
-    p.add_argument("--samples", type=int, default=10, help="samples per unit (for --bspline)")
-    p.add_argument("--denominators", type=_parse_denominators, default="2:10",
-                   help="LO:HI range of 1/b (for --bspline)")
-    p.add_argument("--out")
-    p.set_defaults(func=cmd_gabor_sweep)
-
-    for leaf in [*sub.choices.values(), *gsub.choices.values()]:
-        if leaf is not g:
-            leaf.add_argument("--report", metavar="PATH", help="write a JSON run report")
+    _leaf(gsub, "window", "generate or re-export a sampled window", cmd_gabor_window,
+          ["--window"], "--grid", "--out", "--csv", load=_windows)
+    _leaf(gsub, "dual", "explicit dual generators on the unit time lattice", cmd_gabor_dual,
+          ["--window"], "--grid", "--b", ("--method", dict(choices=["ck1", "ck2"], default="ck1")),
+          ("--support", dict(type=int, default=None)),
+          ("--coeffs", dict(type=_parse_coeffs, help="comma-separated coefficients for ck2")),
+          "--out", ("--csv", dict(help="write the per-shift residual table")), load=_windows)
+    _leaf(gsub, "approx-dual", "approximately dual window from a scaling system", cmd_gabor_approx_dual,
+          ["--window", "--dual", ("--scale-window", dict(required=True))], "--a", "--b", "--grid", "--out",
+          "--spectrum-csv", load=_windows_on_lattice)
+    _leaf(gsub, "verify", "duality residual and approximation rate of a window pair", cmd_gabor_verify,
+          ["--window", "--dual"], "--a", "--b", "--grid", "--csv", load=_windows_on_lattice)
+    _leaf(gsub, "weight", "periodized shift-energy weight", cmd_gabor_weight,
+          ["--window"], "--a", "--grid", "--csv", load=_windows)
+    _leaf(gsub, "sweep", "parameter sweep with CSV verdicts", cmd_gabor_sweep, [],
+          ("--char", dict(action="store_true", help="sweep indicator-window widths and time steps")),
+          ("--bspline", dict(type=int, default=None, metavar="N",
+                             help="sweep the frequency step for the order-N dual generator")),
+          ("--grid", dict(help="samples:period (for --char)")),
+          ("--step", dict(type=_parse_step, default="1/4",
+                          help="width/step increment in (0, 1] (for --char)")),
+          ("--samples", dict(type=int, default=10, help="samples per unit (for --bspline)")),
+          ("--denominators", dict(type=_parse_denominators, default="2:10",
+                                  help="LO:HI range of 1/b (for --bspline)")),
+          "--out")
     return parser
 
 
@@ -525,7 +505,7 @@ def main(argv=None) -> int:
         words = [args.command, getattr(args, "gabor_command", None)]
         report = RunReport(command=" ".join(word for word in words if word))
         start = time.perf_counter()
-        args.func(args, report)
+        args.func(args, report, *_load(args, report, args.inputs, args.load))
     except (ParseError, DimensionMismatch, ValueError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 3

@@ -391,7 +391,7 @@ class Annihilator:
     An annihilator is held by its adjoint theta* (d x n) as a factor, ``star``, which is
     what the constructions read: the one class of ``map*`` for a map given, and T's classes
     for an annihilator recovered from a pair (:func:`dualframes.duality.recover_parameters`).
-    ``map`` is built from it when first read.  The constructor measures ``norm`` = ||map||;
+    ``map`` is built from it on each read.  The constructor measures ``norm`` = ||map||;
     :func:`random_annihilator` and a recovered annihilator carry the norm they know.  Each
     checks ||T theta|| <= ANNIHILATOR_TOL ||T|| ||theta|| on the blocks T theta, on T's
     classes when theta* has them, else on the one class of T: the check passes on their
@@ -426,9 +426,9 @@ class Annihilator:
             raise ContractViolation(
                 f"range must lie in ker(synthesis): ||T theta|| <= {allowed:.3e}", measured=residual.norm())
 
-    @cached_property
+    @property
     def map(self) -> np.ndarray:
-        """theta (n x d), read-only, built from theta* once."""
+        """theta (n x d), read-only, built from theta* on each read: only ``star`` is kept."""
         return _frozen(adjoint(self.star.synthesis()))
 
     @classmethod

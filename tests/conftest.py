@@ -1,7 +1,13 @@
 import numpy as np
 import pytest
+from hypothesis import settings
 
 from dualframes import Frame
+
+# A failing property prints the @reproduce_failure blob that replays it.  Runs stay random,
+# in CI too, where Hypothesis would otherwise load its derandomized "ci" profile.
+settings.register_profile("replayable", settings.get_profile("default"), print_blob=True)
+settings.load_profile("replayable")
 
 
 def random_frame(dim: int, count: int, seed: int) -> Frame:
