@@ -251,8 +251,9 @@ def cmd_frame_info(args, report: RunReport, frame) -> None:
 
 def cmd_dual(args, report: RunReport, phi) -> None:
     if args.mode == "canonical":
-        if args.theta is not None:
-            raise ParseError("--theta does not apply to --mode canonical")
+        for flag, value in (("--theta", args.theta), ("--op-file", args.op_file)):
+            if value is not None:
+                raise ParseError(f"{flag} does not apply to --mode canonical")
         result = canonical_dual(phi)
         target = np.eye(phi.dim, dtype=complex)
     else:

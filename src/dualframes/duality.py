@@ -183,8 +183,8 @@ def _with_mixed(phi: Frame, a: LatticeOperator, theta=None) -> Frame:
     star = theta.star if isinstance(theta, Annihilator) else theta
     with np.errstate(over="ignore", invalid="ignore"):  # _with raises an overflow
         stacks = [adjoint(b) @ f for (_, b), (_, f) in zip(a.groups, dual.groups)]
-        for stack, (_, t) in zip(stacks, () if star is None else star.groups):
-            stack += t
+        if star is not None:  # promoted, not added in place: a real stack takes a complex theta*
+            stacks = [stack + t for stack, (_, t) in zip(stacks, star.groups)]
     return Frame._over(dual._with(stacks))
 
 

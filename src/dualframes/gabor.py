@@ -106,13 +106,14 @@ class GridSpec:
 
 @dataclass(frozen=True, eq=False)
 class SampledWindow:
-    """A function on the grid, indexed periodically; its values are a read-only copy."""
+    """A function on the grid, indexed periodically; its values are a read-only copy: float64 when
+    no sample has an imaginary part (all exactly 0 in a complex array), else complex128."""
 
     grid: GridSpec
     values: np.ndarray
 
     def __post_init__(self):
-        v = _frozen(np.array(self.values, dtype=complex).reshape(-1))
+        v = _frozen(oplin._narrowest(self.values).reshape(-1))
         if v.shape[0] != self.grid.total:
             raise DimensionMismatch(f"expected {self.grid.total} samples, got {v.shape[0]}")
         if not np.all(np.isfinite(v)):
@@ -121,6 +122,8 @@ class SampledWindow:
 
     @property
     def is_real(self) -> bool:
+        if self.values.dtype == float:
+            return True
         peak = float(np.max(np.abs(self.values))) or 1.0
         return float(np.max(np.abs(self.values.imag))) <= SUPPORT_TOL * peak
 
@@ -128,7 +131,7 @@ class SampledWindow:
 def sample_function(func, grid: GridSpec, centered: bool = False) -> SampledWindow:
     """Sample a callable on the grid (optionally on centered coordinates)."""
     x = grid.centered_points() if centered else grid.points()
-    return SampledWindow(grid, np.asarray(func(x), dtype=complex))
+    return SampledWindow(grid, func(x))
 
 
 @dataclass(frozen=True)
@@ -464,7 +467,7 @@ def _shift_combination(g: SampledWindow, coeffs: Sequence[float]) -> SampledWind
     """sum_n a_n g(x + n) for n = -m .. m, given a_{-m} .. a_m (2m + 1 of them)."""
     s = g.grid.samples_per_unit
     mid = len(coeffs) // 2  # index of a_0
-    values = np.zeros(g.grid.total, dtype=complex)
+    values = np.zeros(g.grid.total, dtype=g.values.dtype)
     for i, c in enumerate(coeffs):
         values += c * np.roll(g.values, -(i - mid) * s)
     return SampledWindow(g.grid, values)
@@ -580,7 +583,7 @@ def _window_of(frame: Frame) -> SampledWindow:
     vector (n = m = 0) de-embedded, values[index_r] = factor_r[:, 0] sqrt(s/M).  ``frame`` is
     kept on the window as :func:`gabor_frame` keeps a window's system."""
     system = frame._system
-    values = np.empty(system.shape[0], dtype=complex)
+    values = np.empty(system.shape[0], dtype=np.result_type(*(f for _, f in system.groups)))
     for index, factor in system.groups:
         values[index] = factor[..., 0]
     window = SampledWindow(system.grid, values * math.sqrt(system.grid.samples_per_unit / system.modulations))

@@ -1,7 +1,10 @@
 """Complex-matrix operator backbone.
 
-Operators between finite-dimensional complex spaces are plain 2-d
-``numpy`` arrays of ``complex128``.  This module supplies the pieces the
+Operators between finite-dimensional complex spaces are plain 2-d ``numpy``
+arrays, ``complex128`` for a matrix given (:func:`as_operator`); samples keep the
+narrowest exact dtype (:func:`_narrowest`), so a real Gabor window's factor, SVD
+and blocks are float64, and all built from them follows numpy's promotion, never
+cast up.  This module supplies the pieces the
 frame machinery leans on everywhere: adjoints, operator (spectral) norms,
 guarded inverses/solves, and the one representation of a synthesis matrix:
 its class factor (:class:`ClassFactor`), of which a matrix is the one-class
@@ -38,6 +41,8 @@ from .tolerances import COND_CUTOFF, FRAME_THRESHOLD_REL, STRICT_FACTOR
 # ||a - Id|| below this radius keeps the condition number of a below COND_CUTOFF.
 _GUARD_RADIUS = (COND_CUTOFF - 1.0) / (COND_CUTOFF + 1.0)
 _EPS = float(np.finfo(float).eps)
+# ?gesdd's SMLNUM and BIGNUM, 2^-459 and 2^459: it rescales a matrix beyond them (ClassFactor.svd)
+_UNSCALED = (math.sqrt(np.finfo(float).tiny) / _EPS, _EPS / math.sqrt(np.finfo(float).tiny))
 
 
 def _strictly_below(value: float, bound: float) -> bool:
@@ -56,6 +61,12 @@ def as_operator(m) -> np.ndarray:
     if a.ndim != 2 or a.size == 0:
         raise DimensionMismatch(f"expected a non-empty 2-d matrix, got shape {a.shape}")
     return _require_finite(a)
+
+
+def _narrowest(values) -> np.ndarray:
+    """``values`` as a new float64 array when no entry has an imaginary part, else complex128."""
+    z = np.array(values, dtype=complex)
+    return z.real.copy() if not z.imag.any() else z
 
 
 def _require_finite(a: np.ndarray) -> np.ndarray:
@@ -144,9 +155,10 @@ class LatticeOperator:
     ``(index, blocks)`` groups, one per class size (``blocks[c]`` acts on the rows ``index[c]``),
     on the ``grid`` and ``lattice`` of the factors it comes from (None for a matrix).
     Only factors, spectra and :meth:`of` build it, each block checked finite (ValueError
-    otherwise); ``np.asarray`` gives the dense matrix, scattered anew, and :attr:`matrix` the
-    one kept, read-only: the block itself when one class holds every row, as for a matrix
-    pair.  Every read and ``@`` (by a value or a factor with the same classes) go block by block.
+    otherwise); ``np.asarray`` gives the dense matrix of their :attr:`dtype`, scattered anew, and
+    :attr:`matrix` the one kept, read-only: the block itself when one class holds every row, as
+    for a matrix pair.  Every read and ``@`` (by a value or a factor with the same classes) go
+    block by block.
 
     It is not a :class:`ClassFactor`: at ab = 1 a Gabor system's factor is square, so a
     block's shape cannot tell a synthesis matrix from an operator on the same space."""
@@ -174,11 +186,15 @@ class LatticeOperator:
     def __array__(self, dtype=None, copy=None):
         (index, blocks), *others = self.groups
         if index.shape[0] == 1 and not others:  # one class holds every row, in order: its block is the matrix
-            return blocks[0].astype(dtype or complex, copy=bool(copy))
-        out = np.zeros((self.dim, self.dim), dtype=complex)
+            return blocks[0].astype(dtype or blocks.dtype, copy=bool(copy))
+        out = np.zeros((self.dim, self.dim), dtype=self.dtype)
         for index, blocks in self.groups:
             out[index[:, :, None], index[:, None, :]] = blocks
-        return out.astype(dtype or complex, copy=False)
+        return out.astype(dtype or out.dtype, copy=False)
+
+    @property
+    def dtype(self) -> np.dtype:  # the blocks': float64 for the blocks of real factors
+        return np.result_type(*(b for _, b in self.groups))
 
     @cached_property
     def matrix(self) -> np.ndarray:
@@ -216,7 +232,7 @@ class LatticeOperator:
 
     def apply(self, v: np.ndarray) -> np.ndarray:
         """X v: in each class, the block times ``v`` restricted to the class."""
-        out = np.empty_like(v)
+        out = np.empty(v.shape, dtype=np.result_type(v, self.dtype))
         for index, blocks in self.groups:
             out[index] = (blocks @ v[index][..., None])[..., 0]
         return out
@@ -272,7 +288,7 @@ class ClassFactor:
                 and self.modulations == other.modulations and self.shape == other.shape)
 
     def synthesis(self) -> np.ndarray:
-        """The d x n matrix T, columns j M + m, built from the factor; with M = 1, the factor itself."""
+        """The d x n matrix T, columns j M + m, complex as it carries modulations; M = 1: the factor."""
         m = self.modulations
         if m == 1:  # one class, every row in order, no modulation: no copy
             return self.groups[0][1][0]
@@ -312,11 +328,17 @@ class ClassFactor:
         return _descending(stacks, min(self.shape))
 
     def svd(self) -> "Spectrum":
-        """The thin SVD of T: one batched thin SVD of each factor."""
+        """The thin SVD of T: one batched thin SVD of each factor, of T / 2^e (2^e the power of 2 of
+        its largest entry, if that lies outside ``_UNSCALED``), so that LAPACK never rescales it:
+        T and 2^k T see the same rounding, and every spectral fact scales exactly with T."""
+        peak = max(float(np.abs(f).max(initial=0.0)) for _, f in self.groups)
+        e = 0 if _UNSCALED[0] <= peak <= _UNSCALED[1] else min(max(math.frexp(peak)[1], -1000), 1023)
         classes = []
         for index, f in self.groups:
             # of the transpose, W diag(s) X* (U = X*^T, V* = W^T): a quarter faster on short wide factors
-            w, s, x = np.linalg.svd(f.swapaxes(-1, -2), full_matrices=False)
+            w, s, x = np.linalg.svd((f * 2.0**-e if e else f).swapaxes(-1, -2), full_matrices=False)
+            with np.errstate(over="ignore"):  # an overflowing s reads inf, as LAPACK's own
+                s = np.ldexp(s, e)
             classes.append((index, _frozen(x.swapaxes(-1, -2)), _frozen(s), _frozen(w.swapaxes(-1, -2))))
         return Spectrum(self, tuple(classes), _descending((s for _, _, s, _ in classes), min(self.shape)))
 
@@ -331,17 +353,12 @@ class Spectrum:
     the s_r, zero-padded as a dense SVD pads.  After a unitary DFT over the modulation index,
     ker T is ker V_r* on each class and all of C^K on a class that holds no row.  S is never
     formed, so the facts carry the accuracy of kappa(T), not of kappa(S) = kappa(T)^2, and
-    scale exactly with T.  :meth:`of` takes the SVD of a matrix: the one-class case.
+    scale exactly with T.  A matrix's SVD is that of its one-class factor.
     """
 
     factor: ClassFactor = field(repr=False)
     classes: tuple = field(repr=False)
     s: np.ndarray
-
-    @classmethod
-    def of(cls, t) -> "Spectrum":
-        """The thin SVD of the matrix ``t``."""
-        return ClassFactor.of(np.asarray(t, dtype=complex)).svd()
 
     @property
     def shape(self) -> tuple[int, int]:

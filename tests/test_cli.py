@@ -299,6 +299,11 @@ class TestUsage:
              "'samples_per_unit' must be an integer"),
             # an operator of another size once escaped as numpy's matmul error
             (["dual", "{phi}", "--mode", "gdual", "--op-file", "{op3}"], "corresponding must be 2x2, got (3, 3)"),
+            # an operator file does not apply to the canonical dual, whether or not it exists
+            (["dual", "{phi}", "--mode", "canonical", "--op-file", "{phi}"],
+             "--op-file does not apply to --mode canonical"),
+            (["dual", "{phi}", "--mode", "canonical", "--op-file", "nope.json"],
+             "--op-file does not apply to --mode canonical"),
         ],
     )
     def test_unusable_input_file_exit_3(self, argv, message, phi0_file, tmp_path, capsys):

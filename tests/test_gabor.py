@@ -10,7 +10,7 @@ import pytest
 from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
-from dualframes import duality, frames, gabor, oplin
+from dualframes import duality, frames, gabor, io, oplin
 from dualframes import (
     BadCoefficients,
     ContractViolation,
@@ -681,9 +681,10 @@ _SUBNORMAL_CASE = (_GAUSSIAN, sample_bspline(3, _GAUSSIAN.grid), GaborLattice(1,
 
 @st.composite
 def _gabor_cases(draw):
-    """A window g, a partner h and a lattice, L <= 36: random windows with b P an integer or
-    not and M > L (empty classes) on a = 1/2, 1 and 2, or near-singular classes with kappa(S)
-    up to about 3e8, where the dense thin SVD still reads the canonical dual as "dual"."""
+    """A window g, a partner h and a lattice, L <= 36: random windows, each real or complex,
+    with b P an integer or not and M > L (empty classes) on a = 1/2, 1 and 2, or near-singular
+    classes with kappa(S) up to about 3e8, where the dense thin SVD still reads the canonical
+    dual as "dual"."""
     rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
     if draw(st.booleans()):
         eps = 10 ** draw(st.floats(-3.8, -2))
@@ -693,8 +694,13 @@ def _gabor_cases(draw):
         a = draw(st.sampled_from([Fraction(1, 2), Fraction(1), Fraction(2)]))
         assume((period / a).denominator == 1)
         lat = GaborLattice(a, Fraction(s, draw(st.integers(1, 3 * s * period))))  # M = s/b up to 3 L
-        g = SampledWindow(GridSpec(s, period), [1, 1j] @ rng.standard_normal((2, s * period)))
-    return g, SampledWindow(g.grid, [1, 1j] @ rng.standard_normal((2, g.grid.total))), lat
+        g = SampledWindow(GridSpec(s, period), _parts(draw) @ rng.standard_normal((2, s * period)))
+    return g, SampledWindow(g.grid, _parts(draw) @ rng.standard_normal((2, g.grid.total))), lat
+
+
+def _parts(draw) -> list:
+    """The weights of a window's two draws: real and imaginary parts, or a real part alone."""
+    return [1, 1j] if draw(st.booleans()) else [1.0, 0.0]
 
 
 def _close(x, y, tol: float) -> bool:
@@ -1252,11 +1258,86 @@ def _frame_windows(draw, grid, lat):
     return _frame_window(rng, grid, lat, draw(st.booleans()))
 
 
+class TestWindowDtypes:
+    """A window's samples keep the narrowest exact dtype, float64 when no sample has an
+    imaginary part, and everything built from a window follows numpy's promotion."""
+
+    GRID, LAT = GridSpec(4, 8), GaborLattice(1, Fraction(1, 4))
+
+    def _built(self, phase: complex) -> dict:
+        """Every build from the B-spline pair of order 2 and the scaling window of order 3, each
+        times ``phase``: the arrays whose dtype is the windows'."""
+        grid, lat = self.GRID, self.LAT
+        g, g_dual, scale = (SampledWindow(grid, w.values * phase) for w in (
+            sample_bspline(2, grid), ck_dual1(sample_bspline(2, grid), 2, lat.b), sample_bspline(3, grid)))
+        phi = gabor_frame(g, lat)
+        op, mixed = scaled_gabor_operator(scale, lat), mixed_lattice_operator(g, g_dual, lat)
+        return {
+            "values": [g.values, g_dual.values, scale.values],
+            "factor": [f for _, f in phi._system.groups],
+            "spectrum": [x for _, u, _, vh in phi.spectrum.classes for x in (u, vh)],
+            "scaled_gabor_operator": [b for _, b in op.groups] + [np.asarray(op), op.matrix],
+            "mixed_lattice_operator": [b for _, b in mixed.groups] + [np.asarray(mixed)],
+            "approx_dual_window": [approx_dual_window(g, g_dual, op, lat).values],
+        }
+
+    @pytest.mark.parametrize("phase, dtype", [(1.0, np.float64), (np.exp(0.3j), np.complex128)],
+                             ids=["real", "complex"])
+    def test_every_build_keeps_the_window_dtype(self, phase, dtype):
+        for name, arrays in self._built(phase).items():
+            assert [a.dtype for a in arrays] == [dtype] * len(arrays), name
+        # ck_dual1 needs a window real to SUPPORT_TOL: complex samples within it stay complex
+        g = sample_bspline(2, self.GRID)
+        near = SampledWindow(self.GRID, g.values + (0.0 if dtype is np.float64 else 1e-14j))
+        assert near.values.dtype == dtype and near.is_real
+        assert ck_dual1(near, 2, self.LAT.b).values.dtype == dtype
+        assert gabor_frame(g, self.LAT).spectrum.s.dtype == np.float64  # singular values are real
+
+    def test_the_narrowest_exact_dtype(self, tmp_path):
+        grid = GridSpec(1, 4)
+        negative_zeros = [complex(x, -0.0) for x in range(4)]
+        for values in ([0, 1, 2, 3], np.arange(4.0), np.arange(4.0) + 0j, negative_zeros):
+            window = SampledWindow(grid, values)
+            assert window.values.dtype == np.float64 and window.is_real
+            assert np.array_equal(window.values, np.arange(4.0))
+        assert SampledWindow(grid, [1, 2, 3, 4 + 1e-300j]).values.dtype == np.complex128
+        assert not SampledWindow(grid, [1, 2, 3, 4 + 1j]).is_real
+        assert sample_function(np.cos, grid).values.dtype == np.float64
+        path = tmp_path / "w.json"
+        io.save_window(sample_bspline(2, GridSpec(4, 4)), path)
+        assert io.load_window(path).values.dtype == np.float64
+
+    def test_mixed_dtypes_promote(self):
+        grid, lat = self.GRID, self.LAT
+        g, g_dual = sample_bspline(2, grid), ck_dual1(sample_bspline(2, grid), 2, lat.b)
+        phi, op = gabor_frame(g, lat), scaled_gabor_operator(sample_bspline(3, grid), lat)
+        # a complex dense operand gathered into a real system's classes
+        tilt = (0.9 + 0.1j) * np.eye(grid.total)
+        tilted = approx_dual_window(g, g_dual, tilt, lat)
+        assert tilted.values.dtype == np.complex128
+        assert _close(mixed_operator(phi, gabor_frame(tilted, lat)), tilt, 1e-12)
+        # a real operand and system with a complex annihilator part, recovered from that pair
+        _, theta = recover_parameters(phi, gabor_frame(tilted, lat))
+        assert theta.star.groups[0][1].dtype == np.complex128
+        built = approx_dual_from_mixed(phi, op, theta)
+        assert built._system.groups[0][1].dtype == np.complex128
+        assert _close(mixed_operator(phi, built), np.asarray(op), 1e-12)
+        # a block value applied to a vector of the other dtype
+        v = np.arange(grid.total, dtype=float)
+        assert op.apply(v).dtype == np.float64
+        assert op.apply(v + 1j).dtype == np.complex128
+        tilted_op = mixed_lattice_operator(g, tilted, lat)
+        assert tilted_op.apply(v).dtype == np.complex128
+        assert np.allclose(tilted_op.apply(v), np.asarray(tilted_op) @ v, rtol=0, atol=1e-12)
+
+
 class TestLatticeOperator:
     """scaled_gabor_operator's block value against the dense oracle."""
 
     @settings(max_examples=60, deadline=None)
     @given(case=_commensurate_lattices(), complex_values=st.booleans(), seed=st.integers(0, 2**32 - 1))
+    # a real system and operator meet the complex annihilator part of a densely solved dual
+    @example(case=(GridSpec(2, 2), GaborLattice(2, Fraction(1, 2))), complex_values=False, seed=0)
     def test_matches_the_dense_operator(self, case, complex_values, seed):
         grid, lat = case
         rng = np.random.default_rng(seed)

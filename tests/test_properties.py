@@ -20,7 +20,7 @@ kappa(S) eps of a round trip through S^{-1/2} and S^{1/2}, as ``test_spectral_ca
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from dualframes import (
@@ -61,10 +61,11 @@ def _unitary(rng, n) -> np.ndarray:
 
 @st.composite
 def frames(draw):
-    """(phi, a perturbation of phi, rng): a matrix frame U diag(sigma) V scaled by c, sigma
-    log-spaced over kappa(T), or a Gabor system and the system of its window perturbed by 1%."""
-    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    """(phi, a perturbation of phi, rng): a matrix frame (see :func:`_matrix_case`), or a
+    Gabor system and the system of its window perturbed by 1%."""
+    seed = draw(st.integers(0, 2**32 - 1))
     if draw(st.booleans()):
+        rng = np.random.default_rng(seed)
         g, _, lat = draw(_gabor_cases())
         moved = SampledWindow(g.grid, g.values * (1.0 + 0.01 * rng.standard_normal(g.grid.total)))
         return gabor_frame(g, lat), gabor_frame(moved, lat), rng
@@ -73,6 +74,13 @@ def frames(draw):
     log_kappa = draw(st.floats(0.0, 6.0))
     # every bound, and the transfer's measured one ~ (kappa^2 / c)^2 1e-6, a normal float
     log_c = draw(st.floats(-140.0 + 2.0 * log_kappa, 140.0 - 2.0 * log_kappa))
+    return _matrix_case(seed, dim, count, log_kappa, log_c)
+
+
+def _matrix_case(seed: int, dim: int, count: int, log_kappa: float, log_c: float) -> tuple:
+    """(phi, a perturbation of phi, rng): the dim x count frame U diag(sigma) V scaled by
+    c = 10^log_c, sigma log-spaced over kappa(T) = 10^log_kappa, U and V drawn from ``seed``."""
+    rng = np.random.default_rng(seed)
     sigma = np.logspace(0.0, -log_kappa, dim) * 10.0**log_c
     t = (_unitary(rng, dim) * sigma) @ _unitary(rng, count)[:dim]
     direction = rng.standard_normal(t.shape) + 1j * rng.standard_normal(t.shape)
@@ -193,6 +201,9 @@ def test_equal_ranges_give_a_two_sided_inverse(case, kernel):
 
 @settings(max_examples=40, deadline=None)
 @given(case=frames(), k=st.integers(-40, 40))
+# at c = 2^-27, T's largest entry lies below 2^-459, where LAPACK would rescale T by a ratio
+# that is no power of 2; the recovered ||theta|| is conditioned by 21 eps kappa(T)^2 here
+@example(case=_matrix_case(0, 2, 3, 4.0, -130.0), k=-27)
 def test_verdicts_are_covariant_under_scaling(case, k):
     """(phi 2^k, phi_ad 2^-k, psi 2^k) has the mixed operator of (phi, phi_ad): the same
     kinds and rate, the same scale-free smallness, and bounds moved by 4^k or 4^-k.

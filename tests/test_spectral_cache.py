@@ -491,8 +491,8 @@ def test_roots_are_kept_read_only():
 def test_roots_reject_on_every_read():
     """S^{-1/2} of a rank-deficient T raises the same Singular on every read; S^{1/2}
     needs no check, as the singular values are never negative."""
-    singular = oplin.Spectrum.of(np.diag([1.0, 0.0]).astype(complex))
-    short = oplin.Spectrum.of(np.ones((2, 1), dtype=complex))  # d > n: s is padded with 0
+    singular = oplin.ClassFactor.of(np.diag([1.0, 0.0]).astype(complex)).svd()
+    short = oplin.ClassFactor.of(np.ones((2, 1), dtype=complex)).svd()  # d > n: s is padded with 0
     for _ in range(2):
         for spectrum in (singular, short):
             with pytest.raises(df.Singular, match="smallest singular value 0.000e\\+00 too close to zero"):

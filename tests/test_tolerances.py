@@ -329,7 +329,7 @@ def test_support_tol(side, inside):
     """A sample past the support, and an imaginary part, of SUPPORT_TOL times the peak."""
     grid, b = GridSpec(6, 6), Fraction(1, 3)
     g = sample_bspline(2, grid)
-    tail, imag = g.values.copy(), g.values.copy()
+    tail, imag = g.values.copy(), g.values.astype(complex)
     tail[20] = tolerances.SUPPORT_TOL * side
     imag[3] += 1j * tolerances.SUPPORT_TOL * side
     for values, message in ((tail, "support must lie"), (imag, "real-valued")):
