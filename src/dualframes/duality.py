@@ -101,9 +101,9 @@ class DualReport:
 
 
 def _classify(pair: _Pair) -> Tuple[str, Optional[np.ndarray]]:
-    rate = pair.rate
+    rate = pair.mixed.gap()
     try:
-        corresponding = pair.inverse.matrix
+        corresponding = pair.mixed.inverse().matrix
     except Singular:
         corresponding = None
     if rate <= DUAL_TOL:
@@ -121,7 +121,7 @@ def classify_pair(phi: Frame, psi: Frame) -> DualReport:
     """Classify a pair as dual / approximately dual / g-dual / none."""
     pair = _pair(phi, psi)
     kind, corresponding = _classify(pair)
-    return DualReport(kind=kind, rate=pair.rate, corresponding_op=corresponding)
+    return DualReport(kind=kind, rate=pair.mixed.gap(), corresponding_op=corresponding)
 
 
 def gdual_factorization(phi: Frame, psi: Frame) -> DualReport:
@@ -144,7 +144,7 @@ def gdual_factorization(phi: Frame, psi: Frame) -> DualReport:
     kind, corresponding = _classify(pair)
     return DualReport(
         kind=kind,
-        rate=pair.rate,
+        rate=pair.mixed.gap(),
         corresponding_op=corresponding,
         whitened=whitened.matrix,
         factor_residual=residual,
@@ -209,7 +209,7 @@ def _approx_dual(phi: Frame, a: LatticeOperator, theta, condition: str) -> Frame
             if _strictly_below(a.gap(), 1.0):
                 raise
         else:
-            rate = _pair(phi, result).rate
+            rate = _pair(phi, result).mixed.gap()
             if _strictly_below(rate, 1.0):
                 return result
     if rate is None:
@@ -285,7 +285,7 @@ def gdual_from_corresponding(
     require_frame(phi, "frame")
     _require_base(phi, theta)
     phi, c, theta = _aligned(phi, _operand(phi, corresponding, "corresponding"), theta)
-    return _with_mixed(phi, oplin._require_invertible(c).inverse(), theta)
+    return _with_mixed(phi, c.inverse(), theta)
 
 
 def _theta_part(phi: Frame, partner: Frame) -> ClassFactor:
@@ -313,8 +313,9 @@ def recover_parameters(phi: Frame, phi_ad: Frame) -> Tuple[np.ndarray, Annihilat
     require_frame(phi, "frame")
     phi, phi_ad = _aligned(phi, phi_ad)
     pair = _pair(phi, phi_ad)
-    if not _strictly_below(pair.rate, 1.0):
-        raise NotApproxDual("pair is not approximately dual", measured=pair.rate)
+    rate = pair.mixed.gap()
+    if not _strictly_below(rate, 1.0):
+        raise NotApproxDual("pair is not approximately dual", measured=rate)
     theta = _theta_part(phi, phi_ad)
     return _whitened(phi, pair).matrix, Annihilator._over(theta, phi, pair.theta_norm)
 
@@ -336,7 +337,7 @@ def approx_dual_via_dual(
     if (whitened is None) == (target is None):
         raise ValueError("provide exactly one of whitened= or target=")
     require_frame(phi, "frame")
-    gap = _pair(phi, phi_d).rate
+    gap = _pair(phi, phi_d).mixed.gap()
     if gap > DUAL_TOL:
         raise NotDualPair("(phi, phi_d) must be an exact dual pair", measured=gap)
     if whitened is not None:
@@ -367,8 +368,8 @@ def reconstruct(phi: Frame, psi: Frame, f) -> np.ndarray:
     sum_k <A_inv f, psi_k> phi_k == f.  Both steps are block by block: the
     corresponding operator, then the mixed operator synthesis(phi) o analysis(psi).
     """
-    pair = _pair(phi, psi)
-    return pair.mixed.apply(pair.inverse.apply(_vector(f, phi.dim, "vector")))
+    mixed = _pair(phi, psi).mixed
+    return mixed.apply(mixed.inverse().apply(_vector(f, phi.dim, "vector")))
 
 
 class RangeRelation(enum.Enum):

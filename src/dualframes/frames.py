@@ -87,10 +87,10 @@ class Frame:
     ValueError when read.  If S overflows, its eigenvalues, the bounds and
     the canonical dual raise ValueError; the other facts are read as usual.
 
-    A frame also keeps the facts of each pair (phi, psi) it was read in as the
-    first frame (see :class:`_Pair`), each computed at most once, when first asked
-    for.  The facts live while both frames do and go with either; they hold no
-    reference to either frame.
+    A frame also keeps the record of each pair (phi, psi) it was read in as the first
+    frame (see :class:`_Pair`), whose mixed operator keeps its rate, singular values and
+    guarded inverse; each fact is computed at most once, when first asked for.  The record
+    lives while both frames do and goes with either; it holds no reference to either frame.
 
     A frame over a factor (:func:`dualframes.gabor.gabor_frame`, or a construction)
     builds the matrix once, when :attr:`synthesis` is first read; its canonical dual
@@ -184,6 +184,8 @@ class Frame:
 
     @cached_property
     def _canonical_dual(self) -> "Frame":
+        """S^{-1} T = U diag(1/s) V*; ValueError when S overflows or where S^{-1} T stops fitting a
+        float: once 1/s_min overflows (s_min below about 5.6e-309; its bounds fail below 1.5e-154)."""
         require_frame(self, "frame")
         self.eigenvalues  # ValueError when S overflows: the dual S^{-1} T is refused with it
         return Frame._over(self.spectrum.dual())
@@ -193,10 +195,11 @@ class Frame:
 
 
 def _vector(v, length: int, what: str) -> np.ndarray:
+    """``v`` as a complex vector of ``length`` entries, finite (ValueError otherwise)."""
     v = np.asarray(v, dtype=complex).reshape(-1)
     if v.shape[0] != length:
         raise DimensionMismatch(f"{what} length {v.shape[0]}, expected {length}")
-    return v
+    return oplin._require_finite(v, what)
 
 
 def analysis(phi: Frame, f) -> np.ndarray:
@@ -231,7 +234,7 @@ def _on_classes(system: ClassFactor, x):
         return x if (x.grid, x.lattice) == (system.grid, system.lattice) else None
     (index, _), *others = system.groups
     if index.shape[0] == 1 and not others:
-        return LatticeOperator._of(system.grid, system.lattice, ((index, x[None]),), finite=True)
+        return system._operator([x[None]])
     value = _gathered(system, x)
     if sum(np.count_nonzero(b) for _, b in value.groups) == np.count_nonzero(x):
         return value
@@ -239,8 +242,7 @@ def _on_classes(system: ClassFactor, x):
 
 def _gathered(system: ClassFactor, x: np.ndarray) -> LatticeOperator:
     """The blocks of the finite d x d array ``x`` on the classes of ``system``, the rest dropped."""
-    groups = ((i, x[i[:, :, None], i[:, None, :]]) for i, _ in system.groups)
-    return LatticeOperator._of(system.grid, system.lattice, groups, finite=True)
+    return system._operator(x[i[:, :, None], i[:, None, :]] for i, _ in system.groups)
 
 
 def _aligned(phi: Frame, *operands) -> tuple:
@@ -316,37 +318,18 @@ def canonical_dual(phi: Frame) -> Frame:
 
 
 class _Pair:
-    """The facts of a frame pair (phi, psi), each computed at most once.
+    """The facts of a frame pair (phi, psi) that need the frames, each computed at most once.
 
-    ``mixed`` is the pair's block value (see :func:`_aligned`); the other facts
-    are read from its blocks on first use.
-    A constructor of approximate duals checks the ``rate`` of the pair it
-    returns, so a classification of that pair reads the kept value.
-    ``theta``, the annihilator part theta* as a factor, and ``theta_norm`` are kept by
-    :func:`dualframes.duality._theta_part`, ``whitened``, the factor S^{-1/2} mixed,
-    by :func:`dualframes.duality._whitened`.  The record holds no frame.
+    ``mixed`` is the pair's block value (see :func:`_aligned`), which keeps the rest: the rate
+    ``mixed.gap()``, which a constructor of approximate duals checks on the pair it returns,
+    its singular values and the guarded corresponding operator ``mixed.inverse()``.  ``theta``
+    (theta* as a factor) and ``theta_norm`` are kept by :func:`dualframes.duality._theta_part`,
+    ``whitened`` (S^{-1/2} mixed) by :func:`dualframes.duality._whitened`.  It holds no frame.
     """
 
     def __init__(self, mixed: LatticeOperator):
         self.mixed = mixed
         self.theta = self.theta_norm = self.whitened = None
-
-    @cached_property
-    def rate(self) -> float:
-        return self.mixed.gap()
-
-    @cached_property
-    def singular_values(self) -> np.ndarray:
-        """Descending singular values of the mixed operator, the union of its blocks':
-        its norm is the first, the norm of its inverse the reciprocal of the last."""
-        return self.mixed.singular_values()
-
-    @cached_property
-    def inverse(self) -> LatticeOperator:
-        """The inverse of the mixed operator, the corresponding operator, block by block, under
-        the guard of :func:`dualframes.oplin.inverse`, whose Singular it raises on every read."""
-        oplin._require_conditioned(self.singular_values)
-        return self.mixed.inverse()
 
 
 def _pair(phi: Frame, psi: Frame) -> _Pair:
@@ -371,7 +354,7 @@ def mixed_operator(phi: Frame, psi: Frame) -> np.ndarray:
 
 def approximation_rate(phi: Frame, psi: Frame) -> float:
     """Distance ||Id - mixed_operator(phi, psi)||; below 1 means approximately dual."""
-    return _pair(phi, psi).rate
+    return _pair(phi, psi).mixed.gap()
 
 
 def bessel_bound_difference(phi: Frame, psi: Frame) -> float:

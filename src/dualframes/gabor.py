@@ -373,8 +373,7 @@ def painless_check(g: SampledWindow, lat: GaborLattice, support: int) -> Painles
     for index, blocks in s.groups:
         diag[index] = np.real(np.diagonal(blocks, axis1=-2, axis2=-1))
     # S is zero between classes, so ||S - diag(S)|| is the largest block's
-    diagonal = ((index, blocks * np.eye(blocks.shape[-1])) for index, blocks in s.groups)
-    off = s.distance(LatticeOperator._of(g.grid, lat, diagonal))
+    off = s.distance(s._with(blocks * np.eye(blocks.shape[-1]) for _, blocks in s.groups))
     scale = frame_bounds(frame).upper  # ||S|| = lambda_max(S), S being PSD
     b = float(lat.b)
     err_wb = float(np.max(np.abs(diag - weight / b))) / scale
@@ -533,8 +532,8 @@ def scaled_gabor_operator(l_window: SampledWindow, lat: GaborLattice) -> Lattice
     frame = gabor_frame(l_window, lat)
     upper = frame_bounds(frame).upper
     require_frame(frame, "scaling system")
-    groups = ((i, b / upper) for i, b in _pair(frame, frame).mixed.groups)
-    return LatticeOperator._of(l_window.grid, lat, groups)
+    s = _pair(frame, frame).mixed
+    return s._with(b / upper for _, b in s.groups)
 
 
 def mixed_lattice_operator(g: SampledWindow, h: SampledWindow, lat: GaborLattice) -> LatticeOperator:

@@ -17,11 +17,13 @@ A pass/fail check ``||a|| <= bound`` on blocks can be settled on their Frobenius
 O(size) where an SVD costs O(size^1.5): it is taken on ``a`` divided by its
 largest real or imaginary part, so no entry overflows or underflows into the
 sum, and widened by its rounding.  When it shows the bound, the check passes;
-otherwise the operator norm decides.  The invertibility guard of
-:func:`inverse` and :func:`solve` is certified the same way near the
+otherwise the operator norm decides.  The one invertibility guard, that of a
+block value's :meth:`~LatticeOperator.inverse` and :meth:`~LatticeOperator.solve`
+(so of :func:`inverse` and :func:`solve`), is certified the same way near the
 identity: ``||a - Id||_F < r = (C - 1) / (C + 1)`` puts every singular
 value of ``a`` in ``(1 - r, 1 + r)`` (Weyl), so its condition number is
-below the cutoff C; any other matrix is judged on its singular values.
+below the cutoff C; any other value is judged on its own singular values,
+which it keeps, as it keeps its gap and its inverse.
 
 Sizes stay at desk scale (a few hundred), so everything is dense and
 direct; no iterative methods.
@@ -30,7 +32,7 @@ direct; no iterative methods.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field
 from functools import cached_property
 
 import numpy as np
@@ -69,10 +71,10 @@ def _narrowest(values) -> np.ndarray:
     return z.real.copy() if not z.imag.any() else z
 
 
-def _require_finite(a: np.ndarray) -> np.ndarray:
+def _require_finite(a: np.ndarray, what: str = "matrix") -> np.ndarray:
     """``a`` itself, or ValueError when an entry is not finite (overflow, NaN)."""
     if not np.isfinite(a).all():
-        raise ValueError("matrix has non-finite entries")
+        raise ValueError(f"{what} has non-finite entries")
     return a
 
 
@@ -154,11 +156,12 @@ class LatticeOperator:
     """A d x d operator zero between the classes of a :class:`ClassFactor`, as read-only
     ``(index, blocks)`` groups, one per class size (``blocks[c]`` acts on the rows ``index[c]``),
     on the ``grid`` and ``lattice`` of the factors it comes from (None for a matrix).
-    Only factors, spectra and :meth:`of` build it, each block checked finite (ValueError
-    otherwise); ``np.asarray`` gives the dense matrix of their :attr:`dtype`, scattered anew, and
-    :attr:`matrix` the one kept, read-only: the block itself when one class holds every row, as
-    for a matrix pair.  Every read and ``@`` (by a value or a factor with the same classes) go
-    block by block.
+    Only :meth:`of` and the classes of a value or a factor (:meth:`_with`) build it, through
+    :meth:`_of`, each block checked finite (ValueError otherwise); ``np.asarray`` gives the dense
+    matrix of their :attr:`dtype`, scattered anew, and :attr:`matrix` the one kept, read-only: the
+    block itself when one class holds every row, as for a matrix pair.  Every read and ``@`` (by a
+    value or a factor with the same classes) go block by block.  Each fact is kept, computed on
+    first read: :meth:`gap`, :meth:`singular_values` and the guarded :meth:`inverse`.
 
     It is not a :class:`ClassFactor`: at ab = 1 a Gabor system's factor is square, so a
     block's shape cannot tell a synthesis matrix from an operator on the same space."""
@@ -168,16 +171,16 @@ class LatticeOperator:
     groups: tuple = field(init=False, repr=False)
 
     @classmethod
-    def _of(cls, grid, lattice, groups, finite: bool = False) -> "LatticeOperator":
-        value = cls()  # each index is read-only where it is made; a block unless known ``finite``
-        groups = tuple([(i, _frozen(b if finite else _require_finite(b))) for i, b in groups])
+    def _of(cls, grid, lattice, groups) -> "LatticeOperator":
+        value = cls()  # each index is read-only where it is made; each block is checked finite
+        groups = tuple([(i, _frozen(_require_finite(b))) for i, b in groups])
         value.__dict__.update(grid=grid, lattice=lattice, groups=groups)
         return value
 
     @classmethod
     def of(cls, a: np.ndarray) -> "LatticeOperator":
         """The finite d x d matrix ``a`` as one class, its block a view of ``a``: no copy."""
-        return cls._of(None, None, ((_frozen(np.arange(a.shape[0])[None]), a[None]),), finite=True)
+        return cls._of(None, None, ((_frozen(np.arange(a.shape[0])[None]), a[None]),))
 
     @property
     def dim(self) -> int:
@@ -201,20 +204,26 @@ class LatticeOperator:
         """The dense matrix, read-only, kept: what a pair fact or a root returns as an array."""
         return _frozen(np.asarray(self))
 
-    def _map(self, blocks) -> "LatticeOperator":
-        return LatticeOperator._of(self.grid, self.lattice, zip([i for i, _ in self.groups], blocks))
+    def _with(self, stacks) -> "LatticeOperator":
+        """The operator on these classes holding the blocks ``stacks`` (a value's or, as
+        :meth:`ClassFactor._operator`, a factor's); ValueError when an entry overflowed."""
+        return LatticeOperator._of(self.grid, self.lattice, zip([i for i, _ in self.groups], stacks))
 
     def __matmul__(self, other):
-        with np.errstate(over="ignore", invalid="ignore"):  # _of and ClassFactor._with raise an overflow
+        with np.errstate(over="ignore", invalid="ignore"):  # either _with raises an overflow
             products = [x @ y for (_, x), (_, y) in zip(self.groups, other.groups)]  # the same classes
-        return other._with(products) if isinstance(other, ClassFactor) else self._map(products)
+        return other._with(products)
 
     def norm(self) -> float:
         """||X||: the largest block norm."""
         return _largest_norm(b for _, b in self.groups)
 
     def gap(self) -> float:
-        """||Id - X||: the largest ||I - block||."""
+        """||Id - X||: the largest ||I - block||, kept."""
+        return self._gap
+
+    @cached_property
+    def _gap(self) -> float:
         return _largest_norm(np.eye(b.shape[-1]) - b for _, b in self.groups)
 
     def distance(self, other: "LatticeOperator") -> float:
@@ -238,17 +247,39 @@ class LatticeOperator:
         return out
 
     def singular_values(self) -> np.ndarray:
-        """The d singular values (read-only), descending: the union of the blocks'."""
-        stacks = (np.linalg.svd(blocks, compute_uv=False) for _, blocks in self.groups)
-        return _descending(stacks, self.dim)
+        """The d singular values (read-only), descending: the union of the blocks', kept."""
+        return self._singular_values
+
+    @cached_property
+    def _singular_values(self) -> np.ndarray:
+        return _descending((np.linalg.svd(b, compute_uv=False) for _, b in self.groups), self.dim)
+
+    def _guarded(self) -> "LatticeOperator":
+        """X once its condition number is below COND_CUTOFF, else :class:`Singular`: certified near
+        the identity (see the module docstring), else read from its kept singular values."""
+        if not _frobenius_shows(_raveled(np.eye(b.shape[-1]) - b for _, b in self.groups), _GUARD_RADIUS):
+            smax, smin = map(float, self.singular_values()[[0, -1]])
+            if smin <= smax / COND_CUTOFF:
+                if smax == 0.0:
+                    raise Singular("matrix is identically zero")
+                raise Singular(f"condition number {smax / max(smin, 1e-300):.3e} exceeds cutoff")
+        return self
 
     def inverse(self) -> "LatticeOperator":
-        """The inverse, block by block; unguarded (see :func:`_require_invertible`)."""
-        return self._map(np.linalg.inv(b) for _, b in self.groups)
+        """X^{-1}, block by block, kept, under :meth:`_guarded`; ValueError when an entry overflows."""
+        return self._inverse
+
+    @cached_property
+    def _inverse(self) -> "LatticeOperator":
+        with np.errstate(over="ignore", invalid="ignore"):  # _with raises an overflow
+            return self._with([np.linalg.inv(b) for _, b in self._guarded().groups])
 
     def solve(self, rhs: "ClassFactor") -> "ClassFactor":
-        """X^{-1} rhs, class by class, for a factor with these classes; unguarded."""
-        return rhs._with(np.linalg.solve(b, f) for (_, b), (_, f) in zip(self.groups, rhs.groups))
+        """X^{-1} rhs, class by class, for a factor with these classes, under the guard of
+        :meth:`inverse`; ValueError when an entry overflows."""
+        pairs = zip(self._guarded().groups, rhs.groups)
+        with np.errstate(over="ignore", invalid="ignore"):  # _with raises an overflow
+            return rhs._with([np.linalg.solve(b, f) for (_, b), (_, f) in pairs])
 
 
 @dataclass(frozen=True, eq=False)
@@ -306,6 +337,8 @@ class ClassFactor:
             [(i, _frozen(_require_finite(f))) for (i, _), f in zip(self.groups, stacks)]))
         return value
 
+    _operator = LatticeOperator._with  # the d x d operator on these classes holding the blocks given
+
     @np.errstate(over="ignore", invalid="ignore")  # _with raises an overflow
     def __sub__(self, other: "ClassFactor") -> "ClassFactor":
         return self._with(x - y for (_, x), (_, y) in zip(self.groups, other.groups))
@@ -318,9 +351,9 @@ class ClassFactor:
         """T other*, the blocks factor_r other_r*, for ``other`` with the same classes;
         ValueError when a block overflows."""
         pairs = zip(self.groups, other.groups)  # the same classes, grouped alike
-        with np.errstate(over="ignore", invalid="ignore"):  # LatticeOperator._of raises an overflow
-            blocks = [(index, left @ adjoint(right)) for (index, left), (_, right) in pairs]
-        return LatticeOperator._of(self.grid, self.lattice, blocks)
+        with np.errstate(over="ignore", invalid="ignore"):  # _operator raises an overflow
+            blocks = [left @ adjoint(right) for (_, left), (_, right) in pairs]
+        return self._operator(blocks)
 
     def singular_values(self) -> np.ndarray:
         """T's min(d, n) singular values (read-only), descending: a values-only SVD of each factor."""
@@ -398,14 +431,17 @@ class Spectrum:
         return self.inv_root.matrix
 
     def power(self, p: int) -> LatticeOperator:
-        """S^(p/2) = U diag(s^p) U*, class by class: finite where it is read (S, and for p < 0 S^{-1})."""
-        blocks = [(index, (u * s[..., None, :] ** p) @ adjoint(u)) for index, u, s, _ in self.classes]
-        return LatticeOperator._of(self.factor.grid, self.factor.lattice, blocks, finite=True)
+        """S^(p/2) = U diag(s^p) U*, class by class; ValueError when an entry overflows (S^{-1/2}
+        of a T whose s_min is subnormal)."""
+        with np.errstate(over="ignore", invalid="ignore"):  # _operator raises an overflow
+            blocks = [(u * s[..., None, :] ** p) @ adjoint(u) for _, u, s, _ in self.classes]
+        return self.factor._operator(blocks)
 
     def dual(self) -> ClassFactor:
-        """The canonical dual S^{-1} T = U diag(1/s) V*: the factor U_r diag(1/s_r) V_r*."""
-        groups = ((index, _frozen((u / s[..., None, :]) @ vh)) for index, u, s, vh in self.classes)
-        return replace(self.factor, groups=tuple(groups))
+        """The canonical dual S^{-1} T = U diag(1/s) V*: the factor U_r diag(1/s_r) V_r*;
+        ValueError when an entry overflows (a T whose s_min is subnormal)."""
+        with np.errstate(over="ignore", invalid="ignore"):  # _with raises an overflow
+            return self.factor._with([(u / s[..., None, :]) @ vh for _, u, s, vh in self.classes])
 
     @cached_property
     def range_rows(self) -> tuple:
@@ -442,35 +478,15 @@ def _square(m) -> np.ndarray:
     return a
 
 
-def _require_conditioned(s: np.ndarray) -> None:
-    """Singular unless smin > smax / COND_CUTOFF, given all singular values ``s``, descending."""
-    smax, smin = float(s[0]), float(s[-1])
-    if smin <= smax / COND_CUTOFF:
-        if smax == 0.0:
-            raise Singular("matrix is identically zero")
-        raise Singular(f"condition number {smax / max(smin, 1e-300):.3e} exceeds cutoff")
-
-
-def _require_invertible(x: LatticeOperator) -> LatticeOperator:
-    """``x`` once its condition number is below COND_CUTOFF: certified near the identity, else
-    read from its singular values."""
-    if not _frobenius_shows(_raveled(np.eye(b.shape[-1]) - b for _, b in x.groups), _GUARD_RADIUS):
-        _require_conditioned(x.singular_values())
-    return x
-
-
-def _invertible(m) -> np.ndarray:
-    """``m`` as a square matrix once :func:`_require_invertible` passes."""
-    a = _square(m)
-    _require_invertible(LatticeOperator.of(a))
-    return a
-
-
 def inverse(m) -> np.ndarray:
-    """Inverse of a square matrix, guarded by a condition-number cutoff."""
-    return np.linalg.inv(_invertible(m))
+    """Inverse of a square matrix, a new array, under the guard of :meth:`LatticeOperator.inverse`."""
+    return np.array(LatticeOperator.of(_square(m)).inverse())
 
 
 def solve(m, rhs) -> np.ndarray:
-    """Solve ``m @ x = rhs`` with the same invertibility guard as inverse()."""
-    return np.linalg.solve(_invertible(m), np.asarray(rhs, dtype=complex))
+    """Solve ``m @ x = rhs`` under the same guard as :func:`inverse`; ValueError when ``rhs``
+    or ``x`` has an entry that is not finite."""
+    a = LatticeOperator.of(_square(m))._guarded().matrix
+    b = _require_finite(np.asarray(rhs, dtype=complex), "right-hand side")
+    with np.errstate(over="ignore", invalid="ignore"):  # an overflow is raised below
+        return _require_finite(np.linalg.solve(a, b))

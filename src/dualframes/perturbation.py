@@ -15,7 +15,6 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from . import oplin
 from .duality import _theta_part, _with_mixed
 from .errors import NotApproxDual, NotRieszBasis, SmallnessViolated
 from .frames import (
@@ -27,7 +26,7 @@ from .frames import (
     is_riesz,
     require_frame,
 )
-from .oplin import LatticeOperator, _strictly_below
+from .oplin import _strictly_below
 from .tolerances import SMALLNESS_MARGIN
 
 
@@ -60,12 +59,12 @@ def _transfer(phi: Frame, psi: Frame, phi_dual: Frame, expect_approx: bool) -> T
     phi, psi, phi_dual = _aligned(phi, psi, phi_dual)
 
     pair = _pair(phi, phi_dual)
-    if expect_approx and not _strictly_below(pair.rate, 1.0):
-        raise NotApproxDual("(phi, phi_dual) is not approximately dual", measured=pair.rate)
     mixed = pair.mixed
-    inv_mixed = pair.inverse
-    mixed_norm = float(pair.singular_values[0])
-    inv_mixed_norm = 1.0 / float(pair.singular_values[-1])
+    if expect_approx and not _strictly_below(mixed.gap(), 1.0):
+        raise NotApproxDual("(phi, phi_dual) is not approximately dual", measured=mixed.gap())
+    inv_mixed = mixed.inverse()
+    mixed_norm = float(mixed.singular_values()[0])
+    inv_mixed_norm = 1.0 / float(mixed.singular_values()[-1])
 
     theta = _theta_part(phi, phi_dual)
     theta_norm = pair.theta_norm
@@ -80,10 +79,10 @@ def _transfer(phi: Frame, psi: Frame, phi_dual: Frame, expect_approx: bool) -> T
     omega = _with_mixed(psi, mixed, theta)
     corrector = omega._system.blocks(inv_mixed @ psi._system)  # T_omega T_psi* M^{-*}
     # The corrector is Id + theta*(T_psi - T_phi)* M^{-*}, as T_phi theta = 0, so the
-    # guard of oplin.solve is certified from ||corrector - Id||_F, with no singular
+    # guard of its solve is certified from ||corrector - Id||_F, with no singular
     # values.  The smallness estimate is sufficient, not necessary (vacuous for
     # theta == 0); invertibility of the corrector is what actually matters.
-    psi_dual = Frame._over(oplin._require_invertible(corrector).solve(omega._system))
+    psi_dual = Frame._over(corrector.solve(omega._system))
 
     # formed here, not through mixed_operator, so that psi keeps no record of this pair
     mixed_match = psi._system.blocks(psi_dual._system).distance(mixed)
@@ -146,10 +145,8 @@ def riesz_difference_bound(phi: Frame, psi: Frame) -> float:
         raise NotRieszBasis("both inputs must be Riesz bases (square, invertible synthesis)")
     big_m_phi = frame_bounds(phi).upper
     big_m_psi = frame_bounds(psi).upper
-    oplin._require_conditioned(phi._singular_values)  # the guard of oplin.inverse(T_phi)
     phi, psi = _aligned(phi, psi)
     # each class of a Riesz basis is square, so D is psi_r phi_r^{-1} class by class
-    pairs = zip(phi._system.groups, psi._system.groups)
-    d = LatticeOperator._of(phi._system.grid, phi._system.lattice,
-                            ((i, q @ np.linalg.inv(p)) for (i, p), (_, q) in pairs))
-    return float(min(big_m_phi * d.gap() ** 2, big_m_psi * oplin._require_invertible(d).inverse().gap() ** 2))
+    phi_r, psi_r = (f._system._operator([g for _, g in f._system.groups]) for f in (phi, psi))
+    d = psi_r @ phi_r.inverse()
+    return float(min(big_m_phi * d.gap() ** 2, big_m_psi * d.inverse().gap() ** 2))

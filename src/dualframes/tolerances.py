@@ -29,10 +29,12 @@ rank cutoff ``s_max * eps * max(d, n)``, the Frobenius norm's rounding slack, th
 FRAME_THRESHOLD_REL = 1e-10
 
 # Invertibility of a mixed operator, a corresponding operator or a corrector:
-# s_min > s_max / COND_CUTOFF, a ratio of its singular values.  A g-dual only needs
-# its mixed operator invertible, and a caller may prescribe one far worse conditioned
-# than any frame's S, so this is not the frame test.  Why 1e12: the inverse keeps
-# about kappa eps = 2e-4 relative accuracy, the least a reconstruction can use.
+# s_min > s_max / COND_CUTOFF, a ratio of its singular values, compared in one guard,
+# that of oplin.LatticeOperator.inverse/solve, which every inverse and solve runs
+# (certified near the identity with no SVD).  A g-dual only needs its mixed operator
+# invertible, and a caller may prescribe one far worse conditioned than any frame's S,
+# so this is not the frame test.  Why 1e12: the inverse keeps about kappa eps = 2e-4
+# relative accuracy, the least a reconstruction can use.
 COND_CUTOFF = 1e12
 
 # A strict "x < bound" (rate < 1, ||Id - A|| < 1, whitened admissibility) holds when

@@ -87,6 +87,21 @@ class TestFrameInfo:
         assert main(["frame-info", str(path)]) == 3
         assert "not a normal float" in capsys.readouterr().err
 
+    def test_frame_whose_dual_does_not_fit_prints_only_the_error(self, tmp_path):
+        # 1/s overflows at s = 1e-310: exit 3 with one error line, no numpy warning
+        path = tmp_path / "tiny.json"
+        io.save_frame(Frame(np.array([[1, 0, 1], [0, 1, 1]]) * 1e-310), path)
+        src = str(Path(__file__).resolve().parents[1] / "src")
+        probe = "import sys; from dualframes.cli import main; sys.exit(main(sys.argv[1:]))"
+        run = subprocess.run(
+            [sys.executable, "-c", probe, "dual", str(path)],
+            env=dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))),
+            capture_output=True,
+            text=True,
+        )
+        assert run.returncode == 3
+        assert run.stderr == "error: matrix has non-finite entries\n"
+
     def test_malformed_json_exit_3(self, tmp_path, capsys):
         path = tmp_path / "bad.json"
         path.write_text("{not json")

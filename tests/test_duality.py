@@ -251,7 +251,9 @@ class TestApproxDualFromMixed:
         classification reads; a failing one reports the realized rate."""
         theta = random_annihilator(phi0, seed=5, scale=0.4)
         result = approx_dual_from_mixed(phi0, 0.6 * identity(2), theta)
-        assert duality._pair(phi0, result).rate == classify_pair(phi0, result).rate
+        mixed = duality._pair(phi0, result).mixed
+        assert "_gap" in mixed.__dict__  # kept by the constructor's check
+        assert mixed.gap() == classify_pair(phi0, result).rate
         assert classify_pair(phi0, result).rate == pytest.approx(0.4, abs=1e-12)
         with pytest.raises(ContractViolation, match=re.escape("requires ||Id - target|| < 1")) as err:
             approx_dual_from_mixed(phi0, np.array([[0.1, 0.9], [0.9, 0.1]]))

@@ -33,6 +33,7 @@ from dualframes import (
     painless_check,
     random_annihilator,
     range_compare,
+    reconstruct,
     sample_bspline,
     scaled_gabor_operator,
     synthesis,
@@ -96,6 +97,16 @@ class TestAnalysisSynthesis:
     def test_synthesis_shape_guard(self, phi0):
         with pytest.raises(DimensionMismatch):
             synthesis(phi0, [1, 2])
+
+    @pytest.mark.parametrize("call, what", [
+        (lambda phi, bad: analysis(phi, [bad, 0]), "vector"),
+        (lambda phi, bad: synthesis(phi, [bad, 0, 0]), "coefficient"),
+        (lambda phi, bad: reconstruct(phi, canonical_dual(phi), [bad, 0]), "vector"),
+    ])
+    @pytest.mark.parametrize("bad", [np.nan, np.inf])
+    def test_non_finite_vector_raises(self, phi0, call, what, bad):
+        with pytest.raises(ValueError, match=f"{what} has non-finite entries"):
+            call(phi0, bad)
 
     def test_adjoint_relation(self):
         rng = np.random.default_rng(1)
@@ -197,6 +208,15 @@ class TestFrameBounds:
         for _ in range(2):
             with pytest.raises(ValueError, match="not a normal float"):
                 frame_bounds(tiny)
+
+    def test_frame_whose_inverse_does_not_fit_raises(self):
+        # singular values (sqrt(3), 1) * 1e-310: a frame, but 1/s overflows, so S^{-1/2} and
+        # the canonical dual S^{-1} T do not fit a float
+        tiny = Frame(np.array([[1, 0, 1], [0, 1, 1]]) * 1e-310)
+        assert is_frame(tiny)
+        for read in (canonical_dual, frame_operator_inv_sqrt):
+            with pytest.raises(ValueError, match="matrix has non-finite entries"):
+                read(tiny)
 
     # |k| = 500 takes the entries past 2^459, where LAPACK rescales the matrix inside the SVD
     @pytest.mark.parametrize("k", [-500, -200, 0, 200, 500])

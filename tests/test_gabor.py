@@ -588,10 +588,11 @@ class TestClassBlocks:
         assert result.measured_diff_bound <= result.predicted_diff_bound
 
     def test_classify_pair_on_16_64_decomposes_blocks_only(self, monkeypatch):
-        """The pair's rate, singular values and corresponding operator come from its L x L
-        blocks: no SVD or inverse of a matrix with L rows; the rate (the largest ||I - block||)
-        and the singular values are each one values-only SVD batched over the blocks, the
-        corresponding operator one batched inverse."""
+        """The pair's rate and corresponding operator come from its L x L blocks: no SVD or
+        inverse of a matrix with L rows; the rate (the largest ||I - block||) is one
+        values-only SVD batched over the blocks, the corresponding operator one batched
+        inverse, whose guard the Frobenius certificate decides for this exact dual pair,
+        with no singular values."""
         grid, lat = GridSpec(16, 64), GaborLattice(1, Fraction(1, 8))
         g = sample_bspline(2, grid)
         phi, psi = gabor_frame(g, lat), gabor_frame(ck_dual1(g, 2, lat.b), lat)
@@ -606,7 +607,7 @@ class TestClassBlocks:
         monkeypatch.undo()
         assert report.kind == "dual" and report.corresponding_op.shape == (phi.dim, phi.dim)
         assert [call for call in calls if len(call[1]) == 2 and call[1][0] == phi.dim] == []
-        assert sorted(name for name, _ in calls) == ["inv", "svd", "svd"]
+        assert sorted(name for name, _ in calls) == ["inv", "svd"]
         assert all(len(shape) == 3 and shape[0] * shape[1] == phi.dim for _, shape in calls)
 
     def test_empty_classes_are_never_enumerated(self):
@@ -1506,8 +1507,9 @@ class TestOneSystemPerWindow:
     @pytest.mark.parametrize("kind, census", [("10:20 pipeline", (4, 4, 4)), ("16:64 bounds", (2, 1, 2))])
     def test_gabor_dense_task_census(self, kind, census, monkeypatch):
         # one task as the benchmark's gabor-dense workload builds and runs it: the factors
-        # built (the pipeline's three windows' systems and g's canonical dual; the
-        # approximate dual's system is its construction's), the class-block sets built (the
+        # built (the pipeline's three windows' systems, by the constructor, and g's canonical
+        # dual, by its spectrum; the approximate dual's system is its construction's), the
+        # class-block sets built (the
         # pipeline's S for the kernel term S T_d - T among them) and the SVDs taken: a thin
         # one per system read for its spectrum and a values-only one per block gap
         # ||Id - X|| (the pipeline's two rates, the bounds task's rate), each batched over
@@ -1517,12 +1519,14 @@ class TestOneSystemPerWindow:
 
         task = next(task for task in workloads.build_gabor_dense(1, 1).tasks if task.kind == kind)
         systems, blocks, svds, eighs = [], [], [], []
-        init, build, svd = oplin.ClassFactor.__init__, oplin.ClassFactor.blocks, np.linalg.svd
+        init, dual = oplin.ClassFactor.__init__, oplin.Spectrum.dual
+        build, svd = oplin.ClassFactor.blocks, np.linalg.svd
 
         def counted(calls, fn):
             return lambda first, *args, **kwargs: calls.append(first) or fn(first, *args, **kwargs)
 
         monkeypatch.setattr(oplin.ClassFactor, "__init__", counted(systems, init))
+        monkeypatch.setattr(oplin.Spectrum, "dual", counted(systems, dual))
         monkeypatch.setattr(oplin.ClassFactor, "blocks", counted(blocks, build))
         monkeypatch.setattr(np.linalg, "svd", counted(svds, svd))
         for name in ("eigh", "eigvalsh"):

@@ -186,6 +186,23 @@ class TestInverse:
         with pytest.raises(DimensionMismatch):
             inverse(np.zeros((2, 3)))
 
+    def test_overflowing_inverse_raises(self):
+        # kappa = 1 passes the guard; the inverse 1e320 Id does not fit a float
+        with pytest.raises(ValueError, match="non-finite entries"):
+            inverse(1e-320 * identity(3))
+
+    def test_returns_a_new_writeable_array(self, monkeypatch):
+        kept = []
+        block_inverse = oplin.LatticeOperator.inverse
+        monkeypatch.setattr(oplin.LatticeOperator, "inverse", lambda x: kept.append(block_inverse(x)) or kept[-1])
+        m = np.diag([2.0, 4.0]).astype(complex)
+        result = inverse(m)
+        (_, blocks), = kept[0].groups
+        assert result.flags.writeable and not np.shares_memory(result, blocks)
+        assert not np.shares_memory(result, m)
+        result[0, 0] = 7.0
+        assert np.array_equal(blocks[0], np.diag([0.5, 0.25])) and np.array_equal(inverse(m), blocks[0])
+
 
 class TestIdentityGap:
     """||Id - X|| is a block value's ``gap``; a matrix reaches it through ``LatticeOperator.of``,
@@ -211,6 +228,45 @@ class TestSolve:
     def test_rejects_singular(self):
         with pytest.raises(Singular):
             solve(np.zeros((2, 2)), np.ones(2))
+
+    def test_overflowing_solution_raises(self):
+        with pytest.raises(ValueError, match="non-finite entries"):
+            solve(1e-320 * identity(3), np.ones(3))
+
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, complex(0.0, -np.inf)])
+    def test_rejects_non_finite_right_hand_side(self, bad):
+        with pytest.raises(ValueError, match="right-hand side has non-finite entries"):
+            solve(identity(3), [bad, 0.0, 0.0])
+
+
+class TestKeptFacts:
+    """A block value is immutable: it computes each of its facts once and keeps it."""
+
+    def test_repeated_reads_return_the_kept_object(self, monkeypatch):
+        value = oplin.LatticeOperator.of(np.diag([2.0, 0.5, 1.0]).astype(complex))
+        first = value.gap(), value.singular_values(), value.inverse()
+
+        def refused(*args, **kwargs):
+            raise AssertionError("a kept fact was computed again")
+
+        for name in ("svd", "inv"):
+            monkeypatch.setattr(np.linalg, name, refused)
+        again = value.gap(), value.singular_values(), value.inverse()
+        assert all(a is b for a, b in zip(first, again))
+
+    @pytest.mark.parametrize("m, message", [
+        (np.zeros((2, 2)), "matrix is identically zero"),
+        (np.diag([1.0, 1e-13]), "condition number 1.000e+13 exceeds cutoff"),
+    ])
+    def test_a_singular_value_raises_the_same_error_on_every_call(self, m, message):
+        value = oplin.LatticeOperator.of(m.astype(complex))
+        for _ in range(3):
+            with pytest.raises(Singular) as err:
+                value.inverse()
+            assert str(err.value) == message
+        with pytest.raises(Singular) as err:
+            value.solve(oplin.ClassFactor.of(np.ones((2, 1), dtype=complex)))
+        assert str(err.value) == message
 
 
 def _scaled_map(shape, rank_one, exponent, seed):
@@ -271,9 +327,16 @@ class TestNormCertificate:
 
 
 def _svd_guard(m):
-    """The guard as judged on the singular values alone."""
+    """The guard as judged on the singular values alone, written out here so that the
+    library's certificate is checked against a reference of its own: Singular when
+    s_min <= s_max / COND_CUTOFF, with the library's messages."""
     a = np.asarray(m, dtype=complex)
-    oplin._require_conditioned(np.linalg.svd(a, compute_uv=False))
+    s = np.linalg.svd(a, compute_uv=False)
+    smax, smin = float(s[0]), float(s[-1])
+    if smin <= smax / oplin.COND_CUTOFF:
+        if smax == 0.0:
+            raise Singular("matrix is identically zero")
+        raise Singular(f"condition number {smax / max(smin, 1e-300):.3e} exceeds cutoff")
     return a
 
 

@@ -9,8 +9,12 @@ there would read a synthesis matrix or a scattered mixed operator.  A window's a
 dual is the general construction on its system, so a second body would read powers of S
 (``Spectrum.power``) outside ``oplin`` or apply operators to a window's samples
 (``LatticeOperator.apply``) in ``gabor``.  An annihilator is held by theta* as a factor, so
-a reader of its ``map`` outside ``Annihilator`` would read a second form of it.  These tests
-find each, syntactically, in ``src/dualframes``.
+a reader of its ``map`` outside ``Annihilator`` would read a second form of it.  A block
+value is built by one checked constructor, ``LatticeOperator._of``, reached from outside
+``oplin`` only through a factor's or a value's classes; it inverts itself under the one
+invertibility guard, so an ``np.linalg.inv`` outside ``LatticeOperator`` or a second
+comparison against ``COND_CUTOFF`` would be a second path.  These tests find each,
+syntactically, in ``src/dualframes``.
 """
 
 import ast
@@ -119,10 +123,15 @@ def test_a_second_construction_is_found():
     assert construction_sites(trees) == [("duality.py", 1), ("gabor.py", 1), ("gabor.py", 1), ("gabor.py", 1)]
 
 
+def class_bodies(trees: dict, cls_name: str) -> set:
+    """The ids of every node inside a class named ``cls_name``."""
+    return {id(node) for tree in trees.values() for cls in ast.walk(tree)
+            if isinstance(cls, ast.ClassDef) and cls.name == cls_name for node in ast.walk(cls)}
+
+
 def map_reads(trees: dict) -> list:
     """(file, line) of every ``.map`` attribute outside the body of a class ``Annihilator``."""
-    own = {id(node) for tree in trees.values() for cls in ast.walk(tree)
-           if isinstance(cls, ast.ClassDef) and cls.name == "Annihilator" for node in ast.walk(cls)}
+    own = class_bodies(trees, "Annihilator")
     return sorted(
         (name, node.lineno)
         for name, tree in trees.items()
@@ -141,3 +150,62 @@ def test_a_map_read_is_found():
               "class Other:\n    def h(self, theta):\n        return adjoint(theta.map)\n"
               "lengths = set(map(len, rows))\n")
     assert map_reads({"a.py": ast.parse(source)}) == [("a.py", 5), ("a.py", 8)]
+
+
+def _calls(trees: dict, attr: str, owner: str) -> list:
+    """(file, line, node) of every call ``<...>.<owner>.<attr>(...)`` or ``<owner>.<attr>(...)``."""
+    return [
+        (name, node.lineno, node)
+        for name, tree in trees.items()
+        for node in ast.walk(tree)
+        if isinstance(node, ast.Call) and isinstance(node.func, ast.Attribute) and node.func.attr == attr
+        and getattr(node.func.value, "id", getattr(node.func.value, "attr", None)) == owner
+    ]
+
+
+def block_constructions(trees: dict) -> list:
+    """(file, line) of every call ``LatticeOperator._of(`` outside ``oplin.py``."""
+    return sorted((name, line) for name, line, _ in _calls(trees, "_of", "LatticeOperator") if name != "oplin.py")
+
+
+def inverse_sites(trees: dict) -> list:
+    """(file, line) of every call ``<x>.linalg.inv(`` outside the body of a class ``LatticeOperator``."""
+    own = class_bodies(trees, "LatticeOperator")
+    return sorted((name, line) for name, line, node in _calls(trees, "inv", "linalg") if id(node) not in own)
+
+
+def cutoff_comparisons(trees: dict) -> list:
+    """(file, line) of every comparison that reads ``COND_CUTOFF`` (or ``<x>.COND_CUTOFF``)."""
+    return sorted(
+        (name, node.lineno)
+        for name, tree in trees.items()
+        for node in ast.walk(tree)
+        if isinstance(node, ast.Compare)
+        and any(getattr(n, "id", getattr(n, "attr", None)) == "COND_CUTOFF" for n in ast.walk(node))
+    )
+
+
+def test_block_values_are_built_in_oplin_only():
+    assert block_constructions(parsed()) == []
+
+
+def test_only_a_block_value_inverts():
+    assert inverse_sites(parsed()) == []
+
+
+def test_one_invertibility_guard():
+    assert len(cutoff_comparisons(parsed())) == 1, cutoff_comparisons(parsed())
+
+
+def test_a_second_guard_path_is_found():
+    oplin = ("class LatticeOperator:\n    def inverse(self):\n        return np.linalg.inv(self.b)\n"
+             "    def ok(self):\n        return smin > smax / COND_CUTOFF\n"
+             "def inverse(m):\n    return np.linalg.inv(m)\n"
+             "x = LatticeOperator._of(None, None, groups)\n")
+    other = ("d = LatticeOperator._of(grid, lat, groups)\ne = oplin.LatticeOperator._of(grid, lat, groups)\n"
+             "f = numpy.linalg.inv(a) @ b\ng = inv(a)\nh = value._of(groups)\n"
+             "if kappa >= tolerances.COND_CUTOFF:\n    pass\nradius = (COND_CUTOFF - 1) / (COND_CUTOFF + 1)\n")
+    trees = {"oplin.py": ast.parse(oplin), "frames.py": ast.parse(other)}
+    assert block_constructions(trees) == [("frames.py", 1), ("frames.py", 2)]
+    assert inverse_sites(trees) == [("frames.py", 3), ("oplin.py", 7)]
+    assert cutoff_comparisons(trees) == [("frames.py", 6), ("oplin.py", 5)]

@@ -419,16 +419,18 @@ def test_pipeline_reads_each_pair_fact_once(monkeypatch):
     """The pair (phi, phi_ad) is read by the classification, the factorization,
     parameter recovery and the transfer; its facts are computed once.
 
-    The block gap ``||Id - M||`` runs twice: for the rate of (phi, phi_ad), which its
-    constructor checks and the classification reads, and for the rate of the
-    rebuilt family, which its constructor checks.  The one ``inv`` is the pair's
+    The block gap ``||Id - M||`` is computed twice, however often it is read: for the
+    rate of (phi, phi_ad), which its constructor checks and the classification reads,
+    and for the rate of the rebuilt family, which its constructor checks.  The one ``inv`` is the pair's
     corresponding operator; theta* is built once, as a factor: one projection off
     range(T*), made by the first ``_theta_part`` call that finds no theta on the pair's
     record, and its norm (``ClassFactor.norm``) is taken once, which the
     recovered Annihilator and the transfer read.
     """
     calls = {"gap": 0, "theta_build": 0}
-    monkeypatch.setattr(oplin.LatticeOperator, "gap", counted(calls, "gap", oplin.LatticeOperator.gap))
+    gap = cached_property(counted(calls, "gap", oplin.LatticeOperator._gap.func))
+    gap.__set_name__(oplin.LatticeOperator, "_gap")
+    monkeypatch.setattr(oplin.LatticeOperator, "_gap", gap)
     seen = Decompositions(monkeypatch)
     theta_part, thetas, normed = duality._theta_part, [], []
 
