@@ -39,22 +39,6 @@ class FrameBounds(NamedTuple):
     lower: float
     upper: float
 
-    @classmethod
-    def from_eigenvalues(cls, w: np.ndarray, sigma: tuple) -> "FrameBounds":
-        """Bounds from the ascending spectrum ``w`` of a frame operator.
-
-        The frame test reads ``sigma`` = (s_min, s_max) of T, so no scaling
-        of T changes it.  ``lower == 0.0`` signals a Bessel family that is not
-        a frame; a bound that is 0, subnormal or infinite for a nonzero T
-        raises ValueError.
-        """
-        frame = _is_frame(*sigma)
-        bounds = cls(lower=float(w[0]) if frame else 0.0, upper=float(max(w[-1], 0.0)))
-        for bound, root in zip(bounds, (sigma[0] if frame else 0.0, sigma[1])):
-            if root > 0.0 and not np.finfo(float).tiny <= bound < np.inf:
-                raise ValueError(f"frame bound {root:.3e}^2 is not a normal float")
-        return bounds
-
 
 class Frame:
     """A finite vector family, held by the class factor of its d x n synthesis matrix.
@@ -84,8 +68,9 @@ class Frame:
 
     S itself is never formed.  The frame test reads s_min / s_max, which no
     scaling of T changes; a bound that does not fit a normal float raises
-    ValueError when read.  If S overflows, its eigenvalues, the bounds and
-    the canonical dual raise ValueError; the other facts are read as usual.
+    ValueError when it, or the eigenvalues, are read.  If S overflows, the
+    eigenvalues, the bounds and the canonical dual raise ValueError; the other
+    facts are read as usual.
 
     A frame also keeps the record of each pair (phi, psi) it was read in as the first
     frame (see :class:`_Pair`), whose mixed operator keeps its rate, singular values and
@@ -148,8 +133,18 @@ class Frame:
 
     @cached_property
     def eigenvalues(self) -> np.ndarray:
-        """Ascending eigenvalues of S (read-only): the squares of the singular values
-        of T, padded with zeros to d; ValueError when S overflows."""
+        """Ascending eigenvalues of S (read-only): the squares of the singular values of T, padded
+        with zeros to d.  ValueError, as :func:`frame_bounds`, when S overflows or when a bound of a
+        nonzero T is 0 or subnormal: lambda_max, and lambda_min of a frame (see :func:`is_frame`)."""
+        w, (s_min, s_max) = self._squares, self._sigma
+        for bound, root in ((w[0], s_min if _is_frame(s_min, s_max) else 0.0), (w[-1], s_max)):
+            if root > 0.0 and not np.finfo(float).tiny <= bound:
+                raise ValueError(f"frame bound {root:.3e}^2 is not a normal float")
+        return w
+
+    @cached_property
+    def _squares(self) -> np.ndarray:
+        """:attr:`eigenvalues`, unchecked but for overflow: ValueError when S overflows."""
         s = self._singular_values
         with np.errstate(over="ignore"):
             w = np.concatenate([np.zeros(self.dim - s.size), s[::-1] ** 2])
@@ -187,7 +182,7 @@ class Frame:
         """S^{-1} T = U diag(1/s) V*; ValueError when S overflows or where S^{-1} T stops fitting a
         float: once 1/s_min overflows (s_min below about 5.6e-309; its bounds fail below 1.5e-154)."""
         require_frame(self, "frame")
-        self.eigenvalues  # ValueError when S overflows: the dual S^{-1} T is refused with it
+        self._squares  # ValueError when S overflows: the dual S^{-1} T is refused with it
         return Frame._over(self.spectrum.dual())
 
     def __repr__(self):
@@ -277,9 +272,10 @@ def frame_operator(phi: Frame) -> np.ndarray:
 
 
 def frame_bounds(phi: Frame) -> FrameBounds:
-    """Optimal bounds; ``lower == 0.0`` signals a Bessel family that is not a frame.
-    ValueError when a bound of a nonzero family is not a normal float."""
-    return FrameBounds.from_eigenvalues(phi.eigenvalues, phi._sigma)
+    """Optimal bounds, the ends of :attr:`Frame.eigenvalues` (ValueError as they raise);
+    ``lower == 0.0`` signals a Bessel family that is not a frame."""
+    w = phi.eigenvalues
+    return FrameBounds(lower=float(w[0]) if _is_frame(*phi._sigma) else 0.0, upper=float(w[-1]))
 
 
 def is_frame(phi: Frame) -> bool:

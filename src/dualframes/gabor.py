@@ -374,20 +374,14 @@ def painless_check(g: SampledWindow, lat: GaborLattice, support: int) -> Painles
         diag[index] = np.real(np.diagonal(blocks, axis1=-2, axis2=-1))
     # S is zero between classes, so ||S - diag(S)|| is the largest block's
     off = s.distance(s._with(blocks * np.eye(blocks.shape[-1]) for _, blocks in s.groups))
-    scale = frame_bounds(frame).upper  # ||S|| = lambda_max(S), S being PSD
-    b = float(lat.b)
+    bounds = frame_bounds(frame)
+    scale, b = bounds.upper, float(lat.b)  # ||S|| = lambda_max(S), S being PSD
     err_wb = float(np.max(np.abs(diag - weight / b))) / scale
     err_bw = float(np.max(np.abs(diag - b / weight))) / scale
     tol = PAINLESS_MATCH_TOL
     matched = "weight/b" if err_wb <= tol else "b/weight" if err_bw <= tol else "neither"
-    return PainlessReport(
-        diagonal=diag,
-        offdiag_relative=off / scale,
-        matched_formula=matched,
-        weight_over_step_error=err_wb,
-        step_over_weight_error=err_bw,
-        bounds=frame_bounds(frame),
-    )
+    return PainlessReport(diagonal=diag, offdiag_relative=off / scale, matched_formula=matched,
+                          weight_over_step_error=err_wb, step_over_weight_error=err_bw, bounds=bounds)
 
 
 @np.errstate(over="ignore", invalid="ignore")  # an overflow is the ValueError below, not a warning

@@ -10,7 +10,9 @@ guarded inverses/solves, and the one representation of a synthesis matrix:
 its class factor (:class:`ClassFactor`), of which a matrix is the one-class
 case.  One batched thin SVD of the factor gives every spectral fact
 (:class:`Spectrum`); the mixed operator of two factors with the same classes
-is block diagonal over them (:class:`LatticeOperator`).
+is block diagonal over them (:class:`LatticeOperator`).  One helper, :func:`_svd`,
+takes every SVD the library reads, thin or values only, so every singular value,
+norm, gap and distance scales exactly with its input, at every scale.
 
 A pass/fail check ``||a|| <= bound`` on blocks can be settled on their Frobenius norm
 (:meth:`LatticeOperator.at_most`), which bounds the operator norm from above and costs
@@ -43,7 +45,7 @@ from .tolerances import COND_CUTOFF, FRAME_THRESHOLD_REL, STRICT_FACTOR
 # ||a - Id|| below this radius keeps the condition number of a below COND_CUTOFF.
 _GUARD_RADIUS = (COND_CUTOFF - 1.0) / (COND_CUTOFF + 1.0)
 _EPS = float(np.finfo(float).eps)
-# ?gesdd's SMLNUM and BIGNUM, 2^-459 and 2^459: it rescales a matrix beyond them (ClassFactor.svd)
+# ?gesdd's SMLNUM and BIGNUM, 2^-459 and 2^459: it rescales a matrix beyond them (see _svd)
 _UNSCALED = (math.sqrt(np.finfo(float).tiny) / _EPS, _EPS / math.sqrt(np.finfo(float).tiny))
 
 
@@ -87,10 +89,21 @@ def adjoint(m) -> np.ndarray:
     return np.conj(np.swapaxes(m, -1, -2))
 
 
+def _svd(a: np.ndarray, vectors: bool = False):
+    """The singular values of ``a``, a matrix or a stack of them, descending, or with ``vectors``
+    its thin SVD ``(u, s, vh)``: the library's one SVD.  It is taken of a / 2^e (2^e the power of
+    2 of its largest entry, if that lies outside ``_UNSCALED``), so that LAPACK never rescales it:
+    a and 2^k a see the same rounding, and every singular value scales exactly with a."""
+    peak = float(np.abs(a).max(initial=0.0))
+    e = 0 if _UNSCALED[0] <= peak <= _UNSCALED[1] else min(max(math.frexp(peak)[1], -1000), 1023)
+    out = np.linalg.svd(a * 2.0**-e if e else a, full_matrices=False, compute_uv=vectors)
+    with np.errstate(over="ignore"):  # an overflowing s reads inf, as LAPACK's own
+        return (out[0], np.ldexp(out[1], e), out[2]) if vectors else np.ldexp(out, e)
+
+
 def operator_norm(m) -> float:
     """Largest singular value of ``m``; zero iff ``m`` is the zero matrix."""
-    a = as_operator(m)
-    return float(np.linalg.svd(a, compute_uv=False)[0])
+    return float(_svd(as_operator(m))[0])
 
 
 def _squared(norm: float) -> float:
@@ -137,7 +150,7 @@ def _descending(stacks, size: int) -> np.ndarray:
 
 def _largest_norm(stacks) -> float:
     """The largest 2-norm of the matrices of ``stacks``: a values-only SVD of each stack."""
-    return max(float(np.linalg.svd(b, compute_uv=False)[..., 0].max()) for b in stacks)
+    return max(float(_svd(b)[..., 0].max()) for b in stacks)
 
 
 def _raveled(stacks) -> np.ndarray:
@@ -252,7 +265,7 @@ class LatticeOperator:
 
     @cached_property
     def _singular_values(self) -> np.ndarray:
-        return _descending((np.linalg.svd(b, compute_uv=False) for _, b in self.groups), self.dim)
+        return _descending((_svd(b) for _, b in self.groups), self.dim)
 
     def _guarded(self) -> "LatticeOperator":
         """X once its condition number is below COND_CUTOFF, else :class:`Singular`: certified near
@@ -357,21 +370,15 @@ class ClassFactor:
 
     def singular_values(self) -> np.ndarray:
         """T's min(d, n) singular values (read-only), descending: a values-only SVD of each factor."""
-        stacks = [np.linalg.svd(f.swapaxes(-1, -2), compute_uv=False) for _, f in self.groups]
-        return _descending(stacks, min(self.shape))
+        return _descending((_svd(f.swapaxes(-1, -2)) for _, f in self.groups), min(self.shape))
 
     def svd(self) -> "Spectrum":
-        """The thin SVD of T: one batched thin SVD of each factor, of T / 2^e (2^e the power of 2 of
-        its largest entry, if that lies outside ``_UNSCALED``), so that LAPACK never rescales it:
-        T and 2^k T see the same rounding, and every spectral fact scales exactly with T."""
-        peak = max(float(np.abs(f).max(initial=0.0)) for _, f in self.groups)
-        e = 0 if _UNSCALED[0] <= peak <= _UNSCALED[1] else min(max(math.frexp(peak)[1], -1000), 1023)
+        """The thin SVD of T: one batched thin SVD (:func:`_svd`) of each factor, so every spectral
+        fact scales exactly with T."""
         classes = []
         for index, f in self.groups:
             # of the transpose, W diag(s) X* (U = X*^T, V* = W^T): a quarter faster on short wide factors
-            w, s, x = np.linalg.svd((f * 2.0**-e if e else f).swapaxes(-1, -2), full_matrices=False)
-            with np.errstate(over="ignore"):  # an overflowing s reads inf, as LAPACK's own
-                s = np.ldexp(s, e)
+            w, s, x = _svd(f.swapaxes(-1, -2), vectors=True)
             classes.append((index, _frozen(x.swapaxes(-1, -2)), _frozen(s), _frozen(w.swapaxes(-1, -2))))
         return Spectrum(self, tuple(classes), _descending((s for _, _, s, _ in classes), min(self.shape)))
 
@@ -484,9 +491,11 @@ def inverse(m) -> np.ndarray:
 
 
 def solve(m, rhs) -> np.ndarray:
-    """Solve ``m @ x = rhs`` under the same guard as :func:`inverse`; ValueError when ``rhs``
-    or ``x`` has an entry that is not finite."""
-    a = LatticeOperator.of(_square(m))._guarded().matrix
+    """Solve ``m @ x = rhs`` (a vector or a matrix of d rows, else DimensionMismatch), a new array: its
+    one class under :meth:`LatticeOperator.solve`; ValueError when ``rhs`` or ``x`` is not finite."""
+    a = _square(m)
     b = _require_finite(np.asarray(rhs, dtype=complex), "right-hand side")
-    with np.errstate(over="ignore", invalid="ignore"):  # an overflow is raised below
-        return _require_finite(np.linalg.solve(a, b))
+    if b.ndim not in (1, 2) or b.shape[0] != a.shape[0]:
+        raise DimensionMismatch(f"right-hand side of shape {b.shape} for a {a.shape[0]}x{a.shape[1]} matrix")
+    x = LatticeOperator.of(a).solve(ClassFactor.of(b[:, None] if b.ndim == 1 else b))
+    return np.array(x.synthesis()).reshape(b.shape)

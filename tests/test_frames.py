@@ -209,6 +209,21 @@ class TestFrameBounds:
             with pytest.raises(ValueError, match="not a normal float"):
                 frame_bounds(tiny)
 
+    # at 1e-170 the squares underflow to 0, at 1e-160 to the subnormals 1e-320 and 3e-320
+    @pytest.mark.parametrize("scale", [1e-170, 1e-160])
+    def test_eigenvalues_raise_exactly_when_the_bounds_do(self, scale):
+        tiny = Frame(np.array([[1, 0, 1], [0, 1, 1]]) * scale)
+        for read in (frame_bounds, lambda phi: phi.eigenvalues):
+            with pytest.raises(ValueError) as err:
+                read(tiny)
+            assert str(err.value) == f"frame bound {scale:.3e}^2 is not a normal float"
+        assert canonical_dual(tiny).count == 3  # the dual is refused only when S overflows
+
+    def test_a_bessel_familys_underflowing_eigenvalue_reads_zero(self):
+        bessel = Frame([[1, 0, 1], [0, 1e-170, 0]])
+        assert bessel.eigenvalues[0] == 0.0 and bessel.eigenvalues[1] == pytest.approx(2.0)
+        assert frame_bounds(bessel) == (0.0, bessel.eigenvalues[1])
+
     def test_frame_whose_inverse_does_not_fit_raises(self):
         # singular values (sqrt(3), 1) * 1e-310: a frame, but 1/s overflows, so S^{-1/2} and
         # the canonical dual S^{-1} T do not fit a float

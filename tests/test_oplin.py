@@ -233,6 +233,16 @@ class TestSolve:
         with pytest.raises(ValueError, match="non-finite entries"):
             solve(1e-320 * identity(3), np.ones(3))
 
+    @pytest.mark.parametrize("rhs", [np.ones(2), np.ones((2, 3)), np.ones((4, 1)), np.ones((3, 1, 1)), 1.0])
+    def test_right_hand_side_of_another_height_is_a_dimension_mismatch(self, rhs):
+        with pytest.raises(DimensionMismatch, match="right-hand side of shape"):
+            solve(identity(3), rhs)
+
+    @pytest.mark.parametrize("rhs", [np.arange(3.0), np.arange(6.0).reshape(3, 2)])
+    def test_solution_has_the_shape_of_the_right_hand_side(self, rhs):
+        x = solve(2.0 * identity(3), rhs)
+        assert x.shape == rhs.shape and x.flags.writeable and np.array_equal(x, rhs / 2.0)
+
     @pytest.mark.parametrize("bad", [np.nan, np.inf, complex(0.0, -np.inf)])
     def test_rejects_non_finite_right_hand_side(self, bad):
         with pytest.raises(ValueError, match="right-hand side has non-finite entries"):

@@ -12,7 +12,9 @@ empty classes included.  On each frame phi:
   stays below;
 * equal analysis ranges give a two-sided inverse of the mixed operator;
 * scaling (phi, phi_ad, psi) by (c, 1/c, c) keeps every verdict and scale-free number, and
-  moves the bounds by c^2 or 1/c^2.
+  moves the bounds by c^2 or 1/c^2;
+* every singular value read of 2^k T is 2^k times T's, bit for bit, at the far ends of the
+  float range too.
 
 Tolerances are the pinned ones (criteria 1, 2 and 4), widened by the first-order
 kappa(S) eps of a round trip through S^{-1/2} and S^{1/2}, as ``test_spectral_cache`` does.
@@ -25,6 +27,7 @@ from hypothesis import strategies as st
 
 from dualframes import (
     Frame,
+    LatticeOperator,
     NotAFrame,
     NotEquivalent,
     RangeRelation,
@@ -46,6 +49,7 @@ from dualframes import (
     recover_parameters,
     transfer_approx_dual,
 )
+from dualframes.oplin import ClassFactor
 
 from test_gabor import _gabor_cases
 
@@ -231,3 +235,28 @@ def test_verdicts_are_covariant_under_scaling(case, k):
     for name in ("predicted_diff_bound", "measured_diff_bound"):
         scaled, unscaled = getattr(moved, name) * c * c, getattr(again, name)
         assert abs(scaled - unscaled) <= 1e-9 * unscaled + 1e-300
+
+
+@settings(max_examples=200, deadline=None)
+@given(seed=st.integers(0, 2**32 - 1), dim=st.integers(1, 6), extra=st.integers(0, 5),
+       log_kappa=st.floats(0.0, 2.0), log_c=st.floats(-141.0, -135.0) | st.floats(135.0, 141.0),
+       k=st.integers(-30, 30))
+def test_every_singular_value_read_scales_exactly_by_powers_of_2(seed, dim, extra, log_kappa, log_c, k):
+    """At a scale of about 1e+-140, T and 2^k T lie on either side of LAPACK's own rescaling
+    range, or both beyond it; every singular value read of 2^k T is still 2^k times T's, bit for
+    bit: operator_norm, a factor's norm, a block value's norm, singular values and distance, and
+    a matrix frame's bounds (moved by 4^k), read before its thin SVD and after."""
+    phi, psi, _ = _matrix_case(seed, dim, dim + extra, log_kappa, log_c)
+
+    def reads(c):
+        t, near = (np.asarray(f.synthesis) * c for f in (phi, psi))
+        x, y = LatticeOperator.of(t[:, :dim]), LatticeOperator.of(near[:, :dim])
+        before, after = Frame(t), Frame(t)
+        after.spectrum  # the bounds of the thin SVD's values
+        norms = [operator_norm(t), ClassFactor.of(t).norm(), x.norm(), x.distance(y), *x.singular_values()]
+        return norms, [*frame_bounds(before), *frame_bounds(after)]
+
+    c = 2.0**k
+    (norms, bounds), (flat_norms, flat_bounds) = reads(c), reads(1.0)
+    assert norms == [v * c for v in flat_norms]
+    assert bounds == [b * c * c for b in flat_bounds]

@@ -1,9 +1,11 @@
-"""One thin SVD call site, one kernel projection, one pair pipeline, one approximate-dual
-construction and one form of an annihilator in the library.
+"""One call site each of ``np.linalg.svd``, ``solve`` and ``inv``, one kernel projection, one
+pair pipeline, one approximate-dual construction and one form of an annihilator in the library.
 
-Every frame is held by its class factor, so one spectrum class takes every thin SVD
-and projects onto ker T.  A second representation of a spectrum would bring its own
-``np.linalg.svd(..., full_matrices=False)`` and its own ``kernel_part``; the pair
+Every SVD goes through one helper, ``oplin._svd``, which keeps singular values exact under
+powers of 2, so a second ``np.linalg.svd`` (of any mode) would read values by another rule;
+every solve and inverse is a block value's, under its guard.  Every frame is held by its class
+factor, so one spectrum class projects onto ker T.  A second representation of a spectrum
+would bring its own ``kernel_part``; the pair
 functions of ``duality`` and ``perturbation`` read factors and blocks, so a dense body
 there would read a synthesis matrix or a scattered mixed operator.  A window's approximate
 dual is the general construction on its system, so a second body would read powers of S
@@ -27,19 +29,12 @@ def parsed() -> dict:
     return {p.name: ast.parse(p.read_text(encoding="utf-8")) for p in sorted(SRC.glob("*.py"))}
 
 
-def thin_svd_sites(trees: dict) -> list:
-    """(file, line) of every call ``<x>.linalg.svd(..., full_matrices=False)``."""
-    sites = []
-    for name, tree in trees.items():
-        for node in ast.walk(tree):
-            func = getattr(node, "func", None)
-            if not (isinstance(node, ast.Call) and isinstance(func, ast.Attribute) and func.attr == "svd"):
-                continue
-            if not (isinstance(func.value, ast.Attribute) and func.value.attr == "linalg"):
-                continue
-            if any(k.arg == "full_matrices" and getattr(k.value, "value", True) is False for k in node.keywords):
-                sites.append((name, node.lineno))
-    return sites
+LINALG = ("svd", "solve", "inv")
+
+
+def linalg_sites(trees: dict) -> dict:
+    """For each routine of ``LINALG``, (file, line) of every call ``<x>.linalg.<routine>(...)``."""
+    return {r: sorted((name, line) for name, line, _ in _calls(trees, r, "linalg")) for r in LINALG}
 
 
 def kernel_part_classes(trees: dict) -> list:
@@ -53,8 +48,9 @@ def kernel_part_classes(trees: dict) -> list:
     ]
 
 
-def test_one_thin_svd_site():
-    assert len(thin_svd_sites(parsed())) == 1, thin_svd_sites(parsed())
+def test_one_linalg_site_per_routine():
+    sites = linalg_sites(parsed())
+    assert {r: len(s) for r, s in sites.items()} == dict.fromkeys(LINALG, 1), sites
 
 
 def test_one_class_defines_kernel_part():
@@ -66,9 +62,11 @@ def test_a_second_site_is_found():
         "class Spectrum:\n    def kernel_part(self, x):\n        return np.linalg.svd(x, full_matrices=False)\n"
         "class Dense:\n    def kernel_part(self, x):\n        return numpy.linalg.svd(x, full_matrices=False)\n"
         "np.linalg.svd(x, compute_uv=False)\nnp.linalg.svd(x)\nsvd(x, full_matrices=False)\n"
+        "np.linalg.solve(a, b)\nlinalg.solve(a, b)\nvalue.solve(f)\nnumpy.linalg.inv(a)\ninv(a)\n"
     )
     trees = {"a.py": ast.parse(source)}
-    assert thin_svd_sites(trees) == [("a.py", 3), ("a.py", 6)]
+    assert linalg_sites(trees) == {"svd": [("a.py", 3), ("a.py", 6), ("a.py", 7), ("a.py", 8)],
+                                   "solve": [("a.py", 10), ("a.py", 11)], "inv": [("a.py", 13)]}
     assert kernel_part_classes(trees) == [("a.py", "Spectrum"), ("a.py", "Dense")]
 
 
