@@ -33,7 +33,7 @@ def main():
     # the inverse of its frame operator.
     self_report = df.classify_pair(phi, phi)
     print("self pair kind:", self_report.kind,
-          "| corresponding operator:\n", np.round(self_report.corresponding_op.real, 4))
+          "| corresponding operator:\n", np.round(np.asarray(self_report.corresponding_op).real, 4))
 
     # Annihilators add kernel content without touching the mixed operator.
     theta = df.random_annihilator(phi, seed=7, scale=1.0)

@@ -412,11 +412,11 @@ def cmd_gabor_sweep(args, report: RunReport) -> None:
         _lattice_within_budget(args.grid, None, Fraction(1))  # every cell's, as b = 1
         header, rows = _sweep_char(args)
     else:
-        lo, hi = args.denominators
+        (lo, hi), order = args.denominators, max(2, args.bspline)
         _within_budget(hi - lo + 1, "the cells of the --bspline sweep")
-        _within_budget(args.samples * hi * max(2, args.bspline), "the grid samples of the --bspline sweep")
+        _within_budget(args.samples * hi * order, "the grid samples of the --bspline sweep")
         # cell den's lattice-sum table holds L b P = s den max(2, N)^2 entries; the sweep, their sum
-        tables = args.samples * max(2, args.bspline) ** 2 * (lo + hi) * (hi - lo + 1) // 2
+        tables = args.samples * order * order * (lo + hi) * (hi - lo + 1) // 2
         _within_budget(tables, "the lattice-sum table entries of the --bspline sweep")
         header, rows = _sweep_bspline(args)
     report.verdicts = {"cells": len(rows), "criterion_agreement": all(row[-1] for row in rows)}

@@ -76,13 +76,15 @@ class DualReport:
     ``factor_residual`` report the factorization mixed = S^{1/2} W when
     it was computed; ``bessel_bound_ok`` records whether
     lambda_max(W W*) stays below the optimal Bessel bound of the second
-    family (margin included).
+    family (margin included).  The two operators are the pair's block values
+    (:class:`~dualframes.oplin.LatticeOperator`, on its classes), kept on its
+    record; ``np.asarray`` gives the dense d x d matrix.
     """
 
     kind: str
     rate: float
-    corresponding_op: Optional[np.ndarray] = None
-    whitened: Optional[np.ndarray] = None
+    corresponding_op: Optional[LatticeOperator] = None
+    whitened: Optional[LatticeOperator] = None
     factor_residual: Optional[float] = None
     bessel_bound_ok: Optional[bool] = None
     bessel_margin: Optional[float] = None
@@ -100,10 +102,10 @@ class DualReport:
         return self.kind in ("dual", "approx", "gdual")
 
 
-def _classify(pair: _Pair) -> Tuple[str, Optional[np.ndarray]]:
+def _classify(pair: _Pair) -> Tuple[str, Optional[LatticeOperator]]:
     rate = pair.mixed.gap()
     try:
-        corresponding = pair.mixed.inverse().matrix
+        corresponding = pair.mixed.inverse()
     except Singular:
         corresponding = None
     if rate <= DUAL_TOL:
@@ -146,7 +148,7 @@ def gdual_factorization(phi: Frame, psi: Frame) -> DualReport:
         kind=kind,
         rate=pair.mixed.gap(),
         corresponding_op=corresponding,
-        whitened=whitened.matrix,
+        whitened=whitened,
         factor_residual=residual,
         bessel_bound_ok=bool(peak <= upper_psi * (1.0 + BESSEL_CHECK_TOL)),
         bessel_margin=upper_psi - peak,
@@ -164,9 +166,8 @@ def _whitened(phi: Frame, pair: _Pair) -> LatticeOperator:
 def _operand(phi: Frame, m, name: str):
     """A d x d operand: a LatticeOperator as it is, else a finite matrix."""
     a = m if isinstance(m, LatticeOperator) else oplin.as_operator(m)
-    shape = (a.dim, a.dim) if isinstance(a, LatticeOperator) else a.shape
-    if shape != (phi.dim, phi.dim):
-        raise DimensionMismatch(f"{name} must be {phi.dim}x{phi.dim}, got {shape}")
+    if a.shape != (phi.dim, phi.dim):
+        raise DimensionMismatch(f"{name} must be {phi.dim}x{phi.dim}, got {a.shape}")
     return a
 
 
@@ -303,11 +304,13 @@ def _theta_part(phi: Frame, partner: Frame) -> ClassFactor:
     return pair.theta
 
 
-def recover_parameters(phi: Frame, phi_ad: Frame) -> Tuple[np.ndarray, Annihilator]:
+def recover_parameters(phi: Frame, phi_ad: Frame) -> Tuple[LatticeOperator, Annihilator]:
     """Invert the whitened construction: recover (W, theta) from a pair.
 
     Feeding the result back into :func:`approx_dual_from_whitened`
-    reproduces ``phi_ad`` columnwise.  Theta is held as its factor theta*
+    reproduces ``phi_ad`` columnwise, on phi's classes.  W is the pair's block
+    value S^{-1/2} mixed, the one :func:`gdual_factorization` reports
+    (``np.asarray`` gives the dense matrix); theta is held as its factor theta*
     (see :class:`~dualframes.frames.Annihilator`).
     """
     require_frame(phi, "frame")
@@ -317,7 +320,7 @@ def recover_parameters(phi: Frame, phi_ad: Frame) -> Tuple[np.ndarray, Annihilat
     if not _strictly_below(rate, 1.0):
         raise NotApproxDual("pair is not approximately dual", measured=rate)
     theta = _theta_part(phi, phi_ad)
-    return _whitened(phi, pair).matrix, Annihilator._over(theta, phi, pair.theta_norm)
+    return _whitened(phi, pair), Annihilator._over(theta, phi, pair.theta_norm)
 
 
 def approx_dual_via_dual(
@@ -407,13 +410,14 @@ def range_compare(phi: Frame, psi: Frame) -> RangeRelation:
     return RangeRelation.INCOMPARABLE
 
 
-def equivalence_inverse(phi: Frame, psi: Frame) -> np.ndarray:
+def equivalence_inverse(phi: Frame, psi: Frame) -> LatticeOperator:
     """Inverse of the mixed operator for equivalent frames.
 
     When the analysis ranges coincide, the mixed operator of the two
     canonical duals (taken in reverse order) is a two-sided inverse of
     mixed_operator(phi, psi); both identities are verified numerically,
-    block by block.
+    block by block.  It is returned as that pair's block value
+    (``np.asarray`` gives the dense matrix).
     """
     if range_compare(phi, psi) is not RangeRelation.EQUAL:
         raise NotEquivalent("analysis ranges differ")
@@ -423,4 +427,4 @@ def equivalence_inverse(phi: Frame, psi: Frame) -> np.ndarray:
     defect = max((mixed @ result).gap(), (result @ mixed).gap())
     if defect > EQUIVALENCE_TOL:
         raise NotEquivalent(f"inverse check failed with defect {defect:.3e}")
-    return result.matrix
+    return result

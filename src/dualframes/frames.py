@@ -52,19 +52,13 @@ class Frame:
       S^{1/2}, S^{-1/2} (class by class), the rank, the analysis range and the
       projection onto ker T are read from it;
     * :attr:`eigenvalues` -- the spectrum of S, behind the frame bounds:
-      ``s**2`` of the singular values s of T, which the frame test reads;
+      ``s * s`` of the singular values s of T, which the frame test reads;
     * the canonical dual U diag(1/s) V* = (S^{-1} phi_k)_k, read through
       :func:`canonical_dual`.
 
-    A one-class frame takes one SVD of T.  Which one is set by the first read
-    that needs it: the bounds, the eigenvalues or the frame test alone take
-    the singular values only (``compute_uv=False``, no U or V kept); the
-    rank, ``ker T``, the roots, the canonical dual and :func:`require_frame`,
-    which guards every construction that goes on to read them, take the thin
-    SVD.  Once a frame holds the thin SVD, every fact not yet read comes from
-    it; the singular values read before it are kept.  A frame of several
-    classes (a Gabor system) takes the thin SVD at its first spectral read:
-    its bounds are commonly read just before its roots.
+    A frame takes its thin SVD at its first spectral read, whichever it is, and
+    every fact comes from it: one set of singular values, so two frames of one
+    matrix read the same bounds in whatever order their facts are read.
 
     S itself is never formed.  The frame test reads s_min / s_max, which no
     scaling of T changes; a bound that does not fit a normal float raises
@@ -145,9 +139,9 @@ class Frame:
     @cached_property
     def _squares(self) -> np.ndarray:
         """:attr:`eigenvalues`, unchecked but for overflow: ValueError when S overflows."""
-        s = self._singular_values
+        s = self.spectrum.s
         with np.errstate(over="ignore"):
-            w = np.concatenate([np.zeros(self.dim - s.size), s[::-1] ** 2])
+            w = np.concatenate([np.zeros(self.dim - s.size), (s * s)[::-1]])
         return _frozen(oplin._require_finite(w))
 
     @cached_property
@@ -156,17 +150,9 @@ class Frame:
         return self._system.svd()
 
     @cached_property
-    def _singular_values(self) -> np.ndarray:
-        """Descending singular values of T (read-only): those of the thin SVD when it is held
-        or the factor has several classes, else of a values-only SVD of the one class."""
-        if "spectrum" in self.__dict__ or self._system.classes > 1:
-            return self.spectrum.s
-        return self._system.singular_values()
-
-    @cached_property
     def _sigma(self) -> tuple:
         """(s_min, s_max) of T: the singular values' (s_min = 0 when n < d)."""
-        s = self._singular_values
+        s = self.spectrum.s
         return (float(s[-1]) if s.size == self.dim else 0.0), float(s[0])
 
     @cached_property
@@ -285,9 +271,7 @@ def is_frame(phi: Frame) -> bool:
 
 
 def require_frame(phi: Frame, name: str = "family") -> None:
-    """:class:`NotAFrame` unless ``phi`` is a frame (see :func:`is_frame`).  The frame
-    takes its thin SVD here, as every construction guarded by this reads it."""
-    phi.spectrum
+    """:class:`NotAFrame` unless ``phi`` is a frame (see :func:`is_frame`)."""
     if not is_frame(phi):
         raise NotAFrame(f"{name} has lower frame bound 0 (rank deficient)")
 

@@ -314,7 +314,8 @@ def walnut_weight(g: SampledWindow, a: RationalLike) -> SampledWindow:
     lat = GaborLattice(a, 1)
     step = lat.time_step(g.grid)
     shifts = lat.shifts(g.grid)
-    total = np.tile(_periodize(np.abs(g.values) ** 2, step), shifts)
+    magnitude = np.abs(g.values)
+    total = np.tile(_periodize(magnitude * magnitude, step), shifts)
     if not np.all(np.isfinite(total)):
         raise ValueError("shift-energy weight sum_n |g(x - n a)|^2 overflows")
     return SampledWindow(g.grid, total)

@@ -107,7 +107,8 @@ def operator_norm(m) -> float:
 
 
 def _squared(norm: float) -> float:
-    """``norm ** 2``; ValueError when it overflows, as for an overflowing S."""
+    """``norm * norm`` of a norm or a bound, a product that scales exactly with it (a power calls
+    ``pow``, which is not correctly rounded); ValueError when it overflows, as for an overflowing S."""
     if norm * norm == math.inf:
         raise ValueError("squared operator norm overflows")
     return norm * norm
@@ -173,8 +174,8 @@ class LatticeOperator:
     :meth:`_of`, each block checked finite (ValueError otherwise); ``np.asarray`` gives the dense
     matrix of their :attr:`dtype`, scattered anew, and :attr:`matrix` the one kept, read-only: the
     block itself when one class holds every row, as for a matrix pair.  Every read and ``@`` (by a
-    value or a factor with the same classes) go block by block.  Each fact is kept, computed on
-    first read: :meth:`gap`, :meth:`singular_values` and the guarded :meth:`inverse`.
+    value or a factor with the same classes, or by a vector) go block by block.  Each fact is
+    kept, computed on first read: :meth:`gap`, :meth:`singular_values` and the guarded :meth:`inverse`.
 
     It is not a :class:`ClassFactor`: at ab = 1 a Gabor system's factor is square, so a
     block's shape cannot tell a synthesis matrix from an operator on the same space."""
@@ -198,6 +199,10 @@ class LatticeOperator:
     @property
     def dim(self) -> int:
         return sum(index.size for index, _ in self.groups)
+
+    @property
+    def shape(self) -> tuple:
+        return self.dim, self.dim
 
     def __array__(self, dtype=None, copy=None):
         (index, blocks), *others = self.groups
@@ -223,6 +228,9 @@ class LatticeOperator:
         return LatticeOperator._of(self.grid, self.lattice, zip([i for i, _ in self.groups], stacks))
 
     def __matmul__(self, other):
+        """X Y block by block for a value or a factor Y with the same classes, else X v (:meth:`apply`)."""
+        if not isinstance(other, (LatticeOperator, ClassFactor)):
+            return self.apply(np.asarray(other))
         with np.errstate(over="ignore", invalid="ignore"):  # either _with raises an overflow
             products = [x @ y for (_, x), (_, y) in zip(self.groups, other.groups)]  # the same classes
         return other._with(products)
@@ -253,7 +261,10 @@ class LatticeOperator:
         return _frobenius_shows(_raveled(b for _, b in self.groups), bound) or self.norm() <= bound
 
     def apply(self, v: np.ndarray) -> np.ndarray:
-        """X v: in each class, the block times ``v`` restricted to the class."""
+        """X v: in each class, the block times ``v`` restricted to the class; DimensionMismatch
+        unless ``v`` is a vector of d entries."""
+        if v.shape != (self.dim,):
+            raise DimensionMismatch(f"expected a vector of {self.dim} entries, got shape {v.shape}")
         out = np.empty(v.shape, dtype=np.result_type(v, self.dtype))
         for index, blocks in self.groups:
             out[index] = (blocks @ v[index][..., None])[..., 0]
@@ -322,10 +333,6 @@ class ClassFactor:
         """The matrix ``t`` as one class with the factor ``t`` itself, a view: no copy."""
         return cls(t.shape, 1, ((_frozen(np.arange(t.shape[0])[None]), t[None]),))
 
-    @property
-    def classes(self) -> int:
-        return sum(index.shape[0] for index, _ in self.groups)
-
     def shares_classes(self, other: "ClassFactor") -> bool:
         """Whether ``other`` has these classes: the same structure, M and shape."""
         return (self.grid == other.grid and self.lattice == other.lattice
@@ -367,10 +374,6 @@ class ClassFactor:
         with np.errstate(over="ignore", invalid="ignore"):  # _operator raises an overflow
             blocks = [left @ adjoint(right) for (_, left), (_, right) in pairs]
         return self._operator(blocks)
-
-    def singular_values(self) -> np.ndarray:
-        """T's min(d, n) singular values (read-only), descending: a values-only SVD of each factor."""
-        return _descending((_svd(f.swapaxes(-1, -2)) for _, f in self.groups), min(self.shape))
 
     def svd(self) -> "Spectrum":
         """The thin SVD of T: one batched thin SVD (:func:`_svd`) of each factor, so every spectral

@@ -13,8 +13,6 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 
-import numpy as np
-
 from .duality import _theta_part, _with_mixed
 from .errors import NotApproxDual, NotRieszBasis, SmallnessViolated
 from .frames import (
@@ -26,7 +24,7 @@ from .frames import (
     is_riesz,
     require_frame,
 )
-from .oplin import _strictly_below
+from .oplin import LatticeOperator, _squared, _strictly_below
 from .tolerances import SMALLNESS_MARGIN
 
 
@@ -36,14 +34,15 @@ class TransferResult:
 
     ``psi_dual`` is the constructed partner for the perturbed frame,
     ``omega`` the intermediate family before correction, ``corrector``
-    the operator whose inverse aligns omega with psi.  On success
+    the operator whose inverse aligns omega with psi, as its block value on
+    the frames' classes (``np.asarray`` gives the dense matrix).  On success
     ``mixed_match_residual`` is at machine level and
     ``measured_diff_bound`` stays below ``predicted_diff_bound``.
     """
 
     psi_dual: Frame
     omega: Frame
-    corrector: np.ndarray
+    corrector: LatticeOperator
     predicted_diff_bound: float
     measured_diff_bound: float
     mixed_match_residual: float
@@ -95,11 +94,11 @@ def _transfer(phi: Frame, psi: Frame, phi_dual: Frame, expect_approx: bool) -> T
     ratio_phi, ratio_psi = m_phi / big_m_phi, m_psi / big_m_phi
     spread = (mixed_norm / unit) * (ratio_phi + 1.0 + math.sqrt(big_m_psi / big_m_phi)) / (
         ratio_phi * ratio_psi) + (inv_mixed_norm * theta_norm) * (math.sqrt(big_m_dual) * unit)
-    predicted = (math.sqrt(diff_bound / big_m_phi) * spread / (1.0 - smallness)) ** 2
+    predicted = _squared(math.sqrt(diff_bound / big_m_phi) * spread / (1.0 - smallness))
     return TransferResult(
         psi_dual=psi_dual,
         omega=omega,
-        corrector=np.asarray(corrector),
+        corrector=corrector,
         predicted_diff_bound=float(predicted),
         measured_diff_bound=float(measured),
         mixed_match_residual=float(mixed_match),
@@ -149,4 +148,4 @@ def riesz_difference_bound(phi: Frame, psi: Frame) -> float:
     # each class of a Riesz basis is square, so D is psi_r phi_r^{-1} class by class
     phi_r, psi_r = (f._system._operator([g for _, g in f._system.groups]) for f in (phi, psi))
     d = psi_r @ phi_r.inverse()
-    return float(min(big_m_phi * d.gap() ** 2, big_m_psi * d.inverse().gap() ** 2))
+    return float(min(big_m_phi * _squared(d.gap()), big_m_psi * _squared(d.inverse().gap())))

@@ -87,7 +87,8 @@ class TestFactorization:
         assert np.allclose(report.whitened, psd_inv_sqrt(frame_operator(phi0)), atol=1e-10)
         assert report.factor_residual <= 1e-12
         # lambda_max(W W*) = 1/lower == upper bound of the canonical dual
-        gram_peak = np.linalg.eigvalsh(report.whitened @ adjoint(report.whitened))[-1]
+        w = np.asarray(report.whitened)
+        gram_peak = np.linalg.eigvalsh(w @ adjoint(w))[-1]
         assert gram_peak == pytest.approx(1.0 / frame_bounds(phi0).lower, rel=1e-10)
         assert report.bessel_bound_ok
         assert report.bessel_margin == pytest.approx(0.0, abs=1e-9)
@@ -499,7 +500,7 @@ class TestEquivalenceInverse:
 
     def test_scaled_pair(self, phi0):
         doubled = Frame(2.0 * phi0.synthesis)
-        out = equivalence_inverse(phi0, doubled)
+        out = np.asarray(equivalence_inverse(phi0, doubled))
         mixed = mixed_operator(phi0, doubled)
         assert operator_norm(mixed @ out - identity(2)) <= 1e-9
         assert operator_norm(out @ mixed - identity(2)) <= 1e-9

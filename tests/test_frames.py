@@ -431,6 +431,6 @@ def _array_holders() -> dict:
 @pytest.mark.parametrize("name", sorted(_array_holders()))
 def test_array_holders_compare_by_identity(name):
     value, field = _array_holders()[name]
-    other = dataclasses.replace(value, **{field: getattr(value, field).copy()})  # equal arrays, distinct objects
+    other = dataclasses.replace(value, **{field: np.array(getattr(value, field))})  # equal arrays, distinct objects
     assert value == value and not value != value
     assert value != other and not value == other  # no "truth value of an array is ambiguous"

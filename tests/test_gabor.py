@@ -43,6 +43,7 @@ from dualframes import (
     ck_dual2,
     classify_pair,
     commutation_check,
+    equivalence_inverse,
     frame_bounds,
     frame_operator,
     frame_operator_inv_sqrt,
@@ -565,7 +566,7 @@ class TestClassBlocks:
 
         def guarded(system):
             if system.modulations > 1:
-                raise AssertionError(f"synthesis matrix of {system.classes} classes built")
+                raise AssertionError(f"synthesis matrix of {system.modulations} modulations built")
             return materialize(system)
 
         def counted_svd(a, *args, **kwargs):
@@ -609,6 +610,51 @@ class TestClassBlocks:
         assert [call for call in calls if len(call[1]) == 2 and call[1][0] == phi.dim] == []
         assert sorted(name for name, _ in calls) == ["inv", "svd"]
         assert all(len(shape) == 3 and shape[0] * shape[1] == phi.dim for _, shape in calls)
+
+    def test_pair_results_on_16_64_are_block_values(self, monkeypatch):
+        """On 16:64 with b = 1/8 (L = 1024), classify_pair, gdual_factorization,
+        recover_parameters, equivalence_inverse and the three transfers return each operator
+        as a block value on the system's grid and lattice and build no L x L array: no block
+        value is scattered, and no call's tracemalloc peak reaches one float64 L x L array.
+        The whitened construction from the recovered parameters builds no synthesis matrix."""
+        grid, lat = GridSpec(16, 64), GaborLattice(1, Fraction(1, 8))
+        g = sample_bspline(2, grid)
+        moved = SampledWindow(grid, g.values * (1.0 + 0.01 * np.cos(grid.points())))
+        phi, dual, near = (gabor_frame(w, lat) for w in (g, ck_dual1(g, 2, lat.b), moved))
+        canonical = canonical_dual(phi)
+        scattered, peaks, results = [], [], []
+        scatter, materialize = LatticeOperator.__array__, oplin.ClassFactor.synthesis
+        monkeypatch.setattr(LatticeOperator, "__array__", lambda *args, **kw: scattered.append(1) or scatter(*args, **kw))
+
+        def guarded(system):
+            if system.modulations > 1:
+                raise AssertionError(f"synthesis matrix of {system.modulations} modulations built")
+            return materialize(system)
+
+        monkeypatch.setattr(oplin.ClassFactor, "synthesis", guarded)
+        reads = (lambda: classify_pair(phi, dual).corresponding_op,
+                 lambda: gdual_factorization(phi, dual).whitened,
+                 lambda: recover_parameters(phi, dual)[0],
+                 lambda: equivalence_inverse(phi, canonical),
+                 lambda: transfer_approx_dual(phi, near, dual).corrector,
+                 lambda: transfer_gdual(phi, near, dual).corrector,
+                 lambda: self_gdual_transfer(phi, near).corrector)
+        tracemalloc.start()
+        try:
+            for read in reads:
+                tracemalloc.reset_peak()
+                before = tracemalloc.get_traced_memory()[0]
+                results.append(read())
+                peaks.append(tracemalloc.get_traced_memory()[1] - before)
+        finally:
+            tracemalloc.stop()
+        assert scattered == []
+        assert max(peaks) < 8 * phi.dim * phi.dim, peaks  # bytes of one float64 L x L array
+        for value in results:
+            assert isinstance(value, LatticeOperator) and value.shape == (phi.dim, phi.dim)
+            assert (value.grid, value.lattice) == (phi._system.grid, phi._system.lattice)
+        again = approx_dual_from_whitened(phi, *recover_parameters(phi, dual))
+        assert again._system.shares_classes(phi._system) and scattered == []
 
     def test_empty_classes_are_never_enumerated(self):
         # M = s/b = 1e6 > L = 200: 200 classes hold a sample, the others are never listed
@@ -894,7 +940,7 @@ class TestGaborPairPipeline:
         if kind in ("dual", "approx"):
             w_lazy, theta_lazy = recover_parameters(phi, psi)
             w_dense, theta_dense = recover_parameters(phi_d, psi_d)
-            assert np.max(np.abs(w_lazy - w_dense)) <= 1e-12
+            assert np.max(np.abs(np.asarray(w_lazy) - w_dense)) <= 1e-12
             assert np.max(np.abs(theta_lazy.map - theta_dense.map)) <= 1e-12
         else:
             for pair in ((phi, psi), (phi_d, psi_d)):

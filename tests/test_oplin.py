@@ -7,11 +7,15 @@ from hypothesis.extra.numpy import arrays
 from dualframes import oplin
 from dualframes import (
     DimensionMismatch,
+    GaborLattice,
+    GridSpec,
     Singular,
     adjoint,
     identity,
     inverse,
+    mixed_lattice_operator,
     operator_norm,
+    sample_bspline,
     solve,
 )
 
@@ -277,6 +281,25 @@ class TestKeptFacts:
         with pytest.raises(Singular) as err:
             value.solve(oplin.ClassFactor.of(np.ones((2, 1), dtype=complex)))
         assert str(err.value) == message
+
+
+class TestDenseReads:
+    """A block value reads as its d x d matrix: ``shape``, ``np.asarray`` and ``@`` by a
+    vector, which goes block by block; ``@`` by a matrix or a vector of another length is
+    refused, not read by broadcasting."""
+
+    def test_a_vector_is_applied_block_by_block(self):
+        grid, lat = GridSpec(4, 6), GaborLattice(1, "1/3")
+        value = mixed_lattice_operator(sample_bspline(2, grid), sample_bspline(3, grid), lat)
+        dense = np.asarray(value)
+        rng = np.random.default_rng(3)
+        v = rng.standard_normal(grid.total) + 1j * rng.standard_normal(grid.total)
+        assert len(value.groups) == 1 and value.groups[0][0].shape[0] > 1  # several classes
+        assert value.shape == dense.shape == (grid.total, grid.total)
+        assert np.max(np.abs(value @ v - dense @ v)) <= 1e-12 * np.max(np.abs(dense @ v))
+        for bad in (dense, v[:-1], v[:, None]):
+            with pytest.raises(DimensionMismatch):
+                value @ bad
 
 
 def _scaled_map(shape, rank_one, exponent, seed):

@@ -15,8 +15,10 @@ a reader of its ``map`` outside ``Annihilator`` would read a second form of it. 
 value is built by one checked constructor, ``LatticeOperator._of``, reached from outside
 ``oplin`` only through a factor's or a value's classes; it inverts itself under the one
 invertibility guard, so an ``np.linalg.inv`` outside ``LatticeOperator`` or a second
-comparison against ``COND_CUTOFF`` would be a second path.  These tests find each,
-syntactically, in ``src/dualframes``.
+comparison against ``COND_CUTOFF`` would be a second path.  Every square is a product,
+``x * x`` (``oplin._squared`` for a bound or a norm): ``x ** 2`` of a Python float calls
+``pow``, which is not correctly rounded, so it would not scale exactly with ``x``.  These
+tests find each, syntactically, in ``src/dualframes``.
 """
 
 import ast
@@ -207,3 +209,24 @@ def test_a_second_guard_path_is_found():
     assert block_constructions(trees) == [("frames.py", 1), ("frames.py", 2)]
     assert inverse_sites(trees) == [("frames.py", 3), ("oplin.py", 7)]
     assert cutoff_comparisons(trees) == [("frames.py", 6), ("oplin.py", 5)]
+
+
+def power_squares(trees: dict) -> list:
+    """(file, line) of every square taken as a power: ``x ** 2`` or ``x **= 2``."""
+    return sorted(
+        (name, node.lineno)
+        for name, tree in trees.items()
+        for node in ast.walk(tree)
+        if isinstance(node, (ast.BinOp, ast.AugAssign)) and isinstance(node.op, ast.Pow)
+        and getattr(getattr(node, "right", None) or node.value, "value", None) == 2
+    )
+
+
+def test_every_square_is_a_product():
+    assert power_squares(parsed()) == []
+
+
+def test_a_power_square_is_found():
+    source = ("y = x ** 2\nz = (a + b) ** 2.0\nw **= 2\n"
+              "v = x * x\nu = 2 ** x\nt = s ** p\nr = 2.0**-e\nq = x ** 3\n\"\"\"x ** 2\"\"\"\n")
+    assert power_squares({"a.py": ast.parse(source)}) == [("a.py", 1), ("a.py", 2), ("a.py", 3)]
