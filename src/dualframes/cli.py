@@ -314,6 +314,8 @@ def cmd_gabor_dual(args, report: RunReport, window) -> None:
         raise ParseError("--support is required unless the window is bspline:N")
     _lattice_within_budget(window.grid, None, args.b)
     if args.method == "ck1":
+        if args.coeffs is not None:
+            raise ParseError("--coeffs does not apply to --method ck1")
         dual = ck_dual1(window, support, args.b)
     else:
         if not args.coeffs:
@@ -400,9 +402,19 @@ def _sweep_bspline(args) -> tuple[list, list]:
     return ["b", "hypothesis", "residual", "dual", "agree"], rows
 
 
+# Each sweep mode's flags and their defaults (None: no default); a flag of the other mode exits 3.
+_SWEEP_FLAGS = {"char": {"grid": None, "step": Fraction(1, 4)},
+                "bspline": {"samples": 10, "denominators": (2, 10)}}
+
+
 def cmd_gabor_sweep(args, report: RunReport) -> None:
     if args.char == (args.bspline is not None):
         raise ParseError("choose exactly one of --char or --bspline N")
+    mode, other = ("char", "bspline") if args.char else ("bspline", "char")
+    for name in _SWEEP_FLAGS[other]:
+        if getattr(args, name) is not None:
+            raise ParseError(f"--{name} does not apply to --{mode} sweeps")
+    vars(args).update({name: v for name, v in _SWEEP_FLAGS[mode].items() if getattr(args, name) is None})
     if args.char:
         if not args.grid:
             raise ParseError("--char sweeps need --grid samples:period")
@@ -491,11 +503,10 @@ def build_parser() -> argparse.ArgumentParser:
           ("--bspline", dict(type=int, default=None, metavar="N",
                              help="sweep the frequency step for the order-N dual generator")),
           ("--grid", dict(help="samples:period (for --char)")),
-          ("--step", dict(type=_parse_step, default="1/4",
-                          help="width/step increment in (0, 1] (for --char)")),
-          ("--samples", dict(type=int, default=10, help="samples per unit (for --bspline)")),
-          ("--denominators", dict(type=_parse_denominators, default="2:10",
-                                  help="LO:HI range of 1/b (for --bspline)")),
+          ("--step", dict(type=_parse_step, help="width/step increment in (0, 1] (for --char; default 1/4)")),
+          ("--samples", dict(type=int, help="samples per unit (for --bspline; default 10)")),
+          ("--denominators", dict(type=_parse_denominators,
+                                  help="LO:HI range of 1/b (for --bspline; default 2:10)")),
           "--out")
     return parser
 

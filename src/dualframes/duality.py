@@ -14,8 +14,8 @@ Terminology used throughout:
   target mixed operator.  Constructions for both parameterizations are
   provided, together with exact recovery of the parameters from a pair.
   All build through ``_with_mixed``: vectors A* S^{-1} phi_k + theta*(delta_k)
-  for the mixed operator A; ``_theta_part`` recovers theta* as the partner's
-  synthesis projected off range(T*), through the frame's one thin SVD
+  for the mixed operator A; a pair's record recovers theta* as the partner's
+  factor projected off range(T*), through the frame's one thin SVD
   (:class:`dualframes.oplin.Spectrum`).
 * Every function reads phi's operators as blocks and its vectors as its class
   factor (a matrix is one class), by one operand rule
@@ -23,7 +23,7 @@ Terminology used throughout:
   when it is a LatticeOperator on phi's classes or an array exactly zero between
   them; any other operand, or a partner of other classes, reads every frame
   through its one-class view.  A pair's mixed operator, rate, corresponding
-  operator and annihilator part are read from its record
+  operator, whitened factor and annihilator part are read from its record
   (:func:`dualframes.frames._pair`), which computes each once while both frames
   live.
 
@@ -61,7 +61,7 @@ from .frames import (
     frame_bounds,
     require_frame,
 )
-from .oplin import ClassFactor, LatticeOperator, _largest_norm, _squared, _strictly_below, adjoint
+from .oplin import LatticeOperator, _largest_norm, _squared, _strictly_below, adjoint
 from .tolerances import BESSEL_CHECK_TOL, DUAL_TOL, EQUIVALENCE_TOL, RANGE_TOL
 
 
@@ -139,7 +139,7 @@ def gdual_factorization(phi: Frame, psi: Frame) -> DualReport:
     require_frame(phi, "first frame")
     view, partner = _aligned(phi, psi)
     pair = _pair(view, partner)
-    whitened = _whitened(view, pair)
+    whitened = pair.whitened
     residual = pair.mixed.distance(view.spectrum.root @ whitened)
     peak = _squared(whitened.norm())
     upper_psi = frame_bounds(psi).upper
@@ -153,14 +153,6 @@ def gdual_factorization(phi: Frame, psi: Frame) -> DualReport:
         bessel_bound_ok=bool(peak <= upper_psi * (1.0 + BESSEL_CHECK_TOL)),
         bessel_margin=upper_psi - peak,
     )
-
-
-def _whitened(phi: Frame, pair: _Pair) -> LatticeOperator:
-    """The whitened factor W = S^{-1/2} mixed of the pair (phi, .), block by block, built
-    once and kept on the pair's record, as theta is (see :func:`_theta_part`)."""
-    if pair.whitened is None:
-        pair.whitened = phi.spectrum.inv_root @ pair.mixed
-    return pair.whitened
 
 
 def _operand(phi: Frame, m, name: str):
@@ -289,21 +281,6 @@ def gdual_from_corresponding(
     return _with_mixed(phi, c.inverse(), theta)
 
 
-def _theta_part(phi: Frame, partner: Frame) -> ClassFactor:
-    """Annihilator part: theta* with partner == _with_mixed(phi, mixed, theta), for a pair
-    aligned by :func:`_aligned`, built once and kept on the pair's record with its norm.
-
-    It is T_partner projected, class by class, off range(T*) (``Spectrum.kernel_part`` of the
-    partner's factor): the projection removes the part A* S^{-1} phi_k, whose analysis lies in
-    range(T*).  No rate is checked: g-dual partners are valid input.
-    """
-    pair = _pair(phi, partner)
-    if pair.theta is None:
-        pair.theta = phi.spectrum.kernel_part(partner._system)
-        pair.theta_norm = pair.theta.norm()
-    return pair.theta
-
-
 def recover_parameters(phi: Frame, phi_ad: Frame) -> Tuple[LatticeOperator, Annihilator]:
     """Invert the whitened construction: recover (W, theta) from a pair.
 
@@ -319,8 +296,7 @@ def recover_parameters(phi: Frame, phi_ad: Frame) -> Tuple[LatticeOperator, Anni
     rate = pair.mixed.gap()
     if not _strictly_below(rate, 1.0):
         raise NotApproxDual("pair is not approximately dual", measured=rate)
-    theta = _theta_part(phi, phi_ad)
-    return _whitened(phi, pair), Annihilator._over(theta, phi, pair.theta_norm)
+    return pair.whitened, Annihilator._over(pair.theta, phi, pair.theta_norm)
 
 
 def approx_dual_via_dual(

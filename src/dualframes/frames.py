@@ -67,9 +67,9 @@ class Frame:
     facts are read as usual.
 
     A frame also keeps the record of each pair (phi, psi) it was read in as the first
-    frame (see :class:`_Pair`), whose mixed operator keeps its rate, singular values and
-    guarded inverse; each fact is computed at most once, when first asked for.  The record
-    lives while both frames do and goes with either; it holds no reference to either frame.
+    frame (see :class:`_Pair`), which computes each of its facts at most once, when first
+    asked for.  The record lives while both frames do and goes with either: it holds
+    psi's factor and a weak reference to phi, never a frame.
 
     A frame over a factor (:func:`dualframes.gabor.gabor_frame`, or a construction)
     builds the matrix once, when :attr:`synthesis` is first read; its canonical dual
@@ -298,18 +298,30 @@ def canonical_dual(phi: Frame) -> Frame:
 
 
 class _Pair:
-    """The facts of a frame pair (phi, psi) that need the frames, each computed at most once.
-
-    ``mixed`` is the pair's block value (see :func:`_aligned`), which keeps the rest: the rate
-    ``mixed.gap()``, which a constructor of approximate duals checks on the pair it returns,
-    its singular values and the guarded corresponding operator ``mixed.inverse()``.  ``theta``
-    (theta* as a factor) and ``theta_norm`` are kept by :func:`dualframes.duality._theta_part`,
-    ``whitened`` (S^{-1/2} mixed) by :func:`dualframes.duality._whitened`.  It holds no frame.
+    """The facts of a frame pair (phi, psi) on the classes of :func:`_aligned`, each computed
+    at most once: ``mixed``, the block value made with the record, which keeps the rate
+    ``mixed.gap()``, its singular values and the guarded corresponding operator; and, when
+    first read, ``whitened`` W = S^{-1/2} mixed, ``theta`` and ``theta_norm``.  theta* is psi's
+    factor projected, class by class, off range(T*), which removes the part A* S^{-1} phi_k of
+    psi = _with_mixed(phi, mixed, theta); no rate is checked.  The record holds psi's factor
+    and a weak reference to the frame that keeps it (phi or its one-class view): no cycle.
     """
 
-    def __init__(self, mixed: LatticeOperator):
-        self.mixed = mixed
-        self.theta = self.theta_norm = self.whitened = None
+    def __init__(self, phi: Frame, psi: Frame):
+        self._phi, self._psi = weakref.ref(phi), psi._system
+        self.mixed = phi._system.blocks(psi._system)
+
+    @cached_property
+    def whitened(self) -> LatticeOperator:
+        return self._phi().spectrum.inv_root @ self.mixed
+
+    @cached_property
+    def theta(self) -> ClassFactor:
+        return self._phi().spectrum.kernel_part(self._psi)
+
+    @cached_property
+    def theta_norm(self) -> float:
+        return self.theta.norm()
 
 
 def _pair(phi: Frame, psi: Frame) -> _Pair:
@@ -320,7 +332,7 @@ def _pair(phi: Frame, psi: Frame) -> _Pair:
         view, psi = _aligned(phi, psi)
         pair = None if view is phi else view._pairs.get(psi)
         if pair is None:
-            pair = view._pairs[psi] = _Pair(view._system.blocks(psi._system))
+            pair = view._pairs[psi] = _Pair(view, psi)
     return pair
 
 

@@ -13,7 +13,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 
-from .duality import _theta_part, _with_mixed
+from .duality import _with_mixed
 from .errors import NotApproxDual, NotRieszBasis, SmallnessViolated
 from .frames import (
     Frame,
@@ -65,8 +65,7 @@ def _transfer(phi: Frame, psi: Frame, phi_dual: Frame, expect_approx: bool) -> T
     mixed_norm = float(mixed.singular_values()[0])
     inv_mixed_norm = 1.0 / float(mixed.singular_values()[-1])
 
-    theta = _theta_part(phi, phi_dual)
-    theta_norm = pair.theta_norm
+    theta, theta_norm = pair.theta, pair.theta_norm
 
     diff_bound = bessel_bound_difference(phi, psi)
     smallness = math.sqrt(diff_bound) * (theta_norm * inv_mixed_norm)

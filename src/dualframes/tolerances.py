@@ -58,8 +58,8 @@ SMALLNESS_MARGIN = 1e-9
 # char_dual_check, the CLI's Gabor verdicts, the pair approx_dual_window needs).  It
 # also bounds a dual-generator window's partition-of-unity residual
 # max |sum_n g(x - n) - 1|, which the explicit dual generators need to hold exactly.
-# Absolute: the distance to the identity has no scale.  Why 1e-10: the acceptance
-# criteria pin it, and the canonical dual reads "dual" up to kappa(S) = 10^9.5.
+# Absolute: the distance to the identity has no scale.  Why 1e-10: the acceptance criteria
+# pin it, and the canonical dual of a 2x3 or 7x13 frame reads "dual" up to kappa(S) = 10^9.5.
 DUAL_TOL = 1e-10
 
 # An annihilator's range lies in ker T when ||T theta|| <= ANNIHILATOR_TOL ||T|| ||theta||:

@@ -251,7 +251,7 @@ class TestUsage:
             (["gabor", "dual", "--window", "bspline:2", "--grid", "10:20", "--b", "b"],
              "not a rational number"),
             (["gabor", "sweep", "--char", "--grid", "4:3", "--step", "x"], "not a rational number"),
-            # --bspline sweeps ignore --grid, but the flag is still parsed
+            # --grid does not apply to --bspline sweeps, but its parse error comes first
             (["gabor", "sweep", "--bspline", "2", "--grid", "4x4"], "grid must look like"),
             (["gabor", "sweep", "--bspline", "2", "--denominators", "2-5"],
              "--denominators must look like LO:HI"),
@@ -275,11 +275,43 @@ class TestUsage:
             (["gabor", "sweep", "--char"], "--char sweeps need --grid"),
             (["gabor", "window", "--window", "bspline:2"], "generated windows need --grid"),
             (["gabor", "window", "--window", "char:1"], "generated windows need --grid"),
+            # a flag that the chosen mode ignores (--method ck1, the default, takes no --coeffs)
+            (["gabor", "dual", "--window", "bspline:2", "--grid", "10:20", "--b", "1/10", "--coeffs", "0,0.1,0.2"],
+             "--coeffs does not apply to --method ck1"),
+            (["gabor", "dual", "--window", "bspline:2", "--grid", "10:20", "--b", "1/10", "--method", "ck1",
+              "--coeffs", "0,0.1,0.2"], "--coeffs does not apply to --method ck1"),
+            (["gabor", "sweep", "--bspline", "3", "--grid", "4:3", "--denominators", "2:4"],
+             "--grid does not apply to --bspline sweeps"),
+            (["gabor", "sweep", "--bspline", "3", "--step", "1/2", "--denominators", "2:4"],
+             "--step does not apply to --bspline sweeps"),
+            (["gabor", "sweep", "--char", "--grid", "4:3", "--samples", "7"], "--samples does not apply to --char sweeps"),
+            (["gabor", "sweep", "--char", "--grid", "4:3", "--denominators", "2:3"],
+             "--denominators does not apply to --char sweeps"),
+            # a flag given at its default value is still given
+            (["gabor", "sweep", "--bspline", "3", "--step", "1/4"], "--step does not apply to --bspline sweeps"),
+            (["gabor", "sweep", "--char", "--grid", "4:3", "--samples", "10"],
+             "--samples does not apply to --char sweeps"),
+            (["gabor", "sweep", "--char", "--grid", "4:3", "--denominators", "2:10"],
+             "--denominators does not apply to --char sweeps"),
         ],
     )
     def test_malformed_gabor_flag_exit_3(self, argv, message, capsys):
         assert main(argv) == 3
         assert message in capsys.readouterr().err
+
+    @pytest.mark.parametrize(
+        "mode, defaults",
+        [(["--char", "--grid", "4:3"], ["--step", "1/4"]),
+         (["--bspline", "3"], ["--samples", "10", "--denominators", "2:10"])],
+    )
+    def test_sweep_defaults(self, mode, defaults, tmp_path, capsys):
+        tables = []
+        for i, flags in enumerate(([], defaults)):
+            out = tmp_path / f"sweep{i}.csv"
+            assert main(["gabor", "sweep", *mode, *flags, "--out", str(out)]) == 0
+            tables.append(read_csv(out))
+        capsys.readouterr()
+        assert tables[0] == tables[1]
 
     @pytest.mark.parametrize(
         "argv, message",

@@ -10,7 +10,7 @@ import pytest
 from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
-from dualframes import duality, frames, gabor, io, oplin
+from dualframes import frames, gabor, io, oplin
 from dualframes import (
     BadCoefficients,
     ContractViolation,
@@ -847,7 +847,8 @@ class TestSystemOracle:
         tol = max(1e-9, 50 * np.finfo(float).eps * s[0] / s[-1])
         # kernel content of phi's classes: psi's projected off range(T*); an approximate dual
         # with it, and its theta recovered, a factor of phi's classes for the system
-        star = frames.Annihilator._over(duality._theta_part(phi, psi), phi, frames._pair(phi, psi).theta_norm)
+        pair = frames._pair(phi, psi)
+        star = frames.Annihilator._over(pair.theta, phi, pair.theta_norm)
         kernel = [star, frames.Annihilator(map=star.map, base=phi_d)]
         partner = [approx_dual_from_mixed(f, 0.9 * np.eye(f.dim), k) for f, k in zip((phi, phi_d), kernel)]
         thetas = [recover_parameters(f, p)[1] for f, p in zip((phi, phi_d), partner)]

@@ -17,8 +17,10 @@ value is built by one checked constructor, ``LatticeOperator._of``, reached from
 invertibility guard, so an ``np.linalg.inv`` outside ``LatticeOperator`` or a second
 comparison against ``COND_CUTOFF`` would be a second path.  Every square is a product,
 ``x * x`` (``oplin._squared`` for a bound or a norm): ``x ** 2`` of a Python float calls
-``pow``, which is not correctly rounded, so it would not scale exactly with ``x``.  These
-tests find each, syntactically, in ``src/dualframes``.
+``pow``, which is not correctly rounded, so it would not scale exactly with ``x``.  A pair's
+record (``frames._Pair``) computes every fact it keeps, so a record built, or a fact stored on
+one, outside ``frames.py`` would be a second owner of that fact.  These tests find each,
+syntactically, in ``src/dualframes``.
 """
 
 import ast
@@ -230,3 +232,56 @@ def test_a_power_square_is_found():
     source = ("y = x ** 2\nz = (a + b) ** 2.0\nw **= 2\n"
               "v = x * x\nu = 2 ** x\nt = s ** p\nr = 2.0**-e\nq = x ** 3\n\"\"\"x ** 2\"\"\"\n")
     assert power_squares({"a.py": ast.parse(source)}) == [("a.py", 1), ("a.py", 2), ("a.py", 3)]
+
+
+def _named(node, name: str) -> bool:
+    """Whether ``node`` is ``name`` or ``<x>.name``."""
+    return getattr(node, "id", getattr(node, "attr", None)) == name
+
+
+def pair_record_writes(trees: dict) -> list:
+    """(file, line) outside ``frames.py`` of every ``_Pair(...)`` call and every attribute set
+    (a store, a delete or a ``setattr``) on a pair record: a ``_pair(...)`` call, or a name
+    that the file binds to one or annotates ``_Pair``."""
+    sites = []
+    for name, tree in trees.items():
+        if name == "frames.py":
+            continue
+        nodes = list(ast.walk(tree))
+        records = {t.id for n in nodes if isinstance(n, ast.Assign) and isinstance(n.value, ast.Call)
+                   and _named(n.value.func, "_pair") for t in n.targets if isinstance(t, ast.Name)}
+        records |= {n.arg for n in nodes if isinstance(n, ast.arg) and _named(n.annotation, "_Pair")}
+
+        def is_record(x) -> bool:
+            return getattr(x, "id", None) in records or isinstance(x, ast.Call) and _named(x.func, "_pair")
+
+        def sets_a_fact(n) -> bool:
+            if isinstance(n, ast.Attribute):
+                return not isinstance(n.ctx, ast.Load) and is_record(n.value)
+            if not isinstance(n, ast.Call):
+                return False
+            setter = _named(n.func, "setattr") or _named(n.func, "__setattr__")
+            return _named(n.func, "_Pair") or setter and bool(n.args) and is_record(n.args[0])
+
+        sites += [(name, n.lineno) for n in nodes if sets_a_fact(n)]
+    return sorted(sites)
+
+
+def test_only_frames_sets_a_pair_fact():
+    assert pair_record_writes(parsed()) == []
+
+
+def test_a_pair_fact_set_elsewhere_is_found():
+    source = (
+        "def _whitened(phi, pair: _Pair):\n    if pair.whitened is None:\n"
+        "        pair.whitened = phi.spectrum.inv_root @ pair.mixed\n    return pair.whitened\n"
+        "def _theta_part(phi, partner):\n    pair = _pair(phi, partner)\n    if pair.theta is None:\n"
+        "        pair.theta = phi.spectrum.kernel_part(partner._system)\n        pair.theta_norm += 0.0\n"
+        "    return pair.theta\n"
+        "frames._pair(phi, psi).theta = None\nrecord = frames._Pair(phi, psi)\nsetattr(pair, 'theta', None)\n"
+        "object.__setattr__(_pair(phi, psi), 'theta', None)\ndel pair.whitened\n"
+        "report.verdicts = {}\nx = _pair(phi, psi).mixed\n"
+    )
+    own = "pair = view._pairs[psi] = _Pair(view, psi)\npair.theta = None\n"
+    trees = {"duality.py": ast.parse(source), "frames.py": ast.parse(own)}
+    assert pair_record_writes(trees) == [("duality.py", n) for n in (3, 8, 9, 11, 12, 13, 14, 15)]

@@ -25,7 +25,9 @@ allowed a first-order kappa(S) * eps on top of the pinned tolerance.
 import gc
 import weakref
 from collections import Counter
+from contextlib import contextmanager
 from functools import cached_property
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -33,7 +35,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import dualframes as df
-from dualframes import duality, oplin, perturbation
+from dualframes import duality, oplin
 from dualframes import (
     Frame,
     approx_dual_from_mixed,
@@ -418,36 +420,35 @@ def test_pipeline_reads_each_pair_fact_once(monkeypatch):
     rate of (phi, phi_ad), which its constructor checks and the classification reads,
     and for the rate of the rebuilt family, which its constructor checks.  The one ``inv`` is the pair's
     corresponding operator; theta* is built once, as a factor: one projection off
-    range(T*), made by the first ``_theta_part`` call that finds no theta on the pair's
-    record, and its norm (``ClassFactor.norm``) is taken once, which the
-    recovered Annihilator and the transfer read.
+    range(T*), made by the first read of the record's ``theta``, and its norm
+    (``ClassFactor.norm``) is taken once, which the recovered Annihilator and the
+    transfer read.
     """
-    calls = {"gap": 0, "theta_build": 0}
+    calls = {"gap": 0}
     gap = cached_property(counted(calls, "gap", oplin.LatticeOperator._gap.func))
     gap.__set_name__(oplin.LatticeOperator, "_gap")
     monkeypatch.setattr(oplin.LatticeOperator, "_gap", gap)
     seen = Decompositions(monkeypatch)
-    theta_part, thetas, normed = duality._theta_part, [], []
+    thetas, normed = [], []
 
-    def build(phi, partner):
-        calls["theta_build"] += df.frames._pair(phi, partner).theta is None
-        thetas.append(theta_part(phi, partner))
+    def build(pair, _theta=df.frames._Pair.theta.func):
+        thetas.append(_theta(pair))
         return thetas[-1]
 
     def factor_norm(factor, _norm=oplin.ClassFactor.norm):
         normed.append(factor)
         return _norm(factor)
 
-    monkeypatch.setattr(duality, "_theta_part", build)
-    monkeypatch.setattr(perturbation, "_theta_part", build)
+    theta = cached_property(build)
+    theta.__set_name__(df.frames._Pair, "theta")
+    monkeypatch.setattr(df.frames._Pair, "theta", theta)
     monkeypatch.setattr(oplin.ClassFactor, "norm", factor_norm)
 
-    run_pipeline()
+    phi, phi_ad, _ = run_pipeline()
 
     assert calls["gap"] == 2
     assert seen.census()[("inv", (64, 64))] == 1
-    assert calls["theta_build"] == 1
-    assert len(thetas) == 2 and thetas[0] is thetas[1]  # recovery and the transfer
+    assert len(thetas) == 1 and df.frames._pair(phi, phi_ad).theta is thetas[0]  # read by recovery and the transfer
     assert sum(m is thetas[0] for m in normed) == 1
 
 
@@ -521,9 +522,9 @@ def test_theta_is_the_kernel_projection_of_the_partner(t, size, seed):
     psi = Frame(built.copy())
     scale = norm(built)
 
-    theta = duality._theta_part(phi, psi)
-    assert norm(theta.synthesis().conj().T - subtracted_theta(phi, built)) <= RECONSTRUCTION_TOL * scale
-    rebuilt = duality._with_mixed(phi, df.frames._pair(phi, psi).mixed, theta).synthesis
+    pair = df.frames._pair(phi, psi)
+    assert norm(pair.theta.synthesis().conj().T - subtracted_theta(phi, built)) <= RECONSTRUCTION_TOL * scale
+    rebuilt = duality._with_mixed(phi, pair.mixed, pair.theta).synthesis
     assert norm(rebuilt - built) <= (ROUNDTRIP_TOL + 10 * o.kappa * EPS) * scale
 
 
@@ -590,7 +591,7 @@ def test_gabor_pair_keeps_its_theta():
     g = df.sample_bspline(2, grid)
     phi, psi = gabor_frame(g, lat), gabor_frame(df.ck_dual1(g, 2, lat.b), lat)
     theta = recover_parameters(phi, psi)[1]
-    assert duality._theta_part(phi, psi) is theta.star  # theta*, a factor with phi's classes
+    assert df.frames._pair(phi, psi).theta is theta.star  # theta*, a factor with phi's classes
     assert theta.star.shares_classes(phi._system)
     assert recover_parameters(phi, psi)[1].star is theta.star
     assert norm(theta.map - subtracted_theta(phi, psi.synthesis)) <= RECONSTRUCTION_TOL * norm(psi.synthesis)
@@ -620,21 +621,80 @@ def pair_of_frames(seed: int):
     return phi, approx_dual_from_mixed(phi, 0.9 * np.eye(4), theta)
 
 
-def test_pair_record_dies_with_either_frame():
-    phi, phi_ad = pair_of_frames(1)
-    recover_parameters(phi, phi_ad)
-    partner, record = weakref.ref(phi_ad), weakref.ref(df.frames._pair(phi, phi_ad))
-    del phi_ad
-    gc.collect()
-    assert partner() is None and record() is None
-    assert len(phi._pairs) == 0
+@contextmanager
+def collector_off():
+    """The cycle collector off: what the block frees is freed by reference counting alone."""
+    enabled = gc.isenabled()
+    gc.disable()
+    try:
+        yield
+    finally:
+        if enabled:
+            gc.enable()
 
-    phi, phi_ad = pair_of_frames(2)
-    classify_pair(phi, phi_ad)
-    first, record = weakref.ref(phi), weakref.ref(df.frames._pair(phi, phi_ad))
-    del phi
+
+def test_pair_record_dies_with_either_frame():
+    with collector_off():
+        phi, phi_ad = pair_of_frames(1)
+        recover_parameters(phi, phi_ad)
+        partner, record = weakref.ref(phi_ad), weakref.ref(df.frames._pair(phi, phi_ad))
+        del phi_ad
+        assert partner() is None and record() is None
+        assert len(phi._pairs) == 0
+
+        phi, phi_ad = pair_of_frames(2)
+        classify_pair(phi, phi_ad)
+        first, record = weakref.ref(phi), weakref.ref(df.frames._pair(phi, phi_ad))
+        del phi
+        assert first() is None and record() is None
+
+
+# What a pipeline builds: frames, their factors and spectra, block values and pair records.
+BUILT = (Frame, oplin.ClassFactor, oplin.Spectrum, oplin.LatticeOperator, df.frames._Pair)
+
+
+def left_to_the_collector(run) -> list:
+    """The type names of the objects of ``BUILT`` that ``run()`` made and that outlive it
+    with the cycle collector off: those in a reference cycle, which only a collection frees."""
     gc.collect()
-    assert first() is None and record() is None
+    before = [o for o in gc.get_objects() if type(o) in BUILT]  # held, so that no id is reused
+    known = {id(o) for o in before}
+    with collector_off():
+        run()
+        return sorted(type(o).__name__ for o in gc.get_objects() if type(o) in BUILT and id(o) not in known)
+
+
+def test_a_cycle_is_left_to_the_collector():
+    def cyclic():
+        frame = Frame(np.eye(2))
+        frame.__dict__["loop"] = frame
+
+    assert left_to_the_collector(cyclic) == ["ClassFactor", "Frame"]
+
+
+@pytest.mark.parametrize("dim, count", [(8, 12), (64, 96)])
+def test_frames_dense_task_is_freed_by_reference_counting(dim, count, monkeypatch):
+    monkeypatch.syspath_prepend(str(Path(__file__).resolve().parents[1] / "perfbench"))
+    import workloads
+
+    inp = workloads._frame_input(np.random.default_rng(dim), dim, count, workloads._Digest())
+    assert left_to_the_collector(lambda: workloads.frame_task(inp)) == []
+
+
+def test_gabor_transfer_is_freed_by_reference_counting():
+    """A 10:20 window pair: an approximate dual window, then its transfer to a moved window."""
+    grid, lat = df.GridSpec(10, 20), df.GaborLattice(1, "1/10")
+
+    def transfer():
+        g = df.sample_bspline(2, grid)
+        a_op = df.scaled_gabor_operator(df.sample_bspline(3, grid), lat)
+        approx = df.approx_dual_window(g, df.ck_dual1(g, 2, lat.b), a_op, lat)
+        jitter = 0.01 * np.random.default_rng(0).standard_normal(grid.total)
+        moved = df.SampledWindow(grid, g.values * (1.0 + jitter))  # each sample moved by 1%
+        result = transfer_approx_dual(*(gabor_frame(w, lat) for w in (g, moved, approx)))
+        assert result.measured_diff_bound <= result.predicted_diff_bound
+
+    assert left_to_the_collector(transfer) == []
 
 
 def test_kept_pair_facts_are_read_only():
