@@ -61,7 +61,7 @@ from .frames import (
     frame_bounds,
     require_frame,
 )
-from .oplin import LatticeOperator, _largest_norm, _squared, _strictly_below, adjoint
+from .oplin import LatticeOperator, _largest_norm, _paired, _squared, _strictly_below, adjoint
 from .tolerances import BESSEL_CHECK_TOL, DUAL_TOL, EQUIVALENCE_TOL, RANGE_TOL
 
 
@@ -174,11 +174,10 @@ def _with_mixed(phi: Frame, a: LatticeOperator, theta=None) -> Frame:
     or an annihilator's."""
     dual = canonical_dual(phi)._system
     star = theta.star if isinstance(theta, Annihilator) else theta
-    with np.errstate(over="ignore", invalid="ignore"):  # _with raises an overflow
-        stacks = [adjoint(b) @ f for (_, b), (_, f) in zip(a.groups, dual.groups)]
-        if star is not None:  # promoted, not added in place: a real stack takes a complex theta*
-            stacks = [stack + t for stack, (_, t) in zip(stacks, star.groups)]
-    return Frame._over(dual._with(stacks))
+    if star is None:
+        return Frame._over(dual._with(adjoint(b) @ f for b, f in _paired(a, dual)))
+    # promoted, not added in place: a real stack takes a complex theta*
+    return Frame._over(dual._with(adjoint(b) @ f + t for b, f, t in _paired(a, dual, star)))
 
 
 def _approx_dual(phi: Frame, a: LatticeOperator, theta, condition: str) -> Frame:

@@ -130,7 +130,7 @@ class Frame:
         """Ascending eigenvalues of S (read-only): the squares of the singular values of T, padded
         with zeros to d.  ValueError, as :func:`frame_bounds`, when S overflows or when a bound of a
         nonzero T is 0 or subnormal: lambda_max, and lambda_min of a frame (see :func:`is_frame`)."""
-        w, (s_min, s_max) = self._squares, self._sigma
+        w, (s_min, s_max) = self._squares, self.spectrum._sigma
         for bound, root in ((w[0], s_min if _is_frame(s_min, s_max) else 0.0), (w[-1], s_max)):
             if root > 0.0 and not np.finfo(float).tiny <= bound:
                 raise ValueError(f"frame bound {root:.3e}^2 is not a normal float")
@@ -148,12 +148,6 @@ class Frame:
     def spectrum(self) -> oplin.Spectrum:
         """The thin SVD of T (read-only), one batched SVD of each class factor."""
         return self._system.svd()
-
-    @cached_property
-    def _sigma(self) -> tuple:
-        """(s_min, s_max) of T: the singular values' (s_min = 0 when n < d)."""
-        s = self.spectrum.s
-        return (float(s[-1]) if s.size == self.dim else 0.0), float(s[0])
 
     @cached_property
     def _flat_view(self) -> "Frame":  # see _flat
@@ -261,13 +255,13 @@ def frame_bounds(phi: Frame) -> FrameBounds:
     """Optimal bounds, the ends of :attr:`Frame.eigenvalues` (ValueError as they raise);
     ``lower == 0.0`` signals a Bessel family that is not a frame."""
     w = phi.eigenvalues
-    return FrameBounds(lower=float(w[0]) if _is_frame(*phi._sigma) else 0.0, upper=float(w[-1]))
+    return FrameBounds(lower=float(w[0]) if _is_frame(*phi.spectrum._sigma) else 0.0, upper=float(w[-1]))
 
 
 def is_frame(phi: Frame) -> bool:
     """The frame test (see :mod:`dualframes.tolerances`) on s_min / s_max; reads no bound,
     so it holds at any scale."""
-    return _is_frame(*phi._sigma)
+    return _is_frame(*phi.spectrum._sigma)
 
 
 def require_frame(phi: Frame, name: str = "family") -> None:
@@ -395,7 +389,7 @@ class Annihilator:
         ContractViolation with the measured ||T theta||."""
         for name, v in (("star", star), ("base", base), ("norm", norm)):
             object.__setattr__(self, name, v)
-        allowed = ANNIHILATOR_TOL * base._sigma[1] * max(norm, 1e-300)  # ||T||
+        allowed = ANNIHILATOR_TOL * base.spectrum._sigma[1] * max(norm, 1e-300)  # ||T||
         residual = (base if star.shares_classes(base._system) else _flat(base))._system.blocks(star)
         if not residual.at_most(allowed):
             raise ContractViolation(

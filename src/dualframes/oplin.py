@@ -4,15 +4,17 @@ Operators between finite-dimensional complex spaces are plain 2-d ``numpy``
 arrays, ``complex128`` for a matrix given (:func:`as_operator`); samples keep the
 narrowest exact dtype (:func:`_narrowest`), so a real Gabor window's factor, SVD
 and blocks are float64, and all built from them follows numpy's promotion, never
-cast up.  This module supplies the pieces the
-frame machinery leans on everywhere: adjoints, operator (spectral) norms,
-guarded inverses/solves, and the one representation of a synthesis matrix:
-its class factor (:class:`ClassFactor`), of which a matrix is the one-class
-case.  One batched thin SVD of the factor gives every spectral fact
-(:class:`Spectrum`); the mixed operator of two factors with the same classes
-is block diagonal over them (:class:`LatticeOperator`).  One helper, :func:`_svd`,
-takes every SVD the library reads, thin or values only, so every singular value,
-norm, gap and distance scales exactly with its input, at every scale.
+cast up.  This module supplies the pieces the frame machinery leans on everywhere:
+adjoints, operator (spectral) norms, guarded inverses/solves, and the one
+representation of a synthesis matrix: its class factor (:class:`ClassFactor`), of
+which a matrix is the one-class case.  One batched thin SVD of the factor gives
+every spectral fact (:class:`Spectrum`); the mixed operator of two factors with the
+same classes is block diagonal over them (:class:`LatticeOperator`).  One helper,
+:func:`_svd`, takes every SVD the library reads, thin or values only, so every
+singular value, norm, gap and distance scales exactly with its input, at every scale.
+One helper, :func:`_paired`, pairs two operands' classes (LatticeMismatch across grids or
+lattices, DimensionMismatch when they hold other rows); one, :func:`_checked`, builds every
+stack of block arithmetic, computed unwarned, and refuses a non-finite one with ValueError.
 
 A pass/fail check ``||a|| <= bound`` on blocks can be settled on their Frobenius norm
 (:meth:`LatticeOperator.at_most`), which bounds the operator norm from above and costs
@@ -27,8 +29,7 @@ value of ``a`` in ``(1 - r, 1 + r)`` (Weyl), so its condition number is
 below the cutoff C; any other value is judged on its own singular values,
 which it keeps, as it keeps its gap and its inverse.
 
-Sizes stay at desk scale (a few hundred), so everything is dense and
-direct; no iterative methods.
+Sizes stay at desk scale (a few hundred): everything is dense and direct, never iterative.
 """
 
 from __future__ import annotations
@@ -138,6 +139,24 @@ def _frozen(a: np.ndarray) -> np.ndarray:
     return a
 
 
+def _checked(indexes, stacks) -> tuple:
+    """The groups ``(index, stack)`` of ``indexes`` holding ``stacks``, read-only, each stack computed
+    here (a generator's), unwarned, and refused with ValueError when an entry is not finite."""
+    with np.errstate(over="ignore", invalid="ignore"):
+        return tuple([(i, _frozen(_require_finite(s))) for i, s in zip(indexes, stacks)])
+
+
+def _paired(first, *others):
+    """The stacks of the operands (block values or factors), zipped class by class: LatticeMismatch
+    unless all lie on one grid and lattice, DimensionMismatch unless their classes hold the same rows."""
+    for other in others:
+        if (other.grid, other.lattice) != (first.grid, first.lattice):
+            raise LatticeMismatch("operands on different grids or lattices have different classes")
+        if [i.shape for i, _ in other.groups] != [i.shape for i, _ in first.groups]:
+            raise DimensionMismatch(f"operands of {first.shape[0]} and {other.shape[0]} rows")
+    return zip(*([s for _, s in x.groups] for x in (first, *others)))
+
+
 def _descending(stacks, size: int) -> np.ndarray:
     """The values of every array of ``stacks`` in one array, descending, zero-padded to ``size``:
     one stack of one class is LAPACK's own, already descending, and is not sorted again."""
@@ -171,11 +190,11 @@ class LatticeOperator:
     ``(index, blocks)`` groups, one per class size (``blocks[c]`` acts on the rows ``index[c]``),
     on the ``grid`` and ``lattice`` of the factors it comes from (None for a matrix).
     Only :meth:`of` and the classes of a value or a factor (:meth:`_with`) build it, through
-    :meth:`_of`, each block checked finite (ValueError otherwise); ``np.asarray`` gives the dense
-    matrix of their :attr:`dtype`, scattered anew, and :attr:`matrix` the one kept, read-only: the
-    block itself when one class holds every row, as for a matrix pair.  Every read and ``@`` (by a
-    value or a factor with the same classes, or by a vector) go block by block.  Each fact is
-    kept, computed on first read: :meth:`gap`, :meth:`singular_values` and the guarded :meth:`inverse`.
+    :meth:`_of` (:func:`_checked`); ``np.asarray`` gives the dense matrix of their :attr:`dtype`,
+    scattered anew, and :attr:`matrix` the one kept, read-only: the block itself when one class
+    holds every row, as for a matrix pair.  Every read and ``@`` (by a value or a factor with the
+    same classes, :func:`_paired`, or by a vector) go block by block.  Each fact is kept,
+    computed on first read: :meth:`gap`, :meth:`singular_values` and the guarded :meth:`inverse`.
 
     It is not a :class:`ClassFactor`: at ab = 1 a Gabor system's factor is square, so a
     block's shape cannot tell a synthesis matrix from an operator on the same space."""
@@ -185,16 +204,15 @@ class LatticeOperator:
     groups: tuple = field(init=False, repr=False)
 
     @classmethod
-    def _of(cls, grid, lattice, groups) -> "LatticeOperator":
-        value = cls()  # each index is read-only where it is made; each block is checked finite
-        groups = tuple([(i, _frozen(_require_finite(b))) for i, b in groups])
-        value.__dict__.update(grid=grid, lattice=lattice, groups=groups)
+    def _of(cls, grid, lattice, indexes, stacks) -> "LatticeOperator":
+        value = cls()  # each index is read-only where it is made
+        value.__dict__.update(grid=grid, lattice=lattice, groups=_checked(indexes, stacks))
         return value
 
     @classmethod
     def of(cls, a: np.ndarray) -> "LatticeOperator":
         """The finite d x d matrix ``a`` as one class, its block a view of ``a``: no copy."""
-        return cls._of(None, None, ((_frozen(np.arange(a.shape[0])[None]), a[None]),))
+        return cls._of(None, None, (_frozen(np.arange(a.shape[0])[None]),), (a[None],))
 
     @property
     def dim(self) -> int:
@@ -224,16 +242,14 @@ class LatticeOperator:
 
     def _with(self, stacks) -> "LatticeOperator":
         """The operator on these classes holding the blocks ``stacks`` (a value's or, as
-        :meth:`ClassFactor._operator`, a factor's); ValueError when an entry overflowed."""
-        return LatticeOperator._of(self.grid, self.lattice, zip([i for i, _ in self.groups], stacks))
+        :meth:`ClassFactor._operator`, a factor's); ValueError when an entry overflows."""
+        return LatticeOperator._of(self.grid, self.lattice, [i for i, _ in self.groups], stacks)
 
     def __matmul__(self, other):
         """X Y block by block for a value or a factor Y with the same classes, else X v (:meth:`apply`)."""
         if not isinstance(other, (LatticeOperator, ClassFactor)):
             return self.apply(np.asarray(other))
-        with np.errstate(over="ignore", invalid="ignore"):  # either _with raises an overflow
-            products = [x @ y for (_, x), (_, y) in zip(self.groups, other.groups)]  # the same classes
-        return other._with(products)
+        return other._with(x @ y for x, y in _paired(self, other))
 
     def norm(self) -> float:
         """||X||: the largest block norm."""
@@ -248,12 +264,9 @@ class LatticeOperator:
         return _largest_norm(np.eye(b.shape[-1]) - b for _, b in self.groups)
 
     def distance(self, other: "LatticeOperator") -> float:
-        """||Y - X|| for ``other`` = Y: the largest block norm of the difference;
-        LatticeMismatch unless ``other`` lies on the same grid and lattice."""
-        if (other.grid, other.lattice) != (self.grid, self.lattice):
-            raise LatticeMismatch("operators on different grids or lattices have different classes")
-        pairs = zip(self.groups, other.groups)  # the same classes, grouped alike
-        return _largest_norm(y - x for (_, x), (_, y) in pairs)
+        """||Y - X|| for ``other`` = Y with the same classes (:func:`_paired`): the largest block
+        norm of the difference; ValueError when an entry overflows."""
+        return self._with(y - x for x, y in _paired(self, other)).norm()
 
     def at_most(self, bound: float) -> bool:
         """Whether ||X|| <= bound: certified by the Frobenius norm of all blocks when it can be
@@ -295,15 +308,12 @@ class LatticeOperator:
 
     @cached_property
     def _inverse(self) -> "LatticeOperator":
-        with np.errstate(over="ignore", invalid="ignore"):  # _with raises an overflow
-            return self._with([np.linalg.inv(b) for _, b in self._guarded().groups])
+        return self._with(np.linalg.inv(b) for _, b in self._guarded().groups)
 
     def solve(self, rhs: "ClassFactor") -> "ClassFactor":
         """X^{-1} rhs, class by class, for a factor with these classes, under the guard of
         :meth:`inverse`; ValueError when an entry overflows."""
-        pairs = zip(self._guarded().groups, rhs.groups)
-        with np.errstate(over="ignore", invalid="ignore"):  # _with raises an overflow
-            return rhs._with([np.linalg.solve(b, f) for (_, b), (_, f) in pairs])
+        return rhs._with(np.linalg.solve(b, f) for b, f in _paired(self._guarded(), rhs))
 
 
 @dataclass(frozen=True, eq=False)
@@ -351,29 +361,24 @@ class ClassFactor:
         return syn.reshape(self.shape)
 
     def _with(self, stacks) -> "ClassFactor":
-        """These classes holding ``stacks``, read-only; ValueError when an entry overflowed."""
+        """These classes holding ``stacks`` (:func:`_checked`); ValueError when an entry overflows."""
         value = object.__new__(ClassFactor)  # replace(self, groups=...), without its field walk
-        value.__dict__.update(self.__dict__, groups=tuple(
-            [(i, _frozen(_require_finite(f))) for (i, _), f in zip(self.groups, stacks)]))
+        value.__dict__.update(self.__dict__, groups=_checked([i for i, _ in self.groups], stacks))
         return value
 
     _operator = LatticeOperator._with  # the d x d operator on these classes holding the blocks given
 
-    @np.errstate(over="ignore", invalid="ignore")  # _with raises an overflow
     def __sub__(self, other: "ClassFactor") -> "ClassFactor":
-        return self._with(x - y for (_, x), (_, y) in zip(self.groups, other.groups))
+        return self._with(x - y for x, y in _paired(self, other))
 
     def norm(self) -> float:
         """||T||: the largest singular value of the factors."""
         return _largest_norm(np.swapaxes(f, -1, -2) for _, f in self.groups)
 
     def blocks(self, other: "ClassFactor") -> LatticeOperator:
-        """T other*, the blocks factor_r other_r*, for ``other`` with the same classes;
-        ValueError when a block overflows."""
-        pairs = zip(self.groups, other.groups)  # the same classes, grouped alike
-        with np.errstate(over="ignore", invalid="ignore"):  # _operator raises an overflow
-            blocks = [left @ adjoint(right) for (_, left), (_, right) in pairs]
-        return self._operator(blocks)
+        """T other*, the blocks factor_r other_r*, for ``other`` with the same classes
+        (:func:`_paired`); ValueError when a block overflows."""
+        return self._operator(left @ adjoint(right) for left, right in _paired(self, other))
 
     def svd(self) -> "Spectrum":
         """The thin SVD of T: one batched thin SVD (:func:`_svd`) of each factor, so every spectral
@@ -408,6 +413,11 @@ class Spectrum:
         return self.factor.shape
 
     @cached_property
+    def _sigma(self) -> tuple:
+        """(s_min, s_max) of T, which the frame test reads (s_min = 0 when n < d)."""
+        return (float(self.s[-1]) if self.s.size == self.shape[0] else 0.0), float(self.s[0])
+
+    @cached_property
     def _cutoff(self) -> float:
         return self.s[0] * _EPS * max(self.shape)
 
@@ -435,23 +445,19 @@ class Spectrum:
     @property
     def inv_sqrt(self) -> np.ndarray:
         """:attr:`inv_root` as a d x d array, read-only; :class:`Singular` unless T passes the frame test."""
-        smallest = self.s[-1] if self.s.size == self.shape[0] else 0.0
-        if not _is_frame(smallest, self.s[0]):
-            raise Singular(f"smallest singular value {smallest:.3e} too close to zero")
+        if not _is_frame(*self._sigma):
+            raise Singular(f"smallest singular value {self._sigma[0]:.3e} too close to zero")
         return self.inv_root.matrix
 
     def power(self, p: int) -> LatticeOperator:
         """S^(p/2) = U diag(s^p) U*, class by class; ValueError when an entry overflows (S^{-1/2}
         of a T whose s_min is subnormal)."""
-        with np.errstate(over="ignore", invalid="ignore"):  # _operator raises an overflow
-            blocks = [(u * s[..., None, :] ** p) @ adjoint(u) for _, u, s, _ in self.classes]
-        return self.factor._operator(blocks)
+        return self.factor._operator((u * s[..., None, :] ** p) @ adjoint(u) for _, u, s, _ in self.classes)
 
     def dual(self) -> ClassFactor:
         """The canonical dual S^{-1} T = U diag(1/s) V*: the factor U_r diag(1/s_r) V_r*;
         ValueError when an entry overflows (a T whose s_min is subnormal)."""
-        with np.errstate(over="ignore", invalid="ignore"):  # _with raises an overflow
-            return self.factor._with([(u / s[..., None, :]) @ vh for _, u, s, vh in self.classes])
+        return self.factor._with((u / s[..., None, :]) @ vh for _, u, s, vh in self.classes)
 
     @cached_property
     def range_rows(self) -> tuple:

@@ -65,6 +65,14 @@ def outer_sum(frame: Frame) -> np.ndarray:
     return total
 
 
+def test_a_frame_is_immutable(phi0):
+    with pytest.raises(AttributeError, match="cannot set 'synthesis'"):
+        phi0.synthesis = np.eye(2)
+    with pytest.raises(AttributeError, match="cannot delete 'synthesis'"):
+        del phi0.synthesis
+    assert np.array_equal(phi0.synthesis, [[1, 0, 1], [0, 1, 1]])
+
+
 class TestAnalysisSynthesis:
     def test_analysis_inner_products(self, phi0):
         assert np.allclose(analysis(phi0, [1, 2]), [1, 2, 3])

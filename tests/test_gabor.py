@@ -975,6 +975,26 @@ class TestGaborPairPipeline:
         assert measured[0] == mixed_lattice_operator(g, partners["approx"], self.lat).gap()
         assert abs(measured[0] - measured[1]) <= 1e-12
 
+    def test_a_dense_target_reads_a_recovered_theta_as_one_class(self):
+        """A target not zero between the classes puts the construction on phi's one class: theta,
+        recovered on the system's classes, is read there as the one class of its matrix."""
+        grid, lat = GridSpec(10, 20), GaborLattice(1, Fraction(1, 10))
+        g = sample_bspline(2, grid)
+        a_op = scaled_gabor_operator(sample_bspline(3, grid), lat)
+        phi = gabor_frame(g, lat)
+        _, theta = recover_parameters(phi, gabor_frame(approx_dual_window(g, ck_dual1(g, 2, lat.b), a_op, lat), lat))
+        flat_theta = frames._one_class(theta)
+        assert theta.star.grid is not None and flat_theta.star.grid is None
+        assert flat_theta.base is frames._flat(phi) and np.array_equal(flat_theta.map, theta.map)
+        rng = np.random.default_rng(5)
+        bump = rng.standard_normal((phi.dim, phi.dim)) + 1j * rng.standard_normal((phi.dim, phi.dim))
+        target = 0.9 * np.eye(phi.dim) + 0.1 * bump / operator_norm(bump)
+        built = approx_dual_from_mixed(phi, target, theta)
+        flat = Frame(phi.synthesis)
+        dense = approx_dual_from_mixed(flat, target, frames.Annihilator(map=theta.map, base=flat))
+        assert np.max(np.abs(built.synthesis - dense.synthesis)) <= 1e-12
+        assert operator_norm(mixed_operator(flat, built) - target) <= 1e-10
+
 
 class TestCkDuals:
     def test_ck1_formula_b_spline_two(self):

@@ -1,14 +1,17 @@
+import warnings
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 from hypothesis.extra.numpy import arrays
 
-from dualframes import oplin
+from dualframes import gabor, oplin
 from dualframes import (
     DimensionMismatch,
     GaborLattice,
     GridSpec,
+    LatticeMismatch,
     Singular,
     adjoint,
     identity,
@@ -300,6 +303,47 @@ class TestDenseReads:
         for bad in (dense, v[:-1], v[:, None]):
             with pytest.raises(DimensionMismatch):
                 value @ bad
+
+
+# every read of two operands: the values x, y and the factors fx, fy
+PAIRED_READS = {
+    "@ value": lambda x, y, fx, fy: x @ y,
+    "@ factor": lambda x, y, fx, fy: x @ fy,
+    "distance": lambda x, y, fx, fy: x.distance(y),
+    "solve": lambda x, y, fx, fy: x.solve(fy),
+    "- factors": lambda x, y, fx, fy: fx - fy,
+    "blocks": lambda x, y, fx, fy: fx.blocks(fy),
+}
+
+
+class TestPairedReads:
+    """Every read of two operands pairs their classes in one place: operands of another size
+    raise DimensionMismatch and operands of another grid or lattice LatticeMismatch, never a
+    number read by broadcasting; a difference that overflows raises ValueError, unwarned."""
+
+    @pytest.mark.parametrize("rows", [1, 2])
+    @pytest.mark.parametrize("read", PAIRED_READS)
+    def test_another_size_is_a_dimension_mismatch(self, rows, read):
+        x, y = (oplin.LatticeOperator.of(k * np.eye(d, dtype=complex)) for k, d in ((1, 3), (2, rows)))
+        fx, fy = oplin.ClassFactor.of(np.ones((3, 2), dtype=complex)), oplin.ClassFactor.of(np.ones((rows, 2)))
+        with pytest.raises(DimensionMismatch):
+            PAIRED_READS[read](x, y, fx, fy)
+
+    @pytest.mark.parametrize("read", PAIRED_READS)
+    def test_another_lattice_is_a_lattice_mismatch(self, read):
+        g = sample_bspline(2, GridSpec(10, 20))
+        lats = GaborLattice(1, "1/10"), GaborLattice("1/2", "1/10")
+        (x, y), (fx, fy) = [mixed_lattice_operator(g, g, lat) for lat in lats], [
+            gabor._system(g, lat) for lat in lats]
+        with pytest.raises(LatticeMismatch):
+            PAIRED_READS[read](x, y, fx, fy)
+
+    def test_an_overflowing_distance_raises_value_error(self):
+        x, y = (oplin.LatticeOperator.of(k * np.eye(2, dtype=complex)) for k in (1e308, -1e308))
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(ValueError, match="non-finite entries"):
+                x.distance(y)
 
 
 def _scaled_map(shape, rank_one, exponent, seed):

@@ -19,8 +19,12 @@ comparison against ``COND_CUTOFF`` would be a second path.  Every square is a pr
 ``x * x`` (``oplin._squared`` for a bound or a norm): ``x ** 2`` of a Python float calls
 ``pow``, which is not correctly rounded, so it would not scale exactly with ``x``.  A pair's
 record (``frames._Pair``) computes every fact it keeps, so a record built, or a fact stored on
-one, outside ``frames.py`` would be a second owner of that fact.  These tests find each,
-syntactically, in ``src/dualframes``.
+one, outside ``frames.py`` would be a second owner of that fact.  Every stack of block
+arithmetic is computed under the ``np.errstate`` of ``oplin._checked``, so one outside it and
+the few sites that compute their own samples or singular values would be a second overflow
+policy; two operands' classes are paired by ``oplin._paired`` only, so another ``zip`` of
+their ``.groups`` would pair them unchecked.  These tests find each, syntactically, in
+``src/dualframes``.
 """
 
 import ast
@@ -285,3 +289,76 @@ def test_a_pair_fact_set_elsewhere_is_found():
     own = "pair = view._pairs[psi] = _Pair(view, psi)\npair.theta = None\n"
     trees = {"duality.py": ast.parse(source), "frames.py": ast.parse(own)}
     assert pair_record_writes(trees) == [("duality.py", n) for n in (3, 8, 9, 11, 12, 13, 14, 15)]
+
+
+def _sites(trees: dict, wanted) -> list:
+    """(file, qualified name of the innermost enclosing function, its decorators included, or None
+    at module level, line) of every node for which ``wanted(node)`` holds."""
+    sites = []
+
+    def visit(name, node, qual, func):
+        if wanted(node):
+            sites.append((name, func, node.lineno))
+        for child in ast.iter_child_nodes(node):
+            scope = isinstance(child, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef))
+            inner = (f"{qual}.{child.name}" if qual else child.name) if scope else qual
+            visit(name, child, inner, func if not scope or isinstance(child, ast.ClassDef) else inner)
+
+    for name, tree in trees.items():
+        visit(name, tree, None, None)
+    return sorted(sites, key=lambda s: (s[0], s[2]))
+
+
+ERRSTATE_SITES = {("oplin.py", "_svd"), ("oplin.py", "_frobenius_shows"), ("oplin.py", "_checked"),
+                  ("frames.py", "Frame._squares"), ("gabor.py", "_system"), ("gabor.py", "walnut_weight"),
+                  ("gabor.py", "janssen_residual_table")}
+
+
+def stray_errstates(trees: dict) -> list:
+    """(file, function, line) of every ``errstate`` (``np.errstate`` or a bare name) outside the
+    sites of ``ERRSTATE_SITES``: block arithmetic is computed under the one of ``oplin._checked``."""
+    return [s for s in _sites(trees, lambda n: _named(n, "errstate")) if s[:2] not in ERRSTATE_SITES]
+
+
+def test_every_errstate_lies_in_a_named_site():
+    assert stray_errstates(parsed()) == []
+
+
+def test_an_errstate_elsewhere_is_found():
+    oplin = ("def _checked(indexes, stacks):\n    with np.errstate(over='ignore'):\n        pass\n"
+             "class ClassFactor:\n    @np.errstate(over='ignore')\n    def __sub__(self, other):\n        pass\n"
+             "    def blocks(self, other):\n        def inner():\n            with numpy.errstate(invalid='ignore'):\n"
+             "                pass\n")
+    gabor = ("@np.errstate(over='ignore')\ndef walnut_weight(g, a):\n    pass\n"
+             "with errstate(over='ignore'):\n    pass\nold = np.seterr(over='ignore')\n")
+    trees = {"oplin.py": ast.parse(oplin), "gabor.py": ast.parse(gabor), "duality.py": ast.parse(
+        "def _with_mixed(phi, a):\n    with np.errstate(over='ignore'):\n        pass\n")}
+    assert stray_errstates(trees) == [("duality.py", "_with_mixed", 2), ("gabor.py", None, 4),
+                                      ("oplin.py", "ClassFactor.__sub__", 5), ("oplin.py", "ClassFactor.blocks.inner", 10)]
+
+
+def stray_pairings(trees: dict) -> list:
+    """(file, function, line) of every ``zip(...)`` that reads ``.groups`` in an argument, outside
+    ``oplin._paired``: two operands' classes are paired there only."""
+    def reads_groups(node) -> bool:
+        return isinstance(node, ast.Call) and _named(node.func, "zip") and any(
+            isinstance(n, ast.Attribute) and n.attr == "groups" for a in node.args for n in ast.walk(a))
+    return [s for s in _sites(trees, reads_groups) if s[:2] != ("oplin.py", "_paired")]
+
+
+def test_only_the_pairing_zips_two_operands():
+    assert stray_pairings(parsed()) == []
+
+
+def test_a_second_pairing_is_found():
+    oplin = ("def _paired(first, *others):\n    return zip(*([s for _, s in x.groups] for x in (first, *others)))\n"
+             "class LatticeOperator:\n    def distance(self, other):\n        pairs = zip(self.groups, other.groups)\n"
+             "def _checked(indexes, stacks):\n    return zip(indexes, stacks)\n")
+    duality = ("def _with_mixed(phi, a, star):\n    stacks = [b for (_, b), f in zip(a.groups, dual)]\n"
+               "    return [s + t for s, (_, t) in zip(stacks, star.groups)]\n"
+               "pairs = zip((f for _, f in x.groups), y)\nrows = zip(points, values)\n")
+    trees = {"oplin.py": ast.parse(oplin), "duality.py": ast.parse(duality),
+             "frames.py": ast.parse("def _paired(x, y):\n    return zip(x.groups, y.groups)\n")}
+    assert stray_pairings(trees) == [("duality.py", "_with_mixed", 2), ("duality.py", "_with_mixed", 3),
+                                     ("duality.py", None, 4), ("frames.py", "_paired", 2),
+                                     ("oplin.py", "LatticeOperator.distance", 5)]
